@@ -119,8 +119,15 @@ type Judge struct {
 	dnStmt    *cep.Statement
 
 	lastAccess map[string]time.Duration
-	coolStreak map[string]int // consecutive cooled-looking judge passes
+	coolStreak map[string]int // consecutive cooled-looking judge passes; no entry means 0
 	predictor  *Predictor     // nil unless Thresholds.Predictive
+
+	// Scratch a pass fills and the next reuses: the window's open counts,
+	// its block counts by path (groupOf indexes groups until sorted), verdicts.
+	fileCnt   map[string]float64
+	groups    []blockGroup
+	groupOf   map[string]int
+	hotTarget map[string]hotMark
 }
 
 // NewJudge builds a judge over the cluster with the given thresholds. It
@@ -133,6 +140,9 @@ func NewJudge(cluster *hdfs.Cluster, th Thresholds) *Judge {
 		th:         th,
 		lastAccess: make(map[string]time.Duration),
 		coolStreak: make(map[string]int),
+		fileCnt:    make(map[string]float64),
+		groupOf:    make(map[string]int),
+		hotTarget:  make(map[string]hotMark),
 	}
 	if th.Predictive {
 		j.predictor = NewPredictor(0, 0)
@@ -227,59 +237,86 @@ func (j *Judge) optimalReplication(nd float64) int {
 	return r
 }
 
+// blockGroup is one window path's per-block read counts, in CEP row order.
+type blockGroup struct {
+	path   string
+	blocks []blockCount
+}
+
+// blockCount is one block's reads in the window.
+type blockCount struct {
+	id  hdfs.BlockID
+	cnt float64
+}
+
+// hotMark is the strongest hot verdict on a path so far this pass: target
+// replication, formula, and the two numbers its Reason quotes if it is kept.
+type hotMark struct {
+	target, formula int
+	a, b            float64
+}
+
+// topEntry is a datanode's top contributor: the window path whose blocks
+// on that node drew the most reads, and that path's whole-window total.
+type topEntry struct {
+	path          string
+	onNode, total float64
+}
+
 // Evaluate runs the paper's judging pass over the current window and
 // returns the decisions, deterministically ordered by path.
 func (j *Judge) Evaluate() []Decision {
 	now := j.cluster.Clock().Now()
+	def := j.cluster.Config().DefaultReplication
 	var out []Decision
 
 	// Collect window aggregates. EachRow streams typed columns straight off
 	// the incremental group state — no Row maps on the hot path.
-	fileCnt := map[string]float64{}
+	clear(j.fileCnt)
 	j.fileStmt.MustEachRow(func(cols []cep.Val) {
-		fileCnt[cols[0].Str()] = cols[1].Num()
+		j.fileCnt[cols[0].Str()] = cols[1].Num()
 	})
-	blockCnt := map[string]map[hdfs.BlockID]float64{}
+	clear(j.groupOf)
+	j.groups = j.groups[:0]
 	j.blockStmt.MustEachRow(func(cols []cep.Val) {
 		p := cols[0].Str()
-		if blockCnt[p] == nil {
-			blockCnt[p] = map[hdfs.BlockID]float64{}
+		gi, ok := j.groupOf[p]
+		if !ok {
+			gi, j.groupOf[p] = len(j.groups), len(j.groups)
+			if gi == cap(j.groups) {
+				j.groups = append(j.groups, blockGroup{})
+			}
+			j.groups = j.groups[:gi+1] // a slot past len keeps its blocks' capacity
+			j.groups[gi].path, j.groups[gi].blocks = p, j.groups[gi].blocks[:0]
 		}
-		blockCnt[p][hdfs.BlockID(cols[1].Num())] = cols[2].Num()
+		g := &j.groups[gi]
+		g.blocks = append(g.blocks, blockCount{hdfs.BlockID(cols[1].Num()), cols[2].Num()})
 	})
 
-	hotTarget := map[string]Decision{}
-	markHot := func(path string, nd float64, formula int, reason string) {
-		target := j.optimalReplication(nd)
-		if cur := j.cluster.ReplicationOf(path); target <= cur {
-			return
-		}
-		if prev, ok := hotTarget[path]; ok && prev.TargetRepl >= target {
-			return
-		}
-		hotTarget[path] = Decision{
-			Time: now, Path: path, Class: Hot, Action: ActionIncrease,
-			TargetRepl: target, Formula: formula, Reason: reason,
+	clear(j.hotTarget)
+	markHot := func(path string, cur int, nd float64, formula int, a, b float64) {
+		// The first verdict asking for the most replicas wins (no entry: 0).
+		if target := j.optimalReplication(nd); target > cur && target > j.hotTarget[path].target {
+			j.hotTarget[path] = hotMark{target, formula, a, b}
 		}
 	}
 
-	// Per-file rules over every live file.
-	paths := j.sortedPaths()
-	for _, path := range paths {
+	// Per-file rules over every live file; an idle one is only read.
+	for _, path := range j.cluster.FilePaths() {
 		f := j.cluster.File(path)
-		r := float64(j.cluster.ReplicationOf(path))
-		if r <= 0 {
+		cur := j.cluster.Replication(f)
+		if cur <= 0 {
 			continue
 		}
-		nd := fileCnt[path]
-		def := float64(j.cluster.Config().DefaultReplication)
+		r := float64(cur)
+		nd := j.fileCnt[path]
 
 		if f.Encoded {
 			// Warmed-up encoded file: restore replication immediately.
 			if nd/r >= j.th.TauD {
 				out = append(out, Decision{
 					Time: now, Path: path, Class: Hot, Action: ActionDecode,
-					TargetRepl: int(def), Formula: 6,
+					TargetRepl: def, Formula: 6,
 					Reason: fmt.Sprintf("encoded file accessed %.0f times in window", nd),
 				})
 			}
@@ -288,7 +325,7 @@ func (j *Judge) Evaluate() []Decision {
 
 		// Formula (1): mean per-replica file accesses.
 		if nd/r > j.th.TauM {
-			markHot(path, nd, 1, fmt.Sprintf("N_d/r = %.1f > τ_M %.0f", nd/r, j.th.TauM))
+			markHot(path, cur, nd, 1, nd/r, 0)
 		}
 		// Predictive rule (future work): act one window early on a rising
 		// trend whose forecast already clears the hot threshold.
@@ -296,26 +333,25 @@ func (j *Judge) Evaluate() []Decision {
 			j.predictor.Observe(path, nd)
 			if forecast, hot := j.predictor.predictHot(path, r, j.th.TauM); hot {
 				f := clampForecast(forecast, nd)
-				markHot(path, f, 7, fmt.Sprintf("forecast N_d = %.0f (trend %+.1f/window)",
-					f, j.predictor.Trend(path)))
+				markHot(path, cur, f, 7, f, j.predictor.Trend(path))
 			}
 		}
 		// Formulas (2) and (3): per-block intensity.
-		if bc := blockCnt[path]; len(bc) > 0 {
+		if gi, ok := j.groupOf[path]; ok {
 			nBlocks := len(f.Blocks)
 			intense := 0
 			var maxB, totalB float64
-			for _, cnt := range bc {
-				totalB += cnt
-				if cnt/r > j.th.MM && cnt > maxB {
-					maxB = cnt
+			for _, b := range j.groups[gi].blocks {
+				totalB += b.cnt
+				if b.cnt/r > j.th.MM && b.cnt > maxB {
+					maxB = b.cnt
 				}
-				if cnt/r > j.th.Mm {
+				if b.cnt/r > j.th.Mm {
 					intense++
 				}
 			}
 			if maxB > 0 {
-				markHot(path, maxB, 2, fmt.Sprintf("block N_b/r = %.1f > M_M %.0f", maxB/r, j.th.MM))
+				markHot(path, cur, maxB, 2, maxB/r, 0)
 			}
 			if nBlocks > 0 && float64(intense)/float64(nBlocks) > j.th.Epsilon {
 				// Demand signal: average accesses per block (file-level
@@ -324,33 +360,34 @@ func (j *Judge) Evaluate() []Decision {
 				if nd > avg {
 					avg = nd
 				}
-				markHot(path, avg, 3, fmt.Sprintf("%d/%d blocks above M_m", intense, nBlocks))
+				markHot(path, cur, avg, 3, float64(intense), float64(nBlocks))
 			}
 		}
 
 		// Formula (5): cooled — extra replicas no longer earning their
 		// keep. Hysteresis: the file must look cooled for CooldownWindows
 		// consecutive passes, or marginal demand thrashes replicas.
-		if r > def && nd/r < j.th.TauD {
-			j.coolStreak[path]++
-			if j.coolStreak[path] >= j.th.CooldownWindows {
-				j.coolStreak[path] = 0
+		if cur > def && nd/r < j.th.TauD {
+			if streak := j.coolStreak[path] + 1; streak < j.th.CooldownWindows {
+				j.coolStreak[path] = streak
+			} else {
+				delete(j.coolStreak, path)
 				out = append(out, Decision{
 					Time: now, Path: path, Class: Cooled, Action: ActionDecrease,
-					TargetRepl: int(def), Formula: 5,
+					TargetRepl: def, Formula: 5,
 					Reason: fmt.Sprintf("N_d/r = %.2f < τ_d %.1f", nd/r, j.th.TauD),
 				})
 			}
 			continue
 		}
-		j.coolStreak[path] = 0
+		delete(j.coolStreak, path)
 
 		// Formula (6): cold — quiet and old.
 		last, seen := j.lastAccess[path]
 		if !seen {
 			last = f.CreatedAt
 		}
-		if nd/r < j.th.TauSmall && now-last > j.th.ColdAge && r <= def {
+		if nd/r < j.th.TauSmall && now-last > j.th.ColdAge && cur <= def {
 			out = append(out, Decision{
 				Time: now, Path: path, Class: Cold, Action: ActionEncode,
 				TargetRepl: 1, Formula: 6,
@@ -359,24 +396,33 @@ func (j *Judge) Evaluate() []Decision {
 		}
 	}
 
-	// Formula (4): overloaded datanodes — boost the file contributing the
-	// most accesses on that node.
+	// Formula (4): overloaded datanodes — boost "the data D that contributes
+	// the largest access to DN". Every node's top contributor comes from one
+	// walk of the window, made when the first node over τ_DN shows up.
+	var top []topEntry
 	j.dnStmt.MustEachRow(func(cols []cep.Val) {
 		cnt := cols[1].Num()
 		if cnt <= j.th.TauDN {
 			return
 		}
-		dn := hdfs.DatanodeID(cols[0].Num())
-		if top, nd, ok := j.topContributor(dn, blockCnt); ok {
-			markHot(top, nd, 4, fmt.Sprintf("datanode %d served %.0f block reads > τ_DN %.0f",
-				dn, cnt, j.th.TauDN))
+		if top == nil {
+			top = j.topContributors()
+		}
+		dn := cols[0].Num()
+		if t := top[int(dn)]; t.path != "" {
+			markHot(t.path, j.cluster.ReplicationOf(t.path), t.total, 4, dn, cnt)
 		}
 	})
 
-	for _, path := range sortedKeys(hotTarget) {
-		out = append(out, hotTarget[path])
+	for path, h := range j.hotTarget {
+		out = append(out, Decision{
+			Time: now, Path: path, Class: Hot, Action: ActionIncrease,
+			TargetRepl: h.target, Formula: h.formula, Reason: j.hotReason(h),
+		})
 	}
-	sort.SliceStable(out, func(a, b int) bool {
+	// A path has at most one per-file verdict (formula 5 or 6) and one hot
+	// verdict (1-4, 7), so (path, formula) is a total order.
+	sort.Slice(out, func(a, b int) bool {
 		if out[a].Path != out[b].Path {
 			return out[a].Path < out[b].Path
 		}
@@ -385,53 +431,50 @@ func (j *Judge) Evaluate() []Decision {
 	return out
 }
 
-// topContributor finds the file whose blocks on dn received the most
-// window accesses ("the data D that contributes the largest access to DN").
-func (j *Judge) topContributor(dn hdfs.DatanodeID, blockCnt map[string]map[hdfs.BlockID]float64) (string, float64, bool) {
-	best := ""
-	var bestCnt, bestTotal float64
-	for _, path := range sortedKeys(blockCnt) {
-		f := j.cluster.File(path)
+// hotReason formats the Reason of a kept hot verdict.
+func (j *Judge) hotReason(h hotMark) string {
+	switch h.formula {
+	case 1:
+		return fmt.Sprintf("N_d/r = %.1f > τ_M %.0f", h.a, j.th.TauM)
+	case 2:
+		return fmt.Sprintf("block N_b/r = %.1f > M_M %.0f", h.a, j.th.MM)
+	case 3:
+		return fmt.Sprintf("%.0f/%.0f blocks above M_m", h.a, h.b)
+	case 4:
+		return fmt.Sprintf("datanode %.0f served %.0f block reads > τ_DN %.0f", h.a, h.b, j.th.TauDN)
+	}
+	return fmt.Sprintf("forecast N_d = %.0f (trend %+.1f/window)", h.a, h.b)
+}
+
+// topContributors returns, indexed by datanode, the live unencoded window
+// path with the strictly largest read count on blocks that node holds. One
+// walk of the window's block groups in ascending path order, so on equal
+// counts the lexicographically smallest path keeps the node.
+func (j *Judge) topContributors() []topEntry {
+	top := make([]topEntry, j.cluster.NumDatanodes())
+	onNode := make([]float64, len(top)) // the current path's count per node
+	sort.Slice(j.groups, func(a, b int) bool { return j.groups[a].path < j.groups[b].path })
+	for _, g := range j.groups {
+		f := j.cluster.File(g.path)
 		if f == nil || f.Encoded {
 			continue
 		}
-		var onNode, total float64
-		for bid, cnt := range blockCnt[path] {
-			total += cnt
-			for _, r := range j.cluster.Replicas(bid) {
-				if r == dn {
-					onNode += cnt
-					break
-				}
+		var total float64
+		for _, b := range g.blocks {
+			total += b.cnt
+			for _, dn := range j.cluster.Replicas(b.id) {
+				onNode[dn] += b.cnt
 			}
 		}
-		if onNode > bestCnt {
-			best, bestCnt, bestTotal = path, onNode, total
+		// Settle and zero each node touched; one met twice is zero by then.
+		for _, b := range g.blocks {
+			for _, dn := range j.cluster.Replicas(b.id) {
+				if onNode[dn] > top[dn].onNode {
+					top[dn] = topEntry{g.path, onNode[dn], total}
+				}
+				onNode[dn] = 0
+			}
 		}
 	}
-	return best, bestTotal, best != ""
-}
-
-func (j *Judge) sortedPaths() []string {
-	var out []string
-	for _, fc := range j.allFiles() {
-		out = append(out, fc)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// allFiles enumerates cluster file paths. The hdfs package exposes files
-// individually; we walk via the audit-independent accessor.
-func (j *Judge) allFiles() []string {
-	return j.cluster.FilePaths()
-}
-
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return top
 }

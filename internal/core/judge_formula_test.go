@@ -64,6 +64,13 @@ func (f *judgeFix) blockReads(path string, bid hdfs.BlockID, dn hdfs.DatanodeID,
 	}
 }
 
+// pass lets the previous window expire, injects opens for path and judges.
+func (f *judgeFix) pass(path string, opens int) []Decision {
+	f.e.RunUntil(f.e.Now() + 6*time.Minute)
+	f.opens(path, opens)
+	return f.j.Evaluate()
+}
+
 // byFormula filters decisions for path down to the given formula number.
 func byFormula(ds []Decision, path string, formula int) []Decision {
 	var out []Decision
@@ -206,11 +213,7 @@ func TestJudgeFormula4Boundary(t *testing.T) {
 // N_d / r < τ_d, strictly, and only after CooldownWindows consecutive
 // cooled passes. r=4, τ_d=1: 3 opens per window cools, 4 sits on the line.
 func TestJudgeFormula5CooldownBoundary(t *testing.T) {
-	pass := func(f *judgeFix, opens int) []Decision {
-		f.e.RunUntil(f.e.Now() + 6*time.Minute) // previous window expires
-		f.opens("/f5", opens)
-		return f.j.Evaluate()
-	}
+	pass := func(f *judgeFix, opens int) []Decision { return f.pass("/f5", opens) }
 
 	t.Run("two_cooled_passes_trigger", func(t *testing.T) {
 		f := newJudgeFix(t, 18)
@@ -238,13 +241,22 @@ func TestJudgeFormula5CooldownBoundary(t *testing.T) {
 	t.Run("streak_resets_on_warm_pass", func(t *testing.T) {
 		f := newJudgeFix(t, 18)
 		f.create("/f5", 1, 4)
-		pass(f, 3)                                               // streak 1
-		pass(f, 4)                                               // warm: streak resets
+		pass(f, 3) // streak 1
+		if got := f.j.coolStreak["/f5"]; got != 1 {
+			t.Fatalf("streak after one cooled pass = %d, want 1", got)
+		}
+		pass(f, 4) // warm: streak resets, and a reset streak has no entry
+		if _, ok := f.j.coolStreak["/f5"]; ok {
+			t.Fatal("warm pass left a coolStreak entry")
+		}
 		if ds := pass(f, 3); len(byFormula(ds, "/f5", 5)) != 0 { // streak 1 again
 			t.Fatalf("cooled fired without consecutive passes: %v", ds)
 		}
 		if ds := pass(f, 3); len(byFormula(ds, "/f5", 5)) != 1 {
 			t.Fatalf("cooled missing after streak rebuilt: %v", ds)
+		}
+		if n := len(f.j.coolStreak); n != 0 {
+			t.Fatalf("a fired streak left %d entries", n)
 		}
 	})
 }

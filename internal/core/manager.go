@@ -88,9 +88,10 @@ type Manager struct {
 	sched   *condor.Scheduler
 	cfg     Config
 
-	pool      map[hdfs.DatanodeID]bool
-	inFlight  map[string]bool // path -> management job outstanding
-	repairing map[hdfs.BlockID]bool
+	pool       map[hdfs.DatanodeID]bool
+	advertised map[hdfs.DatanodeID]adAttrs // what each node's current ad was built from
+	inFlight   map[string]bool             // path -> management job outstanding
+	repairing  map[hdfs.BlockID]bool
 	// repairStart records when damage to a block was first scheduled for
 	// repair, for time-to-repair accounting across retries.
 	repairStart map[hdfs.BlockID]time.Duration
@@ -173,6 +174,7 @@ func New(cluster *hdfs.Cluster, cfg Config) *Manager {
 		cluster:        cluster,
 		cfg:            cfg,
 		pool:           map[hdfs.DatanodeID]bool{},
+		advertised:     map[hdfs.DatanodeID]adAttrs{},
 		inFlight:       map[string]bool{},
 		repairing:      map[hdfs.BlockID]bool{},
 		repairStart:    map[hdfs.BlockID]time.Duration{},
@@ -212,9 +214,7 @@ func New(cluster *hdfs.Cluster, cfg Config) *Manager {
 	})
 	m.sched.SetTracer(cluster.Tracer())
 	m.sched.RegisterMetrics(m.reg)
-	for _, d := range cluster.Datanodes() {
-		m.sched.Advertise(d.Name, m.machineAd(d), 2)
-	}
+	m.refreshAds()
 
 	m.ticker = sim.NewTicker(cluster.Clock(), cfg.JudgePeriod,
 		func(time.Duration) { m.RunJudgeOnce() })
@@ -277,9 +277,23 @@ func (m *Manager) machineAd(d *hdfs.Datanode) *classad.ClassAd {
 		Set("FreeGB", d.Free()/topology.GB)
 }
 
-// refreshAds re-advertises datanodes after state changes.
+// adAttrs are the attributes of a datanode's ad that can change.
+type adAttrs struct {
+	state hdfs.NodeState
+	pool  bool
+	free  float64
+}
+
+// refreshAds re-advertises the datanodes whose ad would differ from their
+// current one (every node, the first time). It runs after every job,
+// commission and node-up, and most of those change one node or none.
 func (m *Manager) refreshAds() {
 	for _, d := range m.cluster.Datanodes() {
+		cur := adAttrs{d.State, m.pool[d.ID], d.Free()}
+		if last, ok := m.advertised[d.ID]; ok && last == cur {
+			continue
+		}
+		m.advertised[d.ID] = cur
 		m.sched.Advertise(d.Name, m.machineAd(d), 2)
 	}
 }

@@ -695,8 +695,11 @@ func (c *Cluster) dropBlock(id BlockID) {
 
 // ReplicationOf returns the current replica count of a file's first block
 // (files keep uniform replication in this model), or 0 for unknown paths.
-func (c *Cluster) ReplicationOf(path string) int {
-	f := c.files[path]
+func (c *Cluster) ReplicationOf(path string) int { return c.Replication(c.files[path]) }
+
+// Replication is ReplicationOf for a caller that already holds the INode
+// (nil reads as 0), sparing the namespace lookup.
+func (c *Cluster) Replication(f *INode) int {
 	if f == nil || len(f.Blocks) == 0 {
 		return 0
 	}
