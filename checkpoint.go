@@ -26,16 +26,14 @@ type (
 // serialized; Restore rebuilds them. The system keeps running; the
 // checkpoint captures the state as of Now().
 //
-// A federated system with one shard writes the classic single-namenode
-// format, byte for byte — the shards=1 contract. With two or more shards
-// it writes the federated envelope: magic, envelope version, the router
-// (version + shard count), each shard's classic checkpoint blob
-// length-prefixed in shard order, and an FNV-1a trailer over everything
-// before it.
+// The shard count picks the on-disk format, here and in Restore and
+// StateDigest, because checkpoints outlive the code that wrote them: one
+// shard writes the classic single-namenode stream (ERMSCKP1), byte for
+// byte what every release has written. Two or more write the federated
+// envelope: magic, envelope version, the router (version + shard count),
+// each shard's classic checkpoint blob length-prefixed in shard order,
+// and an FNV-1a trailer over everything before it.
 func (s *System) Checkpoint(w io.Writer) error {
-	if s.shards == nil {
-		return s.cluster.WriteCheckpoint(w)
-	}
 	if len(s.shards) == 1 {
 		return s.shards[0].cluster.WriteCheckpoint(w)
 	}
@@ -127,11 +125,8 @@ func (s *System) restoreFederated(data []byte) error {
 		if _, err := io.ReadFull(br, blob); err != nil {
 			return fmt.Errorf("erms: shard %d blob: %w", i, err)
 		}
-		if err := sh.cluster.RestoreCheckpoint(bytes.NewReader(blob)); err != nil {
+		if err := sh.restore(bytes.NewReader(blob)); err != nil {
 			return fmt.Errorf("erms: shard %d restore: %w", i, err)
-		}
-		if sh.cluster.Journal() != nil {
-			sh.cluster.SetJournal(auditlog.NewJournalAt(sh.cluster.RestoredJournalSeq()))
 		}
 	}
 	if br.Len() != 0 {
@@ -151,33 +146,35 @@ func (s *System) restoreFederated(data []byte) error {
 // to continue the restored sequence numbering, so a checkpoint of the
 // restored system re-encodes byte-identically to one from the original.
 func (s *System) Restore(r io.Reader) error {
-	if s.shards != nil && len(s.shards) > 1 {
-		data, err := io.ReadAll(r)
-		if err != nil {
-			return fmt.Errorf("erms: federated checkpoint read: %w", err)
-		}
-		return s.restoreFederated(data)
+	if len(s.shards) == 1 {
+		return s.shards[0].restore(r)
 	}
-	c := s.HDFS()
-	if err := c.RestoreCheckpoint(r); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("erms: federated checkpoint read: %w", err)
+	}
+	return s.restoreFederated(data)
+}
+
+// restore loads one classic checkpoint stream into a pristine shard and
+// realigns its journal, if it has one, to the restored sequence number.
+func (sh *Shard) restore(r io.Reader) error {
+	if err := sh.cluster.RestoreCheckpoint(r); err != nil {
 		return err
 	}
-	if c.Journal() != nil {
-		c.SetJournal(auditlog.NewJournalAt(c.RestoredJournalSeq()))
+	if sh.cluster.Journal() != nil {
+		sh.cluster.SetJournal(auditlog.NewJournalAt(sh.cluster.RestoredJournalSeq()))
 	}
 	return nil
 }
 
 // StateDigest fingerprints the durable namenode state (see
 // hdfs.Cluster.StateDigest): two systems with equal digests agree on the
-// namespace, block map, replica lists, and node lifecycle states. A
-// one-shard federation digests identically to the classic system; with
-// more shards the per-shard digests are mixed with the shard index so
-// re-homing a file between shards changes the digest.
+// namespace, block map, replica lists, and node lifecycle states. One
+// shard digests as its cluster does (the digest every recorded golden
+// holds); with more shards the per-shard digests are mixed with the shard
+// index so re-homing a file between shards changes the digest.
 func (s *System) StateDigest() uint64 {
-	if s.shards == nil {
-		return s.cluster.StateDigest()
-	}
 	if len(s.shards) == 1 {
 		return s.shards[0].cluster.StateDigest()
 	}
@@ -196,18 +193,17 @@ func (s *System) StateDigest() uint64 {
 	return h.Sum64()
 }
 
-// Journal returns the write-ahead journal, or nil unless EnableJournal
-// was set (or the system was built by NewStandby). On a federated facade
-// this is shard 0's journal; each shard journals independently
-// (Shard(i).Journal()).
-func (s *System) Journal() *Journal { return s.HDFS().Journal() }
+// Journal returns shard 0's write-ahead journal, or nil unless
+// EnableJournal was set (or the system was built by NewStandby); each
+// shard journals independently (Shard(i).Journal()).
+func (s *System) Journal() *Journal { return s.shards[0].Journal() }
 
-// NewStandby commissions a standby namenode: a fresh system built from
-// opts that restores the checkpoint and replays the journal tail, ending
-// with durable state identical (same StateDigest) to the namenode that
-// wrote them. opts must match the failed system's Options — the
-// checkpoint's config digest enforces the parts that matter. The standby
-// gets its own journal continuing the failed namenode's sequence
+// NewStandby commissions a standby namenode: a fresh one-shard system
+// built from opts that restores the checkpoint and replays the journal
+// tail, ending with durable state identical (same StateDigest) to the
+// namenode that wrote them. opts must match the failed system's Options —
+// the checkpoint's config digest enforces the parts that matter. The
+// standby gets its own journal continuing the failed namenode's sequence
 // numbering, so it can itself be checkpointed and failed over.
 //
 // Transient work (in-flight reads, replica copies, MapReduce tasks) is
@@ -215,26 +211,17 @@ func (s *System) Journal() *Journal { return s.HDFS().Journal() }
 // ERMS judge starts cold, re-warming its heat windows from live traffic.
 func NewStandby(opts Options, checkpoint io.Reader, tail []JournalEntry) (*System, error) {
 	if opts.Shards > 1 {
-		return nil, fmt.Errorf("erms: NewStandby commissions one namenode; federated shards fail over via FailoverShard")
+		return nil, fmt.Errorf("erms: NewStandby commissions one namenode; shards of a running system fail over via FailoverShard")
 	}
-	opts.Shards = 0
-	s := newBase(opts)
-	if err := s.cluster.RestoreCheckpoint(checkpoint); err != nil {
-		return nil, fmt.Errorf("standby restore: %w", err)
-	}
-	if err := s.cluster.ReplayJournal(tail); err != nil {
-		return nil, fmt.Errorf("standby replay: %w", err)
-	}
-	s.cluster.SetJournal(auditlog.NewJournalAt(s.cluster.RestoredJournalSeq()))
-	// Promotion bumps the writer epoch past the one that produced the tail:
-	// entries the fenced predecessor might still try to write carry the old
-	// epoch and are recognizably stale.
+	s := newShardless(opts)
 	prevEpoch := uint64(1)
 	if n := len(tail); n > 0 && tail[n-1].Epoch > 0 {
 		prevEpoch = tail[n-1].Epoch
 	}
-	s.cluster.Journal().SetEpoch(prevEpoch + 1)
-	s.cluster.AdoptEpoch()
-	s.attachManager(opts)
+	sh, err := s.promote(checkpoint, tail, prevEpoch)
+	if err != nil {
+		return nil, fmt.Errorf("standby %w", err)
+	}
+	s.shards = append(s.shards, sh)
 	return s, nil
 }

@@ -148,9 +148,9 @@ func runToolCommand(cmd string, args []string) {
 // per-tier repair queue depths, and the repair pipeline's occupancy
 // against its caps. `-kill N` fails N datanodes shortly before the
 // horizon so the report catches the cluster mid-incident (killing enough
-// nodes trips the safe-mode guard). `-shards N` runs a federated
-// namespace instead and appends a per-shard table (epoch, namespace
-// size, safe mode, queue depths).
+// nodes trips the safe-mode guard). With `-shards N`, N >= 2, the report
+// ends with a per-shard table (epoch, namespace size, safe mode, queue
+// depths).
 func runStatusCommand(args []string) {
 	fs := flag.NewFlagSet("ermsctl status", flag.ExitOnError)
 	var (
@@ -158,7 +158,7 @@ func runStatusCommand(args []string) {
 		duration = fs.Duration("duration", 30*time.Minute, "trace length")
 		files    = fs.Int("files", 20, "file catalog size")
 		kill     = fs.Int("kill", 0, "datanodes to fail 10s before the horizon")
-		shards   = fs.Int("shards", 0, "partition the namespace across N namenodes (0 = single)")
+		shards   = fs.Int("shards", 0, "namenode shards the namespace is federated across (0 and 1 both mean one namenode)")
 	)
 	fs.Parse(args)
 
@@ -191,7 +191,7 @@ func runStatusCommand(args []string) {
 		})
 	}
 	sys.RunUntil(horizon)
-	fmt.Print(statusReport(sys))
+	fmt.Print(statusReport(sys.Status()))
 }
 
 // runCheckpointCommand handles the durability subcommands. `checkpoint`

@@ -2,66 +2,61 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"strings"
+	"time"
 
 	"erms"
 	"erms/internal/core"
 	"erms/internal/federation"
 )
 
-// statusReport renders the `ermsctl status` output. On a single-namenode
-// deployment the header describes the one cluster; on a federated
-// deployment the header describes shard 0 (the facade's default namenode)
-// and a shards table follows with every shard's epoch, namespace size,
+// statusReport renders the `ermsctl status` output from the system's
+// status model (erms.Status, the same one /v1/status serves as JSON): a
+// header describing shard 0's namenode and, when the namespace has more
+// than one shard, a table with every shard's epoch, namespace size,
 // safe-mode state, and repair queue depths.
-func statusReport(sys *erms.System) string {
+func statusReport(st erms.Status) string {
 	var b strings.Builder
-	c := sys.HDFS()
-	m := sys.Manager()
-	cm := sys.Metrics()
 	mode := "OFF"
-	if c.InSafeMode() {
+	if st.SafeMode.On {
 		mode = "ON"
 	}
-	fmt.Fprintf(&b, "== namenode status @ %s ==\n", sys.Now())
+	fmt.Fprintf(&b, "== namenode status @ %s ==\n", time.Duration(math.Round(st.NowSeconds*float64(time.Second))))
 	fmt.Fprintf(&b, "safe mode:      %s (entries %d, exits %d, rejections %d)\n",
-		mode, cm.SafeModeEntries, cm.SafeModeExits, cm.SafeModeRejections)
+		mode, st.SafeMode.Entries, st.SafeMode.Exits, st.SafeMode.Rejections)
 	fmt.Fprintf(&b, "availability:   %.4f of blocks live, %.3f of nodes live\n",
-		c.BlockAvailability(), c.LiveNodeFraction())
+		st.Availability.Blocks, st.Availability.Nodes)
 	fmt.Fprintf(&b, "writer epoch:   %d (journal epoch %d, fenced=%v; fenced writes rejected %d)\n",
-		c.Epoch(), sys.Journal().Epoch(), c.Fenced(), cm.FencedWritesRejected)
-	depths := m.RepairQueueDepths()
-	fmt.Fprintf(&b, "repair queues: ")
-	for i, n := range depths {
-		fmt.Fprintf(&b, " %s=%d", repairTiers[i], n)
+		st.Epoch.Writer, st.Epoch.Journal, st.Epoch.Fenced, st.Epoch.FencedWritesRejected)
+	if r := st.Repair; r != nil {
+		fmt.Fprintf(&b, "repair queues: %s\n", tierQueues(r.Queues))
+		fmt.Fprintf(&b, "repair pipeline: %d jobs, %d streams in flight (caps: %d cluster-wide, %d per node)\n",
+			r.ActiveJobs, r.ActiveStreams, r.MaxStreams, r.MaxStreamsPerNode)
+		fmt.Fprintf(&b, "counters:       repairs_deferred=%d repairs_throttled=%d\n", r.Deferred, r.Throttled)
 	}
-	fmt.Fprintln(&b)
-	caps := m.RepairCaps()
-	fmt.Fprintf(&b, "repair pipeline: %d jobs, %d streams in flight (caps: %d cluster-wide, %d per node)\n",
-		m.ActiveRepairJobs(), m.ActiveRepairStreams(), caps.MaxStreams, caps.MaxStreamsPerNode)
-	st := m.Stats()
-	fmt.Fprintf(&b, "counters:       repairs_deferred=%d repairs_throttled=%d\n",
-		st.RepairsDeferred, st.RepairsThrottled)
-	if sys.Shards() > 1 {
-		fmt.Fprintf(&b, "\n== shards (router v%d, %d-way) ==\n", federation.RouterVersion, sys.Shards())
-		for i := 0; i < sys.Shards(); i++ {
-			sh := sys.Shard(i)
-			sc := sh.HDFS()
+	if len(st.Shards) > 1 {
+		fmt.Fprintf(&b, "\n== shards (router v%d, %d-way) ==\n", federation.RouterVersion, len(st.Shards))
+		for _, sh := range st.Shards {
 			smode := "off"
-			if sc.InSafeMode() {
+			if sh.SafeMode {
 				smode = "ON"
 			}
-			fmt.Fprintf(&b, "  shard %d: epoch %d/%d files=%-4d safe=%-3s queues", i,
-				sc.Epoch(), sh.Journal().Epoch(), sc.Files(), smode)
-			for t, n := range sh.Manager().RepairQueueDepths() {
-				fmt.Fprintf(&b, " %s=%d", repairTiers[t], n)
-			}
-			fmt.Fprintln(&b)
+			fmt.Fprintf(&b, "  shard %d: epoch %d/%d files=%-4d safe=%-3s queues%s\n", sh.Shard,
+				sh.Epoch, sh.JournalEpoch, sh.Files, smode, tierQueues(sh.RepairQueues))
 		}
 	}
 	return b.String()
 }
 
-// repairTiers names the repair pipeline's admission tiers in priority
-// order; indexes match Manager.RepairQueueDepths.
-var repairTiers = core.RepairTierNames()
+// tierQueues renders a repair backlog as " tier=depth" pairs in admission
+// priority order (empty without ERMS, which has no repair pipeline).
+func tierQueues(q map[string]int) string {
+	var b strings.Builder
+	for _, name := range core.RepairTierNames() {
+		if n, ok := q[name]; ok {
+			fmt.Fprintf(&b, " %s=%d", name, n)
+		}
+	}
+	return b.String()
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -56,7 +57,7 @@ func TestStatusReportGolden(t *testing.T) {
 				}
 			}
 			sys.RunFor(5 * time.Minute)
-			got := statusReport(sys)
+			got := statusReport(sys.Status())
 
 			golden := filepath.Join("testdata", tc.name+".golden")
 			if *updateGolden {
@@ -76,5 +77,15 @@ func TestStatusReportGolden(t *testing.T) {
 					golden, got, want)
 			}
 		})
+	}
+}
+
+// TestStatusReportVanilla: without ERMS there is no repair pipeline and no
+// journal; the report drops the repair block instead of dereferencing a
+// nil manager.
+func TestStatusReportVanilla(t *testing.T) {
+	got := statusReport(erms.NewSystem(erms.Options{DisableERMS: true, Shards: 2}).Status())
+	if strings.Contains(got, "repair") || !strings.Contains(got, "shard 1: epoch 1/0 files=0    safe=off queues\n") {
+		t.Errorf("vanilla status:\n%s", got)
 	}
 }

@@ -40,7 +40,7 @@ func main() {
 		addr    = flag.String("addr", ":7730", "HTTP listen address")
 		racks   = flag.Int("racks", 0, "racks in the cluster (0 = default 3)")
 		nodes   = flag.Int("nodes", 0, "datanode count (0 = default 18)")
-		shards  = flag.Int("shards", 0, "federate the namespace across N namenode shards (0 = classic single namenode)")
+		shards  = flag.Int("shards", 0, "namenode shards the namespace is federated across (0 and 1 both mean one namenode)")
 		tauM    = flag.Float64("taum", 0, "hot threshold τ_M (0 = paper default)")
 		trace   = flag.Bool("trace", false, "record control-loop spans for /v1/trace")
 		journal = flag.Bool("journal", false, "attach the write-ahead journal (epoch fencing, failover)")

@@ -164,76 +164,24 @@ type Options struct {
 	// deterministically under test. The engine stays the single scheduling
 	// authority either way — the clock only decides how fast CatchUp lets
 	// it advance — so a sim-clocked service is byte-identical to a plain
-	// simulation (see TestClockSeamEquivalence). Nil (the default) keeps
-	// the classic pure-simulation behaviour.
+	// simulation (see TestClockSeamEquivalence). Nil (the default) is pure
+	// simulation.
 	Clock WallClock
-	// Shards federates the namespace across N namenode shards (see
-	// federation.go): a pinned hash-of-path router assigns every file to
-	// the shard owning its block map, under-replication set, journal
-	// epoch, and judge instance, while datanodes stay global (every shard
-	// sees the full topology and tracks its own block pool per node, the
-	// HDFS federation model). 0 (the default) builds the classic single
-	// namenode with no federation layer at all; 1 builds a one-shard
-	// federation whose behavior and checkpoint bytes are identical to the
-	// classic path — the regression gate; >= 2 partitions for real, with
-	// cross-shard renames running the journaled two-phase move protocol.
+	// Shards is the number of namenode shards the namespace is federated
+	// across (see federation.go): a pinned hash-of-path router assigns
+	// every file to the shard owning its block map, under-replication set,
+	// journal epoch, and judge instance, while datanodes stay global (every
+	// shard sees the full topology and tracks its own block pool per node,
+	// the HDFS federation model). Every deployment is a federation of at
+	// least one shard: 0 (the default) and 1 both mean one namenode — the
+	// paper's deployment, where the router never hashes; >= 2 partitions
+	// for real, with cross-shard renames running the journaled two-phase
+	// move protocol.
 	Shards int
 }
 
-// System bundles a simulated deployment: engine, HDFS, MapReduce runtime,
-// and (unless disabled) the ERMS manager. With Options.Shards >= 1 it is
-// instead a facade over a set of namenode shards sharing one engine (see
-// federation.go); the single-system API routes by path and aggregates
-// across shards, so existing callers run unchanged.
-type System struct {
-	engine   *sim.Engine
-	cluster  *hdfs.Cluster
-	mr       *mapred.Cluster
-	manager  *core.Manager
-	tracer   *trace.Tracer
-	registry *metrics.Registry
-
-	// Service-mode pacing state (see Options.Clock): nil wall means the
-	// classic pure-simulation mode where only RunFor advances time.
-	wall      WallClock
-	wallStart time.Time
-
-	// Federation state; nil/zero for a classic single-namenode system.
-	// A federated facade has cluster and manager nil (every access routes
-	// through shards); mr/tracer/registry mirror shard 0's.
-	shards    []*System
-	router    federation.Router
-	childOpts Options     // per-shard Options (Shards stripped), for rebuilds
-	snaps     []shardSnap // rolling per-shard snapshots for FailoverShard
-}
-
-// NewSystem builds a deployment from opts.
-func NewSystem(opts Options) *System {
-	var s *System
-	if opts.Shards >= 1 {
-		s = newFederated(opts)
-	} else {
-		s = newBase(opts)
-		if opts.EnableJournal {
-			s.cluster.SetJournal(auditlog.NewJournal())
-		}
-		s.attachManager(opts)
-	}
-	if opts.Clock != nil {
-		s.wall = opts.Clock
-		s.wallStart = s.wall.Now()
-	}
-	return s
-}
-
-// newBase builds everything except the ERMS manager and the journal, so
-// NewStandby can restore state before either attaches.
-func newBase(opts Options) *System { return newBaseOn(sim.NewEngine(), opts) }
-
-// newBaseOn is newBase on a caller-supplied engine — federation builds
-// every shard on one shared engine so the whole deployment advances on a
-// single virtual clock.
-func newBaseOn(engine *sim.Engine, opts Options) *System {
+// normalized fills the defaults every shard is built from.
+func (opts Options) normalized() Options {
 	if opts.Racks <= 0 {
 		opts.Racks = 3
 	}
@@ -248,12 +196,95 @@ func newBaseOn(engine *sim.Engine, opts Options) *System {
 	if opts.StandbyNodes >= opts.Nodes {
 		opts.StandbyNodes = opts.Nodes / 2
 	}
+	opts.Shards = max(opts.Shards, 1)
+	return opts
+}
+
+// System is a simulated deployment: one engine (one virtual clock) under
+// a federation of one or more namenode shards. Each Shard owns its slice
+// of the namespace — HDFS block pool, MapReduce runtime, metrics and
+// (unless disabled) ERMS manager — while datanodes are global. The API
+// routes by path and aggregates across shards; HDFS, Manager, MapReduce,
+// Tracer, Registry and Journal answer for shard 0, which on the default
+// one-shard deployment is the whole system.
+type System struct {
+	engine *sim.Engine
+
+	// Service-mode pacing state (see Options.Clock): nil wall means pure
+	// simulation, where only RunFor advances time.
+	wall      WallClock
+	wallStart time.Time
+
+	opts   Options // normalized: what every shard, and every rebuild, is built from
+	router federation.Router
+	shards []*Shard    // len >= 1
+	snaps  []shardSnap // rolling per-shard snapshots for FailoverShard
+}
+
+// Shard is one namenode of a System: the owner of its files' block map,
+// under-replication set, journal and judge. Reach one with System.Shard.
+type Shard struct {
+	cluster  *hdfs.Cluster
+	mr       *mapred.Cluster
+	manager  *core.Manager
+	tracer   *trace.Tracer
+	registry *metrics.Registry
+}
+
+// HDFS returns the shard's storage cluster.
+func (sh *Shard) HDFS() *hdfs.Cluster { return sh.cluster }
+
+// Manager returns the shard's ERMS manager, or nil when DisableERMS was set.
+func (sh *Shard) Manager() *core.Manager { return sh.manager }
+
+// Registry returns the shard's metrics registry.
+func (sh *Shard) Registry() *metrics.Registry { return sh.registry }
+
+// Journal returns the shard's write-ahead journal, or nil without
+// EnableJournal.
+func (sh *Shard) Journal() *Journal { return sh.cluster.Journal() }
+
+// NewSystem builds a deployment from opts.
+func NewSystem(opts Options) *System {
+	s := newShardless(opts)
+	for range s.opts.Shards {
+		sh := s.newShard()
+		if s.opts.EnableJournal {
+			sh.cluster.SetJournal(auditlog.NewJournal())
+		}
+		sh.attachManager(s.opts)
+		s.shards = append(s.shards, sh)
+	}
+	return s
+}
+
+// newShardless builds everything but the shards — engine, pacing, router —
+// so NewStandby can promote its one shard from a checkpoint instead.
+func newShardless(opts Options) *System {
+	opts = opts.normalized()
+	s := &System{
+		engine: sim.NewEngine(),
+		opts:   opts,
+		router: federation.New(opts.Shards),
+		snaps:  make([]shardSnap, opts.Shards),
+	}
+	if opts.Clock != nil {
+		s.wall = opts.Clock
+		s.wallStart = s.wall.Now()
+	}
+	return s
+}
+
+// newShard builds one namenode on the shared engine, without journal or
+// manager: NewSystem attaches fresh ones, promote restores state first.
+func (s *System) newShard() *Shard {
+	opts := s.opts
 	topo := topology.New(topology.Config{Racks: opts.Racks, NodeCount: opts.Nodes})
 	var standby []hdfs.DatanodeID
 	for id := opts.Nodes - opts.StandbyNodes; id < opts.Nodes; id++ {
 		standby = append(standby, hdfs.DatanodeID(id))
 	}
-	cluster := hdfs.New(engine, hdfs.Config{
+	cluster := hdfs.New(s.engine, hdfs.Config{
 		Topology:           topo,
 		BlockSize:          opts.BlockSize,
 		DefaultReplication: opts.DefaultReplication,
@@ -267,8 +298,7 @@ func newBaseOn(engine *sim.Engine, opts Options) *System {
 	}
 	registry := metrics.NewRegistry()
 	cluster.RegisterMetrics(registry)
-	s := &System{
-		engine:   engine,
+	sh := &Shard{
 		cluster:  cluster,
 		mr:       mapred.New(cluster, opts.SlotsPerNode, sched),
 		registry: registry,
@@ -276,20 +306,20 @@ func newBaseOn(engine *sim.Engine, opts Options) *System {
 	if opts.EnableTrace {
 		// The tracer must be attached before core.New: the manager hands
 		// cluster.Tracer() to the Condor scheduler and the judge's CEP engine.
-		s.tracer = trace.New(engine.Now)
-		cluster.SetTracer(s.tracer)
+		sh.tracer = trace.New(s.engine.Now)
+		cluster.SetTracer(sh.tracer)
 	}
-	return s
+	return sh
 }
 
-func (s *System) attachManager(opts Options) {
+func (sh *Shard) attachManager(opts Options) {
 	if opts.DisableERMS {
 		return
 	}
-	s.manager = core.New(s.cluster, core.Config{
+	sh.manager = core.New(sh.cluster, core.Config{
 		Thresholds:  opts.Thresholds,
 		JudgePeriod: opts.JudgePeriod,
-		Registry:    s.registry,
+		Registry:    sh.registry,
 		Repair:      opts.Repair,
 	})
 }
@@ -297,34 +327,24 @@ func (s *System) attachManager(opts Options) {
 // Engine returns the simulation engine (for scheduling custom events).
 func (s *System) Engine() *sim.Engine { return s.engine }
 
-// HDFS returns the storage cluster. On a federated facade this is shard
-// 0's cluster; use Shard(i).HDFS() for a specific shard.
-func (s *System) HDFS() *hdfs.Cluster {
-	if s.shards != nil {
-		return s.shards[0].cluster
-	}
-	return s.cluster
-}
+// HDFS returns shard 0's storage cluster; use Shard(i).HDFS() for another
+// shard's.
+func (s *System) HDFS() *hdfs.Cluster { return s.shards[0].cluster }
 
-// MapReduce returns the job runtime.
-func (s *System) MapReduce() *mapred.Cluster { return s.mr }
+// MapReduce returns the job runtime, which is bound to shard 0.
+func (s *System) MapReduce() *mapred.Cluster { return s.shards[0].mr }
 
-// Manager returns the ERMS manager, or nil when DisableERMS was set. On a
-// federated facade this is shard 0's manager; each shard runs its own
-// judge (Shard(i).Manager()).
-func (s *System) Manager() *core.Manager {
-	if s.shards != nil {
-		return s.shards[0].manager
-	}
-	return s.manager
-}
+// Manager returns shard 0's ERMS manager, or nil when DisableERMS was
+// set; each shard runs its own judge (Shard(i).Manager()).
+func (s *System) Manager() *core.Manager { return s.shards[0].manager }
 
-// Tracer returns the span recorder, or nil unless EnableTrace was set.
-// A nil *trace.Tracer is safe to call (every method no-ops).
-func (s *System) Tracer() *trace.Tracer { return s.tracer }
+// Tracer returns shard 0's span recorder, or nil unless EnableTrace was
+// set. A nil *trace.Tracer is safe to call (every method no-ops).
+func (s *System) Tracer() *trace.Tracer { return s.shards[0].tracer }
 
-// Registry returns the metrics registry shared by every subsystem.
-func (s *System) Registry() *metrics.Registry { return s.registry }
+// Registry returns shard 0's metrics registry, shared by every subsystem
+// of that shard.
+func (s *System) Registry() *metrics.Registry { return s.shards[0].registry }
 
 // Now returns the current virtual time.
 func (s *System) Now() time.Duration { return s.engine.Now() }
@@ -392,16 +412,17 @@ func (s *System) Write(client int, path string, size float64, done func(*WriteRe
 }
 
 // Balance runs the HDFS balancer until active nodes sit within threshold
-// (fraction of capacity) of the mean utilization. On a federated facade
-// the balancer fans out per shard — each block pool balances its own
-// replica placement — and done (if non-nil) observes one report per
-// shard.
+// (fraction of capacity) of the mean utilization. The balancer fans out
+// per shard — each block pool balances its own replica placement — and
+// done (if non-nil) observes one report per shard.
 func (s *System) Balance(threshold float64, done func(BalancerReport)) {
-	s.eachShard(func(sh *System) { sh.cluster.Balance(threshold, 4, done) })
+	for _, sh := range s.shards {
+		sh.cluster.Balance(threshold, 4, done)
+	}
 }
 
 // Submit queues a MapReduce job.
-func (s *System) Submit(j *Job) error { return s.mr.Submit(j) }
+func (s *System) Submit(j *Job) error { return s.shards[0].mr.Submit(j) }
 
 // Rename moves a file to a new path (metadata-only); ERMS's judge state
 // follows the file. When the source and destination hash to different
@@ -409,9 +430,6 @@ func (s *System) Submit(j *Job) error { return s.mr.Submit(j) }
 // protocol (see StartMove) synchronously; judge heat does not follow the
 // file across shards — it re-warms at the destination, like a failover.
 func (s *System) Rename(src, dst string) error {
-	if s.shards == nil {
-		return s.cluster.Rename(src, dst)
-	}
 	si, di := s.router.Shard(src), s.router.Shard(dst)
 	if si == di {
 		return s.shards[si].cluster.Rename(src, dst)
@@ -432,101 +450,99 @@ func (s *System) Replication(path string) int { return s.shardFor(path).cluster.
 // StorageUsed returns total bytes stored across datanodes.
 func (s *System) StorageUsed() float64 {
 	var total float64
-	s.eachShard(func(sh *System) { total += sh.cluster.TotalUsed() })
+	for _, sh := range s.shards {
+		total += sh.cluster.TotalUsed()
+	}
 	return total
 }
 
-// Metrics returns storage-level counters, summed across shards on a
-// federated facade.
+// Metrics returns storage-level counters, summed across shards.
 func (s *System) Metrics() HDFSMetrics {
 	var total HDFSMetrics
-	s.eachShard(func(sh *System) { total = total.Add(sh.cluster.Metrics()) })
+	for _, sh := range s.shards {
+		total = total.Add(sh.cluster.Metrics())
+	}
 	return total
 }
 
 // Decisions returns the ERMS decision history (nil without ERMS),
-// concatenated in shard order on a federated facade.
+// concatenated in shard order.
 func (s *System) Decisions() []Decision {
 	var all []Decision
-	s.eachShard(func(sh *System) {
+	for _, sh := range s.shards {
 		if sh.manager != nil {
 			all = append(all, sh.manager.History()...)
 		}
-	})
+	}
 	return all
 }
 
-// Energy returns the standby-pool energy report (zero without ERMS). On a
-// federated facade the per-shard reports are summed: each shard manages
-// its block pool's standby commissioning independently on the shared
-// hardware, so pooled node counts and uptimes add.
+// Energy returns the standby-pool energy report (zero without ERMS),
+// summed across shards: each shard manages its block pool's standby
+// commissioning independently on the shared hardware, so pooled node
+// counts and uptimes add.
 func (s *System) Energy() EnergyReport {
 	var total EnergyReport
-	s.eachShard(func(sh *System) {
+	for _, sh := range s.shards {
 		if sh.manager == nil {
-			return
+			continue
 		}
 		r := sh.manager.Energy()
 		total.PoolNodes += r.PoolNodes
 		total.PoolActiveTime += r.PoolActiveTime
 		total.AllActiveTime += r.AllActiveTime
 		total.SavedNodeHours += r.SavedNodeHours
-	})
+	}
 	return total
 }
 
-// Preload creates a trace's files at their creation times, routing each
-// file to its owner shard on a federated facade.
+// Preload creates a trace's files at their creation times, each in its
+// owner shard.
 func (s *System) Preload(t *Trace) {
-	if s.shards == nil {
-		workload.Preload(s.engine, s.cluster, t)
-		return
+	subs := make([]workload.Trace, len(s.shards))
+	for i := range subs { // room for an even share: with one shard, no regrowth
+		subs[i].Files = make([]workload.FileSpec, 0, len(t.Files)/len(subs))
+	}
+	for _, f := range t.Files {
+		sub := &subs[s.router.Shard(f.Path)]
+		sub.Files = append(sub.Files, f)
 	}
 	for i, sh := range s.shards {
-		sub := &workload.Trace{Seed: t.Seed, Duration: t.Duration}
-		for _, f := range t.Files {
-			if s.router.Shard(f.Path) == i {
-				sub.Files = append(sub.Files, f)
-			}
-		}
-		workload.Preload(s.engine, sh.cluster, sub)
+		workload.Preload(s.engine, sh.cluster, &subs[i])
 	}
 }
 
 // ReplayJobs submits a trace's jobs to MapReduce at their trace times.
-// MapReduce stays bound to shard 0 on a federated facade: jobs over files
-// owned by other shards are skipped (missing input), matching the replay
-// helper's hand-edited-trace tolerance. Use ReplayReads for federated
-// read workloads.
+// MapReduce is bound to shard 0: jobs over files owned by other shards
+// are skipped (missing input), matching the replay helper's
+// hand-edited-trace tolerance. Use ReplayReads for read workloads that
+// span shards.
 func (s *System) ReplayJobs(t *Trace, onDone func(*Job)) {
-	workload.ReplayMapReduce(s.engine, s.mr, t, onDone)
+	workload.ReplayMapReduce(s.engine, s.shards[0].mr, t, onDone)
 }
 
-// ReplayReads replays a trace as direct whole-file client reads, routing
-// each read to the file's owner shard on a federated facade.
+// ReplayReads replays a trace as direct whole-file client reads, each
+// routed to the file's owner shard.
 func (s *System) ReplayReads(t *Trace, onDone func(*ReadResult)) {
-	if s.shards == nil {
-		workload.ReplayReads(s.engine, s.cluster, t, onDone)
-		return
+	subs := make([]workload.Trace, len(s.shards))
+	for i := range subs {
+		subs[i].Jobs = make([]workload.JobSpec, 0, len(t.Jobs)/len(subs))
+	}
+	for _, j := range t.Jobs {
+		sub := &subs[s.router.Shard(j.File)]
+		sub.Jobs = append(sub.Jobs, j)
 	}
 	for i, sh := range s.shards {
-		sub := &workload.Trace{Seed: t.Seed, Duration: t.Duration}
-		for _, j := range t.Jobs {
-			if s.router.Shard(j.File) == i {
-				sub.Jobs = append(sub.Jobs, j)
-			}
-		}
-		workload.ReplayReads(s.engine, sh.cluster, sub, onDone)
+		workload.ReplayReads(s.engine, sh.cluster, &subs[i], onDone)
 	}
 }
 
-// Stop halts ERMS background activity (judge ticker, negotiator) so the
-// event queue can drain; on a federated facade every shard's manager
-// stops.
+// Stop halts ERMS background activity (every shard's judge ticker and
+// negotiator) so the event queue can drain.
 func (s *System) Stop() {
-	s.eachShard(func(sh *System) {
+	for _, sh := range s.shards {
 		if sh.manager != nil {
 			sh.manager.Stop()
 		}
-	})
+	}
 }

@@ -4,22 +4,23 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 
 	"erms/internal/auditlog"
 	"erms/internal/federation"
 	"erms/internal/hdfs"
-	"erms/internal/sim"
 )
 
-// Namespace federation. A federated System is a facade over N namenode
-// shards sharing one simulation engine: the pinned hash-of-path router
-// (internal/federation) assigns every file to exactly one shard, which
-// owns its block map, under-replication set, journal epoch, and judge
-// instance. Datanodes are global — every shard sees the full topology and
-// tracks its own block pool on each node, HDFS federation's block-pool
-// model — so node lifecycle changes fan out across shards (KillNode,
-// RestartNode) while namespace operations route by path.
+// Namespace federation. A System is N >= 1 namenode shards sharing one
+// simulation engine: the pinned hash-of-path router (internal/federation)
+// assigns every file to exactly one shard, which owns its block map,
+// under-replication set, journal epoch, and judge instance. Datanodes are
+// global — every shard sees the full topology and tracks its own block
+// pool on each node, HDFS federation's block-pool model — so node
+// lifecycle changes fan out across shards (KillNode, RestartNode) while
+// namespace operations route by path. With one shard the router answers 0
+// without hashing and none of the cross-shard machinery below ever fires.
 //
 // Cross-shard renames are the one operation no single shard can perform
 // alone. They run a journaled two-phase move:
@@ -50,108 +51,47 @@ type shardSnap struct {
 	seq  uint64
 }
 
-// newFederated builds a facade over opts.Shards namenode shards on one
-// shared engine. Each shard is a complete single-namenode System — its
-// own cluster, journal, metrics registry, and (unless disabled) manager —
-// built from opts with Shards stripped.
-func newFederated(opts Options) *System {
-	n := opts.Shards
-	child := opts
-	child.Shards = 0
-	engine := sim.NewEngine()
-	parent := &System{
-		engine:    engine,
-		router:    federation.New(n),
-		childOpts: child,
-		snaps:     make([]shardSnap, n),
-	}
-	for i := 0; i < n; i++ {
-		sh := newBaseOn(engine, child)
-		if child.EnableJournal {
-			sh.cluster.SetJournal(auditlog.NewJournal())
-		}
-		sh.attachManager(child)
-		parent.shards = append(parent.shards, sh)
-	}
-	parent.mr = parent.shards[0].mr
-	parent.tracer = parent.shards[0].tracer
-	parent.registry = parent.shards[0].registry
-	return parent
-}
+// shardFor returns the shard owning path.
+func (s *System) shardFor(path string) *Shard { return s.shards[s.router.Shard(path)] }
 
-// shardFor returns the shard owning path (the system itself when not
-// federated).
-func (s *System) shardFor(path string) *System {
-	if s.shards == nil {
-		return s
-	}
-	return s.shards[s.router.Shard(path)]
-}
+// Shards returns the shard count (at least 1).
+func (s *System) Shards() int { return len(s.shards) }
 
-// eachShard visits every shard in index order (just the system itself
-// when not federated).
-func (s *System) eachShard(fn func(*System)) {
-	if s.shards == nil {
-		fn(s)
-		return
-	}
-	for _, sh := range s.shards {
-		fn(sh)
-	}
-}
+// Shard returns shard i, 0 <= i < Shards().
+func (s *System) Shard(i int) *Shard { return s.shards[i] }
 
-// Shards returns the shard count: 1 for a classic single-namenode system,
-// opts.Shards for a federated facade.
-func (s *System) Shards() int {
-	if s.shards == nil {
-		return 1
-	}
-	return len(s.shards)
-}
-
-// Shard returns shard i as a full single-namenode System (the system
-// itself when not federated, for any i).
-func (s *System) Shard(i int) *System {
-	if s.shards == nil {
-		return s
-	}
-	return s.shards[i]
-}
-
-// Router returns the path→shard router (a single-shard router when not
-// federated).
-func (s *System) Router() federation.Router {
-	if s.shards == nil {
-		return federation.New(1)
-	}
-	return s.router
-}
+// Router returns the path→shard router.
+func (s *System) Router() federation.Router { return s.router }
 
 // JudgePass runs one synchronous judging pass on every shard's manager in
-// shard order — the federated inner loop the sharded judge benchmark
-// pins. Shards judge independently (each sees only its own block pool's
-// heat), which is what lets the full pass parallelize shard-per-worker on
-// the sweep engine; this sequential walk keeps the shared-engine single
-// writer discipline for in-process use.
+// shard order — the inner loop the judge benchmarks pin. Shards judge
+// independently (each sees only its own block pool's heat), which is what
+// lets the full pass parallelize shard-per-worker on the sweep engine;
+// this sequential walk keeps the shared-engine single writer discipline
+// for in-process use.
 func (s *System) JudgePass() {
-	s.eachShard(func(sh *System) {
+	for _, sh := range s.shards {
 		if sh.manager != nil {
 			sh.manager.RunJudgeOnce()
 		}
-	})
+	}
 }
 
 // KillNode declares datanode id crashed in every shard: datanodes are
 // global, so losing a machine loses its replicas in all block pools at
 // once.
 func (s *System) KillNode(id int) {
-	s.eachShard(func(sh *System) { sh.cluster.Kill(hdfs.DatanodeID(id)) })
+	for _, sh := range s.shards {
+		sh.cluster.Kill(hdfs.DatanodeID(id))
+	}
 }
 
 // RestartNode restarts datanode id in every shard (empty, as after a
 // crash-wipe restart).
 func (s *System) RestartNode(id int) {
-	s.eachShard(func(sh *System) { sh.cluster.Restart(hdfs.DatanodeID(id)) })
+	for _, sh := range s.shards {
+		sh.cluster.Restart(hdfs.DatanodeID(id))
+	}
 }
 
 // Move is one in-flight cross-shard rename. Run drives it to completion;
@@ -174,9 +114,6 @@ const moveSteps = 5
 // source rehydrates as a plain replicated file at the destination — the
 // copy is a fresh create, and cold data re-earns its encoding there.
 func (s *System) StartMove(src, dst string) (*Move, error) {
-	if s.shards == nil {
-		return nil, errors.New("erms: StartMove requires a federated system (Options.Shards)")
-	}
 	si, di := s.router.Shard(src), s.router.Shard(dst)
 	if si == di {
 		return nil, fmt.Errorf("erms: %q and %q both live in shard %d; use Rename", src, dst, si)
@@ -267,9 +204,6 @@ func (m *Move) Run() error {
 // were resolved. FailoverShard calls this after every promotion; it is
 // idempotent and safe to run any time the system is quiescent.
 func (s *System) ResolveMoves() (int, error) {
-	if s.shards == nil {
-		return 0, nil
-	}
 	resolved := 0
 	for si, sh := range s.shards {
 		srcC := sh.cluster
@@ -346,34 +280,59 @@ func (s *System) ResolveMoves() (int, error) {
 // most recent snapshot; the journal tail from that position replays the
 // rest.
 func (s *System) SnapshotShards() error {
-	if s.shards == nil {
-		return errors.New("erms: SnapshotShards requires a federated system")
-	}
-	for i, sh := range s.shards {
-		j := sh.cluster.Journal()
-		if j == nil {
-			return fmt.Errorf("erms: shard %d has no journal (EnableJournal)", i)
+	for i := range s.shards {
+		if err := s.snapshot(i); err != nil {
+			return err
 		}
-		var buf bytes.Buffer
-		if err := sh.cluster.WriteCheckpoint(&buf); err != nil {
-			return fmt.Errorf("erms: snapshot shard %d: %w", i, err)
-		}
-		s.snaps[i] = shardSnap{ckpt: buf.Bytes(), seq: j.NextSeq()}
 	}
 	return nil
 }
 
+func (s *System) snapshot(i int) error {
+	c := s.shards[i].cluster
+	j := c.Journal()
+	if j == nil {
+		return fmt.Errorf("erms: shard %d has no journal (EnableJournal)", i)
+	}
+	var buf bytes.Buffer
+	if err := c.WriteCheckpoint(&buf); err != nil {
+		return fmt.Errorf("erms: snapshot shard %d: %w", i, err)
+	}
+	s.snaps[i] = shardSnap{ckpt: buf.Bytes(), seq: j.NextSeq()}
+	return nil
+}
+
+// promote builds a replacement namenode on the shared engine: restore the
+// checkpoint (in place — the engine may have run past the capture time; on
+// NewStandby's fresh engine that is the plain restore), replay the journal
+// tail, continue the tail's sequence numbering in a new journal, take
+// writer epoch prevEpoch+1 (entries the fenced predecessor might still try
+// to write carry the old epoch and are recognizably stale), and attach a
+// manager whose judge starts cold. NewStandby and FailoverShard both end
+// here.
+func (s *System) promote(checkpoint io.Reader, tail []JournalEntry, prevEpoch uint64) (*Shard, error) {
+	sh := s.newShard()
+	c := sh.cluster
+	if err := c.RestoreCheckpointInPlace(checkpoint); err != nil {
+		return nil, fmt.Errorf("restore: %w", err)
+	}
+	if err := c.ReplayJournal(tail); err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
+	c.SetJournal(auditlog.NewJournalAt(c.RestoredJournalSeq()))
+	c.Journal().SetEpoch(prevEpoch + 1)
+	c.AdoptEpoch()
+	sh.attachManager(s.opts)
+	return sh, nil
+}
+
 // FailoverShard crashes shard i's namenode and promotes a replacement
 // built from the shard's last snapshot plus its journal tail, on the
-// shared engine: restore, replay, continue the sequence numbering, bump
-// the writer epoch (fencing the old primary — its late writes bounce with
-// ErrFenced), and attach a fresh manager whose judge starts cold. The
-// shard's in-flight transient work is lost, exactly like a real failover;
+// shared engine (see promote); bumping the deposed primary's journal
+// epoch fences it — its late writes bounce with ErrFenced. The shard's
+// in-flight transient work is lost, exactly like a real failover;
 // cross-shard moves the crash interrupted are resolved before returning.
 func (s *System) FailoverShard(i int) error {
-	if s.shards == nil {
-		return errors.New("erms: FailoverShard requires a federated system")
-	}
 	if i < 0 || i >= len(s.shards) {
 		return fmt.Errorf("erms: no shard %d (have %d)", i, len(s.shards))
 	}
@@ -390,36 +349,22 @@ func (s *System) FailoverShard(i int) error {
 	if tail == nil {
 		return fmt.Errorf("erms: shard %d journal truncated past snapshot seq %d", i, snap.seq)
 	}
-	nb := newBaseOn(s.engine, s.childOpts)
-	if err := nb.cluster.RestoreCheckpointInPlace(bytes.NewReader(snap.ckpt)); err != nil {
-		return fmt.Errorf("erms: shard %d restore: %w", i, err)
+	nb, err := s.promote(bytes.NewReader(snap.ckpt), tail, oldJ.Epoch())
+	if err != nil {
+		return fmt.Errorf("erms: shard %d %w", i, err)
 	}
-	if err := nb.cluster.ReplayJournal(tail); err != nil {
-		return fmt.Errorf("erms: shard %d replay: %w", i, err)
-	}
-	nb.cluster.SetJournal(auditlog.NewJournalAt(nb.cluster.RestoredJournalSeq()))
-	nb.cluster.Journal().SetEpoch(oldJ.Epoch() + 1)
-	nb.cluster.AdoptEpoch()
 	// Fence the deposed primary: bumping its journal's epoch past its
 	// writer epoch makes every late write detectably stale.
 	oldJ.BumpEpoch()
 	if old.manager != nil {
 		old.manager.Stop()
 	}
-	nb.attachManager(s.childOpts)
 	s.shards[i] = nb
-	if i == 0 {
-		s.mr = nb.mr
-		s.tracer = nb.tracer
-		s.registry = nb.registry
-	}
 	// Refresh the shard's snapshot: the new journal starts at the replayed
 	// position, so the old base's tail no longer exists here.
-	var buf bytes.Buffer
-	if err := nb.cluster.WriteCheckpoint(&buf); err != nil {
-		return fmt.Errorf("erms: shard %d re-snapshot: %w", i, err)
+	if err := s.snapshot(i); err != nil {
+		return err
 	}
-	s.snaps[i] = shardSnap{ckpt: buf.Bytes(), seq: nb.cluster.Journal().NextSeq()}
-	_, err := s.ResolveMoves()
+	_, err = s.ResolveMoves()
 	return err
 }

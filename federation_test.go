@@ -3,13 +3,17 @@ package erms_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"errors"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
 
 	"erms"
 	"erms/internal/federation"
+	"erms/internal/hdfs"
 	"erms/internal/invariant"
 	"erms/internal/sweep"
 )
@@ -70,55 +74,102 @@ func driveEquivalenceWorkload(t *testing.T, sys *erms.System) {
 	sys.RunFor(30 * time.Minute)
 }
 
-// TestShardOneEquivalence is the shards=1 contract: a one-shard
-// federation must be indistinguishable from the classic single-namenode
-// system — same digest, same checkpoint bytes, same journal, same
-// metrics, decisions, and energy — so every pre-federation experiment and
-// figure regenerates byte-identically through the facade.
+// TestShardOneEquivalence pins the one-namenode deployment against the
+// last commit that had a separate non-federated code path (0014dab):
+// testdata/shard_one_equivalence.golden is what driveEquivalenceWorkload
+// yielded there on Options{EnableJournal: true} — state digest, SHA-256 of
+// the checkpoint bytes, journal length and hash, decisions hash, metrics,
+// storage, energy — identically for Shards 0 and 1. Both spellings must
+// still yield exactly that, so every pre-federation experiment and figure
+// regenerates byte-identically. The file has no -update path on purpose:
+// it is a recording of that commit, not of this one.
 func TestShardOneEquivalence(t *testing.T) {
-	classic := erms.NewSystem(erms.Options{EnableJournal: true})
-	fed := erms.NewSystem(erms.Options{EnableJournal: true, Shards: 1})
-	if classic.Shards() != 1 || fed.Shards() != 1 {
-		t.Fatalf("Shards() = %d classic, %d federated; want 1, 1", classic.Shards(), fed.Shards())
-	}
-	driveEquivalenceWorkload(t, classic)
-	driveEquivalenceWorkload(t, fed)
-	defer classic.Stop()
-	defer fed.Stop()
-
-	if c, f := classic.StateDigest(), fed.StateDigest(); c != f {
-		t.Errorf("StateDigest: classic %#x, shards=1 %#x", c, f)
-	}
-	var cb, fb bytes.Buffer
-	if err := classic.Checkpoint(&cb); err != nil {
+	want, err := os.ReadFile("testdata/shard_one_equivalence.golden")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fed.Checkpoint(&fb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(cb.Bytes(), fb.Bytes()) {
-		t.Errorf("checkpoint bytes differ: %d vs %d bytes", cb.Len(), fb.Len())
-	}
-	if c, f := classic.Metrics(), fed.Metrics(); c != f {
-		t.Errorf("metrics:\n classic %+v\n shards=1 %+v", c, f)
-	}
-	if c, f := classic.StorageUsed(), fed.StorageUsed(); c != f {
-		t.Errorf("storage: %v vs %v", c, f)
-	}
-	if c, f := classic.Energy(), fed.Energy(); c != f {
-		t.Errorf("energy: %+v vs %+v", c, f)
-	}
-	if c, f := fmt.Sprint(classic.Decisions()), fmt.Sprint(fed.Decisions()); c != f {
-		t.Errorf("decisions diverge:\n classic %s\n shards=1 %s", c, f)
-	}
-	ce, fe := classic.Journal().Entries(), fed.Journal().Entries()
-	if len(ce) != len(fe) {
-		t.Fatalf("journal length: %d vs %d", len(ce), len(fe))
-	}
-	for i := range ce {
-		if ce[i] != fe[i] {
-			t.Fatalf("journal entry %d: %+v vs %+v", i, ce[i], fe[i])
+	for _, shards := range []int{0, 1} {
+		sys := erms.NewSystem(erms.Options{EnableJournal: true, Shards: shards})
+		if sys.Shards() != 1 {
+			t.Fatalf("Shards: %d builds %d shards, want 1", shards, sys.Shards())
 		}
+		driveEquivalenceWorkload(t, sys)
+		var ckpt bytes.Buffer
+		if err := sys.Checkpoint(&ckpt); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(ckpt.Bytes(), []byte("ERMSCKP1")) {
+			t.Errorf("Shards: %d checkpoint starts %q, want the classic ERMSCKP1 stream", shards, ckpt.Bytes()[:8])
+		}
+		entries := sys.Journal().Entries()
+		jh := sha256.New()
+		for _, e := range entries {
+			fmt.Fprintf(jh, "%+v\n", e)
+		}
+		got := fmt.Sprintf(" digest=%#x\n ckpt=%x\n journal=%d %x\n decisions=%x\n metrics=%+v\n storage=%v\n energy=%+v\n",
+			sys.StateDigest(), sha256.Sum256(ckpt.Bytes()), len(entries), jh.Sum(nil),
+			sha256.Sum256([]byte(fmt.Sprint(sys.Decisions()))), sys.Metrics(), sys.StorageUsed(), sys.Energy())
+		if got != string(want) {
+			t.Errorf("Shards: %d drifted from the 0014dab recording:\n--- got ---\n%s--- want ---\n%s", shards, got, want)
+		}
+		// The classic stream restores into either spelling.
+		for _, into := range []int{0, 1} {
+			fresh := erms.NewSystem(erms.Options{EnableJournal: true, Shards: into})
+			if err := fresh.Restore(bytes.NewReader(ckpt.Bytes())); err != nil {
+				t.Errorf("checkpoint from Shards: %d into Shards: %d: %v", shards, into, err)
+			} else if fresh.StateDigest() != sys.StateDigest() {
+				t.Errorf("checkpoint from Shards: %d into Shards: %d: digest differs", shards, into)
+			}
+			fresh.Stop()
+		}
+		sys.Stop()
+	}
+}
+
+// TestOneShardFailover is the behaviour the single shape makes reachable:
+// a default deployment (no Shards set) snapshots and fails over its one
+// namenode in place, like any other shard.
+func TestOneShardFailover(t *testing.T) {
+	sys := erms.NewSystem(erms.Options{EnableJournal: true})
+	defer sys.Stop()
+	driveEquivalenceWorkload(t, sys)
+	if err := sys.FailoverShard(0); err == nil {
+		t.Error("failover without a snapshot accepted")
+	}
+	if err := sys.SnapshotShards(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.CreateFile("/eq/late", 96*erms.MB); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Delete("/eq/f02"); err != nil {
+		t.Fatal(err)
+	}
+	before, old := sys.StateDigest(), sys.HDFS()
+	epoch := old.Epoch()
+	if err := sys.FailoverShard(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.StateDigest(); got != before {
+		t.Errorf("digest %#x after failover, %#x before", got, before)
+	}
+	if sys.HDFS() == old || sys.Manager() == nil {
+		t.Error("shard 0 accessors still answer for the deposed namenode")
+	}
+	if got := sys.HDFS().Epoch(); got != epoch+1 || sys.Journal().Epoch() != got {
+		t.Errorf("epoch %d (journal %d) after failover, want %d", got, sys.Journal().Epoch(), epoch+1)
+	}
+	if _, err := old.CreateFile("/eq/zombie", erms.MB, 0, 0); !errors.Is(err, hdfs.ErrFenced) {
+		t.Errorf("deposed writer's create: %v, want ErrFenced", err)
+	}
+	if err := sys.CreateFile("/eq/after", 64*erms.MB); err != nil {
+		t.Errorf("promoted namenode rejects writes: %v", err)
+	}
+	if err := sys.FailoverShard(1); err == nil {
+		t.Error("failover of a shard that does not exist accepted")
+	}
+	if errs := invariant.Check(invariant.Target{Cluster: sys.HDFS()}); errs != nil {
+		t.Errorf("after failover: %v", errs)
 	}
 }
 
@@ -203,9 +254,9 @@ func TestCrossShardMoveRun(t *testing.T) {
 	if _, err := sys.StartMove("/mv/missing", dst); err == nil {
 		t.Error("move of missing file accepted")
 	}
-	classic := erms.NewSystem(erms.Options{Nodes: 9, StandbyNodes: -1, DisableERMS: true})
-	if _, err := classic.StartMove(src, dst); err == nil {
-		t.Error("StartMove on a non-federated system accepted")
+	one := erms.NewSystem(erms.Options{Nodes: 9, StandbyNodes: -1, DisableERMS: true})
+	if _, err := one.StartMove(src, dst); err == nil || !strings.Contains(err.Error(), "both live in shard 0") {
+		t.Errorf("StartMove on a one-shard system: %v, want the same-shard rejection", err)
 	}
 
 	mv, err := sys.StartMove(src, dst)

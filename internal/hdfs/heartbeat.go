@@ -234,8 +234,10 @@ func (c *Cluster) StaleNodes() []DatanodeID {
 // UnrecoverableBlocks lists blocks that are gone for good as of now: no
 // live replica and either no erasure protection or too few surviving
 // stripe members to reconstruct. A block whose only copies are all flagged
-// corrupt counts too. The durability experiments treat a nonzero result as
-// data loss.
+// corrupt counts too; a parity block of an encode still in flight does not
+// (EncodeFile registers it before its transfer lands, and until the file is
+// Encoded it protects nothing). The durability experiments treat a nonzero
+// result as data loss.
 func (c *Cluster) UnrecoverableBlocks() []BlockID {
 	var out []BlockID
 	for _, b := range c.blocks {
@@ -250,7 +252,8 @@ func (c *Cluster) UnrecoverableBlocks() []BlockID {
 
 // blockRecoverable reports whether at least one clean path to the block's
 // bytes still exists: a non-corrupt replica, or >= k live stripe members
-// of its erasure group.
+// of its erasure group. A parity block whose file is not Encoded yet has no
+// bytes to lose (its transfer is in flight) and counts as recoverable.
 func (c *Cluster) blockRecoverable(b *Block) bool {
 	for _, dn := range c.replicas[b.ID] {
 		if !c.datanodes[dn].corrupt[b.ID] {
@@ -258,8 +261,11 @@ func (c *Cluster) blockRecoverable(b *Block) bool {
 		}
 	}
 	f := c.fileOf(b)
-	if f == nil || !f.Encoded {
+	if f == nil {
 		return false
+	}
+	if !f.Encoded {
+		return b.Parity
 	}
 	data, parity, ok := c.stripeOf(f, b.ID)
 	if !ok {

@@ -297,6 +297,32 @@ func TestWatcherCatchesDataLoss(t *testing.T) {
 	}
 }
 
+// TestCheckMidEncode: between EncodeFile registering a stripe's parity
+// blocks and their transfers landing, the parities hold no replica and the
+// file is not Encoded yet. That is an encode in flight, not data loss —
+// every oracle must stay quiet through it and after it.
+func TestCheckMidEncode(t *testing.T) {
+	tb := experiments.NewVanilla(18)
+	c, e := tb.Cluster, tb.Engine
+	if _, err := c.CreateFile("/cold/a", 640*experiments.MB, 3, -1); err != nil {
+		t.Fatal(err)
+	}
+	c.EncodeFile("/cold/a", 10, 4, nil)
+	if f := c.File("/cold/a"); f.Encoded || len(f.Parity) != 4 || len(c.Replicas(f.Parity[0])) != 0 {
+		t.Fatalf("not mid-encode: encoded=%v parities=%v", f.Encoded, f.Parity)
+	}
+	if errs := invariant.Check(invariant.Target{Cluster: c}); errs != nil {
+		t.Errorf("mid-encode: %v", errs)
+	}
+	e.RunFor(30 * time.Minute)
+	if !c.File("/cold/a").Encoded {
+		t.Fatal("encode never finished")
+	}
+	if errs := invariant.Check(invariant.Target{Cluster: c}); errs != nil {
+		t.Errorf("after encode: %v", errs)
+	}
+}
+
 // TestDegradedStormSuite is the correlated-failure property suite: 25
 // seeds, each crossing a foreground workload with node-crash windows,
 // heartbeat flapping, silent corruption, and two zombie-primary drills in

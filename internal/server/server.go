@@ -4,7 +4,7 @@
 //
 //	POST /v1/ops     workload ingestion: create/read/readrange/delete
 //	                 batches, or a swimgen trace replayed from now
-//	GET  /v1/status  cluster state (mirrors `ermsctl status -shards`)
+//	GET  /v1/status  cluster state (erms.Status, what `ermsctl status` prints)
 //	GET  /metrics    the Prometheus-text metrics registry
 //	GET  /v1/trace   Chrome trace_event JSON download (when tracing is on)
 //	POST /v1/start   resume accepting ops after a drain
@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"erms"
-	"erms/internal/core"
 	"erms/internal/workload"
 )
 
@@ -351,51 +350,6 @@ func (s *Server) handleTraceReplay(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// SafeModeStatus is the namenode safe-mode block of /v1/status.
-type SafeModeStatus struct {
-	// On reports whether mutations are currently rejected.
-	On bool `json:"on"`
-	// Entries / Exits / Rejections mirror the safe-mode counters.
-	Entries    int `json:"entries"`
-	Exits      int `json:"exits"`
-	Rejections int `json:"rejections"`
-}
-
-// EpochStatus is the journal-fencing block of /v1/status.
-type EpochStatus struct {
-	// Writer is this namenode's writer epoch; Journal is the attached
-	// journal's (0 when no journal is attached). The writer is fenced
-	// when they disagree.
-	Writer  uint64 `json:"writer"`
-	Journal uint64 `json:"journal"`
-	// Fenced reports whether this writer's mutations are being rejected.
-	Fenced bool `json:"fenced"`
-	// FencedWritesRejected counts mutations bounced with ErrFenced.
-	FencedWritesRejected int `json:"fenced_writes_rejected"`
-}
-
-// AvailabilityStatus is the block/node availability pair the safe-mode
-// thresholds watch.
-type AvailabilityStatus struct {
-	// Blocks is the fraction of blocks with at least one live replica.
-	Blocks float64 `json:"blocks"`
-	// Nodes is the fraction of datanodes currently live.
-	Nodes float64 `json:"nodes"`
-}
-
-// RepairStatus is the prioritized-repair-pipeline block of /v1/status.
-type RepairStatus struct {
-	// Queues is the per-tier backlog depth, keyed by tier name in
-	// admission-priority order.
-	Queues map[string]int `json:"queues"`
-	// ActiveJobs / ActiveStreams are the pipeline's current occupancy;
-	// MaxStreams / MaxStreamsPerNode are its caps.
-	ActiveJobs        int `json:"active_jobs"`
-	ActiveStreams     int `json:"active_streams"`
-	MaxStreams        int `json:"max_streams"`
-	MaxStreamsPerNode int `json:"max_streams_per_node"`
-}
-
 // OpsStatus counts control-plane ingestion since boot.
 type OpsStatus struct {
 	// Accepted / Failed mirror OpsResponse accounting, summed over every
@@ -404,126 +358,28 @@ type OpsStatus struct {
 	Failed   int64 `json:"failed"`
 }
 
-// ShardStatus is one row of the federation table in /v1/status.
-type ShardStatus struct {
-	// Shard is the shard index under the pinned hash router.
-	Shard int `json:"shard"`
-	// Epoch / JournalEpoch mirror EpochStatus for this shard.
-	Epoch        uint64 `json:"epoch"`
-	JournalEpoch uint64 `json:"journal_epoch"`
-	// Files is the shard's namespace size.
-	Files int `json:"files"`
-	// SafeMode reports the shard's namenode safe-mode state.
-	SafeMode bool `json:"safe_mode"`
-	// RepairQueues is the shard's per-tier repair backlog.
-	RepairQueues map[string]int `json:"repair_queues"`
-}
-
-// StatusResponse is the GET /v1/status body — the JSON twin of
-// `ermsctl status -shards`.
+// StatusResponse is the GET /v1/status body: the system's status model
+// (erms.Status — what `ermsctl status` prints as text) between the two
+// things only the control plane knows.
 type StatusResponse struct {
 	// State is the control plane's lifecycle phase.
 	State State `json:"state"`
-	// Mode is "service" when the system is paced by a wall clock,
-	// "simulation" when only explicit RunFor advances time.
-	Mode string `json:"mode"`
-	// NowSeconds is the current virtual time.
-	NowSeconds float64 `json:"now_seconds"`
-	// PendingEvents is the engine's live calendar size — what drain
-	// watchers poll.
-	PendingEvents int `json:"pending_events"`
-	// Files / LiveBlocks / StorageUsedGB summarize the namespace (summed
-	// across shards on a federated deployment).
-	Files         int     `json:"files"`
-	LiveBlocks    int     `json:"live_blocks"`
-	StorageUsedGB float64 `json:"storage_used_gb"`
-	// SafeMode, Availability, Epoch, and Repair describe shard 0 (the
-	// facade's default namenode), mirroring `ermsctl status`; per-shard
-	// rows follow in Shards.
-	SafeMode     SafeModeStatus     `json:"safe_mode"`
-	Availability AvailabilityStatus `json:"availability"`
-	Epoch        EpochStatus        `json:"epoch"`
-	Repair       *RepairStatus      `json:"repair,omitempty"`
+	erms.Status
 	// Ops counts ingestion through this control plane.
 	Ops OpsStatus `json:"ops"`
-	// Shards holds one row per shard on a federated deployment (absent
-	// on a classic single-namenode system).
-	Shards []ShardStatus `json:"shards,omitempty"`
-}
-
-// tierQueues renders a manager's repair backlog with stable tier names.
-func tierQueues(m *core.Manager) map[string]int {
-	names := core.RepairTierNames()
-	depths := m.RepairQueueDepths()
-	out := make(map[string]int, len(names))
-	for i, n := range names {
-		out[n] = depths[i]
-	}
-	return out
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.sys.CatchUp()
-	sys := s.sys
-	c := sys.HDFS()
-	cm := sys.Metrics()
-	mode := "simulation"
-	if sys.Clock() != nil {
-		mode = "service"
-	}
 	resp := StatusResponse{
-		State:         s.state,
-		Mode:          mode,
-		NowSeconds:    sys.Now().Seconds(),
-		PendingEvents: sys.Engine().Pending(),
-		LiveBlocks:    c.LiveBlocks(),
-		StorageUsedGB: sys.StorageUsed() / erms.GB,
-		SafeMode: SafeModeStatus{
-			On:         c.InSafeMode(),
-			Entries:    cm.SafeModeEntries,
-			Exits:      cm.SafeModeExits,
-			Rejections: cm.SafeModeRejections,
-		},
-		Availability: AvailabilityStatus{Blocks: c.BlockAvailability(), Nodes: c.LiveNodeFraction()},
-		Epoch:        EpochStatus{Writer: c.Epoch(), Fenced: c.Fenced(), FencedWritesRejected: cm.FencedWritesRejected},
-		Ops:          OpsStatus{Accepted: s.opsAccepted, Failed: s.opsFailed},
+		State:  s.state,
+		Status: s.sys.Status(),
+		Ops:    OpsStatus{Accepted: s.opsAccepted, Failed: s.opsFailed},
 	}
-	if j := c.Journal(); j != nil {
-		resp.Epoch.Journal = j.Epoch()
-	}
-	if m := sys.Manager(); m != nil {
-		caps := m.RepairCaps()
-		resp.Repair = &RepairStatus{
-			Queues:            tierQueues(m),
-			ActiveJobs:        m.ActiveRepairJobs(),
-			ActiveStreams:     m.ActiveRepairStreams(),
-			MaxStreams:        caps.MaxStreams,
-			MaxStreamsPerNode: caps.MaxStreamsPerNode,
-		}
-	}
-	if sys.Shards() > 1 {
-		for i := 0; i < sys.Shards(); i++ {
-			sh := sys.Shard(i)
-			sc := sh.HDFS()
-			row := ShardStatus{
-				Shard:    i,
-				Epoch:    sc.Epoch(),
-				Files:    sc.Files(),
-				SafeMode: sc.InSafeMode(),
-			}
-			if j := sc.Journal(); j != nil {
-				row.JournalEpoch = j.Epoch()
-			}
-			if m := sh.Manager(); m != nil {
-				row.RepairQueues = tierQueues(m)
-			}
-			resp.Files += sc.Files()
-			resp.Shards = append(resp.Shards, row)
-		}
-	} else {
-		resp.Files = c.Files()
+	if len(resp.Shards) == 1 {
+		resp.Shards = nil // the header already describes the only namenode
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
