@@ -126,12 +126,12 @@ benchdiff:
 # Style gate: vet, gofmt (fails listing any unformatted file), and the
 # documentation floor (every package needs a godoc comment; the public
 # surface — the erms facade, the HTTP control plane, the workload codec,
-# the judge core, and the experiments — must document every exported
-# identifier; see cmd/doccheck).
+# the judge core, the experiments, and the CEP engine — must document
+# every exported identifier; see cmd/doccheck).
 lint: vet
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
-	$(GO) run ./cmd/doccheck -exported .,internal/server,internal/workload,internal/core,internal/experiments .
+	$(GO) run ./cmd/doccheck -exported .,internal/server,internal/workload,internal/core,internal/experiments,internal/cep .
 
 # Size ledger: non-test Go lines per top-level package and in total,
 # benchmark/ excluded (it is a module of its own). ROADMAP's

@@ -7,16 +7,13 @@ import (
 )
 
 // BenchmarkInsertGroupedTimeWindow measures the judge-shaped hot path: a
-// typed event through a where filter into a grouped time window. On the
-// incremental path with a schema event this is allocation-free.
+// typed event through a where filter into a grouped time window. This is
+// allocation-free.
 func BenchmarkInsertGroupedTimeWindow(b *testing.B) {
 	now := time.Duration(0)
 	e := New(func() time.Duration { return now })
-	st := e.MustCompile("select path, count(*) as cnt from Access.win:time(300 s) " +
+	e.MustCompile("select path, count(*) as cnt from Access.win:time(300 s) " +
 		"where cmd = 'open' group by path")
-	if !st.Incremental() {
-		b.Fatal("expected incremental path")
-	}
 	schema := NewSchema("Access", "path", "cmd")
 	paths := []string{"/a", "/b", "/c", "/d", "/e"}
 	b.ReportAllocs()
@@ -27,25 +24,6 @@ func BenchmarkInsertGroupedTimeWindow(b *testing.B) {
 		ev.SetStr(0, paths[i%len(paths)])
 		ev.SetStr(1, "open")
 		e.Insert(ev)
-	}
-}
-
-// BenchmarkInsertGroupedTimeWindowMapFields is the same workload through
-// the legacy map constructor, kept as the before/after contrast.
-func BenchmarkInsertGroupedTimeWindowMapFields(b *testing.B) {
-	now := time.Duration(0)
-	e := New(func() time.Duration { return now })
-	e.MustCompile("select path, count(*) as cnt from Access.win:time(300 s) " +
-		"where cmd = 'open' group by path")
-	paths := []string{"/a", "/b", "/c", "/d", "/e"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		now = time.Duration(i) * time.Millisecond
-		e.Insert(Event{
-			Time: now, Type: "Access",
-			Fields: map[string]any{"path": paths[i%len(paths)], "cmd": "open"},
-		})
 	}
 }
 
@@ -64,8 +42,8 @@ func fillWindow(b *testing.B, e *Engine, n int) {
 }
 
 // BenchmarkRowsEvaluation measures Rows() against windows of increasing
-// event count. On the incremental path the cost tracks the group count (20
-// here), not the window size, so the sub-benchmarks should be flat.
+// event count. The cost tracks the group count (20 here), not the window
+// size, so the sub-benchmarks should be flat.
 func BenchmarkRowsEvaluation(b *testing.B) {
 	for _, n := range []int{10000, 100000} {
 		b.Run(fmt.Sprintf("events=%d", n), func(b *testing.B) {
@@ -73,9 +51,6 @@ func BenchmarkRowsEvaluation(b *testing.B) {
 			e := New(func() time.Duration { return now })
 			st := e.MustCompile("select path, count(*) as cnt, max(__time) as last " +
 				"from Access.win:time(3600 s) group by path having cnt > 5")
-			if !st.Incremental() {
-				b.Fatal("expected incremental path")
-			}
 			fillWindow(b, e, n)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -85,26 +60,6 @@ func BenchmarkRowsEvaluation(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkRowsEvaluationGeneric pins the fallback evaluator's cost on the
-// same query (order by forces the full-window rescan).
-func BenchmarkRowsEvaluationGeneric(b *testing.B) {
-	now := time.Hour
-	e := New(func() time.Duration { return now })
-	st := e.MustCompile("select path, count(*) as cnt, max(__time) as last " +
-		"from Access.win:time(3600 s) group by path having cnt > 5 order by path")
-	if st.Incremental() {
-		b.Fatal("expected generic fallback")
-	}
-	fillWindow(b, e, 10000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := st.Rows(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

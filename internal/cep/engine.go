@@ -1,9 +1,7 @@
 package cep
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"errors"
 	"time"
 
 	"erms/internal/metrics"
@@ -57,20 +55,25 @@ func New(clock func() time.Duration) *Engine {
 // Inserted returns the number of events accepted so far.
 func (e *Engine) Inserted() uint64 { return e.inserted }
 
-// Compile parses an EPL statement and registers it with the engine.
+// Compile parses an EPL statement, plans it onto running group state and
+// registers it with the engine. A statement the evaluator cannot run — no
+// aggregation at all, a group key or aggregate argument that is not a plain
+// field, more than three group keys — is an error naming the clause.
 func (e *Engine) Compile(epl string) (*Statement, error) {
 	q, err := ParseQuery(epl)
 	if err != nil {
 		return nil, err
 	}
-	s := &Statement{engine: e, query: q}
-	s.inc = planIncremental(s)
+	s := &Statement{engine: e, query: q, groups: make(map[groupKey]*group)}
+	if err := s.plan(); err != nil {
+		return nil, err
+	}
 	e.statements[q.From] = append(e.statements[q.From], s)
 	return s, nil
 }
 
 // MustCompile is Compile for statically known statements; it panics on
-// parse errors.
+// errors.
 func (e *Engine) MustCompile(epl string) *Statement {
 	s, err := e.Compile(epl)
 	if err != nil {
@@ -79,16 +82,19 @@ func (e *Engine) MustCompile(epl string) *Statement {
 	return s
 }
 
-// Insert dispatches an event to every statement reading its type. Events
-// failing a statement's where clause are not retained by that statement.
+// Insert dispatches a schema event to every statement reading its type and
+// returns the first error any of them reports; the others still see the
+// event. Events failing a statement's where clause are not retained by that
+// statement. An event not built by Schema.Event is an error.
 //
 // The event is copied into an engine-owned scratch slot before dispatch, so
-// the argument never escapes: inserting into incremental statements does not
-// allocate. Statements on the generic fallback retain events, so those get
-// one shared heap copy per dispatch, allocated lazily.
+// the argument never escapes and inserting does not allocate.
 func (e *Engine) Insert(ev Event) error {
+	if ev.schema == nil {
+		return errors.New("cep: Insert of an event without a schema (build it with Schema.Event)")
+	}
 	e.inserted++
-	regs := e.statements[ev.Type]
+	regs := e.statements[ev.schema.typ]
 	if len(regs) == 0 {
 		return nil
 	}
@@ -103,25 +109,13 @@ func (e *Engine) Insert(ev Event) error {
 	}
 	*p = ev
 	e.dispatching++
-	var kept *Event
 	var firstErr error
 	for _, s := range regs {
 		if s.closed {
 			continue
 		}
-		var err error
-		if s.inc != nil {
-			err = s.inc.insert(p)
-		} else {
-			if kept == nil {
-				kept = new(Event)
-				*kept = *p
-			}
-			err = s.insert(kept)
-		}
-		if err != nil {
+		if err := s.insert(p); err != nil && firstErr == nil {
 			firstErr = err
-			break
 		}
 	}
 	e.dispatching--
@@ -145,16 +139,33 @@ func (e *Engine) compact() {
 	}
 }
 
-// Statement is a registered continuous query plus its retained state:
-// either the incremental per-group aggregates (fast path, chosen at compile
-// time) or the generic evaluator's event window.
+// Statement is a registered continuous query plus its retained state: the
+// plan Compile made of the query and the running aggregates of every group
+// with an event in the window (window.go).
 type Statement struct {
 	engine *Engine
 	query  *Query
-	window []*Event
-	inc    *incState // nil: generic fallback
 	closed bool
 	label  string // trace label, e.g. "files"; set via SetLabel
+
+	// The plan, fixed at Compile.
+	evFields []string // fields captured per event
+	groupIdx []int    // group-by keys, as indices into evFields
+	recIdx   []int    // per-record retained fields (aggregate inputs), into evFields
+	needs    []statNeed
+	aggs     []aggPlan
+	sel      []Expr // bound select expressions
+	having   Expr   // bound having, aliases substituted; nil when absent
+
+	groups map[groupKey]*group
+	expiry ring[expEntry]
+	seq    uint64
+	live   int
+	cur    *group // group under evaluation, read by bound expressions
+
+	scratch    []Val
+	grpScratch []*group
+	cols       []Val
 }
 
 // SetLabel names the statement for trace spans ("files", "blocks", ...).
@@ -163,10 +174,6 @@ func (s *Statement) SetLabel(label string) *Statement {
 	s.label = label
 	return s
 }
-
-// Incremental reports whether the statement evaluates on the incremental
-// fast path (exported for tests and benchmarks).
-func (s *Statement) Incremental() bool { return s.inc != nil }
 
 // Close deregisters the statement: it stops receiving events and releases
 // its retained state. Closing twice is a no-op. Close is safe to call while
@@ -178,10 +185,7 @@ func (s *Statement) Close() {
 		return
 	}
 	s.closed = true
-	s.window = nil
-	if s.inc != nil {
-		s.inc.reset()
-	}
+	s.reset()
 	e := s.engine
 	if e.dispatching > 0 {
 		e.needCompact = true
@@ -205,215 +209,28 @@ func (s *Statement) Query() *Query { return s.query }
 // WindowSize returns the number of currently retained events (after pruning
 // expired ones).
 func (s *Statement) WindowSize() int {
-	if s.inc != nil {
-		return s.inc.windowSize()
-	}
-	s.prune()
-	return len(s.window)
-}
-
-func (s *Statement) insert(ev *Event) error {
-	if s.query.Where != nil {
-		v, err := s.query.Where.eval(ev, nil)
-		if err != nil {
-			return fmt.Errorf("cep: where clause: %w", err)
-		}
-		keep, ok := v.(bool)
-		if !ok {
-			return fmt.Errorf("cep: where clause is not boolean")
-		}
-		if !keep {
-			return nil
-		}
-	}
-	s.window = append(s.window, ev)
-	if s.query.Window.Kind == WindowLength && len(s.window) > s.query.Window.N {
-		// Drop oldest; copy to avoid retaining the backing array head.
-		copy(s.window, s.window[len(s.window)-s.query.Window.N:])
-		s.window = s.window[:s.query.Window.N]
-	}
-	return nil
-}
-
-func (s *Statement) prune() {
-	if s.query.Window.Kind != WindowTime {
-		return
-	}
-	// The window is inclusive at its trailing edge: an event aged exactly
-	// Dur is still visible, so a periodic evaluator with period == window
-	// never loses the events of the instant it last ran.
-	cutoff := s.engine.clock() - s.query.Window.Dur
-	i := 0
-	for i < len(s.window) && s.window[i].Time < cutoff {
-		i++
-	}
-	if i > 0 {
-		copy(s.window, s.window[i:])
-		s.window = s.window[:len(s.window)-i]
-	}
+	s.pruneTime()
+	return s.live
 }
 
 // Rows evaluates the statement now and returns one row per surviving group
-// (or a single row for ungrouped aggregates, or one row per event for
-// non-aggregated selects). Group order is the order groups first appeared,
-// so output is deterministic.
+// that passes having (a single row for ungrouped aggregates, none when the
+// window is empty), keyed by select alias. Group order is the order groups
+// first appeared in the current window, so output is deterministic. It is
+// EachRow with each row boxed into a map, untraced.
 func (s *Statement) Rows() ([]Row, error) {
-	if s.inc != nil {
-		return s.inc.rows()
-	}
-	s.prune()
-	q := s.query
-	grouped := len(q.GroupBy) > 0
-	hasAgg := q.Having != nil
-	for _, it := range q.Select {
-		if it.Expr.hasAggregate() {
-			hasAgg = true
-		}
-	}
-
-	if !grouped && !hasAgg {
-		// Row per event.
-		rows := make([]Row, 0, len(s.window))
-		var scopes []rowScope
-		for _, ev := range s.window {
-			row, err := s.project(ev, nil)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row)
-			scopes = append(scopes, rowScope{rep: ev})
-		}
-		return s.orderAndLimit(rows, scopes)
-	}
-
-	// Build groups. Ungrouped aggregate queries form a single group over
-	// the whole window.
-	type groupState struct {
-		key    string
-		events []*Event
-	}
-	var order []string
-	groups := map[string]*groupState{}
-	if !grouped {
-		if len(s.window) == 0 {
-			return nil, nil
-		}
-		groups[""] = &groupState{events: s.window}
-		order = []string{""}
-	} else {
-		for _, ev := range s.window {
-			key, err := s.groupKey(ev)
-			if err != nil {
-				return nil, err
-			}
-			g := groups[key]
-			if g == nil {
-				g = &groupState{key: key}
-				groups[key] = g
-				order = append(order, key)
-			}
-			g.events = append(g.events, ev)
-		}
-	}
-
 	var rows []Row
-	var scopes []rowScope
-	for _, key := range order {
-		g := groups[key]
-		rep := g.events[len(g.events)-1] // representative for field refs
-		if q.Having != nil {
-			v, err := s.evalAliased(q.Having, rep, g.events)
-			if err != nil {
-				return nil, fmt.Errorf("cep: having clause: %w", err)
-			}
-			pass, ok := v.(bool)
-			if !ok {
-				return nil, fmt.Errorf("cep: having clause is not boolean")
-			}
-			if !pass {
-				continue
-			}
-		}
-		row, err := s.project(rep, g.events)
-		if err != nil {
-			return nil, err
+	err := s.each(func(cols []Val) {
+		row := make(Row, len(cols))
+		for i, it := range s.query.Select {
+			row[it.Alias] = cols[i].box()
 		}
 		rows = append(rows, row)
-		scopes = append(scopes, rowScope{rep: rep, group: g.events})
-	}
-	return s.orderAndLimit(rows, scopes)
-}
-
-// rowScope carries the evaluation context a row was produced from, so
-// order-by keys can be computed against it.
-type rowScope struct {
-	rep   *Event
-	group []*Event
-}
-
-// orderAndLimit applies the statement's order-by keys (alias-aware, like
-// having) and the limit clause.
-func (s *Statement) orderAndLimit(rows []Row, scopes []rowScope) ([]Row, error) {
-	q := s.query
-	if len(q.OrderBy) > 0 && len(rows) > 1 {
-		type keyed struct {
-			row  Row
-			keys []any
-		}
-		ks := make([]keyed, len(rows))
-		for i := range rows {
-			ks[i] = keyed{row: rows[i]}
-			for _, spec := range q.OrderBy {
-				v, err := s.evalAliased(spec.Expr, scopes[i].rep, scopes[i].group)
-				if err != nil {
-					return nil, fmt.Errorf("cep: order by: %w", err)
-				}
-				ks[i].keys = append(ks[i].keys, v)
-			}
-		}
-		sort.SliceStable(ks, func(a, b int) bool {
-			for k, spec := range q.OrderBy {
-				cmp := compareValues(ks[a].keys[k], ks[b].keys[k])
-				if cmp == 0 {
-					continue
-				}
-				if spec.Desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-			return false
-		})
-		for i := range ks {
-			rows[i] = ks[i].row
-		}
-	}
-	if q.Limit > 0 && len(rows) > q.Limit {
-		rows = rows[:q.Limit]
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
-}
-
-// compareValues orders two order-by keys: numbers numerically, strings
-// lexically, mixed/null via their printed form.
-func compareValues(a, b any) int {
-	if af, ok := toFloat(a); ok {
-		if bf, ok2 := toFloat(b); ok2 {
-			switch {
-			case af < bf:
-				return -1
-			case af > bf:
-				return 1
-			}
-			return 0
-		}
-	}
-	as, aok := a.(string)
-	bs, bok := b.(string)
-	if !aok || !bok {
-		as, bs = fmt.Sprint(a), fmt.Sprint(b)
-	}
-	return strings.Compare(as, bs)
 }
 
 // MustRows is Rows but panics on evaluation errors; statements used by the
@@ -428,10 +245,8 @@ func (s *Statement) MustRows() []Row {
 
 // EachRow evaluates the statement and streams each output row to fn as
 // typed columns in select-list order. Row order, having, and limit behave
-// exactly like Rows. On the incremental fast path the cols slice is an
-// internal scratch buffer refilled per row — copy values out, do not retain
-// the slice. The generic fallback adapts Rows() output, so EachRow is
-// always available.
+// exactly like Rows. The cols slice is an internal scratch buffer refilled
+// per row — copy values out, do not retain the slice.
 func (s *Statement) EachRow(fn func(cols []Val)) error {
 	if tr := s.engine.tracer; tr.Enabled() {
 		sp := tr.Begin("cep.eval", tr.Current())
@@ -446,21 +261,7 @@ func (s *Statement) EachRow(fn func(cols []Val)) error {
 			tr.End(sp)
 		}()
 	}
-	if s.inc != nil {
-		return s.inc.each(fn)
-	}
-	rows, err := s.Rows()
-	if err != nil {
-		return err
-	}
-	cols := make([]Val, len(s.query.Select))
-	for _, row := range rows {
-		for i, it := range s.query.Select {
-			cols[i] = valOf(row[it.Alias])
-		}
-		fn(cols)
-	}
-	return nil
+	return s.each(fn)
 }
 
 // MustEachRow is EachRow but panics on evaluation errors.
@@ -468,72 +269,4 @@ func (s *Statement) MustEachRow(fn func(cols []Val)) {
 	if err := s.EachRow(fn); err != nil {
 		panic(err)
 	}
-}
-
-func (s *Statement) project(rep *Event, group []*Event) (Row, error) {
-	row := make(Row, len(s.query.Select))
-	for _, it := range s.query.Select {
-		v, err := it.Expr.eval(rep, group)
-		if err != nil {
-			return nil, err
-		}
-		row[it.Alias] = v
-	}
-	return row, nil
-}
-
-// evalAliased evaluates an expression, first substituting select aliases:
-// "having cnt > 10" refers to "count(*) as cnt".
-func (s *Statement) evalAliased(e Expr, rep *Event, group []*Event) (any, error) {
-	if f, ok := e.(*fieldExpr); ok {
-		for _, it := range s.query.Select {
-			if it.Alias == f.name {
-				return it.Expr.eval(rep, group)
-			}
-		}
-	}
-	switch x := e.(type) {
-	case *binaryExpr:
-		l, err := s.evalAliased(x.left, rep, group)
-		if err != nil {
-			return nil, err
-		}
-		// Rebuild a literal-left binary node to reuse operator logic.
-		tmp := &binaryExpr{op: x.op, left: &litExpr{val: l}, right: aliasThunk{s, x.right, rep, group}}
-		return tmp.eval(rep, group)
-	case *unaryExpr:
-		tmp := &unaryExpr{op: x.op, sub: aliasThunk{s, x.sub, rep, group}}
-		return tmp.eval(rep, group)
-	default:
-		return e.eval(rep, group)
-	}
-}
-
-// aliasThunk defers alias-aware evaluation of a subtree.
-type aliasThunk struct {
-	s     *Statement
-	sub   Expr
-	rep   *Event
-	group []*Event
-}
-
-func (a aliasThunk) eval(*Event, []*Event) (any, error) {
-	return a.s.evalAliased(a.sub, a.rep, a.group)
-}
-func (a aliasThunk) hasAggregate() bool { return a.sub.hasAggregate() }
-func (a aliasThunk) text() string       { return a.sub.text() }
-
-func (s *Statement) groupKey(ev *Event) (string, error) {
-	var b strings.Builder
-	for i, g := range s.query.GroupBy {
-		if i > 0 {
-			b.WriteByte('\x00')
-		}
-		v, err := g.eval(ev, nil)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "%v", v)
-	}
-	return b.String(), nil
 }

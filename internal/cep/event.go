@@ -14,10 +14,13 @@
 // discrete-event simulation, but nothing in the package depends on the
 // simulator.
 //
-// Events come in two representations. The map form (Fields) is the
-// flexible constructor for tests and ad-hoc tooling. High-rate producers
-// declare a Schema once and emit fixed-slot events through it, which
-// avoids the per-event map and boxing allocations entirely; see Schema.
+// There is one of each thing. Producers declare a Schema once and emit
+// fixed-slot events through it; expressions evaluate to typed Vals; and a
+// statement keeps running per-group aggregates that are updated on insert
+// and unwound on expiry, so evaluating it costs O(groups) whatever the
+// window retains. What that evaluator cannot run — a select with no
+// aggregation, a group key or aggregate argument that is not a plain
+// field — Compile rejects, naming the clause.
 package cep
 
 import (
@@ -25,13 +28,12 @@ import (
 	"time"
 )
 
-// MaxSchemaFields caps the fixed-slot representation; schemas needing more
-// fields should use the map form.
+// MaxSchemaFields caps the fixed-slot event representation.
 const MaxSchemaFields = 8
 
-// Schema declares an event type's field layout once, so producers can emit
-// events into interned fixed slots instead of building a map per event.
-// Field order is the slot order used by SetNum/SetStr/SetBool.
+// Schema declares an event type's field layout once, so producers emit
+// events into interned fixed slots. Field order is the slot order used by
+// SetNum/SetStr/SetBool.
 type Schema struct {
 	typ   string
 	names []string
@@ -70,22 +72,16 @@ func (s *Schema) Index(name string) int {
 // SetNum/SetStr/SetBool and pass the value to Engine.Insert; the whole
 // construction is allocation-free.
 func (s *Schema) Event(t time.Duration) Event {
-	return Event{Time: t, Type: s.typ, schema: s}
+	return Event{Time: t, schema: s}
 }
 
-// Event is one occurrence in a stream: a type name, a timestamp, and a flat
-// set of fields. Field values are float64, string, or bool. The engine
-// injects the builtin field "__time" (seconds since simulation start) so
-// queries can aggregate over timestamps, e.g. max(__time) for the last
-// access time.
-//
-// Events built through a Schema carry their fields in fixed slots; events
-// built literally carry them in the Fields map. The two forms behave
-// identically in queries.
+// Event is one occurrence in a stream: a timestamp plus the schema's fields
+// in fixed slots, built by Schema.Event. An unset slot and a field the
+// schema lacks are both null. The engine injects the builtin field "__time"
+// (seconds since simulation start) so queries can aggregate over
+// timestamps, e.g. max(__time) for the last access time.
 type Event struct {
-	Time   time.Duration
-	Type   string
-	Fields map[string]any
+	Time time.Duration
 
 	schema *Schema
 	slots  [MaxSchemaFields]Val
@@ -109,34 +105,15 @@ func (e *Event) checkSlot(i int) {
 	}
 }
 
-// Field returns the named field, with the builtin __time synthesized.
-func (e *Event) Field(name string) (any, bool) {
-	if name == "__time" {
-		return e.Time.Seconds(), true
-	}
-	if e.schema != nil {
-		if i, ok := e.schema.idx[name]; ok {
-			return e.slots[i].box(), true
-		}
-		return nil, false
-	}
-	v, ok := e.Fields[name]
-	return v, ok
-}
-
-// fieldVal is the typed, non-boxing field fetch the incremental pipeline
-// uses. Missing fields are null.
+// fieldVal fetches the named field; a field the schema lacks is null.
 func (e *Event) fieldVal(name string) Val {
 	if name == "__time" {
 		return NumVal(e.Time.Seconds())
 	}
-	if e.schema != nil {
-		if i, ok := e.schema.idx[name]; ok {
-			return e.slots[i]
-		}
-		return Val{}
+	if i, ok := e.schema.idx[name]; ok {
+		return e.slots[i]
 	}
-	return valOf(e.Fields[name])
+	return Val{}
 }
 
 // Row is one output row of a statement evaluation, keyed by the select

@@ -1,20 +1,13 @@
 package cep
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
+import "fmt"
 
-// Expr is a compiled expression node. Row-level evaluation resolves field
-// references against a single event; group-level evaluation additionally
-// resolves aggregate nodes against the group's event set.
+// Expr is a compiled expression node. A where clause evaluates against the
+// event being inserted. Select and having expressions are bound by the
+// planner first: their field references and aggregate calls read the
+// running state of the group under evaluation and ignore the event.
 type Expr interface {
-	// eval computes the expression. ev is the representative event for
-	// field references (the group's last event during grouped evaluation).
-	// group is nil during row-level (where-clause) evaluation; aggregates
-	// are then illegal.
-	eval(ev *Event, group []*Event) (any, error)
+	eval(ev *Event) (Val, error)
 	// hasAggregate reports whether the subtree contains an aggregate call.
 	hasAggregate() bool
 	// text returns the canonical source form (used as a default alias).
@@ -22,54 +15,41 @@ type Expr interface {
 }
 
 type litExpr struct {
-	val any
+	val Val
 	src string
 }
 
-func (l *litExpr) eval(*Event, []*Event) (any, error) { return l.val, nil }
-func (l *litExpr) hasAggregate() bool                 { return false }
-func (l *litExpr) text() string                       { return l.src }
+func (l *litExpr) eval(*Event) (Val, error) { return l.val, nil }
+func (l *litExpr) hasAggregate() bool       { return false }
+func (l *litExpr) text() string             { return l.src }
 
 type fieldExpr struct{ name string }
 
-func (f *fieldExpr) eval(ev *Event, _ []*Event) (any, error) {
-	if ev == nil {
-		return nil, fmt.Errorf("cep: field %q referenced with no event in scope", f.name)
-	}
-	v, ok := ev.Field(f.name)
-	if !ok {
-		return nil, nil // missing field evaluates to null
-	}
-	return v, nil
-}
-func (f *fieldExpr) hasAggregate() bool { return false }
-func (f *fieldExpr) text() string       { return f.name }
+func (f *fieldExpr) eval(ev *Event) (Val, error) { return ev.fieldVal(f.name), nil }
+func (f *fieldExpr) hasAggregate() bool          { return false }
+func (f *fieldExpr) text() string                { return f.name }
 
 type unaryExpr struct {
 	op  string // "not" or "-"
 	sub Expr
 }
 
-func (u *unaryExpr) eval(ev *Event, g []*Event) (any, error) {
-	v, err := u.sub.eval(ev, g)
+func (u *unaryExpr) eval(ev *Event) (Val, error) {
+	v, err := u.sub.eval(ev)
 	if err != nil {
-		return nil, err
+		return Val{}, err
 	}
-	switch u.op {
-	case "not":
-		b, ok := v.(bool)
-		if !ok {
-			return nil, fmt.Errorf("cep: not applied to non-boolean %T", v)
+	if u.op == "not" {
+		if v.k != kindBool {
+			return Val{}, fmt.Errorf("cep: not applied to non-boolean %s", v.k)
 		}
-		return !b, nil
-	case "-":
-		f, ok := toFloat(v)
-		if !ok {
-			return nil, fmt.Errorf("cep: unary minus on non-number %T", v)
-		}
-		return -f, nil
+		return BoolVal(!v.Bool()), nil
 	}
-	return nil, fmt.Errorf("cep: unknown unary op %q", u.op)
+	f, ok := v.numeric()
+	if !ok {
+		return Val{}, fmt.Errorf("cep: unary minus on non-number %s", v.k)
+	}
+	return NumVal(-f), nil
 }
 func (u *unaryExpr) hasAggregate() bool { return u.sub.hasAggregate() }
 func (u *unaryExpr) text() string       { return u.op + " " + u.sub.text() }
@@ -79,82 +59,61 @@ type binaryExpr struct {
 	left, right Expr
 }
 
-func (b *binaryExpr) eval(ev *Event, g []*Event) (any, error) {
-	l, err := b.left.eval(ev, g)
+func (b *binaryExpr) eval(ev *Event) (Val, error) {
+	l, err := b.left.eval(ev)
 	if err != nil {
-		return nil, err
+		return Val{}, err
 	}
-	// Short-circuit booleans.
-	switch b.op {
-	case "and":
-		lb, ok := l.(bool)
-		if !ok {
-			return nil, fmt.Errorf("cep: 'and' on non-boolean %T", l)
+	if b.op == "and" || b.op == "or" {
+		// Short-circuit: the right side's errors are not surfaced when the
+		// left side decides.
+		if l.k != kindBool {
+			return Val{}, fmt.Errorf("cep: '%s' on non-boolean %s", b.op, l.k)
 		}
-		if !lb {
-			return false, nil
+		if l.Bool() == (b.op == "or") {
+			return l, nil
 		}
-		r, err := b.right.eval(ev, g)
+		r, err := b.right.eval(ev)
 		if err != nil {
-			return nil, err
+			return Val{}, err
 		}
-		rb, ok := r.(bool)
-		if !ok {
-			return nil, fmt.Errorf("cep: 'and' on non-boolean %T", r)
+		if r.k != kindBool {
+			return Val{}, fmt.Errorf("cep: '%s' on non-boolean %s", b.op, r.k)
 		}
-		return rb, nil
-	case "or":
-		lb, ok := l.(bool)
-		if !ok {
-			return nil, fmt.Errorf("cep: 'or' on non-boolean %T", l)
-		}
-		if lb {
-			return true, nil
-		}
-		r, err := b.right.eval(ev, g)
-		if err != nil {
-			return nil, err
-		}
-		rb, ok := r.(bool)
-		if !ok {
-			return nil, fmt.Errorf("cep: 'or' on non-boolean %T", r)
-		}
-		return rb, nil
+		return r, nil
 	}
-	r, err := b.right.eval(ev, g)
+	r, err := b.right.eval(ev)
 	if err != nil {
-		return nil, err
+		return Val{}, err
 	}
 	switch b.op {
-	case "=", "!=":
-		eq := looseEqual(l, r)
-		if b.op == "=" {
-			return eq, nil
-		}
-		return !eq, nil
+	case "=":
+		return BoolVal(valLooseEqual(l, r)), nil
+	case "!=":
+		return BoolVal(!valLooseEqual(l, r)), nil
 	case "<", "<=", ">", ">=":
-		return compare(b.op, l, r)
-	case "+", "-", "*", "/":
-		lf, ok1 := toFloat(l)
-		rf, ok2 := toFloat(r)
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("cep: arithmetic on non-numbers %T %s %T", l, b.op, r)
-		}
-		switch b.op {
-		case "+":
-			return lf + rf, nil
-		case "-":
-			return lf - rf, nil
-		case "*":
-			return lf * rf, nil
-		case "/":
-			if rf == 0 {
-				return nil, fmt.Errorf("cep: division by zero")
-			}
-			return lf / rf, nil
-		}
+		ok, err := valCompare(b.op, l, r)
+		return BoolVal(ok), err
 	}
-	return nil, fmt.Errorf("cep: unknown operator %q", b.op)
+	lf, ok1 := l.numeric()
+	rf, ok2 := r.numeric()
+	if !ok1 || !ok2 {
+		return Val{}, fmt.Errorf("cep: arithmetic on non-numbers %s %s %s", l.k, b.op, r.k)
+	}
+	switch b.op {
+	case "+":
+		return NumVal(lf + rf), nil
+	case "-":
+		return NumVal(lf - rf), nil
+	case "*":
+		return NumVal(lf * rf), nil
+	case "/":
+		if rf == 0 {
+			return Val{}, fmt.Errorf("cep: division by zero")
+		}
+		return NumVal(lf / rf), nil
+	}
+	return Val{}, fmt.Errorf("cep: unknown operator %q", b.op)
 }
 
 func (b *binaryExpr) hasAggregate() bool {
@@ -164,61 +123,25 @@ func (b *binaryExpr) text() string {
 	return fmt.Sprintf("(%s %s %s)", b.left.text(), b.op, b.right.text())
 }
 
-func looseEqual(l, r any) bool {
-	if lf, ok := toFloat(l); ok {
-		if rf, ok2 := toFloat(r); ok2 {
-			return lf == rf
-		}
-		return false
-	}
-	ls, lok := l.(string)
-	rs, rok := r.(string)
-	if lok && rok {
-		return ls == rs
-	}
-	return l == r
-}
-
-func compare(op string, l, r any) (any, error) {
-	var cmp float64
-	if lf, ok := toFloat(l); ok {
-		rf, ok2 := toFloat(r)
-		if !ok2 {
-			return nil, fmt.Errorf("cep: comparing number with %T", r)
-		}
-		cmp = lf - rf
-	} else if ls, ok := l.(string); ok {
-		rs, ok2 := r.(string)
-		if !ok2 {
-			return nil, fmt.Errorf("cep: comparing string with %T", r)
-		}
-		cmp = float64(strings.Compare(ls, rs))
-	} else {
-		return nil, fmt.Errorf("cep: unorderable type %T", l)
-	}
-	switch op {
-	case "<":
-		return cmp < 0, nil
-	case "<=":
-		return cmp <= 0, nil
-	case ">":
-		return cmp > 0, nil
-	case ">=":
-		return cmp >= 0, nil
-	}
-	return nil, fmt.Errorf("cep: unknown comparison %q", op)
-}
-
 // aggExpr is an aggregate call: count(*), count(f), sum(f), avg(f), min(f),
-// max(f), first(f), last(f).
+// max(f), first(f), last(f). The parser builds it unbound; the planner
+// binds a copy to its statement's running state (s, idx).
 type aggExpr struct {
 	fn   string
 	arg  Expr // nil for count(*)
 	star bool
+
+	s   *Statement
+	idx int // into s.aggs
 }
 
+func (a *aggExpr) eval(*Event) (Val, error) {
+	if a.s == nil {
+		return Val{}, fmt.Errorf("cep: aggregate %s outside grouped evaluation", a.text())
+	}
+	return a.s.aggValue(a.s.cur, a.idx)
+}
 func (a *aggExpr) hasAggregate() bool { return true }
-
 func (a *aggExpr) text() string {
 	if a.star {
 		return a.fn + "(*)"
@@ -226,71 +149,14 @@ func (a *aggExpr) text() string {
 	return a.fn + "(" + a.arg.text() + ")"
 }
 
-func (a *aggExpr) eval(_ *Event, group []*Event) (any, error) {
-	if group == nil {
-		return nil, fmt.Errorf("cep: aggregate %s outside grouped evaluation", a.text())
-	}
-	if a.fn == "count" && a.star {
-		return float64(len(group)), nil
-	}
-	switch a.fn {
-	case "first", "last":
-		if len(group) == 0 {
-			return nil, nil
-		}
-		ev := group[0]
-		if a.fn == "last" {
-			ev = group[len(group)-1]
-		}
-		return a.arg.eval(ev, nil)
-	}
-	var (
-		n   int
-		sum float64
-		min = math.Inf(1)
-		max = math.Inf(-1)
-	)
-	for _, ev := range group {
-		v, err := a.arg.eval(ev, nil)
-		if err != nil {
-			return nil, err
-		}
-		if v == nil {
-			continue
-		}
-		f, ok := toFloat(v)
-		if !ok {
-			return nil, fmt.Errorf("cep: %s over non-numeric field", a.fn)
-		}
-		n++
-		sum += f
-		if f < min {
-			min = f
-		}
-		if f > max {
-			max = f
-		}
-	}
-	switch a.fn {
-	case "count":
-		return float64(n), nil
-	case "sum":
-		return sum, nil
-	case "avg":
-		if n == 0 {
-			return nil, nil
-		}
-		return sum / float64(n), nil
-	case "min":
-		if n == 0 {
-			return nil, nil
-		}
-		return min, nil
-	case "max":
-		if n == 0 {
-			return nil, nil
-		}
-		return max, nil
-	}
-	return nil, fmt.Errorf("cep: unknown aggregate %q", a.fn)
+// groupField is a field reference bound by the planner: it reads the
+// group's representative (its latest event's captured fields).
+type groupField struct {
+	s    *Statement
+	idx  int // into s.evFields
+	name string
 }
+
+func (f *groupField) eval(*Event) (Val, error) { return f.s.cur.repVals[f.idx], nil }
+func (f *groupField) hasAggregate() bool       { return false }
+func (f *groupField) text() string             { return f.name }

@@ -149,13 +149,9 @@ type SelectItem struct {
 	Alias string
 }
 
-// OrderSpec is one "order by" key.
-type OrderSpec struct {
-	Expr Expr
-	Desc bool
-}
-
-// Query is a parsed EPL statement.
+// Query is a parsed EPL statement. Output rows come in the order their
+// groups' oldest surviving events arrived; there is no order by (callers
+// sort in Go), only limit.
 type Query struct {
 	Select  []SelectItem
 	From    string // event type
@@ -163,8 +159,7 @@ type Query struct {
 	Where   Expr // nil when absent; must not contain aggregates
 	GroupBy []Expr
 	Having  Expr // nil when absent
-	OrderBy []OrderSpec
-	Limit   int // 0 = unlimited
+	Limit   int  // 0 = unlimited
 	src     string
 }
 
@@ -290,27 +285,6 @@ func ParseQuery(src string) (*Query, error) {
 			return nil, err
 		}
 		q.Having = e
-	}
-	if p.acceptKeyword("order") {
-		if err := p.expectKeyword("by"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			spec := OrderSpec{Expr: e}
-			if p.acceptKeyword("desc") {
-				spec.Desc = true
-			} else {
-				p.acceptKeyword("asc")
-			}
-			q.OrderBy = append(q.OrderBy, spec)
-			if !p.accept(",") {
-				break
-			}
-		}
 	}
 	if p.acceptKeyword("limit") {
 		tok := p.next()
@@ -488,15 +462,15 @@ func (p *parser) parsePrimary() (Expr, error) {
 	switch tok.kind {
 	case tokNumber:
 		p.next()
-		return &litExpr{val: tok.num, src: tok.text}, nil
+		return &litExpr{val: NumVal(tok.num), src: tok.text}, nil
 	case tokString:
 		p.next()
-		return &litExpr{val: tok.text, src: "'" + tok.text + "'"}, nil
+		return &litExpr{val: StrVal(tok.text), src: "'" + tok.text + "'"}, nil
 	case tokIdent:
 		name := strings.ToLower(tok.text)
 		if name == "true" || name == "false" {
 			p.next()
-			return &litExpr{val: name == "true", src: name}, nil
+			return &litExpr{val: BoolVal(name == "true"), src: name}, nil
 		}
 		if aggFuncs[name] && p.peekAt(1).text == "(" {
 			p.next() // fn

@@ -13,17 +13,17 @@ const (
 	kindNum
 	kindStr
 	kindBool
-	// kindOpaque covers map-event field values outside the engine's scalar
-	// set (float64/string/bool/int/int64). They degrade to their printed
-	// form: usable as group keys and equality operands, an error inside
-	// numeric aggregates — the same places the generic evaluator rejects
-	// them.
-	kindOpaque
 )
 
-// Val is a compact typed field value: a float64, string, bool, or null,
-// without the per-value heap boxing of `any`. The incremental pipeline and
-// EachRow use it end to end so the hot path never allocates.
+// String names the kind in evaluation errors.
+func (k valKind) String() string {
+	return [...]string{"null", "number", "string", "bool"}[k]
+}
+
+// Val is a compact typed value: a float64, string, bool, or null, without
+// the per-value heap boxing of `any`. Event slots, literals, running
+// aggregates and EachRow columns are all Vals, so the hot path never
+// allocates.
 type Val struct {
 	k   valKind
 	num float64
@@ -65,7 +65,7 @@ func (v Val) Num() float64 {
 // printed form, mirroring Row.Str ("" for null).
 func (v Val) Str() string {
 	switch v.k {
-	case kindStr, kindOpaque:
+	case kindStr:
 		return v.str
 	case kindNum:
 		return strconv.FormatFloat(v.num, 'g', -1, 64)
@@ -82,7 +82,7 @@ func (v Val) Str() string {
 func (v Val) Bool() bool { return v.k == kindBool && v.num != 0 }
 
 // numeric reports the float64 form and whether the value coerces to a
-// number, mirroring toFloat (numbers and bools do; strings do not).
+// number (numbers and bools do; strings and null do not).
 func (v Val) numeric() (float64, bool) {
 	switch v.k {
 	case kindNum, kindBool:
@@ -91,13 +91,12 @@ func (v Val) numeric() (float64, bool) {
 	return 0, false
 }
 
-// box converts to the `any` representation the generic evaluator and Row
-// maps use. Only called on cold paths (row projection, error formatting).
+// box converts to the `any` representation Row maps use.
 func (v Val) box() any {
 	switch v.k {
 	case kindNum:
 		return v.num
-	case kindStr, kindOpaque:
+	case kindStr:
 		return v.str
 	case kindBool:
 		return v.num != 0
@@ -105,28 +104,8 @@ func (v Val) box() any {
 	return nil
 }
 
-// valOf converts a boxed field value to a Val. Scalar kinds map losslessly;
-// anything else degrades to its printed form (kindOpaque).
-func valOf(x any) Val {
-	switch t := x.(type) {
-	case nil:
-		return Val{}
-	case float64:
-		return NumVal(t)
-	case string:
-		return StrVal(t)
-	case bool:
-		return BoolVal(t)
-	case int:
-		return NumVal(float64(t))
-	case int64:
-		return NumVal(float64(t))
-	}
-	return Val{k: kindOpaque, str: fmt.Sprint(x)}
-}
-
-// valLooseEqual mirrors looseEqual over Vals: numeric coercion first, then
-// string equality, then strict kind+value identity.
+// valLooseEqual is the = operator: numeric coercion first (a number never
+// equals a non-number), then string equality, then kind+value identity.
 func valLooseEqual(a, b Val) bool {
 	if af, ok := a.numeric(); ok {
 		if bf, ok2 := b.numeric(); ok2 {
@@ -140,18 +119,19 @@ func valLooseEqual(a, b Val) bool {
 	return a == b
 }
 
-// valCompare mirrors compare over Vals for the ordering operators.
+// valCompare is the ordering operators: numbers with numbers, strings with
+// strings, anything else is an error.
 func valCompare(op string, a, b Val) (bool, error) {
 	var cmp float64
 	if af, ok := a.numeric(); ok {
 		bf, ok2 := b.numeric()
 		if !ok2 {
-			return false, fmt.Errorf("cep: comparing number with %T", b.box())
+			return false, fmt.Errorf("cep: comparing number with %s", b.k)
 		}
 		cmp = af - bf
 	} else if a.k == kindStr {
 		if b.k != kindStr {
-			return false, fmt.Errorf("cep: comparing string with %T", b.box())
+			return false, fmt.Errorf("cep: comparing string with %s", b.k)
 		}
 		switch {
 		case a.str < b.str:
@@ -160,7 +140,7 @@ func valCompare(op string, a, b Val) (bool, error) {
 			cmp = 1
 		}
 	} else {
-		return false, fmt.Errorf("cep: unorderable type %T", a.box())
+		return false, fmt.Errorf("cep: unorderable type %s", a.k)
 	}
 	switch op {
 	case "<":

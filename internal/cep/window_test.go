@@ -5,46 +5,36 @@ import (
 	"time"
 )
 
-// TestTimeWindowTrailingEdgeInclusive pins the window's boundary semantics
-// on both evaluation paths: an event aged exactly Dur is still visible, so
-// a periodic evaluator with period == window never loses the events of the
-// instant it last ran. One tick past Dur, the event is gone.
+// TestTimeWindowTrailingEdgeInclusive pins the window's boundary semantics:
+// an event aged exactly Dur is still visible, so a periodic evaluator with
+// period == window never loses the events of the instant it last ran. One
+// tick past Dur, the event is gone.
 func TestTimeWindowTrailingEdgeInclusive(t *testing.T) {
 	var now time.Duration
 	e := New(func() time.Duration { return now })
-	inc := e.MustCompile("select count(*) as cnt from S.win:time(60 s)")
-	// order by forces the generic fallback; same query otherwise.
-	gen := e.MustCompile("select count(*) as cnt from S.win:time(60 s) order by cnt")
-	if !inc.Incremental() {
-		t.Fatal("aggregate time-window query should take the incremental path")
-	}
-	if gen.Incremental() {
-		t.Fatal("order-by query must fall back to the generic evaluator")
-	}
+	s := e.MustCompile("select count(*) as cnt from S.win:time(60 s)")
 
-	if err := e.Insert(Event{Time: 0, Type: "S", Fields: map[string]any{"x": 1.0}}); err != nil {
+	ev := sSchema.Event(0)
+	ev.SetNum(2, 1)
+	if err := e.Insert(ev); err != nil {
 		t.Fatal(err)
 	}
 
 	now = 60 * time.Second // aged exactly Dur: still in the window
-	for name, s := range map[string]*Statement{"incremental": inc, "generic": gen} {
-		rows := s.MustRows()
-		if len(rows) != 1 || rows[0].Num("cnt") != 1 {
-			t.Fatalf("%s at exactly Dur: rows = %v, want one row with cnt 1", name, rows)
-		}
-		if ws := s.WindowSize(); ws != 1 {
-			t.Fatalf("%s at exactly Dur: WindowSize = %d, want 1", name, ws)
-		}
+	rows := s.MustRows()
+	if len(rows) != 1 || rows[0].Num("cnt") != 1 {
+		t.Fatalf("at exactly Dur: rows = %v, want one row with cnt 1", rows)
+	}
+	if ws := s.WindowSize(); ws != 1 {
+		t.Fatalf("at exactly Dur: WindowSize = %d, want 1", ws)
 	}
 
 	now = 60*time.Second + time.Nanosecond // one tick past: expired
-	for name, s := range map[string]*Statement{"incremental": inc, "generic": gen} {
-		if rows := s.MustRows(); rows != nil {
-			t.Fatalf("%s past Dur: rows = %v, want nil", name, rows)
-		}
-		if ws := s.WindowSize(); ws != 0 {
-			t.Fatalf("%s past Dur: WindowSize = %d, want 0", name, ws)
-		}
+	if rows := s.MustRows(); rows != nil {
+		t.Fatalf("past Dur: rows = %v, want nil", rows)
+	}
+	if ws := s.WindowSize(); ws != 0 {
+		t.Fatalf("past Dur: WindowSize = %d, want 0", ws)
 	}
 }
 
@@ -69,8 +59,7 @@ func TestCloseDuringDispatch(t *testing.T) {
 
 	mustInsert := func(ts time.Duration) {
 		t.Helper()
-		ev := Event{Time: ts, Type: "S", Fields: map[string]any{"path": "/a"}}
-		if err := e.Insert(ev); err != nil {
+		if err := e.Insert(sEvent(ts, 1, "/a")); err != nil {
 			t.Fatal(err)
 		}
 	}
