@@ -3,7 +3,7 @@
 GO ?= go
 
 .PHONY: all build vet test race check bench bench-accept benchdiff lint cover cover-check \
-	figures fuzz failover federate full-scale soak sweep degrade scenarios serve benchcheck runtime-table examples loc clean
+	figures fuzz failover federate full-scale soak sweep degrade scenarios serve benchcheck runtime-table examples loc loc-check clean
 
 all: build vet test
 
@@ -142,6 +142,18 @@ loc:
 		while read -r f; do echo "$$(dirname "$$f") $$(wc -l < "$$f")"; done | \
 		awk '{ n[$$1] += $$2; t += $$2 } \
 			END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
+
+# Size ratchet: the ledger's total may not pass this ceiling (this PR's
+# result, 24,676, rounded up to the next 50). A PR that needs more raises
+# the number in the same diff, with its reason here. CI runs it in the
+# lint job.
+LOC_CEILING ?= 24700
+
+loc-check:
+	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
+	if [ "$$total" -gt $(LOC_CEILING) ]; then \
+		echo "non-test Go is $$total lines, over the $(LOC_CEILING) ceiling (LOC_CEILING in the Makefile)"; exit 1; fi; \
+	echo "non-test Go $$total lines <= ceiling $(LOC_CEILING)"
 
 # Coverage floor: CI fails if total statement coverage drops below this.
 COVER_FLOOR ?= 80.0

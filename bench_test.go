@@ -198,20 +198,6 @@ func BenchmarkAblationThresholds(b *testing.B) {
 	b.ReportMetric(rows[1].ReplicaMB, "tau4ReplMB")
 }
 
-func BenchmarkAblationPredictive(b *testing.B) {
-	var rows []experiments.AblationPredictiveRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.AblationPredictive()
-	}
-	for _, r := range rows {
-		if r.Mode == "reactive" {
-			b.ReportMetric(r.ReactionMin, "reactiveFirstIncrease_min")
-		} else {
-			b.ReportMetric(r.ReactionMin, "predictiveFirstIncrease_min")
-		}
-	}
-}
-
 func BenchmarkAblationSpeculation(b *testing.B) {
 	var rows []experiments.AblationSpeculationRow
 	for i := 0; i < b.N; i++ {

@@ -87,6 +87,10 @@ func (s *System) restoreFederated(data []byte) error {
 	if len(data) < len(fedCkptMagic)+8 {
 		return fmt.Errorf("erms: federated checkpoint too short (%d bytes)", len(data))
 	}
+	if magic := data[:len(fedCkptMagic)]; string(magic) != fedCkptMagic {
+		return fmt.Errorf("erms: checkpoint magic %q is not the federated envelope %q this %d-shard system restores from (a one-namenode ERMSCKP1 checkpoint restores into a one-shard system)",
+			magic, fedCkptMagic, len(s.shards))
+	}
 	payload, trailer := data[:len(data)-8], data[len(data)-8:]
 	h := fnv.New64a()
 	h.Write(payload)

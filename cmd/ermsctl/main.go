@@ -22,11 +22,11 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"erms"
 	"erms/internal/hdfs"
+	"erms/internal/invariant"
 	"erms/internal/workload"
 )
 
@@ -50,44 +50,34 @@ func main() {
 		return
 	}
 	var (
-		seed       = flag.Int64("seed", 1, "workload seed")
-		duration   = flag.Duration("duration", time.Hour, "trace length")
-		files      = flag.Int("files", 20, "file catalog size")
-		demo       = flag.Bool("demo", false, "run the scripted hot/cooled/cold lifecycle demo instead of a trace")
-		showLog    = flag.Bool("log", false, "print the Condor user log")
-		tauM       = flag.Float64("taum", 8, "hot threshold τ_M")
-		predictive = flag.Bool("predictive", false, "enable the trend-predicting judge")
-		traceFile  = flag.String("trace", "", "replay a trace file (.json or .csv from swimgen) instead of synthesizing")
-		asJSON     = flag.Bool("json", false, "emit the report as JSON instead of text")
+		seed      = flag.Int64("seed", 1, "workload seed")
+		duration  = flag.Duration("duration", time.Hour, "trace length")
+		files     = flag.Int("files", 20, "file catalog size")
+		demo      = flag.Bool("demo", false, "run the scripted hot/cooled/cold lifecycle demo instead of a trace")
+		showLog   = flag.Bool("log", false, "print the Condor user log")
+		tauM      = flag.Float64("taum", 8, "hot threshold τ_M")
+		traceFile = flag.String("trace", "", "replay a trace file (.json or .csv from swimgen) instead of synthesizing")
+		asJSON    = flag.Bool("json", false, "emit the report as JSON instead of text")
 	)
 	flag.Parse()
 
 	th := erms.DefaultThresholds()
 	th.TauM = *tauM
-	th.Predictive = *predictive
 	sys := erms.NewSystem(erms.Options{Thresholds: th})
 
 	if *demo {
 		runDemo(sys)
 	} else {
 		var trace *erms.Trace
-		if *traceFile != "" {
+		if *traceFile == "" {
+			trace = synthetic(*seed, *duration, *files)
+		} else {
 			var err error
-			trace, err = loadTrace(*traceFile)
-			if err != nil {
+			if trace, err = workload.ReadFile(*traceFile); err != nil {
 				log.Fatal(err)
 			}
-		} else {
-			trace = erms.SynthesizeWorkload(erms.WorkloadConfig{
-				Seed:             *seed,
-				Duration:         *duration,
-				NumFiles:         *files,
-				MeanInterarrival: 6 * time.Second,
-			})
 		}
-		sys.Preload(trace)
-		sys.ReplayReads(trace, nil)
-		sys.RunUntil(trace.Horizon(30 * time.Minute))
+		sys.RunUntil(startTrace(sys, trace))
 	}
 	if *asJSON {
 		reportJSON(sys)
@@ -111,15 +101,7 @@ func runToolCommand(cmd string, args []string) {
 	fs.Parse(args)
 
 	sys := erms.NewSystem(erms.Options{EnableTrace: cmd == "trace"})
-	tr := erms.SynthesizeWorkload(erms.WorkloadConfig{
-		Seed:             *seed,
-		Duration:         *duration,
-		NumFiles:         *files,
-		MeanInterarrival: 6 * time.Second,
-	})
-	sys.Preload(tr)
-	sys.ReplayReads(tr, nil)
-	sys.RunUntil(tr.Horizon(30 * time.Minute))
+	sys.RunUntil(startTrace(sys, synthetic(*seed, *duration, *files)))
 
 	w := os.Stdout
 	if *out != "" {
@@ -167,15 +149,7 @@ func runStatusCommand(args []string) {
 		Shards:        *shards,
 		SafeMode:      erms.SafeModeConfig{Enabled: true},
 	})
-	tr := erms.SynthesizeWorkload(erms.WorkloadConfig{
-		Seed:             *seed,
-		Duration:         *duration,
-		NumFiles:         *files,
-		MeanInterarrival: 6 * time.Second,
-	})
-	sys.Preload(tr)
-	sys.ReplayReads(tr, nil)
-	horizon := tr.Horizon(30 * time.Minute)
+	horizon := startTrace(sys, synthetic(*seed, *duration, *files))
 	if *kill > 0 {
 		sys.Engine().At(horizon-10*time.Second, func() {
 			killed := 0
@@ -214,15 +188,7 @@ func runCheckpointCommand(cmd string, args []string) {
 	switch cmd {
 	case "checkpoint":
 		sys := erms.NewSystem(erms.Options{EnableJournal: true})
-		tr := erms.SynthesizeWorkload(erms.WorkloadConfig{
-			Seed:             *seed,
-			Duration:         *duration,
-			NumFiles:         *files,
-			MeanInterarrival: 6 * time.Second,
-		})
-		sys.Preload(tr)
-		sys.ReplayReads(tr, nil)
-		sys.RunUntil(tr.Horizon(30 * time.Minute))
+		sys.RunUntil(startTrace(sys, synthetic(*seed, *duration, *files)))
 		f, err := os.Create(*out)
 		if err != nil {
 			log.Fatal(err)
@@ -247,11 +213,12 @@ func runCheckpointCommand(cmd string, args []string) {
 			log.Fatal(err)
 		}
 		c := sys.HDFS()
-		consistent := c.ConsistencyErrors() == nil
+		// Lost blocks are a finding about the data, not about the restore.
+		errs := invariant.Check(invariant.Target{Cluster: c, AllowDataLoss: true})
 		log.Printf("restored %s: %d files, %d blocks, virtual time %s, digest %#x, consistent=%v",
-			*in, c.Files(), c.LiveBlocks(), sys.Engine().Now(), sys.StateDigest(), consistent)
-		if !consistent {
-			for _, e := range c.ConsistencyErrors() {
+			*in, c.Files(), c.LiveBlocks(), sys.Engine().Now(), sys.StateDigest(), len(errs) == 0)
+		if len(errs) > 0 {
+			for _, e := range errs {
 				log.Printf("  inconsistency: %v", e)
 			}
 			os.Exit(1)
@@ -308,16 +275,24 @@ func reportJSON(sys *erms.System) {
 	}
 }
 
-func loadTrace(path string) (*erms.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".csv") {
-		return workload.ReadCSV(f)
-	}
-	return workload.ReadJSON(f)
+// synthetic is the workload every subcommand runs unless handed a trace
+// file: a SWIM-shaped trace with one job every 6 s on average.
+func synthetic(seed int64, duration time.Duration, files int) *erms.Trace {
+	return erms.SynthesizeWorkload(erms.WorkloadConfig{
+		Seed:             seed,
+		Duration:         duration,
+		NumFiles:         files,
+		MeanInterarrival: 6 * time.Second,
+	})
+}
+
+// startTrace loads a trace into sys — files preloaded, jobs scheduled as
+// direct reads — and returns the horizon to run to: the trace's end plus
+// half an hour for stragglers and the judge's cool-down.
+func startTrace(sys *erms.System, tr *erms.Trace) time.Duration {
+	sys.Preload(tr)
+	sys.ReplayReads(tr, nil)
+	return tr.Horizon(30 * time.Minute)
 }
 
 func runDemo(sys *erms.System) {

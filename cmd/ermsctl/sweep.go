@@ -72,15 +72,7 @@ func sweepCell(p sweep.Point, duration time.Duration, files int) string {
 	th.TauM = p.Values[0]
 	th.Epsilon = p.Values[1]
 	sys := erms.NewSystem(erms.Options{Thresholds: th})
-	trace := erms.SynthesizeWorkload(erms.WorkloadConfig{
-		Seed:             p.Seed,
-		Duration:         duration,
-		NumFiles:         files,
-		MeanInterarrival: 6 * time.Second,
-	})
-	sys.Preload(trace)
-	sys.ReplayReads(trace, nil)
-	sys.RunUntil(trace.Horizon(30 * time.Minute))
+	sys.RunUntil(startTrace(sys, synthetic(p.Seed, duration, files)))
 	sys.Stop()
 
 	st := sys.Manager().Stats()

@@ -185,9 +185,6 @@ func buildTasks(fig string, o figOpts) (tasks []sweep.Task, notes []string) {
 				return sprintln(experiments.AblationThresholdsTable(
 					experiments.AblationThresholds(o.seed, dur, nil))), nil
 			}),
-			task("ablation:predictive", func() (string, error) {
-				return sprintln(experiments.AblationPredictiveTable(experiments.AblationPredictive())), nil
-			}),
 			task("ablation:speculation", func() (string, error) {
 				return sprintln(experiments.AblationSpeculationTable(experiments.AblationSpeculation())), nil
 			}))

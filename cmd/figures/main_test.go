@@ -24,7 +24,7 @@ func TestBuildTasksSelection(t *testing.T) {
 	got := strings.Join(names(all), " ")
 	for _, want := range []string{"3", "4", "5", "6", "7", "8", "9",
 		"ablation:placement", "ablation:idle", "ablation:thresholds",
-		"ablation:predictive", "ablation:speculation",
+		"ablation:speculation",
 		"reliability", "failover", "durability", "sweep", "scenarios", "trace"} {
 		if !strings.Contains(" "+got+" ", " "+want+" ") {
 			t.Errorf("-fig all missing task %q (got %s)", want, got)

@@ -14,7 +14,6 @@ import (
 	"io"
 	"log"
 	"os"
-	"strings"
 	"time"
 
 	"erms/internal/workload"
@@ -47,7 +46,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	if *inspect != "" {
-		tr, err := loadTrace(*inspect)
+		tr, err := workload.ReadFile(*inspect)
 		if err != nil {
 			return err
 		}
@@ -70,18 +69,6 @@ func run(args []string, stdout io.Writer) error {
 	default:
 		return fmt.Errorf("unknown format %q", *format)
 	}
-}
-
-func loadTrace(path string) (*workload.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".csv") {
-		return workload.ReadCSV(f)
-	}
-	return workload.ReadJSON(f)
 }
 
 func summarize(tr *workload.Trace, w io.Writer) {

@@ -497,18 +497,10 @@ func (s *System) Energy() EnergyReport {
 }
 
 // Preload creates a trace's files at their creation times, each in its
-// owner shard.
+// owner shard; the writer node comes from the file's index in the trace.
 func (s *System) Preload(t *Trace) {
-	subs := make([]workload.Trace, len(s.shards))
-	for i := range subs { // room for an even share: with one shard, no regrowth
-		subs[i].Files = make([]workload.FileSpec, 0, len(t.Files)/len(subs))
-	}
-	for _, f := range t.Files {
-		sub := &subs[s.router.Shard(f.Path)]
-		sub.Files = append(sub.Files, f)
-	}
-	for i, sh := range s.shards {
-		workload.Preload(s.engine, sh.cluster, &subs[i])
+	for i, f := range t.Files {
+		workload.ScheduleCreate(s.engine, s.shardFor(f.Path).cluster, 0, i, f)
 	}
 }
 
@@ -521,19 +513,12 @@ func (s *System) ReplayJobs(t *Trace, onDone func(*Job)) {
 	workload.ReplayMapReduce(s.engine, s.shards[0].mr, t, onDone)
 }
 
-// ReplayReads replays a trace as direct whole-file client reads, each
-// routed to the file's owner shard.
+// ReplayReads replays a trace as direct client reads — ranged where the
+// job carries a Length, whole-file otherwise — each routed to the file's
+// owner shard.
 func (s *System) ReplayReads(t *Trace, onDone func(*ReadResult)) {
-	subs := make([]workload.Trace, len(s.shards))
-	for i := range subs {
-		subs[i].Jobs = make([]workload.JobSpec, 0, len(t.Jobs)/len(subs))
-	}
 	for _, j := range t.Jobs {
-		sub := &subs[s.router.Shard(j.File)]
-		sub.Jobs = append(sub.Jobs, j)
-	}
-	for i, sh := range s.shards {
-		workload.ReplayReads(s.engine, sh.cluster, &subs[i], onDone)
+		workload.ScheduleRead(s.engine, s.shardFor(j.File).cluster, 0, j, onDone)
 	}
 }
 

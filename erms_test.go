@@ -1,11 +1,17 @@
 package erms_test
 
 import (
+	"bytes"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
 	"erms"
 	"erms/internal/hdfs"
+	"erms/internal/server"
+	"erms/internal/sim"
+	"erms/internal/workload"
 )
 
 func TestSystemDefaultsMatchPaperTestbed(t *testing.T) {
@@ -213,5 +219,65 @@ func TestDeterminism(t *testing.T) {
 	}
 	if m1 != m2 {
 		t.Fatalf("metrics differ:\n%+v\n%+v", m1, m2)
+	}
+}
+
+// TestReplayHonoursRanges: a trace means the same thing through every
+// entry point. Its Length > 0 jobs are positioned reads whether the trace
+// is replayed through the facade (System.ReplayReads) or posted to the
+// HTTP control plane (POST /v1/ops?format=trace) — both hand each job to
+// workload.ScheduleRead — so the ranged counters agree, on one shard and
+// across a federation.
+func TestReplayHonoursRanges(t *testing.T) {
+	trace := &erms.Trace{
+		Seed:     15,
+		Duration: 10 * time.Minute,
+		Files: []workload.FileSpec{
+			{Path: "/ranges/a", Size: 256 * erms.MB},
+			{Path: "/ranges/b", Size: 256 * erms.MB},
+			{Path: "/ranges/late", Size: 128 * erms.MB, CreateAt: 2 * time.Minute},
+		},
+	}
+	for i := 0; i < 12; i++ {
+		trace.Jobs = append(trace.Jobs,
+			workload.JobSpec{Submit: time.Duration(i+1) * 20 * time.Second, File: "/ranges/a", Client: i,
+				Offset: float64(i%4) * 48 * erms.MB, Length: 32 * erms.MB}, // every third one straddles two blocks
+			workload.JobSpec{Submit: time.Duration(i+1) * 25 * time.Second, File: "/ranges/b", Client: 40 + i})
+	}
+	trace.Jobs = append(trace.Jobs, workload.JobSpec{Submit: 5 * time.Minute, File: "/ranges/late", Client: 3, Length: 64 * erms.MB})
+	horizon := trace.Horizon(10 * time.Minute)
+
+	for _, shards := range []int{1, 2} {
+		facade := erms.NewSystem(erms.Options{Shards: shards})
+		facade.Preload(trace)
+		facade.ReplayReads(trace, nil)
+		facade.RunUntil(horizon)
+		facade.Stop()
+
+		wall := sim.NewSimClock(sim.NewEngine())
+		served := erms.NewSystem(erms.Options{Shards: shards, Clock: wall})
+		var body bytes.Buffer
+		if err := trace.WriteJSON(&body); err != nil {
+			t.Fatal(err)
+		}
+		srv := server.New(served)
+		w := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/ops?format=trace", &body))
+		if w.Code != http.StatusOK {
+			t.Fatalf("shards=%d: trace replay: %d %s", shards, w.Code, w.Body.String())
+		}
+		wall.Advance(horizon)
+		served.CatchUp()
+		served.Stop()
+
+		fm, sm := facade.Metrics(), served.Metrics()
+		if fm.RangedReads != 13 || fm.PartialBlockReads == 0 {
+			t.Errorf("shards=%d: facade replay issued %d ranged reads (%d partial block reads), want 13 and > 0",
+				shards, fm.RangedReads, fm.PartialBlockReads)
+		}
+		if fm.RangedReads != sm.RangedReads || fm.PartialBlockReads != sm.PartialBlockReads ||
+			fm.RangedBytesRead != sm.RangedBytesRead || fm.ReadsCompleted != sm.ReadsCompleted || fm.ReadsFailed != sm.ReadsFailed {
+			t.Errorf("shards=%d: facade and server replays disagree\nfacade %+v\nserver %+v", shards, fm, sm)
+		}
 	}
 }

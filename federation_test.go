@@ -613,16 +613,73 @@ func FuzzDecodeFederatedCheckpoint(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("ERMSFEDC"))
 	f.Add([]byte{})
+	// The other on-disk format: every input is also restored into a
+	// one-namenode system, so the federated seed above is the
+	// federated-into-classic case and this one classic-into-federated.
+	classicOpts := opts
+	classicOpts.Shards = 1
+	classicSys := erms.NewSystem(classicOpts)
+	if err := classicSys.CreateFile("/fz/a", 32*erms.MB); err != nil {
+		f.Fatal(err)
+	}
+	var classic bytes.Buffer
+	if err := classicSys.Checkpoint(&classic); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(classic.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sys := erms.NewSystem(opts)
-		if err := sys.Restore(bytes.NewReader(data)); err == nil {
-			// Accepted input must leave a coherent system.
-			_ = sys.StateDigest()
-			for i := 0; i < sys.Shards(); i++ {
-				if errs := sys.Shard(i).HDFS().ConsistencyErrors(); errs != nil {
-					t.Fatalf("accepted envelope left shard %d inconsistent: %v", i, errs)
+		for _, o := range []erms.Options{opts, classicOpts} {
+			sys := erms.NewSystem(o)
+			if err := sys.Restore(bytes.NewReader(data)); err == nil {
+				// Accepted input must leave a coherent system.
+				_ = sys.StateDigest()
+				for i := 0; i < sys.Shards(); i++ {
+					if errs := sys.Shard(i).HDFS().ConsistencyErrors(); errs != nil {
+						t.Fatalf("accepted checkpoint left shard %d of %d inconsistent: %v", i, sys.Shards(), errs)
+					}
 				}
 			}
 		}
 	})
+}
+
+// TestRestoreRejectsForeignMagic feeds each on-disk format to a system of
+// the other shape. Both carry a valid checksum, so only the magic tells
+// them apart: the refusal must come from it and name both formats, not
+// surface later as a version or router error.
+func TestRestoreRejectsForeignMagic(t *testing.T) {
+	checkpointOf := func(shards int) []byte {
+		sys := erms.NewSystem(erms.Options{Shards: shards, Nodes: 6, StandbyNodes: -1, DisableERMS: true})
+		if err := sys.CreateFile("/magic/a", 32*erms.MB); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := sys.Checkpoint(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, tc := range []struct {
+		name         string
+		from, into   int
+		wantMentions []string
+	}{
+		{"classic into federated", 1, 4, []string{"magic", "ERMSCKP1", "ERMSFEDC"}},
+		{"federated into classic", 4, 1, []string{"magic", "ERMSFEDC"}},
+	} {
+		sys := erms.NewSystem(erms.Options{Shards: tc.into, Nodes: 6, StandbyNodes: -1, DisableERMS: true})
+		err := sys.Restore(bytes.NewReader(checkpointOf(tc.from)))
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		for _, want := range tc.wantMentions {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, want)
+			}
+		}
+		if sys.HDFS().Files() != 0 {
+			t.Errorf("%s: refused restore left %d files behind", tc.name, sys.HDFS().Files())
+		}
+	}
 }

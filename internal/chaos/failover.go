@@ -32,6 +32,11 @@ type FailoverConfig struct {
 	// TruncateJournal discards journal entries the latest checkpoint makes
 	// redundant, bounding memory across a long storm.
 	TruncateJournal bool
+	// Audit lists what is inconsistent about a restored standby; nil runs
+	// the cluster's own ConsistencyErrors. Callers that can import
+	// internal/invariant (this package cannot: core's tests use it) pass
+	// its Check, which adds the placement-index reference scan.
+	Audit func(*hdfs.Cluster) []string
 }
 
 // FailoverResult records one namenode crash and the standby that replaced
@@ -50,7 +55,7 @@ type FailoverResult struct {
 	// DigestMatch reports whether the standby's StateDigest equals the
 	// primary's at the crash instant.
 	DigestMatch bool
-	// ConsistencyOK reports whether the standby passes ConsistencyErrors.
+	// ConsistencyOK reports whether the standby passes FailoverConfig.Audit.
 	ConsistencyOK bool
 	// RecoverableLost counts blocks that had at least one live replica on
 	// the primary but are unknown (or replica-less) on the standby. Zero
@@ -91,6 +96,9 @@ func NewFailover(cfg FailoverConfig) (*Failover, error) {
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 5 * time.Minute
+	}
+	if cfg.Audit == nil {
+		cfg.Audit = (*hdfs.Cluster).ConsistencyErrors
 	}
 	f := &Failover{cfg: cfg}
 	if err := f.Snapshot(); err != nil {
@@ -167,7 +175,7 @@ func (f *Failover) Crash() FailoverResult {
 	}
 	res.RestoreWall = time.Since(start)
 	res.DigestMatch = standby.StateDigest() == f.cfg.Cluster.StateDigest()
-	res.ConsistencyOK = standby.ConsistencyErrors() == nil
+	res.ConsistencyOK = len(f.cfg.Audit(standby)) == 0
 	res.RecoverableLost = recoverableLost(f.cfg.Cluster, standby)
 	f.results = append(f.results, res)
 	return res

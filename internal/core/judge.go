@@ -120,7 +120,6 @@ type Judge struct {
 
 	lastAccess map[string]time.Duration
 	coolStreak map[string]int // consecutive cooled-looking judge passes; no entry means 0
-	predictor  *Predictor     // nil unless Thresholds.Predictive
 
 	// Scratch a pass fills and the next reuses: the window's open counts,
 	// its block counts by path (groupOf indexes groups until sorted), verdicts.
@@ -143,9 +142,6 @@ func NewJudge(cluster *hdfs.Cluster, th Thresholds) *Judge {
 		fileCnt:    make(map[string]float64),
 		groupOf:    make(map[string]int),
 		hotTarget:  make(map[string]hotMark),
-	}
-	if th.Predictive {
-		j.predictor = NewPredictor(0, 0)
 	}
 	j.engine = cep.New(func() time.Duration { return cluster.Clock().Now() })
 	j.engine.SetTracer(cluster.Tracer())
@@ -180,15 +176,9 @@ func NewJudge(cluster *hdfs.Cluster, th Thresholds) *Judge {
 				j.coolStreak[r.Dst] = s
 				delete(j.coolStreak, r.Src)
 			}
-			if j.predictor != nil {
-				j.predictor.Rename(r.Src, r.Dst)
-			}
 		case auditlog.CmdDelete:
 			delete(j.lastAccess, r.Src)
 			delete(j.coolStreak, r.Src)
-			if j.predictor != nil {
-				j.predictor.Forget(r.Src)
-			}
 		}
 		cev := accessSchema.Event(r.Time)
 		cev.SetStr(accessPath, r.Src)
@@ -327,15 +317,6 @@ func (j *Judge) Evaluate() []Decision {
 		if nd/r > j.th.TauM {
 			markHot(path, cur, nd, 1, nd/r, 0)
 		}
-		// Predictive rule (future work): act one window early on a rising
-		// trend whose forecast already clears the hot threshold.
-		if j.predictor != nil {
-			j.predictor.Observe(path, nd)
-			if forecast, hot := j.predictor.predictHot(path, r, j.th.TauM); hot {
-				f := clampForecast(forecast, nd)
-				markHot(path, cur, f, 7, f, j.predictor.Trend(path))
-			}
-		}
 		// Formulas (2) and (3): per-block intensity.
 		if gi, ok := j.groupOf[path]; ok {
 			nBlocks := len(f.Blocks)
@@ -421,7 +402,7 @@ func (j *Judge) Evaluate() []Decision {
 		})
 	}
 	// A path has at most one per-file verdict (formula 5 or 6) and one hot
-	// verdict (1-4, 7), so (path, formula) is a total order.
+	// verdict (1-4), so (path, formula) is a total order.
 	sort.Slice(out, func(a, b int) bool {
 		if out[a].Path != out[b].Path {
 			return out[a].Path < out[b].Path
@@ -440,10 +421,8 @@ func (j *Judge) hotReason(h hotMark) string {
 		return fmt.Sprintf("block N_b/r = %.1f > M_M %.0f", h.a, j.th.MM)
 	case 3:
 		return fmt.Sprintf("%.0f/%.0f blocks above M_m", h.a, h.b)
-	case 4:
-		return fmt.Sprintf("datanode %.0f served %.0f block reads > τ_DN %.0f", h.a, h.b, j.th.TauDN)
 	}
-	return fmt.Sprintf("forecast N_d = %.0f (trend %+.1f/window)", h.a, h.b)
+	return fmt.Sprintf("datanode %.0f served %.0f block reads > τ_DN %.0f", h.a, h.b, j.th.TauDN)
 }
 
 // topContributors returns, indexed by datanode, the live unencoded window

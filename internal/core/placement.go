@@ -72,10 +72,6 @@ func (p *Placement) ChooseTargets(c *hdfs.Cluster, b *hdfs.Block, count int, wri
 // preferring same-rack-as-existing-replica, then fewest blocks; falling
 // back to active non-pool nodes.
 func (p *Placement) extraTargets(c *hdfs.Cluster, b *hdfs.Block, count int, exclude map[hdfs.DatanodeID]bool) []hdfs.DatanodeID {
-	replicaRacks := map[int]bool{}
-	for _, r := range c.Replicas(b.ID) {
-		replicaRacks[c.Topology().Rack(topology.NodeID(r))] = true
-	}
 	type cand struct {
 		id   hdfs.DatanodeID
 		tier int // 0: pool+same rack, 1: pool, 2: active non-pool
@@ -83,28 +79,22 @@ func (p *Placement) extraTargets(c *hdfs.Cluster, b *hdfs.Block, count int, excl
 		rack int
 	}
 	var cands []cand
-	holder := map[hdfs.DatanodeID]bool{}
-	for _, r := range c.Replicas(b.ID) {
-		holder[r] = true
-	}
 	rackCount := map[int]int{} // replicas (existing + chosen) per rack
 	for _, r := range c.Replicas(b.ID) {
 		rackCount[c.Topology().Rack(topology.NodeID(r))]++
 	}
-	for _, d := range c.Datanodes() {
-		if !d.Eligible() || c.NodeUnreachable(d.ID) || holder[d.ID] || exclude[d.ID] || d.UncommittedFree() < b.Size {
-			continue
-		}
-		rack := c.Topology().Rack(topology.NodeID(d.ID))
+	c.ScanEligible(b, exclude, func(id hdfs.DatanodeID) bool {
+		rack := c.Topology().Rack(topology.NodeID(id))
 		tier := 2
-		if p.pool(d.ID) {
+		if p.pool(id) {
 			tier = 1
-			if replicaRacks[rack] {
+			if rackCount[rack] > 0 { // no pick made yet: existing replicas only
 				tier = 0
 			}
 		}
-		cands = append(cands, cand{id: d.ID, tier: tier, load: d.PlacementLoad(), rack: rack})
-	}
+		cands = append(cands, cand{id: id, tier: tier, load: c.Datanode(id).PlacementLoad(), rack: rack})
+		return false
+	})
 	// Greedy pick: prefer pool nodes (same-rack first for cheap transfer),
 	// but balance replicas across racks so no single rack uplink carries a
 	// disproportionate share of the hot file's read traffic.
@@ -163,13 +153,12 @@ func (p *Placement) parityTargets(c *hdfs.Cluster, b *hdfs.Block, count int, exc
 		load   int
 	}
 	var cands []cand
-	for _, d := range c.Datanodes() {
-		if !d.Eligible() || c.NodeUnreachable(d.ID) || exclude[d.ID] || d.UncommittedFree() < b.Size ||
-			d.HasBlock(b.ID) || p.pool(d.ID) {
-			continue
+	c.ScanEligible(b, exclude, func(id hdfs.DatanodeID) bool {
+		if !p.pool(id) {
+			cands = append(cands, cand{id: id, ofFile: blocksOf[id], load: c.Datanode(id).PlacementLoad()})
 		}
-		cands = append(cands, cand{id: d.ID, ofFile: blocksOf[d.ID], load: d.PlacementLoad()})
-	}
+		return false
+	})
 	sort.Slice(cands, func(i, j int) bool {
 		if cands[i].ofFile != cands[j].ofFile {
 			return cands[i].ofFile < cands[j].ofFile

@@ -57,11 +57,6 @@ type Thresholds struct {
 	// EncodeK/EncodeM are the erasure stripe geometry for cold data; the
 	// paper uses Reed–Solomon with four parities. Defaults 10 and 4.
 	EncodeK, EncodeM int
-	// Predictive enables the trend predictor (the paper's future-work
-	// item): a file whose forecast next-window demand already exceeds
-	// τ_M·r is replicated one window early. Off by default — the paper's
-	// published system is purely reactive.
-	Predictive bool
 }
 
 // DefaultThresholds returns the paper-calibrated defaults.

@@ -132,33 +132,6 @@ func TestAblationThresholdsTradeoff(t *testing.T) {
 	}
 }
 
-func TestAblationPredictiveReactsEarlier(t *testing.T) {
-	rows := AblationPredictive()
-	var reactive, predictive AblationPredictiveRow
-	for _, r := range rows {
-		if r.Mode == "reactive" {
-			reactive = r
-		} else {
-			predictive = r
-		}
-	}
-	if reactive.ReactionMin < 0 || predictive.ReactionMin < 0 {
-		t.Fatalf("a judge never reacted: %+v %+v", reactive, predictive)
-	}
-	if predictive.ReactionMin > reactive.ReactionMin {
-		t.Errorf("predictive reacted at %.0f min, later than reactive %.0f min",
-			predictive.ReactionMin, reactive.ReactionMin)
-	}
-	// Earlier replication should not make reads slower overall.
-	if predictive.AvgReadSec > reactive.AvgReadSec*1.05 {
-		t.Errorf("predictive reads slower: %.2fs vs %.2fs",
-			predictive.AvgReadSec, reactive.AvgReadSec)
-	}
-	if tb := AblationPredictiveTable(rows); len(tb.Rows) != 2 {
-		t.Fatal("table")
-	}
-}
-
 func TestAblationSpeculationContainsStragglers(t *testing.T) {
 	rows := AblationSpeculation()
 	var plain, spec AblationSpeculationRow

@@ -8,6 +8,7 @@ import (
 	"erms/internal/chaos"
 	"erms/internal/core"
 	"erms/internal/hdfs"
+	"erms/internal/invariant"
 	"erms/internal/metrics"
 	"erms/internal/sim"
 	"erms/internal/topology"
@@ -98,6 +99,9 @@ func FailoverDemo(cfg FailoverConfig) []FailoverRow {
 			return hdfs.New(e2, hdfs.Config{
 				Topology: topology.New(topology.Config{Racks: 3, NodeCount: cfg.Nodes}),
 			})
+		},
+		Audit: func(standby *hdfs.Cluster) []string {
+			return invariant.Check(invariant.Target{Cluster: standby, AllowDataLoss: true})
 		},
 	})
 	if err != nil {

@@ -388,7 +388,23 @@ type ckptState struct {
 // engine has advanced to the capture time, every derived index is rebuilt,
 // and ConsistencyErrors() is nil by construction — the restored cluster is
 // structurally identical to the one that wrote the checkpoint.
-func (c *Cluster) RestoreCheckpoint(r io.Reader) error {
+func (c *Cluster) RestoreCheckpoint(r io.Reader) error { return c.restoreCheckpoint(r, false) }
+
+// RestoreCheckpointInPlace is RestoreCheckpoint for a replacement namenode
+// built on an engine that has already reached or run past the capture time
+// — the per-shard failover path, where every shard shares one cluster-wide
+// engine that kept running while this shard's snapshot aged. The clock is
+// never rewound, and an engine already at the capture instant is not run:
+// state is adopted as of the capture time and the journal tail replay
+// brings it forward. All other restore rules (pristine cluster, config
+// digest, all-or-nothing) are unchanged.
+func (c *Cluster) RestoreCheckpointInPlace(r io.Reader) error { return c.restoreCheckpoint(r, true) }
+
+// restoreCheckpoint is the one restore. inPlace is the single decision the
+// two entry points differ in: whether this cluster owns the engine (it may
+// not be past the capture time, and is run up to and including it) or is
+// joining one that others keep running (it is run only if it is behind).
+func (c *Cluster) restoreCheckpoint(r io.Reader, inPlace bool) error {
 	if len(c.files) > 0 || c.nextBlock > 0 || c.liveBlocks > 0 {
 		return fmt.Errorf("hdfs: restore requires a pristine cluster (have %d files, %d blocks)",
 			len(c.files), c.liveBlocks)
@@ -397,45 +413,21 @@ func (c *Cluster) RestoreCheckpoint(r io.Reader) error {
 	if err != nil {
 		return err
 	}
-	if c.clock.Now() > st.now {
-		return fmt.Errorf("hdfs: engine already at %v, past checkpoint time %v", c.clock.Now(), st.now)
+	switch now := c.clock.Now(); {
+	case now > st.now && !inPlace:
+		return fmt.Errorf("hdfs: engine already at %v, past checkpoint time %v", now, st.now)
+	case now < st.now || !inPlace:
+		// Advance the clock first: pending housekeeping events (the
+		// heartbeat ticker) fire over the still-pristine cluster, which
+		// keeps them harmless AND keeps the ticker in the same absolute
+		// phase as a cluster that ran the interval for real.
+		c.clock.RunUntil(st.now)
 	}
-	// Advance the clock first: pending housekeeping events (the heartbeat
-	// ticker) fire over the still-pristine cluster, which keeps them
-	// harmless AND keeps the ticker in the same absolute phase as a
-	// cluster that ran the interval for real.
-	c.clock.RunUntil(st.now)
 	c.commitCheckpoint(st)
 	// A freshly restored namenode does not yet know the cluster's health
 	// (HDFS starts in safe mode until block reports arrive): when the guard
 	// is enabled, enter safe mode now and let the monitor exit it once the
 	// thresholds hold for the dwell period.
-	if c.cfg.SafeMode.Enabled {
-		c.enterSafeMode("restore")
-	}
-	return nil
-}
-
-// RestoreCheckpointInPlace is RestoreCheckpoint for a replacement namenode
-// built on an engine that has already run past the capture time — the
-// per-shard failover path, where every shard shares one cluster-wide
-// engine that kept running while this shard's snapshot aged. The clock is
-// never rewound: state is adopted as of the capture time and the journal
-// tail replay brings it forward. All other restore rules (pristine
-// cluster, config digest, all-or-nothing) are unchanged.
-func (c *Cluster) RestoreCheckpointInPlace(r io.Reader) error {
-	if len(c.files) > 0 || c.nextBlock > 0 || c.liveBlocks > 0 {
-		return fmt.Errorf("hdfs: restore requires a pristine cluster (have %d files, %d blocks)",
-			len(c.files), c.liveBlocks)
-	}
-	st, err := c.decodeCheckpoint(r)
-	if err != nil {
-		return err
-	}
-	if c.clock.Now() < st.now {
-		c.clock.RunUntil(st.now)
-	}
-	c.commitCheckpoint(st)
 	if c.cfg.SafeMode.Enabled {
 		c.enterSafeMode("restore")
 	}

@@ -175,27 +175,6 @@ func (c *Cluster) ConsistencyErrors() []string {
 		}
 	}
 
-	// --- Candidate order: the load index must reproduce the reference
-	// scan's (PlacementLoad, ID) order exactly. Probe with a zero-size
-	// block no node holds.
-	probe := &Block{ID: c.nextBlock, fileID: -1}
-	var fast []DatanodeID
-	c.scanEligible(probe, nil, func(id DatanodeID) bool {
-		fast = append(fast, id)
-		return false
-	})
-	slow := eligible(c, probe, nil, StateActive)
-	if len(fast) != len(slow) {
-		fail("scanEligible found %d candidates, reference scan %d", len(fast), len(slow))
-	} else {
-		for i := range fast {
-			if fast[i] != slow[i] {
-				fail("candidate order diverges at %d: index says %d, reference %d", i, fast[i], slow[i])
-				break
-			}
-		}
-	}
-
 	sort.Strings(errs)
 	return errs
 }

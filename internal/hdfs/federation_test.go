@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+	"time"
 
 	"erms/internal/auditlog"
 	"erms/internal/sim"
@@ -158,6 +159,60 @@ func TestRestoreCheckpointInPlace(t *testing.T) {
 	}
 	if errs := c3.ConsistencyErrors(); errs != nil {
 		t.Errorf("in-place restore consistency: %v", errs)
+	}
+}
+
+// TestRestoreAtCaptureInstant pins what the two restore entry points do
+// when the engine holds an event due exactly at the checkpoint's capture
+// time. RestoreCheckpoint owns its engine: it runs it up to and including
+// the instant, so the event fires over the still-pristine cluster.
+// RestoreCheckpointInPlace joins an engine already standing at the
+// instant: it adopts the state without running anything, and the event
+// fires later, over the restored cluster, when the engine's owner runs on.
+func TestRestoreAtCaptureInstant(t *testing.T) {
+	e, c := fedCluster(t)
+	if _, err := c.CreateFile("/f", 128, 3, -1); err != nil {
+		t.Fatal(err)
+	}
+	const capture = 10 * time.Minute
+	e.RunUntil(capture)
+	var ckpt bytes.Buffer
+	if err := c.WriteCheckpoint(&ckpt); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Topology: topology.New(topology.Config{Racks: 3, NodeCount: 9})}
+
+	e2 := sim.NewEngine()
+	c2 := New(e2, cfg)
+	sawFiles := -1
+	e2.At(capture, func() { sawFiles = c2.Files() })
+	if err := c2.RestoreCheckpoint(bytes.NewReader(ckpt.Bytes())); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if sawFiles != 0 {
+		t.Errorf("event due at the capture instant saw %d files during RestoreCheckpoint, want 0 (fired over the pristine cluster; -1 = did not fire)", sawFiles)
+	}
+	if e2.Now() != capture || c2.Files() != 1 || c2.StateDigest() != c.StateDigest() {
+		t.Errorf("restore: now %v, %d files, digest match %v", e2.Now(), c2.Files(), c2.StateDigest() == c.StateDigest())
+	}
+
+	e3 := sim.NewEngine()
+	e3.RunUntil(capture)
+	c3 := New(e3, cfg)
+	sawFiles = -1
+	e3.At(capture, func() { sawFiles = c3.Files() })
+	if err := c3.RestoreCheckpointInPlace(bytes.NewReader(ckpt.Bytes())); err != nil {
+		t.Fatalf("in-place restore: %v", err)
+	}
+	if sawFiles != -1 {
+		t.Errorf("in-place restore ran the shared engine: the event due now fired and saw %d files", sawFiles)
+	}
+	if c3.StateDigest() != c.StateDigest() {
+		t.Error("in-place restore digest mismatch")
+	}
+	e3.RunUntil(capture)
+	if sawFiles != 1 {
+		t.Errorf("after the in-place restore the pending event saw %d files, want 1", sawFiles)
 	}
 }
 

@@ -528,8 +528,11 @@ func (c *Cluster) RegisterMetrics(r *metrics.Registry) {
 	r.GaugeFunc("hdfs_replication_mb_total", func() float64 { return m.ReplicationMB })
 	r.GaugeFunc("hdfs_files_encoded_total", func() float64 { return float64(m.FilesEncoded) })
 	r.GaugeFunc("hdfs_blocks_rebuilt_total", func() float64 { return float64(m.BlocksRebuilt) })
+	r.GaugeFunc("hdfs_stale_transitions_total", func() float64 { return float64(m.StaleTransitions) })
+	r.GaugeFunc("hdfs_replicas_scrubbed_total", func() float64 { return float64(m.ReplicasScrubbed) })
 	r.GaugeFunc("hdfs_checksum_failures_total", func() float64 { return float64(m.ChecksumFailures) })
 	r.GaugeFunc("hdfs_corrupt_detected_total", func() float64 { return float64(m.CorruptDetected) })
+	r.GaugeFunc("hdfs_corrupt_bytes_total", func() float64 { return m.CorruptBytes })
 	r.GaugeFunc("hdfs_safemode_entries_total", func() float64 { return float64(m.SafeModeEntries) })
 	r.GaugeFunc("hdfs_safemode_exits_total", func() float64 { return float64(m.SafeModeExits) })
 	r.GaugeFunc("hdfs_safemode_rejections_total", func() float64 { return float64(m.SafeModeRejections) })

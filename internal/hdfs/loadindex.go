@@ -93,13 +93,15 @@ func (c *Cluster) reindexNode(d *Datanode) {
 	}
 }
 
-// scanEligible visits placement candidates for b in (PlacementLoad, ID)
-// order, applying the same per-query filters the old full scan used:
-// already-holding nodes, the caller's exclusion set, partitioned nodes, and
-// nodes without uncommitted room for the block. Eligibility (active, not
-// stale, not crashed) is the index's membership invariant. visit returns
-// true to stop early.
-func (c *Cluster) scanEligible(b *Block, exclude map[DatanodeID]bool, visit func(DatanodeID) bool) {
+// ScanEligible visits placement candidates for b in (PlacementLoad, ID)
+// order: every datanode that is eligible (active, not stale, not crashed —
+// the index's membership invariant), reachable, not already holding b, not
+// in exclude, and with uncommitted room for the block. It is the one
+// candidate predicate: DefaultPolicy and the ERMS policy both collect
+// through it, and the invariant package's storage oracle compares it with
+// a from-scratch reference scan on every sweep. visit returns true to stop
+// early.
+func (c *Cluster) ScanEligible(b *Block, exclude map[DatanodeID]bool, visit func(DatanodeID) bool) {
 	for l := c.idxMin; l < len(c.loadIdx); l++ {
 		s := &c.loadIdx[l]
 		if s.count == 0 {

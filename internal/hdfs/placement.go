@@ -1,10 +1,6 @@
 package hdfs
 
-import (
-	"sort"
-
-	"erms/internal/topology"
-)
+import "erms/internal/topology"
 
 // Policy is the pluggable replica placement interface (HDFS lets
 // administrators "implement their own replica placement strategy").
@@ -33,46 +29,6 @@ func NewDefaultPolicy() *DefaultPolicy { return &DefaultPolicy{} }
 // Name implements Policy.
 func (p *DefaultPolicy) Name() string { return "default-rack-aware" }
 
-// eligible lists active nodes with room for the block, not already
-// replicas, not excluded — sorted by (blocks held, ID) so choice is
-// deterministic and load-spreading. The hot path (pick, via scanEligible)
-// reproduces this order from the load index without the full scan; this
-// reference implementation remains as the oracle ConsistencyErrors checks
-// the index against.
-func eligible(c *Cluster, b *Block, exclude map[DatanodeID]bool, states ...NodeState) []DatanodeID {
-	okState := map[NodeState]bool{}
-	for _, s := range states {
-		okState[s] = true
-	}
-	holder := map[DatanodeID]bool{}
-	for _, r := range c.Replicas(b.ID) {
-		holder[r] = true
-	}
-	var out []DatanodeID
-	for _, d := range c.datanodes {
-		if !okState[d.State] || holder[d.ID] || exclude[d.ID] {
-			continue
-		}
-		// Stale, crashed, or partitioned nodes do not receive writes: the
-		// namenode either distrusts them (stale) or cannot reach them.
-		if d.Stale || d.crashed || c.NodeUnreachable(d.ID) {
-			continue
-		}
-		if d.UncommittedFree() < b.Size {
-			continue
-		}
-		out = append(out, d.ID)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		di, dj := c.datanodes[out[i]], c.datanodes[out[j]]
-		if di.PlacementLoad() != dj.PlacementLoad() {
-			return di.PlacementLoad() < dj.PlacementLoad()
-		}
-		return out[i] < out[j]
-	})
-	return out
-}
-
 // ChooseTargets implements Policy.
 func (p *DefaultPolicy) ChooseTargets(c *Cluster, b *Block, count int, writer DatanodeID, exclude map[DatanodeID]bool) []DatanodeID {
 	var chosen []DatanodeID
@@ -96,7 +52,7 @@ func (p *DefaultPolicy) ChooseTargets(c *Cluster, b *Block, count int, writer Da
 	}
 	pick := func(pred func(DatanodeID) bool) (DatanodeID, bool) {
 		var found DatanodeID = -1
-		c.scanEligible(b, taken, func(id DatanodeID) bool {
+		c.ScanEligible(b, taken, func(id DatanodeID) bool {
 			if pred == nil || pred(id) {
 				found = id
 				return true

@@ -89,3 +89,41 @@ func TestShrinkPreservesRackDiversity(t *testing.T) {
 		t.Fatalf("shrink to 2 collapsed the block into one rack: %v", c.Replicas(b))
 	}
 }
+
+// TestWriterLocalSlotIgnoresPendingBytes pins the one place a placement
+// candidate is not judged by ScanEligible's predicate: DefaultPolicy's
+// writer-local first slot tests Free(), not UncommittedFree(), so a writer
+// whose remaining room is promised to in-flight copies still takes its own
+// first replica — while the same node is no candidate for anyone else's
+// block. Every golden was recorded with this; see DESIGN.md §5.
+func TestWriterLocalSlotIgnoresPendingBytes(t *testing.T) {
+	_, c := newCluster(t)
+	const writer = DatanodeID(4)
+	d := c.Datanode(writer)
+	d.pendingBytes = d.Free() - 10*mb // 10 MB uncommitted: less than a block
+	if d.UncommittedFree() >= 64*mb || d.Free() < 64*mb {
+		t.Fatalf("setup: free %v, uncommitted %v", d.Free(), d.UncommittedFree())
+	}
+	probe := &Block{ID: -1, Size: 64 * mb}
+	c.ScanEligible(probe, nil, func(id DatanodeID) bool {
+		if id == writer {
+			t.Errorf("ScanEligible offered %d, which has no uncommitted room for the block", id)
+		}
+		return false
+	})
+	f, err := c.CreateFile("/local", 64*mb, 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Replicas(f.Blocks[0])[0]; got != writer {
+		t.Errorf("first replica on %d, want the writer %d", got, writer)
+	}
+	// Written from elsewhere, the block must not land on the full-up node.
+	g, err := c.CreateFile("/remote", 64*mb, 3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replicaSet(c, g.Blocks[0])[writer] {
+		t.Errorf("block written from node 9 placed on %d despite its committed space", writer)
+	}
+}

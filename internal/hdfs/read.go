@@ -2,11 +2,13 @@ package hdfs
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"erms/internal/auditlog"
 	"erms/internal/netsim"
 	"erms/internal/topology"
+	"erms/internal/trace"
 )
 
 // ExternalClient denotes a reader outside the cluster (an application
@@ -72,7 +74,7 @@ func (r *ReadResult) ThroughputMBps() float64 {
 // the fabric. done receives the result when the last block lands (or on
 // unrecoverable failure). An audit open record is emitted at the start.
 func (c *Cluster) ReadFile(client topology.NodeID, path string, done func(*ReadResult)) {
-	c.ReadFileAt(client, path, 0, done)
+	c.read(client, path, false, 0, 0, 0, done)
 }
 
 // ReadFileAt is ReadFile starting from block index `start` and wrapping
@@ -81,83 +83,7 @@ func (c *Cluster) ReadFile(client topology.NodeID, path string, done func(*ReadR
 // file in lockstep — mirroring steady-state production readers that are
 // naturally desynchronized.
 func (c *Cluster) ReadFileAt(client topology.NodeID, path string, start int, done func(*ReadResult)) {
-	f := c.files[path]
-	res := &ReadResult{Path: path, Client: client, Start: c.clock.Now()}
-	if f == nil {
-		c.audit.Append(auditlog.Record{
-			Time: c.clock.Now(), Allowed: false, UGI: "hadoop",
-			IP: c.clientIP(client), Cmd: auditlog.CmdOpen, Src: path,
-		})
-		res.Err = fmt.Errorf("hdfs: no such file %q", path)
-		res.End = c.clock.Now()
-		if done != nil {
-			done(res)
-		}
-		return
-	}
-	span := c.tracer.Begin("hdfs.read", c.tracer.Current())
-	c.tracer.SetAttr(span, "path", path)
-	c.audit.Append(auditlog.Record{
-		Time: c.clock.Now(), Allowed: true, UGI: "hadoop",
-		IP: c.clientIP(client), Cmd: auditlog.CmdOpen, Src: path,
-	})
-	c.metrics.ReadsStarted++
-	c.activeReads++
-	blocks := f.Blocks
-	if start > 0 && len(blocks) > 0 {
-		start = start % len(blocks)
-		rotated := make([]BlockID, 0, len(blocks))
-		rotated = append(rotated, blocks[start:]...)
-		rotated = append(rotated, blocks[:start]...)
-		blocks = rotated
-	}
-	var step func(i int)
-	step = func(i int) {
-		if i >= len(blocks) {
-			res.End = c.clock.Now()
-			c.activeReads--
-			c.metrics.ReadsCompleted++
-			c.metrics.BytesRead += res.Bytes
-			c.tracer.End(span)
-			if done != nil {
-				done(res)
-			}
-			return
-		}
-		prev := c.tracer.Push(span)
-		c.readBlock(client, blocks[i], 0, 0, func(bytes float64, loc Locality, err error) {
-			if err != nil {
-				res.Err = err
-				res.End = c.clock.Now()
-				c.activeReads--
-				c.metrics.ReadsFailed++
-				c.tracer.SetAttr(span, "error", "read failed")
-				c.tracer.End(span)
-				if done != nil {
-					done(res)
-				}
-				return
-			}
-			res.Bytes += bytes
-			switch loc {
-			case NodeLocal:
-				res.NodeLocal++
-			case RackLocal:
-				res.RackLocal++
-			default:
-				res.Remote++
-			}
-			step(i + 1)
-		})
-		c.tracer.Pop(prev)
-	}
-	step(0)
-}
-
-// ReadBlock reads a single block to the client node (used by MapReduce map
-// tasks, which read exactly one block).
-func (c *Cluster) ReadBlock(client topology.NodeID, id BlockID, done func(bytes float64, loc Locality, err error)) {
-	c.readBlock(client, id, 0, 0, done)
+	c.read(client, path, false, max(start, 0), 0, 0, done)
 }
 
 // ReadRange streams the byte range [offset, offset+length) of path to the
@@ -170,121 +96,137 @@ func (c *Cluster) ReadBlock(client topology.NodeID, id BlockID, done func(bytes 
 // block-level axes (formulas 2–3). length <= 0 means "to end of file";
 // the range is clamped to the file size.
 func (c *Cluster) ReadRange(client topology.NodeID, path string, offset, length float64, done func(*ReadResult)) {
+	c.read(client, path, true, 0, offset, length, done)
+}
+
+// read is the one block walk under ReadFile, ReadFileAt and ReadRange: it
+// visits the file's blocks once each from index start (wrapping), streams
+// from every block the bytes that overlap [offset, end) through readBlock
+// — a block the range covers entirely is read whole — and settles the
+// result in finishRead. ranged selects the pread audit command, span name,
+// counters and range checks. A whole-file read is the range [0, +Inf):
+// every block lies inside it wherever the walk starts, so no block size
+// arithmetic can turn a whole block into a slice.
+func (c *Cluster) read(client topology.NodeID, path string, ranged bool, start int, offset, length float64, done func(*ReadResult)) {
+	cmd, name := auditlog.CmdOpen, "hdfs.read"
+	if ranged {
+		cmd, name = auditlog.CmdPread, "hdfs.pread"
+	}
 	f := c.files[path]
 	res := &ReadResult{Path: path, Client: client, Start: c.clock.Now(), Offset: offset, Length: length}
-	fail := func(err error) {
-		res.Err = err
+	var refused error
+	switch {
+	case f == nil:
+		refused = fmt.Errorf("hdfs: no such file %q", path)
+	case ranged && (offset < 0 || offset >= f.Size):
+		refused = fmt.Errorf("hdfs: pread offset %.0f out of range for %q (size %.0f)", offset, path, f.Size)
+	}
+	rec := auditlog.Record{
+		Time: c.clock.Now(), Allowed: refused == nil, UGI: "hadoop",
+		IP: c.clientIP(client), Cmd: cmd, Src: path,
+	}
+	if refused != nil {
+		c.audit.Append(rec)
+		res.Err = refused
 		res.End = c.clock.Now()
 		if done != nil {
 			done(res)
 		}
-	}
-	if f == nil {
-		c.audit.Append(auditlog.Record{
-			Time: c.clock.Now(), Allowed: false, UGI: "hadoop",
-			IP: c.clientIP(client), Cmd: auditlog.CmdPread, Src: path,
-		})
-		fail(fmt.Errorf("hdfs: no such file %q", path))
 		return
 	}
-	if offset < 0 || offset >= f.Size {
-		c.audit.Append(auditlog.Record{
-			Time: c.clock.Now(), Allowed: false, UGI: "hadoop",
-			IP: c.clientIP(client), Cmd: auditlog.CmdPread, Src: path,
-		})
-		fail(fmt.Errorf("hdfs: pread offset %.0f out of range for %q (size %.0f)", offset, path, f.Size))
-		return
+	span := c.tracer.Begin(name, c.tracer.Current())
+	c.tracer.SetAttr(span, "path", path)
+	end := math.Inf(1)
+	if ranged {
+		end = f.Size
+		if length > 0 && offset+length < end {
+			end = offset + length
+		}
+		res.Length = end - offset
+		c.tracer.SetAttrInt(span, "offset", int64(offset))
+		c.tracer.SetAttrInt(span, "length", int64(res.Length))
+		c.metrics.RangedReads++
 	}
-	end := f.Size
-	if length > 0 && offset+length < end {
-		end = offset + length
-	}
-	res.Length = end - offset
-	// Map the byte range onto the covering blocks: walk the block list
-	// accumulating sizes and record how many bytes of each block overlap.
-	type span struct {
-		id    BlockID
-		bytes float64
-	}
-	var spans []span
-	pos := 0.0
-	for _, id := range f.Blocks {
-		b := c.Block(id)
-		if b == nil {
-			continue
-		}
-		lo, hi := pos, pos+b.Size
-		pos = hi
-		if hi <= offset {
-			continue
-		}
-		if lo >= end {
-			break
-		}
-		from, to := lo, hi
-		if offset > from {
-			from = offset
-		}
-		if end < to {
-			to = end
-		}
-		if to > from {
-			spans = append(spans, span{id, to - from})
-		}
-	}
-	sp := c.tracer.Begin("hdfs.pread", c.tracer.Current())
-	c.tracer.SetAttr(sp, "path", path)
-	c.tracer.SetAttrInt(sp, "offset", int64(offset))
-	c.tracer.SetAttrInt(sp, "length", int64(res.Length))
-	c.audit.Append(auditlog.Record{
-		Time: c.clock.Now(), Allowed: true, UGI: "hadoop",
-		IP: c.clientIP(client), Cmd: auditlog.CmdPread, Src: path,
-	})
+	c.audit.Append(rec)
 	c.metrics.ReadsStarted++
-	c.metrics.RangedReads++
 	c.activeReads++
-	var step func(i int)
-	step = func(i int) {
-		if i >= len(spans) {
-			res.End = c.clock.Now()
-			c.activeReads--
-			c.metrics.ReadsCompleted++
-			c.metrics.BytesRead += res.Bytes
-			c.metrics.RangedBytesRead += res.Bytes
-			c.tracer.End(sp)
-			if done != nil {
-				done(res)
+	blocks := f.Blocks
+	// step issues the read of the n-th block of the walk, whose first byte
+	// is byte pos of the walk, skipping blocks that end before the range.
+	var step func(n int, pos float64)
+	step = func(n int, pos float64) {
+		for ; n < len(blocks); n++ {
+			id := blocks[(start+n)%len(blocks)]
+			amount := 0.0 // the whole block; readBlock reports a missing one
+			if b := c.Block(id); b != nil {
+				lo, hi := pos, pos+b.Size
+				pos = hi
+				if hi <= offset {
+					continue
+				}
+				if lo >= end {
+					break
+				}
+				if lo < offset || hi > end {
+					amount = math.Min(hi, end) - math.Max(lo, offset)
+				}
 			}
+			next, nextPos := n+1, pos
+			prev := c.tracer.Push(span)
+			c.readBlock(client, id, amount, 0, func(bytes float64, loc Locality, err error) {
+				if err != nil {
+					c.finishRead(res, span, ranged, err, done)
+					return
+				}
+				res.Bytes += bytes
+				switch loc {
+				case NodeLocal:
+					res.NodeLocal++
+				case RackLocal:
+					res.RackLocal++
+				default:
+					res.Remote++
+				}
+				step(next, nextPos)
+			})
+			c.tracer.Pop(prev)
 			return
 		}
-		prev := c.tracer.Push(sp)
-		c.readBlock(client, spans[i].id, spans[i].bytes, 0, func(bytes float64, loc Locality, err error) {
-			if err != nil {
-				res.Err = err
-				res.End = c.clock.Now()
-				c.activeReads--
-				c.metrics.ReadsFailed++
-				c.tracer.SetAttr(sp, "error", "pread failed")
-				c.tracer.End(sp)
-				if done != nil {
-					done(res)
-				}
-				return
-			}
-			res.Bytes += bytes
-			switch loc {
-			case NodeLocal:
-				res.NodeLocal++
-			case RackLocal:
-				res.RackLocal++
-			default:
-				res.Remote++
-			}
-			step(i + 1)
-		})
-		c.tracer.Pop(prev)
+		c.finishRead(res, span, ranged, nil, done)
 	}
-	step(0)
+	step(0, 0)
+}
+
+// finishRead is the one place a started read ends, completed (err nil) or
+// failed: result, active-read count, counters, span, callback.
+func (c *Cluster) finishRead(res *ReadResult, span trace.SpanID, ranged bool, err error, done func(*ReadResult)) {
+	res.Err = err
+	res.End = c.clock.Now()
+	c.activeReads--
+	if err != nil {
+		c.metrics.ReadsFailed++
+		msg := "read failed"
+		if ranged {
+			msg = "pread failed"
+		}
+		c.tracer.SetAttr(span, "error", msg)
+	} else {
+		c.metrics.ReadsCompleted++
+		c.metrics.BytesRead += res.Bytes
+		if ranged {
+			c.metrics.RangedBytesRead += res.Bytes
+		}
+	}
+	c.tracer.End(span)
+	if done != nil {
+		done(res)
+	}
+}
+
+// ReadBlock reads a single block to the client node (used by MapReduce map
+// tasks, which read exactly one block).
+func (c *Cluster) ReadBlock(client topology.NodeID, id BlockID, done func(bytes float64, loc Locality, err error)) {
+	c.readBlock(client, id, 0, 0, done)
 }
 
 // Transfer streams raw bytes from src to dst over the fabric — shuffle

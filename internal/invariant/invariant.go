@@ -8,8 +8,9 @@
 // The checks are grouped into independent oracles so a failure names the
 // subsystem that broke:
 //
-//   - storage: the cluster's own index cross-check (ConsistencyErrors)
-//     plus replica-count bounds per block and file;
+//   - storage: the cluster's own index cross-check (ConsistencyErrors),
+//     the placement index against a reference candidate scan, and
+//     replica-count bounds per block and file;
 //   - durability: no block is unrecoverable (skippable for runs whose
 //     chaos schedule legitimately destroys data);
 //   - energy: the standby pool's activity books balance — pooled uptime
@@ -186,12 +187,71 @@ func checkRepairCaps(t Target) []string {
 	return errs
 }
 
-// checkStorage wraps the cluster's internal index cross-check and adds the
-// externally-stated replication bounds: every block's live replica count
-// within [0, nodes], every plain file's target within [1, max].
+// referenceCandidates is the pre-index placement scan, kept as the reference
+// Cluster.ScanEligible is compared against: visit every datanode, keep the
+// active ones that are trusted (not stale, not crashed), reachable, not
+// holding b and with uncommitted room for it, and sort by (PlacementLoad,
+// ID) so choice is deterministic and load-spreading.
+func referenceCandidates(c *hdfs.Cluster, b *hdfs.Block) []hdfs.DatanodeID {
+	holder := map[hdfs.DatanodeID]bool{}
+	for _, r := range c.Replicas(b.ID) {
+		holder[r] = true
+	}
+	var out []hdfs.DatanodeID
+	for _, d := range c.Datanodes() {
+		if d.State != hdfs.StateActive || holder[d.ID] {
+			continue
+		}
+		// Stale, crashed, or partitioned nodes do not receive writes: the
+		// namenode either distrusts them (stale) or cannot reach them.
+		if d.Stale || d.Crashed() || c.NodeUnreachable(d.ID) {
+			continue
+		}
+		if d.UncommittedFree() < b.Size {
+			continue
+		}
+		out = append(out, d.ID)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		di, dj := c.Datanode(out[i]), c.Datanode(out[j])
+		if di.PlacementLoad() != dj.PlacementLoad() {
+			return di.PlacementLoad() < dj.PlacementLoad()
+		}
+		return out[i] < out[j]
+	})
+	return out
+}
+
+// consistency is the cluster's own index cross-check (ConsistencyErrors)
+// plus the candidate-order check: the load index must reproduce the
+// reference scan's (PlacementLoad, ID) order exactly. Probed with a
+// zero-size block no node holds.
+func consistency(c *hdfs.Cluster) []string {
+	errs := c.ConsistencyErrors()
+	probe := &hdfs.Block{ID: -1}
+	var fast []hdfs.DatanodeID
+	c.ScanEligible(probe, nil, func(id hdfs.DatanodeID) bool {
+		fast = append(fast, id)
+		return false
+	})
+	slow := referenceCandidates(c, probe)
+	if len(fast) != len(slow) {
+		return append(errs, fmt.Sprintf("ScanEligible found %d candidates, reference scan %d", len(fast), len(slow)))
+	}
+	for i := range fast {
+		if fast[i] != slow[i] {
+			return append(errs, fmt.Sprintf("candidate order diverges at %d: index says %d, reference %d", i, fast[i], slow[i]))
+		}
+	}
+	return errs
+}
+
+// checkStorage runs the consistency check and adds the externally-stated
+// replication bounds: every block's live replica count within [0, nodes],
+// every plain file's target within [1, max].
 func checkStorage(t Target) []string {
 	c := t.Cluster
-	errs := c.ConsistencyErrors()
+	errs := consistency(c)
 	nodes := c.NumDatanodes()
 	for _, path := range c.FilePaths() {
 		f := c.File(path)
@@ -330,7 +390,7 @@ func checkRestore(t Target) []string {
 	if got, want := shadow.StateDigest(), t.Cluster.StateDigest(); got != want {
 		errs = append(errs, fmt.Sprintf("restore: shadow digest %#x != live %#x", got, want))
 	}
-	for _, e := range shadow.ConsistencyErrors() {
+	for _, e := range consistency(shadow) {
 		errs = append(errs, "restore: shadow inconsistent: "+e)
 	}
 	var again bytes.Buffer
@@ -456,7 +516,7 @@ func (w *Watcher) checkReplay() []string {
 	if got, want := shadow.StateDigest(), w.target.Cluster.StateDigest(); got != want {
 		errs = append(errs, fmt.Sprintf("replay: shadow digest %#x != live %#x after %d-entry tail", got, want, len(tail)))
 	}
-	for _, e := range shadow.ConsistencyErrors() {
+	for _, e := range consistency(shadow) {
 		errs = append(errs, "replay: shadow inconsistent: "+e)
 	}
 	return errs

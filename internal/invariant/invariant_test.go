@@ -159,7 +159,7 @@ func runStorm(seed int64) (checks int, violations []invariant.Violation, err err
 			return 0, nil, fmt.Errorf("seed %d: scenario %s: %w", seed, scn, serr)
 		}
 		workload.Preload(e, c, trace)
-		workload.ReplayScenario(e, c, trace, nil)
+		workload.ReplayReads(e, c, trace, nil)
 	}
 	for i := 0; i < 150; i++ {
 		at := time.Duration(rng.Int63n(int64(horizon)))
@@ -463,6 +463,9 @@ func runDegradedStorm(seed int64) (degradedOutcome, error) {
 	})
 	fo, err := chaos.NewFailover(chaos.FailoverConfig{
 		Engine: e, Cluster: c, NewStandby: mk, Interval: 5 * time.Minute,
+		Audit: func(standby *hdfs.Cluster) []string {
+			return invariant.Check(invariant.Target{Cluster: standby, AllowDataLoss: true})
+		},
 	})
 	if err != nil {
 		return degradedOutcome{}, fmt.Errorf("seed %d: failover: %w", seed, err)
@@ -507,7 +510,7 @@ func runDegradedStorm(seed int64) (degradedOutcome, error) {
 			return degradedOutcome{}, fmt.Errorf("seed %d: scenario %s: %w", seed, scn, serr)
 		}
 		workload.Preload(e, c, trace)
-		workload.ReplayScenario(e, c, trace, nil)
+		workload.ReplayReads(e, c, trace, nil)
 	}
 
 	// Phase 1 ([0, ~13m]): crashes shorter than the dead timeout, heartbeat

@@ -303,10 +303,11 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTraceReplay ingests a swimgen trace (the workload.Trace JSON that
-// `swimgen` writes) and schedules it relative to the current instant:
-// file creations at now+CreateAt, jobs as whole-file or ranged reads at
-// now+Submit. In service mode the pump then plays the trace out at real
-// request rates.
+// `swimgen` writes) and hands it to the simulator's replayer
+// (workload.ScheduleCreate / ScheduleRead) anchored at the current
+// instant: file creations at now+CreateAt, jobs as whole-file or ranged
+// reads at now+Submit. In service mode the pump then plays the trace out
+// at real request rates.
 func (s *Server) handleTraceReplay(w http.ResponseWriter, r *http.Request) {
 	tr, err := workload.ReadJSON(r.Body)
 	if err != nil {
@@ -320,25 +321,12 @@ func (s *Server) handleTraceReplay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	now := s.sys.CatchUp()
-	engine := s.sys.Engine()
-	for _, f := range tr.Files {
-		f := f
-		engine.At(now+f.CreateAt, func() {
-			// Trace files land at the default replication; creation errors
-			// (duplicate paths in a hand-edited trace) are tolerated, as in
-			// workload.Preload.
-			_ = s.sys.CreateFile(f.Path, f.Size)
-		})
+	engine, router := s.sys.Engine(), s.sys.Router()
+	for i, f := range tr.Files {
+		workload.ScheduleCreate(engine, s.sys.Shard(router.Shard(f.Path)).HDFS(), now, i, f)
 	}
 	for _, j := range tr.Jobs {
-		j := j
-		engine.At(now+j.Submit, func() {
-			if j.Length > 0 {
-				s.sys.ReadRange(j.Client, j.File, j.Offset, j.Length, nil)
-			} else {
-				s.sys.Read(j.Client, j.File, nil)
-			}
-		})
+		workload.ScheduleRead(engine, s.sys.Shard(router.Shard(j.File)).HDFS(), now, j, nil)
 	}
 	s.opsAccepted += int64(len(tr.Files) + len(tr.Jobs))
 	s.poke()

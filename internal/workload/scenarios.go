@@ -7,8 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"erms/internal/hdfs"
-	"erms/internal/sim"
 	"erms/internal/topology"
 )
 
@@ -387,30 +385,6 @@ func SynthesizePartialRead(cfg PartialConfig) *Trace {
 		})
 	}
 	return tr
-}
-
-// ReplayScenario issues the trace's jobs as direct client reads, honoring
-// ranged-read jobs (Length > 0 → hdfs.ReadRange, else a whole-file read).
-// onDone observes each completed read together with the job that issued it,
-// so callers can attribute results per tenant.
-func ReplayScenario(engine *sim.Engine, h *hdfs.Cluster, t *Trace, onDone func(JobSpec, *hdfs.ReadResult)) {
-	n := h.NumDatanodes()
-	for _, js := range t.Jobs {
-		js := js
-		engine.At(js.Submit, func() {
-			client := topology.NodeID(js.Client % n)
-			cb := func(r *hdfs.ReadResult) {
-				if onDone != nil {
-					onDone(js, r)
-				}
-			}
-			if js.Length > 0 {
-				h.ReadRange(client, js.File, js.Offset, js.Length, cb)
-			} else {
-				h.ReadFile(client, js.File, cb)
-			}
-		})
-	}
 }
 
 // TenantBytes sums bytes read per tenant from replay results — feed it the

@@ -12,7 +12,9 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"os"
 	"sort"
+	"strings"
 	"time"
 
 	"erms/internal/metrics"
@@ -301,4 +303,18 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("workload: decoding trace: %w", err)
 	}
 	return &t, nil
+}
+
+// ReadFile loads a trace file written by swimgen: CSV when the name ends
+// in .csv, JSON otherwise.
+func ReadFile(path string) (*Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if strings.HasSuffix(path, ".csv") {
+		return ReadCSV(f)
+	}
+	return ReadJSON(f)
 }
