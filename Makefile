@@ -143,11 +143,14 @@ loc:
 		awk '{ n[$$1] += $$2; t += $$2 } \
 			END { for (d in n) printf "%7d  %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d  total\n", t }'
 
-# Size ratchet: the ledger's total may not pass this ceiling (this PR's
-# result, 24,676, rounded up to the next 50). A PR that needs more raises
-# the number in the same diff, with its reason here. CI runs it in the
-# lint job.
-LOC_CEILING ?= 24700
+# Size ratchet: the ledger's total may not pass this ceiling. A PR that
+# needs more raises the number in the same diff, with its reason here. CI
+# runs it in the lint job. History: 24,700 at PR 15 (its result, 24,676,
+# rounded up to the next 50); 24,750 at PR 19, which spends 65 lines in
+# netsim, sim and topology — Engine.Reschedule and its Clock seam, the
+# fabric's dirty/flush state, its two counters and the horizon guard on the
+# completion delay — to halve swim-large's host time.
+LOC_CEILING ?= 24750
 
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

@@ -1,18 +1,22 @@
 // Package netsim is a flow-level network/disk simulator.
 //
 // Transfers (block reads, replica copies, parity writes) are modeled as
-// fluid flows over a set of capacity-limited links. Whenever the flow set
-// changes, the fabric recomputes a max-min fair allocation (progressive
-// filling, honoring per-flow rate caps) and schedules the next flow
-// completion. This captures the contention effects the ERMS paper measures:
-// a datanode's disk and NIC saturate as concurrent readers pile onto a hot
-// replica, and rack uplinks throttle remote reads.
+// fluid flows over a set of capacity-limited links. Rates are a function of
+// the flow set and the link capacities alone: a max-min fair allocation
+// (progressive filling, honoring per-flow rate caps). Every change to either
+// settles the bytes moved so far; the allocation runs once per virtual
+// instant, after the whole burst of changes made at it, from the fabric's one
+// event, which then moves itself to the next flow completion. This captures
+// the contention effects the ERMS paper measures: a datanode's disk and NIC
+// saturate as concurrent readers pile onto a hot replica, and rack uplinks
+// throttle remote reads.
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"erms/internal/metrics"
@@ -43,7 +47,10 @@ func (f *Flow) Span() trace.SpanID { return f.span }
 func (f *Flow) ID() int64 { return f.id }
 
 // Rate returns the currently allocated rate in bytes/s.
-func (f *Flow) Rate() float64 { return f.rate }
+func (f *Flow) Rate() float64 {
+	f.fabric.allocate()
+	return f.rate
+}
 
 // Remaining returns the bytes left as of the last allocation instant; call
 // Fabric.Progress for an up-to-the-instant value.
@@ -73,15 +80,25 @@ type Fabric struct {
 	linkFlows [][]*Flow
 	nextID    int64
 	lastCalc  time.Duration
-	nextDone  *sim.Event
 
-	// Persistent scratch for computeRates, indexed by LinkID; reused
-	// across allocations so the hot path stays allocation-free.
+	// wake is the fabric's one event, re-armed for its whole lifetime (wakeFn
+	// caches the method value): at the instant of a change while dirty —
+	// rates stale, so no time may pass — else at the earliest completion.
+	wake   *sim.Event
+	wakeFn func()
+	dirty  bool
+	// changes counts starts, cancels, completions and link-factor changes;
+	// allocations, the computeRates runs that served them.
+	changes, allocations uint64
+
+	// Persistent scratch for computeRates (indexed by LinkID) and wakeUp's
+	// finished list; reused so the hot path stays allocation-free.
 	crResidual []float64
 	crActive   []int
 	crSeen     []bool
 	crTouched  []topology.LinkID
 	crFrozen   []bool
+	finished   []*Flow
 
 	// BytesMoved accumulates total bytes delivered, for network-overhead
 	// accounting in experiments.
@@ -108,6 +125,8 @@ func (fb *Fabric) RegisterMetrics(r *metrics.Registry) {
 	r.GaugeFunc("net_bytes_moved_total", func() float64 { return fb.BytesMoved })
 	r.GaugeFunc("net_active_flows", func() float64 { return float64(len(fb.flows)) })
 	r.GaugeFunc("net_flows_admitted_total", func() float64 { return float64(fb.nextID) })
+	r.GaugeFunc("net_flow_changes_total", func() float64 { return float64(fb.changes) })
+	r.GaugeFunc("net_rate_allocations_total", func() float64 { return float64(fb.allocations) })
 }
 
 // New creates a fabric over the topology's link table.
@@ -120,7 +139,7 @@ func New(clock sim.Clock, topo *topology.Topology) *Fabric {
 		base[i] = l.Capacity
 		factor[i] = 1
 	}
-	return &Fabric{
+	fb := &Fabric{
 		clock:        clock,
 		links:        links,
 		linkFlows:    make([][]*Flow, len(links)),
@@ -131,6 +150,8 @@ func New(clock sim.Clock, topo *topology.Topology) *Fabric {
 		crActive:     make([]int, len(links)),
 		crSeen:       make([]bool, len(links)),
 	}
+	fb.wakeFn = fb.wakeUp
+	return fb
 }
 
 // SetLinkFactor scales link id's capacity to factor × its nominal value —
@@ -149,7 +170,7 @@ func (fb *Fabric) SetLinkFactor(id topology.LinkID, factor float64) {
 	fb.settle()
 	fb.factor[id] = factor
 	fb.links[id].Capacity = fb.baseCap[id] * factor
-	fb.reallocate()
+	fb.changed()
 }
 
 // LinkFactor returns the current degradation multiplier for link id.
@@ -166,6 +187,7 @@ func (fb *Fabric) LinkBytes(id topology.LinkID) float64 { return fb.bytesPerLink
 // link's own flow population; summation stays in flow-id order, so the
 // float arithmetic matches a global ordered scan bit for bit.
 func (fb *Fabric) LinkUtilization(id topology.LinkID) float64 {
+	fb.allocate()
 	var used float64
 	for _, f := range fb.linkFlows[id] {
 		used += f.rate
@@ -179,8 +201,10 @@ func (fb *Fabric) LinkUtilization(id topology.LinkID) float64 {
 
 // StartFlow admits a transfer of bytes over path. maxRate of 0 means no
 // per-flow cap. onDone fires (in a fresh event) when the last byte lands;
-// it receives the completed flow. StartFlow panics on an empty path or
-// non-positive size, which indicate modeling bugs.
+// it receives the completed flow. The fabric keeps path: the caller must not
+// modify it after the call (passing one slice to several flows is fine).
+// StartFlow panics on an empty path or non-positive size, which indicate
+// modeling bugs.
 func (fb *Fabric) StartFlow(path []topology.LinkID, bytes float64, maxRate float64, onDone func(f *Flow)) *Flow {
 	if len(path) == 0 {
 		panic("netsim: empty flow path")
@@ -191,7 +215,7 @@ func (fb *Fabric) StartFlow(path []topology.LinkID, bytes float64, maxRate float
 	fb.settle()
 	f := &Flow{
 		id:        fb.nextID,
-		path:      append([]topology.LinkID(nil), path...),
+		path:      path,
 		remaining: bytes,
 		maxRate:   maxRate,
 		start:     fb.clock.Now(),
@@ -211,7 +235,7 @@ func (fb *Fabric) StartFlow(path []topology.LinkID, bytes float64, maxRate float
 		f.span = tr.Begin("net.flow", tr.Current())
 		tr.SetAttrInt(f.span, "bytes", int64(bytes))
 	}
-	fb.reallocate()
+	fb.changed()
 	return f
 }
 
@@ -226,7 +250,7 @@ func (fb *Fabric) Cancel(f *Flow) {
 	fb.removeFlow(f)
 	fb.tracer.SetAttr(f.span, "canceled", "true")
 	fb.tracer.End(f.span)
-	fb.reallocate()
+	fb.changed()
 }
 
 // removeFlow drops f from the global flow slice and every per-link index,
@@ -242,13 +266,11 @@ func (fb *Fabric) removeFlow(f *Flow) {
 // keeping order. Missing ids are a no-op (a path that revisits a link is
 // indexed once but visited twice on removal).
 func deleteByID(s []*Flow, id int64) []*Flow {
-	i := sort.Search(len(s), func(i int) bool { return s[i].id >= id })
-	if i == len(s) || s[i].id != id {
+	i, found := slices.BinarySearchFunc(s, id, func(f *Flow, id int64) int { return cmp.Compare(f.id, id) })
+	if !found {
 		return s
 	}
-	copy(s[i:], s[i+1:])
-	s[len(s)-1] = nil
-	return s[:len(s)-1]
+	return slices.Delete(s, i, i+1)
 }
 
 // Progress returns the bytes remaining for f right now.
@@ -256,6 +278,7 @@ func (fb *Fabric) Progress(f *Flow) float64 {
 	if f.done {
 		return 0
 	}
+	fb.allocate()
 	elapsed := (fb.clock.Now() - fb.lastCalc).Seconds()
 	rem := f.remaining - f.rate*elapsed
 	if rem < 0 {
@@ -264,18 +287,13 @@ func (fb *Fabric) Progress(f *Flow) float64 {
 	return rem
 }
 
-// ordered returns the active flows in ascending id order. The flow slice
-// maintains that invariant, so this is a view, not a sort; callers must not
-// mutate the returned slice.
-func (fb *Fabric) ordered() []*Flow { return fb.flows }
-
 // settle advances every active flow's remaining bytes to the current
 // instant, attributing the moved bytes to accounting.
 func (fb *Fabric) settle() {
 	now := fb.clock.Now()
 	elapsed := (now - fb.lastCalc).Seconds()
 	if elapsed > 0 {
-		for _, f := range fb.ordered() {
+		for _, f := range fb.flows {
 			moved := f.rate * elapsed
 			if moved > f.remaining {
 				moved = f.remaining
@@ -290,75 +308,94 @@ func (fb *Fabric) settle() {
 	fb.lastCalc = now
 }
 
-// reallocate recomputes the max-min fair rates and schedules the next
-// completion event.
-func (fb *Fabric) reallocate() {
-	if fb.nextDone != nil {
-		fb.clock.Cancel(fb.nextDone)
-		fb.nextDone = nil
+// changed records one change to the flow set or a capacity, settled by the
+// caller. Rates are now stale, so the fabric's event moves to this instant:
+// one allocation follows the whole burst of changes made at it.
+func (fb *Fabric) changed() {
+	fb.changes++
+	if !fb.dirty {
+		fb.dirty = true
+		fb.wake = fb.clock.Reschedule(fb.wake, 0, fb.wakeFn)
 	}
+}
+
+// allocate brings stale rates up to date — one max-min computation — and
+// moves the fabric's event to the earliest completion. While rates are
+// current it does nothing, so every observer of a rate calls it first.
+func (fb *Fabric) allocate() {
+	if !fb.dirty {
+		return
+	}
+	fb.dirty = false
 	if len(fb.flows) == 0 {
 		return
 	}
+	fb.allocations++
 	fb.computeRates()
 
-	// Next completion: the flow with the smallest remaining/rate.
-	var soonest *Flow
-	var eta float64 = math.Inf(1)
-	for _, f := range fb.ordered() {
-		if f.rate <= 0 {
-			continue
-		}
-		t := f.remaining / f.rate
-		if t < eta {
-			eta = t
-			soonest = f
+	// Next completion: the smallest remaining/rate, rounded *up* to the
+	// clock's nanosecond — rounded down, the event would fire a hair early,
+	// find bytes remaining, and re-arm at the same instant forever.
+	eta := math.Inf(1)
+	for _, f := range fb.flows {
+		if f.rate > 0 {
+			eta = min(eta, f.remaining/f.rate)
 		}
 	}
-	if soonest == nil {
-		// All flows starved (zero-capacity links): leave them pending; a
-		// later topology change would need to call reallocate again. This
-		// should not happen with sane configs.
+	ns := math.Ceil(eta * 1e9)
+	horizon := math.MaxInt64 - fb.clock.Now()
+	if math.IsInf(eta, 1) || (horizon == 0 && ns > 0) {
+		// Every flow starved on a zero-capacity link (not with a sane
+		// config), or the clock has run out: they wait for a later change.
 		return
 	}
-	// Round the ETA *up* to the clock's nanosecond granularity. Rounding
-	// down would fire the completion event a hair early, find bytes still
-	// remaining, and reschedule at the same instant forever.
-	delay := time.Duration(math.Ceil(eta * 1e9))
-	if delay < 0 {
-		delay = 0
+	// An ETA past the end of the clock (64 MB on a disk degraded to 1e-13:
+	// ~8e21 ns) parks the event at that horizon; unchecked, the conversion
+	// goes negative and fires at this instant forever.
+	delay := horizon
+	if ns < float64(horizon) {
+		delay = time.Duration(ns)
 	}
-	fb.nextDone = fb.clock.Schedule(delay, fb.completeDue)
+	fb.wake = fb.clock.Reschedule(fb.wake, delay, fb.wakeFn)
 }
 
-// completeDue fires when the earliest flow(s) finish: it settles progress,
-// completes every flow that has (numerically) drained, and reallocates.
-func (fb *Fabric) completeDue() {
-	fb.nextDone = nil
-	fb.settle()
-	var finished []*Flow // in id order, so completion callbacks are too
-	for _, f := range fb.ordered() {
-		// A flow is done when what remains is less than it can move in one
-		// clock tick (1 ns) — the clock cannot resolve anything smaller —
-		// plus a fixed epsilon for float rounding.
-		epsilon := 1e-6 + f.rate*2e-9
-		if f.remaining <= epsilon {
-			finished = append(finished, f)
+// wakeUp is the fabric's one event handler. Fired dirty, it is the flush
+// after a burst of changes and only allocates: completing flows here could
+// finish one a nanosecond before its rounded-up ETA. Fired clean, the
+// earliest completion is due: it settles progress, completes every flow
+// that has (numerically) drained, runs their callbacks — which may start
+// the next flows — and allocates once for all of that.
+func (fb *Fabric) wakeUp() {
+	if !fb.dirty {
+		fb.settle()
+		finished := fb.finished[:0] // in id order, so completion callbacks are too
+		for _, f := range fb.flows {
+			// A flow is done when what remains is less than it can move in one
+			// clock tick (1 ns) — the clock cannot resolve anything smaller —
+			// plus a fixed epsilon for float rounding.
+			epsilon := 1e-6 + f.rate*2e-9
+			if f.remaining <= epsilon {
+				finished = append(finished, f)
+			}
 		}
-	}
-	for _, f := range finished {
-		f.remaining = 0
-		f.done = true
-		fb.removeFlow(f)
-		fb.tracer.End(f.span)
-	}
-	fb.reallocate()
-	for _, f := range finished {
-		if cb := f.onDone; cb != nil {
-			f.onDone = nil
-			cb(f)
+		for _, f := range finished {
+			f.remaining = 0
+			f.done = true
+			fb.removeFlow(f)
+			fb.tracer.End(f.span)
 		}
+		fb.changes += uint64(len(finished))
+		fb.dirty = true // callbacks' changes join the allocation below
+		for _, f := range finished {
+			if cb := f.onDone; cb != nil {
+				f.onDone = nil
+				cb(f)
+			}
+		}
+		clear(finished)
+		fb.finished = finished[:0]
 	}
+	fb.allocate()
 }
 
 // computeRates runs progressive filling: repeatedly find the tightest
@@ -367,10 +404,11 @@ func (fb *Fabric) completeDue() {
 // flow is frozen.
 //
 // Link state lives in persistent dense arrays indexed by LinkID (plus a
-// sorted touched-link list), and frozen is positional over the id-ordered
-// flow slice, so the hot path allocates nothing — while every loop visits
-// links and flows in exactly the order the original map-based version did,
-// keeping the float arithmetic bit-identical.
+// touched-link list), and frozen is positional over the id-ordered flow
+// slice, so the hot path allocates nothing. Every loop whose float
+// arithmetic depends on visit order walks flows by ascending id and each
+// flow's links in path order; the touched list feeds only a min and a reset,
+// which do not, so it stays in first-touch order.
 func (fb *Fabric) computeRates() {
 	flows := fb.flows // ascending id: fixed visit order keeps the float math reproducible
 	residual := fb.crResidual
@@ -381,11 +419,11 @@ func (fb *Fabric) computeRates() {
 		fb.crFrozen = make([]bool, len(flows))
 	}
 	frozen := fb.crFrozen[:len(flows)]
-	for i := range frozen {
-		frozen[i] = false
-	}
+	clear(frozen)
+	capped := false // no capped flow: the per-round cap scan has nothing to find
 	for _, f := range flows {
 		f.rate = 0
+		capped = capped || f.maxRate > 0
 		for _, l := range f.path {
 			if !seen[l] {
 				seen[l] = true
@@ -396,7 +434,6 @@ func (fb *Fabric) computeRates() {
 			nActive[l]++
 		}
 	}
-	sort.Slice(touched, func(i, j int) bool { return touched[i] < touched[j] })
 	remaining := len(flows)
 	for remaining > 0 {
 		// Tightest link share among links with unfrozen flows.
@@ -411,12 +448,11 @@ func (fb *Fabric) computeRates() {
 		}
 		// A flow cap can bind before the link share does.
 		capBind := math.Inf(1)
-		for i, f := range flows {
-			if frozen[i] || f.maxRate <= 0 {
-				continue
-			}
-			if f.maxRate < capBind {
-				capBind = f.maxRate
+		if capped {
+			for i, f := range flows {
+				if !frozen[i] && f.maxRate > 0 && f.maxRate < capBind {
+					capBind = f.maxRate
+				}
 			}
 		}
 		rate := share

@@ -25,6 +25,9 @@ type Clock interface {
 	AtBatch(items []Timed) []*Event
 	// Cancel prevents a scheduled event from firing.
 	Cancel(ev *Event)
+	// Reschedule re-arms ev (nil allocates one) to run fn after delay,
+	// ordered exactly as Cancel(ev) then Schedule(delay, fn) would be.
+	Reschedule(ev *Event, delay time.Duration, fn func()) *Event
 	// RunUntil executes events with timestamps <= t and advances the
 	// virtual clock to exactly t (checkpoint restore realigns time with
 	// this; ordinary subsystems never drive the clock themselves).

@@ -62,24 +62,48 @@ func (e *Engine) Pending() int { return e.queue.Len() - e.canceled }
 // as zero: the event fires at the current time, after all events already
 // scheduled for that time.
 func (e *Engine) Schedule(delay time.Duration, fn func()) *Event {
-	if delay < 0 {
-		delay = 0
-	}
-	return e.At(e.now+delay, fn)
+	return e.Reschedule(nil, delay, fn)
 }
 
 // At runs fn at absolute virtual time t. Scheduling in the past is an error
 // that indicates a broken model, so it panics.
 func (e *Engine) At(t time.Duration, fn func()) *Event {
+	return e.arm(&Event{index: -1}, t, fn)
+}
+
+// Reschedule moves ev to fire fn after delay and returns it. In firing order
+// it is exactly Cancel(ev) followed by Schedule(delay, fn) — a fresh sequence
+// number, so ev fires after everything already scheduled for that instant —
+// but the Event is reused: ev may be pending, canceled, already fired or the
+// event firing right now, so a timer re-armed for its owner's whole lifetime
+// (the network fabric's) costs one allocation, made here when ev is nil.
+// Like At it panics at the call site: a delay that overflows the clock lands
+// in the past.
+func (e *Engine) Reschedule(ev *Event, delay time.Duration, fn func()) *Event {
+	if ev == nil {
+		ev = &Event{index: -1}
+	}
+	return e.arm(ev, e.now+max(delay, 0), fn)
+}
+
+// arm files ev, new or reused, to run fn at t under a fresh sequence number.
+func (e *Engine) arm(ev *Event, t time.Duration, fn func()) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	if fn == nil {
 		panic("sim: nil event callback")
 	}
-	ev := &Event{at: t, seq: e.seq, fn: fn}
+	if ev.canceled && ev.index >= 0 {
+		e.canceled-- // still queued: it counts as pending again
+	}
+	ev.at, ev.seq, ev.fn, ev.canceled = t, e.seq, fn, false
 	e.seq++
-	heap.Push(&e.queue, ev)
+	if ev.index >= 0 {
+		heap.Fix(&e.queue, ev.index)
+	} else {
+		heap.Push(&e.queue, ev)
+	}
 	return ev
 }
 

@@ -179,17 +179,19 @@ func (t *Topology) NodesInRack(r int) []NodeID {
 // ReadPath returns the links a block read crosses when client dst reads from
 // datanode src: the source disk, then (if remote) the source NIC, any rack
 // hops, and the destination NIC. A node-local read touches only the disk.
-func (t *Topology) ReadPath(src, dst NodeID) []LinkID {
-	s := &t.Nodes[src]
-	if src == dst {
-		return []LinkID{s.Disk}
+func (t *Topology) ReadPath(src, dst NodeID) []LinkID { return t.readPath(src, dst, 0) }
+
+// readPath builds the read path in one allocation, at its final length plus
+// room for the links the caller will append.
+func (t *Topology) readPath(src, dst NodeID, room int) []LinkID {
+	s, d := &t.Nodes[src], &t.Nodes[dst]
+	switch {
+	case src == dst:
+		return append(make([]LinkID, 0, 1+room), s.Disk)
+	case s.Rack == d.Rack:
+		return append(make([]LinkID, 0, 3+room), s.Disk, s.NICOut, d.NICIn)
 	}
-	d := &t.Nodes[dst]
-	path := []LinkID{s.Disk, s.NICOut}
-	if s.Rack != d.Rack {
-		path = append(path, t.rackUp[s.Rack], t.rackDown[d.Rack])
-	}
-	return append(path, d.NICIn)
+	return append(make([]LinkID, 0, 5+room), s.Disk, s.NICOut, t.rackUp[s.Rack], t.rackDown[d.Rack], d.NICIn)
 }
 
 // ExternalPath returns the links a read crosses when the consumer is an
@@ -208,7 +210,7 @@ func (t *Topology) TransferPath(src, dst NodeID) []LinkID {
 	if src == dst {
 		return []LinkID{t.Nodes[src].Disk}
 	}
-	return append(t.ReadPath(src, dst), t.Nodes[dst].Disk)
+	return append(t.readPath(src, dst, 1), t.Nodes[dst].Disk)
 }
 
 // RackUplink exposes rack r's uplink (for reports).

@@ -162,3 +162,25 @@ func TestQuickPathsValid(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Every path is built once, at its final capacity: one allocation whether
+// it has one link or six. A cross-rack path used to grow a two-element
+// literal twice, and TransferPath a third time.
+func TestPathsAllocateOnce(t *testing.T) {
+	topo := New(Config{})
+	src, same, cross := topo.NodesInRack(0)[0], topo.NodesInRack(0)[1], topo.NodesInRack(1)[0]
+	var sink []LinkID
+	for _, dst := range []NodeID{src, same, cross} {
+		for name, build := range map[string]func() []LinkID{
+			"ReadPath":     func() []LinkID { return topo.ReadPath(src, dst) },
+			"TransferPath": func() []LinkID { return topo.TransferPath(src, dst) },
+		} {
+			if n := testing.AllocsPerRun(100, func() { sink = build() }); n != 1 {
+				t.Errorf("%s(%d, %d) allocates %v times, want 1", name, src, dst, n)
+			}
+			if len(sink) != cap(sink) {
+				t.Errorf("%s(%d, %d): len %d, cap %d", name, src, dst, len(sink), cap(sink))
+			}
+		}
+	}
+}
