@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-accept benchdiff lint cover cover-check \
+.PHONY: all build vet test race check bench bench-accept benchdiff benchpair lint cover cover-check \
 	figures fuzz failover federate full-scale soak sweep degrade scenarios serve benchcheck runtime-table examples loc loc-check clean
 
 all: build vet test
@@ -109,7 +109,7 @@ soak:
 bench:
 	$(GO) test -json -bench=. -benchmem -run '^$$' ./internal/cep/ ./internal/core/ ./internal/experiments/ > BENCH_cep.new.json
 	$(GO) test -bench=. -benchmem -run '^$$' ./internal/sim/ ./internal/hdfs/ ./internal/netsim/ \
-		./internal/classad/ ./internal/condor/ ./internal/mapred/ ./internal/workload/
+		./internal/classad/ ./internal/condor/ ./internal/mapred/ ./internal/workload/ ./internal/auditlog/
 	$(GO) run ./cmd/figures -fig durability
 
 # Promotes the last `make bench` run to be the committed baseline.
@@ -122,6 +122,18 @@ bench-accept:
 benchdiff:
 	$(GO) test -json -bench=. -benchmem -run '^$$' ./internal/cep/ ./internal/core/ ./internal/experiments/ > BENCH_cep.new.json
 	$(GO) run ./cmd/benchdiff
+
+# Paired end-to-end measurement of one BENCHMARK.json workload: the parent
+# commit ($$BASE, default HEAD~1, in a temporary git worktree) against this
+# working tree, alternating which side runs first, on seeds from $$SEED0
+# (default 101) up. Prints per-pair ratios, each side's quartiles for the six
+# end-to-end metrics, digest/events equality and failed operations — what a
+# performance PR's CHANGES.md entry reports. See scripts/benchpair.sh.
+WORKLOAD ?= churn-failover
+PAIRS ?= 10
+RUN_SECONDS ?= 12
+benchpair:
+	bash scripts/benchpair.sh $(WORKLOAD) $(PAIRS) $(RUN_SECONDS)
 
 # Style gate: vet, gofmt (fails listing any unformatted file), and the
 # documentation floor (every package needs a godoc comment; the public

@@ -37,7 +37,10 @@ func (s *System) Checkpoint(w io.Writer) error {
 	if len(s.shards) == 1 {
 		return s.shards[0].cluster.WriteCheckpoint(w)
 	}
-	return s.writeFederatedCheckpoint(w)
+	if _, err := w.Write(s.federatedCheckpoint()); err != nil {
+		return fmt.Errorf("erms: federated checkpoint: %w", err)
+	}
+	return nil
 }
 
 // The federated checkpoint envelope. EnvelopeVersion changes whenever the
@@ -48,35 +51,26 @@ const (
 	FedEnvelopeVersion = 1
 )
 
-func (s *System) writeFederatedCheckpoint(w io.Writer) error {
-	var body bytes.Buffer
-	body.WriteString(fedCkptMagic)
-	var scratch [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) {
-		n := binary.PutUvarint(scratch[:], v)
-		body.Write(scratch[:n])
+// federatedCheckpoint encodes the envelope into one slice, sized from the
+// shards' last failover snapshots when there are any. A blob's length
+// prefix precedes it, so each shard encodes into one reused scratch first.
+func (s *System) federatedCheckpoint() []byte {
+	hint := 64
+	for _, snap := range s.snaps {
+		hint += len(snap.ckpt) + len(snap.ckpt)/8
 	}
-	putUvarint(FedEnvelopeVersion)
-	body.Write(s.router.Encode())
-	for i, sh := range s.shards {
-		var blob bytes.Buffer
-		if err := sh.cluster.WriteCheckpoint(&blob); err != nil {
-			return fmt.Errorf("erms: shard %d checkpoint: %w", i, err)
-		}
-		putUvarint(uint64(blob.Len()))
-		body.Write(blob.Bytes())
+	body := append(make([]byte, 0, hint), fedCkptMagic...)
+	body = binary.AppendUvarint(body, FedEnvelopeVersion)
+	body = append(body, s.router.Encode()...)
+	var blob []byte
+	for _, sh := range s.shards {
+		blob = sh.cluster.AppendCheckpoint(blob[:0])
+		body = binary.AppendUvarint(body, uint64(len(blob)))
+		body = append(body, blob...)
 	}
 	h := fnv.New64a()
-	h.Write(body.Bytes())
-	var sum [8]byte
-	binary.LittleEndian.PutUint64(sum[:], h.Sum64())
-	if _, err := w.Write(body.Bytes()); err != nil {
-		return fmt.Errorf("erms: federated checkpoint: %w", err)
-	}
-	if _, err := w.Write(sum[:]); err != nil {
-		return fmt.Errorf("erms: federated checkpoint: %w", err)
-	}
-	return nil
+	h.Write(body)
+	return binary.LittleEndian.AppendUint64(body, h.Sum64())
 }
 
 // restoreFederated rebuilds every shard from a federated envelope. The

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 
 	"erms/internal/auditlog"
@@ -262,14 +263,21 @@ func (s *System) ResolveMoves() (int, error) {
 	// Every pending move is now closed, so any staging path left anywhere
 	// is an orphan: its intent predates the retained journal (the record
 	// was never rebuilt) and its move never committed. Roll it back.
+	// Collected off the intern table (no sort of the whole namespace on
+	// every failover), dropped in path order so the journal reads the same.
 	for _, sh := range s.shards {
-		for _, p := range sh.cluster.FilePaths() {
-			if strings.HasPrefix(p, MoveStagePrefix+"/") {
-				if err := sh.cluster.DeleteFile(p); err != nil {
-					return resolved, fmt.Errorf("erms: orphan staging %q: %w", p, err)
-				}
-				resolved++
+		var orphans []string
+		for _, f := range sh.cluster.FileTable() {
+			if f != nil && strings.HasPrefix(f.Path, MoveStagePrefix+"/") {
+				orphans = append(orphans, f.Path)
 			}
+		}
+		sort.Strings(orphans)
+		for _, p := range orphans {
+			if err := sh.cluster.DeleteFile(p); err != nil {
+				return resolved, fmt.Errorf("erms: orphan staging %q: %w", p, err)
+			}
+			resolved++
 		}
 	}
 	return resolved, nil
@@ -294,11 +302,10 @@ func (s *System) snapshot(i int) error {
 	if j == nil {
 		return fmt.Errorf("erms: shard %d has no journal (EnableJournal)", i)
 	}
-	var buf bytes.Buffer
-	if err := c.WriteCheckpoint(&buf); err != nil {
-		return fmt.Errorf("erms: snapshot shard %d: %w", i, err)
-	}
-	s.snaps[i] = shardSnap{ckpt: buf.Bytes(), seq: j.NextSeq()}
+	// Encoded over the snapshot this one replaces: nothing outside System
+	// sees those bytes and a restore copies what it keeps, so the buffer is
+	// free to reuse and a steady-state snapshot allocates nothing.
+	s.snaps[i] = shardSnap{ckpt: c.AppendCheckpoint(s.snaps[i].ckpt[:0]), seq: j.NextSeq()}
 	return nil
 }
 

@@ -444,6 +444,44 @@ func TestResolveMovesBranches(t *testing.T) {
 	}
 }
 
+// TestResolveMovesOrphanOrder: the orphan scan reads the intern table, not
+// the sorted path list, but still drops what it finds in ascending path
+// order — two orphans interned in descending order leave exactly the journal
+// entries that deleting them by hand, smaller path first, leaves.
+func TestResolveMovesOrphanOrder(t *testing.T) {
+	build := func() *erms.System {
+		sys := newMoveSystem(2)
+		for _, p := range []string{erms.MoveStagePrefix + "/z-late", "/plain", erms.MoveStagePrefix + "/a-early"} {
+			if _, err := sys.Shard(1).HDFS().CreateFile(p, 96*erms.MB, 2, -1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return sys
+	}
+	sys, byHand := build(), build()
+	seq := sys.Shard(1).Journal().NextSeq()
+	if n, err := sys.ResolveMoves(); err != nil || n != 2 {
+		t.Fatalf("resolve = %d, %v; want 2, nil", n, err)
+	}
+	for _, p := range []string{erms.MoveStagePrefix + "/a-early", erms.MoveStagePrefix + "/z-late"} {
+		if err := byHand.Shard(1).HDFS().DeleteFile(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, want := sys.Shard(1).Journal().Tail(seq), byHand.Shard(1).Journal().Tail(seq)
+	if len(got) != len(want) || len(got) == 0 {
+		t.Fatalf("resolve journaled %d entries, deleting by hand %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("journal entry %d: resolve wrote %v, ascending path order writes %v", i, got[i], want[i])
+		}
+	}
+	if sys.Shard(1).HDFS().File("/plain") == nil || sys.StateDigest() != byHand.StateDigest() {
+		t.Error("resolve touched more than the two orphans")
+	}
+}
+
 func TestFederatedCheckpointRoundTrip(t *testing.T) {
 	opts := erms.Options{Shards: 3, Nodes: 9, StandbyNodes: -1, EnableJournal: true, DisableERMS: true}
 	sys := erms.NewSystem(opts)

@@ -1,13 +1,13 @@
 package auditlog
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"time"
 )
@@ -186,29 +186,34 @@ func (e Entry) String() string {
 // sequence number. A checkpoint records the journal sequence at snapshot
 // time; a standby restores the checkpoint and replays Tail(seq) to catch
 // up — exactly the HDFS fsimage + edits model.
+//
+// Entries live in fixed-capacity segments, so Append never moves an entry
+// already stored and TruncateTo frees whole segments: the cost of a
+// mutation does not depend on how long the journal has grown.
 type Journal struct {
-	entries []Entry
-	start   uint64 // Seq of entries[0]; valid when len(entries) > 0
-	next    uint64 // Seq the next Append will assign
-	epoch   uint64 // current writer epoch; Append stamps it on every entry
-	subs    []func(Entry)
+	segs  [][]Entry // each of cap segmentCap; all but the last are full
+	base  uint64    // Seq held (or once held) by segs[0][0]
+	start uint64    // first retained Seq; next when nothing is retained
+	next  uint64    // Seq the next Append will assign
+	epoch uint64    // current writer epoch; Append stamps it on every entry
+	subs  []func(Entry)
 }
+
+// segmentCap is the journal's segment size in entries (about 150 KB).
+const segmentCap = 1024
 
 // NewJournal returns an empty journal whose first entry will get Seq 1,
 // at epoch 1.
-func NewJournal() *Journal {
-	return &Journal{next: 1, epoch: 1}
-}
+func NewJournal() *Journal { return NewJournalAt(1) }
 
 // NewJournalAt returns an empty journal whose first entry will get Seq
 // seq. A promoted standby uses it to continue the failed namenode's
 // sequence numbering after replaying its tail (and then SetEpoch/BumpEpoch
-// to fence the old writer).
+// to fence the old writer). Entries before seq were never here: Tail of an
+// earlier position is unavailable, not empty.
 func NewJournalAt(seq uint64) *Journal {
-	if seq == 0 {
-		seq = 1
-	}
-	return &Journal{next: seq, epoch: 1}
+	seq = max(seq, 1)
+	return &Journal{base: seq, start: seq, next: seq, epoch: 1}
 }
 
 // Epoch returns the journal's current writer epoch. The journal models the
@@ -239,10 +244,11 @@ func (j *Journal) Append(e Entry) Entry {
 	e.Seq = j.next
 	e.Epoch = j.epoch
 	j.next++
-	if len(j.entries) == 0 {
-		j.start = e.Seq
+	si := int((e.Seq - j.base) / segmentCap)
+	if si == len(j.segs) {
+		j.segs = append(j.segs, make([]Entry, 0, segmentCap))
 	}
-	j.entries = append(j.entries, e)
+	j.segs[si] = append(j.segs[si], e)
 	for _, fn := range j.subs {
 		fn(e)
 	}
@@ -257,49 +263,53 @@ func (j *Journal) Subscribe(fn func(Entry)) { j.subs = append(j.subs, fn) }
 func (j *Journal) NextSeq() uint64 { return j.next }
 
 // Len returns the number of retained entries.
-func (j *Journal) Len() int { return len(j.entries) }
+func (j *Journal) Len() int { return int(j.next - j.start) }
 
-// Entries returns the retained entries. The slice is shared; callers must
-// not mutate it.
-func (j *Journal) Entries() []Entry { return j.entries }
+// Each calls fn on every retained entry with Seq >= from, in order and in
+// place — nothing is copied — until fn returns false. fn must not mutate
+// the entry or keep the pointer.
+func (j *Journal) Each(from uint64, fn func(*Entry) bool) {
+	for seq := max(from, j.start); seq < j.next; seq++ {
+		off := seq - j.base
+		if !fn(&j.segs[off/segmentCap][off%segmentCap]) {
+			return
+		}
+	}
+}
 
-// Tail returns the retained entries with Seq >= from. It returns nil if
-// entries before from were already truncated away and from predates the
-// retained window's start — callers should treat that as "tail
-// unavailable" and fall back to a full checkpoint. An empty (but non-nil)
-// slice means the tail is valid and simply has nothing to replay.
+// Entries returns a copy of the retained entries.
+func (j *Journal) Entries() []Entry { return j.Tail(j.start) }
+
+// Tail returns a copy of the retained entries with Seq >= from. It returns
+// nil if from predates the retained window's start (truncated away, or
+// older than a journal made by NewJournalAt) — callers should treat that
+// as "tail unavailable" and fall back to a full checkpoint. An empty (but
+// non-nil) slice means the tail is valid and simply has nothing to replay.
 func (j *Journal) Tail(from uint64) []Entry {
 	if from < j.start {
 		return nil
 	}
-	idx := int(from - j.start)
-	if idx >= len(j.entries) {
-		return []Entry{}
-	}
-	return j.entries[idx:]
+	out := make([]Entry, 0, j.next-min(from, j.next))
+	j.Each(from, func(e *Entry) bool {
+		out = append(out, *e)
+		return true
+	})
+	return out
 }
 
 // TruncateTo discards retained entries with Seq < upTo, bounding memory
 // once a checkpoint has made them redundant. Sequence numbering continues
 // unaffected, and the retained window's start advances to upTo even when
 // everything is dropped — Tail(upTo) stays valid (and empty) afterwards.
+// Memory is released a whole segment at a time.
 func (j *Journal) TruncateTo(upTo uint64) {
 	if upTo <= j.start {
 		return
 	}
-	if upTo > j.next {
-		upTo = j.next
-	}
-	drop := int(upTo - j.start)
-	if drop >= len(j.entries) {
-		j.entries = j.entries[:0]
-		j.start = upTo
-		return
-	}
-	kept := make([]Entry, len(j.entries)-drop)
-	copy(kept, j.entries[drop:])
-	j.entries = kept
-	j.start = upTo
+	j.start = min(upTo, j.next)
+	drop := int((j.start - j.base) / segmentCap)
+	j.segs = slices.Delete(j.segs, 0, drop)
+	j.base += uint64(drop) * segmentCap
 }
 
 // Journal wire format: a magic/version header, a varint entry count, each
@@ -320,56 +330,37 @@ const (
 	maxJournalString  = 1 << 20
 )
 
-// EncodeEntries writes entries to w in the versioned journal format.
+// EncodeEntries writes entries to w in the versioned journal format: the
+// stream is appended into one slice, hashed once and written once.
 func EncodeEntries(w io.Writer, entries []Entry) error {
-	h := fnv.New64a()
-	bw := bufio.NewWriter(io.MultiWriter(w, h))
-	var buf [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) {
-		n := binary.PutUvarint(buf[:], v)
-		bw.Write(buf[:n])
-	}
-	writeVarint := func(v int64) {
-		n := binary.PutVarint(buf[:], v)
-		bw.Write(buf[:n])
-	}
-	writeString := func(s string) {
-		writeUvarint(uint64(len(s)))
-		bw.WriteString(s)
-	}
-	bw.WriteString(journalMagic)
-	writeUvarint(JournalVersion)
-	writeUvarint(uint64(len(entries)))
-	for _, e := range entries {
-		writeUvarint(e.Seq)
-		writeUvarint(e.Epoch)
-		writeVarint(int64(e.Time))
-		writeUvarint(uint64(e.Op))
-		writeString(e.Path)
-		writeString(e.Dst)
-		writeVarint(int64(e.File))
-		writeVarint(e.Block)
-		writeVarint(int64(e.Node))
-		writeVarint(int64(e.State))
-		writeVarint(int64(e.Target))
-		writeVarint(int64(e.K))
-		writeVarint(int64(e.M))
-		writeVarint(int64(e.Index))
-		writeVarint(int64(e.Group))
-		writeUvarint(math.Float64bits(e.Size))
-		flag := uint64(0)
-		if e.Flag {
-			flag = 1
+	b := append(make([]byte, 0, 64+48*len(entries)), journalMagic...)
+	b = binary.AppendUvarint(b, JournalVersion)
+	b = binary.AppendUvarint(b, uint64(len(entries)))
+	for i := range entries {
+		e := &entries[i]
+		b = binary.AppendUvarint(b, e.Seq)
+		b = binary.AppendUvarint(b, e.Epoch)
+		b = binary.AppendVarint(b, int64(e.Time))
+		b = binary.AppendUvarint(b, uint64(e.Op))
+		for _, s := range [2]string{e.Path, e.Dst} {
+			b = binary.AppendUvarint(b, uint64(len(s)))
+			b = append(b, s...)
 		}
-		writeUvarint(flag)
+		for _, v := range [9]int64{int64(e.File), e.Block, int64(e.Node), int64(e.State),
+			int64(e.Target), int64(e.K), int64(e.M), int64(e.Index), int64(e.Group)} {
+			b = binary.AppendVarint(b, v)
+		}
+		b = binary.AppendUvarint(b, math.Float64bits(e.Size))
+		if e.Flag {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
 	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("auditlog: journal encode: %w", err)
-	}
+	h := fnv.New64a()
+	h.Write(b)
 	// Checksum trailer, outside the hashed region.
-	var sum [8]byte
-	binary.LittleEndian.PutUint64(sum[:], h.Sum64())
-	if _, err := w.Write(sum[:]); err != nil {
+	if _, err := w.Write(binary.LittleEndian.AppendUint64(b, h.Sum64())); err != nil {
 		return fmt.Errorf("auditlog: journal encode: %w", err)
 	}
 	return nil

@@ -291,13 +291,15 @@ func (j *Judge) Evaluate() []Decision {
 		}
 	}
 
-	// Per-file rules over every live file; an idle one is only read.
-	for _, path := range j.cluster.FilePaths() {
-		f := j.cluster.File(path)
+	// Per-file rules over every live file; an idle one is only read. Intern
+	// order, not path order: every piece of state touched here is keyed by
+	// path and the verdicts are sorted below, so the order cannot show.
+	for _, f := range j.cluster.FileTable() {
 		cur := j.cluster.Replication(f)
 		if cur <= 0 {
-			continue
+			continue // a deleted slot, or a file with no block yet
 		}
+		path := f.Path
 		r := float64(cur)
 		nd := j.fileCnt[path]
 

@@ -204,7 +204,7 @@ func New(cluster *hdfs.Cluster, cfg Config) *Manager {
 	}
 	m.judge = NewJudge(cluster, cfg.Thresholds)
 	m.judge.CEP().RegisterMetrics(m.reg)
-	cluster.SetPlacementPolicy(NewPlacement(func(id hdfs.DatanodeID) bool { return m.pool[id] }))
+	cluster.SetPlacementPolicy(NewPlacement(m.pool))
 
 	m.sched = condor.New(cluster.Clock(), condor.Config{
 		NegotiationPeriod: cfg.NegotiationPeriod,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"sort"
 
 	"erms/internal/hdfs"
@@ -20,19 +21,19 @@ import (
 //     requires rebalancing among the always-on nodes.
 type Placement struct {
 	base *hdfs.DefaultPolicy
-	// pool reports whether a datanode belongs to the standby pool (nodes
-	// ERMS commissions on demand and later powers back down).
-	pool func(hdfs.DatanodeID) bool
+	// pool is the standby pool (nodes ERMS commissions on demand and later
+	// powers back down), fixed when the manager is built; it doubles as the
+	// exclusion set that keeps base replicas off pooled nodes.
+	pool map[hdfs.DatanodeID]bool
+	// scratch is excludePool's reused merge of the pool and a caller's set.
+	scratch map[hdfs.DatanodeID]bool
 }
 
-// NewPlacement builds the ERMS policy; pool identifies standby-pool nodes
-// (nil means no pool, degrading gracefully to default-like behaviour for
-// extras).
-func NewPlacement(pool func(hdfs.DatanodeID) bool) *Placement {
-	if pool == nil {
-		pool = func(hdfs.DatanodeID) bool { return false }
-	}
-	return &Placement{base: hdfs.NewDefaultPolicy(), pool: pool}
+// NewPlacement builds the ERMS policy; pool is the set of standby-pool
+// nodes, which must not change afterwards (nil means no pool, degrading
+// gracefully to default-like behaviour for extras).
+func NewPlacement(pool map[hdfs.DatanodeID]bool) *Placement {
+	return &Placement{base: hdfs.NewDefaultPolicy(), pool: pool, scratch: map[hdfs.DatanodeID]bool{}}
 }
 
 // Name implements hdfs.Policy.
@@ -52,8 +53,7 @@ func (p *Placement) ChooseTargets(c *hdfs.Cluster, b *hdfs.Block, count int, wri
 		if need > count {
 			need = count
 		}
-		ex := p.excludePool(c, exclude)
-		base := p.base.ChooseTargets(c, b, need, writer, ex)
+		base := p.base.ChooseTargets(c, b, need, writer, p.excludePool(exclude))
 		if len(base) < need {
 			// Pool nodes as a last resort (tiny active set).
 			more := p.base.ChooseTargets(c, b, need-len(base), writer, merge(exclude, asSet(base)))
@@ -86,7 +86,7 @@ func (p *Placement) extraTargets(c *hdfs.Cluster, b *hdfs.Block, count int, excl
 	c.ScanEligible(b, exclude, func(id hdfs.DatanodeID) bool {
 		rack := c.Topology().Rack(topology.NodeID(id))
 		tier := 2
-		if p.pool(id) {
+		if p.pool[id] {
 			tier = 1
 			if rackCount[rack] > 0 { // no pick made yet: existing replicas only
 				tier = 0
@@ -154,7 +154,7 @@ func (p *Placement) parityTargets(c *hdfs.Cluster, b *hdfs.Block, count int, exc
 	}
 	var cands []cand
 	c.ScanEligible(b, exclude, func(id hdfs.DatanodeID) bool {
-		if !p.pool(id) {
+		if !p.pool[id] {
 			cands = append(cands, cand{id: id, ofFile: blocksOf[id], load: c.Datanode(id).PlacementLoad()})
 		}
 		return false
@@ -187,7 +187,7 @@ func (p *Placement) ChooseExcess(c *hdfs.Cluster, b *hdfs.Block) (hdfs.DatanodeI
 	var best hdfs.DatanodeID = -1
 	bestLoad := -1
 	for _, r := range c.Replicas(b.ID) {
-		if !p.pool(r) {
+		if !p.pool[r] {
 			continue
 		}
 		if load := c.Datanode(r).NumBlocks(); load > bestLoad ||
@@ -214,7 +214,7 @@ func (p *Placement) ChooseKeeper(c *hdfs.Cluster, b *hdfs.Block, stripeLoad map[
 			continue
 		}
 		poolPenalty := 0
-		if p.pool(r) {
+		if p.pool[r] {
 			poolPenalty = 1
 		}
 		key := [4]int{poolPenalty, stripeLoad[r], d.PlacementLoad(), int(r)}
@@ -234,17 +234,17 @@ func less4(a, b [4]int) bool {
 	return false
 }
 
-func (p *Placement) excludePool(c *hdfs.Cluster, exclude map[hdfs.DatanodeID]bool) map[hdfs.DatanodeID]bool {
-	out := map[hdfs.DatanodeID]bool{}
-	for k, v := range exclude {
-		out[k] = v
+// excludePool returns exclude plus every pooled node. The result is only
+// read (DefaultPolicy copies it before adding its picks): with nothing to
+// add to it the pool set itself serves, else the two merge into scratch.
+func (p *Placement) excludePool(exclude map[hdfs.DatanodeID]bool) map[hdfs.DatanodeID]bool {
+	if len(exclude) == 0 {
+		return p.pool
 	}
-	for _, d := range c.Datanodes() {
-		if p.pool(d.ID) {
-			out[d.ID] = true
-		}
-	}
-	return out
+	clear(p.scratch)
+	maps.Copy(p.scratch, exclude)
+	maps.Copy(p.scratch, p.pool)
+	return p.scratch
 }
 
 func asSet(ids []hdfs.DatanodeID) map[hdfs.DatanodeID]bool {

@@ -48,3 +48,78 @@ func BenchmarkShardedJudgePass(b *testing.B) {
 		}
 	}
 }
+
+// failoverBenchSystem is the failover cycle's bench fixture: four journaled
+// shards on 102 datanodes holding about 25 000 one-block files each, with a
+// failover base already taken. churn then lands 1 000 creates and 1 000
+// deletes a shard — a journal tail of about 10 000 entries each — the
+// distance between two failovers in the end-to-end churn-failover workload.
+func failoverBenchSystem(b *testing.B) (sys *erms.System, churn func()) {
+	b.Helper()
+	const nodes, nFiles, ops = 102, 100000, 4000
+	sys = erms.NewSystem(erms.Options{
+		Racks: 17, Nodes: nodes, Shards: 4, EnableJournal: true,
+		JudgePeriod: time.Hour, // no pass inside the timed region
+	})
+	created, deleted := 0, 0
+	create := func() {
+		if err := sys.CreateFileOn(fmt.Sprintf("/fo/f%07d", created), erms.MB, 0, created%nodes); err != nil {
+			b.Fatal(err)
+		}
+		created++
+	}
+	for created < nFiles {
+		create()
+	}
+	if err := sys.SnapshotShards(); err != nil {
+		b.Fatal(err)
+	}
+	return sys, func() {
+		for i := 0; i < ops; i++ {
+			create()
+			if err := sys.Delete(fmt.Sprintf("/fo/f%07d", deleted)); err != nil {
+				b.Fatal(err)
+			}
+			deleted++
+		}
+	}
+}
+
+// BenchmarkSnapshotShards is the failover base refreshed on a namespace
+// that has not changed size: four checkpoint encodes, each into the bytes
+// of the snapshot it replaces.
+func BenchmarkSnapshotShards(b *testing.B) {
+	sys, _ := failoverBenchSystem(b)
+	defer sys.Stop()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := sys.SnapshotShards(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFailoverShard is time-to-recover for one shard: copy out the
+// 10 000-entry journal tail, restore the 25 000-file snapshot, replay the
+// tail, build the new manager, re-snapshot, resolve moves. The churn that
+// grows the tail and the snapshot of the other shards are not timed.
+func BenchmarkFailoverShard(b *testing.B) {
+	sys, churn := failoverBenchSystem(b)
+	defer sys.Stop()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		churn()
+		b.StartTimer()
+		if err := sys.FailoverShard(i % sys.Shards()); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := sys.SnapshotShards(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+}

@@ -1,13 +1,13 @@
 package hdfs
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/fnv"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -44,41 +44,28 @@ const (
 	maxCkptString = 1 << 20
 )
 
-// ckptWriter accumulates the stream while hashing it.
-type ckptWriter struct {
-	w   *bufio.Writer
-	h   hash.Hash64
-	buf [binary.MaxVarintLen64]byte
-}
+// ckptWriter appends the stream to one byte slice: no writer, buffer or
+// hash sits under the per-field calls, of which a checkpoint makes a dozen
+// a file. AppendCheckpoint hashes the finished bytes once.
+type ckptWriter struct{ b []byte }
 
-func (cw *ckptWriter) uvarint(v uint64) {
-	n := binary.PutUvarint(cw.buf[:], v)
-	cw.w.Write(cw.buf[:n])
-}
+func (cw *ckptWriter) uvarint(v uint64) { cw.b = binary.AppendUvarint(cw.b, v) }
 
-func (cw *ckptWriter) varint(v int64) {
-	n := binary.PutVarint(cw.buf[:], v)
-	cw.w.Write(cw.buf[:n])
-}
+func (cw *ckptWriter) varint(v int64) { cw.b = binary.AppendVarint(cw.b, v) }
 
 func (cw *ckptWriter) f64(v float64) { cw.uvarint(math.Float64bits(v)) }
 
 func (cw *ckptWriter) boolv(v bool) {
 	if v {
-		cw.uvarint(1)
+		cw.b = append(cw.b, 1)
 	} else {
-		cw.uvarint(0)
+		cw.b = append(cw.b, 0)
 	}
 }
 
 func (cw *ckptWriter) str(s string) {
 	cw.uvarint(uint64(len(s)))
-	cw.w.WriteString(s)
-}
-
-func (cw *ckptWriter) fixed64(v uint64) {
-	binary.LittleEndian.PutUint64(cw.buf[:8], v)
-	cw.w.Write(cw.buf[:8])
+	cw.b = append(cw.b, s...)
 }
 
 // ConfigDigest fingerprints the cluster parameters a checkpoint depends
@@ -189,7 +176,7 @@ func sortedBlockIDs(m map[BlockID]bool) []BlockID {
 	for bid := range m {
 		out = append(out, bid)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -198,13 +185,22 @@ func sortedBlockIDs(m map[BlockID]bool) []BlockID {
 // always produces the same bytes, and a cluster restored from them
 // re-encodes to the identical stream. The cluster is not mutated.
 func (c *Cluster) WriteCheckpoint(w io.Writer) error {
-	h := fnv.New64a()
-	cw := &ckptWriter{w: bufio.NewWriterSize(io.MultiWriter(w, h), 1<<16), h: h}
+	if _, err := w.Write(c.AppendCheckpoint(nil)); err != nil {
+		return fmt.Errorf("hdfs: checkpoint write: %w", err)
+	}
+	return nil
+}
+
+// AppendCheckpoint appends the checkpoint stream WriteCheckpoint writes to
+// dst and returns the extended slice — the form for a caller that keeps the
+// bytes (a failover snapshot, the federated envelope) and can size dst from
+// the last checkpoint it took.
+func (c *Cluster) AppendCheckpoint(dst []byte) []byte {
+	cw := &ckptWriter{b: append(dst, checkpointMagic...)}
 
 	// Header.
-	cw.w.WriteString(checkpointMagic)
 	cw.uvarint(CheckpointVersion)
-	cw.fixed64(c.ConfigDigest())
+	cw.b = binary.LittleEndian.AppendUint64(cw.b, c.ConfigDigest())
 	cw.uvarint(uint64(c.clock.Now()))
 	cw.uvarint(c.journalPos())
 	cw.uvarint(uint64(c.nextBlock))
@@ -283,15 +279,9 @@ func (c *Cluster) WriteCheckpoint(w io.Writer) error {
 		cw.f64(v)
 	}
 
-	if err := cw.w.Flush(); err != nil {
-		return fmt.Errorf("hdfs: checkpoint write: %w", err)
-	}
-	var sum [8]byte
-	binary.LittleEndian.PutUint64(sum[:], h.Sum64())
-	if _, err := w.Write(sum[:]); err != nil {
-		return fmt.Errorf("hdfs: checkpoint write: %w", err)
-	}
-	return nil
+	h := fnv.New64a()
+	h.Write(cw.b[len(dst):])
+	return binary.LittleEndian.AppendUint64(cw.b, h.Sum64())
 }
 
 // writeIDList delta-encodes an ascending block ID list (file block lists
@@ -438,10 +428,16 @@ func (c *Cluster) restoreCheckpoint(r io.Reader, inPlace bool) error {
 // touching cluster state. The whole stream is read up front so the
 // trailing checksum is verified before a single field is trusted.
 func (c *Cluster) decodeCheckpoint(r io.Reader) (*ckptState, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
+	var buf bytes.Buffer
+	if lr, ok := r.(interface{ Len() int }); ok {
+		// Bytes already in memory (a failover snapshot): one allocation of
+		// the right size, not io.ReadAll's grow-and-copy from 512 bytes up.
+		buf.Grow(lr.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
 		return nil, fmt.Errorf("hdfs: checkpoint read: %w", err)
 	}
+	data := buf.Bytes()
 	if len(data) < len(checkpointMagic)+8 {
 		return nil, fmt.Errorf("hdfs: checkpoint too short (%d bytes)", len(data))
 	}

@@ -588,9 +588,18 @@ func (c *Cluster) Standby() []DatanodeID { return c.inState(StateStandby) }
 // File returns the INode for path, or nil.
 func (c *Cluster) File(path string) *INode { return c.files[path] }
 
-// FilePaths returns every file path in the namespace, sorted. The slice is
-// memoized until the namespace changes — the judge calls this every pass —
-// so callers must not mutate it.
+// FileTable returns the interned file table: every file ever created, in
+// creation order, a deleted one as a nil slot. It is the namespace's cheap
+// iteration order — no sort, no lookup, nothing to rebuild after a mutation
+// — for sweeps whose result does not depend on visit order (the judge sorts
+// its verdicts; an orphan scan collects a handful). Callers must not mutate
+// it, and must not create or delete files while ranging over it.
+func (c *Cluster) FileTable() []*INode { return c.fileByID }
+
+// FilePaths returns every file path in the namespace, sorted — for callers
+// to whom the order is the point (oracles, chaos plans, reports). The slice
+// is memoized until the namespace changes, so callers must not mutate it;
+// the first call after a mutation re-sorts every path.
 func (c *Cluster) FilePaths() []string {
 	if c.pathsCache == nil {
 		c.pathsCache = make([]string, 0, len(c.files))

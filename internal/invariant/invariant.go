@@ -40,6 +40,7 @@ import (
 	"sort"
 	"time"
 
+	"erms/internal/auditlog"
 	"erms/internal/condor"
 	"erms/internal/core"
 	"erms/internal/hdfs"
@@ -146,13 +147,14 @@ func checkEpoch(t Target) []string {
 		errs = append(errs, fmt.Sprintf("epoch: cluster epoch %d ahead of journal epoch %d", c.Epoch(), j.Epoch()))
 	}
 	prev := uint64(0)
-	for _, e := range j.Entries() {
+	j.Each(0, func(e *auditlog.Entry) bool {
 		if e.Epoch < prev {
 			errs = append(errs, fmt.Sprintf("epoch: journal seq %d epoch %d decreased from %d", e.Seq, e.Epoch, prev))
-			break
+			return false
 		}
 		prev = e.Epoch
-	}
+		return true
+	})
 	if prev > j.Epoch() {
 		errs = append(errs, fmt.Sprintf("epoch: journaled epoch %d exceeds journal epoch %d", prev, j.Epoch()))
 	}
