@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check bench bench-accept benchdiff benchpair lint cover cover-check \
+.PHONY: all build vet test race check bench benchpair lint cover cover-check \
 	figures fuzz failover federate full-scale soak sweep degrade scenarios serve benchcheck runtime-table examples loc loc-check clean
 
 all: build vet test
@@ -103,25 +103,12 @@ benchcheck:
 soak:
 	ERMS_SOAK=1 $(GO) test -race -run 'TestChaosSoak|TestChaosDeterminism' ./internal/core/
 
-# Measures the CEP and judge perf baselines into BENCH_cep.new.json (so a
-# run never clobbers the committed BENCH_cep.json trajectory) and prints
-# every other package's benchmarks. Promote with `make bench-accept`.
+# Prints every package's microbenchmarks and saves nothing: ns/op means
+# something only beside a run of the parent on the same host (`make
+# benchpair` for the end-to-end numbers), and the judge hot path's
+# allocs/op are held by the *AllocCeiling* tests `go test ./...` runs.
 bench:
-	$(GO) test -json -bench=. -benchmem -run '^$$' ./internal/cep/ ./internal/core/ ./internal/experiments/ > BENCH_cep.new.json
-	$(GO) test -bench=. -benchmem -run '^$$' ./internal/sim/ ./internal/hdfs/ ./internal/netsim/ \
-		./internal/classad/ ./internal/condor/ ./internal/mapred/ ./internal/workload/ ./internal/auditlog/
-	$(GO) run ./cmd/figures -fig durability
-
-# Promotes the last `make bench` run to be the committed baseline.
-bench-accept:
-	mv BENCH_cep.new.json BENCH_cep.json
-
-# Runs the benchmarks fresh and gates against the committed baseline:
-# >20% ns/op regression or any allocs/op increase on the judge hot path
-# fails (see cmd/benchdiff).
-benchdiff:
-	$(GO) test -json -bench=. -benchmem -run '^$$' ./internal/cep/ ./internal/core/ ./internal/experiments/ > BENCH_cep.new.json
-	$(GO) run ./cmd/benchdiff
+	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
 # Paired end-to-end measurement of one BENCHMARK.json workload: the parent
 # commit ($$BASE, default HEAD~1, in a temporary git worktree) against this
@@ -161,8 +148,11 @@ loc:
 # rounded up to the next 50); 24,750 at PR 19, which spends 65 lines in
 # netsim, sim and topology — Engine.Reschedule and its Clock seam, the
 # fabric's dirty/flush state, its two counters and the horizon guard on the
-# completion delay — to halve swim-large's host time.
-LOC_CEILING ?= 24750
+# completion delay — to halve swim-large's host time; 23,850 at PR 24 (its
+# result, 23,840, rounded up), which deleted what no shipped path reached:
+# the ClassAd syntax beyond the two expressions matchmaking evaluates, the
+# HDFS balancer, the second tau_M grid and the absolute ns/op gate command.
+LOC_CEILING ?= 23850
 
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
@@ -199,7 +189,6 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/auditlog/
 	$(GO) test -fuzz=FuzzParseQuery -fuzztime=30s ./internal/cep/
 	$(GO) test -fuzz=FuzzParseExpr -fuzztime=30s ./internal/classad/
-	$(GO) test -fuzz=FuzzParseAd -fuzztime=30s ./internal/classad/
 	$(GO) test -fuzz=FuzzDecodeTrace -fuzztime=30s ./internal/workload/
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=30s ./internal/hdfs/
 	$(GO) test -fuzz=FuzzShardRouter -fuzztime=30s ./internal/federation/

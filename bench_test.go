@@ -189,15 +189,6 @@ func BenchmarkAblationIdleScheduling(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationThresholds(b *testing.B) {
-	var rows []experiments.AblationThresholdRow
-	for i := 0; i < b.N; i++ {
-		rows = experiments.AblationThresholds(1, 40*time.Minute, []float64{12, 4})
-	}
-	b.ReportMetric(rows[0].ReplicaMB, "tau12ReplMB")
-	b.ReportMetric(rows[1].ReplicaMB, "tau4ReplMB")
-}
-
 func BenchmarkAblationSpeculation(b *testing.B) {
 	var rows []experiments.AblationSpeculationRow
 	for i := 0; i < b.N; i++ {

@@ -63,7 +63,7 @@ func sprintln(v fmt.Stringer) string { return fmt.Sprintln(v) }
 func buildTasks(fig string, o figOpts) (tasks []sweep.Task, notes []string) {
 	want := func(name string) bool {
 		return fig == "all" || strings.EqualFold(fig, name) ||
-			(len(name) > 1 && strings.EqualFold(fig, name[:1])) // "3" matches 3a+3b
+			(fig == "3" && name[0] == '3') // "3" means 3a + 3b
 	}
 
 	if want("3a") || want("3b") {
@@ -182,8 +182,14 @@ func buildTasks(fig string, o figOpts) (tasks []sweep.Task, notes []string) {
 		}
 		tasks = append(tasks,
 			task("ablation:thresholds", func() (string, error) {
-				return sprintln(experiments.AblationThresholdsTable(
-					experiments.AblationThresholds(o.seed, dur, nil))), nil
+				// The tau_M column of the threshold sweep at its 5-minute window.
+				rows, _, err := experiments.ThresholdSweep(context.Background(), experiments.ThresholdSweepConfig{
+					Seeds: []int64{o.seed}, Duration: dur, Files: 16, Parallel: o.parallel,
+					TauMs: []float64{12, 8, 6, 4, 2}, WindowsMin: []float64{5}})
+				if err != nil {
+					return "", err
+				}
+				return sprintln(experiments.AblationThresholdsTable(rows)), nil
 			}),
 			task("ablation:speculation", func() (string, error) {
 				return sprintln(experiments.AblationSpeculationTable(experiments.AblationSpeculation())), nil

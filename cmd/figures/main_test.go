@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"os"
 	"strings"
 	"testing"
 
@@ -55,8 +56,14 @@ func TestBuildTasksSelection(t *testing.T) {
 	if len(scale) != 1 || scale[0].Name != "scale" || len(notes) != 0 {
 		t.Errorf("-fig scale = %v notes %v", names(scale), notes)
 	}
-	if none, _ := buildTasks("nope", opts); len(none) != 0 {
-		t.Errorf("-fig nope = %v, want none", names(none))
+	if both, _ := buildTasks("3", opts); len(both) != 1 || both[0].Name != "3" {
+		t.Errorf("-fig 3 = %v, want the fig-3 task (3a + 3b)", names(both))
+	}
+	// Only "3" is a prefix: one letter of a longer name selects nothing.
+	for _, fig := range []string{"nope", "d", "s", "t"} {
+		if none, _ := buildTasks(fig, opts); len(none) != 0 {
+			t.Errorf("-fig %s = %v, want none", fig, names(none))
+		}
 	}
 }
 
@@ -88,4 +95,33 @@ func TestRuntimeTableMarkdown(t *testing.T) {
 			t.Errorf("runtime table missing %q:\n%s", want, got)
 		}
 	}
+}
+
+// TestQuickScaleGolden holds every figure but scale to the bytes it
+// printed before the evaluation harness was trimmed:
+// testdata/quick.golden is `figures -fig all -seed 1 -parallel 1` on one
+// core (so scale is skipped), recorded at b06bcd0, and there is no -update
+// path. The one difference since is the placement ablation's last column,
+// which reports replica skew where it reported balancer traffic.
+func TestQuickScaleGolden(t *testing.T) {
+	tasks, _ := buildTasks("all", figOpts{seed: 1, parallel: 1, cores: 1})
+	results, err := sweep.Run(context.Background(), sweep.Options{Parallel: 1}, tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/quick.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := sweep.Merged(results)
+	if got == string(want) {
+		return
+	}
+	gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := range gl {
+		if i >= len(wl) || gl[i] != wl[i] {
+			t.Fatalf("line %d: got %q, golden differs (%d vs %d lines)", i+1, gl[i], len(gl), len(wl))
+		}
+	}
+	t.Fatalf("golden has %d lines, got %d", len(wl), len(gl))
 }

@@ -66,8 +66,6 @@ type (
 	ReadResult = hdfs.ReadResult
 	// WriteResult describes one completed pipelined write.
 	WriteResult = hdfs.WriteResult
-	// BalancerReport summarizes a balancer run.
-	BalancerReport = hdfs.BalancerReport
 	// Job is a MapReduce job for Submit.
 	Job = mapred.Job
 	// Trace is a synthetic SWIM-style workload.
@@ -409,16 +407,6 @@ func (s *System) ReadRange(client int, path string, offset, length float64, done
 // instantly for setup). done may be nil.
 func (s *System) Write(client int, path string, size float64, done func(*WriteResult)) {
 	s.shardFor(path).cluster.WriteFile(topology.NodeID(client), path, size, 0, done)
-}
-
-// Balance runs the HDFS balancer until active nodes sit within threshold
-// (fraction of capacity) of the mean utilization. The balancer fans out
-// per shard — each block pool balances its own replica placement — and
-// done (if non-nil) observes one report per shard.
-func (s *System) Balance(threshold float64, done func(BalancerReport)) {
-	for _, sh := range s.shards {
-		sh.cluster.Balance(threshold, 4, done)
-	}
 }
 
 // Submit queues a MapReduce job.

@@ -2,24 +2,22 @@ package classad
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
 // ClassAd is an attribute set. Attribute names are case-insensitive, as in
 // Condor.
 type ClassAd struct {
-	attrs map[string]Expr
-	names map[string]string // lowercase -> original spelling
+	attrs map[string]Expr // keyed by lowercase name
 }
 
 // NewClassAd returns an empty ad.
 func NewClassAd() *ClassAd {
-	return &ClassAd{attrs: make(map[string]Expr), names: make(map[string]string)}
+	return &ClassAd{attrs: make(map[string]Expr)}
 }
 
 // Set assigns a literal value; v may be a string, bool, int, int64,
-// float64, Value, or []string (becoming a list of strings).
+// float64 or Value.
 func (ad *ClassAd) Set(name string, v any) *ClassAd {
 	var val Value
 	switch x := v.(type) {
@@ -35,12 +33,6 @@ func (ad *ClassAd) Set(name string, v any) *ClassAd {
 		val = Num(float64(x))
 	case float64:
 		val = Num(x)
-	case []string:
-		vs := make([]Value, len(x))
-		for i, s := range x {
-			vs[i] = Str(s)
-		}
-		val = ListOf(vs...)
 	default:
 		panic(fmt.Sprintf("classad: unsupported literal type %T", v))
 	}
@@ -49,9 +41,7 @@ func (ad *ClassAd) Set(name string, v any) *ClassAd {
 
 // SetExpr assigns an expression attribute.
 func (ad *ClassAd) SetExpr(name string, e Expr) *ClassAd {
-	key := strings.ToLower(name)
-	ad.attrs[key] = e
-	ad.names[key] = name
+	ad.attrs[strings.ToLower(name)] = e
 	return ad
 }
 
@@ -61,21 +51,11 @@ func (ad *ClassAd) SetExprString(name, src string) *ClassAd {
 	return ad.SetExpr(name, MustParseExpr(src))
 }
 
-// Delete removes an attribute.
-func (ad *ClassAd) Delete(name string) {
-	key := strings.ToLower(name)
-	delete(ad.attrs, key)
-	delete(ad.names, key)
-}
-
 // Has reports whether the attribute exists.
 func (ad *ClassAd) Has(name string) bool {
 	_, ok := ad.attrs[strings.ToLower(name)]
 	return ok
 }
-
-// Len returns the attribute count.
-func (ad *ClassAd) Len() int { return len(ad.attrs) }
 
 // Eval evaluates the named attribute with this ad as MY and target as
 // TARGET (target may be nil).
@@ -85,28 +65,6 @@ func (ad *ClassAd) Eval(name string, target *ClassAd) Value {
 		return Undefined
 	}
 	return e.Eval(&Context{My: ad, Target: target})
-}
-
-// EvalExpr evaluates an arbitrary expression with this ad as MY.
-func (ad *ClassAd) EvalExpr(e Expr, target *ClassAd) Value {
-	return e.Eval(&Context{My: ad, Target: target})
-}
-
-// String renders the ad in ClassAd bracket syntax with attributes sorted
-// for deterministic output.
-func (ad *ClassAd) String() string {
-	keys := make([]string, 0, len(ad.attrs))
-	for k := range ad.attrs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString("[ ")
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s = %s; ", ad.names[k], ad.attrs[k].String())
-	}
-	b.WriteString("]")
-	return b.String()
 }
 
 // Requirements is the conventional attribute name for match constraints.

@@ -1,9 +1,6 @@
 package classad
 
-import (
-	"regexp"
-	"strings"
-)
+import "strings"
 
 // Expr is a ClassAd expression evaluated against a (my, target) ad pair.
 type Expr interface {
@@ -127,10 +124,6 @@ func (n binaryNode) Eval(ctx *Context) Value {
 			return True
 		}
 		return or3(l, r)
-	case "=?=":
-		return Boolean(n.left.Eval(ctx).SameAs(n.right.Eval(ctx)))
-	case "=!=":
-		return Boolean(!n.left.Eval(ctx).SameAs(n.right.Eval(ctx)))
 	}
 	l := n.left.Eval(ctx)
 	r := n.right.Eval(ctx)
@@ -240,154 +233,4 @@ func comparison(op string, l, r Value) Value {
 		return Boolean(cmp >= 0)
 	}
 	return ErrorVal
-}
-
-type ternaryNode struct{ cond, then, els Expr }
-
-func (n ternaryNode) Eval(ctx *Context) Value {
-	c := n.cond.Eval(ctx)
-	switch c.Kind {
-	case KindUndefined, KindError:
-		return c
-	case KindBool:
-		if c.Bool {
-			return n.then.Eval(ctx)
-		}
-		return n.els.Eval(ctx)
-	}
-	return ErrorVal
-}
-
-func (n ternaryNode) String() string {
-	return "(" + n.cond.String() + " ? " + n.then.String() + " : " + n.els.String() + ")"
-}
-
-type listNode struct{ elems []Expr }
-
-func (n listNode) Eval(ctx *Context) Value {
-	vs := make([]Value, len(n.elems))
-	for i, e := range n.elems {
-		vs[i] = e.Eval(ctx)
-	}
-	return Value{Kind: KindList, List: vs}
-}
-
-func (n listNode) String() string {
-	parts := make([]string, len(n.elems))
-	for i, e := range n.elems {
-		parts[i] = e.String()
-	}
-	return "{" + strings.Join(parts, ", ") + "}"
-}
-
-type callNode struct {
-	fn   string // lowercase
-	args []Expr
-}
-
-func (n callNode) Eval(ctx *Context) Value {
-	args := make([]Value, len(n.args))
-	for i, a := range n.args {
-		args[i] = a.Eval(ctx)
-	}
-	switch n.fn {
-	case "member":
-		if len(args) != 2 || args[1].Kind != KindList {
-			return ErrorVal
-		}
-		if args[0].Kind == KindUndefined {
-			return Undefined
-		}
-		for _, e := range args[1].List {
-			if eq := comparison("==", args[0], e); eq.IsTrue() {
-				return True
-			}
-		}
-		return False
-	case "size":
-		if len(args) != 1 {
-			return ErrorVal
-		}
-		switch args[0].Kind {
-		case KindList:
-			return Num(float64(len(args[0].List)))
-		case KindString:
-			return Num(float64(len(args[0].Str)))
-		}
-		return ErrorVal
-	case "strcat":
-		var b strings.Builder
-		for _, a := range args {
-			switch a.Kind {
-			case KindString:
-				b.WriteString(a.Str)
-			case KindNumber, KindBool:
-				b.WriteString(a.String())
-			default:
-				return ErrorVal
-			}
-		}
-		return Str(b.String())
-	case "floor":
-		if len(args) != 1 {
-			return ErrorVal
-		}
-		if f, ok := args[0].Number(); ok {
-			return Num(float64(int64(f)))
-		}
-		return ErrorVal
-	case "ifthenelse":
-		if len(args) != 3 {
-			return ErrorVal
-		}
-		if args[0].Kind == KindBool {
-			if args[0].Bool {
-				return args[1]
-			}
-			return args[2]
-		}
-		return ErrorVal
-	case "isundefined":
-		if len(args) != 1 {
-			return ErrorVal
-		}
-		return Boolean(args[0].Kind == KindUndefined)
-	case "regexp":
-		// regexp(pattern, target) — Condor's RE match builtin.
-		if len(args) != 2 || args[0].Kind != KindString {
-			return ErrorVal
-		}
-		if args[1].Kind == KindUndefined {
-			return Undefined
-		}
-		if args[1].Kind != KindString {
-			return ErrorVal
-		}
-		re, err := regexp.Compile(args[0].Str)
-		if err != nil {
-			return ErrorVal
-		}
-		return Boolean(re.MatchString(args[1].Str))
-	case "stringlistmember":
-		// stringListMember(item, "a,b,c") — membership in a comma list,
-		// case-insensitively like Condor string comparison.
-		if len(args) != 2 || args[0].Kind != KindString || args[1].Kind != KindString {
-			return ErrorVal
-		}
-		for _, part := range strings.Split(args[1].Str, ",") {
-			if strings.EqualFold(strings.TrimSpace(part), args[0].Str) {
-				return True
-			}
-		}
-		return False
-	}
-	return ErrorVal
-}
-
-func (n callNode) String() string {
-	parts := make([]string, len(n.args))
-	for i, a := range n.args {
-		parts[i] = a.String()
-	}
-	return n.fn + "(" + strings.Join(parts, ", ") + ")"
 }

@@ -79,7 +79,7 @@ func caLex(src string) ([]caToken, error) {
 			pos++
 			toks = append(toks, caToken{kind: caString, text: b.String()})
 		default:
-			for _, op := range []string{"=?=", "=!=", "==", "!=", "<=", ">=", "&&", "||"} {
+			for _, op := range []string{"==", "!=", "<=", ">=", "&&", "||"} {
 				if strings.HasPrefix(src[pos:], op) {
 					toks = append(toks, caToken{kind: caOp, text: op})
 					pos += len(op)
@@ -87,8 +87,7 @@ func caLex(src string) ([]caToken, error) {
 				}
 			}
 			switch c {
-			case '=', '<', '>', '+', '-', '*', '/', '%', '(', ')', '[', ']',
-				'{', '}', ',', ';', '.', '?', ':', '!':
+			case '<', '>', '+', '-', '*', '/', '%', '(', ')', '.', '!':
 				toks = append(toks, caToken{kind: caOp, text: string(c)})
 				pos++
 			default:
@@ -109,20 +108,6 @@ func asciiIdentStart(c byte) bool {
 
 func asciiIdentPart(c byte) bool {
 	return asciiIdentStart(c) || c >= '0' && c <= '9'
-}
-
-// validAttrName reports whether s is a legal attribute name (an ASCII
-// identifier).
-func validAttrName(s string) bool {
-	if s == "" || !asciiIdentStart(s[0]) {
-		return false
-	}
-	for i := 1; i < len(s); i++ {
-		if !asciiIdentPart(s[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 type caParser struct {
@@ -155,7 +140,7 @@ func ParseExpr(src string) (Expr, error) {
 		return nil, err
 	}
 	p := &caParser{toks: toks}
-	e, err := p.parseExpr()
+	e, err := p.parseOr()
 	if err != nil {
 		return nil, err
 	}
@@ -172,31 +157,6 @@ func MustParseExpr(src string) Expr {
 		panic(err)
 	}
 	return e
-}
-
-// parseExpr := ternary
-func (p *caParser) parseExpr() (Expr, error) { return p.parseTernary() }
-
-func (p *caParser) parseTernary() (Expr, error) {
-	cond, err := p.parseOr()
-	if err != nil {
-		return nil, err
-	}
-	if !p.accept("?") {
-		return cond, nil
-	}
-	then, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if !p.accept(":") {
-		return nil, fmt.Errorf("classad: expected ':' in ternary")
-	}
-	els, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	return ternaryNode{cond: cond, then: then, els: els}, nil
 }
 
 func (p *caParser) parseOr() (Expr, error) {
@@ -234,7 +194,7 @@ func (p *caParser) parseCmp() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, op := range []string{"=?=", "=!=", "==", "!=", "<=", ">=", "<", ">"} {
+	for _, op := range []string{"==", "!=", "<=", ">=", "<", ">"} {
 		if p.accept(op) {
 			right, err := p.parseAdd()
 			if err != nil {
@@ -338,27 +298,6 @@ func (p *caParser) parsePrimary() (Expr, error) {
 			return litNode{v: ErrorVal}, nil
 		}
 		p.next()
-		// Function call?
-		if p.peek().kind == caOp && p.peek().text == "(" {
-			p.next()
-			var args []Expr
-			if !p.accept(")") {
-				for {
-					a, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					args = append(args, a)
-					if p.accept(")") {
-						break
-					}
-					if !p.accept(",") {
-						return nil, fmt.Errorf("classad: expected ',' or ')' in call")
-					}
-				}
-			}
-			return callNode{fn: name, args: args}, nil
-		}
 		// Scoped reference my.X / target.X?
 		if (name == "my" || name == "target") && p.accept(".") {
 			attr := p.next()
@@ -369,10 +308,9 @@ func (p *caParser) parsePrimary() (Expr, error) {
 		}
 		return attrNode{name: name}, nil
 	case caOp:
-		switch tok.text {
-		case "(":
+		if tok.text == "(" {
 			p.next()
-			e, err := p.parseExpr()
+			e, err := p.parseOr()
 			if err != nil {
 				return nil, err
 			}
@@ -380,118 +318,7 @@ func (p *caParser) parsePrimary() (Expr, error) {
 				return nil, fmt.Errorf("classad: expected ')'")
 			}
 			return e, nil
-		case "{":
-			p.next()
-			var elems []Expr
-			if !p.accept("}") {
-				for {
-					e, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					elems = append(elems, e)
-					if p.accept("}") {
-						break
-					}
-					if !p.accept(",") {
-						return nil, fmt.Errorf("classad: expected ',' or '}' in list")
-					}
-				}
-			}
-			return listNode{elems: elems}, nil
 		}
 	}
 	return nil, fmt.Errorf("classad: unexpected token %q", tok.text)
-}
-
-// Parse parses a full ClassAd in the "[ name = expr; ... ]" syntax (the
-// brackets are optional; semicolons or newlines separate attributes).
-func Parse(src string) (*ClassAd, error) {
-	src = strings.TrimSpace(src)
-	src = strings.TrimPrefix(src, "[")
-	src = strings.TrimSuffix(src, "]")
-	ad := NewClassAd()
-	// Split on semicolons and newlines, but not inside strings/braces.
-	for _, stmt := range splitStatements(src) {
-		stmt = strings.TrimSpace(stmt)
-		if stmt == "" {
-			continue
-		}
-		eq := indexTopLevelEq(stmt)
-		if eq < 0 {
-			return nil, fmt.Errorf("classad: statement %q has no '='", stmt)
-		}
-		name := strings.TrimSpace(stmt[:eq])
-		if !validAttrName(name) {
-			return nil, fmt.Errorf("classad: bad attribute name %q", name)
-		}
-		e, err := ParseExpr(stmt[eq+1:])
-		if err != nil {
-			return nil, err
-		}
-		ad.SetExpr(name, e)
-	}
-	return ad, nil
-}
-
-func splitStatements(src string) []string {
-	var out []string
-	depth := 0
-	inStr := false
-	start := 0
-	for i := 0; i < len(src); i++ {
-		c := src[i]
-		switch {
-		case inStr:
-			if c == '\\' {
-				i++
-			} else if c == '"' {
-				inStr = false
-			}
-		case c == '"':
-			inStr = true
-		case c == '{' || c == '(' || c == '[':
-			depth++
-		case c == '}' || c == ')' || c == ']':
-			depth--
-		case (c == ';' || c == '\n') && depth == 0:
-			out = append(out, src[start:i])
-			start = i + 1
-		}
-	}
-	return append(out, src[start:])
-}
-
-// indexTopLevelEq finds the first '=' that is an assignment (not ==, =?=,
-// =!=, <=, >=, !=).
-func indexTopLevelEq(s string) int {
-	inStr := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if inStr {
-			if c == '\\' {
-				i++
-			} else if c == '"' {
-				inStr = false
-			}
-			continue
-		}
-		if c == '"' {
-			inStr = true
-			continue
-		}
-		if c != '=' {
-			continue
-		}
-		if i > 0 && (s[i-1] == '<' || s[i-1] == '>' || s[i-1] == '!' || s[i-1] == '=') {
-			continue
-		}
-		if i+1 < len(s) && (s[i+1] == '=' || s[i+1] == '?' || s[i+1] == '!') {
-			// ==, =?=, =!= are comparisons.
-			i++
-			continue
-		}
-		return i
-	}
-	return -1
 }

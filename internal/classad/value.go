@@ -1,6 +1,9 @@
-// Package classad implements the Condor ClassAd language: attribute sets
-// whose values are lazily evaluated expressions, with the three-valued
+// Package classad implements the part of the Condor ClassAd language that
+// ERMS's matchmaking uses: attribute sets whose values are lazily evaluated
+// expressions over booleans, numbers and strings, with the three-valued
 // (undefined/error-propagating) semantics Condor matchmaking relies on.
+// Lists, ?:, function calls, meta-equality (=?=) and the bracketed whole-ad
+// text form are not implemented; ParseExpr rejects them.
 //
 // ERMS uses ClassAds the way the paper describes: machine ads advertise
 // datanode characteristics (rack, active/standby state, free capacity,
@@ -11,7 +14,6 @@ package classad
 import (
 	"fmt"
 	"strconv"
-	"strings"
 )
 
 // Kind discriminates Value.
@@ -26,7 +28,6 @@ const (
 	KindBool
 	KindNumber
 	KindString
-	KindList
 )
 
 // Value is an evaluated ClassAd expression result.
@@ -35,7 +36,6 @@ type Value struct {
 	Bool bool
 	Num  float64
 	Str  string
-	List []Value
 }
 
 // Convenience constructors.
@@ -59,9 +59,6 @@ func Boolean(b bool) Value {
 	}
 	return False
 }
-
-// ListOf returns a list value.
-func ListOf(vs ...Value) Value { return Value{Kind: KindList, List: vs} }
 
 // IsTrue reports whether the value is the boolean true (the only value that
 // satisfies a Requirements clause).
@@ -101,41 +98,6 @@ func (v Value) String() string {
 		return strconv.FormatFloat(v.Num, 'g', -1, 64)
 	case KindString:
 		return strconv.Quote(v.Str)
-	case KindList:
-		parts := make([]string, len(v.List))
-		for i, e := range v.List {
-			parts[i] = e.String()
-		}
-		return "{" + strings.Join(parts, ", ") + "}"
 	}
 	return fmt.Sprintf("unknown(%d)", v.Kind)
-}
-
-// SameAs is the meta-equality used by =?= : identical kind and content,
-// with no undefined-propagation.
-func (v Value) SameAs(o Value) bool {
-	if v.Kind != o.Kind {
-		return false
-	}
-	switch v.Kind {
-	case KindUndefined, KindError:
-		return true
-	case KindBool:
-		return v.Bool == o.Bool
-	case KindNumber:
-		return v.Num == o.Num
-	case KindString:
-		return v.Str == o.Str
-	case KindList:
-		if len(v.List) != len(o.List) {
-			return false
-		}
-		for i := range v.List {
-			if !v.List[i].SameAs(o.List[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	return false
 }

@@ -99,18 +99,53 @@ func TestRequirementsRestrictPlacement(t *testing.T) {
 	}
 }
 
+// TestRankPrefersBetterMachine runs the job ad ERMS ships (active nodes
+// only, most free space first) through the negotiator: Rank picks among the
+// machines Requirements admits, a tie goes to the machine advertised first,
+// and a machine whose ad has no State never matches.
 func TestRankPrefersBetterMachine(t *testing.T) {
-	e := sim.NewEngine()
-	s := New(e, Config{NegotiationPeriod: time.Second})
-	s.Advertise("small", classad.NewClassAd().Set("FreeGB", 10), 1)
-	s.Advertise("big", classad.NewClassAd().Set("FreeGB", 500), 1)
-	var got []string
-	j := instantJob("place", &got)
-	j.Ad = classad.NewClassAd().SetExprString("Rank", "target.FreeGB")
-	s.Submit(j)
-	e.RunUntil(2 * time.Second)
-	if len(got) != 1 || got[0] != "place@big" {
-		t.Fatalf("got = %v", got)
+	type machine struct {
+		name  string
+		state string // "" leaves State out of the ad
+		free  int
+	}
+	for _, tc := range []struct {
+		name     string
+		machines []machine
+		want     string // "" = the job stays pending
+	}{
+		{"unequal FreeGB", []machine{{"small", "active", 10}, {"big", "active", 500}}, "place@big"},
+		{"tied FreeGB", []machine{{"first", "active", 50}, {"second", "active", 50}}, "place@first"},
+		{"roomier machine is standby", []machine{{"small", "active", 10}, {"big", "standby", 500}}, "place@small"},
+		{"roomier machine has no State", []machine{{"small", "active", 10}, {"big", "", 500}}, "place@small"},
+		{"no machine advertises State", []machine{{"a", "", 10}, {"b", "", 500}}, ""},
+		{"every machine is down", []machine{{"a", "down", 10}, {"b", "decommissioning", 500}}, ""},
+	} {
+		e := sim.NewEngine()
+		s := New(e, Config{NegotiationPeriod: time.Second})
+		for _, m := range tc.machines {
+			ad := classad.NewClassAd().Set("FreeGB", m.free)
+			if m.state != "" {
+				ad.Set("State", m.state)
+			}
+			s.Advertise(m.name, ad, 1)
+		}
+		var got []string
+		j := instantJob("place", &got)
+		j.Ad = classad.NewClassAd().
+			SetExprString("Requirements", `target.State == "active"`).
+			SetExprString("Rank", "target.FreeGB")
+		s.Submit(j)
+		e.RunUntil(2 * time.Second)
+		if tc.want == "" {
+			if len(got) != 0 || s.Pending() != 1 {
+				t.Errorf("%s: ran %v, pending %d; want the job to wait", tc.name, got, s.Pending())
+			}
+			continue
+		}
+		if len(got) != 1 || got[0] != tc.want {
+			t.Errorf("%s: got %v, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 

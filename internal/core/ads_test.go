@@ -29,8 +29,10 @@ func readvertised(t *testing.T, h *hdfs.Cluster, m *Manager, before map[string]*
 		if now[d.Name] != before[d.Name] {
 			out = append(out, d.ID)
 		}
-		if got, want := now[d.Name].String(), m.machineAd(d).String(); got != want {
-			t.Fatalf("%s advertises %s, a rebuild would advertise %s", d.Name, got, want)
+		for _, attr := range []string{"Name", "Rack", "State", "StandbyPool", "FreeGB"} {
+			if got, want := now[d.Name].Eval(attr, nil), m.machineAd(d).Eval(attr, nil); got != want {
+				t.Fatalf("%s advertises %s = %v, a rebuild would advertise %v", d.Name, attr, got, want)
+			}
 		}
 	}
 	return out
@@ -90,5 +92,60 @@ func TestRefreshAdsReadvertisesOnlyChangedNodes(t *testing.T) {
 	free, _ := adPointers(m)[d.Name].Eval("FreeGB", nil).Number()
 	if want := d.Free() / topology.GB; free != want {
 		t.Fatalf("node %d advertises FreeGB %v, has %v", d.ID, free, want)
+	}
+}
+
+// TestReplicateAdAgainstMachineAds pins the one job ad ERMS ships against
+// the machine ads it advertises: only an active datanode matches, an ad
+// with no State (undefined Requirements) does not, and Rank orders matches
+// by free space.
+func TestReplicateAdAgainstMachineAds(t *testing.T) {
+	_, h, m := testbed(t, smallThresholds())
+	d := h.Datanode(0)
+	adIn := func(s hdfs.NodeState, used float64) *classad.ClassAd {
+		state, was := d.State, d.Used
+		d.State, d.Used = s, used
+		defer func() { d.State, d.Used = state, was }()
+		return m.machineAd(d)
+	}
+	stateless := classad.NewClassAd().Set("Name", "bare").Set("FreeGB", 10)
+	if got := replicateAd.Eval(classad.Requirements, stateless); got != classad.Undefined {
+		t.Errorf("Requirements against an ad with no State = %v, want undefined", got)
+	}
+	for _, tc := range []struct {
+		name    string
+		machine *classad.ClassAd
+		match   bool
+	}{
+		{"active", adIn(hdfs.StateActive, 0), true},
+		{"standby", adIn(hdfs.StateStandby, 0), false},
+		{"down", adIn(hdfs.StateDown, 0), false},
+		{"decommissioning", adIn(hdfs.StateDecommissioning, 0), false},
+		{"decommissioned", adIn(hdfs.StateDecommissioned, 0), false},
+		{"no State attribute", stateless, false},
+	} {
+		if got := classad.Match(replicateAd, tc.machine); got != tc.match {
+			t.Errorf("%s: Match = %v, want %v", tc.name, got, tc.match)
+		}
+	}
+
+	empty, half := adIn(hdfs.StateActive, 0), adIn(hdfs.StateActive, d.Capacity/2)
+	for _, tc := range []struct {
+		name string
+		a, b *classad.ClassAd
+		cmp  int // sign of RankOf(a) - RankOf(b)
+	}{
+		{"more free space ranks higher", empty, half, 1},
+		{"less free space ranks lower", half, empty, -1},
+		{"equal free space ties", half, adIn(hdfs.StateActive, d.Capacity/2), 0},
+		{"no FreeGB ranks 0, below any free space", classad.NewClassAd(), half, -1},
+	} {
+		ra, rb := classad.RankOf(replicateAd, tc.a), classad.RankOf(replicateAd, tc.b)
+		if (ra > rb) != (tc.cmp > 0) || (ra < rb) != (tc.cmp < 0) {
+			t.Errorf("%s: ranks %v vs %v", tc.name, ra, rb)
+		}
+	}
+	if want := d.Capacity / topology.GB; classad.RankOf(replicateAd, empty) != want {
+		t.Errorf("rank of an empty node = %v, want its FreeGB %v", classad.RankOf(replicateAd, empty), want)
 	}
 }

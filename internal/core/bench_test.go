@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -16,7 +17,7 @@ import (
 // benchCluster builds the standard 18-node testbed with nFiles populated
 // files and a window's worth of audit + block-read traffic already flowing
 // through the judge's CEP statements.
-func benchCluster(b *testing.B, nFiles, reads int) (*sim.Engine, *Manager) {
+func benchCluster(b testing.TB, nFiles, reads int) (*sim.Engine, *Manager) {
 	b.Helper()
 	e := sim.NewEngine()
 	topo := topology.New(topology.Config{})
@@ -62,15 +63,17 @@ func BenchmarkJudgePass(b *testing.B) {
 	}
 }
 
-// BenchmarkJudgePassWide is the judge pass at the shape the end-to-end
-// benchmark's hot-small workload has and BenchmarkJudgePass's 50 files on
-// 18 nodes cannot show: 102 datanodes, 50 000 one-block files, and a
-// window of 40 000 Zipf(1.1) reads with every datanode over τ_DN, so the
-// namespace sweep covers 50 000 mostly idle files and formula (4) asks for
-// every node's top contributor. Replica selection is as skewed as the
-// reads — the least-read node serves 7 of them, the busiest 4 455 — so
-// τ_DN is set to 6 rather than the reads multiplied by seven.
-func BenchmarkJudgePassWide(b *testing.B) {
+// wideJudge is the judge at the shape the end-to-end benchmark's hot-small
+// workload has and benchCluster's 50 files on 18 nodes cannot show: 102
+// datanodes, 50 000 one-block files, and a window of 40 000 Zipf(1.1) reads
+// with every datanode over τ_DN, so the namespace sweep covers 50 000
+// mostly idle files and formula (4) asks for every node's top contributor.
+// Replica selection is as skewed as the reads — the least-read node serves
+// 7 of them, the busiest 4 455 — so τ_DN is set to 6 rather than the reads
+// multiplied by seven. The first pass, which sizes the judge's scratch, has
+// already run.
+func wideJudge(b testing.TB) *Judge {
+	b.Helper()
 	const nodes, nFiles, reads = 102, 50000, 40000
 	e := sim.NewEngine()
 	topo := topology.New(topology.Config{Racks: 17, NodeCount: nodes})
@@ -103,7 +106,13 @@ func BenchmarkJudgePassWide(b *testing.B) {
 	if over != nodes {
 		b.Fatalf("%d of %d datanodes over τ_DN; the window is sized for all", over, nodes)
 	}
-	j.Evaluate() // the first pass sizes the judge's scratch; time the steady state
+	j.Evaluate()
+	return j
+}
+
+// BenchmarkJudgePassWide is the steady-state judge pass over wideJudge.
+func BenchmarkJudgePassWide(b *testing.B) {
+	j := wideJudge(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -113,20 +122,64 @@ func BenchmarkJudgePassWide(b *testing.B) {
 	}
 }
 
-// BenchmarkAuditIngest measures the log-parser edge: one audit record
+// auditIngest returns one step of the log-parser edge: one audit record
 // flowing through the judge's subscriber into the typed Access event and
 // the CEP window.
-func BenchmarkAuditIngest(b *testing.B) {
+func auditIngest(b testing.TB) func() {
 	_, m := benchCluster(b, 8, 0)
 	audit := m.Judge().cluster.Audit()
 	rec := auditlog.Record{
 		Allowed: true, UGI: "hadoop", IP: "10.0.0.2",
 		Cmd: auditlog.CmdOpen, Src: "/bench/f001",
 	}
+	i := 0
+	return func() {
+		rec.Time = time.Duration(i) * time.Millisecond
+		audit.Append(rec)
+		i++
+	}
+}
+
+// BenchmarkAuditIngest measures auditIngest.
+func BenchmarkAuditIngest(b *testing.B) {
+	ingest := auditIngest(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec.Time = time.Duration(i) * time.Millisecond
-		audit.Append(rec)
+		ingest()
 	}
+}
+
+// TestJudgeAllocCeilings holds the judge hot path to the allocation
+// budgets its benchmarks report, on every `go test`: allocs/op does not
+// depend on the host, so it is gated here and ns/op is left to paired
+// runs (`make benchpair`).
+func TestJudgeAllocCeilings(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the ceilings are for uninstrumented builds")
+	}
+	if n := testing.AllocsPerRun(1000, auditIngest(t)); n != 0 {
+		t.Errorf("AuditIngest: %v allocs/op, want 0", n)
+	}
+	_, m := benchCluster(t, 50, 2000)
+	if n := testing.AllocsPerRun(100, func() { m.Judge().Evaluate() }); n > 80 {
+		t.Errorf("JudgePass: %v allocs/op, ceiling 80", n)
+	}
+	wide := wideJudge(t)
+	if n := testing.AllocsPerRun(10, func() { wide.Evaluate() }); n > 430 {
+		t.Errorf("JudgePassWide: %v allocs/op, ceiling 430", n)
+	}
+}
+
+// raceBuild reports whether this test binary was built with -race, whose
+// instrumentation allocates on its own account.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }

@@ -374,6 +374,13 @@ func (m *Manager) RunJudgeOnce() {
 	tr.End(sp)
 }
 
+// replicateAd is the job ad of every replication increase: run on an active
+// datanode, the one with the most free space first. It is parsed once and
+// shared, never modified — the scheduler only reads a job's ad.
+var replicateAd = classad.NewClassAd().
+	SetExprString("Requirements", `target.State == "active"`).
+	SetExprString("Rank", "target.FreeGB")
+
 // act converts one decision into a Condor job.
 func (m *Manager) act(d Decision) {
 	m.history = append(m.history, d)
@@ -390,9 +397,7 @@ func (m *Manager) act(d Decision) {
 		job = &condor.Job{
 			Name:  fmt.Sprintf("replicate:%s:r%d", path, d.TargetRepl),
 			Class: condor.ClassImmediate,
-			Ad: classad.NewClassAd().
-				SetExprString("Requirements", `target.State == "active"`).
-				SetExprString("Rank", "target.FreeGB"),
+			Ad:    replicateAd,
 			Run: func(_ *condor.Machine, done func(error)) {
 				m.cluster.SetReplication(path, d.TargetRepl, hdfs.WholeAtOnce, done)
 			},

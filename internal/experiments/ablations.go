@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"math"
 	"math/rand"
+	"strconv"
 	"time"
 
 	"erms/internal/core"
@@ -23,12 +25,10 @@ type AblationPlacementRow struct {
 	// disturbs a node that keeps serving, i.e. would trigger balancer
 	// work in real HDFS).
 	RemovalsFromActive int
-	// BalancerMB is the traffic the HDFS balancer then moves to even the
-	// always-on nodes back out. Note this is usually ~0 for both policies
-	// at test scale — the interesting cost of the default policy is the 40
-	// deletions hitting serving nodes, not residual imbalance — but the
-	// column keeps the claim falsifiable.
-	BalancerMB float64
+	// SkewMB is the imbalance the shrink leaves behind: the gap between
+	// the fullest and the emptiest always-on node. Under Algorithm 1 it is
+	// the base placement's own, since no always-on node lost a replica.
+	SkewMB float64
 }
 
 // AblationPlacement grows a file from 3 to 8 replicas and shrinks it back,
@@ -97,21 +97,13 @@ func AblationPlacement() []AblationPlacementRow {
 				}
 			}
 		}
-		// Quantify the rebalancing debt left behind: power drained pool
-		// nodes back down (as the manager would), then run the balancer
-		// over the remaining active nodes with a half-block tolerance and
-		// count the bytes it has to shuffle.
-		for id := range poolSet {
-			if tb.Cluster.Datanode(id).NumBlocks() == 0 {
-				tb.Cluster.ToStandby(id)
+		minUsed, maxUsed := math.Inf(1), math.Inf(-1)
+		for _, d := range tb.Cluster.Datanodes() {
+			if !poolSet[d.ID] {
+				minUsed, maxUsed = math.Min(minUsed, d.Used), math.Max(maxUsed, d.Used)
 			}
 		}
-		halfBlock := 32 * MB / tb.Cluster.Datanode(0).Capacity
-		var bal hdfs.BalancerReport
-		tb.Cluster.Balance(halfBlock, 4, func(r hdfs.BalancerReport) { bal = r })
-		horizon := tb.Engine.Now() + time.Hour
-		tb.Engine.RunUntil(horizon)
-		row.BalancerMB = bal.BytesMoved / MB
+		row.SkewMB = (maxUsed - minUsed) / MB
 		if tb.Manager != nil {
 			tb.Manager.Stop()
 		}
@@ -124,10 +116,10 @@ func AblationPlacement() []AblationPlacementRow {
 func AblationPlacementTable(rows []AblationPlacementRow) *metrics.Table {
 	t := &metrics.Table{
 		Title:   "Ablation: where cool-down deletions land (grow 3->8->3, 512 MB file)",
-		Columns: []string{"policy", "removed_from_pool", "removed_from_active", "balancer_MB"},
+		Columns: []string{"policy", "removed_from_pool", "removed_from_active", "active_skew_MB"},
 	}
 	for _, r := range rows {
-		t.AddRowValues(r.Policy, r.RemovalsFromPool, r.RemovalsFromActive, r.BalancerMB)
+		t.AddRowValues(r.Policy, r.RemovalsFromPool, r.RemovalsFromActive, r.SkewMB)
 	}
 	return t
 }
@@ -149,7 +141,7 @@ func AblationIdleScheduling() []AblationIdleRow {
 		e := tb.Engine
 		// Ten cold files to encode, one hot file being read.
 		for i := 0; i < 10; i++ {
-			if _, err := tb.Cluster.CreateFile("/cold"+itoa(i), 640*MB, 3, -1); err != nil {
+			if _, err := tb.Cluster.CreateFile("/cold"+strconv.Itoa(i), 640*MB, 3, -1); err != nil {
 				panic(err)
 			}
 		}
@@ -158,7 +150,7 @@ func AblationIdleScheduling() []AblationIdleRow {
 		}
 		sched := condorLike(tb, immediate)
 		for i := 0; i < 10; i++ {
-			path := "/cold" + itoa(i)
+			path := "/cold" + strconv.Itoa(i)
 			sched.submit(func(done func(error)) {
 				tb.Cluster.EncodeFile(path, 10, 4, done)
 			})
@@ -402,67 +394,17 @@ func ReliabilityTable(rows []ReliabilityRow) *metrics.Table {
 	return t
 }
 
-// AblationThresholdRow sweeps τ_M: the performance/storage trade-off the
-// paper notes ("We can get high performance with a high overhead cost if
-// these thresholds are low").
-type AblationThresholdRow struct {
-	TauM        float64
-	Throughput  float64 // avg per-job read throughput MB/s
-	PeakStorage float64 // GB (sampled per minute; short spikes may fall between samples)
-	ReplicaMB   float64 // replication traffic: the management cost of elasticity
-	Increases   int
-}
-
-// AblationThresholds reruns the Fig-3 FIFO workload at several τ_M values.
-func AblationThresholds(seed int64, duration time.Duration, tauMs []float64) []AblationThresholdRow {
-	if duration <= 0 {
-		duration = 45 * time.Minute
-	}
-	if len(tauMs) == 0 {
-		tauMs = []float64{12, 8, 6, 4, 2}
-	}
-	var rows []AblationThresholdRow
-	for _, tm := range tauMs {
-		row := runThresholdVariant(seed, duration, tm)
-		rows = append(rows, row)
-	}
-	return rows
-}
-
-func runThresholdVariant(seed int64, duration time.Duration, tauM float64) AblationThresholdRow {
-	fig3 := Fig3Config{Seed: seed, Duration: duration, Files: 16, TauMs: []float64{tauM}}
-	fig3.applyDefaults()
-	// Reuse the fig3 machinery for one variant, adding storage tracking.
-	th := core.Thresholds{
-		TauM:    tauM,
-		Window:  5 * time.Minute,
-		ColdAge: 24 * time.Hour,
-	}
-	tb := NewERMS(18, 0, th, time.Minute)
-	trace := synthesizeFig3Trace(fig3)
-	peak := 0.0
-	sim.NewTicker(tb.Engine, time.Minute, func(time.Duration) {
-		if u := tb.Cluster.TotalUsed(); u > peak {
-			peak = u
-		}
-	})
-	row := AblationThresholdRow{TauM: tauM}
-	tp := runTraceFIFO(tb, trace)
-	row.Throughput = tp
-	row.PeakStorage = peak / GB
-	row.ReplicaMB = tb.Cluster.Metrics().ReplicationMB
-	row.Increases = tb.Manager.Stats().Increases
-	return row
-}
-
-// AblationThresholdsTable renders the sweep.
-func AblationThresholdsTable(rows []AblationThresholdRow) *metrics.Table {
+// AblationThresholdsTable renders the τ_M slice of the threshold sweep
+// (one window, one seed) as the performance/overhead trade-off the paper
+// notes: "We can get high performance with a high overhead cost if these
+// thresholds are low".
+func AblationThresholdsTable(rows []ThresholdSweepRow) *metrics.Table {
 	t := &metrics.Table{
 		Title:   "Ablation: tau_M sweep — performance vs management overhead",
 		Columns: []string{"tau_M", "throughput_MBps", "peak_storage_GB", "replication_MB", "increase_jobs"},
 	}
 	for _, r := range rows {
-		t.AddRowValues(r.TauM, r.Throughput, r.PeakStorage, r.ReplicaMB, r.Increases)
+		t.AddRowValues(r.TauM, r.Throughput, r.PeakGB, r.ReplicaMB, r.Increases)
 	}
 	return t
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -109,9 +110,10 @@ func TestReliabilityShape(t *testing.T) {
 }
 
 func TestAblationThresholdsTradeoff(t *testing.T) {
-	rows := AblationThresholds(1, 40*time.Minute, []float64{12, 4})
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
+	rows, _, err := ThresholdSweep(context.Background(), ThresholdSweepConfig{
+		Duration: 40 * time.Minute, Files: 16, TauMs: []float64{12, 4}, WindowsMin: []float64{5}})
+	if err != nil || len(rows) != 2 {
+		t.Fatalf("rows = %d, err = %v", len(rows), err)
 	}
 	conservative, aggressive := rows[0], rows[1]
 	if conservative.TauM != 12 || aggressive.TauM != 4 {

@@ -111,22 +111,3 @@ func (b *BackgroundLoad) Stop() {
 	}
 	b.stops = nil
 }
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf []byte
-	for v > 0 {
-		buf = append([]byte{byte('0' + v%10)}, buf...)
-		v /= 10
-	}
-	if neg {
-		return "-" + string(buf)
-	}
-	return string(buf)
-}

@@ -2,20 +2,17 @@ package experiments
 
 import (
 	"fmt"
+	"runtime/debug"
 	"testing"
 	"time"
 
 	"erms"
 )
 
-// BenchmarkShardedJudgePass is the federated twin of core's
-// BenchmarkJudgePass: one full judging pass over every shard of a 4-way
-// federation with a populated window. Each shard owns its own judge and
-// CEP pipeline, so the pass should cost roughly what four quarter-size
-// single-namenode passes cost — and, like the single-judge hot path, it
-// must stay allocation-stable (cmd/benchdiff fails the gate if allocs/op
-// grow on any *JudgePass* benchmark).
-func BenchmarkShardedJudgePass(b *testing.B) {
+// shardedJudgePass returns one full judging pass over every shard of a
+// 4-way federation with a populated window, reporting the decisions made.
+func shardedJudgePass(b testing.TB) func() int {
+	b.Helper()
 	sys := erms.NewSystem(erms.Options{
 		Shards:      4,
 		JudgePeriod: time.Hour, // drive judging manually
@@ -36,17 +33,54 @@ func BenchmarkShardedJudgePass(b *testing.B) {
 		})
 	}
 	e.RunUntil(5 * time.Minute) // all reads issued and streamed
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() int {
 		total := 0
 		for s := 0; s < sys.Shards(); s++ {
 			total += len(sys.Shard(s).Manager().Judge().Evaluate())
 		}
-		if total == 0 {
+		return total
+	}
+}
+
+// BenchmarkShardedJudgePass is the federated twin of core's
+// BenchmarkJudgePass. Each shard owns its own judge and CEP pipeline, so
+// the pass should cost roughly what four quarter-size single-namenode
+// passes cost.
+func BenchmarkShardedJudgePass(b *testing.B) {
+	pass := shardedJudgePass(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if pass() == 0 {
 			b.Fatal("expected decisions from a hot window")
 		}
 	}
+}
+
+// TestShardedJudgePassAllocCeiling: like the single-judge hot path
+// (core's TestJudgeAllocCeilings), the federated pass must stay
+// allocation-stable.
+func TestShardedJudgePassAllocCeiling(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the ceiling is for uninstrumented builds")
+	}
+	pass := shardedJudgePass(t)
+	if n := testing.AllocsPerRun(100, func() { pass() }); n > 79 {
+		t.Errorf("ShardedJudgePass: %v allocs/op, ceiling 79", n)
+	}
+}
+
+// raceBuild reports whether this test binary was built with -race, whose
+// instrumentation allocates on its own account.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }
 
 // failoverBenchSystem is the failover cycle's bench fixture: four journaled

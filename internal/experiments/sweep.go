@@ -94,9 +94,9 @@ type ThresholdSweepRow struct {
 	MM         float64 // resolved M_M (scale · τ_M)
 	Throughput float64 // avg per-job read throughput MB/s
 	PeakGB     float64 // peak storage (per-minute samples)
-	ReplicaGB  float64 // replication traffic: the cost of elasticity
+	ReplicaMB  float64 // replication traffic: the cost of elasticity
 	Increases  int
-	Score      float64 // Throughput − Lambda·ReplicaGB
+	Score      float64 // Throughput − Lambda·(ReplicaMB in GB)
 }
 
 // ThresholdSweep runs the grid on the sweep engine and returns one row per
@@ -148,9 +148,9 @@ func runThresholdSweepCell(cfg ThresholdSweepConfig, p sweep.Point) ThresholdSwe
 	row := ThresholdSweepRow{Seed: p.Seed, TauM: tauM, WindowMin: winMin, Epsilon: eps, MM: th.MM}
 	row.Throughput = runTraceFIFO(tb, trace)
 	row.PeakGB = peak / GB
-	row.ReplicaGB = tb.Cluster.Metrics().ReplicationMB * MB / GB
+	row.ReplicaMB = tb.Cluster.Metrics().ReplicationMB
 	row.Increases = tb.Manager.Stats().Increases
-	row.Score = row.Throughput - cfg.Lambda*row.ReplicaGB
+	row.Score = row.Throughput - cfg.Lambda*(row.ReplicaMB*MB/GB)
 	return row
 }
 
@@ -195,7 +195,7 @@ func ThresholdSweepTable(cfg ThresholdSweepConfig, rows []ThresholdSweepRow) *me
 		Columns: []string{"seed", "tau_M", "win_min", "eps", "M_M", "throughput_MBps", "peak_GB", "replication_GB", "increases", "score"},
 	}
 	for _, r := range rows {
-		t.AddRowValues(int(r.Seed), r.TauM, r.WindowMin, r.Epsilon, r.MM, r.Throughput, r.PeakGB, r.ReplicaGB, r.Increases, r.Score)
+		t.AddRowValues(int(r.Seed), r.TauM, r.WindowMin, r.Epsilon, r.MM, r.Throughput, r.PeakGB, r.ReplicaMB*MB/GB, r.Increases, r.Score)
 	}
 	if w, seeds := ThresholdSweepWinner(rows); seeds > 0 {
 		t.AddRowValues("winner", w.TauM, w.WindowMin, w.Epsilon, w.MM, "", "", "", "",

@@ -115,9 +115,8 @@ func TestThresholdSweepCancellation(t *testing.T) {
 }
 
 // BenchmarkSweep measures the sweep engine on a small real grid, serial vs
-// parallel — the speedup headline for the benchdiff baseline. On a 1-core
-// runner the two converge; on N cores parallel approaches the critical
-// path (slowest cell).
+// parallel — the speedup headline. On a 1-core runner the two converge;
+// on N cores parallel approaches the critical path (slowest cell).
 func BenchmarkSweep(b *testing.B) {
 	cfg := ThresholdSweepConfig{
 		Seeds:      []int64{1},

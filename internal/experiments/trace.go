@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strconv"
 	"time"
 
 	"erms/internal/core"
@@ -46,7 +47,7 @@ func TraceDemo() *TraceDemoResult {
 	const hot = "/data/hot-part-00000"
 	c.CreateFile(hot, 128*MB, 0, 0)
 	for i := 0; i < 4; i++ {
-		c.CreateFile("/data/cold-"+itoa(i), 256*MB, 0, topology.NodeID(i))
+		c.CreateFile("/data/cold-"+strconv.Itoa(i), 256*MB, 0, topology.NodeID(i))
 	}
 	// Access burst: 36 whole-file reads over the first three minutes from
 	// rotating clients. At r = 3 the per-replica rate passes τ_M after two
