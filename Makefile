@@ -111,25 +111,37 @@ bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
 # Paired end-to-end measurement of one BENCHMARK.json workload: the parent
-# commit ($$BASE, default HEAD~1, in a temporary git worktree) against this
-# working tree, alternating which side runs first, on seeds from $$SEED0
-# (default 101) up. Prints per-pair ratios, each side's quartiles for the six
-# end-to-end metrics, digest/events equality and failed operations — what a
-# performance PR's CHANGES.md entry reports. See scripts/benchpair.sh.
+# commit ($$BASE, default HEAD~1, in a temporary git worktree, or a git
+# archive when none can be made) against this working tree, alternating
+# which side runs first, on seeds from $$SEED0 (default 101) up. Prints
+# per-pair ratios, each side's quartiles for the six end-to-end metrics,
+# digest/events equality and failed operations — what a performance PR's
+# CHANGES.md entry reports. With PKG set it pairs microbenchmarks instead:
+# both sides' `go test -c` binaries of that package, PAIRS alternated rounds
+# of the benchmarks matching BENCH, ns/op and allocs/op per round and each
+# side's median. See scripts/benchpair.sh.
 WORKLOAD ?= churn-failover
 PAIRS ?= 10
 RUN_SECONDS ?= 12
+PKG ?=
+BENCH ?= .
 benchpair:
+ifdef PKG
+	bash scripts/benchpair.sh -micro $(PKG) '$(BENCH)' $(PAIRS)
+else
 	bash scripts/benchpair.sh $(WORKLOAD) $(PAIRS) $(RUN_SECONDS)
+endif
 
-# Style gate: vet, gofmt (fails listing any unformatted file), and the
-# documentation floor (every package needs a godoc comment; the public
-# surface — the erms facade, the HTTP control plane, the workload codec,
-# the judge core, the experiments, and the CEP engine — must document
-# every exported identifier; see cmd/doccheck).
+# Style gate: vet, gofmt (fails listing any unformatted file), a syntax
+# check of every script under scripts/, and the documentation floor (every
+# package needs a godoc comment; the public surface — the erms facade, the
+# HTTP control plane, the workload codec, the judge core, the experiments,
+# and the CEP engine — must document every exported identifier; see
+# cmd/doccheck).
 lint: vet
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+	@for f in scripts/*.sh; do bash -n "$$f" || exit 1; done
 	$(GO) run ./cmd/doccheck -exported .,internal/server,internal/workload,internal/core,internal/experiments,internal/cep .
 
 # Size ledger: non-test Go lines per top-level package and in total,
@@ -151,8 +163,14 @@ loc:
 # completion delay — to halve swim-large's host time; 23,850 at PR 24 (its
 # result, 23,840, rounded up), which deleted what no shipped path reached:
 # the ClassAd syntax beyond the two expressions matchmaking evaluates, the
-# HDFS balancer, the second tau_M grid and the absolute ns/op gate command.
-LOC_CEILING ?= 23850
+# HDFS balancer, the second tau_M grid and the absolute ns/op gate command;
+# 24,150 at PR 26 (its result, 24,129, rounded up), which spends 289 lines
+# so a judge pass visits only the files that can yield a verdict — the
+# judge's last-touch-ordered idle list, the hdfs above-default index with
+# its restore/replay rebuild and consistency recount, the split of the
+# per-file rules out of the sweep, and a radix sort for the CEP row order —
+# cutting the hot-small pass from 21-26 ms to 6 ms.
+LOC_CEILING ?= 24150
 
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

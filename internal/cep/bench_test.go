@@ -103,13 +103,13 @@ func TestHotPathAllocCeilings(t *testing.T) {
 		t.Errorf("InsertGroupedTimeWindow: %v allocs/op, want 0", n)
 	}
 	rows := filledWindow(t, rowsQuery, 10000)
-	if n := testing.AllocsPerRun(100, func() { rows.Rows() }); n > 128 {
-		t.Errorf("RowsEvaluation: %v allocs/op, ceiling 128", n)
+	if n := testing.AllocsPerRun(100, func() { rows.Rows() }); n > 106 {
+		t.Errorf("RowsEvaluation: %v allocs/op, ceiling 106", n)
 	}
 	each := filledWindow(t, eachRowQuery, 10000)
 	var sink float64
-	if n := testing.AllocsPerRun(100, func() { each.EachRow(func(cols []Val) { sink += cols[1].Num() }) }); n > 22 {
-		t.Errorf("EachRowEvaluation: %v allocs/op, ceiling 22", n)
+	if n := testing.AllocsPerRun(100, func() { each.EachRow(func(cols []Val) { sink += cols[1].Num() }) }); n != 0 {
+		t.Errorf("EachRowEvaluation: %v allocs/op, want 0", n)
 	}
 }
 

@@ -164,7 +164,8 @@ type Statement struct {
 	cur    *group // group under evaluation, read by bound expressions
 
 	scratch    []Val
-	grpScratch []*group
+	grpScratch []seqGroup // surviving's result, and its sort's other buffer
+	grpSpare   []seqGroup
 	cols       []Val
 }
 

@@ -172,3 +172,34 @@ func TestAggregatesMatchBruteForce(t *testing.T) {
 		t.Fatalf("stream mix is off: %d of %d evaluations errored, %d saw a record aged exactly Dur", errs, evals, edge)
 	}
 }
+
+// TestRowOrderAcrossWideSequenceSpans: groups still come out in
+// first-surviving-record order when the window's record sequence numbers
+// span two and three bytes, so every digit of the radix sort that orders
+// them decides some pair of the 3,000 groups.
+func TestRowOrderAcrossWideSequenceSpans(t *testing.T) {
+	schema := NewSchema("R", "k", "v", "tag", "skip")
+	for _, window := range []string{".win:time(100 s)", ".win:keepall"} {
+		rng := rand.New(rand.NewSource(7))
+		var now time.Duration
+		e := New(func() time.Duration { return now })
+		st := e.MustCompile(refEPL(window, -1, 0))
+		var recs []refRec
+		for i := 0; i < 80000; i++ {
+			if i%400 == 0 {
+				now += time.Second
+			}
+			r := refRec{t: now, k: NumVal(float64(rng.Intn(3000))), v: NumVal(1), tag: StrVal("t")}
+			ev := schema.Event(now)
+			ev.slots[0], ev.slots[1], ev.slots[2] = r.k, r.v, r.tag
+			if err := e.Insert(ev); err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, r)
+		}
+		want, _, _ := refRows(recs, st.Query().Window, now, -1, 0)
+		if got := st.MustRows(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: %d rows out of first-surviving-record order (reference has %d)", window, len(got), len(want))
+		}
+	}
+}

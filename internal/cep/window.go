@@ -2,7 +2,8 @@ package cep
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"time"
 )
 
@@ -123,7 +124,7 @@ type fieldStats struct {
 // group is the running state of one surviving group.
 type group struct {
 	key      groupKey
-	firstSeq uint64 // keepall: creation seq; windowed: seqs front
+	firstSeq uint64 // creation seq; a windowed group orders by its seqs front instead
 	live     int
 	repVals  []Val // latest event's captured fields: what a bare field reference reads
 	seqs     ring[uint64]
@@ -295,20 +296,49 @@ func (s *Statement) aggValue(g *group, idx int) (Val, error) {
 	return Val{}, fmt.Errorf("cep: unknown aggregate %q", ap.fn)
 }
 
+// seqGroup is a live group keyed by the sequence of its oldest surviving
+// record; no two groups share one.
+type seqGroup struct {
+	seq uint64
+	g   *group
+}
+
 // surviving collects live groups ordered by the sequence of their oldest
 // surviving record: the order groups first appear in the current window.
-func (s *Statement) surviving() []*group {
-	s.grpScratch = s.grpScratch[:0]
+// Sequences are unique, so a radix sort on them, least significant byte
+// first and over the bytes that differ within the window, orders the groups
+// totally in a few linear passes.
+func (s *Statement) surviving() []seqGroup {
+	a := s.grpScratch[:0]
+	windowed := s.windowed()
+	lo, hi := uint64(math.MaxUint64), uint64(0)
 	for _, g := range s.groups {
-		if s.windowed() {
-			g.firstSeq = g.seqs.at(0)
+		seq := g.firstSeq
+		if windowed {
+			seq = g.seqs.at(0)
 		}
-		s.grpScratch = append(s.grpScratch, g)
+		lo, hi = min(lo, seq), max(hi, seq)
+		a = append(a, seqGroup{seq, g})
 	}
-	sort.Slice(s.grpScratch, func(a, b int) bool {
-		return s.grpScratch[a].firstSeq < s.grpScratch[b].firstSeq
-	})
-	return s.grpScratch
+	b := slices.Grow(s.grpSpare[:0], len(a))[:len(a)]
+	for shift := uint(0); len(a) > 1 && (hi-lo)>>shift != 0; shift += 8 {
+		var at [256]int
+		for _, x := range a {
+			at[(x.seq-lo)>>shift&0xff]++
+		}
+		sum := 0
+		for d, n := range at {
+			at[d], sum = sum, sum+n
+		}
+		for _, x := range a {
+			d := (x.seq - lo) >> shift & 0xff
+			b[at[d]] = x
+			at[d]++
+		}
+		a, b = b, a
+	}
+	s.grpScratch, s.grpSpare = a, b
+	return a
 }
 
 // each prunes the window and streams one row of typed columns per surviving
@@ -316,8 +346,8 @@ func (s *Statement) surviving() []*group {
 func (s *Statement) each(fn func(cols []Val)) error {
 	s.pruneTime()
 	emitted := 0
-	for _, g := range s.surviving() {
-		s.cur = g
+	for _, sg := range s.surviving() {
+		s.cur = sg.g
 		if s.having != nil {
 			pass, err := evalBool("having", s.having, nil)
 			if err != nil {
@@ -361,5 +391,5 @@ func (s *Statement) reset() {
 	s.expiry = ring[expEntry]{}
 	s.live = 0
 	s.cur = nil
-	s.grpScratch = nil
+	s.grpScratch, s.grpSpare = nil, nil
 }

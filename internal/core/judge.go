@@ -3,7 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"erms/internal/auditlog"
@@ -118,15 +119,25 @@ type Judge struct {
 	blockStmt *cep.Statement
 	dnStmt    *cep.Statement
 
-	lastAccess map[string]time.Duration
-	coolStreak map[string]int // consecutive cooled-looking judge passes; no entry means 0
+	def int // the cluster's default replication
+
+	// Per-file state, by intern slot (hdfs.INode.ID), so a rename keeps it
+	// and a delete strands it in a slot nothing reuses. idle orders the
+	// files by last touch; adopted counts the intern slots it has taken in.
+	idle       idleList
+	adopted    int
+	coolStreak map[int]int // consecutive cooled-looking judge passes; no entry means 0
+	visited    int         // files the per-file rules ran on, summed over passes
 
 	// Scratch a pass fills and the next reuses: the window's open counts,
-	// its block counts by path (groupOf indexes groups until sorted), verdicts.
+	// its block counts by path (groupOf indexes groups), verdicts, and
+	// formula (4)'s per-datanode tallies.
 	fileCnt   map[string]float64
 	groups    []blockGroup
 	groupOf   map[string]int
 	hotTarget map[string]hotMark
+	top       []topEntry
+	onNode    []float64
 }
 
 // NewJudge builds a judge over the cluster with the given thresholds. It
@@ -137,12 +148,13 @@ func NewJudge(cluster *hdfs.Cluster, th Thresholds) *Judge {
 	j := &Judge{
 		cluster:    cluster,
 		th:         th,
-		lastAccess: make(map[string]time.Duration),
-		coolStreak: make(map[string]int),
+		def:        cluster.Config().DefaultReplication,
+		coolStreak: make(map[int]int),
 		fileCnt:    make(map[string]float64),
 		groupOf:    make(map[string]int),
 		hotTarget:  make(map[string]hotMark),
 	}
+	j.idle.grow(0)
 	j.engine = cep.New(func() time.Duration { return cluster.Clock().Now() })
 	j.engine.SetTracer(cluster.Tracer())
 	w := fmt.Sprintf("%d s", int(th.Window.Seconds()))
@@ -158,27 +170,22 @@ func NewJudge(cluster *hdfs.Cluster, th Thresholds) *Judge {
 
 	// The paper's log parser: audit records become CEP events.
 	cluster.Audit().Subscribe(func(r auditlog.Record) {
-		if (r.Cmd == auditlog.CmdOpen || r.Cmd == auditlog.CmdPread) && r.Allowed {
+		switch r.Cmd {
+		case auditlog.CmdOpen, auditlog.CmdPread:
 			// Preads keep a file warm (formula 6 must not encode a file that
 			// serves ranged reads) but do NOT enter the formula-(1) open
 			// count — the fileStmt query filters cmd='open'.
-			j.lastAccess[r.Src] = r.Time
-		}
-		// Namespace changes migrate or drop the judge's per-file state so a
-		// renamed file keeps its age and a recreated path starts fresh.
-		switch r.Cmd {
-		case auditlog.CmdRename:
-			if t, ok := j.lastAccess[r.Src]; ok {
-				j.lastAccess[r.Dst] = t
-				delete(j.lastAccess, r.Src)
+			if f := cluster.File(r.Src); f != nil && r.Allowed {
+				j.adopt()
+				j.idle.place(f.ID(), r.Time)
 			}
-			if s, ok := j.coolStreak[r.Src]; ok {
-				j.coolStreak[r.Dst] = s
-				delete(j.coolStreak, r.Src)
+		case auditlog.CmdSetRepl:
+			// A decode re-replicates through here: a file that left the
+			// idle list while encoded comes back at its last touch.
+			if f := cluster.File(r.Src); f != nil && !f.Encoded {
+				j.adopt()
+				j.idle.relink(f.ID())
 			}
-		case auditlog.CmdDelete:
-			delete(j.lastAccess, r.Src)
-			delete(j.coolStreak, r.Src)
 		}
 		cev := accessSchema.Event(r.Time)
 		cev.SetStr(accessPath, r.Src)
@@ -202,11 +209,36 @@ func (j *Judge) Thresholds() Thresholds { return j.th }
 // CEP exposes the underlying engine (tests, extensions).
 func (j *Judge) CEP() *cep.Engine { return j.engine }
 
-// LastAccess returns the last observed open time for path and whether one
-// was seen.
+// LastAccess returns when the file at path was last touched — its last
+// allowed open or pread, else its creation — and false when no file is
+// there. A renamed file keeps its touches; a recreated path starts fresh.
 func (j *Judge) LastAccess(path string) (time.Duration, bool) {
-	t, ok := j.lastAccess[path]
-	return t, ok
+	f := j.cluster.File(path)
+	if f == nil {
+		return 0, false
+	}
+	if s := f.ID(); s < j.adopted {
+		return j.idle.n[s+1].last, true
+	}
+	return f.CreatedAt, true // not adopted yet, so never touched
+}
+
+// adopt takes newly interned files onto the idle list at their creation
+// time. Most arrive with an audited create, but a restore into a running
+// cluster or a journal replay interns files without one, so the judge
+// follows the intern table itself, before every touch and every pass.
+func (j *Judge) adopt() {
+	table := j.cluster.FileTable()
+	if len(table) == j.adopted {
+		return
+	}
+	j.idle.grow(len(table))
+	for s := j.adopted; s < len(table); s++ {
+		if f := table[s]; f != nil {
+			j.idle.place(s, f.CreatedAt)
+		}
+	}
+	j.adopted = len(table)
 }
 
 // optimalReplication computes r* for a hot file: enough replicas that the
@@ -214,8 +246,8 @@ func (j *Judge) LastAccess(path string) (time.Duration, bool) {
 // p+q)].
 func (j *Judge) optimalReplication(nd float64) int {
 	r := int(math.Ceil(nd / j.th.TauM))
-	if def := j.cluster.Config().DefaultReplication; r < def {
-		r = def
+	if r < j.def {
+		r = j.def
 	}
 	max := j.th.MaxReplication
 	if nodes := j.cluster.NumDatanodes(); max > nodes {
@@ -227,10 +259,12 @@ func (j *Judge) optimalReplication(nd float64) int {
 	return r
 }
 
-// blockGroup is one window path's per-block read counts, in CEP row order.
+// blockGroup is one window path's per-block read counts, in CEP row order,
+// and the live file at that path once a visit has resolved it.
 type blockGroup struct {
 	path   string
 	blocks []blockCount
+	file   *hdfs.INode
 }
 
 // blockCount is one block's reads in the window.
@@ -254,11 +288,18 @@ type topEntry struct {
 }
 
 // Evaluate runs the paper's judging pass over the current window and
-// returns the decisions, deterministically ordered by path.
+// returns the decisions, deterministically ordered by path. Only three sets
+// of files can yield a verdict, and the per-file rules run once on each of
+// their files and on no other: (a) the paths with events in the window
+// (formulas 1-3, and 6's decode); (b) the files above default replication
+// or with a live cooling streak (formula 5, and the streak's reset); (c)
+// the unencoded files idle past ColdAge (6's encode), the idle list's
+// prefix. Any other file is quiet, at or below default replication, and
+// recently touched or encoded: every rule would pass it by.
 func (j *Judge) Evaluate() []Decision {
 	now := j.cluster.Clock().Now()
-	def := j.cluster.Config().DefaultReplication
 	var out []Decision
+	j.adopt()
 
 	// Collect window aggregates. EachRow streams typed columns straight off
 	// the incremental group state — no Row maps on the hot path.
@@ -277,105 +318,56 @@ func (j *Judge) Evaluate() []Decision {
 				j.groups = append(j.groups, blockGroup{})
 			}
 			j.groups = j.groups[:gi+1] // a slot past len keeps its blocks' capacity
-			j.groups[gi].path, j.groups[gi].blocks = p, j.groups[gi].blocks[:0]
+			g := &j.groups[gi]
+			g.path, g.blocks, g.file = p, g.blocks[:0], nil
 		}
 		g := &j.groups[gi]
 		g.blocks = append(g.blocks, blockCount{hdfs.BlockID(cols[1].Num()), cols[2].Num()})
 	})
-
 	clear(j.hotTarget)
-	markHot := func(path string, cur int, nd float64, formula int, a, b float64) {
-		// The first verdict asking for the most replicas wins (no entry: 0).
-		if target := j.optimalReplication(nd); target > cur && target > j.hotTarget[path].target {
-			j.hotTarget[path] = hotMark{target, formula, a, b}
+
+	// (a) Every opened path, then every path read by block alone. Visit
+	// order cannot show: the verdicts are sorted below.
+	for path, nd := range j.fileCnt {
+		if f := j.cluster.File(path); f != nil {
+			out = j.judgeFile(out, f, nd, now)
 		}
 	}
-
-	// Per-file rules over every live file; an idle one is only read. Intern
-	// order, not path order: every piece of state touched here is keyed by
-	// path and the verdicts are sorted below, so the order cannot show.
-	for _, f := range j.cluster.FileTable() {
-		cur := j.cluster.Replication(f)
-		if cur <= 0 {
-			continue // a deleted slot, or a file with no block yet
-		}
-		path := f.Path
-		r := float64(cur)
-		nd := j.fileCnt[path]
-
-		if f.Encoded {
-			// Warmed-up encoded file: restore replication immediately.
-			if nd/r >= j.th.TauD {
-				out = append(out, Decision{
-					Time: now, Path: path, Class: Hot, Action: ActionDecode,
-					TargetRepl: def, Formula: 6,
-					Reason: fmt.Sprintf("encoded file accessed %.0f times in window", nd),
-				})
-			}
-			continue
-		}
-
-		// Formula (1): mean per-replica file accesses.
-		if nd/r > j.th.TauM {
-			markHot(path, cur, nd, 1, nd/r, 0)
-		}
-		// Formulas (2) and (3): per-block intensity.
-		if gi, ok := j.groupOf[path]; ok {
-			nBlocks := len(f.Blocks)
-			intense := 0
-			var maxB, totalB float64
-			for _, b := range j.groups[gi].blocks {
-				totalB += b.cnt
-				if b.cnt/r > j.th.MM && b.cnt > maxB {
-					maxB = b.cnt
-				}
-				if b.cnt/r > j.th.Mm {
-					intense++
-				}
-			}
-			if maxB > 0 {
-				markHot(path, cur, maxB, 2, maxB/r, 0)
-			}
-			if nBlocks > 0 && float64(intense)/float64(nBlocks) > j.th.Epsilon {
-				// Demand signal: average accesses per block (file-level
-				// opens are zero when clients read blocks directly).
-				avg := totalB / float64(nBlocks)
-				if nd > avg {
-					avg = nd
-				}
-				markHot(path, cur, avg, 3, float64(intense), float64(nBlocks))
+	for _, g := range j.groups {
+		if g.file == nil {
+			if f := j.cluster.File(g.path); f != nil {
+				out = j.judgeFile(out, f, 0, now)
 			}
 		}
-
-		// Formula (5): cooled — extra replicas no longer earning their
-		// keep. Hysteresis: the file must look cooled for CooldownWindows
-		// consecutive passes, or marginal demand thrashes replicas.
-		if cur > def && nd/r < j.th.TauD {
-			if streak := j.coolStreak[path] + 1; streak < j.th.CooldownWindows {
-				j.coolStreak[path] = streak
-			} else {
-				delete(j.coolStreak, path)
-				out = append(out, Decision{
-					Time: now, Path: path, Class: Cooled, Action: ActionDecrease,
-					TargetRepl: def, Formula: 5,
-					Reason: fmt.Sprintf("N_d/r = %.2f < τ_d %.1f", nd/r, j.th.TauD),
-				})
-			}
-			continue
+	}
+	// (b) The files above default replication outside the window.
+	for _, f := range j.cluster.AboveDefault() {
+		if !j.inWindow(f.Path) {
+			out = j.judgeFile(out, f, 0, now)
 		}
-		delete(j.coolStreak, path)
-
-		// Formula (6): cold — quiet and old.
-		last, seen := j.lastAccess[path]
-		if !seen {
-			last = f.CreatedAt
+	}
+	// (c) The idle list's prefix touched before now-ColdAge. A deleted file
+	// leaves it, and so does an encoded one until a touch or a decode.
+	table := j.cluster.FileTable()
+	cutoff := now - j.th.ColdAge
+	for i := j.idle.n[0].next; i != 0 && j.idle.n[i].last < cutoff; {
+		next := j.idle.n[i].next
+		switch f := table[i-1]; {
+		case f == nil || f.Encoded:
+			j.idle.unlink(i)
+		case !j.inWindow(f.Path) && j.cluster.Replication(f) <= j.def:
+			out = j.judgeFile(out, f, 0, now)
 		}
-		if nd/r < j.th.TauSmall && now-last > j.th.ColdAge && cur <= def {
-			out = append(out, Decision{
-				Time: now, Path: path, Class: Cold, Action: ActionEncode,
-				TargetRepl: 1, Formula: 6,
-				Reason: fmt.Sprintf("idle %.0f min", (now - last).Minutes()),
-			})
+		i = next
+	}
+	// The rest of (b): streaks the files above have not already reset or
+	// carried, on files no longer above default or no longer there.
+	for s := range j.coolStreak {
+		switch f := table[s]; {
+		case f == nil:
+			delete(j.coolStreak, s)
+		case !j.inWindow(f.Path) && j.cluster.Replication(f) <= j.def:
+			out = j.judgeFile(out, f, 0, now)
 		}
 	}
 
@@ -393,7 +385,7 @@ func (j *Judge) Evaluate() []Decision {
 		}
 		dn := cols[0].Num()
 		if t := top[int(dn)]; t.path != "" {
-			markHot(t.path, j.cluster.ReplicationOf(t.path), t.total, 4, dn, cnt)
+			j.markHot(t.path, j.cluster.ReplicationOf(t.path), t.total, 4, dn, cnt)
 		}
 	})
 
@@ -405,13 +397,124 @@ func (j *Judge) Evaluate() []Decision {
 	}
 	// A path has at most one per-file verdict (formula 5 or 6) and one hot
 	// verdict (1-4), so (path, formula) is a total order.
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Path != out[b].Path {
-			return out[a].Path < out[b].Path
+	slices.SortFunc(out, func(a, b Decision) int {
+		if c := strings.Compare(a.Path, b.Path); c != 0 {
+			return c
 		}
-		return out[a].Formula < out[b].Formula
+		return a.Formula - b.Formula
 	})
 	return out
+}
+
+// inWindow reports whether path has an open or a block read in the window
+// Evaluate collected.
+func (j *Judge) inWindow(path string) bool {
+	if _, ok := j.fileCnt[path]; ok {
+		return true
+	}
+	_, ok := j.groupOf[path]
+	return ok
+}
+
+// judgeFile runs the per-file rules on one live file whose window open
+// count is nd, appending its verdicts to out; hot verdicts (formulas 1-3)
+// collect in j.hotTarget instead.
+func (j *Judge) judgeFile(out []Decision, f *hdfs.INode, nd float64, now time.Duration) []Decision {
+	j.visited++
+	path := f.Path
+	var g *blockGroup
+	if gi, ok := j.groupOf[path]; ok {
+		g = &j.groups[gi]
+		g.file = f
+	}
+	cur := j.cluster.Replication(f)
+	if cur <= 0 {
+		return out // a file with no block yet
+	}
+	r := float64(cur)
+
+	if f.Encoded {
+		// Warmed-up encoded file: restore replication immediately.
+		if nd/r >= j.th.TauD {
+			out = append(out, Decision{
+				Time: now, Path: path, Class: Hot, Action: ActionDecode,
+				TargetRepl: j.def, Formula: 6,
+				Reason: fmt.Sprintf("encoded file accessed %.0f times in window", nd),
+			})
+		}
+		return out
+	}
+
+	// Formula (1): mean per-replica file accesses.
+	if nd/r > j.th.TauM {
+		j.markHot(path, cur, nd, 1, nd/r, 0)
+	}
+	// Formulas (2) and (3): per-block intensity.
+	if g != nil {
+		nBlocks := len(f.Blocks)
+		intense := 0
+		var maxB, totalB float64
+		for _, b := range g.blocks {
+			totalB += b.cnt
+			if b.cnt/r > j.th.MM && b.cnt > maxB {
+				maxB = b.cnt
+			}
+			if b.cnt/r > j.th.Mm {
+				intense++
+			}
+		}
+		if maxB > 0 {
+			j.markHot(path, cur, maxB, 2, maxB/r, 0)
+		}
+		if nBlocks > 0 && float64(intense)/float64(nBlocks) > j.th.Epsilon {
+			// Demand signal: average accesses per block (file-level
+			// opens are zero when clients read blocks directly).
+			avg := totalB / float64(nBlocks)
+			if nd > avg {
+				avg = nd
+			}
+			j.markHot(path, cur, avg, 3, float64(intense), float64(nBlocks))
+		}
+	}
+
+	// Formula (5): cooled — extra replicas no longer earning their
+	// keep. Hysteresis: the file must look cooled for CooldownWindows
+	// consecutive passes, or marginal demand thrashes replicas.
+	s := f.ID()
+	if cur > j.def && nd/r < j.th.TauD {
+		if streak := j.coolStreak[s] + 1; streak < j.th.CooldownWindows {
+			j.coolStreak[s] = streak
+		} else {
+			delete(j.coolStreak, s)
+			out = append(out, Decision{
+				Time: now, Path: path, Class: Cooled, Action: ActionDecrease,
+				TargetRepl: j.def, Formula: 5,
+				Reason: fmt.Sprintf("N_d/r = %.2f < τ_d %.1f", nd/r, j.th.TauD),
+			})
+		}
+		return out
+	}
+	delete(j.coolStreak, s)
+
+	// Formula (6): cold — quiet and old.
+	last := j.idle.n[s+1].last
+	if nd/r < j.th.TauSmall && now-last > j.th.ColdAge && cur <= j.def {
+		out = append(out, Decision{
+			Time: now, Path: path, Class: Cold, Action: ActionEncode,
+			TargetRepl: 1, Formula: 6,
+			Reason: fmt.Sprintf("idle %.0f min", (now - last).Minutes()),
+		})
+	}
+	return out
+}
+
+// markHot records a hot verdict on path unless one asking for at least as
+// many replicas is already there: the first verdict asking for the most
+// wins (no entry: 0).
+func (j *Judge) markHot(path string, cur int, nd float64, formula int, a, b float64) {
+	if target := j.optimalReplication(nd); target > cur && target > j.hotTarget[path].target {
+		j.hotTarget[path] = hotMark{target, formula, a, b}
+	}
 }
 
 // hotReason formats the Reason of a kept hot verdict.
@@ -428,15 +531,21 @@ func (j *Judge) hotReason(h hotMark) string {
 }
 
 // topContributors returns, indexed by datanode, the live unencoded window
-// path with the strictly largest read count on blocks that node holds. One
-// walk of the window's block groups in ascending path order, so on equal
-// counts the lexicographically smallest path keeps the node.
+// path with the strictly largest read count on blocks that node holds, the
+// lexicographically smallest such path on a tie. One walk of the window's
+// block groups in CEP row order; the slice is reused by the next call.
 func (j *Judge) topContributors() []topEntry {
-	top := make([]topEntry, j.cluster.NumDatanodes())
-	onNode := make([]float64, len(top)) // the current path's count per node
-	sort.Slice(j.groups, func(a, b int) bool { return j.groups[a].path < j.groups[b].path })
+	if n := j.cluster.NumDatanodes(); len(j.top) != n {
+		j.top = make([]topEntry, n)
+		j.onNode = make([]float64, n) // the current path's count per node
+	}
+	clear(j.top)
+	top, onNode := j.top, j.onNode
 	for _, g := range j.groups {
-		f := j.cluster.File(g.path)
+		f := g.file
+		if f == nil {
+			f = j.cluster.File(g.path) // a group no visit resolved
+		}
 		if f == nil || f.Encoded {
 			continue
 		}
@@ -447,11 +556,12 @@ func (j *Judge) topContributors() []topEntry {
 				onNode[dn] += b.cnt
 			}
 		}
-		// Settle and zero each node touched; one met twice is zero by then.
+		// Settle and zero each node touched; one met twice is zero by then,
+		// and a zero never wins (every kept entry counts at least one read).
 		for _, b := range g.blocks {
 			for _, dn := range j.cluster.Replicas(b.id) {
-				if onNode[dn] > top[dn].onNode {
-					top[dn] = topEntry{g.path, onNode[dn], total}
+				if c, t := onNode[dn], top[dn]; c > t.onNode || (c == t.onNode && c > 0 && g.path < t.path) {
+					top[dn] = topEntry{g.path, c, total}
 				}
 				onNode[dn] = 0
 			}

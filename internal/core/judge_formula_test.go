@@ -242,11 +242,11 @@ func TestJudgeFormula5CooldownBoundary(t *testing.T) {
 		f := newJudgeFix(t, 18)
 		f.create("/f5", 1, 4)
 		pass(f, 3) // streak 1
-		if got := f.j.coolStreak["/f5"]; got != 1 {
+		if got := f.j.coolStreak[f.c.File("/f5").ID()]; got != 1 {
 			t.Fatalf("streak after one cooled pass = %d, want 1", got)
 		}
 		pass(f, 4) // warm: streak resets, and a reset streak has no entry
-		if _, ok := f.j.coolStreak["/f5"]; ok {
+		if _, ok := f.j.coolStreak[f.c.File("/f5").ID()]; ok {
 			t.Fatal("warm pass left a coolStreak entry")
 		}
 		if ds := pass(f, 3); len(byFormula(ds, "/f5", 5)) != 0 { // streak 1 again

@@ -8,16 +8,72 @@ import (
 	"testing"
 	"time"
 
+	"erms/internal/auditlog"
 	"erms/internal/cep"
 	"erms/internal/hdfs"
 	"erms/internal/sim"
 	"erms/internal/topology"
 )
 
+// refJudge is the judge as it stood while it swept the whole namespace: its
+// per-file state is the path-keyed lastAccess and coolStreak maps its own
+// audit subscriber keeps, renames migrating them and deletes dropping them.
+// The embedded Judge feeds the CEP statements and lends the pass scratch
+// and the formula helpers; its slot-keyed state goes unread.
+type refJudge struct {
+	*Judge
+	lastAccess map[string]time.Duration
+	coolStreak map[string]int
+}
+
+func newRefJudge(c *hdfs.Cluster, th Thresholds) *refJudge {
+	j := &refJudge{
+		Judge:      NewJudge(c, th),
+		lastAccess: make(map[string]time.Duration),
+		coolStreak: make(map[string]int),
+	}
+	c.Audit().Subscribe(func(r auditlog.Record) {
+		if (r.Cmd == auditlog.CmdOpen || r.Cmd == auditlog.CmdPread) && r.Allowed {
+			j.lastAccess[r.Src] = r.Time
+		}
+		switch r.Cmd {
+		case auditlog.CmdRename:
+			if t, ok := j.lastAccess[r.Src]; ok {
+				j.lastAccess[r.Dst] = t
+				delete(j.lastAccess, r.Src)
+			}
+			if s, ok := j.coolStreak[r.Src]; ok {
+				j.coolStreak[r.Dst] = s
+				delete(j.coolStreak, r.Src)
+			}
+		case auditlog.CmdDelete:
+			delete(j.lastAccess, r.Src)
+			delete(j.coolStreak, r.Src)
+		}
+	})
+	return j
+}
+
+// streaksByPath is j's slot-keyed coolStreak keyed by path, to compare with
+// refJudge's; a deleted file's entry, which the next pass drops, fails it.
+func streaksByPath(t *testing.T, j *Judge) map[string]int {
+	t.Helper()
+	out := make(map[string]int, len(j.coolStreak))
+	for s, n := range j.coolStreak {
+		f := j.cluster.FileTable()[s]
+		if f == nil {
+			t.Fatalf("coolStreak holds deleted slot %d after a pass", s)
+		}
+		out[f.Path] = n
+	}
+	return out
+}
+
 // refEvaluate is Judge.Evaluate as it stood while the per-file sweep walked
 // the sorted, memoized Cluster.FilePaths() and looked every path up again —
-// kept verbatim as the oracle for the sweep in intern-table order.
-func refEvaluate(j *Judge) []Decision {
+// kept verbatim as the oracle for the pass that visits only the files that
+// can yield a verdict.
+func refEvaluate(j *refJudge) []Decision {
 	now := j.cluster.Clock().Now()
 	def := j.cluster.Config().DefaultReplication
 	var out []Decision
@@ -157,22 +213,22 @@ func refEvaluate(j *Judge) []Decision {
 }
 
 // TestEvaluateVisitOrderIrrelevant: two judges fed the same events on one
-// cluster, one sweeping the intern table and one running refEvaluate's
-// sorted-path sweep, must reach DeepEqual decisions and equal coolStreak
-// maps on three consecutive passes, on 25 seeded clusters whose intern
-// order differs from path order every way it can — deleted slots, files
-// renamed ahead of and behind their neighbours, files created late with
-// early names — and that hold every kind of file the per-file rules tell
-// apart: encoded (idle and re-warmed), elevated and cooling, cold, hot by
-// each of formulas (1)-(4).
+// cluster, one visiting only the files that can yield a verdict and one
+// running refEvaluate's sorted-path sweep, must reach DeepEqual decisions
+// and equal coolStreak maps on three consecutive passes, on 25 seeded
+// clusters whose intern order differs from path order every way it can —
+// deleted slots, files renamed ahead of and behind their neighbours, files
+// created late with early names — and that hold every kind of file the
+// per-file rules tell apart: encoded (idle and re-warmed), elevated and
+// cooling, cold, hot by each of formulas (1)-(4).
 func TestEvaluateVisitOrderIrrelevant(t *testing.T) {
 	fired := map[int]int{}
 	decodes, gaps, streaks := 0, 0, 0
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		f := newJudgeFix(t, 12+rng.Intn(13))
-		ref := NewJudge(f.c, Thresholds{})
-		refFix := &judgeFix{t: t, e: f.e, c: f.c, j: ref}
+		ref := newRefJudge(f.c, Thresholds{})
+		refFix := &judgeFix{t: t, e: f.e, c: f.c, j: ref.Judge}
 		both := func(inject func(j *judgeFix)) {
 			inject(f)
 			inject(refFix)
@@ -244,10 +300,10 @@ func TestEvaluateVisitOrderIrrelevant(t *testing.T) {
 			}
 			got, want := f.j.Evaluate(), refEvaluate(ref)
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d pass %d: intern-order sweep decided\n%v\nsorted-path sweep decided\n%v", seed, pass, got, want)
+				t.Fatalf("seed %d pass %d: the visit sets decided\n%v\nsorted-path sweep decided\n%v", seed, pass, got, want)
 			}
-			if !reflect.DeepEqual(f.j.coolStreak, ref.coolStreak) {
-				t.Fatalf("seed %d pass %d: coolStreak %v, reference %v", seed, pass, f.j.coolStreak, ref.coolStreak)
+			if s := streaksByPath(t, f.j); !reflect.DeepEqual(s, ref.coolStreak) {
+				t.Fatalf("seed %d pass %d: coolStreak %v, reference %v", seed, pass, s, ref.coolStreak)
 			}
 			for _, d := range got {
 				fired[d.Formula]++

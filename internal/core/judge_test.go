@@ -150,7 +150,8 @@ func onNode(c *hdfs.Cluster, dn hdfs.DatanodeID, blocks map[hdfs.BlockID]float64
 
 // TestCoolStreakStaysSparse pins the map's contract: only a live streak
 // has an entry, so a pass over idle files at default replication writes
-// nothing, and rename and delete carry or drop the entry. (The reset of an
+// nothing; the entry sits on the file's intern slot, so a rename carries it,
+// and a deleted file's entry is gone after the next pass. (The reset of an
 // interrupted streak is TestJudgeFormula5CooldownBoundary's.)
 func TestCoolStreakStaysSparse(t *testing.T) {
 	t.Run("idle_files_write_nothing", func(t *testing.T) {
@@ -177,13 +178,16 @@ func TestCoolStreakStaysSparse(t *testing.T) {
 		if err := f.c.DeleteFile("/gone"); err != nil {
 			t.Fatal(err)
 		}
-		if len(f.j.coolStreak) != 1 || f.j.coolStreak["/new"] != 1 {
-			t.Fatalf("coolStreak after rename+delete = %v, want only /new:1", f.j.coolStreak)
+		if got := f.j.coolStreak[f.c.File("/new").ID()]; got != 1 {
+			t.Fatalf("coolStreak of /new after the rename = %d, want 1 (%v)", got, f.j.coolStreak)
 		}
 		// The migrated streak counts: one more cooled pass fires under the
-		// new name.
+		// new name, and the pass drops the deleted file's entry.
 		if ds := f.pass("/new", 3); len(byFormula(ds, "/new", 5)) != 1 {
 			t.Fatalf("renamed file lost its streak: %v", ds)
+		}
+		if n := len(f.j.coolStreak); n != 0 {
+			t.Fatalf("coolStreak after the pass = %v, want empty", f.j.coolStreak)
 		}
 	})
 }

@@ -65,8 +65,8 @@ func TestShardedJudgePassAllocCeiling(t *testing.T) {
 		t.Skip("the ceiling is for uninstrumented builds")
 	}
 	pass := shardedJudgePass(t)
-	if n := testing.AllocsPerRun(100, func() { pass() }); n > 79 {
-		t.Errorf("ShardedJudgePass: %v allocs/op, ceiling 79", n)
+	if n := testing.AllocsPerRun(100, func() { pass() }); n > 32 {
+		t.Errorf("ShardedJudgePass: %v allocs/op, ceiling 32", n)
 	}
 }
 

@@ -806,7 +806,8 @@ func (c *Cluster) commitCheckpoint(st *ckptState) {
 		}
 	}
 
-	// Derived indexes: placement load index and under-replication set.
+	// Derived indexes: placement load index, under-replication set and
+	// above-default set.
 	c.loadIdx = nil
 	c.idxMin = 0
 	for _, d := range c.datanodes {
@@ -819,6 +820,7 @@ func (c *Cluster) commitCheckpoint(st *ckptState) {
 			c.reassessBlock(b)
 		}
 	}
+	c.rebuildAboveDefault()
 
 	c.partitioned = make(map[int]bool, len(st.partitioned))
 	for _, r := range st.partitioned {

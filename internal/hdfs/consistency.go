@@ -175,6 +175,21 @@ func (c *Cluster) ConsistencyErrors() []string {
 		}
 	}
 
+	// --- Above-default set vs a recount of the files over the default.
+	above := 0
+	for _, f := range c.fileByID {
+		if f == nil || c.Replication(f) <= c.cfg.DefaultReplication {
+			continue
+		}
+		above++
+		if i, ok := c.aboveAt[f.id]; !ok || i >= len(c.aboveDefault) || c.aboveDefault[i] != f {
+			fail("file %q has replication %d above the default but is not in the above-default set", f.Path, c.Replication(f))
+		}
+	}
+	if above != len(c.aboveDefault) || above != len(c.aboveAt) {
+		fail("above-default set holds %d files (%d positions), recount %d", len(c.aboveDefault), len(c.aboveAt), above)
+	}
+
 	sort.Strings(errs)
 	return errs
 }

@@ -104,6 +104,10 @@ type INode struct {
 	id int
 }
 
+// ID returns the file's slot in the interned file table (FileTable): stable
+// across renames, never reused after a delete.
+func (f *INode) ID() int { return f.id }
+
 // Datanode models one storage server.
 type Datanode struct {
 	ID           DatanodeID
@@ -370,6 +374,12 @@ type Cluster struct {
 	// UnderReplicated never rescans the block space.
 	underSet map[BlockID]struct{}
 
+	// aboveDefault holds the live files whose replication exceeds the
+	// default, in no order; aboveAt maps each member's intern slot to its
+	// position there. Derived like underSet: rebuilt on restore and replay.
+	aboveDefault []*INode
+	aboveAt      map[int]int
+
 	// loadIdx buckets placement-eligible datanodes by PlacementLoad; each
 	// bucket is a bitset over node IDs, so candidate selection walks nodes
 	// in exactly the (load, ID) order the old linear scan sorted into.
@@ -380,6 +390,8 @@ type Cluster struct {
 	placement Policy
 	audit     *auditlog.Log
 	metrics   Metrics
+	// clientIPs is each topology node's fabricated audit address (clientIP).
+	clientIPs []string
 
 	// journal, when attached, receives a typed write-ahead record for
 	// every durable namenode mutation; replaying stands a failover twin
@@ -442,8 +454,13 @@ func New(clock sim.Clock, cfg Config) *Cluster {
 		cfg:         cfg,
 		files:       make(map[string]*INode),
 		underSet:    make(map[BlockID]struct{}),
+		aboveAt:     make(map[int]int),
 		partitioned: make(map[int]bool),
 		audit:       auditlog.NewLog(cfg.KeepAuditRecords),
+		clientIPs:   make([]string, cfg.Topology.NumNodes()),
+	}
+	for n := range c.clientIPs {
+		c.clientIPs[n] = fmt.Sprintf("10.%d.0.%d", cfg.Topology.Rack(topology.NodeID(n)), n)
 	}
 	c.placement = NewDefaultPolicy()
 	standby := map[DatanodeID]bool{}
@@ -768,13 +785,14 @@ func (c *Cluster) OnSafeMode(fn func(bool)) {
 	c.onSafeMode = append(c.onSafeMode, fn)
 }
 
-// clientIP fabricates a stable client address for audit records. Negative
-// node IDs (no locality hint) map to the namenode's address.
+// clientIP is a stable fabricated client address for audit records,
+// "10.<rack>.0.<node>". Node IDs outside the topology (negative: no
+// locality hint) map to the namenode's address.
 func (c *Cluster) clientIP(n topology.NodeID) string {
-	if n < 0 || int(n) >= c.topo.NumNodes() {
+	if n < 0 || int(n) >= len(c.clientIPs) {
 		return "10.0.0.1"
 	}
-	return fmt.Sprintf("10.%d.0.%d", c.topo.Rack(n), int(n))
+	return c.clientIPs[n]
 }
 
 // CreateFile installs a file of the given size with replication repl
@@ -930,6 +948,7 @@ func (c *Cluster) attachReplica(b *Block, dn DatanodeID) {
 	delete(d.reported, b.ID)
 	c.replicas[b.ID] = append(c.replicas[b.ID], dn)
 	c.reassessBlock(b)
+	c.reassessAboveDefault(b)
 	c.reindexNode(d)
 	c.jlog(auditlog.Entry{Op: auditlog.OpReplicaAdd, Block: int64(b.ID), Node: int(dn)})
 }
@@ -952,6 +971,7 @@ func (c *Cluster) detachReplica(b *Block, dn DatanodeID) {
 		}
 	}
 	c.reassessBlock(b)
+	c.reassessAboveDefault(b)
 	c.reindexNode(d)
 	c.jlog(auditlog.Entry{Op: auditlog.OpReplicaDrop, Block: int64(b.ID), Node: int(dn)})
 }

@@ -99,6 +99,7 @@ func (c *Cluster) ReplayJournal(entries []auditlog.Entry) error {
 			c.reassessBlock(b)
 		}
 	}
+	c.rebuildAboveDefault()
 	c.pathsCache = nil
 	return nil
 }

@@ -1,7 +1,7 @@
 package hdfs
 
-// This file holds the two incremental indexes that keep namenode-side scans
-// off the hot path at the 1,000-datanode / 1M-file scale:
+// This file holds the three incremental indexes that keep namenode-side
+// scans off the hot path at the 1,000-datanode / 1M-file scale:
 //
 //   - the placement load index (loadIdx): eligible datanodes bucketed by
 //     PlacementLoad, each bucket a bitset iterated in ascending node ID —
@@ -9,7 +9,11 @@ package hdfs
 //     produced, without visiting every node per placement;
 //   - the under-replication set (underSet): maintained at every replica or
 //     target mutation, so UnderReplicated() is proportional to the number
-//     of degraded blocks, not the block space.
+//     of degraded blocks, not the block space;
+//   - the above-default set (aboveDefault): the files whose replication is
+//     over the cluster default, maintained where a first data block's
+//     replica count changes, so AboveDefault() is proportional to the
+//     elevated files, not the namespace.
 
 import "math/bits"
 
@@ -157,6 +161,48 @@ func (c *Cluster) reassessFile(f *INode) {
 	for _, bid := range f.Blocks {
 		if b := c.blocks[bid]; b != nil {
 			c.reassessBlock(b)
+		}
+	}
+}
+
+// AboveDefault returns every live file whose replication (its first data
+// block's replica count, see Replication) exceeds DefaultReplication, in no
+// particular order — formula (5)'s candidates, without a namespace sweep.
+// Callers must not mutate the slice, and must not change any file's replica
+// count or the namespace while ranging over it.
+func (c *Cluster) AboveDefault() []*INode { return c.aboveDefault }
+
+// reassessAboveDefault updates the above-default set after a replica of b
+// landed or left (attachReplica, detachReplica): that moves b's file's
+// replication when b is its first data block. Encode, decode and delete
+// change the count only through those two.
+func (c *Cluster) reassessAboveDefault(b *Block) {
+	f := c.fileOf(b)
+	if f == nil || len(f.Blocks) == 0 || f.Blocks[0] != b.ID {
+		return
+	}
+	i, in := c.aboveAt[f.id]
+	switch want := c.Replication(f) > c.cfg.DefaultReplication; {
+	case want && !in:
+		c.aboveAt[f.id] = len(c.aboveDefault)
+		c.aboveDefault = append(c.aboveDefault, f)
+	case !want && in:
+		last := c.aboveDefault[len(c.aboveDefault)-1]
+		c.aboveDefault[i], c.aboveAt[last.id] = last, i
+		c.aboveDefault = c.aboveDefault[:len(c.aboveDefault)-1]
+		delete(c.aboveAt, f.id)
+	}
+}
+
+// rebuildAboveDefault re-derives the above-default set from the namespace:
+// on restore, and after a journal replay, whose block drops can change
+// which block is a file's first.
+func (c *Cluster) rebuildAboveDefault() {
+	c.aboveDefault, c.aboveAt = nil, make(map[int]int)
+	for _, f := range c.fileByID {
+		if f != nil && c.Replication(f) > c.cfg.DefaultReplication {
+			c.aboveAt[f.id] = len(c.aboveDefault)
+			c.aboveDefault = append(c.aboveDefault, f)
 		}
 	}
 }

@@ -1,31 +1,38 @@
 #!/usr/bin/env bash
-# Paired parent/HEAD runs of one BENCHMARK.json workload — the measurement
-# every performance PR needs and PRs 12-19 each rebuilt by hand.
+# Paired parent/HEAD measurement — the evidence every performance PR needs
+# and PRs 12-19 each rebuilt by hand. Two modes:
 #
 #   scripts/benchpair.sh <workload> [pairs=10] [seconds=12]
+#   scripts/benchpair.sh -micro <package> <bench regex> [rounds=6]
 #   make benchpair WORKLOAD=churn-failover
+#   make benchpair PKG=./internal/core BENCH=JudgePass
 #
 # The parent ($BASE, default HEAD~1) is checked out with `git worktree add`
-# under a temporary directory and removed on exit; the other side is this
+# under a temporary directory, or extracted there with `git archive` when
+# no worktree can be made, and removed on exit; the other side is this
 # working tree as it stands, uncommitted edits included (so BASE=HEAD while
-# a change is still uncommitted). Each pair runs both sides' own
-# benchmark/run.sh on one seed (SEED0 + pair number, default 101 on: pick a
-# range no development run used), alternating which side goes first so
+# a change is still uncommitted).
+#
+# Workload mode runs both sides' own benchmark/run.sh, one BENCHMARK.json
+# workload per pair on one seed (SEED0 + pair number, default 101 on: pick
+# a range no development run used), alternating which side goes first so
 # drift in the host hits both. Printed: per-pair HEAD/parent ratios of the
 # six end-to-end metrics, whether state_digest and events_fired agree,
-# failed operations, then each side's q1/median/q3 and the pairs HEAD won —
-# the nine-in-ten rule of /opt/skills/guides/choosing-metrics. (serve-ops
-# runs on the real clock, so its digest and event count differ between any
-# two runs, of one side or of both.) Nothing under benchmark/ is touched;
-# both sides build into their own benchmark/.build/.
+# failed operations, then each side's q1/median/q3 and the pairs HEAD won
+# (a claimed gain should win at least nine pairs in ten). (serve-ops runs on
+# the real clock, so its digest and event count differ between any two
+# runs, of one side or of both.) Nothing under benchmark/ is touched; both
+# sides build into their own benchmark/.build/.
+#
+# Micro mode builds each side's `go test -c` binary for one package and
+# alternates rounds of `-test.bench <regex> -test.benchmem` between them,
+# each binary run from its own package directory. Printed: ns/op and
+# allocs/op of every benchmark per round and side, then each side's median
+# and the rounds HEAD won on ns/op.
 set -euo pipefail
 
-workload=${1:?usage: scripts/benchpair.sh <workload> [pairs=10] [seconds=12]}
-pairs=${2:-10}
-seconds=${3:-12}
+usage="usage: scripts/benchpair.sh <workload> [pairs=10] [seconds=12] | -micro <package> <bench regex> [rounds=6]"
 base=${BASE:-HEAD~1}
-seed0=${SEED0:-101}
-
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
 cleanup() {
@@ -33,8 +40,71 @@ cleanup() {
 	rm -rf "$tmp"
 }
 trap cleanup EXIT
-git -C "$root" worktree add --detach "$tmp/parent" "$base" >/dev/null
-echo "parent $(git -C "$tmp/parent" rev-parse --short HEAD) vs working tree at $(git -C "$root" rev-parse --short HEAD), workload $workload, $pairs pairs x ${seconds}s, seeds $seed0..$((seed0 + pairs - 1))"
+if ! git -C "$root" worktree add --detach "$tmp/parent" "$base" >/dev/null 2>&1; then
+	mkdir -p "$tmp/parent"
+	git -C "$root" archive "$base" | tar -x -C "$tmp/parent"
+fi
+parent_rev=$(git -C "$root" rev-parse --short "$base")
+head_rev=$(git -C "$root" rev-parse --short HEAD)
+
+if [[ ${1:-} == -micro ]]; then
+	pkg=${2:?$usage}
+	regex=${3:?$usage}
+	rounds=${4:-6}
+	echo "parent $parent_rev vs working tree at $head_rev, package $pkg, benchmarks /$regex/, $rounds rounds"
+	(cd "$tmp/parent" && go test -c -o "$tmp/parent.test" "$pkg")
+	(cd "$root" && go test -c -o "$tmp/head.test" "$pkg")
+	# bench <side> <dir> <round>: one run, reduced to "side round name ns allocs".
+	bench() {
+		(cd "$2/$pkg" && "$tmp/$1.test" -test.run '^$' -test.bench "$regex" -test.benchmem) |
+			awk -v side="$1" -v round="$3" '$1 ~ /^Benchmark/ {
+				ns = al = "-"
+				for (i = 2; i <= NF; i++) { if ($i == "ns/op") ns = $(i - 1); if ($i == "allocs/op") al = $(i - 1) }
+				print side, round, $1, ns, al }'
+	}
+	for ((i = 1; i <= rounds; i++)); do
+		if ((i % 2)); then
+			bench parent "$tmp/parent" "$i"
+			bench head "$root" "$i"
+		else
+			bench head "$root" "$i"
+			bench parent "$tmp/parent" "$i"
+		fi >>"$tmp/rows"
+		echo "round $i/$rounds done" >&2
+	done
+	awk '
+	function median(side, b, col,    n, i, j, t, a) {
+		n = 0
+		for (i = 1; i <= nr; i++) if ((side, rounds[i], b) in ns) a[++n] = (col == "ns" ? ns[side, rounds[i], b] : al[side, rounds[i], b]) + 0
+		for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+		return n == 0 ? 0 : (n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2)
+	}
+	{
+		ns[$1, $2, $3] = $4; al[$1, $2, $3] = $5
+		if (!($2 in seenr)) { seenr[$2] = 1; rounds[++nr] = $2 }
+		if (!($3 in seenb)) { seenb[$3] = 1; benches[++nb] = $3 }
+		printf "round %-3s %-6s %-50s %14s ns/op %8s allocs/op\n", $2, $1, $3, $4, $5
+	}
+	END {
+		printf "\n%-50s %14s %14s %7s %9s %9s  %s\n", "benchmark", "parent ns/op", "head ns/op", "ratio", "p allocs", "h allocs", "rounds HEAD won on ns/op"
+		for (k = 1; k <= nb; k++) {
+			b = benches[k]; won = 0; n = 0
+			for (i = 1; i <= nr; i++) if (("parent", rounds[i], b) in ns && ("head", rounds[i], b) in ns) {
+				n++; if (ns["head", rounds[i], b] + 0 < ns["parent", rounds[i], b] + 0) won++
+			}
+			p = median("parent", b, "ns"); h = median("head", b, "ns")
+			printf "%-50s %14.6g %14.6g %7s %9g %9g  %d/%d\n", b, p, h, (p == 0 ? "n/a" : sprintf("%.3fx", h / p)),
+				median("parent", b, "al"), median("head", b, "al"), won, n
+		}
+	}' "$tmp/rows"
+	exit 0
+fi
+
+workload=${1:?$usage}
+pairs=${2:-10}
+seconds=${3:-12}
+seed0=${SEED0:-101}
+echo "parent $parent_rev vs working tree at $head_rev, workload $workload, $pairs pairs x ${seconds}s, seeds $seed0..$((seed0 + pairs - 1))"
 
 # run <side> <dir> <seed>: one untraced run, reduced to "side seed key value"
 # rows. A run that exits non-zero (a failed check) is reported, not fatal:
