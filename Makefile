@@ -105,8 +105,9 @@ soak:
 
 # Prints every package's microbenchmarks and saves nothing: ns/op means
 # something only beside a run of the parent on the same host (`make
-# benchpair` for the end-to-end numbers), and the judge hot path's
-# allocs/op are held by the *AllocCeiling* tests `go test ./...` runs.
+# benchpair` for the end-to-end numbers), and the allocs/op of the judge
+# hot path and the hdfs read path are held by the *AllocCeiling* tests
+# (TestReadPathAllocCeilings among them) `go test ./...` runs.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
@@ -169,8 +170,12 @@ loc:
 # judge's last-touch-ordered idle list, the hdfs above-default index with
 # its restore/replay rebuild and consistency recount, the split of the
 # per-file rules out of the sweep, and a radix sort for the CEP row order —
-# cutting the hot-small pass from 21-26 ms to 6 ms.
-LOC_CEILING ?= 24150
+# cutting the hot-small pass from 21-26 ms to 6 ms; 24,250 with the read
+# records (result 24,232, rounded up), which spend 103 lines turning the read
+# path's per-block closures into the fileRead/blockRead records and their
+# methods plus topology's append-style path builders, so a block read
+# allocates only its netsim Flow (swim-large allocs/op 69 -> 19).
+LOC_CEILING ?= 24250
 
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

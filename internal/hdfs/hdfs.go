@@ -117,11 +117,11 @@ type Datanode struct {
 	Used         float64
 	MaxSessions  int
 	sessions     int
-	xferOut      int     // outbound replication transfers in flight
-	xferIn       int     // inbound replication transfers in flight
-	pendingAdds  int     // inbound replicas scheduled but not yet landed
-	pendingBytes float64 // bytes those pending replicas will occupy
-	waiting      []*pendingSession
+	xferOut      int          // outbound replication transfers in flight
+	xferIn       int          // inbound replication transfers in flight
+	pendingAdds  int          // inbound replicas scheduled but not yet landed
+	pendingBytes float64      // bytes those pending replicas will occupy
+	waiting      []*blockRead // reads queued for a session, in arrival order
 	blocks       blockSet
 	// activeFlows tracks flows being served *from* this node so they can be
 	// killed with it (or with the network path to their peer).
@@ -168,12 +168,6 @@ type Datanode struct {
 type flowHandle struct {
 	abort func()
 	peer  topology.NodeID
-}
-
-type pendingSession struct {
-	start    func()
-	abort    func()
-	canceled bool
 }
 
 // Sessions returns the number of in-flight serving sessions.

@@ -99,21 +99,46 @@ func (c *Cluster) ReadRange(client topology.NodeID, path string, offset, length 
 	c.read(client, path, true, 0, offset, length, done)
 }
 
+// fileRead is one ReadFile, ReadFileAt or ReadRange in flight. It owns the
+// result handed to done and the one blockRead its walk reuses for every
+// block and every retry: a block starts only after the previous one has
+// settled, so the record is never in two places at once.
+type fileRead struct {
+	res    ReadResult
+	blocks []BlockID
+	start  int     // block index the walk begins at (wrapping)
+	offset float64 // the range [offset, end) the walk streams
+	end    float64
+	n      int     // next block of the walk
+	pos    float64 // walk byte position of block n's first byte
+	span   trace.SpanID
+	ranged bool
+	done   func(*ReadResult)
+	blk    blockRead
+}
+
 // read is the one block walk under ReadFile, ReadFileAt and ReadRange: it
 // visits the file's blocks once each from index start (wrapping), streams
-// from every block the bytes that overlap [offset, end) through readBlock
-// — a block the range covers entirely is read whole — and settles the
-// result in finishRead. ranged selects the pread audit command, span name,
-// counters and range checks. A whole-file read is the range [0, +Inf):
-// every block lies inside it wherever the walk starts, so no block size
-// arithmetic can turn a whole block into a slice.
+// from every block the bytes that overlap [offset, end) through the walk's
+// blockRead — a block the range covers entirely is read whole — and
+// settles the result in finish. ranged selects the pread audit command,
+// span name, counters and range checks. A whole-file read is the range
+// [0, +Inf): every block lies inside it wherever the walk starts, so no
+// block size arithmetic can turn a whole block into a slice.
 func (c *Cluster) read(client topology.NodeID, path string, ranged bool, start int, offset, length float64, done func(*ReadResult)) {
 	cmd, name := auditlog.CmdOpen, "hdfs.read"
 	if ranged {
 		cmd, name = auditlog.CmdPread, "hdfs.pread"
 	}
 	f := c.files[path]
-	res := &ReadResult{Path: path, Client: client, Start: c.clock.Now(), Offset: offset, Length: length}
+	r := &fileRead{
+		res:    ReadResult{Path: path, Client: client, Start: c.clock.Now(), Offset: offset, Length: length},
+		start:  start,
+		offset: offset,
+		end:    math.Inf(1),
+		ranged: ranged,
+		done:   done,
+	}
 	var refused error
 	switch {
 	case f == nil:
@@ -127,106 +152,115 @@ func (c *Cluster) read(client topology.NodeID, path string, ranged bool, start i
 	}
 	if refused != nil {
 		c.audit.Append(rec)
-		res.Err = refused
-		res.End = c.clock.Now()
+		r.res.Err = refused
+		r.res.End = c.clock.Now()
 		if done != nil {
-			done(res)
+			done(&r.res)
 		}
 		return
 	}
-	span := c.tracer.Begin(name, c.tracer.Current())
-	c.tracer.SetAttr(span, "path", path)
-	end := math.Inf(1)
+	r.span = c.tracer.Begin(name, c.tracer.Current())
+	c.tracer.SetAttr(r.span, "path", path)
 	if ranged {
-		end = f.Size
-		if length > 0 && offset+length < end {
-			end = offset + length
+		r.end = f.Size
+		if length > 0 && offset+length < r.end {
+			r.end = offset + length
 		}
-		res.Length = end - offset
-		c.tracer.SetAttrInt(span, "offset", int64(offset))
-		c.tracer.SetAttrInt(span, "length", int64(res.Length))
+		r.res.Length = r.end - offset
+		c.tracer.SetAttrInt(r.span, "offset", int64(offset))
+		c.tracer.SetAttrInt(r.span, "length", int64(r.res.Length))
 		c.metrics.RangedReads++
 	}
 	c.audit.Append(rec)
 	c.metrics.ReadsStarted++
 	c.activeReads++
-	blocks := f.Blocks
-	// step issues the read of the n-th block of the walk, whose first byte
-	// is byte pos of the walk, skipping blocks that end before the range.
-	var step func(n int, pos float64)
-	step = func(n int, pos float64) {
-		for ; n < len(blocks); n++ {
-			id := blocks[(start+n)%len(blocks)]
-			amount := 0.0 // the whole block; readBlock reports a missing one
-			if b := c.Block(id); b != nil {
-				lo, hi := pos, pos+b.Size
-				pos = hi
-				if hi <= offset {
-					continue
-				}
-				if lo >= end {
-					break
-				}
-				if lo < offset || hi > end {
-					amount = math.Min(hi, end) - math.Max(lo, offset)
-				}
-			}
-			next, nextPos := n+1, pos
-			prev := c.tracer.Push(span)
-			c.readBlock(client, id, amount, 0, func(bytes float64, loc Locality, err error) {
-				if err != nil {
-					c.finishRead(res, span, ranged, err, done)
-					return
-				}
-				res.Bytes += bytes
-				switch loc {
-				case NodeLocal:
-					res.NodeLocal++
-				case RackLocal:
-					res.RackLocal++
-				default:
-					res.Remote++
-				}
-				step(next, nextPos)
-			})
-			c.tracer.Pop(prev)
-			return
-		}
-		c.finishRead(res, span, ranged, nil, done)
-	}
-	step(0, 0)
+	r.blocks = f.Blocks
+	r.blk.init(c, client)
+	r.blk.file = r
+	r.next()
 }
 
-// finishRead is the one place a started read ends, completed (err nil) or
+// next issues the read of the walk's next block that overlaps the range,
+// skipping blocks that end before it, or settles the read when none is left.
+func (r *fileRead) next() {
+	c := r.blk.c
+	for ; r.n < len(r.blocks); r.n++ {
+		id := r.blocks[(r.start+r.n)%len(r.blocks)]
+		amount := 0.0 // the whole block; the block read reports a missing one
+		if b := c.Block(id); b != nil {
+			lo, hi := r.pos, r.pos+b.Size
+			r.pos = hi
+			if hi <= r.offset {
+				continue
+			}
+			if lo >= r.end {
+				break
+			}
+			if lo < r.offset || hi > r.end {
+				amount = math.Min(hi, r.end) - math.Max(lo, r.offset)
+			}
+		}
+		r.n++
+		prev := c.tracer.Push(r.span)
+		r.blk.issue(id, amount)
+		c.tracer.Pop(prev)
+		return
+	}
+	r.finish(nil)
+}
+
+// blockDone takes the outcome of the walk's current block read: a failure
+// ends the read, a success is counted and the walk moves on.
+func (r *fileRead) blockDone(bytes float64, loc Locality, err error) {
+	if err != nil {
+		r.finish(err)
+		return
+	}
+	r.res.Bytes += bytes
+	switch loc {
+	case NodeLocal:
+		r.res.NodeLocal++
+	case RackLocal:
+		r.res.RackLocal++
+	default:
+		r.res.Remote++
+	}
+	r.next()
+}
+
+// finish is the one place a started read ends, completed (err nil) or
 // failed: result, active-read count, counters, span, callback.
-func (c *Cluster) finishRead(res *ReadResult, span trace.SpanID, ranged bool, err error, done func(*ReadResult)) {
+func (r *fileRead) finish(err error) {
+	c, res := r.blk.c, &r.res
 	res.Err = err
 	res.End = c.clock.Now()
 	c.activeReads--
 	if err != nil {
 		c.metrics.ReadsFailed++
 		msg := "read failed"
-		if ranged {
+		if r.ranged {
 			msg = "pread failed"
 		}
-		c.tracer.SetAttr(span, "error", msg)
+		c.tracer.SetAttr(r.span, "error", msg)
 	} else {
 		c.metrics.ReadsCompleted++
 		c.metrics.BytesRead += res.Bytes
-		if ranged {
+		if r.ranged {
 			c.metrics.RangedBytesRead += res.Bytes
 		}
 	}
-	c.tracer.End(span)
-	if done != nil {
-		done(res)
+	c.tracer.End(r.span)
+	if r.done != nil {
+		r.done(res)
 	}
 }
 
 // ReadBlock reads a single block to the client node (used by MapReduce map
 // tasks, which read exactly one block).
 func (c *Cluster) ReadBlock(client topology.NodeID, id BlockID, done func(bytes float64, loc Locality, err error)) {
-	c.readBlock(client, id, 0, 0, done)
+	r := &blockRead{done: done}
+	r.init(c, client)
+	r.issue(id, 0)
 }
 
 // Transfer streams raw bytes from src to dst over the fabric — shuffle
@@ -296,105 +330,168 @@ func (c *Cluster) selectReplica(client topology.NodeID, id BlockID, exclude map[
 	return best, loc, true
 }
 
-// readBlock streams a block (or, when 0 < amount < block size, just a slice
+// blockRead streams a block (or, when 0 < amount < block size, just a slice
 // of it) from the best replica to the client. amount <= 0 means the whole
-// block. Every call — partial or not — counts one block read: session
+// block. Every attempt — partial or not — counts one block read: session
 // admission, locality accounting, and the BlockReadEvent fan-out are
 // per-read, matching how a datanode serves a pread.
-func (c *Cluster) readBlock(client topology.NodeID, id BlockID, amount float64, attempt int, done func(float64, Locality, error)) {
-	sp := c.tracer.Begin("hdfs.block_read", c.tracer.Current())
-	c.tracer.SetAttrInt(sp, "block", int64(id))
-	if attempt > 0 {
-		c.tracer.SetAttrInt(sp, "attempt", int64(attempt))
+//
+// The record is in one place at a time: a datanode's waiting queue (left
+// through drainWaiting or abortWaiting), then a session whose flow is in
+// the fabric and whose embedded flowHandle is in activeFlows (left through
+// landed or aborted), then the next attempt or its owner. Every exit
+// removes the flow and the handle before the callback runs, so a retry or
+// the owner's next block may reuse the record at once.
+type blockRead struct {
+	flowHandle // peer is the client; abort is the cached aborted
+	c          *Cluster
+	client     topology.NodeID
+	id         BlockID
+	amount     float64
+	attempt    int
+	// Set per attempt: the block, the chosen source and its locality, the
+	// bytes streamed, the attempt's span and the path its flow crosses.
+	b        *Block
+	src      DatanodeID
+	d        *Datanode
+	loc      Locality
+	stream   float64
+	sp       trace.SpanID
+	path     [topology.MaxReadPath]topology.LinkID
+	landedFn func(*netsim.Flow) // the cached landed, the flow's onDone
+	// The outcome goes to file's walk, or to done for a ReadBlock.
+	file *fileRead
+	done func(float64, Locality, error)
+}
+
+// init binds the record to its cluster and client and caches its callbacks.
+func (r *blockRead) init(c *Cluster, client topology.NodeID) {
+	r.c, r.client, r.peer = c, client, client
+	r.abort, r.landedFn = r.aborted, r.landed
+}
+
+// issue starts the first attempt at reading amount bytes of block id.
+func (r *blockRead) issue(id BlockID, amount float64) {
+	r.id, r.amount, r.attempt = id, amount, 0
+	r.begin()
+}
+
+// begin runs attempt r.attempt: pick a replica and ask its datanode for a
+// session.
+func (r *blockRead) begin() {
+	c := r.c
+	r.sp = c.tracer.Begin("hdfs.block_read", c.tracer.Current())
+	c.tracer.SetAttrInt(r.sp, "block", int64(r.id))
+	if r.attempt > 0 {
+		c.tracer.SetAttrInt(r.sp, "attempt", int64(r.attempt))
 	}
-	b := c.Block(id)
+	b := c.Block(r.id)
 	if b == nil {
-		c.tracer.SetAttr(sp, "error", "no such block")
-		c.tracer.End(sp)
-		done(0, Remote, fmt.Errorf("hdfs: no such block %d", id))
+		c.tracer.SetAttr(r.sp, "error", "no such block")
+		c.tracer.End(r.sp)
+		r.finish(0, Remote, fmt.Errorf("hdfs: no such block %d", r.id))
 		return
 	}
-	src, loc, ok := c.selectReplica(client, id, nil)
+	src, loc, ok := c.selectReplica(r.client, r.id, nil)
 	if !ok {
-		c.tracer.SetAttr(sp, "error", "no live replica")
-		c.tracer.End(sp)
-		done(0, Remote, fmt.Errorf("hdfs: block %d of %q has no live replica", id, b.File))
+		c.tracer.SetAttr(r.sp, "error", "no live replica")
+		c.tracer.End(r.sp)
+		r.finish(0, Remote, fmt.Errorf("hdfs: block %d of %q has no live replica", r.id, b.File))
 		return
 	}
-	c.tracer.SetAttrInt(sp, "datanode", int64(src))
-	d := c.datanodes[src]
-	retry := func() {
-		if attempt+1 >= maxReadRetries {
-			done(0, loc, fmt.Errorf("hdfs: read of block %d failed after %d attempts", id, attempt+1))
-			return
-		}
-		c.readBlock(client, id, amount, attempt+1, done)
+	c.tracer.SetAttrInt(r.sp, "datanode", int64(src))
+	r.b, r.src, r.d, r.loc = b, src, c.datanodes[src], loc
+	r.stream = b.Size
+	if r.amount > 0 && r.amount < b.Size {
+		r.stream = r.amount
 	}
-	stream := b.Size
-	if amount > 0 && amount < b.Size {
-		stream = amount
+	c.admit(r.d, r)
+}
+
+// admitted streams the block (or the requested slice of it) once the
+// session is granted, registering the flow so the serving node's death or
+// a partition aborts it.
+func (r *blockRead) admitted() {
+	c := r.c
+	c.metrics.BlockReads++
+	if r.stream < r.b.Size {
+		c.metrics.PartialBlockReads++
 	}
-	c.admit(d, func() {
-		// Session granted; stream the block (or the requested slice of it).
-		c.metrics.BlockReads++
-		if stream < b.Size {
-			c.metrics.PartialBlockReads++
-		}
-		if int(id) < len(c.readCounts) {
-			c.readCounts[id]++
-		}
-		switch loc {
-		case NodeLocal:
-			c.metrics.NodeLocalReads++
-		case RackLocal:
-			c.metrics.RackLocalReads++
-		default:
-			c.metrics.RemoteReads++
-		}
-		ev := BlockReadEvent{
-			Time: c.clock.Now(), Path: b.File, Block: id, Datanode: src, Client: client,
-			Bytes: stream,
-		}
-		for _, fn := range c.onBlockRead {
-			fn(ev)
-		}
-		var path []topology.LinkID
-		if client < 0 {
-			path = c.topo.ExternalPath(topology.NodeID(src))
-		} else {
-			path = c.topo.ReadPath(topology.NodeID(src), client)
-		}
-		prev := c.tracer.Push(sp)
-		flow := c.fabric.StartFlow(path, stream, 0, func(f *netsim.Flow) {
-			delete(d.activeFlows, f)
-			c.release(d)
-			// Client-side checksum: a corrupt replica streams fine but
-			// fails verification on arrival; the read reports it (namenode
-			// quarantines the copy) and retries elsewhere.
-			if d.corrupt[id] {
-				c.metrics.ChecksumFailures++
-				c.reportCorrupt(b, src)
-				c.tracer.SetAttr(sp, "error", "checksum")
-				c.tracer.End(sp)
-				retry()
-				return
-			}
-			c.tracer.End(sp)
-			done(stream, loc, nil)
-		})
-		c.tracer.Pop(prev)
-		// Register an abort handler so that if the serving node dies the
-		// read retries on another replica (the killer cancels the flow and
-		// invokes this).
-		d.activeFlows[flow] = &flowHandle{peer: client, abort: func() {
-			c.release(d)
-			c.tracer.SetAttr(sp, "error", "aborted")
-			c.tracer.End(sp)
-			retry()
-		}}
-	}, func() {
-		c.tracer.SetAttr(sp, "error", "admission aborted")
-		c.tracer.End(sp)
-		retry()
-	})
+	if int(r.id) < len(c.readCounts) {
+		c.readCounts[r.id]++
+	}
+	switch r.loc {
+	case NodeLocal:
+		c.metrics.NodeLocalReads++
+	case RackLocal:
+		c.metrics.RackLocalReads++
+	default:
+		c.metrics.RemoteReads++
+	}
+	ev := BlockReadEvent{
+		Time: c.clock.Now(), Path: r.b.File, Block: r.id, Datanode: r.src, Client: r.client,
+		Bytes: r.stream,
+	}
+	for _, fn := range c.onBlockRead {
+		fn(ev)
+	}
+	var path []topology.LinkID
+	if r.client < 0 {
+		path = c.topo.AppendExternalPath(r.path[:0], topology.NodeID(r.src))
+	} else {
+		path = c.topo.AppendReadPath(r.path[:0], topology.NodeID(r.src), r.client)
+	}
+	prev := c.tracer.Push(r.sp)
+	flow := c.fabric.StartFlow(path, r.stream, 0, r.landedFn)
+	c.tracer.Pop(prev)
+	r.d.activeFlows[flow] = &r.flowHandle
+}
+
+// landed completes the attempt when its flow's last byte arrives.
+// Client-side checksum: a corrupt replica streams fine but fails
+// verification on arrival; the read reports it (the namenode quarantines
+// the copy) and retries elsewhere.
+func (r *blockRead) landed(f *netsim.Flow) {
+	c := r.c
+	delete(r.d.activeFlows, f)
+	c.release(r.d)
+	if r.d.corrupt[r.id] {
+		c.metrics.ChecksumFailures++
+		c.reportCorrupt(r.b, r.src)
+		r.retryAfter("checksum")
+		return
+	}
+	c.tracer.End(r.sp)
+	r.finish(r.stream, r.loc, nil)
+}
+
+// aborted retries on another replica after the serving node died or a
+// partition cut the flow (the killer has already canceled the flow and
+// dropped the handle).
+func (r *blockRead) aborted() {
+	r.c.release(r.d)
+	r.retryAfter("aborted")
+}
+
+// retryAfter closes the attempt's span with reason and starts the next
+// attempt, or fails the read after maxReadRetries.
+func (r *blockRead) retryAfter(reason string) {
+	r.c.tracer.SetAttr(r.sp, "error", reason)
+	r.c.tracer.End(r.sp)
+	if r.attempt+1 >= maxReadRetries {
+		r.finish(0, r.loc, fmt.Errorf("hdfs: read of block %d failed after %d attempts", r.id, r.attempt+1))
+		return
+	}
+	r.attempt++
+	r.begin()
+}
+
+// finish hands the outcome to the record's owner. The record may be reused
+// from inside the call, so nothing touches it afterwards.
+func (r *blockRead) finish(bytes float64, loc Locality, err error) {
+	if r.file != nil {
+		r.file.blockDone(bytes, loc, err)
+		return
+	}
+	r.done(bytes, loc, err)
 }

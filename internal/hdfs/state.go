@@ -8,32 +8,34 @@ import (
 	"erms/internal/netsim"
 )
 
-// admit grants a serving session on d, queuing when the node is at its
+// admit grants r a serving session on d, queuing it when the node is at its
 // session limit ("when the number of sessions has reached its upper bound,
-// the connection requests ... will be blocked"). abort fires instead of
-// start if the node leaves service while the request is still queued.
-func (c *Cluster) admit(d *Datanode, start, abort func()) *pendingSession {
-	p := &pendingSession{start: start, abort: abort}
+// the connection requests ... will be blocked"). A queued read is refused
+// instead if the node leaves service first (abortWaiting).
+func (c *Cluster) admit(d *Datanode, r *blockRead) {
 	if d.sessions < d.MaxSessions && d.canServe() {
 		d.sessions++
-		start()
-		return p
+		r.admitted()
+		return
 	}
-	d.waiting = append(d.waiting, p)
-	return p
+	d.waiting = append(d.waiting, r)
 }
 
-// release frees a session and admits the next waiter.
+// release frees a session and admits the next waiters.
 func (c *Cluster) release(d *Datanode) {
 	d.sessions--
+	c.drainWaiting(d)
+}
+
+// drainWaiting admits queued reads in arrival order while d serves and has
+// a free session.
+func (c *Cluster) drainWaiting(d *Datanode) {
 	for len(d.waiting) > 0 && d.sessions < d.MaxSessions && d.canServe() {
-		p := d.waiting[0]
+		r := d.waiting[0]
+		d.waiting[0] = nil
 		d.waiting = d.waiting[1:]
-		if p.canceled {
-			continue
-		}
 		d.sessions++
-		p.start()
+		r.admitted()
 	}
 }
 
@@ -52,15 +54,7 @@ func (c *Cluster) Commission(id DatanodeID) {
 	if sp := c.tracer.Instant("hdfs.commission", c.tracer.Current()); sp != 0 {
 		c.tracer.SetAttr(sp, "node", d.Name)
 	}
-	for len(d.waiting) > 0 && d.sessions < d.MaxSessions {
-		p := d.waiting[0]
-		d.waiting = d.waiting[1:]
-		if p.canceled {
-			continue
-		}
-		d.sessions++
-		p.start()
-	}
+	c.drainWaiting(d)
 	for _, fn := range c.onNodeUp {
 		fn(id)
 	}
@@ -236,13 +230,12 @@ func (c *Cluster) abortServing(d *Datanode) {
 	}
 }
 
-// abortWaiting fails every queued admission on d (the node left service).
+// abortWaiting refuses every queued admission on d (the node left service);
+// each read retries elsewhere.
 func (c *Cluster) abortWaiting(d *Datanode) {
 	waiting := d.waiting
 	d.waiting = nil
-	for _, p := range waiting {
-		if !p.canceled && p.abort != nil {
-			p.abort()
-		}
+	for _, r := range waiting {
+		r.retryAfter("admission aborted")
 	}
 }

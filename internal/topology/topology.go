@@ -176,22 +176,34 @@ func (t *Topology) NodesInRack(r int) []NodeID {
 	return out
 }
 
+// MaxReadPath is the most links a client read crosses (a cross-rack read):
+// a caller that keeps one read's path inline sizes its array with it.
+const MaxReadPath = 5
+
 // ReadPath returns the links a block read crosses when client dst reads from
 // datanode src: the source disk, then (if remote) the source NIC, any rack
 // hops, and the destination NIC. A node-local read touches only the disk.
-func (t *Topology) ReadPath(src, dst NodeID) []LinkID { return t.readPath(src, dst, 0) }
+func (t *Topology) ReadPath(src, dst NodeID) []LinkID {
+	var buf [MaxReadPath]LinkID
+	return exact(t.AppendReadPath(buf[:0], src, dst))
+}
 
-// readPath builds the read path in one allocation, at its final length plus
-// room for the links the caller will append.
-func (t *Topology) readPath(src, dst NodeID, room int) []LinkID {
+// exact copies a path built in a stack buffer into one allocation of its
+// final length.
+func exact(path []LinkID) []LinkID { return append(make([]LinkID, 0, len(path)), path...) }
+
+// AppendReadPath appends ReadPath(src, dst) to path and returns the
+// extended slice; into a buffer of MaxReadPath spare links it allocates
+// nothing.
+func (t *Topology) AppendReadPath(path []LinkID, src, dst NodeID) []LinkID {
 	s, d := &t.Nodes[src], &t.Nodes[dst]
 	switch {
 	case src == dst:
-		return append(make([]LinkID, 0, 1+room), s.Disk)
+		return append(path, s.Disk)
 	case s.Rack == d.Rack:
-		return append(make([]LinkID, 0, 3+room), s.Disk, s.NICOut, d.NICIn)
+		return append(path, s.Disk, s.NICOut, d.NICIn)
 	}
-	return append(make([]LinkID, 0, 5+room), s.Disk, s.NICOut, t.rackUp[s.Rack], t.rackDown[d.Rack], d.NICIn)
+	return append(path, s.Disk, s.NICOut, t.rackUp[s.Rack], t.rackDown[d.Rack], d.NICIn)
 }
 
 // ExternalPath returns the links a read crosses when the consumer is an
@@ -199,8 +211,14 @@ func (t *Topology) readPath(src, dst NodeID, room int) []LinkID {
 // the source disk, its NIC, and its rack uplink; the core and the client's
 // own network are assumed unbounded.
 func (t *Topology) ExternalPath(src NodeID) []LinkID {
+	return t.AppendExternalPath(make([]LinkID, 0, 3), src)
+}
+
+// AppendExternalPath appends ExternalPath(src) to path and returns the
+// extended slice.
+func (t *Topology) AppendExternalPath(path []LinkID, src NodeID) []LinkID {
 	s := &t.Nodes[src]
-	return []LinkID{s.Disk, s.NICOut, t.rackUp[s.Rack]}
+	return append(path, s.Disk, s.NICOut, t.rackUp[s.Rack])
 }
 
 // TransferPath returns the links a replica transfer crosses from datanode
@@ -210,7 +228,8 @@ func (t *Topology) TransferPath(src, dst NodeID) []LinkID {
 	if src == dst {
 		return []LinkID{t.Nodes[src].Disk}
 	}
-	return append(t.readPath(src, dst, 1), t.Nodes[dst].Disk)
+	var buf [MaxReadPath + 1]LinkID
+	return exact(append(t.AppendReadPath(buf[:0], src, dst), t.Nodes[dst].Disk))
 }
 
 // RackUplink exposes rack r's uplink (for reports).

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -182,5 +183,29 @@ func TestPathsAllocateOnce(t *testing.T) {
 				t.Errorf("%s(%d, %d): len %d, cap %d", name, src, dst, len(sink), cap(sink))
 			}
 		}
+	}
+}
+
+// The append builders fill a caller's inline buffer without allocating and
+// produce exactly what the allocating wrappers return.
+func TestAppendPathsFillInlineBuffer(t *testing.T) {
+	topo := New(Config{})
+	src, same, cross := topo.NodesInRack(0)[0], topo.NodesInRack(0)[1], topo.NodesInRack(1)[0]
+	var buf [MaxReadPath]LinkID
+	for _, dst := range []NodeID{src, same, cross} {
+		var got []LinkID
+		if n := testing.AllocsPerRun(100, func() { got = topo.AppendReadPath(buf[:0], src, dst) }); n != 0 {
+			t.Errorf("AppendReadPath(%d, %d) allocates %v times, want 0", src, dst, n)
+		}
+		if !slices.Equal(got, topo.ReadPath(src, dst)) {
+			t.Errorf("AppendReadPath(%d, %d) = %v, ReadPath = %v", src, dst, got, topo.ReadPath(src, dst))
+		}
+	}
+	var got []LinkID
+	if n := testing.AllocsPerRun(100, func() { got = topo.AppendExternalPath(buf[:0], src) }); n != 0 {
+		t.Errorf("AppendExternalPath(%d) allocates %v times, want 0", src, n)
+	}
+	if !slices.Equal(got, topo.ExternalPath(src)) {
+		t.Errorf("AppendExternalPath(%d) = %v, ExternalPath = %v", src, got, topo.ExternalPath(src))
 	}
 }
