@@ -37,6 +37,42 @@ func BenchmarkInsertGroupedTimeWindow(b *testing.B) {
 	}
 }
 
+// twoKeyInsert returns one step of the judge's blocks statement: block
+// reads grouped by path and block number over 256 groups, with a window
+// short enough that every insert also expires the oldest record, so the
+// step is a steady state of hash, chain walk, fold and unwind.
+func twoKeyInsert() func() {
+	now := time.Duration(0)
+	e := New(func() time.Duration { return now })
+	e.MustCompile("select path, block, count(*) as cnt from BlockAccess.win:time(1 s) group by path, block")
+	schema := NewSchema("BlockAccess", "path", "block", "datanode")
+	paths := make([]string, 64)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/user/data/part-%05d", i)
+	}
+	i := 0
+	return func() {
+		now = time.Duration(i) * time.Millisecond
+		ev := schema.Event(now)
+		ev.SetStr(0, paths[i%len(paths)])
+		ev.SetNum(1, float64(i/len(paths)%4))
+		ev.SetNum(2, float64(i%7))
+		e.Insert(ev)
+		i++
+	}
+}
+
+// BenchmarkInsertTwoKeyGroups measures twoKeyInsert. This is
+// allocation-free.
+func BenchmarkInsertTwoKeyGroups(b *testing.B) {
+	insert := twoKeyInsert()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		insert()
+	}
+}
+
 // filledWindow compiles query against a one-hour window holding n events
 // spread over 20 groups.
 func filledWindow(tb testing.TB, query string, n int) *Statement {
@@ -95,12 +131,15 @@ func BenchmarkEachRowEvaluation(b *testing.B) {
 	_ = sink
 }
 
-// TestHotPathAllocCeilings holds the three benchmarks above to their
+// TestHotPathAllocCeilings holds the four benchmarks above to their
 // allocation budgets on every `go test`: allocs/op is the one number they
 // report that does not depend on the host.
 func TestHotPathAllocCeilings(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, groupedInsert()); n != 0 {
 		t.Errorf("InsertGroupedTimeWindow: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, twoKeyInsert()); n != 0 {
+		t.Errorf("InsertTwoKeyGroups: %v allocs/op, want 0", n)
 	}
 	rows := filledWindow(t, rowsQuery, 10000)
 	if n := testing.AllocsPerRun(100, func() { rows.Rows() }); n > 106 {

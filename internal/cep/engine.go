@@ -64,7 +64,7 @@ func (e *Engine) Compile(epl string) (*Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Statement{engine: e, query: q, groups: make(map[groupKey]*group)}
+	s := &Statement{engine: e, query: q, groups: make(map[uint64]*group)}
 	if err := s.plan(); err != nil {
 		return nil, err
 	}
@@ -157,11 +157,12 @@ type Statement struct {
 	sel      []Expr // bound select expressions
 	having   Expr   // bound having, aliases substituted; nil when absent
 
-	groups map[groupKey]*group
-	expiry ring[expEntry]
-	seq    uint64
-	live   int
-	cur    *group // group under evaluation, read by bound expressions
+	groups    map[uint64]*group // by key hash; colliding keys chain through group.next
+	hashClear uint64            // bits cleared from every key hash: zero, except in tests forcing collisions
+	expiry    ring[expEntry]
+	seq       uint64
+	live      int
+	cur       *group // group under evaluation, read by bound expressions
 
 	scratch    []Val
 	grpScratch []seqGroup // surviving's result, and its sort's other buffer

@@ -2,7 +2,9 @@ package cep
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 )
@@ -21,6 +23,39 @@ const maxGroupKeyFields = 3
 type groupKey struct {
 	n uint8
 	v [maxGroupKeyFields]Val
+}
+
+var groupHashSeed = maphash.MakeSeed()
+
+// hash is a 64-bit hash of the key's live fields only: each field's kind,
+// then its payload — a string through maphash, a number or bool as its
+// float bits with −0 folded into 0 — so keys equal under == hash alike.
+// Statement.groups chains keys whose hashes collide; == stays the equality,
+// so a NaN still matches nothing and forms a group of its own.
+func (k *groupKey) hash() uint64 {
+	var h uint64
+	for i := range k.n {
+		v := &k.v[i]
+		var x uint64
+		switch v.k {
+		case kindStr:
+			x = maphash.String(groupHashSeed, v.str)
+		case kindNum, kindBool:
+			f := v.num
+			if f == 0 {
+				f = 0 // −0 == 0
+			}
+			x = math.Float64bits(f)
+		}
+		h = mix(mix(h, uint64(v.k)), x)
+	}
+	return h
+}
+
+// mix folds x into h: one 64×64→128-bit multiply, halves xored.
+func mix(h, x uint64) uint64 {
+	hi, lo := bits.Mul64(h^x, 0x9e3779b97f4a7c15)
+	return hi ^ lo
 }
 
 // ring is a growable circular buffer (FIFO).
@@ -124,6 +159,8 @@ type fieldStats struct {
 // group is the running state of one surviving group.
 type group struct {
 	key      groupKey
+	hash     uint64 // the key's Statement.groups bucket
+	next     *group // the bucket's next group, whose key hashes alike
 	firstSeq uint64 // creation seq; a windowed group orders by its seqs front instead
 	live     int
 	repVals  []Val // latest event's captured fields: what a bare field reference reads
@@ -151,16 +188,23 @@ func (s *Statement) insert(ev *Event) error {
 	for i, gi := range s.groupIdx {
 		key.v[i] = s.scratch[gi]
 	}
-	g := s.groups[key]
+	h := key.hash() &^ s.hashClear
+	head := s.groups[h]
+	g := head
+	for g != nil && g.key != key {
+		g = g.next
+	}
 	created := g == nil
 	if created {
 		g = &group{
 			key:      key,
+			hash:     h,
+			next:     head,
 			firstSeq: s.seq,
 			repVals:  make([]Val, len(s.evFields)),
 			stats:    make([]fieldStats, len(s.recIdx)),
 		}
-		s.groups[key] = g
+		s.groups[h] = g
 	}
 	seq := s.seq
 	s.seq++
@@ -246,7 +290,23 @@ func (s *Statement) expireFront(g *group) {
 	g.live--
 	s.live--
 	if g.live == 0 {
-		delete(s.groups, g.key)
+		s.unlink(g)
+	}
+}
+
+// unlink removes an emptied group from its bucket's chain.
+func (s *Statement) unlink(g *group) {
+	p := s.groups[g.hash]
+	switch {
+	case p != g:
+		for p.next != g {
+			p = p.next
+		}
+		p.next = g.next
+	case g.next != nil:
+		s.groups[g.hash] = g.next
+	default:
+		delete(s.groups, g.hash)
 	}
 }
 
@@ -313,12 +373,14 @@ func (s *Statement) surviving() []seqGroup {
 	windowed := s.windowed()
 	lo, hi := uint64(math.MaxUint64), uint64(0)
 	for _, g := range s.groups {
-		seq := g.firstSeq
-		if windowed {
-			seq = g.seqs.at(0)
+		for ; g != nil; g = g.next {
+			seq := g.firstSeq
+			if windowed {
+				seq = g.seqs.at(0)
+			}
+			lo, hi = min(lo, seq), max(hi, seq)
+			a = append(a, seqGroup{seq, g})
 		}
-		lo, hi = min(lo, seq), max(hi, seq)
-		a = append(a, seqGroup{seq, g})
 	}
 	b := slices.Grow(s.grpSpare[:0], len(a))[:len(a)]
 	for shift := uint(0); len(a) > 1 && (hi-lo)>>shift != 0; shift += 8 {
@@ -387,7 +449,7 @@ func evalBool(clause string, e Expr, ev *Event) (bool, error) {
 
 // reset releases all retained state (statement closed).
 func (s *Statement) reset() {
-	s.groups = make(map[groupKey]*group)
+	s.groups = make(map[uint64]*group)
 	s.expiry = ring[expEntry]{}
 	s.live = 0
 	s.cur = nil

@@ -52,3 +52,44 @@ func BenchmarkZipfDraw(b *testing.B) {
 		z.Draw()
 	}
 }
+
+// deepCalendar returns one step of hot-small's shape: 60,000 pending
+// events, each re-arming itself ahead when it fires so the depth holds, and
+// one timer re-armed in place while pending, as the network fabric's is.
+func deepCalendar() func() {
+	const depth = 60000
+	e := NewEngine()
+	items := make([]Timed, depth)
+	evs := make([]*Event, depth)
+	for i := range items {
+		ahead := time.Duration(i*7919%depth+1) * time.Microsecond
+		var fn func()
+		fn = func() { e.Reschedule(evs[i], ahead, fn) }
+		items[i] = Timed{At: ahead, Fn: fn}
+	}
+	copy(evs, e.AtBatch(items))
+	wake := func() {}
+	timer := e.Schedule(time.Millisecond, wake)
+	return func() {
+		e.Step()
+		e.Reschedule(timer, time.Millisecond, wake)
+	}
+}
+
+// BenchmarkStepDeepCalendar measures deepCalendar. This is allocation-free.
+func BenchmarkStepDeepCalendar(b *testing.B) {
+	step := deepCalendar()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
+// TestStepAllocCeiling holds a steady-state Step plus the in-place
+// Reschedule of a pending event to zero allocations.
+func TestStepAllocCeiling(t *testing.T) {
+	if n := testing.AllocsPerRun(1000, deepCalendar()); n != 0 {
+		t.Errorf("StepDeepCalendar: %v allocs/op, want 0", n)
+	}
+}

@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -18,8 +17,7 @@ import (
 // callers can cancel it before it fires.
 type Event struct {
 	at       time.Duration
-	seq      uint64
-	index    int // heap index; -1 once removed
+	index    int // calendar slot; -1 once removed
 	canceled bool
 	fn       func()
 }
@@ -35,9 +33,8 @@ func (e *Event) Canceled() bool { return e.canceled }
 // one with NewEngine.
 type Engine struct {
 	now      time.Duration
-	queue    eventHeap
+	queue    calendar
 	seq      uint64
-	running  bool
 	fired    uint64
 	canceled int // canceled events still sitting in the queue
 }
@@ -56,7 +53,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 
 // Pending returns the number of live events currently scheduled. Canceled
 // events waiting to be discarded from the calendar are not counted.
-func (e *Engine) Pending() int { return e.queue.Len() - e.canceled }
+func (e *Engine) Pending() int { return len(e.queue) - e.canceled }
 
 // Schedule runs fn after delay of virtual time. A negative delay is treated
 // as zero: the event fires at the current time, after all events already
@@ -97,12 +94,13 @@ func (e *Engine) arm(ev *Event, t time.Duration, fn func()) *Event {
 	if ev.canceled && ev.index >= 0 {
 		e.canceled-- // still queued: it counts as pending again
 	}
-	ev.at, ev.seq, ev.fn, ev.canceled = t, e.seq, fn, false
+	ev.at, ev.fn, ev.canceled = t, fn, false
+	s := slot{at: t, seq: e.seq, ev: ev}
 	e.seq++
 	if ev.index >= 0 {
-		heap.Fix(&e.queue, ev.index)
+		e.queue.fix(ev.index, s)
 	} else {
-		heap.Push(&e.queue, ev)
+		e.queue.push(s)
 	}
 	return ev
 }
@@ -115,9 +113,9 @@ type Timed struct {
 
 // AtBatch schedules many events in one calendar operation. Sequence numbers
 // are assigned in slice order, so the firing order is identical to calling At
-// for each element in turn; the heap is rebuilt once with heap.Init (O(n))
-// instead of sifting per event (O(n log n)). Workload preloading at the
-// million-file scale is the intended caller.
+// for each element in turn; the heap is rebuilt once (O(n)) instead of
+// sifting per event (O(n log n)). Workload preloading at the million-file
+// scale is the intended caller.
 func (e *Engine) AtBatch(items []Timed) []*Event {
 	evs := make([]*Event, len(items))
 	for i, it := range items {
@@ -127,12 +125,12 @@ func (e *Engine) AtBatch(items []Timed) []*Event {
 		if it.Fn == nil {
 			panic("sim: nil event callback")
 		}
-		ev := &Event{at: it.At, seq: e.seq, fn: it.Fn, index: len(e.queue)}
+		ev := &Event{at: it.At, fn: it.Fn, index: len(e.queue)}
+		e.queue = append(e.queue, slot{at: it.At, seq: e.seq, ev: ev})
 		e.seq++
-		e.queue = append(e.queue, ev)
 		evs[i] = ev
 	}
-	heap.Init(&e.queue)
+	e.queue.init()
 	return evs
 }
 
@@ -161,27 +159,25 @@ func (e *Engine) maybeCompact() {
 		return
 	}
 	live := e.queue[:0]
-	for _, ev := range e.queue {
-		if ev.canceled {
-			ev.index = -1
+	for _, s := range e.queue {
+		if s.ev.canceled {
+			s.ev.index = -1
 			continue
 		}
-		ev.index = len(live)
-		live = append(live, ev)
+		s.ev.index = len(live)
+		live = append(live, s)
 	}
-	for i := len(live); i < len(e.queue); i++ {
-		e.queue[i] = nil
-	}
+	clear(e.queue[len(live):])
 	e.queue = live
 	e.canceled = 0
-	heap.Init(&e.queue)
+	e.queue.init()
 }
 
 // Step executes the next event, advancing the clock to its timestamp. It
 // returns false if the calendar is empty.
 func (e *Engine) Step() bool {
-	for e.queue.Len() > 0 {
-		ev := heap.Pop(&e.queue).(*Event)
+	for len(e.queue) > 0 {
+		ev := e.queue.pop()
 		if ev.canceled {
 			e.canceled--
 			continue
@@ -227,12 +223,12 @@ func (e *Engine) RunFor(d time.Duration) {
 }
 
 func (e *Engine) peek() *Event {
-	for e.queue.Len() > 0 {
-		ev := e.queue[0]
+	for len(e.queue) > 0 {
+		ev := e.queue[0].ev
 		if !ev.canceled {
 			return ev
 		}
-		heap.Pop(&e.queue)
+		e.queue.pop()
 		e.canceled--
 	}
 	return nil
@@ -248,39 +244,111 @@ func (e *Engine) NextEventTime() (time.Duration, bool) {
 	return ev.at, true
 }
 
-// eventHeap orders events by (time, sequence) so same-time events fire in
-// the order they were scheduled.
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// slot is one calendar entry. It carries its event's (at, seq) key inline,
+// so ordering the calendar never dereferences an Event.
+type slot struct {
+	at  time.Duration
+	seq uint64
+	ev  *Event
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// before orders slots by (time, sequence), so same-time events fire in the
+// order they were scheduled. Sequence numbers are unique: the order is total.
+func (s slot) before(o slot) bool {
+	return s.at < o.at || s.at == o.at && s.seq < o.seq
 }
 
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
+// calendar is a 4-ary min-heap of slots: the children of slot i are
+// 4i+1 … 4i+4. Each queued event's index names its slot. Sifts move a hole
+// and write the moving slot once, at its final position. A calendar under a
+// quarter full halves its backing array on pop, so one that a preload filled
+// and the run drained does not pin its peak.
+type calendar []slot
+
+// minCalendarCap is the capacity below which the calendar never shrinks.
+const minCalendarCap = 256
+
+func (h *calendar) push(s slot) {
+	*h = append(*h, s)
+	h.up(len(*h)-1, s)
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+// pop removes and returns the earliest event.
+func (h *calendar) pop() *Event {
+	q := *h
+	ev := q[0].ev
 	ev.index = -1
-	*h = old[:n-1]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = slot{}
+	q = q[:n]
+	if n > 0 {
+		q.down(0, last)
+	}
+	if c := cap(q); c > minCalendarCap && n < c/4 {
+		q = append(make(calendar, 0, c/2), q...)
+	}
+	*h = q
 	return ev
+}
+
+// fix puts s, the new key of the event in slot i, where it belongs.
+func (h calendar) fix(i int, s slot) {
+	if i > 0 && s.before(h[(i-1)/4]) {
+		h.up(i, s)
+	} else {
+		h.down(i, s)
+	}
+}
+
+// up moves the hole at i toward the root until s fits there.
+func (h calendar) up(i int, s slot) {
+	for i > 0 {
+		p := (i - 1) / 4
+		if !s.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].ev.index = i
+		i = p
+	}
+	h[i] = s
+	s.ev.index = i
+}
+
+// down moves the hole at i toward the leaves until s fits there.
+func (h calendar) down(i int, s slot) {
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		for j := c + 1; j < min(c+4, n); j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(s) {
+			break
+		}
+		h[i] = h[m]
+		h[i].ev.index = i
+		i = m
+	}
+	h[i] = s
+	s.ev.index = i
+}
+
+// init establishes heap order over slots whose indexes are already set.
+func (h calendar) init() {
+	if len(h) < 2 {
+		return
+	}
+	for i := (len(h) - 2) / 4; i >= 0; i-- {
+		h.down(i, h[i])
+	}
 }
 
 // Seconds converts a float64 number of seconds into a time.Duration,
