@@ -179,8 +179,12 @@ loc:
 # lines it adds), which spends them on sim's 4-ary heap of inline-keyed
 # slots that replaces container/heap, and cep's group index hashed from the
 # key's live fields with its collision chains, cutting sim and cep CPU on
-# hot-small and swim-large.
-LOC_CEILING ?= 24370
+# hot-small and swim-large; 23,250 with the CEP cut to what the Data Judge
+# ships (result 23,220, rounded up), which deleted the expression tree and
+# its precedence parser, every aggregate but count(*) with the sliding
+# min/max deques behind them, having, limit, the length and keepall
+# windows, Rows and statement Close: internal/cep 1,924 -> 777 lines.
+LOC_CEILING ?= 23250
 
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

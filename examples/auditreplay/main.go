@@ -80,19 +80,25 @@ func analyze(path string) error {
 
 	window := 10 * time.Minute
 	nextReport := window
+	type row struct {
+		path string
+		cnt  float64
+	}
+	var rows []row
 	report := func() {
-		rows := stmt.MustRows()
-		sort.Slice(rows, func(i, j int) bool { return rows[i].Num("cnt") > rows[j].Num("cnt") })
+		rows = rows[:0]
+		stmt.EachRow(func(cols []cep.Val) { rows = append(rows, row{cols[0].Str(), cols[1].Num()}) })
+		sort.Slice(rows, func(i, j int) bool { return rows[i].cnt > rows[j].cnt })
 		fmt.Printf("window ending %v:\n", nextReport)
 		for i, r := range rows {
 			if i == 3 {
 				break
 			}
 			heat := "normal"
-			if r.Num("cnt") >= 24 { // τ_M=8 × r=3
+			if r.cnt >= 24 { // τ_M=8 × r=3
 				heat = "HOT"
 			}
-			fmt.Printf("  %-16s %3.0f opens  %s\n", r.Str("path"), r.Num("cnt"), heat)
+			fmt.Printf("  %-16s %3.0f opens  %s\n", r.path, r.cnt, heat)
 		}
 	}
 

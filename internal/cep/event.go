@@ -1,12 +1,12 @@
-// Package cep is a complex event processing engine in the style the ERMS
-// paper uses (Esper): typed event streams, sliding time and length windows,
-// group-by aggregation, and an SQL-like continuous query language, e.g.
+// Package cep is the complex event processing engine behind the ERMS Data
+// Judge, in the style the paper uses (Esper): typed event streams and one
+// continuous query shape, a windowed count(*) per group with an optional
+// equality filter, e.g.
 //
 //	select path, count(*) as cnt
-//	from Access.win:time(60s)
+//	from Access.win:time(60 s)
 //	where cmd = 'open'
 //	group by path
-//	having cnt > 10
 //
 // Statements are compiled once and evaluated against their window on
 // demand; the ERMS Data Judge polls them every judging period. The engine
@@ -14,17 +14,17 @@
 // discrete-event simulation, but nothing in the package depends on the
 // simulator.
 //
-// There is one of each thing. Producers declare a Schema once and emit
-// fixed-slot events through it; expressions evaluate to typed Vals; and a
-// statement keeps running per-group aggregates that are updated on insert
+// Producers declare a Schema once and emit fixed-slot events through it,
+// and a statement keeps a running count per group that is updated on insert
 // and unwound on expiry, so evaluating it costs O(groups) whatever the
-// window retains. What that evaluator cannot run — a select with no
-// aggregation, a group key or aggregate argument that is not a plain
-// field — Compile rejects, naming the clause.
+// window retains. Anything outside the one shape — another aggregate, an
+// operator, having, limit, another window — is a Compile error naming the
+// clause.
 package cep
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -33,7 +33,7 @@ const MaxSchemaFields = 8
 
 // Schema declares an event type's field layout once, so producers emit
 // events into interned fixed slots. Field order is the slot order used by
-// SetNum/SetStr/SetBool.
+// SetNum/SetStr.
 type Schema struct {
 	typ   string
 	names []string
@@ -57,29 +57,16 @@ func NewSchema(eventType string, fields ...string) *Schema {
 	return s
 }
 
-// Type returns the event type the schema describes.
-func (s *Schema) Type() string { return s.typ }
-
-// Index returns the slot index of a field, or -1 if the schema lacks it.
-func (s *Schema) Index(name string) int {
-	if i, ok := s.idx[name]; ok {
-		return i
-	}
-	return -1
-}
-
 // Event starts a typed event at the given virtual time. Fill slots with
-// SetNum/SetStr/SetBool and pass the value to Engine.Insert; the whole
-// construction is allocation-free.
+// SetNum/SetStr and pass the value to Engine.Insert; the whole construction
+// is allocation-free.
 func (s *Schema) Event(t time.Duration) Event {
 	return Event{Time: t, schema: s}
 }
 
 // Event is one occurrence in a stream: a timestamp plus the schema's fields
 // in fixed slots, built by Schema.Event. An unset slot and a field the
-// schema lacks are both null. The engine injects the builtin field "__time"
-// (seconds since simulation start) so queries can aggregate over
-// timestamps, e.g. max(__time) for the last access time.
+// schema lacks are both null.
 type Event struct {
 	Time time.Duration
 
@@ -93,9 +80,6 @@ func (e *Event) SetNum(i int, v float64) { e.checkSlot(i); e.slots[i] = NumVal(v
 // SetStr stores a string field into slot i of a schema event.
 func (e *Event) SetStr(i int, v string) { e.checkSlot(i); e.slots[i] = StrVal(v) }
 
-// SetBool stores a boolean field into slot i of a schema event.
-func (e *Event) SetBool(i int, v bool) { e.checkSlot(i); e.slots[i] = BoolVal(v) }
-
 func (e *Event) checkSlot(i int) {
 	if e.schema == nil {
 		panic("cep: Set on an event without a schema")
@@ -105,61 +89,51 @@ func (e *Event) checkSlot(i int) {
 	}
 }
 
-// fieldVal fetches the named field; a field the schema lacks is null.
-func (e *Event) fieldVal(name string) Val {
-	if name == "__time" {
-		return NumVal(e.Time.Seconds())
+// field reads slot i; -1, a field the schema lacks, is null.
+func (e *Event) field(i int) Val {
+	if i < 0 {
+		return Val{}
 	}
-	if i, ok := e.schema.idx[name]; ok {
-		return e.slots[i]
-	}
-	return Val{}
+	return e.slots[i]
 }
 
-// Row is one output row of a statement evaluation, keyed by the select
-// list's aliases (or expression text when no alias is given).
-type Row map[string]any
+// valKind discriminates the compact Val representation.
+type valKind uint8
 
-// Num extracts a numeric column from a row; it returns 0 for missing or
-// non-numeric values, which keeps judge code terse.
-func (r Row) Num(col string) float64 {
-	v, ok := r[col]
-	if !ok {
-		return 0
-	}
-	f, ok := toFloat(v)
-	if !ok {
-		return 0
-	}
-	return f
+const (
+	kindNull valKind = iota
+	kindNum
+	kindStr
+)
+
+// Val is a compact typed value: a float64, a string, or null, without the
+// per-value heap boxing of `any`. Event slots, where literals, group keys
+// and EachRow columns are all Vals, so the hot path never allocates. Only
+// the payload of the value's kind is set, so == is equality of kind and
+// value.
+type Val struct {
+	k   valKind
+	num float64
+	str string
 }
 
-// Str extracts a string column from a row ("" when missing).
-func (r Row) Str(col string) string {
-	v, ok := r[col]
-	if !ok {
-		return ""
-	}
-	s, ok := v.(string)
-	if !ok {
-		return fmt.Sprint(v)
-	}
-	return s
-}
+// NumVal wraps a float64.
+func NumVal(f float64) Val { return Val{k: kindNum, num: f} }
 
-func toFloat(v any) (float64, bool) {
-	switch x := v.(type) {
-	case float64:
-		return x, true
-	case int:
-		return float64(x), true
-	case int64:
-		return float64(x), true
-	case bool:
-		if x {
-			return 1, true
-		}
-		return 0, true
+// StrVal wraps a string.
+func StrVal(s string) Val { return Val{k: kindStr, str: s} }
+
+// IsNull reports whether the value is null (field absent).
+func (v Val) IsNull() bool { return v.k == kindNull }
+
+// Num returns a number's value; a string or null yields 0.
+func (v Val) Num() float64 { return v.num }
+
+// Str returns a string's value, renders a number in its shortest form, and
+// yields "" for null.
+func (v Val) Str() string {
+	if v.k == kindNum {
+		return strconv.FormatFloat(v.num, 'g', -1, 64)
 	}
-	return 0, false
+	return v.str
 }

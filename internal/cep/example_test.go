@@ -8,14 +8,15 @@ import (
 )
 
 // The judge's central query: per-file access counts over a sliding time
-// window, keeping the files opened more than once. Rows come in the order
-// the files first appear in the window; callers that want a ranking sort.
+// window. Rows come in the order the files first appear in the window;
+// callers filter and rank the counts in Go, here keeping the files opened
+// more than once.
 func Example() {
 	now := 10 * time.Minute
 	engine := cep.New(func() time.Duration { return now })
 	stmt := engine.MustCompile(
 		"select path, count(*) as cnt from Access.win:time(600 s) " +
-			"where cmd = 'open' group by path having cnt > 1")
+			"where cmd = 'open' group by path")
 	access := cep.NewSchema("Access", "path", "cmd")
 
 	for i, path := range []string{"/hot", "/hot", "/hot", "/warm", "/cold", "/warm", "/hot"} {
@@ -24,9 +25,11 @@ func Example() {
 		ev.SetStr(1, "open")
 		engine.Insert(ev)
 	}
-	for _, row := range stmt.MustRows() {
-		fmt.Printf("%s accessed %.0f times\n", row.Str("path"), row.Num("cnt"))
-	}
+	stmt.EachRow(func(cols []cep.Val) {
+		if cols[1].Num() > 1 {
+			fmt.Printf("%s accessed %.0f times\n", cols[0].Str(), cols[1].Num())
+		}
+	})
 	// Output:
 	// /hot accessed 4 times
 	// /warm accessed 2 times

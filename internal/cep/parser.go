@@ -2,558 +2,262 @@ package cep
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 	"unicode"
 )
 
-// --- lexer ---
+// query is a parsed statement. The language is one shape:
+//
+//	select item [as alias], ... from Type.win:time(<number> <unit>)
+//	[where field = literal] group by field, ...
+//
+// An item is a group-by field or count(*); there are one to
+// maxGroupKeyFields keys; a literal is a quoted string or a number; the
+// unit is ms, s, min or h. Aliases name the columns for the reader only:
+// EachRow's columns come in select-list order.
+type query struct {
+	from     string
+	window   time.Duration
+	where    string // the filtered field; "" without a where clause
+	whereVal Val
+	keys     []string
+	sel      []int // per select item: its index into keys, or -1 for count(*)
+}
 
-type tokKind int
+type tokKind uint8
 
 const (
 	tokEOF tokKind = iota
 	tokIdent
 	tokNumber
 	tokString
-	tokOp // operators and punctuation
+	tokPunct // one character, or an unterminated string's rest
 )
 
 type token struct {
 	kind tokKind
 	text string
-	num  float64
 }
 
-type lexer struct {
-	src  string
-	pos  int
-	toks []token
-}
-
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
-	for {
-		l.skipSpace()
-		if l.pos >= len(l.src) {
-			l.toks = append(l.toks, token{kind: tokEOF})
-			return l.toks, nil
-		}
-		c := l.src[l.pos]
-		switch {
-		case isIdentStart(rune(c)):
-			start := l.pos
-			for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-				l.pos++
-			}
-			l.toks = append(l.toks, token{kind: tokIdent, text: l.src[start:l.pos]})
-		case c >= '0' && c <= '9':
-			start := l.pos
-			for l.pos < len(l.src) && (l.src[l.pos] >= '0' && l.src[l.pos] <= '9' || l.src[l.pos] == '.') {
-				l.pos++
-			}
-			// Scientific notation: 1e9, 2.5E-3.
-			if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
-				mark := l.pos
-				l.pos++
-				if l.pos < len(l.src) && (l.src[l.pos] == '+' || l.src[l.pos] == '-') {
-					l.pos++
-				}
-				if l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
-					for l.pos < len(l.src) && l.src[l.pos] >= '0' && l.src[l.pos] <= '9' {
-						l.pos++
-					}
-				} else {
-					l.pos = mark // bare 'e': a unit or identifier follows
-				}
-			}
-			num, err := strconv.ParseFloat(l.src[start:l.pos], 64)
-			if err != nil {
-				return nil, fmt.Errorf("cep: bad number %q", l.src[start:l.pos])
-			}
-			l.toks = append(l.toks, token{kind: tokNumber, text: l.src[start:l.pos], num: num})
-		case c == '\'':
-			l.pos++
-			start := l.pos
-			for l.pos < len(l.src) && l.src[l.pos] != '\'' {
-				l.pos++
-			}
-			if l.pos >= len(l.src) {
-				return nil, fmt.Errorf("cep: unterminated string literal")
-			}
-			l.toks = append(l.toks, token{kind: tokString, text: l.src[start:l.pos]})
-			l.pos++
-		default:
-			two := ""
-			if l.pos+1 < len(l.src) {
-				two = l.src[l.pos : l.pos+2]
-			}
-			switch two {
-			case "!=", "<=", ">=":
-				l.toks = append(l.toks, token{kind: tokOp, text: two})
-				l.pos += 2
-				continue
-			}
-			switch c {
-			case '=', '<', '>', '+', '-', '*', '/', '(', ')', ',', '.', ':':
-				l.toks = append(l.toks, token{kind: tokOp, text: string(c)})
-				l.pos++
-			default:
-				return nil, fmt.Errorf("cep: unexpected character %q", string(c))
-			}
-		}
-	}
-}
-
-func (l *lexer) skipSpace() {
-	for l.pos < len(l.src) && unicode.IsSpace(rune(l.src[l.pos])) {
-		l.pos++
-	}
-}
-
-// Identifiers are ASCII-only: the lexer walks bytes, so multi-byte UTF-8
-// letters would be mis-tokenized.
-func isIdentStart(r rune) bool {
-	return r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r == '_'
-}
-
-func isIdentPart(r rune) bool {
-	return isIdentStart(r) || r >= '0' && r <= '9'
-}
-
-// --- parser ---
-
-// WindowKind selects the statement's retention policy.
-type WindowKind int
-
-const (
-	// WindowKeepAll retains every inserted event.
-	WindowKeepAll WindowKind = iota
-	// WindowTime retains events newer than now minus the duration.
-	WindowTime
-	// WindowLength retains the last N events.
-	WindowLength
-)
-
-// WindowSpec describes a statement's window.
-type WindowSpec struct {
-	Kind WindowKind
-	Dur  time.Duration // for WindowTime
-	N    int           // for WindowLength
-}
-
-// SelectItem is one column of the select list.
-type SelectItem struct {
-	Expr  Expr
-	Alias string
-}
-
-// Query is a parsed EPL statement. Output rows come in the order their
-// groups' oldest surviving events arrived; there is no order by (callers
-// sort in Go), only limit.
-type Query struct {
-	Select  []SelectItem
-	From    string // event type
-	Window  WindowSpec
-	Where   Expr // nil when absent; must not contain aggregates
-	GroupBy []Expr
-	Having  Expr // nil when absent
-	Limit   int  // 0 = unlimited
-	src     string
-}
-
-// Source returns the original EPL text.
-func (q *Query) Source() string { return q.src }
-
+// parser scans one token ahead. Every error names the clause being parsed.
 type parser struct {
-	toks []token
-	pos  int
+	src    string
+	pos    int
+	tok    token
+	clause string
 }
 
-// ParseQuery parses an EPL statement.
-func ParseQuery(src string) (*Query, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
+// next scans the token at pos into tok. A character outside the language is
+// a punctuation token no rule accepts, so it fails in the clause it is in.
+func (p *parser) next() {
+	for p.pos < len(p.src) && unicode.IsSpace(rune(p.src[p.pos])) {
+		p.pos++
 	}
-	p := &parser{toks: toks}
-	q := &Query{src: src}
-	if err := p.expectKeyword("select"); err != nil {
-		return nil, err
+	start := p.pos
+	switch {
+	case p.pos == len(p.src):
+		p.tok = token{tokEOF, "end of statement"}
+		return
+	case isLetter(p.src[p.pos]):
+		for p.pos < len(p.src) && (isLetter(p.src[p.pos]) || isDigit(p.src[p.pos]) || p.src[p.pos] == '_') {
+			p.pos++
+		}
+		p.tok = token{tokIdent, p.src[start:p.pos]}
+	case isDigit(p.src[p.pos]):
+		for p.pos < len(p.src) && (isDigit(p.src[p.pos]) || p.src[p.pos] == '.') {
+			p.pos++
+		}
+		p.tok = token{tokNumber, p.src[start:p.pos]}
+	case p.src[p.pos] == '\'':
+		end := strings.IndexByte(p.src[start+1:], '\'')
+		if end < 0 {
+			p.pos = len(p.src)
+			p.tok = token{tokPunct, p.src[start:]}
+			return
+		}
+		p.pos += end + 2
+		p.tok = token{tokString, p.src[start+1 : p.pos-1]}
+	default:
+		p.pos++
+		p.tok = token{tokPunct, p.src[start:p.pos]}
 	}
+}
+
+// Identifiers are ASCII: a letter, then letters, digits and underscores.
+func isLetter(c byte) bool { return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' }
+func isDigit(c byte) bool  { return c >= '0' && c <= '9' }
+
+func (p *parser) errf(format string, args ...any) error {
+	return fmt.Errorf("cep: %s clause: "+format, append([]any{p.clause}, args...)...)
+}
+
+// unexpected reports the current token where want was required.
+func (p *parser) unexpected(want string) error {
+	return p.errf("expected %s, got %q", want, p.tok.text)
+}
+
+// keyword consumes the current token if it is the keyword kw, in any case.
+func (p *parser) keyword(kw string) bool {
+	if p.tok.kind == tokIdent && strings.EqualFold(p.tok.text, kw) {
+		p.next()
+		return true
+	}
+	return false
+}
+
+// punct consumes the current token if it is the punctuation c.
+func (p *parser) punct(c string) bool {
+	if p.tok.kind == tokPunct && p.tok.text == c {
+		p.next()
+		return true
+	}
+	return false
+}
+
+// ident consumes an identifier; want names what it stands for in errors.
+func (p *parser) ident(want string) (string, error) {
+	if p.tok.kind != tokIdent {
+		return "", p.unexpected(want)
+	}
+	name := p.tok.text
+	p.next()
+	return name, nil
+}
+
+func (p *parser) number() (float64, error) {
+	f, err := strconv.ParseFloat(p.tok.text, 64)
+	if p.tok.kind != tokNumber || err != nil {
+		return 0, p.unexpected("a number")
+	}
+	p.next()
+	return f, nil
+}
+
+var timeUnits = map[string]time.Duration{"ms": time.Millisecond, "s": time.Second, "min": time.Minute, "h": time.Hour}
+
+// parseQuery parses a statement of the one shape query describes.
+func parseQuery(src string) (*query, error) {
+	p := &parser{src: src, clause: "select"}
+	p.next()
+	q := &query{}
+	if !p.keyword("select") {
+		return nil, p.unexpected(`"select"`)
+	}
+	var items []string // per select item: its field, "" for count(*)
 	for {
-		e, err := p.parseExpr()
+		name, err := p.ident("a field or count(*)")
 		if err != nil {
 			return nil, err
 		}
-		item := SelectItem{Expr: e, Alias: e.text()}
-		if p.acceptKeyword("as") {
-			alias, err := p.expectIdent()
-			if err != nil {
+		if p.punct("(") {
+			if !strings.EqualFold(name, "count") || !p.punct("*") || !p.punct(")") {
+				return nil, p.errf("%s(...) is not supported, the one aggregate is count(*)", name)
+			}
+			name = ""
+		}
+		items = append(items, name)
+		if p.keyword("as") {
+			if _, err := p.ident("an alias"); err != nil {
 				return nil, err
 			}
-			item.Alias = alias
 		}
-		q.Select = append(q.Select, item)
-		if !p.accept(",") {
+		if !p.punct(",") {
 			break
 		}
 	}
-	if err := p.expectKeyword("from"); err != nil {
+	if !p.keyword("from") {
+		return nil, p.unexpected(`"," or "from"`)
+	}
+
+	p.clause = "from"
+	var err error
+	if q.from, err = p.ident("an event type"); err != nil {
 		return nil, err
 	}
-	from, err := p.expectIdent()
+	if !p.punct(".") || !p.keyword("win") || !p.punct(":") {
+		return nil, p.unexpected("a window .win:time(<number> <unit>)")
+	}
+	if !p.keyword("time") {
+		return nil, p.errf("window win:%s is not supported, the one window is win:time", p.tok.text)
+	}
+	if !p.punct("(") {
+		return nil, p.unexpected(`"("`)
+	}
+	n, err := p.number()
 	if err != nil {
 		return nil, err
 	}
-	q.From = from
-	q.Window = WindowSpec{Kind: WindowKeepAll}
-	if p.accept(".") {
-		if err := p.expectKeyword("win"); err != nil {
+	unit, ok := timeUnits[strings.ToLower(p.tok.text)]
+	if p.tok.kind != tokIdent || !ok {
+		return nil, p.unexpected("a time unit (ms, s, min or h)")
+	}
+	p.next()
+	q.window = time.Duration(n * float64(unit))
+	if !p.punct(")") {
+		return nil, p.unexpected(`")"`)
+	}
+
+	if p.keyword("where") {
+		p.clause = "where"
+		if q.where, err = p.ident("a field"); err != nil {
 			return nil, err
 		}
-		if !p.accept(":") {
-			return nil, fmt.Errorf("cep: expected ':' after win")
+		if !p.punct("=") {
+			return nil, p.unexpected(`"=", the one operator`)
 		}
-		kind, err := p.expectIdent()
-		if err != nil {
-			return nil, err
-		}
-		switch kind {
-		case "time":
-			if !p.accept("(") {
-				return nil, fmt.Errorf("cep: expected '(' after win:time")
-			}
-			d, err := p.parseDuration()
+		switch p.tok.kind {
+		case tokString:
+			q.whereVal = StrVal(p.tok.text)
+			p.next()
+		case tokNumber:
+			f, err := p.number()
 			if err != nil {
 				return nil, err
 			}
-			if !p.accept(")") {
-				return nil, fmt.Errorf("cep: expected ')' after window duration")
-			}
-			q.Window = WindowSpec{Kind: WindowTime, Dur: d}
-		case "length":
-			if !p.accept("(") {
-				return nil, fmt.Errorf("cep: expected '(' after win:length")
-			}
-			tok := p.next()
-			if tok.kind != tokNumber || tok.num != float64(int(tok.num)) || tok.num <= 0 {
-				return nil, fmt.Errorf("cep: win:length needs a positive integer")
-			}
-			if !p.accept(")") {
-				return nil, fmt.Errorf("cep: expected ')' after window length")
-			}
-			q.Window = WindowSpec{Kind: WindowLength, N: int(tok.num)}
-		case "keepall":
-			q.Window = WindowSpec{Kind: WindowKeepAll}
+			q.whereVal = NumVal(f)
 		default:
-			return nil, fmt.Errorf("cep: unknown window %q", kind)
+			return nil, p.unexpected("a quoted string or a number")
 		}
 	}
-	if p.acceptKeyword("where") {
-		e, err := p.parseExpr()
+
+	if !p.keyword("group") || !p.keyword("by") {
+		return nil, p.unexpected(`"group by"`)
+	}
+	p.clause = "group by"
+	for {
+		key, err := p.ident("a field")
 		if err != nil {
 			return nil, err
 		}
-		if e.hasAggregate() {
-			return nil, fmt.Errorf("cep: where clause cannot contain aggregates (use having)")
+		q.keys = append(q.keys, key)
+		if !p.punct(",") {
+			break
 		}
-		q.Where = e
 	}
-	if p.acceptKeyword("group") {
-		if err := p.expectKeyword("by"); err != nil {
-			return nil, err
-		}
-		for {
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
+	if len(q.keys) > maxGroupKeyFields {
+		return nil, p.errf("%d keys, at most %d are supported", len(q.keys), maxGroupKeyFields)
+	}
+	switch p.tok.kind {
+	case tokEOF:
+	case tokIdent:
+		p.clause = strings.ToLower(p.tok.text)
+		return nil, p.errf("not supported, a statement ends with its group by keys")
+	default:
+		return nil, p.unexpected(`"," or the end of the statement`)
+	}
+
+	p.clause = "select"
+	for _, name := range items {
+		k := -1
+		if name != "" {
+			if k = slices.Index(q.keys, name); k < 0 {
+				return nil, p.errf("%s is not a group by key", name)
 			}
-			if e.hasAggregate() {
-				return nil, fmt.Errorf("cep: group by cannot contain aggregates")
-			}
-			q.GroupBy = append(q.GroupBy, e)
-			if !p.accept(",") {
-				break
-			}
 		}
-	}
-	if p.acceptKeyword("having") {
-		e, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		q.Having = e
-	}
-	if p.acceptKeyword("limit") {
-		tok := p.next()
-		if tok.kind != tokNumber || tok.num != float64(int(tok.num)) || tok.num <= 0 {
-			return nil, fmt.Errorf("cep: limit needs a positive integer")
-		}
-		q.Limit = int(tok.num)
-	}
-	if p.peek().kind != tokEOF {
-		return nil, fmt.Errorf("cep: trailing input at %q", p.peek().text)
+		q.sel = append(q.sel, k)
 	}
 	return q, nil
-}
-
-// parseDuration accepts forms like 60s, 500 ms, 5 min, 2h, or a bare number
-// of seconds.
-func (p *parser) parseDuration() (time.Duration, error) {
-	tok := p.next()
-	if tok.kind != tokNumber {
-		return 0, fmt.Errorf("cep: expected duration, got %q", tok.text)
-	}
-	unit := time.Second
-	if p.peek().kind == tokIdent {
-		u := strings.ToLower(p.next().text)
-		switch u {
-		case "ms", "msec":
-			unit = time.Millisecond
-		case "s", "sec", "seconds":
-			unit = time.Second
-		case "min", "minutes":
-			unit = time.Minute
-		case "h", "hours":
-			unit = time.Hour
-		default:
-			return 0, fmt.Errorf("cep: unknown time unit %q", u)
-		}
-	}
-	return time.Duration(tok.num * float64(unit)), nil
-}
-
-// Expression grammar (precedence climbing):
-//
-//	or-expr   := and-expr (OR and-expr)*
-//	and-expr  := not-expr (AND not-expr)*
-//	not-expr  := NOT not-expr | cmp-expr
-//	cmp-expr  := add-expr ((=|!=|<|<=|>|>=) add-expr)?
-//	add-expr  := mul-expr ((+|-) mul-expr)*
-//	mul-expr  := unary ((*|/) unary)*
-//	unary     := - unary | primary
-//	primary   := literal | aggregate | ident | ( or-expr )
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (Expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKeyword("or") {
-		right, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		left = &binaryExpr{op: "or", left: left, right: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseAnd() (Expr, error) {
-	left, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.acceptKeyword("and") {
-		right, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		left = &binaryExpr{op: "and", left: left, right: right}
-	}
-	return left, nil
-}
-
-func (p *parser) parseNot() (Expr, error) {
-	if p.acceptKeyword("not") {
-		sub, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &unaryExpr{op: "not", sub: sub}, nil
-	}
-	return p.parseCmp()
-}
-
-func (p *parser) parseCmp() (Expr, error) {
-	left, err := p.parseAdd()
-	if err != nil {
-		return nil, err
-	}
-	for _, op := range []string{"=", "!=", "<=", ">=", "<", ">"} {
-		if p.accept(op) {
-			right, err := p.parseAdd()
-			if err != nil {
-				return nil, err
-			}
-			return &binaryExpr{op: op, left: left, right: right}, nil
-		}
-	}
-	return left, nil
-}
-
-func (p *parser) parseAdd() (Expr, error) {
-	left, err := p.parseMul()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch {
-		case p.accept("+"):
-			op = "+"
-		case p.accept("-"):
-			op = "-"
-		default:
-			return left, nil
-		}
-		right, err := p.parseMul()
-		if err != nil {
-			return nil, err
-		}
-		left = &binaryExpr{op: op, left: left, right: right}
-	}
-}
-
-func (p *parser) parseMul() (Expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch {
-		case p.accept("*"):
-			op = "*"
-		case p.accept("/"):
-			op = "/"
-		default:
-			return left, nil
-		}
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = &binaryExpr{op: op, left: left, right: right}
-	}
-}
-
-func (p *parser) parseUnary() (Expr, error) {
-	if p.accept("-") {
-		sub, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		return &unaryExpr{op: "-", sub: sub}, nil
-	}
-	return p.parsePrimary()
-}
-
-var aggFuncs = map[string]bool{
-	"count": true, "sum": true, "avg": true,
-	"min": true, "max": true, "first": true, "last": true,
-}
-
-func (p *parser) parsePrimary() (Expr, error) {
-	tok := p.peek()
-	switch tok.kind {
-	case tokNumber:
-		p.next()
-		return &litExpr{val: NumVal(tok.num), src: tok.text}, nil
-	case tokString:
-		p.next()
-		return &litExpr{val: StrVal(tok.text), src: "'" + tok.text + "'"}, nil
-	case tokIdent:
-		name := strings.ToLower(tok.text)
-		if name == "true" || name == "false" {
-			p.next()
-			return &litExpr{val: BoolVal(name == "true"), src: name}, nil
-		}
-		if aggFuncs[name] && p.peekAt(1).text == "(" {
-			p.next() // fn
-			p.next() // (
-			if name == "count" && p.accept("*") {
-				if !p.accept(")") {
-					return nil, fmt.Errorf("cep: expected ')' after count(*")
-				}
-				return &aggExpr{fn: "count", star: true}, nil
-			}
-			arg, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if arg.hasAggregate() {
-				return nil, fmt.Errorf("cep: nested aggregates are not supported")
-			}
-			if !p.accept(")") {
-				return nil, fmt.Errorf("cep: expected ')' after %s(...", name)
-			}
-			return &aggExpr{fn: name, arg: arg}, nil
-		}
-		p.next()
-		return &fieldExpr{name: tok.text}, nil
-	case tokOp:
-		if tok.text == "(" {
-			p.next()
-			e, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if !p.accept(")") {
-				return nil, fmt.Errorf("cep: expected ')'")
-			}
-			return e, nil
-		}
-	}
-	return nil, fmt.Errorf("cep: unexpected token %q", tok.text)
-}
-
-func (p *parser) peek() token { return p.toks[p.pos] }
-
-func (p *parser) peekAt(n int) token {
-	if p.pos+n >= len(p.toks) {
-		return token{kind: tokEOF}
-	}
-	return p.toks[p.pos+n]
-}
-
-func (p *parser) next() token {
-	t := p.toks[p.pos]
-	if t.kind != tokEOF {
-		p.pos++
-	}
-	return t
-}
-
-func (p *parser) accept(op string) bool {
-	if p.peek().kind == tokOp && p.peek().text == op {
-		p.pos++
-		return true
-	}
-	return false
-}
-
-func (p *parser) acceptKeyword(kw string) bool {
-	if p.peek().kind == tokIdent && strings.EqualFold(p.peek().text, kw) {
-		p.pos++
-		return true
-	}
-	return false
-}
-
-func (p *parser) expectKeyword(kw string) error {
-	if !p.acceptKeyword(kw) {
-		return fmt.Errorf("cep: expected %q, got %q", kw, p.peek().text)
-	}
-	return nil
-}
-
-func (p *parser) expectIdent() (string, error) {
-	if p.peek().kind != tokIdent {
-		return "", fmt.Errorf("cep: expected identifier, got %q", p.peek().text)
-	}
-	return p.next().text, nil
 }

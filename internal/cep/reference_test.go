@@ -1,165 +1,160 @@
 package cep
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
 
-// refRec is one event that passed the where clause, as the brute-force
-// reference keeps it.
+// refRec is one inserted event as the brute-force reference keeps it: the
+// R schema's three key slots and its where field.
 type refRec struct {
-	t         time.Duration
-	k, v, tag Val
+	t    time.Duration
+	keys [maxGroupKeyFields]Val
+	skip Val
 }
 
-var errRefNonNumeric = errors.New("aggregate over non-numeric value")
+// refCase is one statement shape: the first nkeys of k0, k1, k2 as group
+// keys, the select list as key indices with -1 for count(*), and whether
+// it filters on skip = 0.
+type refCase struct {
+	nkeys int
+	sel   []int
+	where bool
+}
 
-// refRows recomputes from scratch what refEPL's statement must output: filter
-// the retained records by the window rule, group them in first-surviving-
-// record order, apply "having n > minCount", fold every aggregate by
-// rescanning the group, stop at limit. It shares no code with the engine's
-// running state.
-func refRows(recs []refRec, w WindowSpec, now time.Duration, minCount, limit int) ([]Row, int, error) {
-	var order []Val
-	groups := map[Val][]refRec{}
-	live := 0
-	for i, r := range recs {
-		if w.Kind == WindowTime && r.t < now-w.Dur || w.Kind == WindowLength && i < len(recs)-w.N {
-			continue // aged exactly Dur is still visible
+var refSchema = NewSchema("R", "k0", "k1", "k2", "skip")
+
+var refCases = []refCase{
+	{1, []int{0, -1}, false},
+	{1, []int{-1, 0}, true},
+	{2, []int{0, 1, -1}, true},
+	{2, []int{1, -1}, false}, // a key left out of the select list
+	{3, []int{2, 0, -1, 1}, false},
+	{3, []int{-1, 0, 1, 2, -1}, true},
+}
+
+func (c refCase) epl(window string) string {
+	names := []string{"k0", "k1", "k2"}
+	var items []string
+	for _, k := range c.sel {
+		if k < 0 {
+			items = append(items, "count(*) as n")
+		} else {
+			items = append(items, names[k])
 		}
-		if _, seen := groups[r.k]; !seen {
-			order = append(order, r.k)
-		}
-		groups[r.k] = append(groups[r.k], r)
-		live++
 	}
-	var rows []Row
-	for _, k := range order {
-		g := groups[k]
-		if len(g) <= minCount {
+	epl := "select " + strings.Join(items, ", ") + " from R.win:time(" + window + ")"
+	if c.where {
+		epl += " where skip = 0"
+	}
+	return epl + " group by " + strings.Join(names[:c.nkeys], ", ")
+}
+
+// insert sends r through e as an R event.
+func (r refRec) insert(t *testing.T, e *Engine) {
+	t.Helper()
+	ev := refSchema.Event(r.t)
+	copy(ev.slots[:], r.keys[:])
+	ev.slots[3] = r.skip
+	if err := e.Insert(ev); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// refRows recomputes from scratch what c's statement must output at now:
+// keep the records no older than w (aged exactly w is still visible) whose
+// skip is the number 0 when c filters, group them by their first nkeys keys
+// in first-surviving-record order, and emit each group's selected keys and
+// record count. It also returns how many records the window holds. It
+// shares no code with the engine.
+func refRows(recs []refRec, c refCase, w, now time.Duration) ([][]Val, int) {
+	var order [][maxGroupKeyFields]Val
+	count := map[[maxGroupKeyFields]Val]int{}
+	live := 0
+	for _, r := range recs {
+		if r.t < now-w || c.where && !(r.skip.k == kindNum && r.skip.num == 0) {
 			continue
 		}
-		n, sum, lo, hi := 0, 0.0, math.Inf(1), math.Inf(-1)
-		for _, r := range g {
-			if r.v.IsNull() {
-				continue
-			}
-			f, ok := r.v.numeric()
-			if !ok {
-				return nil, live, errRefNonNumeric
-			}
-			n, sum, lo, hi = n+1, sum+f, math.Min(lo, f), math.Max(hi, f)
+		var k [maxGroupKeyFields]Val
+		copy(k[:c.nkeys], r.keys[:c.nkeys])
+		if count[k] == 0 {
+			order = append(order, k)
 		}
-		first, last := g[0], g[len(g)-1]
-		row := Row{"k": k.box(), "n": float64(len(g)), "c": float64(n), "s": sum, "a": nil, "lo": nil, "hi": nil,
-			"f": first.v.box(), "l": last.v.box(), "ft": first.tag.box(), "lt": last.tag.box()}
-		if n > 0 {
-			row["a"], row["lo"], row["hi"] = sum/float64(n), lo, hi
+		count[k]++
+		live++
+	}
+	var rows [][]Val
+	for _, k := range order {
+		row := make([]Val, len(c.sel))
+		for i, ki := range c.sel {
+			if ki < 0 {
+				row[i] = NumVal(float64(count[k]))
+			} else {
+				row[i] = k[ki]
+			}
 		}
 		rows = append(rows, row)
-		if len(rows) == limit {
-			break
-		}
 	}
-	return rows, live, nil
+	return rows, live
 }
 
-func refEPL(window string, minCount, limit int) string {
-	epl := "select k, count(*) as n, count(v) as c, sum(v) as s, avg(v) as a, min(v) as lo, max(v) as hi, " +
-		"first(v) as f, last(v) as l, first(tag) as ft, last(tag) as lt " +
-		"from R" + window + " where skip != true group by k"
-	if minCount >= 0 {
-		epl += fmt.Sprintf(" having n > %d", minCount)
-	}
-	if limit > 0 {
-		epl += fmt.Sprintf(" limit %d", limit)
-	}
-	return epl
-}
-
-// TestAggregatesMatchBruteForce checks Rows() and WindowSize() against the
-// recompute above over seeded random streams: every aggregate, on each
-// window kind, with and without having and limit, with whole-second clock
-// steps (so records land exactly on the window's trailing edge), jumps that
-// empty the window, null and non-numeric values, and group keys of mixed
-// type. Values are small integers so running sums are exact.
+// TestAggregatesMatchBruteForce checks EachRow and the records retained
+// against the recompute above over seeded random streams: one to three
+// keys of mixed kind (strings, numbers, the string '1' beside the number 1,
+// null), key columns and count(*) in varied orders, with and without a
+// where clause whose field is also of mixed kind, whole-second clock steps
+// (so records land exactly on the window's trailing edge), and jumps that
+// empty the window.
 func TestAggregatesMatchBruteForce(t *testing.T) {
-	schema := NewSchema("R", "k", "v", "tag", "skip")
-	keys := []Val{StrVal("a"), StrVal("b"), StrVal("c"), StrVal("1"), NumVal(1), BoolVal(true), NullVal()}
-	windows := []string{".win:time(10 s)", ".win:length(7)", ".win:keepall", ""}
-	evals, errs, edge := 0, 0, 0
-	for seed := int64(1); seed <= 12; seed++ {
-		for wi, window := range windows {
-			minCount, limit := -1, 0 // no having, no limit
-			if seed%2 == 0 {
-				minCount = int(seed) % 3
-			}
-			if seed%3 == 0 {
-				limit = 2
-			}
-			rng := rand.New(rand.NewSource(seed*10 + int64(wi)))
+	k0 := []Val{StrVal("a"), StrVal("b"), StrVal("c"), StrVal("1"), NumVal(1), NumVal(2), {}}
+	k1 := []Val{StrVal("x"), NumVal(1), {}}
+	k2 := []Val{StrVal("1"), NumVal(1)}
+	skips := []Val{NumVal(0), NumVal(0), NumVal(1), StrVal("0"), {}}
+	const w = 10 * time.Second
+	evals, edge, emptied := 0, 0, 0
+	for ci, c := range refCases {
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed*10 + int64(ci)))
 			var now time.Duration
 			e := New(func() time.Duration { return now })
-			st := e.MustCompile(refEPL(window, minCount, limit))
-			w := st.Query().Window
+			st := e.MustCompile(c.epl("10 s"))
 			var recs []refRec
 			check := func() {
 				t.Helper()
-				want, live, wantErr := refRows(recs, w, now, minCount, limit)
-				got, err := st.Rows()
+				want, live := refRows(recs, c, w, now)
+				got := rows(st)
 				evals++
 				for _, r := range recs {
-					if w.Kind == WindowTime && now-r.t == w.Dur {
+					if now-r.t == w {
 						edge++ // visible at the inclusive trailing edge
 						break
 					}
 				}
-				if (err != nil) != (wantErr != nil) {
-					t.Fatalf("seed %d %q at %v: Rows error = %v, reference error = %v", seed, window, now, err, wantErr)
+				if live == 0 && len(recs) > 0 {
+					emptied++
 				}
-				if err != nil {
-					errs++
-				} else if !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d %q at %v:\n got  %v\n want %v", seed, window, now, got, want)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%q seed %d at %v:\n got  %v\n want %v", c.epl("10 s"), seed, now, got, want)
 				}
-				if ws := st.WindowSize(); ws != live {
-					t.Fatalf("seed %d %q at %v: WindowSize = %d, reference retains %d", seed, window, now, ws, live)
+				if n := st.expiry.len(); n != live {
+					t.Fatalf("%q seed %d at %v: %d records retained, reference holds %d", c.epl("10 s"), seed, now, n, live)
 				}
 			}
 			for i := 0; i < 250; i++ {
 				switch p := rng.Intn(100); {
 				case p < 4:
-					now += 30 * time.Second // jump: a time window empties
+					now += 30 * time.Second // jump: the window empties
 				case p < 60:
 					now += time.Duration(rng.Intn(4)) * time.Second
 				}
-				ev := schema.Event(now)
-				r := refRec{t: now, k: keys[rng.Intn(len(keys))], tag: StrVal(fmt.Sprint("t", i))}
-				switch p := rng.Intn(100); {
-				case p < 2:
-					r.v = StrVal("oops") // numeric aggregates over this group now error
-				case p < 5:
-					r.v = BoolVal(true) // coerces to 1
-				case p < 20: // left null: every aggregate skips it
-				default:
-					r.v = NumVal(float64(rng.Intn(21) - 10))
-				}
-				ev.slots[0], ev.slots[1], ev.slots[2] = r.k, r.v, r.tag
-				skip := rng.Intn(100) < 15
-				if skip {
-					ev.SetBool(3, true)
-				}
-				if err := e.Insert(ev); err != nil {
-					t.Fatal(err)
-				}
-				if !skip {
-					recs = append(recs, r)
-				}
+				r := refRec{t: now, skip: skips[rng.Intn(len(skips))]}
+				r.keys = [maxGroupKeyFields]Val{k0[rng.Intn(len(k0))], k1[rng.Intn(len(k1))], k2[rng.Intn(len(k2))]}
+				r.insert(t, e)
+				recs = append(recs, r)
 				if rng.Intn(3) == 0 {
 					check()
 				}
@@ -168,8 +163,8 @@ func TestAggregatesMatchBruteForce(t *testing.T) {
 			check()
 		}
 	}
-	if errs == 0 || errs > evals/2 || edge == 0 {
-		t.Fatalf("stream mix is off: %d of %d evaluations errored, %d saw a record aged exactly Dur", errs, evals, edge)
+	if edge == 0 || emptied == 0 {
+		t.Fatalf("stream mix is off: of %d evaluations, %d saw a record aged exactly the window, %d an emptied window", evals, edge, emptied)
 	}
 }
 
@@ -178,28 +173,24 @@ func TestAggregatesMatchBruteForce(t *testing.T) {
 // span two and three bytes, so every digit of the radix sort that orders
 // them decides some pair of the 3,000 groups.
 func TestRowOrderAcrossWideSequenceSpans(t *testing.T) {
-	schema := NewSchema("R", "k", "v", "tag", "skip")
-	for _, window := range []string{".win:time(100 s)", ".win:keepall"} {
+	for _, window := range []time.Duration{100 * time.Second, time.Hour} {
 		rng := rand.New(rand.NewSource(7))
 		var now time.Duration
 		e := New(func() time.Duration { return now })
-		st := e.MustCompile(refEPL(window, -1, 0))
+		c := refCases[0]
+		st := e.MustCompile(c.epl(fmt.Sprintf("%d s", int(window.Seconds()))))
 		var recs []refRec
 		for i := 0; i < 80000; i++ {
 			if i%400 == 0 {
 				now += time.Second
 			}
-			r := refRec{t: now, k: NumVal(float64(rng.Intn(3000))), v: NumVal(1), tag: StrVal("t")}
-			ev := schema.Event(now)
-			ev.slots[0], ev.slots[1], ev.slots[2] = r.k, r.v, r.tag
-			if err := e.Insert(ev); err != nil {
-				t.Fatal(err)
-			}
+			r := refRec{t: now, keys: [maxGroupKeyFields]Val{NumVal(float64(rng.Intn(3000)))}}
+			r.insert(t, e)
 			recs = append(recs, r)
 		}
-		want, _, _ := refRows(recs, st.Query().Window, now, -1, 0)
-		if got := st.MustRows(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%q: %d rows out of first-surviving-record order (reference has %d)", window, len(got), len(want))
+		want, _ := refRows(recs, c, window, now)
+		if got := rows(st); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%v window: %d rows out of first-surviving-record order (reference has %d)", window, len(got), len(want))
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package cep
 
 import (
-	"fmt"
 	"hash/maphash"
 	"math"
 	"math/bits"
@@ -9,8 +8,8 @@ import (
 	"time"
 )
 
-// This file is a statement's retained state: per-group running aggregates
-// maintained on insert and unwound on window expiry, so evaluation costs
+// This file is a statement's retained state: a running count per group,
+// raised on insert and unwound on window expiry, so evaluation costs
 // O(groups) instead of rescanning the retained events. Records expire
 // front-first in insertion order through a statement-level FIFO.
 
@@ -28,8 +27,8 @@ type groupKey struct {
 var groupHashSeed = maphash.MakeSeed()
 
 // hash is a 64-bit hash of the key's live fields only: each field's kind,
-// then its payload — a string through maphash, a number or bool as its
-// float bits with −0 folded into 0 — so keys equal under == hash alike.
+// then its payload — a string through maphash, a number as its float bits
+// with −0 folded into 0 — so keys equal under == hash alike.
 // Statement.groups chains keys whose hashes collide; == stays the equality,
 // so a NaN still matches nothing and forms a group of its own.
 func (k *groupKey) hash() uint64 {
@@ -40,7 +39,7 @@ func (k *groupKey) hash() uint64 {
 		switch v.k {
 		case kindStr:
 			x = maphash.String(groupHashSeed, v.str)
-		case kindNum, kindBool:
+		case kindNum:
 			f := v.num
 			if f == 0 {
 				f = 0 // −0 == 0
@@ -97,96 +96,28 @@ type expEntry struct {
 	g *group
 }
 
-type dqEnt struct {
-	seq uint64
-	v   float64
-}
-
-// mdq is a monotonic deque for sliding-window min/max: amortized O(1) per
-// insert and expiry. Entries are expired by record sequence number.
-type mdq struct {
-	buf  []dqEnt
-	head int
-}
-
-func (d *mdq) len() int     { return len(d.buf) - d.head }
-func (d *mdq) front() dqEnt { return d.buf[d.head] }
-func (d *mdq) popFront() {
-	d.head++
-	if d.head > 64 && d.head > len(d.buf)/2 {
-		d.buf = append(d.buf[:0], d.buf[d.head:]...)
-		d.head = 0
-	}
-}
-
-// pushMin maintains an increasing deque: front is the window minimum.
-func (d *mdq) pushMin(seq uint64, v float64) {
-	for len(d.buf) > d.head && d.buf[len(d.buf)-1].v >= v {
-		d.buf = d.buf[:len(d.buf)-1]
-	}
-	d.buf = append(d.buf, dqEnt{seq, v})
-}
-
-// pushMax maintains a decreasing deque: front is the window maximum.
-func (d *mdq) pushMax(seq uint64, v float64) {
-	for len(d.buf) > d.head && d.buf[len(d.buf)-1].v <= v {
-		d.buf = d.buf[:len(d.buf)-1]
-	}
-	d.buf = append(d.buf, dqEnt{seq, v})
-}
-
-// expire drops deque entries belonging to records at or before seq.
-func (d *mdq) expire(seq uint64) {
-	for d.len() > 0 && d.front().seq <= seq {
-		d.popFront()
-	}
-}
-
-// fieldStats is the per-group running state for one aggregated field. n
-// counts live non-null numeric values (null is skipped by every aggregate);
-// bad counts live non-null non-numeric ones, whose presence makes the
-// numeric aggregates an evaluation error.
-type fieldStats struct {
-	n, bad int
-	sum    float64 // add on insert, subtract on expiry: may drift a few ulps from a rescan
-	runMin float64 // keepall windows only (no expiry)
-	runMax float64
-	first  Val // keepall windows only
-	dqMin  mdq // expiring windows only
-	dqMax  mdq
-}
-
-// group is the running state of one surviving group.
+// group is the running state of one surviving group; its count(*) is
+// seqs.len().
 type group struct {
-	key      groupKey
-	hash     uint64 // the key's Statement.groups bucket
-	next     *group // the bucket's next group, whose key hashes alike
-	firstSeq uint64 // creation seq; a windowed group orders by its seqs front instead
-	live     int
-	repVals  []Val // latest event's captured fields: what a bare field reference reads
-	seqs     ring[uint64]
-	recs     ring[Val] // flattened: one Val per recIdx field per record
-	stats    []fieldStats
+	key  groupKey
+	hash uint64       // the key's Statement.groups bucket
+	next *group       // the bucket's next group, whose key hashes alike
+	seqs ring[uint64] // the live records' sequence numbers, oldest first
 }
 
-func (s *Statement) windowed() bool { return s.query.Window.Kind != WindowKeepAll }
-
-// insert applies the where clause to one event and folds it into its group.
-func (s *Statement) insert(ev *Event) error {
-	if s.query.Where != nil {
-		keep, err := evalBool("where", s.query.Where, ev)
-		if err != nil || !keep {
-			return err
-		}
+// insert applies the where clause to one event and counts it in its group.
+func (s *Statement) insert(ev *Event) {
+	if ev.schema != s.schema {
+		s.resolve(ev.schema)
+	}
+	if s.q.where != "" && ev.field(s.whereSlot) != s.q.whereVal {
+		return
 	}
 	s.pruneTime()
-	for i, f := range s.evFields {
-		s.scratch[i] = ev.fieldVal(f)
-	}
 	var key groupKey
-	key.n = uint8(len(s.groupIdx))
-	for i, gi := range s.groupIdx {
-		key.v[i] = s.scratch[gi]
+	key.n = uint8(len(s.keySlots))
+	for i, slot := range s.keySlots {
+		key.v[i] = ev.field(slot)
 	}
 	h := key.hash() &^ s.hashClear
 	head := s.groups[h]
@@ -194,103 +125,44 @@ func (s *Statement) insert(ev *Event) error {
 	for g != nil && g.key != key {
 		g = g.next
 	}
-	created := g == nil
-	if created {
-		g = &group{
-			key:      key,
-			hash:     h,
-			next:     head,
-			firstSeq: s.seq,
-			repVals:  make([]Val, len(s.evFields)),
-			stats:    make([]fieldStats, len(s.recIdx)),
-		}
+	if g == nil {
+		g = &group{hash: h, next: head}
 		s.groups[h] = g
 	}
-	seq := s.seq
+	g.key = key // ==-equal to the stored key, but a −0/+0 group shows its latest
+	g.seqs.push(s.seq)
 	s.seq++
-	copy(g.repVals, s.scratch)
-	g.live++
-	s.live++
-	windowed := s.windowed()
-	if windowed {
-		g.seqs.push(seq)
-		for _, fi := range s.recIdx {
-			g.recs.push(s.scratch[fi])
+	s.expiry.push(expEntry{t: ev.Time, g: g})
+}
+
+// resolve maps the statement's fields onto a schema's slots; a field the
+// schema lacks is -1 and reads as null.
+func (s *Statement) resolve(sc *Schema) {
+	slot := func(field string) int {
+		if i, ok := sc.idx[field]; ok {
+			return i
 		}
-		s.expiry.push(expEntry{t: ev.Time, g: g})
+		return -1
 	}
-	for j, fi := range s.recIdx {
-		v := s.scratch[fi]
-		fs := &g.stats[j]
-		if created {
-			fs.first = v // first record's value, null included
-		}
-		f, numeric := v.numeric()
-		if !numeric {
-			if !v.IsNull() {
-				fs.bad++
-			}
-			continue
-		}
-		fs.n++
-		fs.sum += f
-		if windowed {
-			if s.needs[j].min {
-				fs.dqMin.pushMin(seq, f)
-			}
-			if s.needs[j].max {
-				fs.dqMax.pushMax(seq, f)
-			}
-		} else if fs.n == 1 {
-			fs.runMin, fs.runMax = f, f
-		} else {
-			fs.runMin = min(fs.runMin, f)
-			fs.runMax = max(fs.runMax, f)
-		}
+	s.schema, s.keySlots = sc, s.keySlots[:0]
+	for _, k := range s.q.keys {
+		s.keySlots = append(s.keySlots, slot(k))
 	}
-	if w := s.query.Window; w.Kind == WindowLength && s.live > w.N {
-		s.expireFront(s.expiry.pop().g)
-	}
-	return nil
+	s.whereSlot = slot(s.q.where)
 }
 
 // pruneTime expires records older than the time window. The window is
-// inclusive at its trailing edge: an event aged exactly Dur is still
+// inclusive at its trailing edge: an event aged exactly the window is still
 // visible, so a periodic evaluator with period == window never loses the
 // events of the instant it last ran.
 func (s *Statement) pruneTime() {
-	w := s.query.Window
-	if w.Kind != WindowTime {
-		return
-	}
-	cutoff := s.engine.clock() - w.Dur
+	cutoff := s.engine.clock() - s.q.window
 	for s.expiry.len() > 0 && s.expiry.at(0).t < cutoff {
-		s.expireFront(s.expiry.pop().g)
-	}
-}
-
-// expireFront removes the group's oldest record from its running state.
-func (s *Statement) expireFront(g *group) {
-	seq := g.seqs.pop()
-	for j := range s.recIdx {
-		v := g.recs.pop()
-		fs := &g.stats[j]
-		fs.dqMin.expire(seq)
-		fs.dqMax.expire(seq)
-		f, numeric := v.numeric()
-		if !numeric {
-			if !v.IsNull() {
-				fs.bad--
-			}
-			continue
+		g := s.expiry.pop().g
+		g.seqs.pop()
+		if g.seqs.len() == 0 {
+			s.unlink(g)
 		}
-		fs.n--
-		fs.sum -= f
-	}
-	g.live--
-	s.live--
-	if g.live == 0 {
-		s.unlink(g)
 	}
 }
 
@@ -310,52 +182,6 @@ func (s *Statement) unlink(g *group) {
 	}
 }
 
-// aggValue resolves one planned aggregate against a group's running state.
-func (s *Statement) aggValue(g *group, idx int) (Val, error) {
-	ap := s.aggs[idx]
-	if ap.star {
-		return NumVal(float64(g.live)), nil
-	}
-	switch ap.fn {
-	case "last":
-		return g.repVals[ap.fldIdx], nil
-	case "first":
-		if s.windowed() {
-			// The oldest record's fields occupy the ring's first stride.
-			return g.recs.at(ap.statIdx), nil
-		}
-		return g.stats[ap.statIdx].first, nil
-	}
-	fs := &g.stats[ap.statIdx]
-	if fs.bad > 0 {
-		return Val{}, fmt.Errorf("cep: %s over non-numeric field", ap.fn)
-	}
-	switch ap.fn {
-	case "count":
-		return NumVal(float64(fs.n)), nil
-	case "sum":
-		return NumVal(fs.sum), nil
-	}
-	if fs.n == 0 {
-		return Val{}, nil // avg/min/max of no values is null
-	}
-	switch ap.fn {
-	case "avg":
-		return NumVal(fs.sum / float64(fs.n)), nil
-	case "min":
-		if s.windowed() {
-			return NumVal(fs.dqMin.front().v), nil
-		}
-		return NumVal(fs.runMin), nil
-	case "max":
-		if s.windowed() {
-			return NumVal(fs.dqMax.front().v), nil
-		}
-		return NumVal(fs.runMax), nil
-	}
-	return Val{}, fmt.Errorf("cep: unknown aggregate %q", ap.fn)
-}
-
 // seqGroup is a live group keyed by the sequence of its oldest surviving
 // record; no two groups share one.
 type seqGroup struct {
@@ -370,14 +196,10 @@ type seqGroup struct {
 // totally in a few linear passes.
 func (s *Statement) surviving() []seqGroup {
 	a := s.grpScratch[:0]
-	windowed := s.windowed()
 	lo, hi := uint64(math.MaxUint64), uint64(0)
 	for _, g := range s.groups {
 		for ; g != nil; g = g.next {
-			seq := g.firstSeq
-			if windowed {
-				seq = g.seqs.at(0)
-			}
+			seq := g.seqs.at(0)
 			lo, hi = min(lo, seq), max(hi, seq)
 			a = append(a, seqGroup{seq, g})
 		}
@@ -404,54 +226,19 @@ func (s *Statement) surviving() []seqGroup {
 }
 
 // each prunes the window and streams one row of typed columns per surviving
-// group that passes having, up to limit. cols is reused between rows.
-func (s *Statement) each(fn func(cols []Val)) error {
+// group, returning the number of rows. cols is reused between rows.
+func (s *Statement) each(fn func(cols []Val)) int {
 	s.pruneTime()
-	emitted := 0
-	for _, sg := range s.surviving() {
-		s.cur = sg.g
-		if s.having != nil {
-			pass, err := evalBool("having", s.having, nil)
-			if err != nil {
-				return err
+	groups := s.surviving()
+	for _, sg := range groups {
+		for i, k := range s.q.sel {
+			if k < 0 {
+				s.cols[i] = NumVal(float64(sg.g.seqs.len()))
+			} else {
+				s.cols[i] = sg.g.key.v[k]
 			}
-			if !pass {
-				continue
-			}
-		}
-		for i, e := range s.sel {
-			v, err := e.eval(nil)
-			if err != nil {
-				return err
-			}
-			s.cols[i] = v
 		}
 		fn(s.cols)
-		emitted++
-		if emitted == s.query.Limit {
-			break
-		}
 	}
-	return nil
-}
-
-// evalBool evaluates a where or having clause, which must be boolean.
-func evalBool(clause string, e Expr, ev *Event) (bool, error) {
-	v, err := e.eval(ev)
-	if err != nil {
-		return false, fmt.Errorf("cep: %s clause: %w", clause, err)
-	}
-	if v.k != kindBool {
-		return false, fmt.Errorf("cep: %s clause is not boolean", clause)
-	}
-	return v.Bool(), nil
-}
-
-// reset releases all retained state (statement closed).
-func (s *Statement) reset() {
-	s.groups = make(map[uint64]*group)
-	s.expiry = ring[expEntry]{}
-	s.live = 0
-	s.cur = nil
-	s.grpScratch, s.grpSpare = nil, nil
+	return len(groups)
 }

@@ -99,7 +99,7 @@ func wideJudge(b testing.TB) *Judge {
 	e.RunUntil(4 * time.Minute) // all reads issued and streamed, all inside the window
 	j := m.Judge()
 	over := 0
-	j.dnStmt.MustEachRow(func(cols []cep.Val) {
+	j.dnStmt.EachRow(func(cols []cep.Val) {
 		if cols[1].Num() > j.th.TauDN {
 			over++
 		}

@@ -91,7 +91,7 @@ func (d Decision) String() string {
 // layout once lets the audit and block-read subscribers emit fixed-slot
 // events with no per-event map or boxing allocations.
 var (
-	accessSchema = cep.NewSchema("Access", "path", "cmd", "ip")
+	accessSchema = cep.NewSchema("Access", "path", "cmd")
 	blockSchema  = cep.NewSchema("BlockAccess", "path", "block", "datanode")
 )
 
@@ -99,7 +99,6 @@ var (
 const (
 	accessPath = iota
 	accessCmd
-	accessIP
 )
 
 const (
@@ -157,7 +156,7 @@ func NewJudge(cluster *hdfs.Cluster, th Thresholds) *Judge {
 	j.idle.grow(0)
 	j.engine = cep.New(func() time.Duration { return cluster.Clock().Now() })
 	j.engine.SetTracer(cluster.Tracer())
-	w := fmt.Sprintf("%d s", int(th.Window.Seconds()))
+	w := fmt.Sprintf("%d ms", th.Window.Milliseconds())
 	j.fileStmt = j.engine.MustCompile(
 		"select path, count(*) as cnt from Access.win:time(" + w + ") " +
 			"where cmd = 'open' group by path").SetLabel("files")
@@ -190,7 +189,6 @@ func NewJudge(cluster *hdfs.Cluster, th Thresholds) *Judge {
 		cev := accessSchema.Event(r.Time)
 		cev.SetStr(accessPath, r.Src)
 		cev.SetStr(accessCmd, string(r.Cmd))
-		cev.SetStr(accessIP, r.IP)
 		j.engine.Insert(cev)
 	})
 	cluster.OnBlockRead(func(ev hdfs.BlockReadEvent) {
@@ -304,12 +302,12 @@ func (j *Judge) Evaluate() []Decision {
 	// Collect window aggregates. EachRow streams typed columns straight off
 	// the incremental group state — no Row maps on the hot path.
 	clear(j.fileCnt)
-	j.fileStmt.MustEachRow(func(cols []cep.Val) {
+	j.fileStmt.EachRow(func(cols []cep.Val) {
 		j.fileCnt[cols[0].Str()] = cols[1].Num()
 	})
 	clear(j.groupOf)
 	j.groups = j.groups[:0]
-	j.blockStmt.MustEachRow(func(cols []cep.Val) {
+	j.blockStmt.EachRow(func(cols []cep.Val) {
 		p := cols[0].Str()
 		gi, ok := j.groupOf[p]
 		if !ok {
@@ -375,7 +373,7 @@ func (j *Judge) Evaluate() []Decision {
 	// the largest access to DN". Every node's top contributor comes from one
 	// walk of the window, made when the first node over τ_DN shows up.
 	var top []topEntry
-	j.dnStmt.MustEachRow(func(cols []cep.Val) {
+	j.dnStmt.EachRow(func(cols []cep.Val) {
 		cnt := cols[1].Num()
 		if cnt <= j.th.TauDN {
 			return

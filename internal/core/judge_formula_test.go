@@ -48,7 +48,6 @@ func (f *judgeFix) opens(path string, n int) {
 		ev := accessSchema.Event(f.e.Now())
 		ev.SetStr(accessPath, path)
 		ev.SetStr(accessCmd, string(auditlog.CmdOpen))
-		ev.SetStr(accessIP, "10.0.0.9")
 		f.j.engine.Insert(ev)
 	}
 }

@@ -79,12 +79,12 @@ func refEvaluate(j *refJudge) []Decision {
 	var out []Decision
 
 	clear(j.fileCnt)
-	j.fileStmt.MustEachRow(func(cols []cep.Val) {
+	j.fileStmt.EachRow(func(cols []cep.Val) {
 		j.fileCnt[cols[0].Str()] = cols[1].Num()
 	})
 	clear(j.groupOf)
 	j.groups = j.groups[:0]
-	j.blockStmt.MustEachRow(func(cols []cep.Val) {
+	j.blockStmt.EachRow(func(cols []cep.Val) {
 		p := cols[0].Str()
 		gi, ok := j.groupOf[p]
 		if !ok {
@@ -183,7 +183,7 @@ func refEvaluate(j *refJudge) []Decision {
 	}
 
 	var top []topEntry
-	j.dnStmt.MustEachRow(func(cols []cep.Val) {
+	j.dnStmt.EachRow(func(cols []cep.Val) {
 		cnt := cols[1].Num()
 		if cnt <= j.th.TauDN {
 			return

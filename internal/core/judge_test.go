@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
+	"erms/internal/cep"
 	"erms/internal/hdfs"
 )
 
@@ -190,4 +192,20 @@ func TestCoolStreakStaysSparse(t *testing.T) {
 			t.Fatalf("coolStreak after the pass = %v, want empty", f.j.coolStreak)
 		}
 	})
+}
+
+// TestJudgeWindowKeepsSubSecondPart: the judge's CEP window is
+// Thresholds.Window to the millisecond, not truncated to whole seconds. At
+// Window = 1.5 s an open aged 1.4 s is in the window and one aged 1.6 s is
+// not.
+func TestJudgeWindowKeepsSubSecondPart(t *testing.T) {
+	w := newVisitWorld(6, Thresholds{Window: 1500 * time.Millisecond})
+	w.j.engine.Insert(openEvent(400*time.Millisecond, "/old"))
+	w.j.engine.Insert(openEvent(600*time.Millisecond, "/new"))
+	w.e.RunUntil(2 * time.Second)
+	var got []string
+	w.j.fileStmt.EachRow(func(cols []cep.Val) { got = append(got, fmt.Sprint(cols[0].Str(), " ", cols[1].Num())) })
+	if len(got) != 1 || got[0] != "/new 1" {
+		t.Fatalf("window rows at 2 s = %v, want [/new 1]", got)
+	}
 }

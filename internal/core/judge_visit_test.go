@@ -308,12 +308,12 @@ func TestJudgeVisitsOnlyCandidates(t *testing.T) {
 		for pass := 0; pass < 3; pass++ {
 			want := map[int]bool{}
 			now := e.Now()
-			j.fileStmt.MustEachRow(func(cols []cep.Val) {
+			j.fileStmt.EachRow(func(cols []cep.Val) {
 				if f := c.File(cols[0].Str()); f != nil {
 					want[f.ID()] = true
 				}
 			})
-			j.blockStmt.MustEachRow(func(cols []cep.Val) {
+			j.blockStmt.EachRow(func(cols []cep.Val) {
 				if f := c.File(cols[0].Str()); f != nil {
 					want[f.ID()] = true
 				}
