@@ -54,6 +54,21 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
+	// The library reads a zero or negative field as "use the default";
+	// on the command line it is a mistake, and so is a format we cannot
+	// write, so both are refused before any synthesis.
+	switch {
+	case *files <= 0:
+		return fmt.Errorf("-files must be positive, got %d", *files)
+	case *duration <= 0:
+		return fmt.Errorf("-duration must be positive, got %v", *duration)
+	case *interarr <= 0:
+		return fmt.Errorf("-interarrival must be positive, got %v", *interarr)
+	case *halfLife <= 0:
+		return fmt.Errorf("-halflife must be positive, got %v", *halfLife)
+	case *format != "json" && *format != "csv":
+		return fmt.Errorf("unknown format %q (want json or csv)", *format)
+	}
 	tr := workload.Synthesize(workload.Config{
 		Seed:               *seed,
 		Duration:           *duration,
@@ -61,14 +76,10 @@ func run(args []string, stdout io.Writer) error {
 		MeanInterarrival:   *interarr,
 		PopularityHalfLife: *halfLife,
 	})
-	switch *format {
-	case "json":
-		return tr.WriteJSON(stdout)
-	case "csv":
+	if *format == "csv" {
 		return tr.WriteCSV(stdout)
-	default:
-		return fmt.Errorf("unknown format %q", *format)
 	}
+	return tr.WriteJSON(stdout)
 }
 
 func summarize(tr *workload.Trace, w io.Writer) {

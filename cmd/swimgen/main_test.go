@@ -65,3 +65,38 @@ func TestUnknownFormat(t *testing.T) {
 		t.Fatal("unknown format accepted")
 	}
 }
+
+// TestRejectsBadFlags: a non-positive size or time, or an unknown format,
+// is an error that names the flag and writes nothing — never a trace
+// synthesized from the library's defaults.
+func TestRejectsBadFlags(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-files", "0"}, "-files"},
+		{[]string{"-files", "-3"}, "-files"},
+		{[]string{"-duration", "0s"}, "-duration"},
+		{[]string{"-duration", "-5m"}, "-duration"},
+		{[]string{"-interarrival", "0s"}, "-interarrival"},
+		{[]string{"-interarrival", "-1s"}, "-interarrival"},
+		{[]string{"-halflife", "0s"}, "-halflife"},
+		{[]string{"-halflife", "-90m"}, "-halflife"},
+		{[]string{"-format", "xml"}, "format"},
+		{[]string{"-format", ""}, "format"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			var out bytes.Buffer
+			err := run(tc.args, &out)
+			if err == nil {
+				t.Fatalf("accepted; wrote %d bytes", out.Len())
+			}
+			if !strings.Contains(err.Error(), tc.flag) {
+				t.Errorf("error %q does not name %s", err, tc.flag)
+			}
+			if out.Len() != 0 {
+				t.Errorf("wrote %d bytes before refusing", out.Len())
+			}
+		})
+	}
+}

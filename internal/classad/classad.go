@@ -41,7 +41,7 @@ func (ad *ClassAd) Set(name string, v any) *ClassAd {
 
 // SetExpr assigns an expression attribute.
 func (ad *ClassAd) SetExpr(name string, e Expr) *ClassAd {
-	ad.attrs[strings.ToLower(name)] = e
+	ad.attrs[fold(name)] = e
 	return ad
 }
 
@@ -53,18 +53,30 @@ func (ad *ClassAd) SetExprString(name, src string) *ClassAd {
 
 // Has reports whether the attribute exists.
 func (ad *ClassAd) Has(name string) bool {
-	_, ok := ad.attrs[strings.ToLower(name)]
+	_, ok := ad.attrs[fold(name)]
 	return ok
 }
 
 // Eval evaluates the named attribute with this ad as MY and target as
 // TARGET (target may be nil).
 func (ad *ClassAd) Eval(name string, target *ClassAd) Value {
-	e, ok := ad.attrs[strings.ToLower(name)]
+	e, ok := ad.attrs[fold(name)]
 	if !ok {
 		return Undefined
 	}
-	return e.Eval(&Context{My: ad, Target: target})
+	return e.Eval(Context{My: ad, Target: target})
+}
+
+// fold is an attribute name's map key. The two names matchmaking looks up
+// against every machine are folded once, not on every lookup.
+func fold(name string) string {
+	switch name {
+	case Requirements:
+		return "requirements"
+	case Rank:
+		return "rank"
+	}
+	return strings.ToLower(name)
 }
 
 // Requirements is the conventional attribute name for match constraints.

@@ -11,7 +11,7 @@ func evalStr(t *testing.T, src string) Value {
 	if err != nil {
 		t.Fatalf("ParseExpr(%q): %v", src, err)
 	}
-	return e.Eval(&Context{My: NewClassAd()})
+	return e.Eval(Context{My: NewClassAd()})
 }
 
 func TestLiteralEval(t *testing.T) {
@@ -86,7 +86,7 @@ func TestAttributeLookupAndScopes(t *testing.T) {
 	}
 	// Bare attribute resolves MY first, then TARGET.
 	probe := MustParseExpr("FreeGB")
-	if got := probe.Eval(&Context{My: job, Target: machine}); got != Num(120) {
+	if got := probe.Eval(Context{My: job, Target: machine}); got != Num(120) {
 		t.Fatalf("bare lookup fell through wrong: %v", got)
 	}
 	// Case-insensitivity.
@@ -204,8 +204,8 @@ func TestValueString(t *testing.T) {
 func TestQuickArithmetic(t *testing.T) {
 	f := func(a, b int16) bool {
 		ad := NewClassAd().Set("a", float64(a)).Set("b", float64(b))
-		sum := MustParseExpr("a + b").Eval(&Context{My: ad})
-		prod := MustParseExpr("a * b").Eval(&Context{My: ad})
+		sum := MustParseExpr("a + b").Eval(Context{My: ad})
+		prod := MustParseExpr("a * b").Eval(Context{My: ad})
 		return sum == Num(float64(a)+float64(b)) &&
 			prod == Num(float64(a)*float64(b))
 	}

@@ -4,7 +4,7 @@ import "strings"
 
 // Expr is a ClassAd expression evaluated against a (my, target) ad pair.
 type Expr interface {
-	Eval(ctx *Context) Value
+	Eval(ctx Context) Value
 	String() string
 }
 
@@ -20,8 +20,8 @@ const maxEvalDepth = 64
 
 type litNode struct{ v Value }
 
-func (n litNode) Eval(*Context) Value { return n.v }
-func (n litNode) String() string      { return n.v.String() }
+func (n litNode) Eval(Context) Value { return n.v }
+func (n litNode) String() string     { return n.v.String() }
 
 // attrNode is an attribute reference: bare, my.X, or target.X.
 type attrNode struct {
@@ -29,7 +29,7 @@ type attrNode struct {
 	name  string // lowercase
 }
 
-func (n attrNode) Eval(ctx *Context) Value {
+func (n attrNode) Eval(ctx Context) Value {
 	if ctx.depth >= maxEvalDepth {
 		return ErrorVal
 	}
@@ -41,8 +41,7 @@ func (n attrNode) Eval(ctx *Context) Value {
 		if !ok {
 			return Undefined, false
 		}
-		sub := &Context{My: ad, Target: other, depth: ctx.depth + 1}
-		return e.Eval(sub), true
+		return e.Eval(Context{My: ad, Target: other, depth: ctx.depth + 1}), true
 	}
 	switch n.scope {
 	case "my":
@@ -74,7 +73,7 @@ type unaryNode struct {
 	sub Expr
 }
 
-func (n unaryNode) Eval(ctx *Context) Value {
+func (n unaryNode) Eval(ctx Context) Value {
 	v := n.sub.Eval(ctx)
 	switch v.Kind {
 	case KindUndefined, KindError:
@@ -102,7 +101,7 @@ type binaryNode struct {
 	left, right Expr
 }
 
-func (n binaryNode) Eval(ctx *Context) Value {
+func (n binaryNode) Eval(ctx Context) Value {
 	switch n.op {
 	case "&&":
 		l := n.left.Eval(ctx)

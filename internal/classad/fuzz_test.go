@@ -29,8 +29,8 @@ func FuzzParseExpr(f *testing.F) {
 		}
 		my := NewClassAd().Set("Name", "dn01").Set("WantRack", 1)
 		target := NewClassAd().Set("Rack", 1).Set("State", "active")
-		_ = e.Eval(&Context{My: my, Target: target})
-		_ = e.Eval(&Context{My: my})
+		_ = e.Eval(Context{My: my, Target: target})
+		_ = e.Eval(Context{My: my})
 		// The canonical rendering must itself reparse.
 		if _, err := ParseExpr(e.String()); err != nil {
 			t.Fatalf("canonical form %q does not reparse: %v", e.String(), err)

@@ -149,3 +149,25 @@ func TestReplicateAdAgainstMachineAds(t *testing.T) {
 		t.Errorf("rank of an empty node = %v, want its FreeGB %v", classad.RankOf(replicateAd, empty), want)
 	}
 }
+
+// TestMatchmakingAllocCeiling: matching the replication job ad against a
+// machine ad and ranking it allocates nothing. The negotiator does this for
+// every datanode on every replication job.
+func TestMatchmakingAllocCeiling(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the ceiling is for uninstrumented builds")
+	}
+	_, h, m := testbed(t, smallThresholds())
+	machine := m.machineAd(h.Datanode(0))
+	if !classad.Match(replicateAd, machine) {
+		t.Fatal("the replication ad does not match an active datanode")
+	}
+	n := testing.AllocsPerRun(1000, func() {
+		if classad.Match(replicateAd, machine) {
+			classad.RankOf(replicateAd, machine)
+		}
+	})
+	if n != 0 {
+		t.Errorf("Match + RankOf: %v allocs/op, want 0", n)
+	}
+}

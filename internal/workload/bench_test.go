@@ -6,9 +6,18 @@ import (
 )
 
 func BenchmarkSynthesize(b *testing.B) {
-	cfg := Config{Seed: 1, Duration: 6 * time.Hour, NumFiles: 60}
-	for i := 0; i < b.N; i++ {
-		Synthesize(cfg)
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"files=60", Config{Seed: 1, Duration: 6 * time.Hour, NumFiles: 60}},
+		{"swim-large", swimLargeShape(1)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Synthesize(bc.cfg)
+			}
+		})
 	}
 }
 

@@ -118,9 +118,20 @@ func SynthesizeMultiTenant(cfg TenantConfig) *Trace {
 		}
 	}
 
+	// Arrival shares, and each tenant's Zipf weights over its catalogue,
+	// with their totals.
+	shares := make([]float64, len(cfg.Tenants))
 	shareTotal := 0.0
-	for _, tn := range cfg.Tenants {
+	weights := make([][]float64, len(cfg.Tenants))
+	totals := make([]float64, len(cfg.Tenants))
+	for ti, tn := range cfg.Tenants {
+		shares[ti] = tn.Share
 		shareTotal += tn.Share
+		weights[ti] = make([]float64, len(catalog[ti]))
+		for i := range catalog[ti] {
+			weights[ti][i] = 1 / math.Pow(float64(i+1), tn.ZipfSkew)
+			totals[ti] += weights[ti][i]
+		}
 	}
 	now := time.Duration(0)
 	jobID := 0
@@ -131,31 +142,8 @@ func SynthesizeMultiTenant(cfg TenantConfig) *Trace {
 		}
 		// Pick the tenant by arrival share, then the file by that tenant's
 		// own Zipf skew.
-		u := rng.Float64() * shareTotal
-		ti := 0
-		for i, tn := range cfg.Tenants {
-			u -= tn.Share
-			if u <= 0 {
-				ti = i
-				break
-			}
-		}
-		tn := cfg.Tenants[ti]
-		total := 0.0
-		weights := make([]float64, len(catalog[ti]))
-		for i := range catalog[ti] {
-			weights[i] = 1 / math.Pow(float64(i+1), tn.ZipfSkew)
-			total += weights[i]
-		}
-		u = rng.Float64() * total
-		pick := 0
-		for i, w := range weights {
-			u -= w
-			if u <= 0 {
-				pick = i
-				break
-			}
-		}
+		ti := weightedPick(shares, rng.Float64()*shareTotal)
+		pick := weightedPick(weights[ti], rng.Float64()*totals[ti])
 		jobID++
 		tr.Jobs = append(tr.Jobs, JobSpec{
 			Submit:  now,
@@ -163,7 +151,7 @@ func SynthesizeMultiTenant(cfg TenantConfig) *Trace {
 			Name:    fmt.Sprintf("job%04d", jobID),
 			Client:  rng.Intn(cfg.Clients),
 			Compute: cfg.ComputePerMB,
-			Tenant:  tn.Name,
+			Tenant:  cfg.Tenants[ti].Name,
 		})
 	}
 	return tr
@@ -360,16 +348,9 @@ func SynthesizePartialRead(cfg PartialConfig) *Trace {
 			break
 		}
 		fi := rng.Intn(cfg.NumFiles)
-		slot := 0
+		var slot int
 		if fi < nHead {
-			u := rng.Float64() * headTotal
-			for i, w := range headW {
-				u -= w
-				if u <= 0 {
-					slot = i
-					break
-				}
-			}
+			slot = weightedPick(headW, rng.Float64()*headTotal)
 		} else {
 			slot = rng.Intn(slots)
 		}

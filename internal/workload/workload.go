@@ -13,8 +13,11 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"erms/internal/metrics"
@@ -177,8 +180,17 @@ func Synthesize(cfg Config) *Trace {
 		phase := 2 * math.Pi * float64(t) / float64(cfg.DiurnalPeriod)
 		return 1 + cfg.DiurnalAmplitude*math.Sin(phase)
 	}
+	// The job loop runs in two phases (DESIGN.md §11). This serial pass
+	// makes every rng draw in the order the trace has always used — gap,
+	// thinning draw, pick uniform, client — and records each job's live
+	// catalogue prefix: Files is sorted by CreateAt, so the files that exist
+	// at now are Files[:live]. The weighted picks, which are all the work,
+	// then run in parallel.
+	pop := &popularity{files: tr.Files, baseW: baseW, lambda: lambda}
+	scratch := make([]float64, len(tr.Files))
+	var draws []pickDraw
 	now := time.Duration(0)
-	jobID := 0
+	live := 0
 	for {
 		gap := time.Duration(rng.ExpFloat64() * float64(cfg.MeanInterarrival) / peakBoost)
 		now += gap
@@ -188,40 +200,103 @@ func Synthesize(cfg Config) *Trace {
 		if cfg.DiurnalAmplitude > 0 && rng.Float64() > rateAt(now)/peakBoost {
 			continue // thinned out: off-peak instant
 		}
-		// Weighted pick over files that exist, with exponential age decay.
-		total := 0.0
-		weights := make([]float64, len(tr.Files))
-		for i, f := range tr.Files {
-			if f.CreateAt > now {
-				continue
-			}
-			age := (now - f.CreateAt).Seconds()
-			w := baseW[i] * math.Exp(-lambda*age)
-			weights[i] = w
-			total += w
+		for live < len(tr.Files) && tr.Files[live].CreateAt <= now {
+			live++
 		}
-		if total <= 0 {
-			continue
+		if !pop.positive(scratch, now, live) {
+			continue // every live weight underflowed: nothing to pick
 		}
-		u := rng.Float64() * total
-		pick := 0
-		for i, w := range weights {
-			u -= w
-			if u <= 0 {
-				pick = i
-				break
-			}
-		}
-		jobID++
-		tr.Jobs = append(tr.Jobs, JobSpec{
-			Submit:  now,
-			File:    tr.Files[pick].Path,
-			Name:    fmt.Sprintf("job%04d", jobID),
-			Client:  rng.Intn(cfg.Clients),
-			Compute: cfg.ComputePerMB,
-		})
+		draws = append(draws, pickDraw{live: live, u: rng.Float64()})
+		tr.Jobs = append(tr.Jobs, JobSpec{Submit: now, Client: rng.Intn(cfg.Clients), Compute: cfg.ComputePerMB})
 	}
+	pop.pickAll(tr.Jobs, draws)
 	return tr
+}
+
+// popularity is a trace's file popularity at any instant: each file's Zipf
+// base weight decayed exponentially with its age.
+type popularity struct {
+	files  []FileSpec // sorted by CreateAt
+	baseW  []float64
+	lambda float64
+}
+
+// pickDraw is what the serial pass records for a job's weighted pick: the
+// live catalogue prefix and the uniform the pick scales by the total.
+type pickDraw struct {
+	live int
+	u    float64
+}
+
+// weights fills w[:live] with the live files' weights at now and returns
+// their sum, added in index order. Files created at the same instant share
+// one exp, so the t=0 third of the catalogue costs one call per job.
+func (p *popularity) weights(w []float64, now time.Duration, live int) float64 {
+	total := 0.0
+	decay := 0.0
+	for i := 0; i < live; i++ {
+		if at := p.files[i].CreateAt; i == 0 || at != p.files[i-1].CreateAt {
+			age := (now - at).Seconds()
+			decay = math.Exp(-p.lambda * age)
+		}
+		wi := p.baseW[i] * decay
+		w[i] = wi
+		total += wi
+	}
+	return total
+}
+
+// positive reports whether the live weights at now sum to more than zero.
+// The newest live file decays least, so its weight alone decides unless it
+// is 0 (its decay or its base weight underflowed); then the full sum,
+// computed as the pick computes it, does.
+func (p *popularity) positive(scratch []float64, now time.Duration, live int) bool {
+	if live == 0 {
+		return false
+	}
+	newest := p.files[live-1].CreateAt
+	if p.baseW[live-1]*math.Exp(-p.lambda*(now-newest).Seconds()) > 0 {
+		return true
+	}
+	return p.weights(scratch, now, live) > 0
+}
+
+// pickAll fills in each job's File and Name. A job's pick reads only its
+// own draw and the read-only catalogue, so GOMAXPROCS workers take
+// contiguous chunks of jobs as they free up (late jobs cost more: the
+// catalogue grows), and the trace cannot depend on the worker count.
+func (p *popularity) pickAll(jobs []JobSpec, draws []pickDraw) {
+	const chunk = 256
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := runtime.GOMAXPROCS(0); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]float64, len(p.files))
+			for lo := int(next.Add(chunk)) - chunk; lo < len(jobs); lo = int(next.Add(chunk)) - chunk {
+				for j := lo; j < min(lo+chunk, len(jobs)); j++ {
+					d := draws[j]
+					total := p.weights(buf, jobs[j].Submit, d.live)
+					jobs[j].File = p.files[weightedPick(buf[:d.live], d.u*total)].Path
+					jobs[j].Name = fmt.Sprintf("job%04d", j+1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// weightedPick returns the index at which u, less each weight in turn,
+// first reaches zero, or 0 when it never does.
+func weightedPick(weights []float64, u float64) int {
+	for i, w := range weights {
+		u -= w
+		if u <= 0 {
+			return i
+		}
+	}
+	return 0
 }
 
 // AccessCDF returns the cumulative distribution of job submission times —
