@@ -2,13 +2,12 @@ package erms
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 
 	"erms/internal/auditlog"
 	"erms/internal/federation"
+	"erms/internal/wire"
 )
 
 // Journal and JournalEntry surface the write-ahead journal types (see
@@ -59,49 +58,28 @@ func (s *System) federatedCheckpoint() []byte {
 	for _, snap := range s.snaps {
 		hint += len(snap.ckpt) + len(snap.ckpt)/8
 	}
-	body := append(make([]byte, 0, hint), fedCkptMagic...)
-	body = binary.AppendUvarint(body, FedEnvelopeVersion)
-	body = append(body, s.router.Encode()...)
+	w := wire.Begin(make([]byte, 0, hint), fedCkptMagic, FedEnvelopeVersion)
+	w = append(w, s.router.Encode()...)
 	var blob []byte
 	for _, sh := range s.shards {
 		blob = sh.cluster.AppendCheckpoint(blob[:0])
-		body = binary.AppendUvarint(body, uint64(len(blob)))
-		body = append(body, blob...)
+		w.Uvarint(uint64(len(blob)))
+		w = append(w, blob...)
 	}
-	h := fnv.New64a()
-	h.Write(body)
-	return binary.LittleEndian.AppendUint64(body, h.Sum64())
+	return w.Seal(0)
 }
 
 // restoreFederated rebuilds every shard from a federated envelope. The
 // system must be freshly built with the same Options (same shard count);
-// the whole stream is read and checksummed before any shard is touched,
-// and each blob then passes the classic per-shard restore validation.
+// the whole stream is read, checksummed and split into shard blobs before
+// any shard is touched, and each blob then passes the classic per-shard
+// restore validation.
 func (s *System) restoreFederated(data []byte) error {
-	if len(data) < len(fedCkptMagic)+8 {
-		return fmt.Errorf("erms: federated checkpoint too short (%d bytes)", len(data))
-	}
-	if magic := data[:len(fedCkptMagic)]; string(magic) != fedCkptMagic {
-		return fmt.Errorf("erms: checkpoint magic %q is not the federated envelope %q this %d-shard system restores from (a one-namenode ERMSCKP1 checkpoint restores into a one-shard system)",
-			magic, fedCkptMagic, len(s.shards))
-	}
-	payload, trailer := data[:len(data)-8], data[len(data)-8:]
-	h := fnv.New64a()
-	h.Write(payload)
-	if got, want := binary.LittleEndian.Uint64(trailer), h.Sum64(); got != want {
-		return fmt.Errorf("erms: federated checkpoint checksum mismatch (%#x != %#x)", got, want)
-	}
-	br := bytes.NewReader(payload[len(fedCkptMagic):])
-	version, err := binary.ReadUvarint(br)
+	r, err := wire.Open(data, fedCkptMagic, FedEnvelopeVersion, "erms: federated checkpoint")
 	if err != nil {
-		return fmt.Errorf("erms: federated checkpoint version: %w", err)
+		return err
 	}
-	if version != FedEnvelopeVersion {
-		return fmt.Errorf("erms: unsupported federated envelope version %d (want %d)",
-			version, FedEnvelopeVersion)
-	}
-	rest := payload[len(payload)-br.Len():]
-	router, used, err := federation.Decode(rest)
+	router, used, err := federation.Decode(r.Rest())
 	if err != nil {
 		return fmt.Errorf("erms: federated checkpoint router: %w", err)
 	}
@@ -109,26 +87,18 @@ func (s *System) restoreFederated(data []byte) error {
 		return fmt.Errorf("erms: checkpoint has %d shards, system has %d",
 			router.Shards(), len(s.shards))
 	}
-	br = bytes.NewReader(rest[used:])
+	r.Skip(used)
+	blobs := make([][]byte, len(s.shards))
+	for i := range blobs {
+		blobs[i] = r.Bytes(fmt.Sprintf("shard %d blob", i), uint64(len(data)))
+	}
+	if err := r.End(); err != nil {
+		return err
+	}
 	for i, sh := range s.shards {
-		blobLen, err := binary.ReadUvarint(br)
-		if err != nil {
-			return fmt.Errorf("erms: shard %d blob length: %w", i, err)
-		}
-		if blobLen > uint64(br.Len()) {
-			return fmt.Errorf("erms: shard %d blob length %d exceeds remaining %d bytes",
-				i, blobLen, br.Len())
-		}
-		blob := make([]byte, blobLen)
-		if _, err := io.ReadFull(br, blob); err != nil {
-			return fmt.Errorf("erms: shard %d blob: %w", i, err)
-		}
-		if err := sh.restore(bytes.NewReader(blob)); err != nil {
+		if err := sh.restore(bytes.NewReader(blobs[i])); err != nil {
 			return fmt.Errorf("erms: shard %d restore: %w", i, err)
 		}
-	}
-	if br.Len() != 0 {
-		return fmt.Errorf("erms: federated checkpoint: %d trailing bytes", br.Len())
 	}
 	return nil
 }
@@ -176,19 +146,14 @@ func (s *System) StateDigest() uint64 {
 	if len(s.shards) == 1 {
 		return s.shards[0].cluster.StateDigest()
 	}
-	h := fnv.New64a()
-	var buf [8]byte
-	mix := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	mix(federation.RouterVersion)
-	mix(uint64(len(s.shards)))
+	h := wire.NewDigest()
+	h.U64(federation.RouterVersion)
+	h.U64(uint64(len(s.shards)))
 	for i, sh := range s.shards {
-		mix(uint64(i))
-		mix(sh.cluster.StateDigest())
+		h.U64(uint64(i))
+		h.U64(sh.cluster.StateDigest())
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // Journal returns shard 0's write-ahead journal, or nil unless

@@ -1,15 +1,13 @@
 package auditlog
 
 import (
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
-	"math"
 	"slices"
 	"strings"
 	"time"
+
+	"erms/internal/wire"
 )
 
 // The human-readable audit log (Record) is what the Data Judge consumes; it
@@ -312,12 +310,12 @@ func (j *Journal) TruncateTo(upTo uint64) {
 	j.base += uint64(drop) * segmentCap
 }
 
-// Journal wire format: a magic/version header, a varint entry count, each
-// entry's fields as varints (strings length-prefixed, floats as IEEE bits),
-// and a trailing FNV-1a checksum of everything before it. The format shares
-// its versioning discipline with the checkpoint: any change to entry
-// semantics bumps JournalVersion, and decoders reject versions they do not
-// know rather than guessing.
+// Journal wire format, in the checkpoint's frame (package wire): magic,
+// version, a varint entry count, then each entry's fields as canonical
+// varints (strings length-prefixed, floats as IEEE bits), closed by the
+// FNV-1a checksum trailer. The format shares its versioning discipline with
+// the checkpoint: any change to entry semantics bumps JournalVersion, and
+// decoders reject versions they do not know rather than guessing.
 const (
 	journalMagic = "ERMSJRNL"
 	// JournalVersion 2 added the per-entry writer Epoch (journal-epoch
@@ -325,42 +323,27 @@ const (
 	JournalVersion = 2
 )
 
-const (
-	maxJournalEntries = 1 << 28 // decoder sanity bound
-	maxJournalString  = 1 << 20
-)
-
 // EncodeEntries writes entries to w in the versioned journal format: the
 // stream is appended into one slice, hashed once and written once.
 func EncodeEntries(w io.Writer, entries []Entry) error {
-	b := append(make([]byte, 0, 64+48*len(entries)), journalMagic...)
-	b = binary.AppendUvarint(b, JournalVersion)
-	b = binary.AppendUvarint(b, uint64(len(entries)))
+	b := wire.Begin(make([]byte, 0, 64+48*len(entries)), journalMagic, JournalVersion)
+	b.Uvarint(uint64(len(entries)))
 	for i := range entries {
 		e := &entries[i]
-		b = binary.AppendUvarint(b, e.Seq)
-		b = binary.AppendUvarint(b, e.Epoch)
-		b = binary.AppendVarint(b, int64(e.Time))
-		b = binary.AppendUvarint(b, uint64(e.Op))
-		for _, s := range [2]string{e.Path, e.Dst} {
-			b = binary.AppendUvarint(b, uint64(len(s)))
-			b = append(b, s...)
-		}
+		b.Uvarint(e.Seq)
+		b.Uvarint(e.Epoch)
+		b.Varint(int64(e.Time))
+		b.Uvarint(uint64(e.Op))
+		b.Str(e.Path)
+		b.Str(e.Dst)
 		for _, v := range [9]int64{int64(e.File), e.Block, int64(e.Node), int64(e.State),
 			int64(e.Target), int64(e.K), int64(e.M), int64(e.Index), int64(e.Group)} {
-			b = binary.AppendVarint(b, v)
+			b.Varint(v)
 		}
-		b = binary.AppendUvarint(b, math.Float64bits(e.Size))
-		if e.Flag {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
+		b.F64(e.Size)
+		b.Bool(e.Flag)
 	}
-	h := fnv.New64a()
-	h.Write(b)
-	// Checksum trailer, outside the hashed region.
-	if _, err := w.Write(binary.LittleEndian.AppendUint64(b, h.Sum64())); err != nil {
+	if _, err := w.Write(b.Seal(0)); err != nil {
 		return fmt.Errorf("auditlog: journal encode: %w", err)
 	}
 	return nil
@@ -375,146 +358,31 @@ func DecodeEntries(r io.Reader) ([]Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("auditlog: journal decode: %w", err)
 	}
-	if len(data) < len(journalMagic)+8 {
-		return nil, fmt.Errorf("auditlog: journal decode: input too short (%d bytes)", len(data))
-	}
-	payload, trailer := data[:len(data)-8], data[len(data)-8:]
-	h := fnv.New64a()
-	h.Write(payload)
-	if got, want := binary.LittleEndian.Uint64(trailer), h.Sum64(); got != want {
-		return nil, fmt.Errorf("auditlog: journal decode: checksum mismatch (%#x != %#x)", got, want)
-	}
-	br := bytes.NewReader(payload)
-	fail := func(what string, err error) ([]Entry, error) {
-		if err == nil {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, fmt.Errorf("auditlog: journal decode %s: %w", what, err)
-	}
-	magic := make([]byte, len(journalMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return fail("magic", err)
-	}
-	if string(magic) != journalMagic {
-		return nil, fmt.Errorf("auditlog: journal decode: bad magic %q", magic)
-	}
-	version, err := binary.ReadUvarint(br)
+	d, err := wire.Open(data, journalMagic, JournalVersion, "auditlog: journal")
 	if err != nil {
-		return fail("version", err)
+		return nil, err
 	}
-	if version != JournalVersion {
-		return nil, fmt.Errorf("auditlog: journal decode: unsupported version %d (want %d)", version, JournalVersion)
-	}
-	count, err := binary.ReadUvarint(br)
-	if err != nil {
-		return fail("entry count", err)
-	}
-	if count > maxJournalEntries {
-		return nil, fmt.Errorf("auditlog: journal decode: implausible entry count %d", count)
-	}
-	readString := func(what string) (string, error) {
-		n, err := binary.ReadUvarint(br)
-		if err != nil {
-			return "", fmt.Errorf("auditlog: journal decode %s length: %w", what, err)
+	// A forged count costs nothing: every entry takes at least 17 bytes, so
+	// the loop ends at the payload's end.
+	count := d.Uvarint("entry count")
+	entries := make([]Entry, 0, min(count, 4096))
+	for i := uint64(0); i < count && d.Err() == nil; i++ {
+		e := Entry{Seq: d.Uvarint("seq"), Epoch: d.Uvarint("epoch"), Time: time.Duration(d.Varint("time"))}
+		op := d.Uvarint("op")
+		if d.Err() == nil && (op >= uint64(opSentinel) || !Op(op).Valid()) {
+			return nil, fmt.Errorf("auditlog: journal decode entry %d: unknown op %d", i, op)
 		}
-		if n > maxJournalString {
-			return "", fmt.Errorf("auditlog: journal decode: %s length %d too large", what, n)
-		}
-		b := make([]byte, n)
-		if _, err := io.ReadFull(br, b); err != nil {
-			return "", fmt.Errorf("auditlog: journal decode %s: %w", what, err)
-		}
-		return string(b), nil
-	}
-	entries := make([]Entry, 0, min(int(count), 4096))
-	for i := uint64(0); i < count; i++ {
-		var e Entry
-		var iv int64
-		var uv uint64
-		read := func(what string, dst *int64) bool {
-			v, rerr := binary.ReadVarint(br)
-			if rerr != nil {
-				err = fmt.Errorf("auditlog: journal decode entry %d %s: %w", i, what, rerr)
-				return false
-			}
-			*dst = v
-			return true
-		}
-		if uv, err = binary.ReadUvarint(br); err != nil {
-			return fail(fmt.Sprintf("entry %d seq", i), err)
-		}
-		e.Seq = uv
-		if uv, err = binary.ReadUvarint(br); err != nil {
-			return fail(fmt.Sprintf("entry %d epoch", i), err)
-		}
-		e.Epoch = uv
-		if !read("time", &iv) {
-			return nil, err
-		}
-		e.Time = time.Duration(iv)
-		if uv, err = binary.ReadUvarint(br); err != nil {
-			return fail(fmt.Sprintf("entry %d op", i), err)
-		}
-		e.Op = Op(uv)
-		if !e.Op.Valid() {
-			return nil, fmt.Errorf("auditlog: journal decode entry %d: unknown op %d", i, uv)
-		}
-		if e.Path, err = readString("path"); err != nil {
-			return nil, err
-		}
-		if e.Dst, err = readString("dst"); err != nil {
-			return nil, err
-		}
-		if !read("file", &iv) {
-			return nil, err
-		}
-		e.File = int(iv)
-		if !read("block", &e.Block) {
-			return nil, err
-		}
-		if !read("node", &iv) {
-			return nil, err
-		}
-		e.Node = int(iv)
-		if !read("state", &iv) {
-			return nil, err
-		}
-		e.State = int(iv)
-		if !read("target", &iv) {
-			return nil, err
-		}
-		e.Target = int(iv)
-		if !read("k", &iv) {
-			return nil, err
-		}
-		e.K = int(iv)
-		if !read("m", &iv) {
-			return nil, err
-		}
-		e.M = int(iv)
-		if !read("index", &iv) {
-			return nil, err
-		}
-		e.Index = int(iv)
-		if !read("group", &iv) {
-			return nil, err
-		}
-		e.Group = int(iv)
-		if uv, err = binary.ReadUvarint(br); err != nil {
-			return fail(fmt.Sprintf("entry %d size", i), err)
-		}
-		e.Size = math.Float64frombits(uv)
-		if uv, err = binary.ReadUvarint(br); err != nil {
-			return fail(fmt.Sprintf("entry %d flag", i), err)
-		}
-		if uv > 1 {
-			return nil, fmt.Errorf("auditlog: journal decode entry %d: bad flag %d", i, uv)
-		}
-		e.Flag = uv == 1
+		e.Op = Op(op)
+		e.Path, e.Dst = d.Str("path"), d.Str("dst")
+		e.File, e.Block, e.Node = int(d.Varint("file")), d.Varint("block"), int(d.Varint("node"))
+		e.State, e.Target = int(d.Varint("state")), int(d.Varint("target"))
+		e.K, e.M = int(d.Varint("k")), int(d.Varint("m"))
+		e.Index, e.Group = int(d.Varint("index")), int(d.Varint("group"))
+		e.Size, e.Flag = d.F64("size"), d.Bool("flag")
 		entries = append(entries, e)
 	}
-	if br.Len() != 0 {
-		return nil, fmt.Errorf("auditlog: journal decode: %d trailing bytes after %d entries", br.Len(), count)
+	if err := d.End(); err != nil {
+		return nil, err
 	}
 	return entries, nil
 }

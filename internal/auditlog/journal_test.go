@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"erms/internal/wire"
 )
 
 func sampleEntries() []Entry {
@@ -151,5 +153,44 @@ func TestJournalEntryString(t *testing.T) {
 	}
 	if Op(0).Valid() || !OpFileAdd.Valid() || Op(200).Valid() {
 		t.Fatal("Op.Valid misclassifies")
+	}
+}
+
+// TestJournalDecodeRejectsOverlongVarint re-seals a stream whose entry
+// count is spelled with a redundant continuation byte (0x82 0x00 for 2):
+// it decodes to the same count, but it is not the stream EncodeEntries
+// writes, so it must be refused rather than accepted and re-encoded
+// shorter.
+func TestJournalDecodeRejectsOverlongVarint(t *testing.T) {
+	var buf bytes.Buffer
+	if err := EncodeEntries(&buf, sampleEntries()[:2]); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	at := len(journalMagic) + 1 // one-byte version, then the count
+	if good[at] != 2 {
+		t.Fatalf("entry count byte is %#x, want 0x02", good[at])
+	}
+	body := append(append(append([]byte(nil), good[:at]...), 0x82, 0x00), good[at+1:len(good)-8]...)
+	bad := wire.Writer(body).Seal(0)
+	if _, err := DecodeEntries(bytes.NewReader(bad)); err == nil ||
+		!strings.Contains(err.Error(), "entry count") {
+		t.Fatalf("overlong entry count: err = %v, want a refusal naming the entry count", err)
+	}
+}
+
+// TestJournalDecodeRejectsWideOp: an op code of 257 is not OpFileAdd (1)
+// spelled wide. Truncating it to the uint8 Op accepted the entry and
+// re-encoded it differently.
+func TestJournalDecodeRejectsWideOp(t *testing.T) {
+	w := wire.Begin(nil, journalMagic, JournalVersion)
+	for _, v := range []uint64{1, 1, 1, 0, 257} { // count, seq, epoch, time, op
+		w.Uvarint(v)
+	}
+	w.Str("/a")
+	w.Str("")
+	w = append(w, make([]byte, 11)...) // nine varints, size, flag: all zero
+	if _, err := DecodeEntries(bytes.NewReader(w.Seal(0))); err == nil || !strings.Contains(err.Error(), "unknown op 257") {
+		t.Fatalf("op 257: err = %v, want unknown op 257", err)
 	}
 }

@@ -201,9 +201,6 @@ func NewJudge(cluster *hdfs.Cluster, th Thresholds) *Judge {
 	return j
 }
 
-// Thresholds returns the judge's effective thresholds.
-func (j *Judge) Thresholds() Thresholds { return j.th }
-
 // CEP exposes the underlying engine (tests, extensions).
 func (j *Judge) CEP() *cep.Engine { return j.engine }
 

@@ -80,21 +80,3 @@ func mulSlice(c byte, src, dst []byte) {
 		}
 	}
 }
-
-// setMulSlice computes dst[i] = c * src[i].
-func setMulSlice(c byte, src, dst []byte) {
-	if c == 0 {
-		for i := range dst[:len(src)] {
-			dst[i] = 0
-		}
-		return
-	}
-	logC := int(gfLog[c])
-	for i, s := range src {
-		if s == 0 {
-			dst[i] = 0
-		} else {
-			dst[i] = gfExp[logC+int(gfLog[s])]
-		}
-	}
-}

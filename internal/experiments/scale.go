@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -16,6 +15,7 @@ import (
 	"erms/internal/metrics"
 	"erms/internal/sim"
 	"erms/internal/topology"
+	"erms/internal/wire"
 )
 
 // ScaleConfig drives the scale demonstration: how large a cluster sweep
@@ -192,30 +192,23 @@ func runScale(cfg ScaleConfig, nodes int) ScaleRow {
 // and storage counters, and every node's block count and usage — into one
 // FNV-1a value. Two same-seed runs must agree exactly.
 func scaleDigest(e *sim.Engine, c *hdfs.Cluster) uint64 {
-	h := fnv.New64a()
-	put := func(v uint64) {
-		var b [8]byte
-		for i := 0; i < 8; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	put(e.Fired())
-	put(uint64(e.Now()))
+	h := wire.NewDigest()
+	h.U64(e.Fired())
+	h.U64(uint64(e.Now()))
 	mt := c.Metrics()
-	put(uint64(mt.ReadsStarted))
-	put(uint64(mt.ReadsCompleted))
-	put(uint64(mt.ReadsFailed))
-	put(uint64(mt.BlockReads))
-	put(uint64(mt.NodeLocalReads))
-	put(uint64(mt.RackLocalReads))
-	put(uint64(mt.RemoteReads))
-	put(math.Float64bits(c.TotalUsed()))
+	h.U64(uint64(mt.ReadsStarted))
+	h.U64(uint64(mt.ReadsCompleted))
+	h.U64(uint64(mt.ReadsFailed))
+	h.U64(uint64(mt.BlockReads))
+	h.U64(uint64(mt.NodeLocalReads))
+	h.U64(uint64(mt.RackLocalReads))
+	h.U64(uint64(mt.RemoteReads))
+	h.U64(math.Float64bits(c.TotalUsed()))
 	for _, d := range c.Datanodes() {
-		put(uint64(d.NumBlocks()))
-		put(math.Float64bits(d.Used))
+		h.U64(uint64(d.NumBlocks()))
+		h.U64(math.Float64bits(d.Used))
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // scaleCachePath keys the cache on everything that shapes the namespace:

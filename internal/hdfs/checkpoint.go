@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"slices"
@@ -12,6 +11,7 @@ import (
 	"time"
 
 	"erms/internal/netsim"
+	"erms/internal/wire"
 )
 
 // Checkpoint format. The namenode's durable metadata serializes to a
@@ -39,34 +39,7 @@ const (
 	CheckpointVersion = 1
 )
 
-const (
-	maxCkptSlots  = 1 << 28 // decoder sanity bounds (pre-allocation caps)
-	maxCkptString = 1 << 20
-)
-
-// ckptWriter appends the stream to one byte slice: no writer, buffer or
-// hash sits under the per-field calls, of which a checkpoint makes a dozen
-// a file. AppendCheckpoint hashes the finished bytes once.
-type ckptWriter struct{ b []byte }
-
-func (cw *ckptWriter) uvarint(v uint64) { cw.b = binary.AppendUvarint(cw.b, v) }
-
-func (cw *ckptWriter) varint(v int64) { cw.b = binary.AppendVarint(cw.b, v) }
-
-func (cw *ckptWriter) f64(v float64) { cw.uvarint(math.Float64bits(v)) }
-
-func (cw *ckptWriter) boolv(v bool) {
-	if v {
-		cw.b = append(cw.b, 1)
-	} else {
-		cw.b = append(cw.b, 0)
-	}
-}
-
-func (cw *ckptWriter) str(s string) {
-	cw.uvarint(uint64(len(s)))
-	cw.b = append(cw.b, s...)
-}
+const maxCkptSlots = 1 << 28 // decoder sanity bound (pre-allocation cap)
 
 // ConfigDigest fingerprints the cluster parameters a checkpoint depends
 // on: block geometry, capacities, session limits, command latency, and the
@@ -76,23 +49,18 @@ func (cw *ckptWriter) str(s string) {
 // not the meaning of serialized state, so a verification shadow can run
 // with heartbeats off and still accept the checkpoint.
 func (c *Cluster) ConfigDigest() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	u := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	u(math.Float64bits(c.cfg.BlockSize))
-	u(uint64(c.cfg.DefaultReplication))
-	u(math.Float64bits(c.cfg.NodeCapacity))
-	u(uint64(c.cfg.MaxSessionsPerNode))
-	u(uint64(c.cfg.ReplCommandLatency))
-	u(uint64(c.topo.NumRacks()))
-	u(uint64(c.topo.NumNodes()))
+	h := wire.NewDigest()
+	h.U64(math.Float64bits(c.cfg.BlockSize))
+	h.U64(uint64(c.cfg.DefaultReplication))
+	h.U64(math.Float64bits(c.cfg.NodeCapacity))
+	h.U64(uint64(c.cfg.MaxSessionsPerNode))
+	h.U64(uint64(c.cfg.ReplCommandLatency))
+	h.U64(uint64(c.topo.NumRacks()))
+	h.U64(uint64(c.topo.NumNodes()))
 	for _, n := range c.topo.Nodes {
-		u(uint64(n.Rack))
+		h.U64(uint64(n.Rack))
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 // StateDigest fingerprints the namenode's durable, journal-replayable
@@ -105,67 +73,50 @@ func (c *Cluster) ConfigDigest() uint64 {
 // live namenode on everything the digest covers, which is exactly the
 // state that decides placement, replication, and reads.
 func (c *Cluster) StateDigest() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	u := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	s := func(v string) {
-		u(uint64(len(v)))
-		io.WriteString(h, v)
-	}
-	u(uint64(c.nextBlock))
-	u(uint64(len(c.fileByID)))
+	h := wire.NewDigest()
+	h.U64(uint64(c.nextBlock))
+	h.U64(uint64(len(c.fileByID)))
 	for _, f := range c.fileByID {
 		if f == nil {
-			u(0)
+			h.U64(0)
 			continue
 		}
-		u(1)
-		s(f.Path)
-		u(math.Float64bits(f.Size))
-		u(uint64(f.CreatedAt))
-		u(uint64(f.TargetRepl))
-		if f.Encoded {
-			u(1)
-		} else {
-			u(0)
-		}
-		u(uint64(f.EncodeK))
-		u(uint64(f.EncodeM))
-		u(uint64(len(f.Blocks)))
+		h.U64(1)
+		h.Str(f.Path)
+		h.U64(math.Float64bits(f.Size))
+		h.U64(uint64(f.CreatedAt))
+		h.U64(uint64(f.TargetRepl))
+		h.Bool(f.Encoded)
+		h.U64(uint64(f.EncodeK))
+		h.U64(uint64(f.EncodeM))
+		h.U64(uint64(len(f.Blocks)))
 		for _, bid := range f.Blocks {
-			u(uint64(bid))
+			h.U64(uint64(bid))
 		}
-		u(uint64(len(f.Parity)))
+		h.U64(uint64(len(f.Parity)))
 		for _, bid := range f.Parity {
-			u(uint64(bid))
+			h.U64(uint64(bid))
 		}
 	}
 	for id, b := range c.blocks {
 		if b == nil {
 			continue
 		}
-		u(uint64(id))
-		u(uint64(len(c.replicas[id])))
+		h.U64(uint64(id))
+		h.U64(uint64(len(c.replicas[id])))
 		for _, dn := range c.replicas[id] {
-			u(uint64(dn))
+			h.U64(uint64(dn))
 		}
 	}
 	for _, d := range c.datanodes {
-		u(uint64(d.State))
-		if d.Stale {
-			u(1)
-		} else {
-			u(0)
-		}
-		u(uint64(len(d.reported)))
+		h.U64(uint64(d.State))
+		h.Bool(d.Stale)
+		h.U64(uint64(len(d.reported)))
 		for _, bid := range sortedBlockIDs(d.reported) {
-			u(uint64(bid))
+			h.U64(uint64(bid))
 		}
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
 func sortedBlockIDs(m map[BlockID]bool) []BlockID {
@@ -196,16 +147,13 @@ func (c *Cluster) WriteCheckpoint(w io.Writer) error {
 // bytes (a failover snapshot, the federated envelope) and can size dst from
 // the last checkpoint it took.
 func (c *Cluster) AppendCheckpoint(dst []byte) []byte {
-	cw := &ckptWriter{b: append(dst, checkpointMagic...)}
-
-	// Header.
-	cw.uvarint(CheckpointVersion)
-	cw.b = binary.LittleEndian.AppendUint64(cw.b, c.ConfigDigest())
-	cw.uvarint(uint64(c.clock.Now()))
-	cw.uvarint(c.journalPos())
-	cw.uvarint(uint64(c.nextBlock))
-	cw.uvarint(uint64(len(c.fileByID)))
-	cw.uvarint(uint64(len(c.datanodes)))
+	w := wire.Begin(dst, checkpointMagic, CheckpointVersion)
+	w = binary.LittleEndian.AppendUint64(w, c.ConfigDigest())
+	w.Uvarint(uint64(c.clock.Now()))
+	w.Uvarint(c.journalPos())
+	w.Uvarint(uint64(c.nextBlock))
+	w.Uvarint(uint64(len(c.fileByID)))
+	w.Uvarint(uint64(len(c.datanodes)))
 
 	// Files, in intern order with explicit gaps, so restored intern IDs —
 	// which the journal references — are identical. Blocks are NOT
@@ -213,19 +161,19 @@ func (c *Cluster) AppendCheckpoint(dst []byte) []byte {
 	// (IDs in list order, sizes from the file size and block geometry).
 	for _, f := range c.fileByID {
 		if f == nil {
-			cw.boolv(false)
+			w.Bool(false)
 			continue
 		}
-		cw.boolv(true)
-		cw.str(f.Path)
-		cw.f64(f.Size)
-		cw.varint(int64(f.CreatedAt))
-		cw.uvarint(uint64(f.TargetRepl))
-		cw.boolv(f.Encoded)
-		cw.uvarint(uint64(f.EncodeK))
-		cw.uvarint(uint64(f.EncodeM))
-		writeIDList(cw, f.Blocks)
-		writeIDList(cw, f.Parity)
+		w.Bool(true)
+		w.Str(f.Path)
+		w.F64(f.Size)
+		w.Varint(int64(f.CreatedAt))
+		w.Uvarint(uint64(f.TargetRepl))
+		w.Bool(f.Encoded)
+		w.Uvarint(uint64(f.EncodeK))
+		w.Uvarint(uint64(f.EncodeM))
+		writeIDList(&w, f.Blocks)
+		writeIDList(&w, f.Parity)
 	}
 
 	// Replica lists for live blocks, ascending block ID. List order is
@@ -236,9 +184,9 @@ func (c *Cluster) AppendCheckpoint(dst []byte) []byte {
 			continue
 		}
 		reps := c.replicas[id]
-		cw.uvarint(uint64(len(reps)))
+		w.Uvarint(uint64(len(reps)))
 		for _, dn := range reps {
-			cw.uvarint(uint64(dn))
+			w.Uvarint(uint64(dn))
 		}
 	}
 
@@ -246,14 +194,14 @@ func (c *Cluster) AppendCheckpoint(dst []byte) []byte {
 	// (covered by the digest); block sets and Used are rebuilt from the
 	// replica lists above; session/flow state is transient by design.
 	for _, d := range c.datanodes {
-		cw.uvarint(uint64(d.State))
-		cw.boolv(d.Stale)
-		cw.boolv(d.crashed)
-		cw.varint(int64(d.lastHeartbeat))
-		cw.varint(int64(d.activeSince))
-		cw.varint(int64(d.ActiveTime))
-		writeIDList(cw, sortedBlockIDs(d.corrupt))
-		writeIDList(cw, sortedBlockIDs(d.reported))
+		w.Uvarint(uint64(d.State))
+		w.Bool(d.Stale)
+		w.Bool(d.crashed)
+		w.Varint(int64(d.lastHeartbeat))
+		w.Varint(int64(d.activeSince))
+		w.Varint(int64(d.ActiveTime))
+		writeIDList(&w, sortedBlockIDs(d.corrupt))
+		writeIDList(&w, sortedBlockIDs(d.reported))
 	}
 
 	// Cluster-wide odds and ends.
@@ -262,35 +210,34 @@ func (c *Cluster) AppendCheckpoint(dst []byte) []byte {
 		parts = append(parts, r)
 	}
 	sort.Ints(parts)
-	cw.uvarint(uint64(len(parts)))
+	w.Uvarint(uint64(len(parts)))
 	for _, r := range parts {
-		cw.uvarint(uint64(r))
+		w.Uvarint(uint64(r))
 	}
-	cw.uvarint(uint64(c.scrubCursor))
+	w.Uvarint(uint64(c.scrubCursor))
 
 	// Metrics, normalized: in-flight reads are not part of the restored
 	// world, so they are un-counted from ReadsStarted.
 	m := c.metrics
 	m.ReadsStarted -= c.activeReads
-	for _, v := range m.ints() {
-		cw.varint(int64(v))
+	for _, p := range m.checkpointed() {
+		switch p := p.(type) {
+		case *int:
+			w.Varint(int64(*p))
+		case *float64:
+			w.F64(*p)
+		}
 	}
-	for _, v := range m.floats() {
-		cw.f64(v)
-	}
-
-	h := fnv.New64a()
-	h.Write(cw.b[len(dst):])
-	return binary.LittleEndian.AppendUint64(cw.b, h.Sum64())
+	return w.Seal(len(dst))
 }
 
 // writeIDList delta-encodes an ascending block ID list (file block lists
 // and the sorted corrupt/reported sets are ascending by construction).
-func writeIDList(cw *ckptWriter, ids []BlockID) {
-	cw.uvarint(uint64(len(ids)))
+func writeIDList(w *wire.Writer, ids []BlockID) {
+	w.Uvarint(uint64(len(ids)))
 	prev := int64(0)
 	for _, id := range ids {
-		cw.varint(int64(id) - prev)
+		w.Varint(int64(id) - prev)
 		prev = int64(id)
 	}
 }
@@ -311,33 +258,19 @@ func (c *Cluster) journalPos() uint64 {
 // tail from this sequence number brings the cluster up to date.
 func (c *Cluster) RestoredJournalSeq() uint64 { return c.ckptJournalSeq }
 
-// ints lists the integer metric fields in a fixed serialization order.
-// Adding a Metrics field requires extending this list (and bumping
-// CheckpointVersion).
-func (m *Metrics) ints() []int {
-	return []int{
-		m.ReadsStarted, m.ReadsCompleted, m.ReadsFailed,
-		m.BlockReads, m.NodeLocalReads, m.RackLocalReads, m.RemoteReads,
-		m.ReplicasAdded, m.ReplicasRemoved,
-		m.FilesEncoded, m.BlocksRebuilt,
-		m.StaleTransitions, m.ReplicasScrubbed, m.CorruptDetected, m.ChecksumFailures,
+// checkpointed lists the serialized metric fields, *int or *float64, in
+// stream order: encode and decode both walk it. Adding a Metrics field to
+// the checkpoint means extending it (and bumping CheckpointVersion); the
+// ranged-read, safe-mode and fencing counters are transient by design.
+func (m *Metrics) checkpointed() []any {
+	return []any{
+		&m.ReadsStarted, &m.ReadsCompleted, &m.ReadsFailed,
+		&m.BlockReads, &m.NodeLocalReads, &m.RackLocalReads, &m.RemoteReads,
+		&m.ReplicasAdded, &m.ReplicasRemoved,
+		&m.FilesEncoded, &m.BlocksRebuilt,
+		&m.StaleTransitions, &m.ReplicasScrubbed, &m.CorruptDetected, &m.ChecksumFailures,
+		&m.BytesRead, &m.ReplicationMB, &m.CorruptBytes,
 	}
-}
-
-func (m *Metrics) setInts(v []int) {
-	m.ReadsStarted, m.ReadsCompleted, m.ReadsFailed = v[0], v[1], v[2]
-	m.BlockReads, m.NodeLocalReads, m.RackLocalReads, m.RemoteReads = v[3], v[4], v[5], v[6]
-	m.ReplicasAdded, m.ReplicasRemoved = v[7], v[8]
-	m.FilesEncoded, m.BlocksRebuilt = v[9], v[10]
-	m.StaleTransitions, m.ReplicasScrubbed, m.CorruptDetected, m.ChecksumFailures = v[11], v[12], v[13], v[14]
-}
-
-func (m *Metrics) floats() []float64 {
-	return []float64{m.BytesRead, m.ReplicationMB, m.CorruptBytes}
-}
-
-func (m *Metrics) setFloats(v []float64) {
-	m.BytesRead, m.ReplicationMB, m.CorruptBytes = v[0], v[1], v[2]
 }
 
 // ckptNode is a decoded datanode record, pre-commit.
@@ -426,7 +359,10 @@ func (c *Cluster) restoreCheckpoint(r io.Reader, inPlace bool) error {
 
 // decodeCheckpoint parses and validates a checkpoint stream without
 // touching cluster state. The whole stream is read up front so the
-// trailing checksum is verified before a single field is trusted.
+// trailing checksum is verified before a single field is trusted. A read
+// after a decode error returns zero, so the error is checked early only
+// where a zero could fail validation and be reported in its place; the
+// rest surface at d.End().
 func (c *Cluster) decodeCheckpoint(r io.Reader) (*ckptState, error) {
 	var buf bytes.Buffer
 	if lr, ok := r.(interface{ Len() int }); ok {
@@ -438,45 +374,25 @@ func (c *Cluster) decodeCheckpoint(r io.Reader) (*ckptState, error) {
 		return nil, fmt.Errorf("hdfs: checkpoint read: %w", err)
 	}
 	data := buf.Bytes()
-	if len(data) < len(checkpointMagic)+8 {
-		return nil, fmt.Errorf("hdfs: checkpoint too short (%d bytes)", len(data))
+	d, err := wire.Open(data, checkpointMagic, CheckpointVersion, "hdfs: checkpoint")
+	if err != nil {
+		return nil, err
 	}
-	payload, trailer := data[:len(data)-8], data[len(data)-8:]
-	h := fnv.New64a()
-	h.Write(payload)
-	if got, want := binary.LittleEndian.Uint64(trailer), h.Sum64(); got != want {
-		return nil, fmt.Errorf("hdfs: checkpoint checksum mismatch (%#x != %#x)", got, want)
+	if got, want := d.Fixed64("config digest"), c.ConfigDigest(); d.Err() == nil && got != want {
+		return nil, fmt.Errorf("hdfs: checkpoint config digest %#x does not match cluster %#x", got, want)
 	}
-	if string(payload[:len(checkpointMagic)]) != checkpointMagic {
-		return nil, fmt.Errorf("hdfs: bad checkpoint magic %q", payload[:len(checkpointMagic)])
+	var idSlab []BlockID // idList carves every block ID list from it
+	st := &ckptState{now: time.Duration(d.Uvarint("capture time")), journalSeq: d.Uvarint("journal seq")}
+	nextBlock := d.Uvarint("nextBlock")
+	nSlots := d.Uvarint("file slots")
+	nNodes := d.Uvarint("datanodes")
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
-	d := &ckptDecoder{data: payload[len(checkpointMagic):]}
-	// One blob copy backs every decoded string: a million per-path
-	// allocations otherwise show up in both malloc and GC mark time.
-	d.blob = string(d.data)
-
-	if v := d.uvarint("version"); d.err == nil && v != CheckpointVersion {
-		return nil, fmt.Errorf("hdfs: unsupported checkpoint version %d (want %d)", v, CheckpointVersion)
+	if nSlots > maxCkptSlots || nextBlock > maxCkptSlots {
+		return nil, fmt.Errorf("hdfs: implausible checkpoint sizes (%d file slots, %d blocks)", nSlots, nextBlock)
 	}
-	var cfgDigest [8]byte
-	d.bytes("config digest", cfgDigest[:])
-	if d.err == nil {
-		if got, want := binary.LittleEndian.Uint64(cfgDigest[:]), c.ConfigDigest(); got != want {
-			return nil, fmt.Errorf("hdfs: checkpoint config digest %#x does not match cluster %#x", got, want)
-		}
-	}
-	st := &ckptState{}
-	st.now = time.Duration(d.uvarint("capture time"))
-	st.journalSeq = d.uvarint("journal seq")
-	st.nextBlock = BlockID(d.uvarint("nextBlock"))
-	nSlots := d.uvarint("file slots")
-	nNodes := d.uvarint("datanodes")
-	if d.err != nil {
-		return nil, d.err
-	}
-	if nSlots > maxCkptSlots || st.nextBlock > maxCkptSlots {
-		return nil, fmt.Errorf("hdfs: implausible checkpoint sizes (%d file slots, %d blocks)", nSlots, st.nextBlock)
-	}
+	st.nextBlock = BlockID(nextBlock)
 	if int(nNodes) != len(c.datanodes) {
 		return nil, fmt.Errorf("hdfs: checkpoint has %d datanodes, cluster has %d", nNodes, len(c.datanodes))
 	}
@@ -485,37 +401,40 @@ func (c *Cluster) decodeCheckpoint(r io.Reader) (*ckptState, error) {
 	// one owner and block IDs stay in range. The INode arena, namespace
 	// map, and slot table are built directly here — the map doubles as
 	// duplicate-path detection, and commit adopts all three wholesale.
-	// Pre-allocation is bounded by the payload size so a forged header
-	// can't balloon memory; the bound also fixes the arena's capacity
-	// (every present slot costs at least one payload byte, so appends can
-	// never exceed it), which keeps handed-out *INode pointers stable.
+	// Pre-allocation of the file slots is bounded by the payload size so a
+	// forged header can't balloon them; the bound also fixes the arena's
+	// capacity (every present slot costs at least one payload byte, so
+	// appends can never exceed it), which keeps handed-out *INode pointers
+	// stable. The O(nextBlock) arrays — owner here, the replica lists and
+	// bitmaps below — are bounded only by maxCkptSlots: a forged 197-byte
+	// checkpoint claiming 2^26 blocks makes restore allocate about 3 GB.
 	owner := make([]int32, st.nextBlock) // 0 = unowned; slot+1 otherwise
-	capHint := min(int(nSlots), len(payload))
+	capHint := min(int(nSlots), len(data))
 	st.inodes = make([]INode, 0, capHint)
 	st.fileByID = make([]*INode, 0, capHint)
-	st.files = make(map[string]*INode, min(capHint, len(payload)/8))
+	st.files = make(map[string]*INode, min(capHint, len(data)/8))
 	liveBlocks := 0
-	for i := uint64(0); i < nSlots && d.err == nil; i++ {
-		if !d.boolv("slot presence") {
+	for i := uint64(0); i < nSlots && d.Err() == nil; i++ {
+		if !d.Bool("slot presence") {
 			st.fileByID = append(st.fileByID, nil)
 			continue
 		}
 		slot := len(st.fileByID)
 		st.inodes = append(st.inodes, INode{
-			Path:       d.str("file path"),
-			Size:       d.f64("file size"),
-			CreatedAt:  time.Duration(d.varint("createdAt")),
-			TargetRepl: int(d.uvarint("target repl")),
-			Encoded:    d.boolv("encoded"),
-			EncodeK:    int(d.uvarint("encodeK")),
-			EncodeM:    int(d.uvarint("encodeM")),
-			Blocks:     d.idList("block list", st.nextBlock),
-			Parity:     d.idList("parity list", st.nextBlock),
+			Path:       d.Str("file path"),
+			Size:       d.F64("file size"),
+			CreatedAt:  time.Duration(d.Varint("createdAt")),
+			TargetRepl: int(d.Uvarint("target repl")),
+			Encoded:    d.Bool("encoded"),
+			EncodeK:    int(d.Uvarint("encodeK")),
+			EncodeM:    int(d.Uvarint("encodeM")),
+			Blocks:     idList(&d, &idSlab, "block list", st.nextBlock),
+			Parity:     idList(&d, &idSlab, "parity list", st.nextBlock),
 			id:         slot,
 		})
 		f := &st.inodes[len(st.inodes)-1]
-		if d.err != nil {
-			return nil, d.err
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
 		// Insert-then-check-growth detects duplicates with a single map
 		// operation; on error the whole staged state is discarded anyway.
@@ -554,8 +473,8 @@ func (c *Cluster) decodeCheckpoint(r io.Reader) (*ckptState, error) {
 		}
 		st.fileByID = append(st.fileByID, f)
 	}
-	if d.err != nil {
-		return nil, d.err
+	if d.Err() != nil {
+		return nil, d.Err()
 	}
 
 	// Replica lists, one per live (owned) block in ascending ID order.
@@ -571,10 +490,7 @@ func (c *Cluster) decodeCheckpoint(r io.Reader) (*ckptState, error) {
 		if owner[bid] == 0 {
 			continue
 		}
-		n := d.uvarint("replica count")
-		if d.err != nil {
-			return nil, d.err
-		}
+		n := d.Uvarint("replica count")
 		if n > nNodes {
 			return nil, fmt.Errorf("hdfs: checkpoint block %d: %d replicas on a %d-node cluster", bid, n, nNodes)
 		}
@@ -585,15 +501,15 @@ func (c *Cluster) decodeCheckpoint(r io.Reader) (*ckptState, error) {
 		reps := slab[:n:n]
 		slab = slab[n:]
 		for j := uint64(0); j < n; j++ {
-			dn := DatanodeID(d.uvarint("replica node"))
-			if d.err != nil {
-				return nil, d.err
+			dn := d.Uvarint("replica node")
+			if d.Err() != nil {
+				return nil, d.Err()
 			}
-			if int(dn) >= len(c.datanodes) || seenGen[dn] == gen {
+			if dn >= nNodes || seenGen[dn] == gen {
 				return nil, fmt.Errorf("hdfs: checkpoint block %d: bad or duplicate replica node %d", bid, dn)
 			}
 			seenGen[dn] = gen
-			reps[j] = dn
+			reps[j] = DatanodeID(dn)
 		}
 		st.replicas[bid] = reps
 	}
@@ -619,17 +535,14 @@ func (c *Cluster) decodeCheckpoint(r io.Reader) (*ckptState, error) {
 	st.nodes = make([]ckptNode, len(c.datanodes))
 	for i := range st.nodes {
 		n := &st.nodes[i]
-		n.state = NodeState(d.uvarint("node state"))
-		n.stale = d.boolv("stale")
-		n.crashed = d.boolv("crashed")
-		n.lastHeartbeat = time.Duration(d.varint("lastHeartbeat"))
-		n.activeSince = time.Duration(d.varint("activeSince"))
-		n.activeTime = time.Duration(d.varint("activeTime"))
-		n.corrupt = d.idList("corrupt set", st.nextBlock)
-		n.reported = d.idList("reported set", st.nextBlock)
-		if d.err != nil {
-			return nil, d.err
-		}
+		n.state = NodeState(d.Uvarint("node state"))
+		n.stale = d.Bool("stale")
+		n.crashed = d.Bool("crashed")
+		n.lastHeartbeat = time.Duration(d.Varint("lastHeartbeat"))
+		n.activeSince = time.Duration(d.Varint("activeSince"))
+		n.activeTime = time.Duration(d.Varint("activeTime"))
+		n.corrupt = idList(&d, &idSlab, "corrupt set", st.nextBlock)
+		n.reported = idList(&d, &idSlab, "reported set", st.nextBlock)
 		if n.state < StateActive || n.state > StateDecommissioned {
 			return nil, fmt.Errorf("hdfs: checkpoint node %d: unknown state %d", i, n.state)
 		}
@@ -645,62 +558,47 @@ func (c *Cluster) decodeCheckpoint(r io.Reader) (*ckptState, error) {
 		}
 	}
 
-	// Cluster odds and ends.
-	nParts := d.uvarint("partition count")
-	if d.err != nil {
-		return nil, d.err
-	}
+	// Cluster odds and ends: the partitioned racks are a set, written
+	// ascending.
+	nParts := d.Uvarint("partition count")
 	if nParts > uint64(c.topo.NumRacks()) {
 		return nil, fmt.Errorf("hdfs: checkpoint partitions %d racks of %d", nParts, c.topo.NumRacks())
 	}
 	for i := uint64(0); i < nParts; i++ {
-		rk := int(d.uvarint("partitioned rack"))
-		if d.err != nil {
-			return nil, d.err
+		rk := int(d.Uvarint("partitioned rack"))
+		if d.Err() != nil {
+			return nil, d.Err()
 		}
-		if rk < 0 || rk >= c.topo.NumRacks() {
-			return nil, fmt.Errorf("hdfs: checkpoint partitions unknown rack %d", rk)
+		if rk < 0 || rk >= c.topo.NumRacks() || (i > 0 && rk <= st.partitioned[i-1]) {
+			return nil, fmt.Errorf("hdfs: checkpoint partitions unknown or repeated rack %d", rk)
 		}
 		st.partitioned = append(st.partitioned, rk)
 	}
-	st.scrubCursor = int(d.uvarint("scrub cursor"))
-	if d.err == nil {
-		bad := st.scrubCursor < 0
-		if st.nextBlock > 0 {
-			bad = bad || st.scrubCursor >= int(st.nextBlock)
-		} else {
-			bad = bad || st.scrubCursor != 0
-		}
-		if bad {
-			return nil, fmt.Errorf("hdfs: checkpoint scrub cursor %d out of range", st.scrubCursor)
-		}
+	st.scrubCursor = int(d.Uvarint("scrub cursor"))
+	if d.Err() == nil && (st.scrubCursor < 0 || st.scrubCursor >= max(int(st.nextBlock), 1)) {
+		return nil, fmt.Errorf("hdfs: checkpoint scrub cursor %d out of range", st.scrubCursor)
 	}
 
-	ints := make([]int, len(st.metrics.ints()))
-	for i := range ints {
-		ints[i] = int(d.varint("metric"))
-		if d.err == nil && ints[i] < 0 {
-			return nil, fmt.Errorf("hdfs: checkpoint metric %d is negative", i)
+	for i, p := range st.metrics.checkpointed() {
+		var bad bool
+		switch p := p.(type) {
+		case *int:
+			*p = int(d.Varint("metric"))
+			bad = *p < 0
+		case *float64:
+			*p = d.F64("metric")
+			bad = *p < 0 || math.IsNaN(*p)
+		}
+		if bad {
+			return nil, fmt.Errorf("hdfs: checkpoint metric %d is negative or NaN", i)
 		}
 	}
-	floats := make([]float64, len(st.metrics.floats()))
-	for i := range floats {
-		floats[i] = d.f64("metric")
-		if d.err == nil && (floats[i] < 0 || math.IsNaN(floats[i])) {
-			return nil, fmt.Errorf("hdfs: checkpoint float metric %d is invalid", i)
-		}
+	if err := d.End(); err != nil {
+		return nil, err
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	st.metrics.setInts(ints)
-	st.metrics.setFloats(floats)
 	if st.metrics.ReadsStarted != st.metrics.ReadsCompleted+st.metrics.ReadsFailed {
 		return nil, fmt.Errorf("hdfs: checkpoint read metrics do not balance (%d != %d + %d)",
 			st.metrics.ReadsStarted, st.metrics.ReadsCompleted, st.metrics.ReadsFailed)
-	}
-	if d.rem() != 0 {
-		return nil, fmt.Errorf("hdfs: checkpoint has %d trailing bytes", d.rem())
 	}
 	return st, nil
 }
@@ -725,7 +623,6 @@ func (c *Cluster) commitCheckpoint(st *ckptState) {
 	c.liveBlocks = 0
 	c.files = st.files
 	c.fileByID = st.fileByID
-	c.pathsCache = nil
 
 	// Reconstruct every Block from its file: data block sizes follow from
 	// the file size and block geometry, parities are whole blocks whose
@@ -806,21 +703,7 @@ func (c *Cluster) commitCheckpoint(st *ckptState) {
 		}
 	}
 
-	// Derived indexes: placement load index, under-replication set and
-	// above-default set.
-	c.loadIdx = nil
-	c.idxMin = 0
-	for _, d := range c.datanodes {
-		d.inIdx = false
-		c.reindexNode(d)
-	}
-	c.underSet = make(map[BlockID]struct{})
-	for _, b := range c.blocks {
-		if b != nil {
-			c.reassessBlock(b)
-		}
-	}
-	c.rebuildAboveDefault()
+	c.rebuildDerived()
 
 	c.partitioned = make(map[int]bool, len(st.partitioned))
 	for _, r := range st.partitioned {
@@ -831,133 +714,37 @@ func (c *Cluster) commitCheckpoint(st *ckptState) {
 	c.activeReads = 0
 }
 
-// ckptDecoder reads checkpoint fields from an in-memory payload, folding
-// errors so call sites stay linear. It indexes the payload slice directly
-// — a reader interface in this loop costs two dynamic calls per varint,
-// which dominates at a million blocks.
-type ckptDecoder struct {
-	data   []byte
-	blob   string // one string copy of data; str returns windows of it
-	off    int
-	err    error
-	idSlab []BlockID // chunked backing store for idList results
-}
-
-func (d *ckptDecoder) rem() int { return len(d.data) - d.off }
-
-func (d *ckptDecoder) fail(what string, err error) {
-	if d.err == nil {
-		if err == nil {
-			err = io.ErrUnexpectedEOF
-		}
-		d.err = fmt.Errorf("hdfs: checkpoint decode %s: %w", what, err)
-	}
-}
-
-func (d *ckptDecoder) uvarint(what string) uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		d.fail(what, varintErr(n))
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func (d *ckptDecoder) varint(what string) int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.data[d.off:])
-	if n <= 0 {
-		d.fail(what, varintErr(n))
-		return 0
-	}
-	d.off += n
-	return v
-}
-
-func varintErr(n int) error {
-	if n < 0 {
-		return fmt.Errorf("varint overflow")
-	}
-	return io.ErrUnexpectedEOF
-}
-
-func (d *ckptDecoder) f64(what string) float64 { return math.Float64frombits(d.uvarint(what)) }
-
-func (d *ckptDecoder) boolv(what string) bool {
-	v := d.uvarint(what)
-	if d.err == nil && v > 1 {
-		d.fail(what, fmt.Errorf("bad bool %d", v))
-	}
-	return v == 1
-}
-
-func (d *ckptDecoder) str(what string) string {
-	n := d.uvarint(what)
-	if d.err != nil {
-		return ""
-	}
-	if n > maxCkptString {
-		d.fail(what, fmt.Errorf("length %d too large", n))
-		return ""
-	}
-	if uint64(d.rem()) < n {
-		d.fail(what, io.ErrUnexpectedEOF)
-		return ""
-	}
-	s := d.blob[d.off : d.off+int(n)]
-	d.off += int(n)
-	return s
-}
-
-func (d *ckptDecoder) bytes(what string, b []byte) {
-	if d.err != nil {
-		return
-	}
-	if d.rem() < len(b) {
-		d.fail(what, io.ErrUnexpectedEOF)
-		return
-	}
-	copy(b, d.data[d.off:d.off+len(b)])
-	d.off += len(b)
-}
-
 // idList reads a delta-encoded, strictly ascending block ID list whose
 // members must lie in [0, limit).
-func (d *ckptDecoder) idList(what string, limit BlockID) []BlockID {
-	n := d.uvarint(what)
-	if d.err != nil {
+func idList(d *wire.Reader, slab *[]BlockID, what string, limit BlockID) []BlockID {
+	n := d.Uvarint(what)
+	if d.Err() != nil {
 		return nil
 	}
 	if n > uint64(limit) {
-		d.fail(what, fmt.Errorf("%d IDs with only %d blocks", n, limit))
+		d.Fail(what, fmt.Errorf("%d IDs with only %d blocks", n, limit))
 		return nil
 	}
 	// Lists carve windows from a shared slab: a million per-file block
 	// lists allocated individually is measurable at restore time.
-	if uint64(len(d.idSlab)) < n {
-		d.idSlab = make([]BlockID, max(1<<16, int(n)))
+	if uint64(len(*slab)) < n {
+		*slab = make([]BlockID, max(1<<16, int(n)))
 	}
-	out := d.idSlab[:0:n]
-	d.idSlab = d.idSlab[n:]
+	out := (*slab)[:0:n]
+	*slab = (*slab)[n:]
 	prev := int64(0)
 	for i := uint64(0); i < n; i++ {
-		delta := d.varint(what)
-		if d.err != nil {
+		delta := d.Varint(what)
+		if d.Err() != nil {
 			return nil
 		}
 		if i > 0 && delta <= 0 {
-			d.fail(what, fmt.Errorf("IDs not strictly ascending after %d", prev))
+			d.Fail(what, fmt.Errorf("IDs not strictly ascending after %d", prev))
 			return nil
 		}
 		v := prev + delta
 		if v < 0 || v >= int64(limit) {
-			d.fail(what, fmt.Errorf("ID %d out of range [0,%d)", v, limit))
+			d.Fail(what, fmt.Errorf("ID %d out of range [0,%d)", v, limit))
 			return nil
 		}
 		out = append(out, BlockID(v))

@@ -2,7 +2,9 @@ package hdfs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"erms/internal/auditlog"
 	"erms/internal/sim"
 	"erms/internal/topology"
+	"erms/internal/wire"
 )
 
 func ckptConfig() Config {
@@ -255,6 +258,105 @@ func TestRestoreGuards(t *testing.T) {
 		// The checksum catches the edit; a well-formed future version
 		// would fail the explicit version check instead.
 		t.Fatalf("version edit: %v", err)
+	}
+}
+
+// TestRestoreRejectsOverlongVarint re-seals a checkpoint whose journal
+// seq, a one-byte 0x00, is spelled 0x80 0x00. The checksum holds and the
+// value decodes to the same 0, but the stream is not the one the cluster
+// would write, so restore must refuse it, name the field, and leave the
+// cluster pristine.
+func TestRestoreRejectsOverlongVarint(t *testing.T) {
+	_, c := busyCluster(t, false)
+	var buf bytes.Buffer
+	if err := c.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	r, err := wire.Open(good, checkpointMagic, CheckpointVersion, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Fixed64("config digest")
+	r.Uvarint("capture time")
+	at := len(good) - 8 - len(r.Rest())
+	if good[at] != 0 {
+		t.Fatalf("journal seq byte is %#x, want 0x00 (no journal attached)", good[at])
+	}
+	body := append(append(append([]byte(nil), good[:at]...), 0x80, 0x00), good[at+1:len(good)-8]...)
+	_, c2, err := restoreFrom(t, wire.Writer(body).Seal(0))
+	if err == nil || !strings.Contains(err.Error(), "journal seq") {
+		t.Fatalf("overlong journal seq: err = %v, want a refusal naming the field", err)
+	}
+	if c2.Files() != 0 || c2.LiveBlocks() != 0 || c2.nextBlock != 0 {
+		t.Fatalf("refused restore left %d files, %d blocks behind", c2.Files(), c2.LiveBlocks())
+	}
+}
+
+// forgeCheckpoint writes, field by field, a checkpoint of one one-block
+// file into c's configuration, with the header's nextBlock, the block's one
+// replica node and the partitioned racks as given: the checksum is valid,
+// so only the decoder's own checks stand between these values and restore.
+func forgeCheckpoint(c *Cluster, nextBlock, node uint64, racks ...uint64) []byte {
+	w := wire.Begin(nil, checkpointMagic, CheckpointVersion)
+	w = binary.LittleEndian.AppendUint64(w, c.ConfigDigest())
+	for _, v := range []uint64{0, 0, nextBlock, 1, uint64(len(c.datanodes))} {
+		w.Uvarint(v) // capture time, journal seq, nextBlock, file slots, nodes
+	}
+	w.Bool(true)
+	w.Str("/forged")
+	w.F64(mb)
+	w.Varint(0)  // createdAt
+	w.Uvarint(1) // target replication
+	w.Bool(false)
+	w.Uvarint(0) // encodeK
+	w.Uvarint(0) // encodeM
+	w.Uvarint(1) // block list: block 0
+	w.Varint(0)
+	w.Uvarint(0) // parity list
+	w.Uvarint(1) // block 0's replicas
+	w.Uvarint(node)
+	for range c.datanodes {
+		w.Uvarint(uint64(StateActive))
+		w = append(w, 0, 0, 0, 0, 0, 0, 0) // stale, crashed, three times, two empty sets
+	}
+	w.Uvarint(uint64(len(racks)))
+	for _, r := range racks {
+		w.Uvarint(r)
+	}
+	w.Uvarint(0) // scrub cursor
+	for range (&Metrics{}).checkpointed() {
+		w.Uvarint(0)
+	}
+	return w.Seal(0)
+}
+
+// TestRestoreRejectsForgedHeaders: a checksum is no authentication, so
+// values a forger picks must be range-checked before they size or index
+// anything — a nextBlock past 2^63 and a replica node past 2^63 used to
+// panic (negative make, negative index), and a repeated partitioned rack
+// restored but re-encoded shorter.
+func TestRestoreRejectsForgedHeaders(t *testing.T) {
+	newC := func() *Cluster { return New(sim.NewEngine(), ckptConfig()) }
+	if err := newC().RestoreCheckpoint(bytes.NewReader(forgeCheckpoint(newC(), 1, 0, 1))); err != nil {
+		t.Fatalf("the unforged baseline does not restore: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"nextBlock 2^63", forgeCheckpoint(newC(), 1<<63, 0), "implausible"},
+		{"replica node 2^64-1", forgeCheckpoint(newC(), 1, math.MaxUint64), "bad or duplicate replica node"},
+		{"repeated rack", forgeCheckpoint(newC(), 1, 0, 1, 1), "repeated rack"},
+	} {
+		c := newC()
+		if err := c.RestoreCheckpoint(bytes.NewReader(tc.data)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
+		if c.Files() != 0 || c.LiveBlocks() != 0 || c.nextBlock != 0 {
+			t.Errorf("%s: refused restore left state behind", tc.name)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"erms/internal/sim"
 	"erms/internal/topology"
+	"erms/internal/wire"
 )
 
 // fuzzSeedCheckpoint builds a small real checkpoint to seed the corpus.
@@ -29,6 +30,14 @@ func fuzzSeedCheckpoint() []byte {
 // bytes, and must be all-or-nothing — either it errors and the cluster is
 // untouched (still pristine), or it succeeds into a state that passes
 // ConsistencyErrors and re-encodes to the identical byte stream.
+//
+// Each input runs twice: as given, where nearly every mutation dies at the
+// checksum, and with its trailer re-sealed, so mutations reach the field
+// decoders and validation. The re-sealed run applies only when the header
+// claims at most 1<<16 block IDs: restore sizes its O(nextBlock) arrays
+// from that claim, about 46 bytes a block, so a forged 197-byte checkpoint
+// claiming 2^26 blocks makes it allocate 3.1 GB and a fuzz worker that
+// meets one runs out of memory. The as-given run keeps no bound.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	seed := fuzzSeedCheckpoint()
 	f.Add(seed)
@@ -41,7 +50,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	check := func(t *testing.T, data []byte) {
 		e := sim.NewEngine()
 		c := New(e, Config{Topology: topology.New(topology.Config{})})
 		if err := c.RestoreCheckpoint(bytes.NewReader(data)); err != nil {
@@ -61,5 +70,21 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 			t.Fatalf("accepted checkpoint does not re-encode canonically (%d vs %d bytes)",
 				out.Len(), len(data))
 		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		check(t, data)
+		if len(data) < 8 {
+			return
+		}
+		resealed := wire.Writer(append([]byte(nil), data[:len(data)-8]...)).Seal(0)
+		if r, err := wire.Open(resealed, checkpointMagic, CheckpointVersion, ""); err == nil {
+			r.Fixed64("config digest")
+			r.Uvarint("capture time")
+			r.Uvarint("journal seq")
+			if r.Uvarint("nextBlock") > 1<<16 {
+				return
+			}
+		}
+		check(t, resealed)
 	})
 }

@@ -230,9 +230,6 @@ func (d *Datanode) canServe() bool { return d.State.serves() && !d.crashed }
 // CorruptBlock reports whether this node's replica of b is flagged corrupt.
 func (d *Datanode) CorruptBlock(b BlockID) bool { return d.corrupt[b] }
 
-// NumCorrupt returns the number of corrupt replicas currently on the node.
-func (d *Datanode) NumCorrupt() int { return len(d.corrupt) }
-
 // Config sizes the simulated HDFS cluster.
 type Config struct {
 	Topology *topology.Topology // required

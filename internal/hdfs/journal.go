@@ -83,24 +83,7 @@ func (c *Cluster) ReplayJournal(entries []auditlog.Entry) error {
 	}
 	c.ckptJournalSeq = prev + 1
 
-	// Rebuild derived state wholesale: replay applied durable mutations
-	// through mutators that maintain indexes incrementally, but node
-	// state changes (OpNodeState/OpNodeStale) adjust eligibility without
-	// the surrounding live-path bookkeeping, so re-derive everything.
-	c.loadIdx = nil
-	c.idxMin = 0
-	for _, d := range c.datanodes {
-		d.inIdx = false
-		c.reindexNode(d)
-	}
-	c.underSet = make(map[BlockID]struct{})
-	for _, b := range c.blocks {
-		if b != nil {
-			c.reassessBlock(b)
-		}
-	}
-	c.rebuildAboveDefault()
-	c.pathsCache = nil
+	c.rebuildDerived()
 	return nil
 }
 

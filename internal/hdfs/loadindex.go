@@ -194,10 +194,24 @@ func (c *Cluster) reassessAboveDefault(b *Block) {
 	}
 }
 
-// rebuildAboveDefault re-derives the above-default set from the namespace:
-// on restore, and after a journal replay, whose block drops can change
-// which block is a file's first.
-func (c *Cluster) rebuildAboveDefault() {
+// rebuildDerived re-derives the indexes beside the namespace — placement
+// load buckets, the under-replicated set and the above-default set — from
+// the durable state: on restore, and after a journal replay, whose node
+// state entries skip the live path's bookkeeping and whose block drops can
+// change which block is a file's first.
+func (c *Cluster) rebuildDerived() {
+	c.loadIdx, c.idxMin = nil, 0
+	for _, d := range c.datanodes {
+		d.inIdx = false
+		c.reindexNode(d)
+	}
+	c.underSet = make(map[BlockID]struct{})
+	for _, b := range c.blocks {
+		if b != nil {
+			c.reassessBlock(b)
+		}
+	}
+	c.pathsCache = nil
 	c.aboveDefault, c.aboveAt = nil, make(map[int]int)
 	for _, f := range c.fileByID {
 		if f != nil && c.Replication(f) > c.cfg.DefaultReplication {

@@ -58,9 +58,6 @@ func (ti *TenantIsolation) Fairness() float64 {
 	return workload.JainFairness(shares)
 }
 
-// BytesFor returns the bytes served to one tenant.
-func (ti *TenantIsolation) BytesFor(tenant string) float64 { return ti.bytes[tenant] }
-
 // Check verifies every tenant that submitted work was served at least
 // minShare of its submissions (completion ratio, not byte share: a tenant
 // of small files legitimately moves fewer bytes). It returns violations

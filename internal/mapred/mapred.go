@@ -192,19 +192,6 @@ func (c *Cluster) live() []*Job {
 	return out
 }
 
-// HasLocalTask reports whether job j has a pending task whose block has a
-// replica on node (used by delay scheduling).
-func (c *Cluster) HasLocalTask(j *Job, node topology.NodeID) bool {
-	for _, bid := range j.pending {
-		for _, r := range c.hdfs.Replicas(bid) {
-			if topology.NodeID(r) == node && c.hdfs.Datanode(r).State == hdfs.StateActive {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // bestBlockFor returns j's pending block with the best locality for node:
 // node-local, then rack-local, then the first pending block.
 func (c *Cluster) bestBlockFor(j *Job, node topology.NodeID) (hdfs.BlockID, int) {

@@ -131,13 +131,6 @@ func (s *Sample) CDF() (xs, ps []float64) {
 	return xs, ps
 }
 
-// Values returns a copy of the raw observations.
-func (s *Sample) Values() []float64 {
-	out := make([]float64, len(s.vals))
-	copy(out, s.vals)
-	return out
-}
-
 func (s *Sample) ensureSorted() {
 	if !s.sorted {
 		sort.Float64s(s.vals)

@@ -32,16 +32,12 @@ type Flow struct {
 	remaining float64 // bytes left
 	rate      float64 // bytes/s under the current allocation
 	maxRate   float64 // per-flow cap; 0 means unlimited
-	start     time.Duration
 	onDone    func(f *Flow)
 	fabric    *Fabric
 	done      bool
 	canceled  bool
 	span      trace.SpanID // "net.flow" span, 0 when tracing is off
 }
-
-// Span returns the flow's trace span ID (0 when tracing is disabled).
-func (f *Flow) Span() trace.SpanID { return f.span }
 
 // ID returns the flow's unique identifier.
 func (f *Flow) ID() int64 { return f.id }
@@ -51,13 +47,6 @@ func (f *Flow) Rate() float64 {
 	f.fabric.allocate()
 	return f.rate
 }
-
-// Remaining returns the bytes left as of the last allocation instant; call
-// Fabric.Progress for an up-to-the-instant value.
-func (f *Flow) Remaining() float64 { return f.remaining }
-
-// Start returns the virtual time the flow was admitted.
-func (f *Flow) Start() time.Duration { return f.start }
 
 // Done reports whether the flow has completed.
 func (f *Flow) Done() bool { return f.done }
@@ -218,7 +207,6 @@ func (fb *Fabric) StartFlow(path []topology.LinkID, bytes float64, maxRate float
 		path:      path,
 		remaining: bytes,
 		maxRate:   maxRate,
-		start:     fb.clock.Now(),
 		onDone:    onDone,
 		fabric:    fb,
 	}

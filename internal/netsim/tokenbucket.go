@@ -65,9 +65,6 @@ func (tb *TokenBucket) Take(cost float64, ready func()) {
 // Pending returns the number of requests waiting for tokens.
 func (tb *TokenBucket) Pending() int { return len(tb.waiters) }
 
-// Rate returns the bucket's fill rate in bytes/sec.
-func (tb *TokenBucket) Rate() float64 { return tb.rate }
-
 // refill accrues tokens for the time elapsed since the last refill.
 func (tb *TokenBucket) refill() {
 	now := tb.clock.Now()
