@@ -3,7 +3,7 @@
 GO ?= go
 
 .PHONY: all build vet test race check bench benchpair lint cover cover-check \
-	figures fuzz failover federate full-scale soak sweep degrade scenarios serve benchcheck runtime-table examples loc loc-check clean
+	figures fuzz failover federate full-scale soak sweep degrade scenarios serve benchcheck benchtrend runtime-table examples loc loc-check clean
 
 all: build vet test
 
@@ -114,12 +114,13 @@ bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
 # Paired end-to-end measurement of one BENCHMARK.json workload: the parent
-# commit ($$BASE, default HEAD~1, in a temporary git worktree, or a git
-# archive when none can be made) against this working tree, alternating
-# which side runs first, on seeds from $$SEED0 (default 101) up. Prints
-# per-pair ratios, each side's quartiles for the six end-to-end metrics,
+# commit ($$BASE, default HEAD~1, extracted with git archive into a
+# temporary directory) against this working tree, alternating which side
+# runs first, on seeds from $$SEED0 (default 101) up. Prints per-pair
+# ratios, each side's quartiles for the six end-to-end metrics,
 # digest/events equality and failed operations — what a performance PR's
-# CHANGES.md entry reports. With PKG set it pairs microbenchmarks instead:
+# CHANGES.md entry reports — and appends the run's medians to
+# BENCH_trajectory.jsonl. With PKG set it pairs microbenchmarks instead:
 # both sides' `go test -c` binaries of that package, PAIRS alternated rounds
 # of the benchmarks matching BENCH, ns/op and allocs/op per round and each
 # side's median. See scripts/benchpair.sh.
@@ -134,6 +135,13 @@ ifdef PKG
 else
 	bash scripts/benchpair.sh $(WORKLOAD) $(PAIRS) $(RUN_SECONDS)
 endif
+
+# Prints the committed trajectory of paired runs (BENCH_trajectory.jsonl,
+# one line appended by every `make benchpair WORKLOAD=...`) as a table:
+# per run, each end-to-end metric's HEAD/parent median ratio and the pairs
+# HEAD won.
+benchtrend:
+	bash scripts/benchpair.sh -trend
 
 # Style gate: vet, gofmt (fails listing any unformatted file), a syntax
 # check of every script under scripts/, and the documentation floor (every

@@ -101,6 +101,7 @@ func (s *System) RestartNode(id int) {
 type Move struct {
 	sys            *System
 	src, dst       string
+	stage          string // MoveStagePrefix + dst, built once
 	srcIdx, dstIdx int
 	size           float64
 	repl           int
@@ -115,6 +116,9 @@ const moveSteps = 5
 // source rehydrates as a plain replicated file at the destination — the
 // copy is a fresh create, and cold data re-earns its encoding there.
 func (s *System) StartMove(src, dst string) (*Move, error) {
+	if dst == "" {
+		return nil, errors.New("erms: empty destination path")
+	}
 	si, di := s.router.Shard(src), s.router.Shard(dst)
 	if si == di {
 		return nil, fmt.Errorf("erms: %q and %q both live in shard %d; use Rename", src, dst, si)
@@ -136,7 +140,7 @@ func (s *System) StartMove(src, dst string) (*Move, error) {
 	if repl < 1 {
 		repl = 1
 	}
-	return &Move{sys: s, src: src, dst: dst, srcIdx: si, dstIdx: di, size: f.Size, repl: repl}, nil
+	return &Move{sys: s, src: src, dst: dst, stage: MoveStagePrefix + dst, srcIdx: si, dstIdx: di, size: f.Size, repl: repl}, nil
 }
 
 // Done reports whether every protocol step has run.
@@ -148,7 +152,6 @@ func (m *Move) Done() bool { return m.step >= moveSteps }
 func (m *Move) Step() error {
 	srcC := m.sys.shards[m.srcIdx].cluster
 	dstC := m.sys.shards[m.dstIdx].cluster
-	stage := MoveStagePrefix + m.dst
 	switch m.step {
 	case 0: // intent: the durable "this move may be in flight" fact
 		if err := srcC.AppendMarker(auditlog.Entry{
@@ -157,7 +160,7 @@ func (m *Move) Step() error {
 			return err
 		}
 	case 1: // copy: materialize at the destination's staging path
-		if _, err := dstC.CreateFile(stage, m.size, m.repl, -1); err != nil {
+		if _, err := dstC.CreateFile(m.stage, m.size, m.repl, -1); err != nil {
 			return err
 		}
 	case 2: // commit: the point of no return, journaled at the source
@@ -167,7 +170,7 @@ func (m *Move) Step() error {
 			return err
 		}
 	case 3: // publish: the destination shard renames staging -> final
-		if err := dstC.Rename(stage, m.dst); err != nil {
+		if err := dstC.Rename(m.stage, m.dst); err != nil {
 			return err
 		}
 	case 4: // tombstone: drop the source copy and close the protocol

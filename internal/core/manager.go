@@ -105,11 +105,13 @@ type Manager struct {
 
 	// Repair-throttling state: the optional bandwidth budget, in-flight
 	// repair copies per target node, their cluster-wide total, and the
-	// never-should-fire per-node cap tripwire the invariant oracle reads.
+	// never-should-fire per-node cap tripwire the invariant oracle reads;
+	// capped is cappedTargets' reused exclusion set.
 	bucket        *netsim.TokenBucket
 	nodeStreams   map[hdfs.DatanodeID]int
 	streams       int
 	capViolations int
+	capped        hdfs.NodeSet
 
 	// Activity counters live in the metrics registry; Stats() assembles
 	// the legacy snapshot struct from them.

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"maps"
-	"sort"
+	"cmp"
+	"slices"
 
 	"erms/internal/hdfs"
 	"erms/internal/topology"
@@ -24,122 +24,137 @@ type Placement struct {
 	// pool is the standby pool (nodes ERMS commissions on demand and later
 	// powers back down), fixed when the manager is built; it doubles as the
 	// exclusion set that keeps base replicas off pooled nodes.
-	pool map[hdfs.DatanodeID]bool
-	// scratch is excludePool's reused merge of the pool and a caller's set.
-	scratch map[hdfs.DatanodeID]bool
+	pool hdfs.NodeSet
+	// Scratch reused by every call: excl is the exclusion set handed on to
+	// the base policy and extraTargets, counts a per-rack or per-node
+	// tally, cands the candidate list.
+	excl   hdfs.NodeSet
+	counts []int
+	cands  []cand
+}
+
+// cand is one placement candidate: rank is the tier of an extra replica
+// (0 pool + same rack, 1 pool, 2 active non-pool) or a parity target's
+// count of the file's blocks on the node.
+type cand struct {
+	id               hdfs.DatanodeID
+	rank, rack, load int
+	used             bool
 }
 
 // NewPlacement builds the ERMS policy; pool is the set of standby-pool
 // nodes, which must not change afterwards (nil means no pool, degrading
 // gracefully to default-like behaviour for extras).
 func NewPlacement(pool map[hdfs.DatanodeID]bool) *Placement {
-	return &Placement{base: hdfs.NewDefaultPolicy(), pool: pool, scratch: map[hdfs.DatanodeID]bool{}}
+	p := &Placement{base: hdfs.NewDefaultPolicy()}
+	for id, in := range pool {
+		if in {
+			p.pool.Add(id)
+		}
+	}
+	return p
 }
 
 // Name implements hdfs.Policy.
 func (p *Placement) Name() string { return "erms-algorithm1" }
 
 // ChooseTargets implements hdfs.Policy.
-func (p *Placement) ChooseTargets(c *hdfs.Cluster, b *hdfs.Block, count int, writer hdfs.DatanodeID, exclude map[hdfs.DatanodeID]bool) []hdfs.DatanodeID {
+func (p *Placement) ChooseTargets(dst []hdfs.DatanodeID, c *hdfs.Cluster, b *hdfs.Block, count int, writer hdfs.DatanodeID, exclude *hdfs.NodeSet) []hdfs.DatanodeID {
 	if b.Parity {
-		return p.parityTargets(c, b, count, exclude)
+		return p.parityTargets(dst, c, b, count, exclude)
 	}
 	cur := len(c.Replicas(b.ID))
 	rD := c.Config().DefaultReplication
-	if cur < rD {
-		// Below default factor: stock rack-aware placement, but never put
-		// base replicas on the standby pool — pooled nodes may power off.
-		need := rD - cur
-		if need > count {
-			need = count
-		}
-		base := p.base.ChooseTargets(c, b, need, writer, p.excludePool(exclude))
-		if len(base) < need {
-			// Pool nodes as a last resort (tiny active set).
-			more := p.base.ChooseTargets(c, b, need-len(base), writer, merge(exclude, asSet(base)))
-			base = append(base, more...)
-		}
-		if count > need {
-			more := p.extraTargets(c, b, count-need, merge(exclude, asSet(base)))
-			base = append(base, more...)
-		}
-		return base
+	if cur >= rD {
+		return p.extraTargets(dst, c, b, count, exclude)
 	}
-	return p.extraTargets(c, b, count, exclude)
+	// Below default factor: stock rack-aware placement, but never put
+	// base replicas on the standby pool — pooled nodes may power off.
+	need := min(rD-cur, count)
+	start := len(dst)
+	dst = p.base.ChooseTargets(dst, c, b, need, writer, p.exclusion(exclude, &p.pool, nil))
+	if got := len(dst) - start; got < need {
+		// Pool nodes as a last resort (tiny active set).
+		dst = p.base.ChooseTargets(dst, c, b, need-got, writer, p.exclusion(exclude, nil, dst[start:]))
+	}
+	if count > need {
+		dst = p.extraTargets(dst, c, b, count-need, p.exclusion(exclude, nil, dst[start:]))
+	}
+	return dst
+}
+
+// exclusion refills p.excl with exclude ∪ also ∪ picks, word-wise ORs into
+// the reused set, and returns it.
+func (p *Placement) exclusion(exclude, also *hdfs.NodeSet, picks []hdfs.DatanodeID) *hdfs.NodeSet {
+	p.excl.Clear()
+	p.excl.Union(exclude)
+	p.excl.Union(also)
+	for _, id := range picks {
+		p.excl.Add(id)
+	}
+	return &p.excl
+}
+
+// tally returns p.counts resized to n and zeroed.
+func (p *Placement) tally(n int) []int {
+	p.counts = slices.Grow(p.counts[:0], n)[:n]
+	clear(p.counts)
+	return p.counts
 }
 
 // extraTargets places extra (hot-data) replicas: standby-pool nodes first,
 // preferring same-rack-as-existing-replica, then fewest blocks; falling
 // back to active non-pool nodes.
-func (p *Placement) extraTargets(c *hdfs.Cluster, b *hdfs.Block, count int, exclude map[hdfs.DatanodeID]bool) []hdfs.DatanodeID {
-	type cand struct {
-		id   hdfs.DatanodeID
-		tier int // 0: pool+same rack, 1: pool, 2: active non-pool
-		load int
-		rack int
-	}
-	var cands []cand
-	rackCount := map[int]int{} // replicas (existing + chosen) per rack
+func (p *Placement) extraTargets(dst []hdfs.DatanodeID, c *hdfs.Cluster, b *hdfs.Block, count int, exclude *hdfs.NodeSet) []hdfs.DatanodeID {
+	topo := c.Topology()
+	rackCount := p.tally(topo.NumRacks()) // replicas (existing + chosen) per rack
 	for _, r := range c.Replicas(b.ID) {
-		rackCount[c.Topology().Rack(topology.NodeID(r))]++
+		rackCount[topo.Rack(topology.NodeID(r))]++
 	}
+	cands := p.cands[:0]
 	c.ScanEligible(b, exclude, func(id hdfs.DatanodeID) bool {
-		rack := c.Topology().Rack(topology.NodeID(id))
+		rack := topo.Rack(topology.NodeID(id))
 		tier := 2
-		if p.pool[id] {
+		if p.pool.Has(id) {
 			tier = 1
 			if rackCount[rack] > 0 { // no pick made yet: existing replicas only
 				tier = 0
 			}
 		}
-		cands = append(cands, cand{id: id, tier: tier, load: c.Datanode(id).PlacementLoad(), rack: rack})
+		cands = append(cands, cand{id: id, rank: tier, rack: rack, load: c.Datanode(id).PlacementLoad()})
 		return false
 	})
+	p.cands = cands
 	// Greedy pick: prefer pool nodes (same-rack first for cheap transfer),
 	// but balance replicas across racks so no single rack uplink carries a
 	// disproportionate share of the hot file's read traffic.
-	var out []hdfs.DatanodeID
-	used := map[hdfs.DatanodeID]bool{}
-	for len(out) < count {
-		bestIdx := -1
+	for range count {
+		best := -1
 		for i, cd := range cands {
-			if used[cd.id] {
+			if cd.used {
 				continue
 			}
-			if bestIdx < 0 {
-				bestIdx = i
-				continue
-			}
-			b2 := cands[bestIdx]
-			ci := [4]int{cd.tier, rackCount[cd.rack], cd.load, int(cd.id)}
-			cb := [4]int{b2.tier, rackCount[b2.rack], b2.load, int(b2.id)}
-			for k := range ci {
-				if ci[k] != cb[k] {
-					if ci[k] < cb[k] {
-						bestIdx = i
-					}
-					break
-				}
+			if best < 0 || less4([4]int{cd.rank, rackCount[cd.rack], cd.load, int(cd.id)},
+				[4]int{cands[best].rank, rackCount[cands[best].rack], cands[best].load, int(cands[best].id)}) {
+				best = i
 			}
 		}
-		if bestIdx < 0 {
+		if best < 0 {
 			break
 		}
-		chosen := cands[bestIdx]
-		used[chosen.id] = true
-		rackCount[chosen.rack]++
-		out = append(out, chosen.id)
+		cands[best].used = true
+		rackCount[cands[best].rack]++
+		dst = append(dst, cands[best].id)
 	}
-	return out
+	return dst
 }
 
 // parityTargets: "select the active node that contains the minimum number
 // of data block of the same data."
-func (p *Placement) parityTargets(c *hdfs.Cluster, b *hdfs.Block, count int, exclude map[hdfs.DatanodeID]bool) []hdfs.DatanodeID {
-	f := c.File(b.File)
-	blocksOf := map[hdfs.DatanodeID]int{}
-	if f != nil {
-		for _, ids := range [][]hdfs.BlockID{f.Blocks, f.Parity} {
+func (p *Placement) parityTargets(dst []hdfs.DatanodeID, c *hdfs.Cluster, b *hdfs.Block, count int, exclude *hdfs.NodeSet) []hdfs.DatanodeID {
+	blocksOf := p.tally(len(c.Datanodes()))
+	if f := c.File(b.File); f != nil {
+		for _, ids := range [2][]hdfs.BlockID{f.Blocks, f.Parity} {
 			for _, bid := range ids {
 				for _, r := range c.Replicas(bid) {
 					blocksOf[r]++
@@ -147,36 +162,25 @@ func (p *Placement) parityTargets(c *hdfs.Cluster, b *hdfs.Block, count int, exc
 			}
 		}
 	}
-	type cand struct {
-		id     hdfs.DatanodeID
-		ofFile int
-		load   int
-	}
-	var cands []cand
+	cands := p.cands[:0]
 	c.ScanEligible(b, exclude, func(id hdfs.DatanodeID) bool {
-		if !p.pool[id] {
-			cands = append(cands, cand{id: id, ofFile: blocksOf[id], load: c.Datanode(id).PlacementLoad()})
+		if !p.pool.Has(id) {
+			cands = append(cands, cand{id: id, rank: blocksOf[id], load: c.Datanode(id).PlacementLoad()})
 		}
 		return false
 	})
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].ofFile != cands[j].ofFile {
-			return cands[i].ofFile < cands[j].ofFile
-		}
-		if cands[i].load != cands[j].load {
-			return cands[i].load < cands[j].load
-		}
-		return cands[i].id < cands[j].id
+	p.cands = cands
+	slices.SortFunc(cands, func(x, y cand) int {
+		return cmp.Or(cmp.Compare(x.rank, y.rank), cmp.Compare(x.load, y.load), cmp.Compare(x.id, y.id))
 	})
-	var out []hdfs.DatanodeID
+	start := len(dst)
 	for _, cd := range cands {
-		if len(out) == count {
+		if len(dst)-start == count {
 			break
 		}
-		out = append(out, cd.id)
-		blocksOf[cd.id]++ // keep later parities spreading
+		dst = append(dst, cd.id)
 	}
-	return out
+	return dst
 }
 
 // ChooseExcess implements hdfs.Policy: "ERMS could prefer to delete them
@@ -187,7 +191,7 @@ func (p *Placement) ChooseExcess(c *hdfs.Cluster, b *hdfs.Block) (hdfs.DatanodeI
 	var best hdfs.DatanodeID = -1
 	bestLoad := -1
 	for _, r := range c.Replicas(b.ID) {
-		if !p.pool[r] {
+		if !p.pool.Has(r) {
 			continue
 		}
 		if load := c.Datanode(r).NumBlocks(); load > bestLoad ||
@@ -214,7 +218,7 @@ func (p *Placement) ChooseKeeper(c *hdfs.Cluster, b *hdfs.Block, stripeLoad map[
 			continue
 		}
 		poolPenalty := 0
-		if p.pool[r] {
+		if p.pool.Has(r) {
 			poolPenalty = 1
 		}
 		key := [4]int{poolPenalty, stripeLoad[r], d.PlacementLoad(), int(r)}
@@ -232,36 +236,4 @@ func less4(a, b [4]int) bool {
 		}
 	}
 	return false
-}
-
-// excludePool returns exclude plus every pooled node. The result is only
-// read (DefaultPolicy copies it before adding its picks): with nothing to
-// add to it the pool set itself serves, else the two merge into scratch.
-func (p *Placement) excludePool(exclude map[hdfs.DatanodeID]bool) map[hdfs.DatanodeID]bool {
-	if len(exclude) == 0 {
-		return p.pool
-	}
-	clear(p.scratch)
-	maps.Copy(p.scratch, exclude)
-	maps.Copy(p.scratch, p.pool)
-	return p.scratch
-}
-
-func asSet(ids []hdfs.DatanodeID) map[hdfs.DatanodeID]bool {
-	m := map[hdfs.DatanodeID]bool{}
-	for _, id := range ids {
-		m[id] = true
-	}
-	return m
-}
-
-func merge(a, b map[hdfs.DatanodeID]bool) map[hdfs.DatanodeID]bool {
-	out := map[hdfs.DatanodeID]bool{}
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		out[k] = v
-	}
-	return out
 }

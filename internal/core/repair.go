@@ -201,7 +201,7 @@ func (m *Manager) submitRepair(bid hdfs.BlockID, tier int) {
 				done(nil)
 				return
 			}
-			targets := m.cluster.PlacementPolicy().ChooseTargets(m.cluster, b, need, -1, m.cappedTargets())
+			targets := m.cluster.PlacementPolicy().ChooseTargets(nil, m.cluster, b, need, -1, m.cappedTargets())
 			if len(targets) == 0 {
 				done(fmt.Errorf("erms: no repair target for block %d", bid))
 				return
@@ -285,22 +285,19 @@ func (m *Manager) startRepairCopy(bid hdfs.BlockID, t hdfs.DatanodeID, done func
 
 // cappedTargets returns the datanodes currently at their inbound
 // repair-copy cap, for exclusion from repair placement (nil when the cap
-// is off or nobody is capped).
-func (m *Manager) cappedTargets() map[hdfs.DatanodeID]bool {
+// is off), refilled into the manager's reused set.
+func (m *Manager) cappedTargets() *hdfs.NodeSet {
 	lim := m.cfg.Repair.MaxStreamsPerNode
 	if lim <= 0 {
 		return nil
 	}
-	var out map[hdfs.DatanodeID]bool
+	m.capped.Clear()
 	for id, n := range m.nodeStreams {
 		if n >= lim {
-			if out == nil {
-				out = map[hdfs.DatanodeID]bool{}
-			}
-			out[id] = true
+			m.capped.Add(id)
 		}
 	}
-	return out
+	return &m.capped
 }
 
 // RepairCaps returns the effective repair throttling configuration.

@@ -59,18 +59,50 @@ func BenchmarkEncodeDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkPlacementChoice isolates target selection on a loaded cluster.
-func BenchmarkPlacementChoice(b *testing.B) {
+// BenchmarkChooseTargets isolates target selection on a loaded cluster,
+// appending into a reused buffer the way CreateFile does.
+func BenchmarkChooseTargets(b *testing.B) {
 	_, c := benchCluster(b)
 	for i := 0; i < 50; i++ {
 		if _, err := c.CreateFile(fmt.Sprintf("/f%02d", i), 256*mb, 3, -1); err != nil {
 			b.Fatal(err)
 		}
 	}
-	blk := c.File("/f00").Blocks[0]
+	blk := c.Block(c.File("/f00").Blocks[0])
 	p := c.PlacementPolicy()
+	dst := make([]DatanodeID, 0, 3)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.ChooseTargets(c, c.Block(blk), 3, -1, nil)
+		dst = p.ChooseTargets(dst[:0], c, blk, 3, -1, nil)
+	}
+}
+
+// BenchmarkCreateFile measures a one-block, three-replica create: the
+// namespace entry, the block, its placement and three replica landings.
+// Every batch of files is deleted again with the timer stopped, so the
+// cluster stays the same size however long the benchmark runs.
+func BenchmarkCreateFile(b *testing.B) {
+	_, c := benchCluster(b)
+	paths := make([]string, 1024)
+	for i := range paths {
+		paths[i] = fmt.Sprintf("/c%04d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(paths)
+		if j == 0 && i > 0 {
+			b.StopTimer()
+			for _, p := range paths {
+				if err := c.DeleteFile(p); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+		}
+		if _, err := c.CreateFile(paths[j], 32*mb, 3, topology.NodeID(i%18)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

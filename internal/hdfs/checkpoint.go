@@ -603,15 +603,6 @@ func (c *Cluster) decodeCheckpoint(r io.Reader) (*ckptState, error) {
 	return st, nil
 }
 
-// blockCount returns how many blocks a file of the given size splits into.
-func blockCount(size, blockSize float64) int {
-	n := int(size / blockSize)
-	if float64(n)*blockSize < size {
-		n++
-	}
-	return n
-}
-
 // commitCheckpoint applies a validated checkpoint, rebuilding every
 // derived index from the durable state.
 func (c *Cluster) commitCheckpoint(st *ckptState) {
@@ -646,11 +637,7 @@ func (c *Cluster) commitCheckpoint(st *ckptState) {
 		// partial files too.
 		want := blockCount(f.Size, c.cfg.BlockSize)
 		for i, bid := range f.Blocks {
-			bs := c.cfg.BlockSize
-			if i == want-1 {
-				bs = f.Size - float64(want-1)*c.cfg.BlockSize
-			}
-			c.blocks[bid] = newBlock(Block{ID: bid, File: f.Path, Index: i, Size: bs, fileID: slot})
+			c.blocks[bid] = newBlock(Block{ID: bid, File: f.Path, Index: i, Size: c.blockBytes(i, want, f.Size), fileID: slot})
 			c.liveBlocks++
 		}
 		n := len(f.Blocks)

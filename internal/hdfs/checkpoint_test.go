@@ -437,11 +437,12 @@ func TestReplayJournalValidation(t *testing.T) {
 
 	// Semantically invalid entries stop replay with an error.
 	for _, bad := range []auditlog.Entry{
-		{Op: auditlog.OpFileAdd, Path: "/data/a", File: 99999},      // wrong intern ID
-		{Op: auditlog.OpBlockAdd, Block: 5},                         // out-of-sequence block
-		{Op: auditlog.OpReplicaAdd, Block: 1 << 40, Node: 0},        // unknown block
-		{Op: auditlog.OpNodeState, Node: 99, State: int(StateDown)}, // unknown node
-		{Op: auditlog.OpNodeState, Node: 0, State: 42},              // unknown state
+		{Op: auditlog.OpFileAdd, Path: "/data/a", File: 99999},                         // wrong intern ID
+		{Op: auditlog.OpFileAdd, Path: "/data/new", File: len(c.fileByID), Target: -1}, // target below 1
+		{Op: auditlog.OpBlockAdd, Block: 5},                                            // out-of-sequence block
+		{Op: auditlog.OpReplicaAdd, Block: 1 << 40, Node: 0},                           // unknown block
+		{Op: auditlog.OpNodeState, Node: 99, State: int(StateDown)},                    // unknown node
+		{Op: auditlog.OpNodeState, Node: 0, State: 42},                                 // unknown state
 	} {
 		_, c3, err := restoreFrom(t, ckpt.Bytes())
 		if err != nil {

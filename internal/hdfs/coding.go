@@ -73,6 +73,8 @@ func (c *Cluster) EncodeFile(path string, k, m int, done func(error)) {
 			c.finishEncode(f, firstErr, done)
 		}
 	}
+	var exclude NodeSet
+	var targets []DatanodeID
 	for s := 0; s < stripes; s++ {
 		lo := s * k
 		hi := lo + k
@@ -83,7 +85,7 @@ func (c *Cluster) EncodeFile(path string, k, m int, done func(error)) {
 		// Parities of one stripe must land on distinct nodes (they are
 		// shards of the same codeword); targets chosen in this burst are
 		// excluded for the stripe's remaining parities.
-		exclude := map[DatanodeID]bool{}
+		exclude.Clear()
 		for p := 0; p < m; p++ {
 			pb := &Block{
 				ID:     c.nextBlock,
@@ -96,14 +98,14 @@ func (c *Cluster) EncodeFile(path string, k, m int, done func(error)) {
 			}
 			c.addBlock(pb)
 			f.Parity = append(f.Parity, pb.ID)
-			targets := c.placement.ChooseTargets(c, pb, 1, -1, exclude)
+			targets = c.placement.ChooseTargets(targets[:0], c, pb, 1, -1, &exclude)
 			if len(targets) == 0 {
 				if firstErr == nil {
 					firstErr = fmt.Errorf("hdfs: no target for parity of %q", path)
 				}
 				continue
 			}
-			exclude[targets[0]] = true
+			exclude.Add(targets[0])
 			outstanding++
 			c.writeParity(stripe, pb, targets[0], complete)
 		}
@@ -350,7 +352,7 @@ func (c *Cluster) ReconstructBlock(bid BlockID, done func(error)) {
 			bid, len(sources), k))
 		return
 	}
-	targets := c.placement.ChooseTargets(c, b, 1, -1, nil)
+	targets := c.placement.ChooseTargets(nil, c, b, 1, -1, nil)
 	if len(targets) == 0 {
 		c.finish(done, fmt.Errorf("hdfs: no target to rebuild block %d", bid))
 		return
@@ -439,10 +441,6 @@ func (c *Cluster) CancelEncoding(path string) error {
 		return fmt.Errorf("hdfs: %q is fully encoded; use DecodeFile", path)
 	}
 	for _, pid := range f.Parity {
-		pb := c.blocks[pid]
-		for _, dn := range append([]DatanodeID(nil), c.replicas[pid]...) {
-			c.detachReplica(pb, dn)
-		}
 		c.dropBlock(pid)
 	}
 	f.Parity = nil
@@ -486,10 +484,6 @@ func (c *Cluster) DecodeFile(path string, n int, done func(error)) {
 	f.Encoded = false
 	c.jlog(auditlog.Entry{Op: auditlog.OpDecodeStart, File: f.id})
 	for _, pid := range f.Parity {
-		pb := c.blocks[pid]
-		for _, dn := range append([]DatanodeID(nil), c.replicas[pid]...) {
-			c.detachReplica(pb, dn)
-		}
 		c.dropBlock(pid)
 	}
 	f.Parity = nil

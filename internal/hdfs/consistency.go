@@ -137,7 +137,7 @@ func (c *Cluster) ConsistencyErrors() []string {
 			fail("%s indexed at load %d but PlacementLoad is %d", d.Name, d.idxLoad, d.PlacementLoad())
 			continue
 		}
-		if d.idxLoad >= len(c.loadIdx) || !c.loadIdx[d.idxLoad].has(int(d.ID)) {
+		if d.idxLoad >= len(c.loadIdx) || !c.loadIdx[d.idxLoad].Has(d.ID) {
 			fail("%s missing from load bucket %d", d.Name, d.idxLoad)
 		}
 	}

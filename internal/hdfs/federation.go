@@ -1,8 +1,10 @@
 package hdfs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"erms/internal/auditlog"
 )
@@ -27,7 +29,9 @@ type MoveRecord struct {
 	Committed bool
 }
 
-func moveKey(src, dst string) string { return src + "\x00" + dst }
+// moveKey keys the pending-move table by the move's two paths, so a
+// marker finds its record without building a key string.
+type moveKey struct{ src, dst string }
 
 // AppendMarker journals a federation protocol marker and updates the
 // pending-move table. Markers flow through the same fencing/safe-mode
@@ -59,25 +63,20 @@ func (c *Cluster) AppendMarker(e auditlog.Entry) error {
 // commit whose intent predates the checkpoint — the commit alone carries
 // enough to roll forward, so it opens the record as already committed.
 func (c *Cluster) applyMoveMarker(e auditlog.Entry) {
-	key := moveKey(e.Path, e.Dst)
-	switch e.Op {
-	case auditlog.OpFedMoveIntent:
-		if c.fedMoves == nil {
-			c.fedMoves = make(map[string]*MoveRecord)
-		}
-		c.fedMoves[key] = &MoveRecord{Src: e.Path, Dst: e.Dst, Peer: e.Node}
-	case auditlog.OpFedMoveCommit:
-		if rec, ok := c.fedMoves[key]; ok {
-			rec.Committed = true
-			return
-		}
-		if c.fedMoves == nil {
-			c.fedMoves = make(map[string]*MoveRecord)
-		}
-		c.fedMoves[key] = &MoveRecord{Src: e.Path, Dst: e.Dst, Peer: e.Node, Committed: true}
-	case auditlog.OpFedMoveTombstone:
+	key := moveKey{e.Path, e.Dst}
+	if e.Op == auditlog.OpFedMoveTombstone {
 		delete(c.fedMoves, key)
+		return
 	}
+	commit := e.Op == auditlog.OpFedMoveCommit
+	if rec, ok := c.fedMoves[key]; ok && commit {
+		rec.Committed = true
+		return
+	}
+	if c.fedMoves == nil {
+		c.fedMoves = make(map[moveKey]*MoveRecord)
+	}
+	c.fedMoves[key] = &MoveRecord{Src: e.Path, Dst: e.Dst, Peer: e.Node, Committed: commit}
 }
 
 // PendingMoves returns the open cross-shard moves in deterministic
@@ -91,11 +90,8 @@ func (c *Cluster) PendingMoves() []MoveRecord {
 	for _, rec := range c.fedMoves {
 		out = append(out, *rec)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
+	slices.SortFunc(out, func(a, b MoveRecord) int {
+		return cmp.Or(strings.Compare(a.Src, b.Src), strings.Compare(a.Dst, b.Dst))
 	})
 	return out
 }

@@ -375,8 +375,12 @@ type Cluster struct {
 	// bucket is a bitset over node IDs, so candidate selection walks nodes
 	// in exactly the (load, ID) order the old linear scan sorted into.
 	// idxMin is a lazily-advanced lower bound on the first occupied bucket.
-	loadIdx []nodeSet
+	loadIdx []NodeSet
 	idxMin  int
+
+	// createTargets is CreateFile's placement buffer, consumed before the
+	// next block.
+	createTargets []DatanodeID
 
 	placement Policy
 	audit     *auditlog.Log
@@ -397,7 +401,7 @@ type Cluster struct {
 	// one record per open move whose source is this shard, maintained by
 	// both the live marker path and journal replay. Nil when this cluster
 	// has never sourced a move.
-	fedMoves map[string]*MoveRecord
+	fedMoves map[moveKey]*MoveRecord
 
 	// epoch is this namenode's writer epoch. It is legitimate only while it
 	// matches the attached journal's epoch; a standby promotion bumps the
@@ -700,10 +704,19 @@ func (c *Cluster) addBlock(b *Block) {
 		Size: b.Size, Index: b.Index, Flag: b.Parity, Group: b.Group})
 }
 
-// dropBlock removes a block whose replicas have already been detached.
+// dropBlock detaches every replica of a block, then removes the block.
+// Replicas leave front-first from the live list, which shifts down under
+// each detach: nothing is copied and the OpReplicaDrop entries keep list
+// order.
 func (c *Cluster) dropBlock(id BlockID) {
-	if c.blocks[id] == nil {
+	b := c.blocks[id]
+	if b == nil {
 		return
+	}
+	for i := 0; i < len(c.replicas[id]); {
+		if !c.detachReplica(b, c.replicas[id][i]) {
+			i++ // listed but not held: stepped over, as a copied walk did
+		}
 	}
 	c.blocks[id] = nil
 	c.replicas[id] = nil
@@ -795,11 +808,8 @@ func (c *Cluster) CreateFile(path string, size float64, repl int, writer topolog
 	if err := c.writable(); err != nil {
 		return nil, err
 	}
-	if _, ok := c.files[path]; ok {
-		return nil, fmt.Errorf("hdfs: file %q exists", path)
-	}
-	if size <= 0 {
-		return nil, fmt.Errorf("hdfs: file size must be positive")
+	if err := c.creatable(path, size); err != nil {
+		return nil, err
 	}
 	if repl <= 0 {
 		repl = c.cfg.DefaultReplication
@@ -811,24 +821,17 @@ func (c *Cluster) CreateFile(path string, size float64, repl int, writer topolog
 		CreatedAt:  c.clock.Now(),
 	}
 	c.registerFile(f)
-	nBlocks := int(size / c.cfg.BlockSize)
-	if float64(nBlocks)*c.cfg.BlockSize < size {
-		nBlocks++
-	}
+	nBlocks := blockCount(size, c.cfg.BlockSize)
 	for i := 0; i < nBlocks; i++ {
-		bs := c.cfg.BlockSize
-		if i == nBlocks-1 {
-			bs = size - float64(nBlocks-1)*c.cfg.BlockSize
-		}
-		b := &Block{ID: c.nextBlock, File: path, Index: i, Size: bs, fileID: f.id}
+		b := &Block{ID: c.nextBlock, File: path, Index: i, Size: c.blockBytes(i, nBlocks, size), fileID: f.id}
 		c.addBlock(b)
 		f.Blocks = append(f.Blocks, b.ID)
-		targets := c.placement.ChooseTargets(c, b, repl, DatanodeID(writer), nil)
-		if len(targets) == 0 {
+		c.createTargets = c.placement.ChooseTargets(c.createTargets[:0], c, b, repl, DatanodeID(writer), nil)
+		if len(c.createTargets) == 0 {
 			c.unwindCreate(f)
 			return nil, fmt.Errorf("hdfs: no targets for block %d of %q", b.ID, path)
 		}
-		for _, t := range targets {
+		for _, t := range c.createTargets {
 			c.attachReplica(b, t)
 		}
 	}
@@ -839,14 +842,45 @@ func (c *Cluster) CreateFile(path string, size float64, repl int, writer topolog
 	return f, nil
 }
 
+// creatable checks a new file's path and size, the preconditions
+// CreateFile and WriteFile share. "" is refused here and as a Rename's
+// destination: checkpoint decode refuses it, so it could not fail over.
+func (c *Cluster) creatable(path string, size float64) error {
+	if path == "" {
+		return fmt.Errorf("hdfs: empty path")
+	}
+	if _, ok := c.files[path]; ok {
+		return fmt.Errorf("hdfs: file %q exists", path)
+	}
+	if size <= 0 {
+		return fmt.Errorf("hdfs: file size must be positive")
+	}
+	return nil
+}
+
+// blockCount returns how many blocks a file of the given size splits into.
+func blockCount(size, blockSize float64) int {
+	n := int(size / blockSize)
+	if float64(n)*blockSize < size {
+		n++
+	}
+	return n
+}
+
+// blockBytes returns the size of block i of n: full but the last, which
+// carries the remainder. The conversion rounds the product on its own, so
+// no platform may fuse the multiply and subtract into one rounding.
+func (c *Cluster) blockBytes(i, n int, size float64) float64 {
+	if i != n-1 {
+		return c.cfg.BlockSize
+	}
+	return size - float64(float64(n-1)*c.cfg.BlockSize)
+}
+
 // unwindCreate rolls back a partially built CreateFile so a placement
 // failure does not leak orphan blocks into the block map.
 func (c *Cluster) unwindCreate(f *INode) {
 	for _, bid := range f.Blocks {
-		b := c.blocks[bid]
-		for _, dn := range append([]DatanodeID(nil), c.replicas[bid]...) {
-			c.detachReplica(b, dn)
-		}
 		c.dropBlock(bid)
 	}
 	delete(c.files, f.Path)
@@ -864,12 +898,8 @@ func (c *Cluster) DeleteFile(path string) error {
 	if f == nil {
 		return fmt.Errorf("hdfs: no such file %q", path)
 	}
-	for _, ids := range [][]BlockID{f.Blocks, f.Parity} {
+	for _, ids := range [2][]BlockID{f.Blocks, f.Parity} {
 		for _, bid := range ids {
-			b := c.blocks[bid]
-			for _, dn := range append([]DatanodeID(nil), c.replicas[bid]...) {
-				c.detachReplica(b, dn)
-			}
 			c.dropBlock(bid)
 		}
 	}
@@ -895,6 +925,9 @@ func (c *Cluster) Rename(src, dst string) error {
 	f := c.files[src]
 	if f == nil {
 		return fmt.Errorf("hdfs: no such file %q", src)
+	}
+	if dst == "" {
+		return fmt.Errorf("hdfs: empty destination path")
 	}
 	if _, ok := c.files[dst]; ok {
 		return fmt.Errorf("hdfs: destination %q exists", dst)
@@ -937,6 +970,10 @@ func (c *Cluster) attachReplica(b *Block, dn DatanodeID) {
 	d.Used += b.Size
 	delete(d.corrupt, b.ID)
 	delete(d.reported, b.ID)
+	if c.replicas[b.ID] == nil { // first landing: size the list once
+		// TargetRepl is the caller's: no block outgrows the datanode count.
+		c.replicas[b.ID] = make([]DatanodeID, 0, max(1, min(c.replTarget(b), len(c.datanodes))))
+	}
 	c.replicas[b.ID] = append(c.replicas[b.ID], dn)
 	c.reassessBlock(b)
 	c.reassessAboveDefault(b)
@@ -944,11 +981,11 @@ func (c *Cluster) attachReplica(b *Block, dn DatanodeID) {
 	c.jlog(auditlog.Entry{Op: auditlog.OpReplicaAdd, Block: int64(b.ID), Node: int(dn)})
 }
 
-// detachReplica removes a replica from dn.
-func (c *Cluster) detachReplica(b *Block, dn DatanodeID) {
+// detachReplica removes a replica from dn, reporting whether dn held it.
+func (c *Cluster) detachReplica(b *Block, dn DatanodeID) bool {
 	d := c.datanodes[dn]
 	if !d.blocks.Has(b.ID) {
-		return
+		return false
 	}
 	d.blocks.Remove(b.ID)
 	d.Used -= b.Size
@@ -965,4 +1002,5 @@ func (c *Cluster) detachReplica(b *Block, dn DatanodeID) {
 	c.reassessAboveDefault(b)
 	c.reindexNode(d)
 	c.jlog(auditlog.Entry{Op: auditlog.OpReplicaDrop, Block: int64(b.ID), Node: int(dn)})
+	return true
 }

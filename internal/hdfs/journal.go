@@ -97,6 +97,9 @@ func (c *Cluster) applyEntry(e auditlog.Entry) error {
 		if _, ok := c.files[e.Path]; ok || e.Path == "" {
 			return fmt.Errorf("bad or duplicate path %q", e.Path)
 		}
+		if e.Target < 1 {
+			return fmt.Errorf("target %d", e.Target)
+		}
 		f := &INode{
 			Path:       e.Path,
 			Size:       e.Size,

@@ -15,50 +15,73 @@ package hdfs
 //     replica count changes, so AboveDefault() is proportional to the
 //     elevated files, not the namespace.
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
-// nodeSet is a bitset over datanode IDs with a population count. Insert and
-// remove are O(1); iteration is ascending-ID via word scans.
-type nodeSet struct {
+// NodeSet is a bitset over datanode IDs with a population count: O(1)
+// insert and remove, ascending-ID iteration by word scans. The zero value
+// is empty and a nil *NodeSet reads as empty. Placement keeps its node
+// working sets (exclusions, picks) in NodeSets it clears and refills.
+type NodeSet struct {
 	words []uint64
 	count int
 }
 
-func (s *nodeSet) add(id int) {
-	w := id >> 6
-	for len(s.words) <= w {
+// Add inserts id.
+func (s *NodeSet) Add(id DatanodeID) {
+	for len(s.words) <= int(id>>6) {
 		s.words = append(s.words, 0)
 	}
-	bit := uint64(1) << uint(id&63)
-	if s.words[w]&bit == 0 {
-		s.words[w] |= bit
+	if !s.Has(id) {
+		s.words[id>>6] |= 1 << uint(id&63)
 		s.count++
 	}
 }
 
-func (s *nodeSet) remove(id int) {
-	w := id >> 6
-	if w >= len(s.words) {
-		return
-	}
-	bit := uint64(1) << uint(id&63)
-	if s.words[w]&bit != 0 {
-		s.words[w] &^= bit
+// Remove deletes id if present.
+func (s *NodeSet) Remove(id DatanodeID) {
+	if s.Has(id) {
+		s.words[id>>6] &^= 1 << uint(id&63)
 		s.count--
 	}
 }
 
-func (s *nodeSet) has(id int) bool {
-	w := id >> 6
-	return w < len(s.words) && s.words[w]&(uint64(1)<<uint(id&63)) != 0
+// Has reports whether id is a member; false on a nil set.
+func (s *NodeSet) Has(id DatanodeID) bool {
+	return s != nil && uint(id>>6) < uint(len(s.words)) && s.words[id>>6]&(1<<uint(id&63)) != 0
+}
+
+// Len returns the number of members.
+func (s *NodeSet) Len() int { return s.count }
+
+// Clear empties the set, keeping its words for reuse.
+func (s *NodeSet) Clear() {
+	clear(s.words)
+	s.count = 0
+}
+
+// Union adds every member of o (nil adds nothing), a word-wise OR.
+func (s *NodeSet) Union(o *NodeSet) {
+	if o == nil {
+		return
+	}
+	for len(s.words) < len(o.words) {
+		s.words = append(s.words, 0)
+	}
+	for w, word := range o.words {
+		s.count += bits.OnesCount64(word &^ s.words[w])
+		s.words[w] |= word
+	}
 }
 
 // each visits members in ascending ID order until visit returns true;
 // it reports whether the iteration was stopped early.
-func (s *nodeSet) each(visit func(id int) bool) bool {
+func (s *NodeSet) each(visit func(id DatanodeID) bool) bool {
 	for w, word := range s.words {
 		for word != 0 {
-			id := w<<6 + bits.TrailingZeros64(word)
+			id := DatanodeID(w<<6 + bits.TrailingZeros64(word))
 			if visit(id) {
 				return true
 			}
@@ -80,16 +103,16 @@ func (c *Cluster) reindexNode(d *Datanode) {
 		if want && d.idxLoad == load {
 			return
 		}
-		c.loadIdx[d.idxLoad].remove(int(d.ID))
+		c.loadIdx[d.idxLoad].Remove(d.ID)
 		d.inIdx = false
 	}
 	if !want {
 		return
 	}
 	for len(c.loadIdx) <= load {
-		c.loadIdx = append(c.loadIdx, nodeSet{})
+		c.loadIdx = append(c.loadIdx, NodeSet{})
 	}
-	c.loadIdx[load].add(int(d.ID))
+	c.loadIdx[load].Add(d.ID)
 	d.idxLoad = load
 	d.inIdx = true
 	if load < c.idxMin {
@@ -100,12 +123,18 @@ func (c *Cluster) reindexNode(d *Datanode) {
 // ScanEligible visits placement candidates for b in (PlacementLoad, ID)
 // order: every datanode that is eligible (active, not stale, not crashed —
 // the index's membership invariant), reachable, not already holding b, not
-// in exclude, and with uncommitted room for the block. It is the one
-// candidate predicate: DefaultPolicy and the ERMS policy both collect
-// through it, and the invariant package's storage oracle compares it with
-// a from-scratch reference scan on every sweep. visit returns true to stop
-// early.
-func (c *Cluster) ScanEligible(b *Block, exclude map[DatanodeID]bool, visit func(DatanodeID) bool) {
+// in exclude (nil excludes nothing), and with uncommitted room for the
+// block. It is the one candidate predicate: DefaultPolicy and the ERMS
+// policy both collect through it, and the invariant package's storage
+// oracle compares it with a from-scratch reference scan on every sweep.
+// visit returns true to stop early.
+//
+// Holders are read off b's replica list (at most a few entries), not the
+// candidates' block bitmaps: ConsistencyErrors holds the two to the same
+// membership in both directions. A block ID outside the block map, like
+// the oracle's probe, has no holders.
+func (c *Cluster) ScanEligible(b *Block, exclude *NodeSet, visit func(DatanodeID) bool) {
+	holders := c.Replicas(b.ID)
 	for l := c.idxMin; l < len(c.loadIdx); l++ {
 		s := &c.loadIdx[l]
 		if s.count == 0 {
@@ -114,13 +143,11 @@ func (c *Cluster) ScanEligible(b *Block, exclude map[DatanodeID]bool, visit func
 			}
 			continue
 		}
-		stopped := s.each(func(n int) bool {
-			id := DatanodeID(n)
-			d := c.datanodes[id]
-			if d.blocks.Has(b.ID) || exclude[id] {
+		stopped := s.each(func(id DatanodeID) bool {
+			if slices.Contains(holders, id) || exclude.Has(id) {
 				return false
 			}
-			if c.NodeUnreachable(id) || d.UncommittedFree() < b.Size {
+			if c.NodeUnreachable(id) || c.datanodes[id].UncommittedFree() < b.Size {
 				return false
 			}
 			return visit(id)

@@ -7,12 +7,14 @@ import "erms/internal/topology"
 type Policy interface {
 	// Name identifies the policy in reports.
 	Name() string
-	// ChooseTargets picks count datanodes to host new replicas of b,
-	// excluding nodes in exclude and nodes already holding the block.
-	// writer is the creating client's node (-1 when remote/unknown). It
-	// may return fewer than count when the cluster cannot satisfy the
-	// request.
-	ChooseTargets(c *Cluster, b *Block, count int, writer DatanodeID, exclude map[DatanodeID]bool) []DatanodeID
+	// ChooseTargets appends to dst count datanodes to host new replicas of
+	// b, excluding nodes in exclude (nil excludes nothing) and nodes
+	// already holding the block, and returns the extended slice. writer is
+	// the creating client's node (-1 when remote/unknown). It may place
+	// fewer than count when the cluster cannot satisfy the request. A
+	// caller that keeps the targets past its own use passes nil; one that
+	// consumes them at once may pass a reused buffer sliced to [:0].
+	ChooseTargets(dst []DatanodeID, c *Cluster, b *Block, count int, writer DatanodeID, exclude *NodeSet) []DatanodeID
 	// ChooseExcess picks the replica of b to delete when shrinking.
 	ChooseExcess(c *Cluster, b *Block) (DatanodeID, bool)
 }
@@ -21,7 +23,10 @@ type Policy interface {
 // (or a random active node), second on a node in a different rack, third on
 // a different node in the second's rack, and further replicas spread over
 // active nodes with the fewest blocks. Only Active nodes are eligible.
-type DefaultPolicy struct{}
+type DefaultPolicy struct {
+	taken  NodeSet // ChooseTargets scratch: exclude plus picks so far
+	inRack []bool  // and, per rack, whether a replica or a pick sits there
+}
 
 // NewDefaultPolicy returns the rack-aware default.
 func NewDefaultPolicy() *DefaultPolicy { return &DefaultPolicy{} }
@@ -29,26 +34,29 @@ func NewDefaultPolicy() *DefaultPolicy { return &DefaultPolicy{} }
 // Name implements Policy.
 func (p *DefaultPolicy) Name() string { return "default-rack-aware" }
 
-// ChooseTargets implements Policy.
-func (p *DefaultPolicy) ChooseTargets(c *Cluster, b *Block, count int, writer DatanodeID, exclude map[DatanodeID]bool) []DatanodeID {
-	var chosen []DatanodeID
-	taken := map[DatanodeID]bool{}
-	for k := range exclude {
-		taken[k] = true
-	}
-	existing := c.replicas[b.ID]
+// ChooseTargets implements Policy. Its working sets are the policy's
+// reused scratch, so a placement allocates nothing beyond dst's growth.
+func (p *DefaultPolicy) ChooseTargets(dst []DatanodeID, c *Cluster, b *Block, count int, writer DatanodeID, exclude *NodeSet) []DatanodeID {
+	start := len(dst)
+	taken := &p.taken
+	taken.Clear()
+	taken.Union(exclude)
+	p.inRack = append(p.inRack[:0], make([]bool, c.topo.NumRacks())...)
+	rackOf := func(id DatanodeID) int { return c.topo.Rack(topology.NodeID(id)) }
 	// Racks covered by existing replicas plus picks so far. When a repair
 	// finds the survivors huddled in a single rack (the cross-rack copy was
 	// the one that died), the slot heuristics below must not co-locate the
 	// new replica with them — one rack outage would erase the block.
-	rackSpan := map[int]bool{}
-	for _, r := range existing {
-		rackSpan[c.topo.Rack(topology.NodeID(r))] = true
+	nCovered := 0
+	cover := func(id DatanodeID) {
+		if r := rackOf(id); !p.inRack[r] {
+			p.inRack[r], nCovered = true, nCovered+1
+		}
 	}
-	add := func(id DatanodeID) {
-		chosen = append(chosen, id)
-		taken[id] = true
-		rackSpan[c.topo.Rack(topology.NodeID(id))] = true
+	covered := func(id DatanodeID) bool { return p.inRack[rackOf(id)] }
+	existing := c.replicas[b.ID]
+	for _, r := range existing {
+		cover(r)
 	}
 	pick := func(pred func(DatanodeID) bool) (DatanodeID, bool) {
 		var found DatanodeID = -1
@@ -59,21 +67,17 @@ func (p *DefaultPolicy) ChooseTargets(c *Cluster, b *Block, count int, writer Da
 			}
 			return false
 		})
-		if found < 0 {
-			return 0, false
-		}
-		return found, true
+		return found, found >= 0
 	}
 
 	// Rack of the "first" replica for rack-awareness decisions.
 	firstRack := -1
-	rackOf := func(id DatanodeID) int { return c.topo.Rack(topology.NodeID(id)) }
 	if len(existing) > 0 {
 		firstRack = rackOf(existing[0])
 	}
 
-	for len(chosen) < count {
-		slot := len(existing) + len(chosen)
+	for len(dst)-start < count {
+		slot := len(existing) + len(dst) - start
 		var id DatanodeID
 		var ok bool
 		switch slot {
@@ -81,7 +85,7 @@ func (p *DefaultPolicy) ChooseTargets(c *Cluster, b *Block, count int, writer Da
 			// Writer-local if possible.
 			if writer >= 0 && int(writer) < len(c.datanodes) {
 				d := c.datanodes[writer]
-				if d.Eligible() && !c.NodeUnreachable(writer) && !taken[writer] &&
+				if d.Eligible() && !c.NodeUnreachable(writer) && !taken.Has(writer) &&
 					d.Free() >= b.Size && !d.HasBlock(b.ID) {
 					id, ok = writer, true
 				}
@@ -103,15 +107,15 @@ func (p *DefaultPolicy) ChooseTargets(c *Cluster, b *Block, count int, writer Da
 			// replicas so far all share one rack (a re-replication whose
 			// survivors lost their cross-rack copy): then restore rack
 			// diversity first, as HDFS's replication monitor does.
-			if len(rackSpan) < 2 {
-				id, ok = pick(func(n DatanodeID) bool { return !rackSpan[rackOf(n)] })
+			if nCovered < 2 {
+				id, ok = pick(func(n DatanodeID) bool { return !covered(n) })
 			}
 			if !ok {
 				secondRack := -1
 				if len(existing) > 1 {
 					secondRack = rackOf(existing[1])
-				} else if len(chosen) > 0 {
-					secondRack = rackOf(chosen[len(chosen)-1])
+				} else if len(dst) > start {
+					secondRack = rackOf(dst[len(dst)-1])
 				}
 				id, ok = pick(func(n DatanodeID) bool { return rackOf(n) == secondRack })
 			}
@@ -119,8 +123,8 @@ func (p *DefaultPolicy) ChooseTargets(c *Cluster, b *Block, count int, writer Da
 				id, ok = pick(nil)
 			}
 		default:
-			if len(rackSpan) < 2 {
-				id, ok = pick(func(n DatanodeID) bool { return !rackSpan[rackOf(n)] })
+			if nCovered < 2 {
+				id, ok = pick(func(n DatanodeID) bool { return !covered(n) })
 			}
 			if !ok {
 				id, ok = pick(nil)
@@ -129,9 +133,11 @@ func (p *DefaultPolicy) ChooseTargets(c *Cluster, b *Block, count int, writer Da
 		if !ok {
 			break
 		}
-		add(id)
+		dst = append(dst, id)
+		taken.Add(id)
+		cover(id)
 	}
-	return chosen
+	return dst
 }
 
 // ChooseExcess implements Policy: pick the replica whose loss costs the

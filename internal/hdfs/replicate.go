@@ -327,7 +327,7 @@ func (c *Cluster) grow(f *INode, n int, mode ReplicationMode, done func(error)) 
 				continue
 			}
 			b := c.blocks[bid]
-			targets := c.placement.ChooseTargets(c, b, need, -1, nil)
+			targets := c.placement.ChooseTargets(nil, c, b, need, -1, nil)
 			if len(targets) < need && firstErr == nil {
 				firstErr = fmt.Errorf("hdfs: only %d of %d targets for block %d", len(targets), need, bid)
 			}
@@ -404,7 +404,7 @@ func (c *Cluster) StartReplicationMonitor(period time.Duration) func() {
 			if len(c.replicas[bid]) == 0 {
 				continue // lost block; erasure recovery may still help
 			}
-			targets := c.placement.ChooseTargets(c, b, 1, -1, nil)
+			targets := c.placement.ChooseTargets(nil, c, b, 1, -1, nil)
 			if len(targets) == 0 {
 				continue
 			}

@@ -160,9 +160,11 @@ func (c *Cluster) Decommission(id DatanodeID, done func(error)) {
 			finishDrain()
 		}
 	}
+	var self NodeSet // the draining node: never its own drain target
+	self.Add(id)
+	var targets []DatanodeID
 	for _, bid := range blocks {
-		b := c.blocks[bid]
-		targets := c.placement.ChooseTargets(c, b, 1, -1, map[DatanodeID]bool{id: true})
+		targets = c.placement.ChooseTargets(targets[:0], c, c.blocks[bid], 1, -1, &self)
 		if len(targets) == 0 {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("hdfs: no target to drain block %d off %s", bid, d.Name)

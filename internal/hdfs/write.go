@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"erms/internal/auditlog"
@@ -51,12 +52,8 @@ func (c *Cluster) WriteFile(client topology.NodeID, path string, size float64, r
 		fail(err)
 		return
 	}
-	if _, ok := c.files[path]; ok {
-		fail(fmt.Errorf("hdfs: file %q exists", path))
-		return
-	}
-	if size <= 0 {
-		fail(fmt.Errorf("hdfs: file size must be positive"))
+	if err := c.creatable(path, size); err != nil {
+		fail(err)
 		return
 	}
 	if repl <= 0 {
@@ -73,10 +70,7 @@ func (c *Cluster) WriteFile(client topology.NodeID, path string, size float64, r
 		CreatedAt:  c.clock.Now(),
 	}
 	c.registerFile(f)
-	nBlocks := int(size / c.cfg.BlockSize)
-	if float64(nBlocks)*c.cfg.BlockSize < size {
-		nBlocks++
-	}
+	nBlocks := blockCount(size, c.cfg.BlockSize)
 	var writeBlock func(i int)
 	writeBlock = func(i int) {
 		if i >= nBlocks {
@@ -87,14 +81,12 @@ func (c *Cluster) WriteFile(client topology.NodeID, path string, size float64, r
 			}
 			return
 		}
-		bs := c.cfg.BlockSize
-		if i == nBlocks-1 {
-			bs = size - float64(nBlocks-1)*c.cfg.BlockSize
-		}
+		bs := c.blockBytes(i, nBlocks, size)
 		b := &Block{ID: c.nextBlock, File: path, Index: i, Size: bs, fileID: f.id}
 		c.addBlock(b)
 		f.Blocks = append(f.Blocks, b.ID)
-		targets := c.placement.ChooseTargets(c, b, repl, DatanodeID(client), nil)
+		// nil dst: the pipeline callback below keeps targets past placement.
+		targets := c.placement.ChooseTargets(nil, c, b, repl, DatanodeID(client), nil)
 		if len(targets) == 0 {
 			fail(fmt.Errorf("hdfs: no targets for block %d of %q", b.ID, path))
 			return
@@ -124,17 +116,15 @@ func (c *Cluster) WriteFile(client topology.NodeID, path string, size float64, r
 // downlink.
 func (c *Cluster) pipelinePath(client topology.NodeID, targets []DatanodeID) []topology.LinkID {
 	var links []topology.LinkID
-	seen := map[topology.LinkID]bool{}
 	add := func(ids ...topology.LinkID) {
 		for _, id := range ids {
-			if !seen[id] {
-				seen[id] = true
+			if !slices.Contains(links, id) {
 				links = append(links, id)
 			}
 		}
 	}
 	prev := client
-	for idx, t := range targets {
+	for _, t := range targets {
 		tn := topology.NodeID(t)
 		node := c.topo.Node(tn)
 		switch {
@@ -153,7 +143,6 @@ func (c *Cluster) pipelinePath(client topology.NodeID, targets []DatanodeID) []t
 		}
 		add(node.Disk)
 		prev = tn
-		_ = idx
 	}
 	return links
 }

@@ -227,7 +227,9 @@ func referenceCandidates(c *hdfs.Cluster, b *hdfs.Block) []hdfs.DatanodeID {
 // consistency is the cluster's own index cross-check (ConsistencyErrors)
 // plus the candidate-order check: the load index must reproduce the
 // reference scan's (PlacementLoad, ID) order exactly. Probed with a
-// zero-size block no node holds.
+// zero-size block no node holds: ID -1 is outside the block map, so both
+// scans find no holders. Both read holders off replica lists, which
+// ConsistencyErrors ties to the per-node block sets.
 func consistency(c *hdfs.Cluster) []string {
 	errs := c.ConsistencyErrors()
 	probe := &hdfs.Block{ID: -1}

@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
 # Paired parent/HEAD measurement — the evidence every performance PR needs
-# and PRs 12-19 each rebuilt by hand. Two modes:
+# and PRs 12-19 each rebuilt by hand. Three modes:
 #
 #   scripts/benchpair.sh <workload> [pairs=10] [seconds=12]
 #   scripts/benchpair.sh -micro <package> <bench regex> [rounds=6]
+#   scripts/benchpair.sh -trend
 #   make benchpair WORKLOAD=churn-failover
 #   make benchpair PKG=./internal/core BENCH=JudgePass
+#   make benchtrend
 #
-# The parent ($BASE, default HEAD~1) is checked out with `git worktree add`
-# under a temporary directory, or extracted there with `git archive` when
-# no worktree can be made, and removed on exit; the other side is this
-# working tree as it stands, uncommitted edits included (so BASE=HEAD while
-# a change is still uncommitted).
+# The parent ($BASE, default HEAD~1) is extracted with `git archive` into a
+# temporary directory, removed on exit; the other side is this working
+# tree as it stands, uncommitted edits included (so BASE=HEAD while a
+# change is still uncommitted).
 #
 # Workload mode runs both sides' own benchmark/run.sh, one BENCHMARK.json
 # workload per pair on one seed (SEED0 + pair number, default 101 on: pick
@@ -24,6 +25,15 @@
 # runs, of one side or of both.) Nothing under benchmark/ is touched; both
 # sides build into their own benchmark/.build/.
 #
+# Every workload run then appends one JSON line to BENCH_trajectory.jsonl
+# at the repository root — the committed record of paired runs: the two
+# revisions (HEAD marked -dirty when the working tree has uncommitted
+# edits or untracked files), workload, seeds, pairs, run seconds, the pairs whose digest and
+# event count agreed, and per end-to-end metric each side's median, the
+# HEAD/parent ratio of the medians and the pairs HEAD won and lost. -trend
+# (make benchtrend) prints that file as one row per run: each metric's
+# median ratio and the pairs HEAD won.
+#
 # Micro mode builds each side's `go test -c` binary for one package and
 # alternates rounds of `-test.bench <regex> -test.benchmem` between them,
 # each binary run from its own package directory. Printed: ns/op and
@@ -31,21 +41,48 @@
 # and the rounds HEAD won on ns/op.
 set -euo pipefail
 
-usage="usage: scripts/benchpair.sh <workload> [pairs=10] [seconds=12] | -micro <package> <bench regex> [rounds=6]"
-base=${BASE:-HEAD~1}
+usage="usage: scripts/benchpair.sh <workload> [pairs=10] [seconds=12] | -micro <package> <bench regex> [rounds=6] | -trend"
 root=$(git rev-parse --show-toplevel)
-tmp=$(mktemp -d)
-cleanup() {
-	git -C "$root" worktree remove --force "$tmp/parent" >/dev/null 2>&1 || true
-	rm -rf "$tmp"
-}
-trap cleanup EXIT
-if ! git -C "$root" worktree add --detach "$tmp/parent" "$base" >/dev/null 2>&1; then
-	mkdir -p "$tmp/parent"
-	git -C "$root" archive "$base" | tar -x -C "$tmp/parent"
+trajectory=$root/BENCH_trajectory.jsonl
+
+if [[ ${1:-} == -trend ]]; then
+	[[ -s $trajectory ]] || { echo "no paired runs recorded in $trajectory"; exit 0; }
+	awk '
+	# value of "key": in s, unquoted (flat values only)
+	function field(s, key,    i, v) {
+		i = index(s, "\"" key "\":")
+		if (!i) return "-"
+		v = substr(s, i + length(key) + 3)
+		sub(/[,}].*/, "", v); gsub(/"/, "", v)
+		return v
+	}
+	BEGIN {
+		nm = split("setup_s ops_per_s lat_p50_ms live_heap_mb allocs_per_op sim_read_mbps", metrics, " ")
+		printf "%-9s %-15s %-15s %-8s %5s %6s", "parent", "head", "workload", "seeds", "pairs", "digest"
+		for (k = 1; k <= nm; k++) printf " %16s", metrics[k]
+		printf "\n"
+	}
+	{
+		printf "%-9s %-15s %-15s %-8s %5s %6s", field($0, "parent"), field($0, "head"), field($0, "workload"),
+			field($0, "seeds"), field($0, "pairs"), field($0, "digest_equal") "/" field($0, "pairs")
+		for (k = 1; k <= nm; k++) {
+			m = substr($0, index($0, "\"" metrics[k] "\":{"))
+			printf " %16s", field(m, "ratio") "x " field(m, "won") "/" field($0, "pairs")
+		}
+		printf "\n"
+	}' "$trajectory"
+	echo "(per metric: HEAD/parent ratio of the medians, pairs HEAD won)"
+	exit 0
 fi
+
+base=${BASE:-HEAD~1}
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+mkdir -p "$tmp/parent"
+git -C "$root" archive "$base" | tar -x -C "$tmp/parent"
 parent_rev=$(git -C "$root" rev-parse --short "$base")
 head_rev=$(git -C "$root" rev-parse --short HEAD)
+[[ -z $(git -C "$root" status --porcelain -- . ':!BENCH_trajectory.jsonl') ]] || head_rev=$head_rev-dirty
 
 if [[ ${1:-} == -micro ]]; then
 	pkg=${2:?$usage}
@@ -133,7 +170,8 @@ for ((i = 0; i < pairs; i++)); do
 done
 
 # Metric directions are BENCHMARK.json's end_to_end "better" fields.
-awk '
+awk -v json="$tmp/trajectory.json" -v parent_rev="$parent_rev" -v head_rev="$head_rev" -v workload="$workload" \
+	-v seedrange="$seed0-$((seed0 + pairs - 1))" -v seconds="$seconds" '
 function quantile(a, n, p,    k, f) {
 	k = (n - 1) * p; f = int(k)
 	return f + 1 < n ? a[f + 1] + (k - f) * (a[f + 2] - a[f + 1]) : a[n]
@@ -155,6 +193,8 @@ END {
 	printf "  %-6s %-6s %s\n", "digest", "events", "failed(parent/head)"
 	for (i = 1; i <= nseeds; i++) {
 		s = seeds[i]; printf "%-6s", s
+		deq += v["parent", s, "digest"] == v["head", s, "digest"]
+		eeq += v["parent", s, "events"] == v["head", s, "events"]
 		for (k = 1; k <= nm; k++) {
 			m = metrics[k]; p = v["parent", s, m]; h = v["head", s, m]
 			printf " %13s", (p + 0 == 0 ? (h + 0 == 0 ? "1.000" : "inf") : sprintf("%.3f", h / p))
@@ -171,5 +211,11 @@ END {
 		n = sorted("head", m, b); hm = quantile(b, n, 0.5)
 		printf "%-14s %-7s %12.6g %12.6g %12.6g   %s, %d/%d of %d (%s is better)\n", m, "head", quantile(b, n, 0.25), hm, quantile(b, n, 0.75),
 			(pm == 0 ? "n/a" : sprintf("%.3fx", hm / pm)), win[m], loss[m], n, (m in higher ? "higher" : "lower")
+		line = line sprintf(",\"%s\":{\"parent\":%.6g,\"head\":%.6g,\"ratio\":%s,\"won\":%d,\"lost\":%d}",
+			m, pm, hm, (pm == 0 ? "null" : sprintf("%.4f", hm / pm)), win[m], loss[m])
 	}
+	printf "{\"parent\":\"%s\",\"head\":\"%s\",\"workload\":\"%s\",\"seeds\":\"%s\",\"pairs\":%d,\"seconds\":%s,\"digest_equal\":%d,\"events_equal\":%d%s}\n",
+		parent_rev, head_rev, workload, seedrange, nseeds, seconds, deq, eeq, line > json
 }' "$tmp/rows"
+cat "$tmp/trajectory.json" >>"$trajectory"
+echo "appended this run to $trajectory"
