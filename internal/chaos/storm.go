@@ -112,7 +112,7 @@ func Storm(cfg StormConfig) *Plan {
 
 	jitter := func(d time.Duration) time.Duration {
 		// ±50%, strictly positive.
-		return time.Duration(float64(d) * (0.5 + rng.Float64()))
+		return time.Duration(float64(d) * (0.5 + float64(rng.Float64())))
 	}
 	at := func() time.Duration {
 		return time.Duration(rng.Int63n(int64(cfg.Duration)))

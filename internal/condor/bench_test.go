@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"erms/internal/classad"
 	"erms/internal/sim"
 )
 
@@ -15,15 +14,13 @@ func BenchmarkNegotiationCycle(b *testing.B) {
 		e := sim.NewEngine()
 		s := New(e, Config{NegotiationPeriod: time.Second})
 		for m := 0; m < 18; m++ {
-			s.Advertise("m"+string(rune('a'+m)),
-				classad.NewClassAd().Set("Rack", m%3).Set("FreeGB", 100+m), 2)
+			s.Advertise("m"+string(rune('a'+m)), MachineAd{State: "active", FreeGB: float64(100 + m)}, 2)
 		}
 		for j := 0; j < 100; j++ {
 			s.Submit(&Job{
-				Name: "job",
-				Ad: classad.NewClassAd().
-					SetExprString("Requirements", "target.FreeGB > 50").
-					SetExprString("Rank", "target.FreeGB"),
+				Name:         "job",
+				Requirements: func(t *MachineAd) bool { return t.FreeGB > 50 },
+				Rank:         func(t *MachineAd) float64 { return t.FreeGB },
 				Run: func(m *Machine, done func(error)) {
 					e.Schedule(2*time.Second, func() { done(nil) })
 				},

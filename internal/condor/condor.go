@@ -1,5 +1,5 @@
 // Package condor reimplements the slice of Condor that ERMS relies on: a
-// job queue matched to machine ClassAds by a periodic negotiator, a
+// job queue matched to typed machine ads by a periodic negotiator, a
 // priority split between run-immediately jobs (replica increases, erasure
 // decodes) and run-when-idle jobs (replica decreases, erasure encodes), a
 // user log recording every job event for replay, and automatic rollback of
@@ -11,7 +11,6 @@ import (
 	"sort"
 	"time"
 
-	"erms/internal/classad"
 	"erms/internal/metrics"
 	"erms/internal/sim"
 	"erms/internal/trace"
@@ -73,9 +72,11 @@ type Job struct {
 	ID    int
 	Name  string
 	Class Class
-	// Ad carries Requirements/Rank evaluated against machine ads. A nil Ad
-	// matches any machine.
-	Ad *classad.ClassAd
+	// Requirements admits a machine; nil matches any machine.
+	Requirements func(*MachineAd) bool
+	// Rank orders the admitted machines, higher first; nil ranks every
+	// machine 0.
+	Rank func(*MachineAd) float64
 	// Run executes the task on the chosen machine. It must eventually call
 	// done exactly once (possibly after simulated delays). A nil error
 	// completes the job; otherwise the job fails and Rollback (if any) runs.
@@ -104,13 +105,19 @@ type Job struct {
 	Span trace.SpanID
 }
 
+// MachineAd is what a machine advertises to the jobs that match against
+// it: Condor's machine ClassAd, cut to the attributes a job reads.
+type MachineAd struct {
+	State  string // the datanode's state, e.g. "active"
+	FreeGB float64
+}
+
 // Machine is an execution target advertised to the scheduler.
 type Machine struct {
 	Name  string
-	Ad    *classad.ClassAd
+	Ad    MachineAd
 	Slots int
 	busy  int
-	gone  bool
 }
 
 // Free returns the number of available slots.
@@ -152,7 +159,7 @@ func (e LogEvent) String() string {
 type Scheduler struct {
 	clock     sim.Clock
 	machines  map[string]*Machine
-	order     []string // machine registration order, for determinism
+	order     []*Machine // registration order, for determinism
 	queue     []*Job
 	byID      map[int]*Job
 	running   int
@@ -218,41 +225,27 @@ func New(clock sim.Clock, cfg Config) *Scheduler {
 func (s *Scheduler) Stop() { s.ticker.Stop() }
 
 // Advertise registers (commissions) a machine. Re-advertising an existing
-// name updates its ad. This is the ClassAd mechanism the paper uses "to
-// detect when datanodes are commissioned or decommissioned".
-func (s *Scheduler) Advertise(name string, ad *classad.ClassAd, slots int) *Machine {
+// name updates its ad in place. This is the ClassAd mechanism the paper
+// uses "to detect when datanodes are commissioned or decommissioned": a
+// withdrawn node advertises a State its jobs' Requirements refuse.
+func (s *Scheduler) Advertise(name string, ad MachineAd, slots int) *Machine {
 	if slots <= 0 {
 		slots = 1
 	}
-	if m, ok := s.machines[name]; ok && !m.gone {
+	if m, ok := s.machines[name]; ok {
 		m.Ad = ad
 		m.Slots = slots
 		return m
 	}
 	m := &Machine{Name: name, Ad: ad, Slots: slots}
 	s.machines[name] = m
-	s.order = append(s.order, name)
+	s.order = append(s.order, m)
 	return m
 }
 
-// Decommission removes a machine from matchmaking. Jobs already running
-// there finish normally.
-func (s *Scheduler) Decommission(name string) {
-	if m, ok := s.machines[name]; ok {
-		m.gone = true
-	}
-}
-
-// Machines returns advertised, non-decommissioned machines in registration
-// order.
+// Machines returns the advertised machines in registration order.
 func (s *Scheduler) Machines() []*Machine {
-	var out []*Machine
-	for _, name := range s.order {
-		if m := s.machines[name]; !m.gone {
-			out = append(out, m)
-		}
-	}
-	return out
+	return append([]*Machine(nil), s.order...)
 }
 
 // Submit queues a job and schedules an immediate negotiation for
@@ -365,17 +358,13 @@ func (s *Scheduler) pendingInOrder() []*Job {
 func (s *Scheduler) bestMachine(j *Job) *Machine {
 	var best *Machine
 	var bestRank float64
-	for _, name := range s.order {
-		m := s.machines[name]
-		if m.gone || m.Free() <= 0 {
-			continue
-		}
-		if j.Ad != nil && m.Ad != nil && !classad.Match(j.Ad, m.Ad) {
+	for _, m := range s.order {
+		if m.Free() <= 0 || (j.Requirements != nil && !j.Requirements(&m.Ad)) {
 			continue
 		}
 		rank := 0.0
-		if j.Ad != nil {
-			rank = classad.RankOf(j.Ad, m.Ad)
+		if j.Rank != nil {
+			rank = j.Rank(&m.Ad)
 		}
 		if best == nil || rank > bestRank ||
 			(rank == bestRank && m.Free() > best.Free()) {

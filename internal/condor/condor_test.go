@@ -5,13 +5,10 @@ import (
 	"testing"
 	"time"
 
-	"erms/internal/classad"
 	"erms/internal/sim"
 )
 
-func machineAd(rack int, standby bool) *classad.ClassAd {
-	return classad.NewClassAd().Set("Rack", rack).Set("Standby", standby)
-}
+func machineAd(state string) MachineAd { return MachineAd{State: state} }
 
 func instantJob(name string, results *[]string) *Job {
 	return &Job{
@@ -26,7 +23,7 @@ func instantJob(name string, results *[]string) *Job {
 func TestImmediateJobRunsWithoutWaitingForCycle(t *testing.T) {
 	e := sim.NewEngine()
 	s := New(e, Config{NegotiationPeriod: time.Hour})
-	s.Advertise("m1", machineAd(0, false), 1)
+	s.Advertise("m1", machineAd("active"), 1)
 	var got []string
 	s.Submit(instantJob("j1", &got))
 	e.RunUntil(time.Second) // far less than the negotiation period
@@ -39,7 +36,7 @@ func TestIdleJobWaitsForIdleCluster(t *testing.T) {
 	e := sim.NewEngine()
 	idle := false
 	s := New(e, Config{NegotiationPeriod: time.Second, IdleProbe: func() bool { return idle }})
-	s.Advertise("m1", machineAd(0, false), 1)
+	s.Advertise("m1", machineAd("active"), 1)
 	var got []string
 	j := instantJob("encode", &got)
 	j.Class = ClassIdle
@@ -63,7 +60,7 @@ func TestImmediateBeforeIdleOrdering(t *testing.T) {
 	s := New(e, Config{NegotiationPeriod: time.Second})
 	var got []string
 	// Single slot forces serialization; submit idle first, immediate second.
-	s.Advertise("m1", machineAd(0, false), 1)
+	s.Advertise("m1", machineAd("active"), 1)
 	idleJob := instantJob("idle", &got)
 	idleJob.Class = ClassIdle
 	// Delay both jobs' execution so ordering is observable: both pend until
@@ -77,7 +74,7 @@ func TestImmediateBeforeIdleOrdering(t *testing.T) {
 	idle2.Class = ClassIdle
 	s2.Submit(idle2)
 	s2.Submit(instantJob("imm", &got))
-	s2.Advertise("m1", machineAd(0, false), 1) // machine appears after submit
+	s2.Advertise("m1", machineAd("active"), 1) // machine appears after submit
 	e2.RunUntil(5 * time.Second)
 	if len(got) != 2 || got[0] != "imm@m1" {
 		t.Fatalf("got = %v, want immediate first", got)
@@ -87,11 +84,11 @@ func TestImmediateBeforeIdleOrdering(t *testing.T) {
 func TestRequirementsRestrictPlacement(t *testing.T) {
 	e := sim.NewEngine()
 	s := New(e, Config{NegotiationPeriod: time.Second})
-	s.Advertise("active1", machineAd(0, false), 1)
-	s.Advertise("standby1", machineAd(1, true), 1)
+	s.Advertise("active1", machineAd("active"), 1)
+	s.Advertise("standby1", machineAd("standby"), 1)
 	var got []string
 	j := instantJob("replicate", &got)
-	j.Ad = classad.NewClassAd().SetExprString("Requirements", "target.Standby == true")
+	j.Requirements = func(t *MachineAd) bool { return t.State == "standby" }
 	s.Submit(j)
 	e.RunUntil(2 * time.Second)
 	if len(got) != 1 || got[0] != "replicate@standby1" {
@@ -106,8 +103,8 @@ func TestRequirementsRestrictPlacement(t *testing.T) {
 func TestRankPrefersBetterMachine(t *testing.T) {
 	type machine struct {
 		name  string
-		state string // "" leaves State out of the ad
-		free  int
+		state string // "" advertises no State
+		free  float64
 	}
 	for _, tc := range []struct {
 		name     string
@@ -124,17 +121,12 @@ func TestRankPrefersBetterMachine(t *testing.T) {
 		e := sim.NewEngine()
 		s := New(e, Config{NegotiationPeriod: time.Second})
 		for _, m := range tc.machines {
-			ad := classad.NewClassAd().Set("FreeGB", m.free)
-			if m.state != "" {
-				ad.Set("State", m.state)
-			}
-			s.Advertise(m.name, ad, 1)
+			s.Advertise(m.name, MachineAd{State: m.state, FreeGB: m.free}, 1)
 		}
 		var got []string
 		j := instantJob("place", &got)
-		j.Ad = classad.NewClassAd().
-			SetExprString("Requirements", `target.State == "active"`).
-			SetExprString("Rank", "target.FreeGB")
+		j.Requirements = func(t *MachineAd) bool { return t.State == "active" }
+		j.Rank = func(t *MachineAd) float64 { return t.FreeGB }
 		s.Submit(j)
 		e.RunUntil(2 * time.Second)
 		if tc.want == "" {
@@ -152,7 +144,7 @@ func TestRankPrefersBetterMachine(t *testing.T) {
 func TestSlotLimitsAndQueueing(t *testing.T) {
 	e := sim.NewEngine()
 	s := New(e, Config{NegotiationPeriod: time.Second})
-	s.Advertise("m1", machineAd(0, false), 2)
+	s.Advertise("m1", machineAd("active"), 2)
 	var running, maxRunning int
 	mkJob := func(name string) *Job {
 		return &Job{
@@ -184,7 +176,7 @@ func TestSlotLimitsAndQueueing(t *testing.T) {
 func TestFailureTriggersRollback(t *testing.T) {
 	e := sim.NewEngine()
 	s := New(e, Config{NegotiationPeriod: time.Second})
-	s.Advertise("m1", machineAd(0, false), 1)
+	s.Advertise("m1", machineAd("active"), 1)
 	rolledBack := false
 	j := &Job{
 		Name:     "willfail",
@@ -208,7 +200,7 @@ func TestFailureTriggersRollback(t *testing.T) {
 func TestFailureWithoutRollbackStaysFailed(t *testing.T) {
 	e := sim.NewEngine()
 	s := New(e, Config{NegotiationPeriod: time.Second})
-	s.Advertise("m1", machineAd(0, false), 1)
+	s.Advertise("m1", machineAd("active"), 1)
 	j := &Job{
 		Name: "nofallback",
 		Run:  func(m *Machine, done func(error)) { done(errors.New("boom")) },
@@ -220,28 +212,6 @@ func TestFailureWithoutRollbackStaysFailed(t *testing.T) {
 	}
 }
 
-func TestDecommissionStopsPlacement(t *testing.T) {
-	e := sim.NewEngine()
-	s := New(e, Config{NegotiationPeriod: time.Second})
-	s.Advertise("m1", machineAd(0, false), 1)
-	s.Decommission("m1")
-	var got []string
-	s.Submit(instantJob("j", &got))
-	e.RunUntil(5 * time.Second)
-	if len(got) != 0 {
-		t.Fatal("job ran on decommissioned machine")
-	}
-	if len(s.Machines()) != 0 {
-		t.Fatal("decommissioned machine still listed")
-	}
-	// Re-advertise brings it back.
-	s.Advertise("m2", machineAd(0, false), 1)
-	e.RunUntil(7 * time.Second)
-	if len(got) != 1 {
-		t.Fatal("pending job did not run after new machine appeared")
-	}
-}
-
 func TestAbortPendingJob(t *testing.T) {
 	e := sim.NewEngine()
 	s := New(e, Config{NegotiationPeriod: time.Second})
@@ -250,7 +220,7 @@ func TestAbortPendingJob(t *testing.T) {
 	if !s.Abort(j) {
 		t.Fatal("abort failed")
 	}
-	s.Advertise("m1", machineAd(0, false), 1)
+	s.Advertise("m1", machineAd("active"), 1)
 	e.RunUntil(5 * time.Second)
 	if len(got) != 0 {
 		t.Fatal("aborted job ran")
@@ -266,7 +236,7 @@ func TestAbortPendingJob(t *testing.T) {
 func TestUserLogReplayAndOrder(t *testing.T) {
 	e := sim.NewEngine()
 	s := New(e, Config{NegotiationPeriod: time.Second})
-	s.Advertise("m1", machineAd(0, false), 1)
+	s.Advertise("m1", machineAd("active"), 1)
 	var got []string
 	s.Submit(instantJob("j1", &got))
 	e.RunUntil(2 * time.Second)
@@ -293,7 +263,7 @@ func TestFIFOWithinClass(t *testing.T) {
 	for _, n := range []string{"a", "b", "c"} {
 		s.Submit(instantJob(n, &got))
 	}
-	s.Advertise("m1", machineAd(0, false), 1)
+	s.Advertise("m1", machineAd("active"), 1)
 	e.RunUntil(5 * time.Second)
 	if len(got) != 3 || got[0] != "a@m1" || got[1] != "b@m1" || got[2] != "c@m1" {
 		t.Fatalf("got = %v, want FIFO", got)
@@ -303,7 +273,7 @@ func TestFIFOWithinClass(t *testing.T) {
 func TestDoubleDonePanics(t *testing.T) {
 	e := sim.NewEngine()
 	s := New(e, Config{NegotiationPeriod: time.Second})
-	s.Advertise("m1", machineAd(0, false), 1)
+	s.Advertise("m1", machineAd("active"), 1)
 	s.Submit(&Job{
 		Name: "broken",
 		Run: func(m *Machine, done func(error)) {
@@ -354,7 +324,7 @@ func TestStateStrings(t *testing.T) {
 func TestResubmitFromNotifySurvivesNegotiation(t *testing.T) {
 	e := sim.NewEngine()
 	s := New(e, Config{NegotiationPeriod: time.Hour})
-	s.Advertise("m1", machineAd(0, false), 1)
+	s.Advertise("m1", machineAd("active"), 1)
 	ran := false
 	j := &Job{
 		Name:  "failer",
@@ -375,5 +345,33 @@ func TestResubmitFromNotifySurvivesNegotiation(t *testing.T) {
 	}
 	if !ran {
 		t.Fatal("job submitted from Notify never ran")
+	}
+}
+
+// TestReadvertiseUpdatesInPlace: advertising a known name replaces that
+// machine's ad and slots, keeps its registration, and lists it once — the
+// way a datanode is withdrawn from matchmaking is a State its jobs refuse.
+func TestReadvertiseUpdatesInPlace(t *testing.T) {
+	e := sim.NewEngine()
+	s := New(e, Config{NegotiationPeriod: time.Second})
+	m := s.Advertise("m1", machineAd("active"), 1)
+	if again := s.Advertise("m1", machineAd("down"), 2); again != m {
+		t.Fatal("re-advertising registered a second machine")
+	}
+	if ms := s.Machines(); len(ms) != 1 || ms[0].Ad.State != "down" || ms[0].Slots != 2 {
+		t.Fatalf("machines after re-advertise: %+v", ms)
+	}
+	var got []string
+	j := instantJob("j", &got)
+	j.Requirements = func(t *MachineAd) bool { return t.State == "active" }
+	s.Submit(j)
+	e.RunUntil(3 * time.Second)
+	if len(got) != 0 {
+		t.Fatalf("job ran on a withdrawn machine: %v", got)
+	}
+	s.Advertise("m1", machineAd("active"), 2)
+	e.RunUntil(5 * time.Second)
+	if len(got) != 1 || got[0] != "j@m1" {
+		t.Fatalf("got = %v after the machine came back", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 	"time"
 
-	"erms/internal/classad"
 	"erms/internal/sim"
 )
 
@@ -28,8 +27,8 @@ func TestQuickBooksBalance(t *testing.T) {
 			IdleProbe:         func() bool { return idle },
 		})
 		machines := []*Machine{
-			s.Advertise("m1", classad.NewClassAd().Set("Rack", 0), 2),
-			s.Advertise("m2", classad.NewClassAd().Set("Rack", 1), 1),
+			s.Advertise("m1", machineAd("active"), 2),
+			s.Advertise("m2", machineAd("active"), 1),
 		}
 		// Idle flips partway through so idle-class jobs experience both
 		// states.

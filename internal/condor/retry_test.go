@@ -33,7 +33,7 @@ func flakyJob(e *sim.Engine, failFirst int, times *[]time.Duration) *Job {
 func TestRetryExponentialBackoff(t *testing.T) {
 	e := sim.NewEngine()
 	s := New(e, Config{NegotiationPeriod: time.Hour})
-	s.Advertise("m1", machineAd(0, false), 1)
+	s.Advertise("m1", machineAd("active"), 1)
 	var times []time.Duration
 	j := flakyJob(e, 2, &times)
 	j.Retry = RetryPolicy{MaxAttempts: 5, Backoff: 15 * time.Second}
@@ -70,7 +70,7 @@ func TestRetryExponentialBackoff(t *testing.T) {
 func TestRetryExhaustionRollsBack(t *testing.T) {
 	e := sim.NewEngine()
 	s := New(e, Config{NegotiationPeriod: time.Hour})
-	s.Advertise("m1", machineAd(0, false), 1)
+	s.Advertise("m1", machineAd("active"), 1)
 	rolledBack := false
 	notified := 0
 	j := &Job{
@@ -118,7 +118,7 @@ func TestRetryExhaustionRollsBack(t *testing.T) {
 func TestTimeoutReclaimsMachine(t *testing.T) {
 	e := sim.NewEngine()
 	s := New(e, Config{NegotiationPeriod: time.Hour})
-	s.Advertise("m1", machineAd(0, false), 1)
+	s.Advertise("m1", machineAd("active"), 1)
 	attempts := 0
 	var lateDone func(error)
 	j := &Job{
@@ -163,7 +163,7 @@ func TestTimeoutReclaimsMachine(t *testing.T) {
 func TestPendingCountsBackingOffJobs(t *testing.T) {
 	e := sim.NewEngine()
 	s := New(e, Config{NegotiationPeriod: time.Hour})
-	s.Advertise("m1", machineAd(0, false), 1)
+	s.Advertise("m1", machineAd("active"), 1)
 	var times []time.Duration
 	j := flakyJob(e, 1, &times)
 	j.Retry = RetryPolicy{MaxAttempts: 2, Backoff: time.Minute}
@@ -186,7 +186,7 @@ func TestPendingCountsBackingOffJobs(t *testing.T) {
 func TestAbortDuringBackoffSticks(t *testing.T) {
 	e := sim.NewEngine()
 	s := New(e, Config{NegotiationPeriod: time.Hour})
-	s.Advertise("m1", machineAd(0, false), 1)
+	s.Advertise("m1", machineAd("active"), 1)
 	var times []time.Duration
 	j := flakyJob(e, 99, &times)
 	j.Retry = RetryPolicy{MaxAttempts: 10, Backoff: time.Minute}
@@ -224,8 +224,8 @@ func TestUserLogReplayRoundTrip(t *testing.T) {
 	// IdleProbe pinned false keeps idle-class jobs pending so one can be
 	// aborted deterministically.
 	s := New(e, Config{NegotiationPeriod: time.Hour, IdleProbe: func() bool { return false }})
-	s.Advertise("m1", machineAd(0, false), 2)
-	s.Advertise("m2", machineAd(1, false), 2)
+	s.Advertise("m1", machineAd("active"), 2)
+	s.Advertise("m2", machineAd("active"), 2)
 
 	var times []time.Duration
 	ok := flakyJob(e, 1, &times) // retries once, then completes

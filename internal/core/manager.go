@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"erms/internal/classad"
 	"erms/internal/condor"
 	"erms/internal/hdfs"
 	"erms/internal/metrics"
@@ -88,10 +87,9 @@ type Manager struct {
 	sched   *condor.Scheduler
 	cfg     Config
 
-	pool       map[hdfs.DatanodeID]bool
-	advertised map[hdfs.DatanodeID]adAttrs // what each node's current ad was built from
-	inFlight   map[string]bool             // path -> management job outstanding
-	repairing  map[hdfs.BlockID]bool
+	pool      map[hdfs.DatanodeID]bool
+	inFlight  map[string]bool // path -> management job outstanding
+	repairing map[hdfs.BlockID]bool
 	// repairStart records when damage to a block was first scheduled for
 	// repair, for time-to-repair accounting across retries.
 	repairStart map[hdfs.BlockID]time.Duration
@@ -176,7 +174,6 @@ func New(cluster *hdfs.Cluster, cfg Config) *Manager {
 		cluster:        cluster,
 		cfg:            cfg,
 		pool:           map[hdfs.DatanodeID]bool{},
-		advertised:     map[hdfs.DatanodeID]adAttrs{},
 		inFlight:       map[string]bool{},
 		repairing:      map[hdfs.BlockID]bool{},
 		repairStart:    map[hdfs.BlockID]time.Duration{},
@@ -268,36 +265,19 @@ func (m *Manager) armRepairRescan() {
 	})
 }
 
-// machineAd builds the Condor ClassAd describing a datanode: the mechanism
+// machineAd is the Condor machine ad describing a datanode: the mechanism
 // the paper uses "to detect when datanodes are commissioned or
 // decommissioned in the cluster".
-func (m *Manager) machineAd(d *hdfs.Datanode) *classad.ClassAd {
-	return classad.NewClassAd().
-		Set("Name", d.Name).
-		Set("Rack", m.cluster.Topology().Rack(topology.NodeID(d.ID))).
-		Set("State", d.State.String()).
-		Set("StandbyPool", m.pool[d.ID]).
-		Set("FreeGB", d.Free()/topology.GB)
+func machineAd(d *hdfs.Datanode) condor.MachineAd {
+	return condor.MachineAd{State: d.State.String(), FreeGB: d.Free() / topology.GB}
 }
 
-// adAttrs are the attributes of a datanode's ad that can change.
-type adAttrs struct {
-	state hdfs.NodeState
-	pool  bool
-	free  float64
-}
-
-// refreshAds re-advertises the datanodes whose ad would differ from their
-// current one (every node, the first time). It runs after every job,
-// commission and node-up, and most of those change one node or none.
+// refreshAds re-advertises every datanode's ad in place (registering each
+// node the first time). It runs after every job, commission and node-up;
+// a typed ad costs nothing to build, so it does not look for what changed.
 func (m *Manager) refreshAds() {
 	for _, d := range m.cluster.Datanodes() {
-		cur := adAttrs{d.State, m.pool[d.ID], d.Free()}
-		if last, ok := m.advertised[d.ID]; ok && last == cur {
-			continue
-		}
-		m.advertised[d.ID] = cur
-		m.sched.Advertise(d.Name, m.machineAd(d), 2)
+		m.sched.Advertise(d.Name, machineAd(d), 2)
 	}
 }
 
@@ -377,12 +357,12 @@ func (m *Manager) RunJudgeOnce() {
 	tr.End(sp)
 }
 
-// replicateAd is the job ad of every replication increase: run on an active
-// datanode, the one with the most free space first. It is parsed once and
-// shared, never modified — the scheduler only reads a job's ad.
-var replicateAd = classad.NewClassAd().
-	SetExprString("Requirements", `target.State == "active"`).
-	SetExprString("Rank", "target.FreeGB")
+// replicateRequirements and replicateRank are the job ad of every
+// replication increase: run on an active datanode, the one with the most
+// free space first.
+func replicateRequirements(t *condor.MachineAd) bool { return t.State == "active" }
+
+func replicateRank(t *condor.MachineAd) float64 { return t.FreeGB }
 
 // act converts one decision into a Condor job.
 func (m *Manager) act(d Decision) {
@@ -398,9 +378,10 @@ func (m *Manager) act(d Decision) {
 			m.commissionFor(need)
 		}
 		job = &condor.Job{
-			Name:  fmt.Sprintf("replicate:%s:r%d", path, d.TargetRepl),
-			Class: condor.ClassImmediate,
-			Ad:    replicateAd,
+			Name:         fmt.Sprintf("replicate:%s:r%d", path, d.TargetRepl),
+			Class:        condor.ClassImmediate,
+			Requirements: replicateRequirements,
+			Rank:         replicateRank,
 			Run: func(_ *condor.Machine, done func(error)) {
 				m.cluster.SetReplication(path, d.TargetRepl, hdfs.WholeAtOnce, done)
 			},

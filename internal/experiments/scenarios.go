@@ -167,7 +167,7 @@ func runScenarioCell(cfg ScenarioConfig, name, system string) (ScenarioRow, erro
 	if name == "flashcrowd" && rx.Reacted() {
 		row.ReactS = rx.Time().Seconds()
 	}
-	row.Score = row.Throughput - cfg.Lambda*row.ReplicaGB
+	row.Score = row.Throughput - float64(cfg.Lambda*row.ReplicaGB)
 	return row, nil
 }
 

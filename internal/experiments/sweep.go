@@ -150,7 +150,7 @@ func runThresholdSweepCell(cfg ThresholdSweepConfig, p sweep.Point) ThresholdSwe
 	row.PeakGB = peak / GB
 	row.ReplicaMB = tb.Cluster.Metrics().ReplicationMB
 	row.Increases = tb.Manager.Stats().Increases
-	row.Score = row.Throughput - cfg.Lambda*(row.ReplicaMB*MB/GB)
+	row.Score = row.Throughput - float64(cfg.Lambda*(row.ReplicaMB*MB/GB))
 	return row
 }
 

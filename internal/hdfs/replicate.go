@@ -160,7 +160,7 @@ func (c *Cluster) AddReplicaLimited(id BlockID, target DatanodeID, maxRate float
 			}
 			c.attachReplica(b, target)
 			c.metrics.ReplicasAdded++
-			c.metrics.ReplicationMB += b.Size / topology.MB
+			c.metrics.ReplicationMB += float64(b.Size / topology.MB)
 			c.tracer.End(sp)
 			c.finish(done, nil)
 		})

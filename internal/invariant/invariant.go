@@ -424,7 +424,7 @@ func checkMetrics(t Target) []string {
 		f := c.File(path)
 		for _, bid := range append(append([]hdfs.BlockID{}, f.Blocks...), f.Parity...) {
 			if b := c.Block(bid); b != nil {
-				stored += float64(len(c.Replicas(bid))) * b.Size
+				stored += float64(float64(len(c.Replicas(bid))) * b.Size)
 			}
 		}
 	}

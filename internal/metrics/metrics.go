@@ -92,13 +92,13 @@ func (s *Sample) Quantile(q float64) float64 {
 	if q >= 1 {
 		return s.vals[n-1]
 	}
-	pos := q * float64(n-1)
+	pos := float64(q * float64(n-1))
 	lo := int(math.Floor(pos))
 	frac := pos - float64(lo)
 	if lo+1 >= n {
 		return s.vals[n-1]
 	}
-	return s.vals[lo]*(1-frac) + s.vals[lo+1]*frac
+	return float64(s.vals[lo]*(1-frac)) + float64(s.vals[lo+1]*frac)
 }
 
 // StdDev returns the population standard deviation.
@@ -111,7 +111,7 @@ func (s *Sample) StdDev() float64 {
 	ss := 0.0
 	for _, v := range s.vals {
 		d := v - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(n))
 }

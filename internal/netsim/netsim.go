@@ -268,7 +268,7 @@ func (fb *Fabric) Progress(f *Flow) float64 {
 	}
 	fb.allocate()
 	elapsed := (fb.clock.Now() - fb.lastCalc).Seconds()
-	rem := f.remaining - f.rate*elapsed
+	rem := f.remaining - float64(f.rate*elapsed)
 	if rem < 0 {
 		rem = 0
 	}
@@ -361,7 +361,7 @@ func (fb *Fabric) wakeUp() {
 			// A flow is done when what remains is less than it can move in one
 			// clock tick (1 ns) — the clock cannot resolve anything smaller —
 			// plus a fixed epsilon for float rounding.
-			epsilon := 1e-6 + f.rate*2e-9
+			epsilon := 1e-6 + float64(f.rate*2e-9)
 			if f.remaining <= epsilon {
 				finished = append(finished, f)
 			}

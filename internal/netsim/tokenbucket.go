@@ -69,7 +69,7 @@ func (tb *TokenBucket) Pending() int { return len(tb.waiters) }
 func (tb *TokenBucket) refill() {
 	now := tb.clock.Now()
 	if now > tb.last {
-		tb.tokens += tb.rate * (now - tb.last).Seconds()
+		tb.tokens += float64(tb.rate * (now - tb.last).Seconds())
 		if tb.tokens > tb.burst {
 			tb.tokens = tb.burst
 		}

@@ -391,7 +391,7 @@ func JainFairness(shares []float64) float64 {
 	var sum, sq float64
 	for _, x := range shares {
 		sum += x
-		sq += x * x
+		sq += float64(x * x)
 	}
 	if sq == 0 {
 		return 1

@@ -145,7 +145,7 @@ func Synthesize(cfg Config) *Trace {
 		}
 		var createAt time.Duration
 		if i >= cfg.NumFiles/3 {
-			createAt = time.Duration(rng.Float64() * float64(cfg.Duration) * 2 / 3)
+			createAt = time.Duration(float64(rng.Float64()*float64(cfg.Duration)) * 2 / 3)
 		}
 		tr.Files = append(tr.Files, FileSpec{
 			Path:     fmt.Sprintf("/data/f%03d", i),
@@ -178,7 +178,7 @@ func Synthesize(cfg Config) *Trace {
 			return 1
 		}
 		phase := 2 * math.Pi * float64(t) / float64(cfg.DiurnalPeriod)
-		return 1 + cfg.DiurnalAmplitude*math.Sin(phase)
+		return 1 + float64(cfg.DiurnalAmplitude*math.Sin(phase))
 	}
 	// The job loop runs in two phases (DESIGN.md §11). This serial pass
 	// makes every rng draw in the order the trace has always used — gap,
@@ -239,7 +239,7 @@ func (p *popularity) weights(w []float64, now time.Duration, live int) float64 {
 			age := (now - at).Seconds()
 			decay = math.Exp(-p.lambda * age)
 		}
-		wi := p.baseW[i] * decay
+		wi := float64(p.baseW[i] * decay)
 		w[i] = wi
 		total += wi
 	}
