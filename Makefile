@@ -107,9 +107,12 @@ soak:
 
 # Prints every package's microbenchmarks and saves nothing: ns/op means
 # something only beside a run of the parent on the same host (`make
-# benchpair` for the end-to-end numbers), and the allocs/op of the judge
-# hot path and the hdfs read path are held by the *AllocCeiling* tests
-# (TestReadPathAllocCeilings among them) `go test ./...` runs.
+# benchpair` for the end-to-end numbers, PKG= for paired micro rounds),
+# and allocs/op are held by the *AllocCeiling* tests `go test ./...` runs:
+# the judge hot path and CEP inserts, churning groups included, at 0; the
+# hdfs read path at 1 per read and 0 per block (TestReadPathAllocCeilings);
+# a netsim start→complete cycle, a ticker firing and a condor negotiation
+# cycle at 0.
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
@@ -123,7 +126,8 @@ bench:
 # BENCH_trajectory.jsonl. With PKG set it pairs microbenchmarks instead:
 # both sides' `go test -c` binaries of that package, PAIRS alternated rounds
 # of the benchmarks matching BENCH, ns/op and allocs/op per round and each
-# side's median. See scripts/benchpair.sh.
+# side's median, appending one "kind":"micro" line per benchmark to
+# BENCH_trajectory.jsonl. See scripts/benchpair.sh.
 WORKLOAD ?= churn-failover
 PAIRS ?= 10
 RUN_SECONDS ?= 12
@@ -139,7 +143,8 @@ endif
 # Prints the committed trajectory of paired runs (BENCH_trajectory.jsonl,
 # one line appended by every `make benchpair WORKLOAD=...`) as a table:
 # per run, each end-to-end metric's HEAD/parent median ratio and the pairs
-# HEAD won.
+# HEAD won; then the micro pairs (`make benchpair PKG=...`), one row per
+# benchmark.
 benchtrend:
 	bash scripts/benchpair.sh -trend
 

@@ -73,6 +73,37 @@ func BenchmarkInsertTwoKeyGroups(b *testing.B) {
 	}
 }
 
+// churningInsert returns one step of a stream whose every key appears once:
+// each insert opens a group and expires the oldest record, emptying its
+// group, so the step is a steady state of group birth and death — a file
+// read once in the window, as most are.
+func churningInsert() func() {
+	now := time.Duration(0)
+	e := New(func() time.Duration { return now })
+	e.MustCompile("select block, count(*) as cnt from BlockAccess.win:time(1 s) group by block")
+	schema := NewSchema("BlockAccess", "block")
+	i := 0
+	return func() {
+		now = time.Duration(i) * time.Millisecond
+		ev := schema.Event(now)
+		ev.SetNum(0, float64(i))
+		e.Insert(ev)
+		i++
+	}
+}
+
+// BenchmarkInsertChurningGroups measures churningInsert. Emptied groups go
+// to a free list the next new key takes them from, so this is
+// allocation-free.
+func BenchmarkInsertChurningGroups(b *testing.B) {
+	insert := churningInsert()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		insert()
+	}
+}
+
 // filledWindow compiles query against a one-hour window holding n events
 // spread over 20 groups.
 func filledWindow(tb testing.TB, query string, n int) *Statement {
@@ -121,6 +152,13 @@ func TestHotPathAllocCeilings(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, twoKeyInsert()); n != 0 {
 		t.Errorf("InsertTwoKeyGroups: %v allocs/op, want 0", n)
+	}
+	churn := churningInsert()
+	for range 2000 { // fill the window: from here on every insert expires one
+		churn()
+	}
+	if n := testing.AllocsPerRun(1000, churn); n != 0 {
+		t.Errorf("InsertChurningGroups: %v allocs/op, want 0", n)
 	}
 	each := filledWindow(t, eachRowQuery, 10000)
 	var sink float64

@@ -94,6 +94,7 @@ type Statement struct {
 	whereSlot int
 
 	groups    map[uint64]*group // by key hash; colliding keys chain through group.next
+	free      *group            // emptied groups, chained through next, for insert to reuse
 	hashClear uint64            // bits cleared from every key hash: zero, except in tests forcing collisions
 	expiry    ring[expEntry]
 	seq       uint64

@@ -2,8 +2,10 @@ package cep
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -68,12 +70,14 @@ func (r refRec) insert(t *testing.T, e *Engine) {
 // refRows recomputes from scratch what c's statement must output at now:
 // keep the records no older than w (aged exactly w is still visible) whose
 // skip is the number 0 when c filters, group them by their first nkeys keys
-// in first-surviving-record order, and emit each group's selected keys and
-// record count. It also returns how many records the window holds. It
-// shares no code with the engine.
+// under == (a NaN matches nothing, −0 matches 0) in first-surviving-record
+// order, and emit each group's selected keys, as its latest record has
+// them, and record count. It also returns how many records the window
+// holds. It shares no code with the engine.
 func refRows(recs []refRec, c refCase, w, now time.Duration) ([][]Val, int) {
-	var order [][maxGroupKeyFields]Val
-	count := map[[maxGroupKeyFields]Val]int{}
+	idx := map[[maxGroupKeyFields]Val]int{}
+	var keys [][maxGroupKeyFields]Val
+	var count []int
 	live := 0
 	for _, r := range recs {
 		if r.t < now-w || c.where && !(r.skip.k == kindNum && r.skip.num == 0) {
@@ -81,18 +85,23 @@ func refRows(recs []refRec, c refCase, w, now time.Duration) ([][]Val, int) {
 		}
 		var k [maxGroupKeyFields]Val
 		copy(k[:c.nkeys], r.keys[:c.nkeys])
-		if count[k] == 0 {
-			order = append(order, k)
+		gi, ok := idx[k] // never ok for a NaN key
+		if !ok {
+			gi = len(keys)
+			idx[k] = gi
+			keys = append(keys, k)
+			count = append(count, 0)
 		}
-		count[k]++
+		keys[gi] = k
+		count[gi]++
 		live++
 	}
 	var rows [][]Val
-	for _, k := range order {
+	for gi, k := range keys {
 		row := make([]Val, len(c.sel))
 		for i, ki := range c.sel {
 			if ki < 0 {
-				row[i] = NumVal(float64(count[k]))
+				row[i] = NumVal(float64(count[gi]))
 			} else {
 				row[i] = k[ki]
 			}
@@ -102,20 +111,28 @@ func refRows(recs []refRec, c refCase, w, now time.Duration) ([][]Val, int) {
 	return rows, live
 }
 
+// sameRows compares rows value by value through sameVal, so a NaN matches
+// a NaN and −0 only −0.
+func sameRows(a, b [][]Val) bool {
+	return slices.EqualFunc(a, b, func(x, y []Val) bool { return slices.EqualFunc(x, y, sameVal) })
+}
+
 // TestAggregatesMatchBruteForce checks EachRow and the records retained
 // against the recompute above over seeded random streams: one to three
 // keys of mixed kind (strings, numbers, the string '1' beside the number 1,
-// null), key columns and count(*) in varied orders, with and without a
-// where clause whose field is also of mixed kind, whole-second clock steps
-// (so records land exactly on the window's trailing edge), and jumps that
-// empty the window.
+// null, NaN, −0 beside 0), key columns and count(*) in varied orders, with
+// and without a where clause whose field is also of mixed kind, whole-second
+// clock steps (so records land exactly on the window's trailing edge),
+// jumps that empty the window, and keys never seen before, which take the
+// groups that expiry emptied off the statement's free list.
 func TestAggregatesMatchBruteForce(t *testing.T) {
-	k0 := []Val{StrVal("a"), StrVal("b"), StrVal("c"), StrVal("1"), NumVal(1), NumVal(2), {}}
-	k1 := []Val{StrVal("x"), NumVal(1), {}}
+	nan, negZero := NumVal(math.NaN()), NumVal(math.Copysign(0, -1))
+	k0 := []Val{StrVal("a"), StrVal("b"), StrVal("c"), StrVal("1"), NumVal(1), NumVal(2), {}, nan, negZero, NumVal(0)}
+	k1 := []Val{StrVal("x"), NumVal(1), {}, negZero, NumVal(0)}
 	k2 := []Val{StrVal("1"), NumVal(1)}
 	skips := []Val{NumVal(0), NumVal(0), NumVal(1), StrVal("0"), {}}
 	const w = 10 * time.Second
-	evals, edge, emptied := 0, 0, 0
+	evals, edge, emptied, recycled := 0, 0, 0, 0
 	for ci, c := range refCases {
 		for seed := int64(1); seed <= 4; seed++ {
 			rng := rand.New(rand.NewSource(seed*10 + int64(ci)))
@@ -137,7 +154,7 @@ func TestAggregatesMatchBruteForce(t *testing.T) {
 				if live == 0 && len(recs) > 0 {
 					emptied++
 				}
-				if !reflect.DeepEqual(got, want) {
+				if !sameRows(got, want) {
 					t.Fatalf("%q seed %d at %v:\n got  %v\n want %v", c.epl("10 s"), seed, now, got, want)
 				}
 				if n := st.expiry.len(); n != live {
@@ -153,7 +170,14 @@ func TestAggregatesMatchBruteForce(t *testing.T) {
 				}
 				r := refRec{t: now, skip: skips[rng.Intn(len(skips))]}
 				r.keys = [maxGroupKeyFields]Val{k0[rng.Intn(len(k0))], k1[rng.Intn(len(k1))], k2[rng.Intn(len(k2))]}
+				if rng.Intn(5) == 0 {
+					r.keys[0] = StrVal(fmt.Sprint("new", i)) // a key never seen before
+				}
+				spare := st.free
 				r.insert(t, e)
+				if spare != nil && st.free != spare {
+					recycled++
+				}
 				recs = append(recs, r)
 				if rng.Intn(3) == 0 {
 					check()
@@ -163,8 +187,9 @@ func TestAggregatesMatchBruteForce(t *testing.T) {
 			check()
 		}
 	}
-	if edge == 0 || emptied == 0 {
-		t.Fatalf("stream mix is off: of %d evaluations, %d saw a record aged exactly the window, %d an emptied window", evals, edge, emptied)
+	if edge == 0 || emptied == 0 || recycled == 0 {
+		t.Fatalf("stream mix is off: of %d evaluations, %d saw a record aged exactly the window, %d an emptied window; %d inserts took a recycled group",
+			evals, edge, emptied, recycled)
 	}
 }
 

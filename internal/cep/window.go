@@ -11,7 +11,9 @@ import (
 // This file is a statement's retained state: a running count per group,
 // raised on insert and unwound on window expiry, so evaluation costs
 // O(groups) instead of rescanning the retained events. Records expire
-// front-first in insertion order through a statement-level FIFO.
+// front-first in insertion order through a statement-level FIFO, whose
+// entries also link each record to its group's next one, so a group knows
+// its oldest live record without a list of its own.
 
 // maxGroupKeyFields caps the typed composite group key.
 const maxGroupKeyFields = 3
@@ -87,22 +89,28 @@ func (r *ring[T]) pop() T {
 	return v
 }
 
-func (r *ring[T]) at(i int) T { return r.buf[(r.head+i)%len(r.buf)] }
+func (r *ring[T]) at(i int) *T { return &r.buf[(r.head+i)%len(r.buf)] }
 
-// expEntry is one retained record in the statement-level expiry FIFO: the
-// group it belongs to plus its event time.
+// expEntry is one retained record in the statement-level expiry FIFO: its
+// event time, the group it belongs to, and the sequence number of that
+// group's next record (meaningless until one arrives).
 type expEntry struct {
-	t time.Duration
-	g *group
+	t    time.Duration
+	g    *group
+	next uint64
 }
 
-// group is the running state of one surviving group; its count(*) is
-// seqs.len().
+// group is the running state of one surviving group, or, emptied, a spare
+// on its statement's free list.
 type group struct {
 	key  groupKey
-	hash uint64       // the key's Statement.groups bucket
-	next *group       // the bucket's next group, whose key hashes alike
-	seqs ring[uint64] // the live records' sequence numbers, oldest first
+	hash uint64 // the key's Statement.groups bucket
+	// next is the bucket's next group, whose key hashes alike; on the free
+	// list, the next spare.
+	next   *group
+	count  int    // live records: the group's count(*)
+	oldest uint64 // sequence numbers of the oldest and newest live records
+	newest uint64
 }
 
 // insert applies the where clause to one event and counts it in its group.
@@ -126,13 +134,27 @@ func (s *Statement) insert(ev *Event) {
 		g = g.next
 	}
 	if g == nil {
-		g = &group{hash: h, next: head}
+		if g = s.free; g != nil {
+			s.free = g.next
+		} else {
+			g = new(group)
+		}
+		g.hash, g.next, g.oldest = h, head, s.seq
 		s.groups[h] = g
+	} else {
+		s.record(g.newest).next = s.seq
 	}
 	g.key = key // ==-equal to the stored key, but a −0/+0 group shows its latest
-	g.seqs.push(s.seq)
+	g.count++
+	g.newest = s.seq
 	s.seq++
 	s.expiry.push(expEntry{t: ev.Time, g: g})
+}
+
+// record returns the expiry entry of the live record with sequence number
+// seq: the FIFO holds the last expiry.len() sequence numbers in order.
+func (s *Statement) record(seq uint64) *expEntry {
+	return s.expiry.at(int(seq - (s.seq - uint64(s.expiry.len()))))
 }
 
 // resolve maps the statement's fields onto a schema's slots; a field the
@@ -158,11 +180,15 @@ func (s *Statement) resolve(sc *Schema) {
 func (s *Statement) pruneTime() {
 	cutoff := s.engine.clock() - s.q.window
 	for s.expiry.len() > 0 && s.expiry.at(0).t < cutoff {
-		g := s.expiry.pop().g
-		g.seqs.pop()
-		if g.seqs.len() == 0 {
-			s.unlink(g)
+		rec := s.expiry.pop()
+		g := rec.g
+		if g.count--; g.count > 0 {
+			g.oldest = rec.next
+			continue
 		}
+		s.unlink(g)
+		*g = group{next: s.free} // drop the key's strings
+		s.free = g
 	}
 }
 
@@ -199,7 +225,7 @@ func (s *Statement) surviving() []seqGroup {
 	lo, hi := uint64(math.MaxUint64), uint64(0)
 	for _, g := range s.groups {
 		for ; g != nil; g = g.next {
-			seq := g.seqs.at(0)
+			seq := g.oldest
 			lo, hi = min(lo, seq), max(hi, seq)
 			a = append(a, seqGroup{seq, g})
 		}
@@ -233,7 +259,7 @@ func (s *Statement) each(fn func(cols []Val)) int {
 	for _, sg := range groups {
 		for i, k := range s.q.sel {
 			if k < 0 {
-				s.cols[i] = NumVal(float64(sg.g.seqs.len()))
+				s.cols[i] = NumVal(float64(sg.g.count))
 			} else {
 				s.cols[i] = sg.g.key.v[k]
 			}

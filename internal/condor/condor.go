@@ -7,7 +7,9 @@
 package condor
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -168,8 +170,13 @@ type Scheduler struct {
 	log       []LogEvent
 	stats     Stats // incrementally maintained by logEvent
 	ticker    *sim.Ticker
-	kick      bool // a same-instant negotiation is already scheduled
+	kick      bool       // a same-instant negotiation is already scheduled
+	kickEv    *sim.Event // that negotiation's event, re-armed by every kick
+	kickFn    func()
 	tracer    *trace.Tracer
+	// Scratch for negotiate: the queue in negotiation order, and the jobs
+	// it leaves pending.
+	inOrder, rest []*Job
 }
 
 // SetTracer installs a span tracer: each job records a "condor.job" span
@@ -214,6 +221,10 @@ func New(clock sim.Clock, cfg Config) *Scheduler {
 		machines:  make(map[string]*Machine),
 		byID:      make(map[int]*Job),
 		idleProbe: cfg.IdleProbe,
+	}
+	s.kickFn = func() {
+		s.kick = false
+		s.negotiate()
 	}
 	s.ticker = sim.NewTicker(clock, cfg.NegotiationPeriod, func(time.Duration) {
 		s.negotiate()
@@ -306,10 +317,7 @@ func (s *Scheduler) kickSoon() {
 		return
 	}
 	s.kick = true
-	s.clock.Schedule(0, func() {
-		s.kick = false
-		s.negotiate()
-	})
+	s.kickEv = s.clock.Reschedule(s.kickEv, 0, s.kickFn)
 }
 
 // negotiate matches pending jobs to machines: immediate class first, FIFO
@@ -318,7 +326,7 @@ func (s *Scheduler) kickSoon() {
 func (s *Scheduler) negotiate() {
 	idle := s.idleProbe()
 	snapshot := len(s.queue)
-	var rest []*Job
+	rest := s.rest[:0]
 	for _, j := range s.pendingInOrder() {
 		if j.State != StatePending {
 			continue
@@ -341,17 +349,26 @@ func (s *Scheduler) negotiate() {
 	// Rebuild queue with still-pending jobs, preserving order.
 	s.queue = s.queue[:0]
 	s.queue = append(s.queue, rest...)
+	clear(rest)
+	s.rest = rest[:0]
+	clear(s.inOrder)
+	s.inOrder = s.inOrder[:0]
 }
 
+// pendingInOrder returns the queue in negotiation order — immediate class
+// first, then by ID — in scratch that the next call reuses.
 func (s *Scheduler) pendingInOrder() []*Job {
-	out := make([]*Job, len(s.queue))
-	copy(out, s.queue)
-	sort.SliceStable(out, func(i, k int) bool {
-		if out[i].Class != out[k].Class {
-			return out[i].Class == ClassImmediate
+	out := append(s.inOrder[:0], s.queue...)
+	slices.SortStableFunc(out, func(a, b *Job) int {
+		if ai := a.Class == ClassImmediate; ai != (b.Class == ClassImmediate) {
+			if ai {
+				return -1
+			}
+			return 1
 		}
-		return out[i].ID < out[k].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
+	s.inOrder = out
 	return out
 }
 

@@ -124,44 +124,44 @@ func (c *Cluster) writeParity(stripe []BlockID, pb *Block, target DatanodeID, do
 		c.finish(done, fmt.Errorf("hdfs: %s out of space for parity", td.Name))
 		return
 	}
-	// Read each stripe block from its least-loaded replica to the encoder.
-	remaining := len(stripe)
-	var firstErr error
-	if remaining == 0 {
+	if len(stripe) == 0 {
 		c.finish(done, fmt.Errorf("hdfs: empty stripe"))
 		return
 	}
-	for _, bid := range stripe {
-		b := c.blocks[bid]
+	c.gather(stripe, target, fmt.Sprintf("encode of %q", pb.File), func(err error) {
+		c.commitParity(pb, target, err, done)
+	})
+}
+
+// gather streams each block in ids from its least-loaded clean replica to
+// target — an encode's or a rebuild's reads, what names which — and calls
+// commit with the first error once every stream has landed or failed.
+func (c *Cluster) gather(ids []BlockID, target DatanodeID, what string, commit func(error)) {
+	remaining := len(ids)
+	var firstErr error
+	settle := func(err error) {
+		if firstErr == nil {
+			firstErr = err
+		}
+		if remaining--; remaining == 0 {
+			commit(firstErr)
+		}
+	}
+	for _, bid := range ids {
 		src, ok := c.chooseSource(bid, target, true)
 		if !ok {
-			remaining--
-			if firstErr == nil {
-				firstErr = fmt.Errorf("hdfs: no source for block %d during encode", bid)
-			}
+			settle(fmt.Errorf("hdfs: no source for block %d during %s", bid, what))
 			continue
 		}
 		sd := c.datanodes[src]
 		path := c.topo.ReadPath(topology.NodeID(src), topology.NodeID(target))
-		flow := c.fabric.StartFlow(path, b.Size, 0, func(f *netsim.Flow) {
+		flow := c.fabric.StartFlow(path, c.blocks[bid].Size, 0, func(f *netsim.Flow) {
 			delete(sd.activeFlows, f)
-			remaining--
-			if remaining == 0 {
-				c.commitParity(pb, target, firstErr, done)
-			}
+			settle(nil)
 		})
 		sd.activeFlows[flow] = &flowHandle{peer: topology.NodeID(target), abort: func() {
-			remaining--
-			if firstErr == nil {
-				firstErr = fmt.Errorf("hdfs: source died during encode of %q", pb.File)
-			}
-			if remaining == 0 {
-				c.commitParity(pb, target, firstErr, done)
-			}
+			settle(fmt.Errorf("hdfs: source died during %s", what))
 		}}
-	}
-	if remaining == 0 {
-		c.finish(done, firstErr)
 	}
 }
 
@@ -359,40 +359,7 @@ func (c *Cluster) ReconstructBlock(bid BlockID, done func(error)) {
 	}
 	target := targets[0]
 	// Stream the k sources to the rebuild target, then a local disk write.
-	remaining := len(sources)
-	var firstErr error
-	for _, sid := range sources {
-		sb := c.blocks[sid]
-		src, ok := c.chooseSource(sid, target, true)
-		if !ok {
-			remaining--
-			if firstErr == nil {
-				firstErr = fmt.Errorf("hdfs: lost source %d mid-rebuild", sid)
-			}
-			continue
-		}
-		sd := c.datanodes[src]
-		path := c.topo.ReadPath(topology.NodeID(src), topology.NodeID(target))
-		flow := c.fabric.StartFlow(path, sb.Size, 0, func(fl *netsim.Flow) {
-			delete(sd.activeFlows, fl)
-			remaining--
-			if remaining == 0 {
-				c.commitRebuild(b, target, firstErr, done)
-			}
-		})
-		sd.activeFlows[flow] = &flowHandle{peer: topology.NodeID(target), abort: func() {
-			remaining--
-			if firstErr == nil {
-				firstErr = fmt.Errorf("hdfs: source died during rebuild")
-			}
-			if remaining == 0 {
-				c.commitRebuild(b, target, firstErr, done)
-			}
-		}}
-	}
-	if remaining == 0 {
-		c.finish(done, firstErr)
-	}
+	c.gather(sources, target, "rebuild", func(err error) { c.commitRebuild(b, target, err, done) })
 }
 
 func (c *Cluster) commitRebuild(b *Block, target DatanodeID, err error, done func(error)) {

@@ -422,6 +422,10 @@ type Cluster struct {
 	scrubCursor int
 
 	activeReads int
+	// freeReads holds block-read records whose read has ended, for the next
+	// read to reuse (read.go); it never holds more than the peak number of
+	// concurrent reads.
+	freeReads   []*blockRead
 	onBlockRead []func(BlockReadEvent)
 	onDeadNode  []func(DatanodeID)
 	onNodeUp    []func(DatanodeID)
@@ -653,20 +657,6 @@ func (c *Cluster) BlockReadCount(id BlockID) int64 {
 		return 0
 	}
 	return c.readCounts[id]
-}
-
-// FileBlockReads sums the per-block read tallies of a file's data blocks —
-// the read-accounting view the partial-read scenarios assert against.
-func (c *Cluster) FileBlockReads(path string) int64 {
-	f := c.files[path]
-	if f == nil {
-		return 0
-	}
-	var sum int64
-	for _, bid := range f.Blocks {
-		sum += c.BlockReadCount(bid)
-	}
-	return sum
 }
 
 // fileOf resolves a block's owning file through the interned file table

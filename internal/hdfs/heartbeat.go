@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"erms/internal/auditlog"
-	"erms/internal/netsim"
 	"erms/internal/topology"
 )
 
@@ -190,15 +189,9 @@ func (c *Cluster) reachable(a, b topology.NodeID) bool {
 	return true
 }
 
-// abortCrossing cancels every tracked flow with exactly one endpoint in
-// rack r — the transfers a fresh partition severs. Handlers fire in
-// deterministic flow-ID order.
+// abortCrossing aborts every tracked flow with exactly one endpoint in
+// rack r — the transfers a fresh partition severs.
 func (c *Cluster) abortCrossing(r int) {
-	type victim struct {
-		d *Datanode
-		f *netsim.Flow
-		h *flowHandle
-	}
 	var victims []victim
 	for _, d := range c.datanodes {
 		inside := c.topo.Rack(topology.NodeID(d.ID)) == r
@@ -210,14 +203,7 @@ func (c *Cluster) abortCrossing(r int) {
 			}
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].f.ID() < victims[j].f.ID() })
-	for _, v := range victims {
-		delete(v.d.activeFlows, v.f)
-		c.fabric.Cancel(v.f)
-	}
-	for _, v := range victims {
-		v.h.abort()
-	}
+	c.abortFlows(victims)
 }
 
 // StaleNodes lists datanodes currently marked stale, in ID order.

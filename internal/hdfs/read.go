@@ -100,9 +100,11 @@ func (c *Cluster) ReadRange(client topology.NodeID, path string, offset, length 
 }
 
 // fileRead is one ReadFile, ReadFileAt or ReadRange in flight. It owns the
-// result handed to done and the one blockRead its walk reuses for every
-// block and every retry: a block starts only after the previous one has
-// settled, so the record is never in two places at once.
+// result handed to done, and holds the one blockRead its walk reuses for
+// every block and every retry: a block starts only after the previous one
+// has settled, so the record is never in two places at once. The record
+// comes from the cluster's free list and goes back there when the read
+// ends; the fileRead itself is not reused, since done keeps its result.
 type fileRead struct {
 	res    ReadResult
 	blocks []BlockID
@@ -114,7 +116,7 @@ type fileRead struct {
 	span   trace.SpanID
 	ranged bool
 	done   func(*ReadResult)
-	blk    blockRead
+	blk    *blockRead
 }
 
 // read is the one block walk under ReadFile, ReadFileAt and ReadRange: it
@@ -175,7 +177,7 @@ func (c *Cluster) read(client topology.NodeID, path string, ranged bool, start i
 	c.metrics.ReadsStarted++
 	c.activeReads++
 	r.blocks = f.Blocks
-	r.blk.init(c, client)
+	r.blk = c.takeBlockRead(client)
 	r.blk.file = r
 	r.next()
 }
@@ -229,9 +231,12 @@ func (r *fileRead) blockDone(bytes float64, loc Locality, err error) {
 }
 
 // finish is the one place a started read ends, completed (err nil) or
-// failed: result, active-read count, counters, span, callback.
+// failed: result, active-read count, counters, span, the block-read
+// record's return, callback.
 func (r *fileRead) finish(err error) {
 	c, res := r.blk.c, &r.res
+	c.returnBlockRead(r.blk)
+	r.blk = nil
 	res.Err = err
 	res.End = c.clock.Now()
 	c.activeReads--
@@ -258,8 +263,8 @@ func (r *fileRead) finish(err error) {
 // ReadBlock reads a single block to the client node (used by MapReduce map
 // tasks, which read exactly one block).
 func (c *Cluster) ReadBlock(client topology.NodeID, id BlockID, done func(bytes float64, loc Locality, err error)) {
-	r := &blockRead{done: done}
-	r.init(c, client)
+	r := c.takeBlockRead(client)
+	r.done = done
 	r.issue(id, 0)
 }
 
@@ -337,13 +342,15 @@ func (c *Cluster) selectReplica(client topology.NodeID, id BlockID, exclude map[
 // per-read, matching how a datanode serves a pread.
 //
 // The record is in one place at a time: a datanode's waiting queue (left
-// through drainWaiting or abortWaiting), then a session whose flow is in
-// the fabric and whose embedded flowHandle is in activeFlows (left through
-// landed or aborted), then the next attempt or its owner. Every exit
-// removes the flow and the handle before the callback runs, so a retry or
-// the owner's next block may reuse the record at once.
+// through drainWaiting or abortWaiting), then a session whose flow — the
+// record's own — is in the fabric and whose embedded flowHandle is in
+// activeFlows (left through landed or aborted), then the next attempt or
+// its owner, and between reads the cluster's free list. Every exit removes
+// the flow and the handle before the callback runs, so a retry, the
+// owner's next block or the next read may reuse the record at once.
 type blockRead struct {
 	flowHandle // peer is the client; abort is the cached aborted
+	flow       netsim.Flow
 	c          *Cluster
 	client     topology.NodeID
 	id         BlockID
@@ -360,14 +367,38 @@ type blockRead struct {
 	path     [topology.MaxReadPath]topology.LinkID
 	landedFn func(*netsim.Flow) // the cached landed, the flow's onDone
 	// The outcome goes to file's walk, or to done for a ReadBlock.
-	file *fileRead
-	done func(float64, Locality, error)
+	file   *fileRead
+	done   func(float64, Locality, error)
+	pooled bool // on the cluster's free list
 }
 
-// init binds the record to its cluster and client and caches its callbacks.
-func (r *blockRead) init(c *Cluster, client topology.NodeID) {
-	r.c, r.client, r.peer = c, client, client
-	r.abort, r.landedFn = r.aborted, r.landed
+// takeBlockRead hands out a record for client's read: one from the free
+// list, or a new one whose callbacks it caches once for the record's life.
+func (c *Cluster) takeBlockRead(client topology.NodeID) *blockRead {
+	var r *blockRead
+	if n := len(c.freeReads); n > 0 {
+		r = c.freeReads[n-1]
+		c.freeReads[n-1] = nil
+		c.freeReads = c.freeReads[:n-1]
+		r.pooled = false
+	} else {
+		r = &blockRead{c: c}
+		r.abort, r.landedFn = r.aborted, r.landed
+	}
+	r.client, r.peer = client, client
+	return r
+}
+
+// returnBlockRead puts the record of a read that has ended on the free
+// list, dropping what would pin its owner. A second return is a bug that
+// would hand one record to two reads, so it panics.
+func (c *Cluster) returnBlockRead(r *blockRead) {
+	if r.pooled {
+		panic(fmt.Sprintf("hdfs: block-read record for block %d returned twice", r.id))
+	}
+	r.pooled = true
+	r.file, r.done, r.b, r.d = nil, nil, nil, nil
+	c.freeReads = append(c.freeReads, r)
 }
 
 // issue starts the first attempt at reading amount bytes of block id.
@@ -442,9 +473,9 @@ func (r *blockRead) admitted() {
 		path = c.topo.AppendReadPath(r.path[:0], topology.NodeID(r.src), r.client)
 	}
 	prev := c.tracer.Push(r.sp)
-	flow := c.fabric.StartFlow(path, r.stream, 0, r.landedFn)
+	c.fabric.Start(&r.flow, path, r.stream, 0, r.landedFn)
 	c.tracer.Pop(prev)
-	r.d.activeFlows[flow] = &r.flowHandle
+	r.d.activeFlows[&r.flow] = &r.flowHandle
 }
 
 // landed completes the attempt when its flow's last byte arrives.
@@ -486,12 +517,15 @@ func (r *blockRead) retryAfter(reason string) {
 	r.begin()
 }
 
-// finish hands the outcome to the record's owner. The record may be reused
-// from inside the call, so nothing touches it afterwards.
+// finish hands the outcome to the record's owner; a ReadBlock's record goes
+// back to the free list first. The record may be reused from inside the
+// call, so nothing touches it afterwards.
 func (r *blockRead) finish(bytes float64, loc Locality, err error) {
 	if r.file != nil {
 		r.file.blockDone(bytes, loc, err)
 		return
 	}
-	r.done(bytes, loc, err)
+	done := r.done
+	r.c.returnBlockRead(r)
+	done(bytes, loc, err)
 }

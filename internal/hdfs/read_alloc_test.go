@@ -9,17 +9,18 @@ import (
 	"erms/internal/topology"
 )
 
-// TestReadPathAllocCeilings holds the read path's allocations to three per
-// file read (the fileRead record and its blockRead's two cached callbacks)
-// plus one per block (the netsim Flow). Each run issues one read and drains
-// the engine. When the walk and the block read were closures the path
-// allocated 3 per read plus 10 per block: 13 for a 1-block read, 163 for a
-// 16-block one.
+// TestReadPathAllocCeilings holds the read path to one allocation per file
+// read — the fileRead, whose result done may keep — and none per block: the
+// block-read record, its cached callbacks and the netsim Flow it embeds come
+// back from the cluster's free list. Each run issues one read and drains the
+// engine. When the walk and the block read were closures the path allocated
+// 3 per read plus 10 per block: 13 for a 1-block read, 163 for a 16-block
+// one; with a fresh record and Flow, 3 plus 1.
 func TestReadPathAllocCeilings(t *testing.T) {
 	if raceBuild() {
 		t.Skip("the ceilings are for uninstrumented builds")
 	}
-	const perRead, perBlock = 3, 1
+	const perRead, perBlock = 1, 0
 	e := sim.NewEngine()
 	c := New(e, Config{Topology: topology.New(topology.Config{})}) // 18 nodes, 3 racks
 	for _, f := range []struct {

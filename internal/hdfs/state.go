@@ -1,8 +1,9 @@
 package hdfs
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"erms/internal/auditlog"
 	"erms/internal/netsim"
@@ -210,25 +211,36 @@ func (c *Cluster) Restart(id DatanodeID) {
 	}
 }
 
-// abortServing cancels every flow served from d and fires the registered
-// abort handlers (which retry reads on other replicas). Handlers fire in
-// deterministic flow-ID order.
+// abortServing aborts every flow served from d.
 func (c *Cluster) abortServing(d *Datanode) {
-	if len(d.activeFlows) == 0 {
-		return
+	var victims []victim
+	for f, h := range d.activeFlows {
+		victims = append(victims, victim{d, f, h})
 	}
-	flows := d.activeFlows
-	d.activeFlows = make(map[*netsim.Flow]*flowHandle)
-	ordered := make([]*netsim.Flow, 0, len(flows))
-	for f := range flows {
-		ordered = append(ordered, f)
+	c.abortFlows(victims)
+}
+
+// victim is a tracked flow to abort: its serving node and handle.
+type victim struct {
+	d *Datanode
+	f *netsim.Flow
+	h *flowHandle
+}
+
+// abortFlows untracks and cancels the victims' flows, then fires their
+// abort handlers (which retry reads on other replicas), both in flow-ID
+// order, so the outcome is deterministic. A flow that has already landed,
+// its completion callback still to run in this instant's batch, is left to
+// that callback: aborting it too would end its transfer twice.
+func (c *Cluster) abortFlows(victims []victim) {
+	victims = slices.DeleteFunc(victims, func(v victim) bool { return v.f.Done() })
+	slices.SortFunc(victims, func(a, b victim) int { return cmp.Compare(a.f.ID(), b.f.ID()) })
+	for _, v := range victims {
+		delete(v.d.activeFlows, v.f)
+		c.fabric.Cancel(v.f)
 	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].ID() < ordered[j].ID() })
-	for _, f := range ordered {
-		c.fabric.Cancel(f)
-	}
-	for _, f := range ordered {
-		flows[f].abort()
+	for _, v := range victims {
+		v.h.abort()
 	}
 }
 

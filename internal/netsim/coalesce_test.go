@@ -83,9 +83,10 @@ func TestOneAllocationPerInstant(t *testing.T) {
 }
 
 // TestSteadyStateCycleAllocatesOnlyTheFlow pins the host-independent cost of
-// a start→complete cycle under contention: one heap allocation, the Flow.
-// The path is the caller's slice, the event and its callback are the
-// fabric's own, the finished list is scratch.
+// a start→complete cycle under contention: StartFlow allocates one Flow, and
+// Start of a caller-owned flow, restarted once retired, nothing. The path is
+// the caller's slice, the event and its callback are the fabric's own, the
+// finished list is scratch.
 func TestSteadyStateCycleAllocatesOnlyTheFlow(t *testing.T) {
 	e, topo, fb := newFabric(t)
 	for i := 0; i < 8; i++ { // background contention that outlives the test
@@ -94,16 +95,26 @@ func TestSteadyStateCycleAllocatesOnlyTheFlow(t *testing.T) {
 	path := topo.ReadPath(0, 4)
 	done := 0
 	onDone := func(*Flow) { done++ }
-	cycle := func() {
-		fb.StartFlow(path, mb, 0, onDone)
-		e.RunFor(time.Second)
+	var own Flow
+	for _, tc := range []struct {
+		name  string
+		start func()
+		want  float64
+	}{
+		{"StartFlow", func() { fb.StartFlow(path, mb, 0, onDone) }, 1},
+		{"Start", func() { fb.Start(&own, path, mb, 0, onDone) }, 0},
+	} {
+		cycle := func() {
+			tc.start()
+			e.RunFor(time.Second)
+		}
+		cycle() // grow the scratch slices and the calendar
+		if n := testing.AllocsPerRun(200, cycle); n > tc.want {
+			t.Errorf("%s: start→complete cycle allocates %v times, want at most %v", tc.name, n, tc.want)
+		}
 	}
-	cycle() // grow the scratch slices and the calendar
-	if n := testing.AllocsPerRun(200, cycle); n > 1 {
-		t.Fatalf("start→complete cycle allocates %v times, want at most 1 (the Flow)", n)
-	}
-	if done != 202 {
-		t.Fatalf("completed %d cycles, want 202", done)
+	if done != 2*202 {
+		t.Fatalf("completed %d cycles, want %d", done, 2*202)
 	}
 }
 

@@ -188,21 +188,34 @@ func (fb *Fabric) LinkUtilization(id topology.LinkID) float64 {
 	return used / c
 }
 
-// StartFlow admits a transfer of bytes over path. maxRate of 0 means no
-// per-flow cap. onDone fires (in a fresh event) when the last byte lands;
-// it receives the completed flow. The fabric keeps path: the caller must not
-// modify it after the call (passing one slice to several flows is fine).
-// StartFlow panics on an empty path or non-positive size, which indicate
-// modeling bugs.
+// StartFlow admits a transfer of bytes over path in a new Flow: it is Start
+// on a flow the fabric allocates.
 func (fb *Fabric) StartFlow(path []topology.LinkID, bytes float64, maxRate float64, onDone func(f *Flow)) *Flow {
+	f := new(Flow)
+	fb.Start(f, path, bytes, maxRate, onDone)
+	return f
+}
+
+// Start admits a transfer of bytes over path as f, which may be new or a
+// retired flow (completed or canceled) the caller reuses: f gets the next
+// id, so a restarted flow orders after every flow already in the fabric.
+// maxRate of 0 means no per-flow cap. onDone fires (in a fresh event) when
+// the last byte lands; it receives f. The fabric keeps path: the caller
+// must not modify it while f is in flight (passing one slice to several
+// flows is fine). Start panics on an empty path, a non-positive size or a
+// flow still in flight, which indicate modeling bugs.
+func (fb *Fabric) Start(f *Flow, path []topology.LinkID, bytes float64, maxRate float64, onDone func(f *Flow)) {
 	if len(path) == 0 {
 		panic("netsim: empty flow path")
 	}
 	if bytes <= 0 {
 		panic(fmt.Sprintf("netsim: flow size %v must be positive", bytes))
 	}
+	if f.fabric != nil && !f.done && !f.canceled {
+		panic(fmt.Sprintf("netsim: flow %d started while still in flight", f.id))
+	}
 	fb.settle()
-	f := &Flow{
+	*f = Flow{
 		id:        fb.nextID,
 		path:      path,
 		remaining: bytes,
@@ -224,7 +237,6 @@ func (fb *Fabric) StartFlow(path []topology.LinkID, bytes float64, maxRate float
 		tr.SetAttrInt(f.span, "bytes", int64(bytes))
 	}
 	fb.changed()
-	return f
 }
 
 // Cancel aborts an in-flight flow; its completion callback never fires.
@@ -235,15 +247,18 @@ func (fb *Fabric) Cancel(f *Flow) {
 	}
 	fb.settle()
 	f.canceled = true
-	fb.removeFlow(f)
+	fb.retire(f)
 	fb.tracer.SetAttr(f.span, "canceled", "true")
 	fb.tracer.End(f.span)
 	fb.changed()
 }
 
-// removeFlow drops f from the global flow slice and every per-link index,
-// preserving ascending id order in each.
-func (fb *Fabric) removeFlow(f *Flow) {
+// retire takes f, settled, out of the fabric — the global flow slice and
+// every per-link index, preserving ascending id order in each. It moves no
+// more bytes, so its rate reads 0 and its remaining bytes stay where they
+// settled.
+func (fb *Fabric) retire(f *Flow) {
+	f.rate = 0
 	fb.flows = deleteByID(fb.flows, f.id)
 	for _, l := range f.path {
 		fb.linkFlows[l] = deleteByID(fb.linkFlows[l], f.id)
@@ -261,10 +276,11 @@ func deleteByID(s []*Flow, id int64) []*Flow {
 	return slices.Delete(s, i, i+1)
 }
 
-// Progress returns the bytes remaining for f right now.
+// Progress returns the bytes remaining for f right now: 0 once it has
+// completed, the bytes it had left when canceled.
 func (fb *Fabric) Progress(f *Flow) float64 {
-	if f.done {
-		return 0
+	if f.done || f.canceled {
+		return f.remaining
 	}
 	fb.allocate()
 	elapsed := (fb.clock.Now() - fb.lastCalc).Seconds()
@@ -369,7 +385,7 @@ func (fb *Fabric) wakeUp() {
 		for _, f := range finished {
 			f.remaining = 0
 			f.done = true
-			fb.removeFlow(f)
+			fb.retire(f)
 			fb.tracer.End(f.span)
 		}
 		fb.changes += uint64(len(finished))

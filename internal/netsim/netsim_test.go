@@ -190,6 +190,103 @@ func TestProgressTracksBytes(t *testing.T) {
 	}
 }
 
+// TestRetiredFlowReadsRetired: a canceled flow moves no more bytes, so its
+// rate reads 0 and its progress stays where the cancel left it; a completed
+// one reads 0 for both. Before, both kept the rate of their last allocation,
+// and a canceled flow's progress went on falling as if it were still moving.
+func TestRetiredFlowReadsRetired(t *testing.T) {
+	e, topo, fb := newFabric(t)
+	a := fb.StartFlow(topo.ReadPath(0, 0), 1000*mb, 0, nil)
+	b := fb.StartFlow(topo.ReadPath(1, 1), 8*mb, 0, nil)
+	e.RunFor(441 * time.Millisecond)
+	if r := a.Rate(); r != 80*mb {
+		t.Fatalf("rate before cancel = %.1f MB/s, want 80", r/mb)
+	}
+	fb.Cancel(a)
+	left := fb.Progress(a)
+	if math.Abs(left-(1000-0.441*80)*mb) > mb/100 {
+		t.Fatalf("remaining at cancel = %.1f MB, want %.1f", left/mb, 1000-0.441*80)
+	}
+	e.RunFor(time.Second)
+	if got := fb.Progress(a); got != left {
+		t.Errorf("canceled flow's remaining moved from %.1f MB to %.1f MB", left/mb, got/mb)
+	}
+	if r := a.Rate(); r != 0 {
+		t.Errorf("canceled flow's rate = %.1f MB/s, want 0", r/mb)
+	}
+	if !b.Done() || fb.Progress(b) != 0 || b.Rate() != 0 {
+		t.Errorf("completed flow: done %v, remaining %v, rate %v; want true, 0, 0", b.Done(), fb.Progress(b), b.Rate())
+	}
+}
+
+// TestRestartRetiredFlow: a flow restarted after it completes or is
+// canceled takes a fresh id larger than every flow in the fabric, so the
+// id-ordered flow slice and per-link indexes stay sorted, and it runs to
+// completion again. Starting a flow still in flight panics.
+func TestRestartRetiredFlow(t *testing.T) {
+	e, topo, fb := newFabric(t)
+	path := topo.ReadPath(0, 1)
+	var f Flow
+	completions := 0
+	onDone := func(*Flow) { completions++ }
+	sorted := func(when string) {
+		t.Helper()
+		ids := func(s []*Flow) bool {
+			for i := 1; i < len(s); i++ {
+				if s[i-1].id >= s[i].id {
+					return false
+				}
+			}
+			return true
+		}
+		if !ids(fb.flows) {
+			t.Fatalf("%s: flows out of id order", when)
+		}
+		for l, lf := range fb.linkFlows {
+			if !ids(lf) {
+				t.Fatalf("%s: link %d's flows out of id order", when, l)
+			}
+		}
+	}
+
+	fb.Start(&f, path, 8*mb, 0, onDone)
+	first := f.ID()
+	other := fb.StartFlow(path, 400*mb, 0, nil) // in flight throughout
+	e.RunFor(time.Second)
+	if !f.Done() || completions != 1 {
+		t.Fatalf("first run: done %v, completions %d", f.Done(), completions)
+	}
+
+	fb.Start(&f, path, 8*mb, 0, onDone) // after completion
+	if f.ID() <= other.ID() || f.Done() || f.Canceled() {
+		t.Fatalf("restart after completion: id %d (first %d, other %d), done %v, canceled %v",
+			f.ID(), first, other.ID(), f.Done(), f.Canceled())
+	}
+	sorted("restart after completion")
+	fb.StartFlow(topo.ReadPath(0, 2), 400*mb, 0, nil)
+	e.RunFor(10 * time.Millisecond)
+	fb.Cancel(&f)
+	afterCancel := f.ID()
+
+	fb.Start(&f, path, 8*mb, 0, onDone) // after Cancel
+	if f.ID() <= afterCancel || f.Canceled() || f.Rate() <= 0 {
+		t.Fatalf("restart after cancel: id %d (was %d), canceled %v, rate %v", f.ID(), afterCancel, f.Canceled(), f.Rate())
+	}
+	sorted("restart after cancel")
+	e.RunFor(time.Second)
+	if !f.Done() || completions != 2 {
+		t.Fatalf("restart after cancel: done %v, completions %d, want true, 2", f.Done(), completions)
+	}
+
+	fb.Start(&f, path, 8*mb, 0, onDone)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Start of an in-flight flow did not panic")
+		}
+	}()
+	fb.Start(&f, path, 8*mb, 0, onDone)
+}
+
 func TestAccounting(t *testing.T) {
 	e, topo, fb := newFabric(t)
 	fb.StartFlow(topo.ReadPath(0, 1), 64*mb, 0, nil)

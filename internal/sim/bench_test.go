@@ -86,10 +86,31 @@ func BenchmarkStepDeepCalendar(b *testing.B) {
 	}
 }
 
+// tickerFiring returns one firing of a ticker: the Step that runs it, which
+// re-arms the ticker's one event for the next period.
+func tickerFiring() func() {
+	e := NewEngine()
+	NewTicker(e, time.Second, func(time.Duration) {})
+	return func() { e.Step() }
+}
+
+// BenchmarkTickerFiring measures tickerFiring. This is allocation-free.
+func BenchmarkTickerFiring(b *testing.B) {
+	fire := tickerFiring()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fire()
+	}
+}
+
 // TestStepAllocCeiling holds a steady-state Step plus the in-place
-// Reschedule of a pending event to zero allocations.
+// Reschedule of a pending event, and a ticker firing, to zero allocations.
 func TestStepAllocCeiling(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, deepCalendar()); n != 0 {
 		t.Errorf("StepDeepCalendar: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, tickerFiring()); n != 0 {
+		t.Errorf("TickerFiring: %v allocs/op, want 0", n)
 	}
 }

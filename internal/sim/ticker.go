@@ -10,7 +10,8 @@ type Ticker struct {
 	clock   Clock
 	period  time.Duration
 	fn      func(now time.Duration)
-	next    *Event
+	next    *Event // the one event, re-armed for every firing
+	fireFn  func() // the cached fire
 	stopped bool
 }
 
@@ -21,20 +22,26 @@ func NewTicker(c Clock, period time.Duration, fn func(now time.Duration)) *Ticke
 		panic("sim: ticker period must be positive")
 	}
 	t := &Ticker{clock: c, period: period, fn: fn}
+	t.fireFn = t.fire
 	t.arm()
 	return t
 }
 
+// arm schedules the next firing one period out. Reschedule gives the event
+// a fresh sequence number, as scheduling a new one would, so the firing
+// order is the same without the allocation.
 func (t *Ticker) arm() {
-	t.next = t.clock.Schedule(t.period, func() {
-		if t.stopped {
-			return
-		}
-		t.fn(t.clock.Now())
-		if !t.stopped {
-			t.arm()
-		}
-	})
+	t.next = t.clock.Reschedule(t.next, t.period, t.fireFn)
+}
+
+func (t *Ticker) fire() {
+	if t.stopped {
+		return
+	}
+	t.fn(t.clock.Now())
+	if !t.stopped {
+		t.arm()
+	}
 }
 
 // Stop cancels future firings. Safe to call multiple times and from within

@@ -146,14 +146,6 @@ func (t *Tracer) SetAttrInt(id SpanID, key string, val int64) {
 	t.SetAttr(id, key, strconv.FormatInt(val, 10))
 }
 
-// SetAttrFloat attaches a float attribute (compact %g formatting).
-func (t *Tracer) SetAttrFloat(id SpanID, key string, val float64) {
-	if t == nil {
-		return
-	}
-	t.SetAttr(id, key, strconv.FormatFloat(val, 'g', -1, 64))
-}
-
 // Current returns the ambient span (0 when none, or tracing disabled).
 func (t *Tracer) Current() SpanID {
 	if t == nil {

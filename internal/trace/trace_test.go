@@ -60,7 +60,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	}
 	tr.SetAttr(id, "k", "v")
 	tr.SetAttrInt(id, "k", 1)
-	tr.SetAttrFloat(id, "k", 1.5)
 	tr.End(id)
 	tr.Instant("y", 0)
 	prev := tr.Push(7)

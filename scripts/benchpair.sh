@@ -38,7 +38,10 @@
 # alternates rounds of `-test.bench <regex> -test.benchmem` between them,
 # each binary run from its own package directory. Printed: ns/op and
 # allocs/op of every benchmark per round and side, then each side's median
-# and the rounds HEAD won on ns/op.
+# and the rounds HEAD won on ns/op. Each benchmark then appends one line to
+# BENCH_trajectory.jsonl, marked "kind":"micro": the two revisions, package,
+# benchmark, rounds, each side's median ns/op and allocs/op, the ns/op
+# ratio and the rounds HEAD won; -trend lists them after the workload rows.
 set -euo pipefail
 
 usage="usage: scripts/benchpair.sh <workload> [pairs=10] [seconds=12] | -micro <package> <bench regex> [rounds=6] | -trend"
@@ -62,6 +65,7 @@ if [[ ${1:-} == -trend ]]; then
 		for (k = 1; k <= nm; k++) printf " %16s", metrics[k]
 		printf "\n"
 	}
+	/"kind":"micro"/ { micro[++nmicro] = $0; next }
 	{
 		printf "%-9s %-15s %-15s %-8s %5s %6s", field($0, "parent"), field($0, "head"), field($0, "workload"),
 			field($0, "seeds"), field($0, "pairs"), field($0, "digest_equal") "/" field($0, "pairs")
@@ -70,8 +74,20 @@ if [[ ${1:-} == -trend ]]; then
 			printf " %16s", field(m, "ratio") "x " field(m, "won") "/" field($0, "pairs")
 		}
 		printf "\n"
+	}
+	END {
+		if (!nmicro) exit
+		printf "\n%-9s %-15s %-22s %-40s %6s %14s %14s %8s %9s %9s\n", "parent", "head", "package", "benchmark", "rounds",
+			"parent ns/op", "head ns/op", "ratio", "p allocs", "h allocs"
+		for (i = 1; i <= nmicro; i++) {
+			s = micro[i]; ns = substr(s, index(s, "\"ns_op\":{")); al = substr(s, index(s, "\"allocs_op\":{"))
+			r = field(ns, "ratio")
+			printf "%-9s %-15s %-22s %-40s %6s %14s %14s %8s %9s %9s\n", field(s, "parent"), field(s, "head"), field(s, "package"),
+				field(s, "benchmark"), field(s, "won") "/" field(s, "rounds"), field(ns, "parent"), field(ns, "head"), (r == "null" ? "-" : r "x"),
+				field(al, "parent"), field(al, "head")
+		}
 	}' "$trajectory"
-	echo "(per metric: HEAD/parent ratio of the medians, pairs HEAD won)"
+	echo "(per metric: HEAD/parent ratio of the medians, pairs HEAD won; micro rows: rounds HEAD won on ns/op)"
 	exit 0
 fi
 
@@ -109,7 +125,7 @@ if [[ ${1:-} == -micro ]]; then
 		fi >>"$tmp/rows"
 		echo "round $i/$rounds done" >&2
 	done
-	awk '
+	awk -v json="$tmp/micro.jsonl" -v parent_rev="$parent_rev" -v head_rev="$head_rev" -v pkg="$pkg" '
 	function median(side, b, col,    n, i, j, t, a) {
 		n = 0
 		for (i = 1; i <= nr; i++) if ((side, rounds[i], b) in ns) a[++n] = (col == "ns" ? ns[side, rounds[i], b] : al[side, rounds[i], b]) + 0
@@ -132,8 +148,13 @@ if [[ ${1:-} == -micro ]]; then
 			p = median("parent", b, "ns"); h = median("head", b, "ns")
 			printf "%-50s %14.6g %14.6g %7s %9g %9g  %d/%d\n", b, p, h, (p == 0 ? "n/a" : sprintf("%.3fx", h / p)),
 				median("parent", b, "al"), median("head", b, "al"), won, n
+			printf "{\"kind\":\"micro\",\"parent\":\"%s\",\"head\":\"%s\",\"package\":\"%s\",\"benchmark\":\"%s\",\"rounds\":%d,\"won\":%d,\"ns_op\":{\"parent\":%.6g,\"head\":%.6g,\"ratio\":%s},\"allocs_op\":{\"parent\":%g,\"head\":%g}}\n",
+				parent_rev, head_rev, pkg, b, n, won, p, h, (p == 0 ? "null" : sprintf("%.4f", h / p)),
+				median("parent", b, "al"), median("head", b, "al") > json
 		}
 	}' "$tmp/rows"
+	cat "$tmp/micro.jsonl" >>"$trajectory"
+	echo "appended this run to $trajectory"
 	exit 0
 fi
 
