@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 	"time"
@@ -379,6 +380,9 @@ func TestDegradedStormSuite(t *testing.T) {
 		for _, v := range o.violations {
 			fail("%s", v)
 		}
+		if msg := pinDegraded(p.Seed, o.pinned); msg != "" {
+			fail("%s", msg)
+		}
 		if o.checks < 10 {
 			fail("watcher ran only %d sweeps", o.checks)
 		}
@@ -428,6 +432,8 @@ type degradedOutcome struct {
 	fencedApplied   int
 	recoverableLost int
 	failoverErrs    int
+	// pinned is the run's golden line (see pinDegraded).
+	pinned string
 }
 
 // shiftPlan offsets every event of a plan by delta, so independently
@@ -554,6 +560,12 @@ func runDegradedStorm(seed int64) (degradedOutcome, error) {
 		zombies:         rep.PerKind["zombie-primary"],
 		fencedApplied:   hm.FencedWritesApplied,
 	}
+	h := fnv.New64a()
+	for _, ev := range m.Scheduler().Log() {
+		h.Write([]byte(ev.String() + "\n"))
+	}
+	o.pinned = fmt.Sprintf("digest=%016x applied=%d skipped=%d perkind=%v metrics=%+v stats=%+v condorlog=%016x",
+		c.StateDigest(), rep.Applied, rep.Skipped, rep.PerKind, hm, st, h.Sum64())
 	for _, r := range fo.Results() {
 		o.recoverableLost += r.RecoverableLost
 		o.fencedRejected += r.FencedRejected
