@@ -152,16 +152,17 @@ benchtrend:
 # check of every script under scripts/, the documentation floor (every
 # package needs a godoc comment; the public surface — the erms facade, the
 # HTTP control plane, the workload codec, the judge core, the experiments,
-# and the CEP engine — must document every exported identifier; see
-# cmd/doccheck), and the fused multiply-add lint: no non-test package may
-# compile to a fused multiply-add on arm64, ppc64le, s390x or riscv64, so
-# every architecture rounds floats as amd64 does (scripts/fmalint.sh; it
-# reads its assembly listings from the build cache after the first run).
+# the CEP engine, the HDFS model and the chaos harness — must document
+# every exported identifier; see cmd/doccheck), and the fused multiply-add
+# lint: no non-test package may compile to a fused multiply-add on arm64,
+# ppc64le, s390x or riscv64, so every architecture rounds floats as amd64
+# does (scripts/fmalint.sh; it reads its assembly listings from the build
+# cache after the first run).
 lint: vet
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	@for f in scripts/*.sh; do bash -n "$$f" || exit 1; done
-	$(GO) run ./cmd/doccheck -exported .,internal/server,internal/workload,internal/core,internal/experiments,internal/cep .
+	$(GO) run ./cmd/doccheck -exported .,internal/server,internal/workload,internal/core,internal/experiments,internal/cep,internal/hdfs,internal/chaos .
 	GO=$(GO) bash scripts/fmalint.sh
 
 # Size ledger: non-test Go lines per top-level package and in total,

@@ -49,52 +49,36 @@ const (
 	// primary re-wins the election. Requires Plan.Failover; skipped
 	// otherwise.
 	ZombiePrimary
-	// StallNode suppresses a node's heartbeats without touching its data
-	// plane (a long GC pause, a wedged heartbeat thread): the namenode ages
-	// it toward stale/dead while it keeps serving.
-	StallNode
-	// UnstallNode restores a stalled node's heartbeats.
-	UnstallNode
+	// MuteNode stops a node's heartbeats without touching its data plane
+	// (a long GC pause, a wedged heartbeat thread): the namenode ages it
+	// toward stale/dead while it keeps serving. PerKind counts it "stall".
+	MuteNode
+	// UnmuteNode restores a muted node's heartbeats ("unstall").
+	UnmuteNode
 	// RestartRack restarts every down or crashed node in a rack — the power
 	// coming back after a whole-rack outage.
 	RestartRack
 )
 
+// kindNames is each Kind's name in Report.PerKind.
+var kindNames = [...]string{Crash: "crash", Restart: "restart", PartitionRack: "partition",
+	HealRack: "heal", SlowNode: "slow", RestoreNode: "restore", CorruptReplica: "corrupt",
+	NamenodeCrash: "namenode-crash", ZombiePrimary: "zombie-primary", MuteNode: "stall",
+	UnmuteNode: "unstall", RestartRack: "restart-rack"}
+
+// String names the kind as Report.PerKind counts it.
 func (k Kind) String() string {
-	switch k {
-	case Crash:
-		return "crash"
-	case Restart:
-		return "restart"
-	case PartitionRack:
-		return "partition"
-	case HealRack:
-		return "heal"
-	case SlowNode:
-		return "slow"
-	case RestoreNode:
-		return "restore"
-	case CorruptReplica:
-		return "corrupt"
-	case NamenodeCrash:
-		return "namenode-crash"
-	case ZombiePrimary:
-		return "zombie-primary"
-	case StallNode:
-		return "stall"
-	case UnstallNode:
-		return "unstall"
-	case RestartRack:
-		return "restart-rack"
+	if k < 0 || int(k) >= len(kindNames) {
+		return "unknown"
 	}
-	return "unknown"
+	return kindNames[k]
 }
 
 // Event is one scheduled fault.
 type Event struct {
 	At   time.Duration
 	Kind Kind
-	// Node targets Crash/Restart/SlowNode/RestoreNode/StallNode/UnstallNode.
+	// Node targets Crash/Restart/SlowNode/RestoreNode/MuteNode/UnmuteNode.
 	Node hdfs.DatanodeID
 	// Rack targets PartitionRack/HealRack/RestartRack.
 	Rack int
@@ -169,47 +153,35 @@ func (p *Plan) apply(c *hdfs.Cluster, ev Event) bool {
 		}
 		p.Failover.CrashZombie()
 		return true
-	case StallNode:
-		d := c.Datanode(ev.Node)
-		if d == nil || d.State == hdfs.StateDown || d.Crashed() || d.Stalled() {
-			return false
-		}
-		c.StallNode(ev.Node, true)
-		return true
-	case UnstallNode:
-		d := c.Datanode(ev.Node)
-		if d == nil || !d.Stalled() {
-			return false
-		}
-		c.StallNode(ev.Node, false)
-		return true
 	case RestartRack:
 		topo := c.Topology()
 		restarted := false
 		for _, d := range c.Datanodes() {
-			if topo.Rack(topology.NodeID(d.ID)) != ev.Rack {
-				continue
-			}
-			if d.State == hdfs.StateDown || d.Crashed() {
-				c.Restart(d.ID)
-				restarted = true
+			if topo.Rack(topology.NodeID(d.ID)) == ev.Rack {
+				restarted = c.Restart(d.ID) || restarted
 			}
 		}
 		return restarted
 	case Crash:
-		d := c.Datanode(ev.Node)
-		if d == nil || d.State == hdfs.StateDown || d.Crashed() {
-			return false
-		}
-		c.Kill(ev.Node)
-		return true
+		return c.Kill(ev.Node)
 	case Restart:
+		return c.Restart(ev.Node)
+	case MuteNode, UnmuteNode, SlowNode, RestoreNode:
 		d := c.Datanode(ev.Node)
-		if d == nil || (d.State != hdfs.StateDown && !d.Crashed()) {
+		if d == nil {
 			return false
 		}
-		c.Restart(ev.Node)
-		return true
+		f := d.Fault()
+		f.Slow = 0 // keeps the node's rate: only slow and restore re-rate
+		switch ev.Kind {
+		case MuteNode, UnmuteNode:
+			f.Muted = ev.Kind == MuteNode
+		case SlowNode:
+			f.Slow = ev.Factor
+		default:
+			f.Slow = 1
+		}
+		return c.SetFault(ev.Node, f)
 	case PartitionRack:
 		if c.RackPartitioned(ev.Rack) {
 			return false
@@ -222,10 +194,6 @@ func (p *Plan) apply(c *hdfs.Cluster, ev Event) bool {
 		}
 		c.HealRack(ev.Rack)
 		return true
-	case SlowNode:
-		return setNodeFactor(c, ev.Node, ev.Factor)
-	case RestoreNode:
-		return setNodeFactor(c, ev.Node, 1)
 	case CorruptReplica:
 		bid, dn, ok := pickVictim(c, ev.BlockOrdinal, ev.ReplicaOrdinal)
 		if !ok {
@@ -234,22 +202,6 @@ func (p *Plan) apply(c *hdfs.Cluster, ev Event) bool {
 		return c.CorruptReplica(bid, dn) == nil
 	}
 	return false
-}
-
-// setNodeFactor scales the node's disk and both NIC links.
-func setNodeFactor(c *hdfs.Cluster, id hdfs.DatanodeID, factor float64) bool {
-	if factor <= 0 {
-		return false
-	}
-	topo := c.Topology()
-	if int(id) < 0 || int(id) >= len(topo.Nodes) {
-		return false
-	}
-	node := topo.Node(topology.NodeID(id))
-	for _, l := range []topology.LinkID{node.Disk, node.NICIn, node.NICOut} {
-		c.Fabric().SetLinkFactor(l, factor)
-	}
-	return true
 }
 
 // pickVictim resolves a corruption target over the live namespace:

@@ -67,17 +67,33 @@ func TestPlanAppliesScriptedFaults(t *testing.T) {
 func TestPlanSkipsInvalidTargets(t *testing.T) {
 	e, c := newCluster(t) // empty namespace
 	p := &Plan{Events: []Event{
-		{At: time.Second, Kind: Restart, Node: 0},      // node is up
-		{At: time.Second, Kind: HealRack, Rack: 0},     // not partitioned
-		{At: time.Second, Kind: CorruptReplica},        // no blocks exist
-		{At: time.Second, Kind: SlowNode, Node: 99999}, // no such node
+		{At: time.Second, Kind: Restart, Node: 0},  // node is up
+		{At: time.Second, Kind: HealRack, Rack: 0}, // not partitioned
+		{At: time.Second, Kind: CorruptReplica},    // no blocks exist
 		{At: 2 * time.Second, Kind: Crash, Node: 3},
 		{At: 3 * time.Second, Kind: Crash, Node: 3}, // already down
 		{At: 4 * time.Second, Kind: Restart, Node: 3},
+		{At: 5 * time.Second, Kind: UnmuteNode, Node: 4}, // not muted
+		{At: 5 * time.Second, Kind: SlowNode, Node: 4},   // no factor
+		{At: 6 * time.Second, Kind: MuteNode, Node: 4},
+		{At: 7 * time.Second, Kind: MuteNode, Node: 4}, // already muted
+		{At: 8 * time.Second, Kind: Crash, Node: 4},
+		{At: 9 * time.Second, Kind: MuteNode, Node: 4},   // down
+		{At: 9 * time.Second, Kind: UnmuteNode, Node: 4}, // down, but muted
+		// A slow or restore of a known node always applies, down or not.
+		{At: 9 * time.Second, Kind: RestoreNode, Node: 4},
+		{At: 9 * time.Second, Kind: SlowNode, Node: 4, Factor: 0.5},
+		{At: 9 * time.Second, Kind: SlowNode, Node: 4, Factor: 0.5},
 	}}
+	// Every node kind at an id outside the cluster is skipped, not a panic.
+	for _, id := range []hdfs.DatanodeID{99999, -1} {
+		for _, k := range []Kind{Crash, Restart, MuteNode, UnmuteNode, SlowNode, RestoreNode} {
+			p.Events = append(p.Events, Event{At: time.Second, Kind: k, Node: id, Factor: 0.5})
+		}
+	}
 	rep := p.Schedule(e, c)
 	e.RunUntil(10 * time.Second)
-	if rep.Applied != 2 || rep.Skipped != 5 {
+	if rep.Applied != 8 || rep.Skipped != 20 {
 		t.Fatalf("report = %+v", rep)
 	}
 }

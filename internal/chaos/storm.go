@@ -213,8 +213,8 @@ func Storm(cfg StormConfig) *Plan {
 			start := at()
 			node := cfg.Nodes[rng.Intn(len(cfg.Nodes))]
 			events = append(events,
-				Event{At: start, Kind: StallNode, Node: node},
-				Event{At: start + jitter(cfg.FlapFor), Kind: UnstallNode, Node: node},
+				Event{At: start, Kind: MuteNode, Node: node},
+				Event{At: start + jitter(cfg.FlapFor), Kind: UnmuteNode, Node: node},
 			)
 		}
 	}

@@ -214,7 +214,7 @@ func (p *Placement) ChooseKeeper(c *hdfs.Cluster, b *hdfs.Block, stripeLoad map[
 	bestKey := [4]int{1 << 30, 1 << 30, 1 << 30, 1 << 30}
 	for _, r := range c.Replicas(b.ID) {
 		d := c.Datanode(r)
-		if d.State == hdfs.StateDown || d.Crashed() || d.CorruptBlock(b.ID) {
+		if d.Down() || d.CorruptBlock(b.ID) {
 			continue
 		}
 		poolPenalty := 0

@@ -259,7 +259,7 @@ func placementScenario(seed int64) (*hdfs.Cluster, map[hdfs.DatanodeID]bool, *ra
 			c.Kill(node())
 		}
 		for k := rng.Intn(3); k > 0; k-- {
-			c.StallNode(node(), true)
+			c.SetFault(node(), hdfs.Fault{Muted: true})
 		}
 	}
 	fault()

@@ -172,8 +172,7 @@ func degradeRun(cfg DegradeConfig, cap int, safeMode bool) DegradeRow {
 	e.At(degradeHeal, func() { c.HealRack(rack) })
 	e.At(degradeHeal+30*time.Second, func() {
 		for _, d := range c.Datanodes() {
-			if topo.Rack(topology.NodeID(d.ID)) == rack &&
-				(d.State == hdfs.StateDown || d.Crashed()) {
+			if topo.Rack(topology.NodeID(d.ID)) == rack {
 				c.Restart(d.ID)
 			}
 		}

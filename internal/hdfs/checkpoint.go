@@ -196,7 +196,7 @@ func (c *Cluster) AppendCheckpoint(dst []byte) []byte {
 	for _, d := range c.datanodes {
 		w.Uvarint(uint64(d.State))
 		w.Bool(d.Stale)
-		w.Bool(d.crashed)
+		w.Bool(d.fault.Crashed)
 		w.Varint(int64(d.lastHeartbeat))
 		w.Varint(int64(d.activeSince))
 		w.Varint(int64(d.ActiveTime))
@@ -660,7 +660,7 @@ func (c *Cluster) commitCheckpoint(st *ckptState) {
 		n := &st.nodes[i]
 		d.State = n.state
 		d.Stale = n.stale
-		d.crashed = n.crashed
+		d.fault.Crashed = n.crashed
 		d.lastHeartbeat = n.lastHeartbeat
 		d.activeSince = n.activeSince
 		d.ActiveTime = n.activeTime

@@ -171,7 +171,7 @@ func (c *Cluster) commitParity(pb *Block, target DatanodeID, err error, done fun
 		return
 	}
 	td := c.datanodes[target]
-	if td.State == StateDown || td.crashed {
+	if td.Down() {
 		c.finish(done, fmt.Errorf("hdfs: parity target %s died", td.Name))
 		return
 	}
@@ -266,7 +266,7 @@ func (c *Cluster) defaultKeeper(b *Block, stripeLoad map[DatanodeID]int) (Datano
 	bestKey := [3]int{1 << 30, 1 << 30, 1 << 30}
 	for _, r := range c.replicas[b.ID] {
 		d := c.datanodes[r]
-		if d.State == StateDown || d.crashed || d.corrupt[b.ID] {
+		if d.Down() || d.corrupt[b.ID] {
 			continue
 		}
 		key := [3]int{stripeLoad[r], d.PlacementLoad(), int(r)}
@@ -368,7 +368,7 @@ func (c *Cluster) commitRebuild(b *Block, target DatanodeID, err error, done fun
 		return
 	}
 	td := c.datanodes[target]
-	if td.State == StateDown || td.crashed || td.UncommittedFree() < b.Size {
+	if td.Down() || td.UncommittedFree() < b.Size {
 		c.finish(done, fmt.Errorf("hdfs: rebuild target %s unusable", td.Name))
 		return
 	}
@@ -389,7 +389,7 @@ func (c *Cluster) commitRebuild(b *Block, target DatanodeID, err error, done fun
 func (c *Cluster) hasCleanReplica(id BlockID) bool {
 	for _, dn := range c.replicas[id] {
 		d := c.datanodes[dn]
-		if d.State != StateDown && !d.crashed && !d.corrupt[id] {
+		if !d.Down() && !d.corrupt[id] {
 			return true
 		}
 	}

@@ -54,6 +54,7 @@ const (
 	StateDecommissioned
 )
 
+// String names the state as status reports and errors print it.
 func (s NodeState) String() string {
 	switch s {
 	case StateActive:
@@ -136,15 +137,9 @@ type Datanode struct {
 	// count as live (HDFS stale-node semantics). Cleared when heartbeats
 	// resume or the node is declared dead.
 	Stale bool
-	// crashed means the node's process is gone but, under the heartbeat
-	// model, the namenode has not noticed yet. With heartbeats disabled
-	// death is declared instantly and crashed is never observable.
-	crashed bool
-	// stalled suppresses the node's heartbeats without touching its data
-	// plane: the process is alive and serving, but the namenode stops
-	// hearing from it (GC pause, control-plane congestion). The chaos
-	// node-flapping fault toggles it to drive stale→rejoin→stale cycles.
-	stalled bool
+	// fault is what the node is really doing (see Fault); the namenode
+	// learns of it only through missed heartbeats and failed transfers.
+	fault Fault
 	// lastHeartbeat is the virtual time of the last heartbeat the
 	// namenode received from this node.
 	lastHeartbeat time.Duration
@@ -204,28 +199,34 @@ func (d *Datanode) UncommittedFree() float64 { return d.Capacity - d.Used - d.pe
 // last state transition (zero when it is not currently active). Together
 // with ActiveTime it gives total uptime for energy accounting. A crashed
 // node still carries StateActive until the heartbeat detector declares it
-// dead, but Kill already closed its interval — its process is not running,
-// so no interval is open.
+// dead, but the crash already closed its interval — its process is not
+// running, so no interval is open.
 func (d *Datanode) OpenActiveInterval(now time.Duration) time.Duration {
-	if d.State != StateActive || d.crashed {
+	if d.State != StateActive || d.fault.Crashed {
 		return 0
 	}
 	return now - d.activeSince
 }
 
-// Crashed reports whether the node's process is dead but the namenode has
-// not yet declared it (heartbeat mode only).
-func (d *Datanode) Crashed() bool { return d.crashed }
+// Fault returns what the node is really doing, as opposed to what the
+// namenode believes of it (State, Stale).
+func (d *Datanode) Fault() Fault { return d.fault }
+
+// Down reports whether the node can do no work: declared dead, or crashed
+// and not yet noticed. Nothing is copied to or from a down node, and it can
+// take no new crash or mute.
+func (d *Datanode) Down() bool { return d.State == StateDown || d.fault.Crashed }
 
 // Eligible reports whether the node can receive new replicas: active, not
-// stale, and (as far as the namenode knows) alive.
+// stale, and alive. It reads the crash itself rather than the namenode's
+// belief, a modelling shortcut: placement never picks a crashed node.
 func (d *Datanode) Eligible() bool {
-	return d.State == StateActive && !d.Stale && !d.crashed
+	return d.State == StateActive && !d.Stale && !d.fault.Crashed
 }
 
 // canServe reports whether the node answers reads right now: its state
 // serves and its process is actually up.
-func (d *Datanode) canServe() bool { return d.State.serves() && !d.crashed }
+func (d *Datanode) canServe() bool { return d.State.serves() && !d.fault.Crashed }
 
 // CorruptBlock reports whether this node's replica of b is flagged corrupt.
 func (d *Datanode) CorruptBlock(b BlockID) bool { return d.corrupt[b] }
@@ -575,8 +576,13 @@ func (c *Cluster) SetPlacementPolicy(p Policy) { c.placement = p }
 // PlacementPolicy returns the installed policy.
 func (c *Cluster) PlacementPolicy() Policy { return c.placement }
 
-// Datanode returns the datanode with the given ID.
-func (c *Cluster) Datanode(id DatanodeID) *Datanode { return c.datanodes[id] }
+// Datanode returns the datanode with the given ID, or nil if there is none.
+func (c *Cluster) Datanode(id DatanodeID) *Datanode {
+	if id < 0 || int(id) >= len(c.datanodes) {
+		return nil
+	}
+	return c.datanodes[id]
+}
 
 // Datanodes returns all datanodes (index == DatanodeID).
 func (c *Cluster) Datanodes() []*Datanode { return c.datanodes }

@@ -54,7 +54,7 @@ func (c *Cluster) heartbeatTick(now time.Duration) {
 		case StateStandby, StateDown, StateDecommissioned:
 			continue
 		}
-		if !d.crashed && !d.stalled && !c.partitioned[c.topo.Rack(topology.NodeID(d.ID))] {
+		if !d.fault.Crashed && !d.fault.Muted && !c.partitioned[c.topo.Rack(topology.NodeID(d.ID))] {
 			d.lastHeartbeat = now
 			if d.Stale {
 				d.Stale = false
@@ -107,15 +107,8 @@ func (c *Cluster) declareDead(id DatanodeID) {
 	if d.State == StateDown {
 		return
 	}
-	if d.State == StateActive && !d.crashed {
-		d.ActiveTime += c.clock.Now() - d.activeSince
-	}
-	d.State = StateDown
 	d.Stale = false
-	c.reindexNode(d)
-	c.jlog(auditlog.Entry{Op: auditlog.OpNodeState, Node: int(id), State: int(StateDown)})
-	c.abortServing(d)
-	c.abortWaiting(d)
+	c.setState(d, StateDown, false)
 	// Drop its replicas from the block map (space bookkeeping stays — the
 	// disk is gone with the node, but Used on a dead node is irrelevant).
 	d.blocks.Each(func(bid BlockID) {

@@ -1,6 +1,7 @@
 package hdfs
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -211,8 +212,8 @@ func TestRestartOfCrashedNodeBeforeDeadTimeout(t *testing.T) {
 	e.RunUntil(10 * time.Second)
 
 	d := c.Datanode(victim)
-	if d.State != StateActive || d.Crashed() || d.Stale {
-		t.Fatalf("restarted node: state=%s crashed=%v stale=%v", d.State, d.Crashed(), d.Stale)
+	if d.State != StateActive || d.Fault() != (Fault{}) || d.Stale {
+		t.Fatalf("restarted node: state=%s fault=%+v stale=%v", d.State, d.Fault(), d.Stale)
 	}
 	if d.NumBlocks() != 0 {
 		t.Fatalf("restarted node kept %d blocks", d.NumBlocks())
@@ -292,4 +293,73 @@ func TestCrashedNodeRejectsDecommission(t *testing.T) {
 	if !done || err == nil {
 		t.Fatalf("decommission of a crashed node should fail (done=%v err=%v)", done, err)
 	}
+	if want := fmt.Sprintf("hdfs: %s has crashed", c.Datanode(victim).Name); err.Error() != want {
+		t.Fatalf("error = %q, want %q", err, want)
+	}
+}
+
+// TestStandbyOfCrashedNodeBillsUptimeOnce: a crash closes the node's uptime
+// interval, so taking the node to standby before the detector notices the
+// crash — the namenode still believes it active — must not bill the
+// interval a second time. The manager reaches this path when it powers down
+// a drained pool node that crashed unnoticed.
+func TestStandbyOfCrashedNodeBillsUptimeOnce(t *testing.T) {
+	e, c := newHeartbeatCluster(t)
+	e.RunUntil(10 * time.Minute)
+	c.Kill(5)
+	e.RunUntil(10*time.Minute + 10*time.Second)
+	c.ToStandby(5)
+	d := c.Datanode(5)
+	if d.State != StateStandby || d.ActiveTime != 10*time.Minute || d.OpenActiveInterval(e.Now()) != 0 {
+		t.Fatalf("state %s, ActiveTime %v, open %v; want standby, 10m0s, 0",
+			d.State, d.ActiveTime, d.OpenActiveInterval(e.Now()))
+	}
+}
+
+// TestSetFaultVerdicts pins which faults take: SetFault's verdict is what
+// the chaos harness counts as applied or skipped.
+func TestSetFaultVerdicts(t *testing.T) {
+	e, c := newHeartbeatCluster(t)
+	disk := c.Topology().Node(2).Disk
+	steps := []struct {
+		name string
+		do   func() bool
+		want bool
+	}{
+		{"unknown id", func() bool { return c.SetFault(99999, Fault{Muted: true}) }, false},
+		{"negative id", func() bool { return c.SetFault(-1, Fault{Slow: 0.5}) }, false},
+		{"kill unknown id", func() bool { return c.Kill(-1) }, false},
+		{"restart unknown id", func() bool { return c.Restart(99999) }, false},
+		{"negative slow", func() bool { return c.SetFault(2, Fault{Slow: -1}) }, false},
+		{"no change", func() bool { return c.SetFault(2, Fault{}) }, false},
+		{"restart a live node", func() bool { return c.Restart(2) }, false},
+		{"mute", func() bool { return c.SetFault(2, Fault{Muted: true}) }, true},
+		{"mute again", func() bool { return c.SetFault(2, Fault{Muted: true}) }, false},
+		{"slow", func() bool { return c.SetFault(2, Fault{Muted: true, Slow: 0.5}) }, true},
+		{"same slow again", func() bool { return c.SetFault(2, Fault{Muted: true, Slow: 0.5}) }, true},
+		{"kill", func() bool { return c.Kill(2) }, true},
+		{"kill again", func() bool { return c.Kill(2) }, false},
+		{"clear the crash", func() bool { return c.SetFault(2, Fault{Muted: true}) }, false},
+		{"unmute a crashed node", func() bool { return c.SetFault(2, Fault{Crashed: true}) }, true},
+		{"mute a crashed node", func() bool { return c.SetFault(2, Fault{Crashed: true, Muted: true}) }, false},
+		{"slow a crashed node", func() bool { return c.SetFault(2, Fault{Crashed: true, Slow: 0.25}) }, true},
+		{"restart", func() bool { return c.Restart(2) }, true},
+		{"restore", func() bool { return c.SetFault(2, Fault{Slow: 1}) }, true},
+		{"restore again", func() bool { return c.SetFault(2, Fault{Slow: 1}) }, true},
+	}
+	for _, s := range steps {
+		if got := s.do(); got != s.want {
+			t.Fatalf("%s: took = %v, want %v (fault %+v)", s.name, got, s.want, c.Datanode(2).Fault())
+		}
+		if s.name == "restart" {
+			// Restart revives the process, not the hardware: the slow disk stays.
+			if f := c.Datanode(2).Fault(); f != (Fault{Slow: 0.25}) || c.Fabric().LinkFactor(disk) != 0.25 {
+				t.Fatalf("after restart: fault %+v, disk factor %v", f, c.Fabric().LinkFactor(disk))
+			}
+		}
+	}
+	if f := c.Datanode(2).Fault(); f != (Fault{}) || c.Fabric().LinkFactor(disk) != 1 {
+		t.Fatalf("after restore: fault %+v, disk factor %v", f, c.Fabric().LinkFactor(disk))
+	}
+	e.RunUntil(time.Minute)
 }

@@ -256,14 +256,14 @@ func (c *Cluster) applyEntry(e auditlog.Entry) error {
 			d.lastHeartbeat = c.clock.Now()
 		}
 		if s == StateDown {
-			// Mirrors declareDead: staleness ends at death. The crashed
-			// flag is ground truth the journal does not carry; it stays
-			// whatever the checkpoint said until a fresh restart.
+			// Mirrors declareDead: staleness ends at death. Fault.Crashed
+			// is truth the journal does not carry; it stays whatever the
+			// checkpoint said until a fresh restart.
 			d.Stale = false
 		}
 		if e.Flag { // fresh restart: wipe the previous incarnation
 			d.Stale = false
-			d.crashed = false
+			d.fault.Crashed = false
 			d.blocks = blockSet{}
 			d.corrupt = make(map[BlockID]bool)
 			d.reported = make(map[BlockID]bool)

@@ -157,7 +157,7 @@ func (p *DefaultPolicy) ChooseExcess(c *Cluster, b *Block) (DatanodeID, bool) {
 	// reachable node holding a clean copy.
 	readable := func(id DatanodeID) bool {
 		d := c.datanodes[id]
-		return !d.CorruptBlock(b.ID) && d.State.serves() && !d.crashed &&
+		return !d.CorruptBlock(b.ID) && d.canServe() &&
 			!d.Stale && !c.NodeUnreachable(id)
 	}
 	// Racks counted over clean, reachable replicas only: a rack whose other

@@ -181,7 +181,7 @@ func placementScenario(seed int64) (*Cluster, *rand.Rand) {
 			c.Kill(node()) // crashed; declared dead only past DeadTimeout
 		}
 		for k := rng.Intn(3); k > 0; k-- {
-			c.StallNode(node(), true) // ages to stale
+			c.SetFault(node(), Fault{Muted: true}) // ages to stale
 		}
 	}
 	fault()
@@ -241,7 +241,7 @@ func TestChooseTargetsMatchesReference(t *testing.T) {
 		c, rng := placementScenario(seed)
 		for _, d := range c.datanodes {
 			seen["stale"] += boolInt(d.Stale)
-			seen["crashed"] += boolInt(d.crashed && d.State != StateDown)
+			seen["crashed"] += boolInt(d.fault.Crashed && d.State != StateDown)
 			seen["pending"] += boolInt(d.pendingBytes > 0)
 			seen["full"] += boolInt(d.Eligible() && d.Free() < 64*mb)
 			seen["standby"] += boolInt(d.State == StateStandby)

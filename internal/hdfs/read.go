@@ -27,6 +27,7 @@ const (
 	Remote
 )
 
+// String returns the locality's short name: node-local, rack-local or remote.
 func (l Locality) String() string {
 	switch l {
 	case NodeLocal:
@@ -342,7 +343,7 @@ func (c *Cluster) selectReplica(client topology.NodeID, id BlockID, exclude map[
 // per-read, matching how a datanode serves a pread.
 //
 // The record is in one place at a time: a datanode's waiting queue (left
-// through drainWaiting or abortWaiting), then a session whose flow — the
+// through drainWaiting or abortServing), then a session whose flow — the
 // record's own — is in the fabric and whose embedded flowHandle is in
 // activeFlows (left through landed or aborted), then the next attempt or
 // its owner, and between reads the cluster's free list. Every exit removes

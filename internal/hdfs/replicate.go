@@ -29,7 +29,7 @@ func (c *Cluster) chooseSource(id BlockID, target DatanodeID, allowLocal bool) (
 	bestKey := [3]int{1 << 30, 99, 1 << 30}
 	for _, r := range c.replicas[id] {
 		d := c.datanodes[r]
-		if d.State == StateDown || d.crashed || (r == target && !allowLocal) {
+		if d.Down() || (r == target && !allowLocal) {
 			continue
 		}
 		// Never copy from a corrupt replica (it would propagate the rot) or
@@ -85,7 +85,7 @@ func (c *Cluster) AddReplicaLimited(id BlockID, target DatanodeID, maxRate float
 		return
 	}
 	td := c.datanodes[target]
-	if td.State == StateDown || td.crashed {
+	if td.Down() {
 		fail(fmt.Errorf("hdfs: target %s is down", td.Name))
 		return
 	}
@@ -117,7 +117,7 @@ func (c *Cluster) AddReplicaLimited(id BlockID, target DatanodeID, maxRate float
 		}
 	}
 	c.clock.Schedule(c.cfg.ReplCommandLatency, func() {
-		if td.State == StateDown || td.crashed || c.NodeUnreachable(target) {
+		if td.Down() || c.NodeUnreachable(target) {
 			settle()
 			fail(fmt.Errorf("hdfs: target %s died before copy", td.Name))
 			return
@@ -150,7 +150,7 @@ func (c *Cluster) AddReplicaLimited(id BlockID, target DatanodeID, maxRate float
 			sd.xferOut--
 			td.xferIn--
 			settle()
-			if td.State == StateDown || td.crashed {
+			if td.Down() {
 				fail(fmt.Errorf("hdfs: target %s died during copy", td.Name))
 				return
 			}
@@ -221,6 +221,7 @@ const (
 	OneByOne
 )
 
+// String returns the mode's short name: whole or one-by-one.
 func (m ReplicationMode) String() string {
 	if m == WholeAtOnce {
 		return "whole"

@@ -109,13 +109,11 @@ func applyResumeEvents(e *sim.Engine, c *Cluster, evs []resumeEvent, from time.D
 					_ = c.DeleteFile(ev.path)
 				}
 			case 4:
-				if d := c.Datanode(DatanodeID(ev.node)); d != nil && d.State == StateActive && !d.Crashed() {
+				if d := c.Datanode(DatanodeID(ev.node)); d != nil && d.State == StateActive && !d.Down() {
 					c.Kill(DatanodeID(ev.node))
 				}
 			case 5:
-				if d := c.Datanode(DatanodeID(ev.node)); d != nil && (d.State == StateDown || d.Crashed()) {
-					c.Restart(DatanodeID(ev.node))
-				}
+				c.Restart(DatanodeID(ev.node))
 			}
 		})
 	}

@@ -215,17 +215,6 @@ func (c *Cluster) exitSafeMode() {
 	}
 }
 
-// StallNode suppresses (or restores) a datanode's heartbeats without
-// touching its data plane — the node keeps serving, but the namenode ages
-// it toward stale and eventually dead. The chaos flapping fault uses it to
-// drive stale→rejoin→stale cycles that must not release replicas.
-func (c *Cluster) StallNode(id DatanodeID, stalled bool) {
-	c.datanodes[id].stalled = stalled
-}
-
-// Stalled reports whether the node's heartbeats are suppressed via StallNode.
-func (d *Datanode) Stalled() bool { return d.stalled }
-
 // Epoch returns this namenode's writer epoch.
 func (c *Cluster) Epoch() uint64 { return c.epoch }
 

@@ -204,7 +204,7 @@ func TestFlappingNodeDoesNotDoubleReleaseReplicas(t *testing.T) {
 		t.Fatal("victim holds nothing")
 	}
 
-	e.At(1*time.Second, func() { c.StallNode(victim, true) })
+	e.At(1*time.Second, func() { c.SetFault(victim, Fault{Muted: true}) })
 	e.RunUntil(40 * time.Second)
 	if !c.Datanode(victim).Stale {
 		t.Fatal("victim not stale after first flap")
@@ -214,7 +214,7 @@ func TestFlappingNodeDoesNotDoubleReleaseReplicas(t *testing.T) {
 	}
 
 	// Heartbeats resume: the node rejoins, stale clears, nothing moves.
-	e.At(41*time.Second, func() { c.StallNode(victim, false) })
+	e.At(41*time.Second, func() { c.SetFault(victim, Fault{}) })
 	e.RunUntil(50 * time.Second)
 	if c.Datanode(victim).Stale {
 		t.Fatal("victim still stale after heartbeats resumed")
@@ -228,7 +228,7 @@ func TestFlappingNodeDoesNotDoubleReleaseReplicas(t *testing.T) {
 
 	// Second flap runs to death. lastHeartbeat was refreshed by the rejoin,
 	// so the dead clock restarts from the second stall.
-	e.At(55*time.Second, func() { c.StallNode(victim, true) })
+	e.At(55*time.Second, func() { c.SetFault(victim, Fault{Muted: true}) })
 	e.RunUntil(2 * time.Minute)
 	if got := c.Datanode(victim).State; got != StateActive {
 		t.Fatalf("dead clock did not restart on rejoin: state %s at 2m", got)

@@ -7,12 +7,13 @@ import (
 
 	"erms/internal/auditlog"
 	"erms/internal/netsim"
+	"erms/internal/topology"
 )
 
 // admit grants r a serving session on d, queuing it when the node is at its
 // session limit ("when the number of sessions has reached its upper bound,
 // the connection requests ... will be blocked"). A queued read is refused
-// instead if the node leaves service first (abortWaiting).
+// instead if the node leaves service first (abortServing).
 func (c *Cluster) admit(d *Datanode, r *blockRead) {
 	if d.sessions < d.MaxSessions && d.canServe() {
 		d.sessions++
@@ -40,6 +41,85 @@ func (c *Cluster) drainWaiting(d *Datanode) {
 	}
 }
 
+// Fault is what a datanode is really doing, as opposed to what the
+// namenode believes of it (State, Stale); the zero Fault is a healthy node.
+// SetFault is the one way to set it.
+type Fault struct {
+	// Crashed: the process is gone. With heartbeats the namenode keeps its
+	// belief until DeadTimeout; without, the crash is declared dead at once.
+	Crashed bool
+	// Muted: heartbeats stop reaching the namenode while the data plane
+	// serves on (a long GC pause), so the node ages toward stale and dead.
+	Muted bool
+	// Slow is the share of nominal rate the disk and both NIC directions
+	// run at; 0 is full speed. Restart clears Crashed and Muted, not Slow.
+	Slow float64
+}
+
+// SetFault makes f what node id is really doing and reports whether it
+// took. A crash aborts the node's transfers and queued reads (with
+// heartbeats off it is declared dead at once); a mute stops its
+// heartbeats; a Slow above 0 re-rates its links (1 restores full speed)
+// and always takes. An unknown id, a negative Slow, a crash or mute of a
+// Down node, clearing Crashed (Restart's job) and a no-op return false.
+func (c *Cluster) SetFault(id DatanodeID, f Fault) bool {
+	d := c.Datanode(id)
+	if d == nil || f.Slow < 0 || d.fault.Crashed && !f.Crashed {
+		return false
+	}
+	crash := f.Crashed && !d.fault.Crashed
+	if (crash || f.Muted && !d.fault.Muted) && d.Down() {
+		return false // a down node takes no new crash or mute
+	}
+	if !crash && f.Muted == d.fault.Muted && f.Slow == 0 {
+		return false // nothing would change
+	}
+	d.fault.Muted = f.Muted
+	if f.Slow > 0 {
+		d.fault.Slow = f.Slow
+		if f.Slow == 1 {
+			d.fault.Slow = 0
+		}
+		node := c.topo.Node(topology.NodeID(id))
+		for _, l := range [...]topology.LinkID{node.Disk, node.NICIn, node.NICOut} {
+			c.fabric.SetLinkFactor(l, f.Slow)
+		}
+	}
+	switch {
+	case !crash:
+	case !c.cfg.Heartbeat.Enabled:
+		c.declareDead(id)
+	default:
+		d.ActiveTime += d.OpenActiveInterval(c.clock.Now())
+		d.fault.Crashed = true
+		c.reindexNode(d)
+		c.abortServing(d)
+	}
+	return true
+}
+
+// setState moves d to the namenode's belief s; every transition outside
+// journal replay comes through here. It closes d's uptime interval (a
+// crash has already closed it) and opens one on entering StateActive,
+// re-indexes d for placement, journals the transition (restart marks a
+// fresh incarnation), and aborts d's transfers and queued reads when s
+// does not serve, or admits its queue when s starts serving.
+func (c *Cluster) setState(d *Datanode, s NodeState, restart bool) {
+	now, was := c.clock.Now(), d.State
+	d.ActiveTime += d.OpenActiveInterval(now)
+	d.State = s
+	if s == StateActive {
+		d.activeSince, d.lastHeartbeat = now, now
+	}
+	c.reindexNode(d)
+	c.jlog(auditlog.Entry{Op: auditlog.OpNodeState, Node: int(d.ID), State: int(s), Flag: restart})
+	if !s.serves() {
+		c.abortServing(d)
+	} else if !was.serves() {
+		c.drainWaiting(d)
+	}
+}
+
 // Commission switches a standby datanode to active (ERMS "could start
 // standby nodes"). Queued admissions drain immediately.
 func (c *Cluster) Commission(id DatanodeID) {
@@ -47,15 +127,10 @@ func (c *Cluster) Commission(id DatanodeID) {
 	if d.State != StateStandby {
 		return
 	}
-	d.State = StateActive
-	d.activeSince = c.clock.Now()
-	d.lastHeartbeat = c.clock.Now()
-	c.reindexNode(d)
-	c.jlog(auditlog.Entry{Op: auditlog.OpNodeState, Node: int(id), State: int(StateActive)})
 	if sp := c.tracer.Instant("hdfs.commission", c.tracer.Current()); sp != 0 {
 		c.tracer.SetAttr(sp, "node", d.Name)
 	}
-	c.drainWaiting(d)
+	c.setState(d, StateActive, false)
 	for _, fn := range c.onNodeUp {
 		fn(id)
 	}
@@ -70,39 +145,19 @@ func (c *Cluster) ToStandby(id DatanodeID) {
 	if d.State != StateActive {
 		return
 	}
-	d.ActiveTime += c.clock.Now() - d.activeSince
-	d.State = StateStandby
-	c.reindexNode(d)
-	c.jlog(auditlog.Entry{Op: auditlog.OpNodeState, Node: int(id), State: int(StateStandby)})
 	if sp := c.tracer.Instant("hdfs.standby", c.tracer.Current()); sp != 0 {
 		c.tracer.SetAttr(sp, "node", d.Name)
 	}
-	c.abortServing(d)
-	c.abortWaiting(d)
+	c.setState(d, StateStandby, false)
 }
 
-// Kill crashes a datanode's process: in-flight transfers it serves abort
-// (reads retry elsewhere) and queued admissions fail. With heartbeats
-// disabled the namenode notices instantly — replicas are released and
-// OnDatanodeDown fires now. With heartbeats enabled the namenode keeps
-// counting the node's replicas as live until it misses heartbeats long
-// enough to go stale and then dead (declareDead).
-func (c *Cluster) Kill(id DatanodeID) {
-	d := c.datanodes[id]
-	if d.State == StateDown || d.crashed {
-		return
-	}
-	if !c.cfg.Heartbeat.Enabled {
-		c.declareDead(id)
-		return
-	}
-	if d.State == StateActive {
-		d.ActiveTime += c.clock.Now() - d.activeSince
-	}
-	d.crashed = true
-	c.reindexNode(d)
-	c.abortServing(d)
-	c.abortWaiting(d)
+// Kill crashes node id's process (SetFault with Crashed) and reports
+// whether it took. With heartbeats off the namenode notices at once:
+// replicas release and OnDatanodeDown fires. With them on it counts the
+// node's replicas as live until the node misses DeadTimeout of heartbeats.
+func (c *Cluster) Kill(id DatanodeID) bool {
+	d := c.Datanode(id)
+	return d != nil && c.SetFault(id, Fault{Crashed: true, Muted: d.fault.Muted})
 }
 
 // Decommission gracefully drains a datanode: it keeps serving reads while
@@ -114,14 +169,15 @@ func (c *Cluster) Kill(id DatanodeID) {
 // ClassAds.
 func (c *Cluster) Decommission(id DatanodeID, done func(error)) {
 	d := c.datanodes[id]
-	if d.State != StateActive || d.crashed {
+	if d.fault.Crashed {
+		c.finish(done, fmt.Errorf("hdfs: %s has crashed", d.Name))
+		return
+	}
+	if d.State != StateActive {
 		c.finish(done, fmt.Errorf("hdfs: %s is %s, not active", d.Name, d.State))
 		return
 	}
-	d.ActiveTime += c.clock.Now() - d.activeSince
-	d.State = StateDecommissioning
-	c.reindexNode(d)
-	c.jlog(auditlog.Entry{Op: auditlog.OpNodeState, Node: int(id), State: int(StateDecommissioning)})
+	c.setState(d, StateDecommissioning, false)
 	blocks := make([]BlockID, 0, d.blocks.Len())
 	d.blocks.Each(func(bid BlockID) { blocks = append(blocks, bid) }) // ascending
 	outstanding := 0
@@ -145,11 +201,7 @@ func (c *Cluster) Decommission(id DatanodeID, done func(error)) {
 				c.detachReplica(c.blocks[bid], id)
 			}
 		}
-		d.State = StateDecommissioned
-		c.reindexNode(d)
-		c.jlog(auditlog.Entry{Op: auditlog.OpNodeState, Node: int(id), State: int(StateDecommissioned)})
-		c.abortServing(d)
-		c.abortWaiting(d)
+		c.setState(d, StateDecommissioned, false)
 		c.finish(done, nil)
 	}
 	complete := func(err error) {
@@ -180,17 +232,18 @@ func (c *Cluster) Decommission(id DatanodeID, done func(error)) {
 	}
 }
 
-// Restart brings a dead node back empty (fresh disk), active. A crashed
-// node the namenode has not yet declared dead (heartbeat mode) is declared
-// dead first — its replicas release and OnDatanodeDown fires — then the
-// fresh process registers and OnDatanodeUp fires.
-func (c *Cluster) Restart(id DatanodeID) {
-	d := c.datanodes[id]
-	if d.crashed && d.State != StateDown {
-		c.declareDead(id)
+// Restart brings a down node back empty (fresh disk), active, and
+// reports whether it did. A crashed node the namenode has not yet declared
+// dead (heartbeat mode) is declared dead first — its replicas release and
+// OnDatanodeDown fires — then the fresh process registers and OnDatanodeUp
+// fires.
+func (c *Cluster) Restart(id DatanodeID) bool {
+	d := c.Datanode(id)
+	if d == nil || !d.Down() {
+		return false
 	}
 	if d.State != StateDown {
-		return
+		c.declareDead(id)
 	}
 	d.blocks = blockSet{}
 	d.corrupt = make(map[BlockID]bool)
@@ -198,26 +251,28 @@ func (c *Cluster) Restart(id DatanodeID) {
 	d.Used = 0
 	d.sessions = 0
 	d.waiting = nil
-	d.crashed = false
-	d.stalled = false
+	d.fault = Fault{Slow: d.fault.Slow}
 	d.Stale = false
-	d.State = StateActive
-	d.activeSince = c.clock.Now()
-	d.lastHeartbeat = c.clock.Now()
-	c.reindexNode(d)
-	c.jlog(auditlog.Entry{Op: auditlog.OpNodeState, Node: int(id), State: int(StateActive), Flag: true})
+	c.setState(d, StateActive, true)
 	for _, fn := range c.onNodeUp {
 		fn(id)
 	}
+	return true
 }
 
-// abortServing aborts every flow served from d.
+// abortServing aborts every flow served from d, then refuses its queued
+// admissions: the node left service, and each read retries elsewhere.
 func (c *Cluster) abortServing(d *Datanode) {
 	var victims []victim
 	for f, h := range d.activeFlows {
 		victims = append(victims, victim{d, f, h})
 	}
 	c.abortFlows(victims)
+	waiting := d.waiting
+	d.waiting = nil
+	for _, r := range waiting {
+		r.retryAfter("admission aborted")
+	}
 }
 
 // victim is a tracked flow to abort: its serving node and handle.
@@ -241,15 +296,5 @@ func (c *Cluster) abortFlows(victims []victim) {
 	}
 	for _, v := range victims {
 		v.h.abort()
-	}
-}
-
-// abortWaiting refuses every queued admission on d (the node left service);
-// each read retries elsewhere.
-func (c *Cluster) abortWaiting(d *Datanode) {
-	waiting := d.waiting
-	d.waiting = nil
-	for _, r := range waiting {
-		r.retryAfter("admission aborted")
 	}
 }

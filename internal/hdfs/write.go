@@ -94,7 +94,7 @@ func (c *Cluster) WriteFile(client topology.NodeID, path string, size float64, r
 		path2 := c.pipelinePath(client, targets)
 		c.fabric.StartFlow(path2, bs, 0, func(*netsim.Flow) {
 			for _, t := range targets {
-				if d := c.datanodes[t]; d.State != StateDown && !d.crashed {
+				if !c.datanodes[t].Down() {
 					c.attachReplica(b, t)
 				}
 			}

@@ -206,7 +206,7 @@ func referenceCandidates(c *hdfs.Cluster, b *hdfs.Block) []hdfs.DatanodeID {
 		}
 		// Stale, crashed, or partitioned nodes do not receive writes: the
 		// namenode either distrusts them (stale) or cannot reach them.
-		if d.Stale || d.Crashed() || c.NodeUnreachable(d.ID) {
+		if d.Stale || d.Down() || c.NodeUnreachable(d.ID) {
 			continue
 		}
 		if d.UncommittedFree() < b.Size {
