@@ -66,7 +66,7 @@ type (
 	ReadResult = hdfs.ReadResult
 	// WriteResult describes one completed pipelined write.
 	WriteResult = hdfs.WriteResult
-	// Job is a MapReduce job for Submit.
+	// Job is a MapReduce job, as ReplayJobs runs it.
 	Job = mapred.Job
 	// Trace is a synthetic SWIM-style workload.
 	Trace = workload.Trace
@@ -408,9 +408,6 @@ func (s *System) ReadRange(client int, path string, offset, length float64, done
 func (s *System) Write(client int, path string, size float64, done func(*WriteResult)) {
 	s.shardFor(path).cluster.WriteFile(topology.NodeID(client), path, size, 0, done)
 }
-
-// Submit queues a MapReduce job.
-func (s *System) Submit(j *Job) error { return s.shards[0].mr.Submit(j) }
 
 // Rename moves a file to a new path (metadata-only); ERMS's judge state
 // follows the file. When the source and destination hash to different

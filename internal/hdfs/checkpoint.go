@@ -259,18 +259,18 @@ func (c *Cluster) journalPos() uint64 {
 func (c *Cluster) RestoredJournalSeq() uint64 { return c.ckptJournalSeq }
 
 // checkpointed lists the serialized metric fields, *int or *float64, in
-// stream order: encode and decode both walk it. Adding a Metrics field to
-// the checkpoint means extending it (and bumping CheckpointVersion); the
-// ranged-read, safe-mode and fencing counters are transient by design.
+// stream order: encode and decode both walk it. It reads the durable rows
+// of metricFields; making another counter durable means marking its row
+// (and bumping CheckpointVersion). The ranged-read, safe-mode and fencing
+// counters are transient by design.
 func (m *Metrics) checkpointed() []any {
-	return []any{
-		&m.ReadsStarted, &m.ReadsCompleted, &m.ReadsFailed,
-		&m.BlockReads, &m.NodeLocalReads, &m.RackLocalReads, &m.RemoteReads,
-		&m.ReplicasAdded, &m.ReplicasRemoved,
-		&m.FilesEncoded, &m.BlocksRebuilt,
-		&m.StaleTransitions, &m.ReplicasScrubbed, &m.CorruptDetected, &m.ChecksumFailures,
-		&m.BytesRead, &m.ReplicationMB, &m.CorruptBytes,
+	ps := make([]any, 0, len(metricFields))
+	for _, f := range metricFields {
+		if f.durable {
+			ps = append(ps, f.field(m))
+		}
 	}
+	return ps
 }
 
 // ckptNode is a decoded datanode record, pre-commit.

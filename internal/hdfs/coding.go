@@ -58,8 +58,7 @@ func (c *Cluster) EncodeFile(path string, k, m int, done func(error)) {
 		c.finish(done, err)
 		return
 	}
-	f.EncodeK, f.EncodeM = k, m
-	c.jlog(auditlog.Entry{Op: auditlog.OpEncodeGeom, File: f.id, K: k, M: m})
+	c.setGeometry(f, k, m)
 	stripes := (len(f.Blocks) + k - 1) / k
 	outstanding := 0
 	var firstErr error
@@ -97,7 +96,6 @@ func (c *Cluster) EncodeFile(path string, k, m int, done func(error)) {
 				fileID: f.id,
 			}
 			c.addBlock(pb)
-			f.Parity = append(f.Parity, pb.ID)
 			targets = c.placement.ChooseTargets(targets[:0], c, pb, 1, -1, &exclude)
 			if len(targets) == 0 {
 				if firstErr == nil {
@@ -252,9 +250,7 @@ func (c *Cluster) finishEncode(f *INode, err error, done func(error)) {
 			load[keeper]++
 		}
 	}
-	f.Encoded = true
-	c.jlog(auditlog.Entry{Op: auditlog.OpEncodeDone, File: f.id})
-	c.reassessFile(f)
+	c.setEncoded(f, true)
 	c.metrics.FilesEncoded++
 	c.finish(done, nil)
 }
@@ -407,13 +403,38 @@ func (c *Cluster) CancelEncoding(path string) error {
 	if f.Encoded {
 		return fmt.Errorf("hdfs: %q is fully encoded; use DecodeFile", path)
 	}
+	c.clearGeometry(f)
+	return nil
+}
+
+// setGeometry records f's stripe geometry, RS(k, m), as an encode starts.
+func (c *Cluster) setGeometry(f *INode, k, m int) {
+	f.EncodeK, f.EncodeM = k, m
+	c.jlog(auditlog.Entry{Op: auditlog.OpEncodeGeom, File: f.id, K: k, M: m})
+}
+
+// clearGeometry drops f's parity blocks and clears its stripe geometry,
+// leaving the file plain.
+func (c *Cluster) clearGeometry(f *INode) {
 	for _, pid := range f.Parity {
 		c.dropBlock(pid)
 	}
 	f.Parity = nil
 	f.EncodeK, f.EncodeM = 0, 0
 	c.jlog(auditlog.Entry{Op: auditlog.OpClearGeom, File: f.id})
-	return nil
+}
+
+// setEncoded marks f encoded (its parity complete) or not (a decode has
+// begun), and re-derives its data blocks' under-replication, whose target
+// the flag moves.
+func (c *Cluster) setEncoded(f *INode, encoded bool) {
+	f.Encoded = encoded
+	op := auditlog.OpDecodeStart
+	if encoded {
+		op = auditlog.OpEncodeDone
+	}
+	c.jlog(auditlog.Entry{Op: op, File: f.id})
+	c.reassessFile(f)
 }
 
 // DecodeFile restores an encoded file to plain replication n: every block
@@ -448,12 +469,10 @@ func (c *Cluster) DecodeFile(path string, n int, done func(error)) {
 		c.finish(done, fmt.Errorf("hdfs: %q is not encoded", path))
 		return
 	}
-	f.Encoded = false
-	c.jlog(auditlog.Entry{Op: auditlog.OpDecodeStart, File: f.id})
+	c.setEncoded(f, false)
 	for _, pid := range f.Parity {
 		c.dropBlock(pid)
 	}
 	f.Parity = nil
-	c.reassessFile(f)
 	c.SetReplication(path, n, WholeAtOnce, done)
 }

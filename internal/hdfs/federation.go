@@ -99,31 +99,13 @@ func (c *Cluster) PendingMoves() []MoveRecord {
 // Add returns the field-wise sum of two metrics snapshots — the federated
 // facade's cluster-wide view across per-shard block pools.
 func (m Metrics) Add(o Metrics) Metrics {
-	m.ReadsStarted += o.ReadsStarted
-	m.ReadsCompleted += o.ReadsCompleted
-	m.ReadsFailed += o.ReadsFailed
-	m.BytesRead += o.BytesRead
-	m.BlockReads += o.BlockReads
-	m.NodeLocalReads += o.NodeLocalReads
-	m.RackLocalReads += o.RackLocalReads
-	m.RemoteReads += o.RemoteReads
-	m.RangedReads += o.RangedReads
-	m.PartialBlockReads += o.PartialBlockReads
-	m.RangedBytesRead += o.RangedBytesRead
-	m.ReplicasAdded += o.ReplicasAdded
-	m.ReplicasRemoved += o.ReplicasRemoved
-	m.ReplicationMB += o.ReplicationMB
-	m.FilesEncoded += o.FilesEncoded
-	m.BlocksRebuilt += o.BlocksRebuilt
-	m.StaleTransitions += o.StaleTransitions
-	m.ReplicasScrubbed += o.ReplicasScrubbed
-	m.CorruptDetected += o.CorruptDetected
-	m.ChecksumFailures += o.ChecksumFailures
-	m.CorruptBytes += o.CorruptBytes
-	m.SafeModeEntries += o.SafeModeEntries
-	m.SafeModeExits += o.SafeModeExits
-	m.SafeModeRejections += o.SafeModeRejections
-	m.FencedWritesRejected += o.FencedWritesRejected
-	m.FencedWritesApplied += o.FencedWritesApplied
+	for _, f := range metricFields {
+		switch p := f.field(&m).(type) {
+		case *int:
+			*p += *f.field(&o).(*int)
+		case *float64:
+			*p += *f.field(&o).(*float64)
+		}
+	}
 	return m
 }

@@ -323,6 +323,44 @@ type Metrics struct {
 	FencedWritesApplied int
 }
 
+// metricFields declares each Metrics field once: its /metrics gauge (after
+// "hdfs_"), whether the checkpoint carries it, and where it lives (an *int
+// or a *float64). The durable fields come first, in checkpoint stream
+// order. RegisterMetrics, Metrics.Add and the checkpoint's metric list all
+// walk this table.
+var metricFields = [...]struct {
+	gauge   string
+	durable bool
+	field   func(*Metrics) any
+}{
+	{"reads_started_total", true, func(m *Metrics) any { return &m.ReadsStarted }},
+	{"reads_completed_total", true, func(m *Metrics) any { return &m.ReadsCompleted }},
+	{"reads_failed_total", true, func(m *Metrics) any { return &m.ReadsFailed }},
+	{"block_reads_total", true, func(m *Metrics) any { return &m.BlockReads }},
+	{"node_local_reads_total", true, func(m *Metrics) any { return &m.NodeLocalReads }},
+	{"rack_local_reads_total", true, func(m *Metrics) any { return &m.RackLocalReads }},
+	{"remote_reads_total", true, func(m *Metrics) any { return &m.RemoteReads }},
+	{"replicas_added_total", true, func(m *Metrics) any { return &m.ReplicasAdded }},
+	{"replicas_removed_total", true, func(m *Metrics) any { return &m.ReplicasRemoved }},
+	{"files_encoded_total", true, func(m *Metrics) any { return &m.FilesEncoded }},
+	{"blocks_rebuilt_total", true, func(m *Metrics) any { return &m.BlocksRebuilt }},
+	{"stale_transitions_total", true, func(m *Metrics) any { return &m.StaleTransitions }},
+	{"replicas_scrubbed_total", true, func(m *Metrics) any { return &m.ReplicasScrubbed }},
+	{"corrupt_detected_total", true, func(m *Metrics) any { return &m.CorruptDetected }},
+	{"checksum_failures_total", true, func(m *Metrics) any { return &m.ChecksumFailures }},
+	{"bytes_read_total", true, func(m *Metrics) any { return &m.BytesRead }},
+	{"replication_mb_total", true, func(m *Metrics) any { return &m.ReplicationMB }},
+	{"corrupt_bytes_total", true, func(m *Metrics) any { return &m.CorruptBytes }},
+	{"ranged_reads_total", false, func(m *Metrics) any { return &m.RangedReads }},
+	{"partial_block_reads_total", false, func(m *Metrics) any { return &m.PartialBlockReads }},
+	{"ranged_bytes_read_total", false, func(m *Metrics) any { return &m.RangedBytesRead }},
+	{"safemode_entries_total", false, func(m *Metrics) any { return &m.SafeModeEntries }},
+	{"safemode_exits_total", false, func(m *Metrics) any { return &m.SafeModeExits }},
+	{"safemode_rejections_total", false, func(m *Metrics) any { return &m.SafeModeRejections }},
+	{"fenced_writes_rejected_total", false, func(m *Metrics) any { return &m.FencedWritesRejected }},
+	{"fenced_writes_applied_total", false, func(m *Metrics) any { return &m.FencedWritesApplied }},
+}
+
 // BlockReadEvent describes one served block read; ERMS feeds these into the
 // CEP engine alongside the file-level audit log.
 type BlockReadEvent struct {
@@ -391,8 +429,9 @@ type Cluster struct {
 
 	// journal, when attached, receives a typed write-ahead record for
 	// every durable namenode mutation; replaying stands a failover twin
-	// up from a checkpoint. replaying suppresses re-emission while the
-	// journal's own entries are being applied. ckptJournalSeq carries the
+	// up from a checkpoint. replaying suppresses re-emission, and
+	// setState's uptime billing and flow aborts, while the journal's own
+	// entries are being applied. ckptJournalSeq carries the
 	// journal position of the checkpoint this cluster restored from.
 	journal        *auditlog.Journal
 	replaying      bool
@@ -528,33 +567,15 @@ func (c *Cluster) Tracer() *trace.Tracer { return c.tracer }
 // RegisterMetrics registers the cluster's counters (and the fabric's)
 // into a metrics registry as snapshot-time gauges.
 func (c *Cluster) RegisterMetrics(r *metrics.Registry) {
-	m := &c.metrics
-	r.GaugeFunc("hdfs_reads_started_total", func() float64 { return float64(m.ReadsStarted) })
-	r.GaugeFunc("hdfs_reads_completed_total", func() float64 { return float64(m.ReadsCompleted) })
-	r.GaugeFunc("hdfs_reads_failed_total", func() float64 { return float64(m.ReadsFailed) })
-	r.GaugeFunc("hdfs_bytes_read_total", func() float64 { return m.BytesRead })
-	r.GaugeFunc("hdfs_block_reads_total", func() float64 { return float64(m.BlockReads) })
-	r.GaugeFunc("hdfs_node_local_reads_total", func() float64 { return float64(m.NodeLocalReads) })
-	r.GaugeFunc("hdfs_rack_local_reads_total", func() float64 { return float64(m.RackLocalReads) })
-	r.GaugeFunc("hdfs_remote_reads_total", func() float64 { return float64(m.RemoteReads) })
-	r.GaugeFunc("hdfs_ranged_reads_total", func() float64 { return float64(m.RangedReads) })
-	r.GaugeFunc("hdfs_partial_block_reads_total", func() float64 { return float64(m.PartialBlockReads) })
-	r.GaugeFunc("hdfs_ranged_bytes_read_total", func() float64 { return m.RangedBytesRead })
-	r.GaugeFunc("hdfs_replicas_added_total", func() float64 { return float64(m.ReplicasAdded) })
-	r.GaugeFunc("hdfs_replicas_removed_total", func() float64 { return float64(m.ReplicasRemoved) })
-	r.GaugeFunc("hdfs_replication_mb_total", func() float64 { return m.ReplicationMB })
-	r.GaugeFunc("hdfs_files_encoded_total", func() float64 { return float64(m.FilesEncoded) })
-	r.GaugeFunc("hdfs_blocks_rebuilt_total", func() float64 { return float64(m.BlocksRebuilt) })
-	r.GaugeFunc("hdfs_stale_transitions_total", func() float64 { return float64(m.StaleTransitions) })
-	r.GaugeFunc("hdfs_replicas_scrubbed_total", func() float64 { return float64(m.ReplicasScrubbed) })
-	r.GaugeFunc("hdfs_checksum_failures_total", func() float64 { return float64(m.ChecksumFailures) })
-	r.GaugeFunc("hdfs_corrupt_detected_total", func() float64 { return float64(m.CorruptDetected) })
-	r.GaugeFunc("hdfs_corrupt_bytes_total", func() float64 { return m.CorruptBytes })
-	r.GaugeFunc("hdfs_safemode_entries_total", func() float64 { return float64(m.SafeModeEntries) })
-	r.GaugeFunc("hdfs_safemode_exits_total", func() float64 { return float64(m.SafeModeExits) })
-	r.GaugeFunc("hdfs_safemode_rejections_total", func() float64 { return float64(m.SafeModeRejections) })
-	r.GaugeFunc("hdfs_fenced_writes_rejected_total", func() float64 { return float64(m.FencedWritesRejected) })
-	r.GaugeFunc("hdfs_fenced_writes_applied_total", func() float64 { return float64(m.FencedWritesApplied) })
+	for _, f := range metricFields {
+		p := f.field(&c.metrics)
+		r.GaugeFunc("hdfs_"+f.gauge, func() float64 {
+			if i, ok := p.(*int); ok {
+				return float64(*i)
+			}
+			return *p.(*float64)
+		})
+	}
 	r.GaugeFunc("hdfs_safemode_active", func() float64 {
 		if c.safeMode {
 			return 1
@@ -685,7 +706,8 @@ func (c *Cluster) registerFile(f *INode) {
 }
 
 // addBlock registers a freshly minted block (its ID must be the next in
-// sequence) in the dense block map.
+// sequence) in the dense block map and appends it to its file's data or
+// parity list.
 func (c *Cluster) addBlock(b *Block) {
 	if b.ID != c.nextBlock {
 		panic(fmt.Sprintf("hdfs: block %d minted out of sequence (next %d)", b.ID, c.nextBlock))
@@ -695,6 +717,13 @@ func (c *Cluster) addBlock(b *Block) {
 	c.replicas = append(c.replicas, nil)
 	c.readCounts = append(c.readCounts, 0)
 	c.liveBlocks++
+	switch f := c.fileOf(b); {
+	case f == nil: // an orphan no file lists
+	case b.Parity:
+		f.Parity = append(f.Parity, b.ID)
+	default:
+		f.Blocks = append(f.Blocks, b.ID)
+	}
 	c.reassessBlock(b)
 	c.jlog(auditlog.Entry{Op: auditlog.OpBlockAdd, Block: int64(b.ID), File: b.fileID,
 		Size: b.Size, Index: b.Index, Flag: b.Parity, Group: b.Group})
@@ -821,10 +850,9 @@ func (c *Cluster) CreateFile(path string, size float64, repl int, writer topolog
 	for i := 0; i < nBlocks; i++ {
 		b := &Block{ID: c.nextBlock, File: path, Index: i, Size: c.blockBytes(i, nBlocks, size), fileID: f.id}
 		c.addBlock(b)
-		f.Blocks = append(f.Blocks, b.ID)
 		c.createTargets = c.placement.ChooseTargets(c.createTargets[:0], c, b, repl, DatanodeID(writer), nil)
 		if len(c.createTargets) == 0 {
-			c.unwindCreate(f)
+			c.dropFile(f) // no orphan blocks left behind
 			return nil, fmt.Errorf("hdfs: no targets for block %d of %q", b.ID, path)
 		}
 		for _, t := range c.createTargets {
@@ -873,18 +901,6 @@ func (c *Cluster) blockBytes(i, n int, size float64) float64 {
 	return size - float64(float64(n-1)*c.cfg.BlockSize)
 }
 
-// unwindCreate rolls back a partially built CreateFile so a placement
-// failure does not leak orphan blocks into the block map.
-func (c *Cluster) unwindCreate(f *INode) {
-	for _, bid := range f.Blocks {
-		c.dropBlock(bid)
-	}
-	delete(c.files, f.Path)
-	c.fileByID[f.id] = nil
-	c.pathsCache = nil
-	c.jlog(auditlog.Entry{Op: auditlog.OpFileDrop, File: f.id, Path: f.Path})
-}
-
 // DeleteFile removes a file and frees its replicas.
 func (c *Cluster) DeleteFile(path string) error {
 	if err := c.writable(); err != nil {
@@ -894,15 +910,7 @@ func (c *Cluster) DeleteFile(path string) error {
 	if f == nil {
 		return fmt.Errorf("hdfs: no such file %q", path)
 	}
-	for _, ids := range [2][]BlockID{f.Blocks, f.Parity} {
-		for _, bid := range ids {
-			c.dropBlock(bid)
-		}
-	}
-	delete(c.files, path)
-	c.fileByID[f.id] = nil
-	c.pathsCache = nil
-	c.jlog(auditlog.Entry{Op: auditlog.OpFileDrop, File: f.id, Path: path})
+	c.dropFile(f)
 	c.audit.Append(auditlog.Record{
 		Time: c.clock.Now(), Allowed: true, UGI: "hadoop",
 		IP: "10.0.0.1", Cmd: auditlog.CmdDelete, Src: path,
@@ -928,21 +936,42 @@ func (c *Cluster) Rename(src, dst string) error {
 	if _, ok := c.files[dst]; ok {
 		return fmt.Errorf("hdfs: destination %q exists", dst)
 	}
-	delete(c.files, src)
-	f.Path = dst
-	c.files[dst] = f
-	c.pathsCache = nil
-	for _, ids := range [][]BlockID{f.Blocks, f.Parity} {
-		for _, bid := range ids {
-			c.blocks[bid].File = dst
-		}
-	}
-	c.jlog(auditlog.Entry{Op: auditlog.OpRename, File: f.id, Path: src, Dst: dst})
+	c.renameFile(f, dst)
 	c.audit.Append(auditlog.Record{
 		Time: c.clock.Now(), Allowed: true, UGI: "hadoop",
 		IP: "10.0.0.1", Cmd: auditlog.CmdRename, Src: src, Dst: dst,
 	})
 	return nil
+}
+
+// dropFile drops f's blocks, then removes f from the namespace: the
+// transition DeleteFile, a failed CreateFile's unwind and OpFileDrop share.
+func (c *Cluster) dropFile(f *INode) {
+	for _, ids := range [2][]BlockID{f.Blocks, f.Parity} {
+		for _, bid := range ids {
+			c.dropBlock(bid)
+		}
+	}
+	delete(c.files, f.Path)
+	c.fileByID[f.id] = nil
+	c.pathsCache = nil
+	c.jlog(auditlog.Entry{Op: auditlog.OpFileDrop, File: f.id, Path: f.Path})
+}
+
+// renameFile moves f and its blocks to dst, which must be free: the
+// transition Rename and OpRename share.
+func (c *Cluster) renameFile(f *INode, dst string) {
+	src := f.Path
+	delete(c.files, src)
+	f.Path = dst
+	c.files[dst] = f
+	c.pathsCache = nil
+	for _, ids := range [2][]BlockID{f.Blocks, f.Parity} {
+		for _, bid := range ids {
+			c.blocks[bid].File = dst
+		}
+	}
+	c.jlog(auditlog.Entry{Op: auditlog.OpRename, File: f.id, Path: src, Dst: dst})
 }
 
 // attachReplica registers a replica on dn (metadata + space). A freshly

@@ -57,9 +57,7 @@ func (c *Cluster) heartbeatTick(now time.Duration) {
 		if !d.fault.Crashed && !d.fault.Muted && !c.partitioned[c.topo.Rack(topology.NodeID(d.ID))] {
 			d.lastHeartbeat = now
 			if d.Stale {
-				d.Stale = false
-				c.reindexNode(d)
-				c.jlog(auditlog.Entry{Op: auditlog.OpNodeStale, Node: int(d.ID), Flag: false})
+				c.setStale(d, false)
 				c.reconcileRejoin(d)
 			}
 			continue
@@ -69,12 +67,18 @@ func (c *Cluster) heartbeatTick(now time.Duration) {
 		case age >= hb.DeadTimeout:
 			c.declareDead(d.ID)
 		case age >= hb.StaleTimeout && !d.Stale:
-			d.Stale = true
 			c.metrics.StaleTransitions++
-			c.reindexNode(d)
-			c.jlog(auditlog.Entry{Op: auditlog.OpNodeStale, Node: int(d.ID), Flag: true})
+			c.setStale(d, true)
 		}
 	}
+}
+
+// setStale flips the namenode's staleness belief about d, re-indexes d for
+// placement and journals the flip.
+func (c *Cluster) setStale(d *Datanode, stale bool) {
+	d.Stale = stale
+	c.reindexNode(d)
+	c.jlog(auditlog.Entry{Op: auditlog.OpNodeStale, Node: int(d.ID), Flag: stale})
 }
 
 // reconcileRejoin handles a stale node resuming heartbeats: its blocks are
@@ -107,13 +111,7 @@ func (c *Cluster) declareDead(id DatanodeID) {
 	if d.State == StateDown {
 		return
 	}
-	d.Stale = false
-	c.setState(d, StateDown, false)
-	// Drop its replicas from the block map (space bookkeeping stays — the
-	// disk is gone with the node, but Used on a dead node is irrelevant).
-	d.blocks.Each(func(bid BlockID) {
-		c.detachReplica(c.blocks[bid], id)
-	})
+	c.setState(d, StateDown, false) // drops its replicas from the block map
 	// Re-evaluate safe mode before repair decisions fire: in a correlated
 	// failure the guard must trip mid-cascade so the remaining deaths defer
 	// their re-replication instead of scheduling a repair storm.

@@ -11,10 +11,12 @@ import (
 // one typed entry at its mutation chokepoint (registerFile, addBlock,
 // attachReplica, ...), never at the API surface, so every internal path
 // (unwind, drain, heartbeat death) is journaled for free. ReplayJournal
-// applies entries through the same internal mutators with re-emission
-// suppressed, which makes replay idempotent where the mutators are
-// (attach/detach guard on membership) and strictly validated where they
-// are not (file intern IDs and block IDs must arrive in sequence).
+// validates each entry and then calls the one transition the live path
+// used to emit it, with re-emission suppressed, so every derived index
+// stays current entry by entry, as it does live. Replay is idempotent
+// where the mutators are (attach/detach guard on membership) and strictly
+// validated where they are not (file intern IDs and block IDs must arrive
+// in sequence).
 //
 // The journal deliberately does NOT record what the namenode cannot know:
 // silent replica corruption (CorruptReplica), crashed-but-undeclared
@@ -56,8 +58,8 @@ func (c *Cluster) jlog(e auditlog.Entry) {
 
 // ReplayJournal applies a journal tail to a cluster restored from the
 // checkpoint the tail follows. Entries are applied in order through the
-// same internal mutators the live cluster used; afterwards every derived
-// index is rebuilt. The first entry must match the checkpoint's recorded
+// same transitions the live cluster used, which keep every derived index
+// current as they go. The first entry must match the checkpoint's recorded
 // journal position (RestoredJournalSeq) so a tail can never be applied to
 // the wrong base state; replay stops with an error on the first entry
 // that fails validation.
@@ -82,12 +84,11 @@ func (c *Cluster) ReplayJournal(entries []auditlog.Entry) error {
 		}
 	}
 	c.ckptJournalSeq = prev + 1
-
-	c.rebuildDerived()
 	return nil
 }
 
-// applyEntry applies one journal entry to namenode state.
+// applyEntry validates one journal entry, then applies it through the
+// transition the live path took to emit it.
 func (c *Cluster) applyEntry(e auditlog.Entry) error {
 	switch e.Op {
 	case auditlog.OpFileAdd:
@@ -100,196 +101,41 @@ func (c *Cluster) applyEntry(e auditlog.Entry) error {
 		if e.Target < 1 {
 			return fmt.Errorf("target %d", e.Target)
 		}
-		f := &INode{
-			Path:       e.Path,
-			Size:       e.Size,
-			TargetRepl: e.Target,
-			CreatedAt:  e.Time,
+		c.registerFile(&INode{Path: e.Path, Size: e.Size, TargetRepl: e.Target, CreatedAt: e.Time})
+	case auditlog.OpFileDrop, auditlog.OpRename, auditlog.OpSetTarget, auditlog.OpEncodeGeom,
+		auditlog.OpEncodeDone, auditlog.OpDecodeStart, auditlog.OpClearGeom, auditlog.OpBlockAdd:
+		if e.File < 0 || e.File >= len(c.fileByID) || c.fileByID[e.File] == nil {
+			return fmt.Errorf("unknown file intern ID %d", e.File)
 		}
-		c.registerFile(f)
-
-	case auditlog.OpFileDrop:
-		f, err := c.fileEntry(e)
-		if err != nil {
-			return err
-		}
-		for _, ids := range [][]BlockID{f.Blocks, f.Parity} {
-			for _, bid := range ids {
-				if c.blocks[bid] != nil {
-					return fmt.Errorf("file %q dropped with live block %d", f.Path, bid)
-				}
-			}
-		}
-		delete(c.files, f.Path)
-		c.fileByID[f.id] = nil
-		c.pathsCache = nil
-
-	case auditlog.OpRename:
-		f, err := c.fileEntry(e)
-		if err != nil {
-			return err
-		}
-		if _, ok := c.files[e.Dst]; ok || e.Dst == "" {
-			return fmt.Errorf("bad or occupied destination %q", e.Dst)
-		}
-		delete(c.files, f.Path)
-		f.Path = e.Dst
-		c.files[e.Dst] = f
-		c.pathsCache = nil
-		for _, ids := range [][]BlockID{f.Blocks, f.Parity} {
-			for _, bid := range ids {
-				c.blocks[bid].File = e.Dst
-			}
-		}
-
-	case auditlog.OpSetTarget:
-		f, err := c.fileEntry(e)
-		if err != nil {
-			return err
-		}
-		if e.Target < 1 {
-			return fmt.Errorf("target %d", e.Target)
-		}
-		f.TargetRepl = e.Target
-
-	case auditlog.OpEncodeGeom:
-		f, err := c.fileEntry(e)
-		if err != nil {
-			return err
-		}
-		if e.K <= 0 || e.M <= 0 {
-			return fmt.Errorf("geometry %d+%d", e.K, e.M)
-		}
-		f.EncodeK, f.EncodeM = e.K, e.M
-
-	case auditlog.OpEncodeDone:
-		f, err := c.fileEntry(e)
-		if err != nil {
-			return err
-		}
-		f.Encoded = true
-
-	case auditlog.OpDecodeStart:
-		f, err := c.fileEntry(e)
-		if err != nil {
-			return err
-		}
-		f.Encoded = false
-
-	case auditlog.OpClearGeom:
-		f, err := c.fileEntry(e)
-		if err != nil {
-			return err
-		}
-		f.EncodeK, f.EncodeM = 0, 0
-		f.Parity = nil
-
-	case auditlog.OpBlockAdd:
-		if BlockID(e.Block) != c.nextBlock {
-			return fmt.Errorf("block %d minted out of sequence (next %d)", e.Block, c.nextBlock)
-		}
-		f, err := c.fileEntry(e)
-		if err != nil {
-			return err
-		}
-		b := &Block{
-			ID: BlockID(e.Block), File: f.Path, Index: e.Index, Size: e.Size,
-			Parity: e.Flag, Group: e.Group, fileID: f.id,
-		}
-		c.addBlock(b)
-		if b.Parity {
-			f.Parity = append(f.Parity, b.ID)
-		} else {
-			f.Blocks = append(f.Blocks, b.ID)
-		}
-
+		return c.applyFileEntry(c.fileByID[e.File], e)
 	case auditlog.OpBlockDrop:
-		bid := BlockID(e.Block)
-		if bid < 0 || int(bid) >= len(c.blocks) || c.blocks[bid] == nil {
+		b := c.Block(BlockID(e.Block))
+		if b == nil {
 			return fmt.Errorf("unknown block %d", e.Block)
 		}
-		b := c.blocks[bid]
-		if len(c.replicas[bid]) > 0 {
-			return fmt.Errorf("block %d dropped with %d replicas attached", bid, len(c.replicas[bid]))
+		if n := len(c.replicas[b.ID]); n > 0 {
+			return fmt.Errorf("block %d dropped with %d replicas attached", b.ID, n)
 		}
-		// The live paths drop a block's owning slice wholesale (file
-		// delete, parity clear) after dropping its blocks; replay removes
-		// the ID eagerly so intermediate state stays self-consistent.
-		if f := c.fileByID[b.fileID]; f != nil {
-			f.Blocks = removeID(f.Blocks, bid)
-			f.Parity = removeID(f.Parity, bid)
+		c.dropBlock(b.ID)
+		// The live paths drop a file's blocks, then the file or its
+		// parity list, within one operation. Replay unlinks each block as
+		// it goes, so no file lists a dropped block between entries, and
+		// re-reads the file's first data block, which carries its
+		// replication.
+		if f := c.fileOf(b); f != nil {
+			f.Blocks = removeID(f.Blocks, b.ID)
+			f.Parity = removeID(f.Parity, b.ID)
+			if len(f.Blocks) > 0 {
+				c.reassessAboveDefault(c.blocks[f.Blocks[0]])
+			}
 		}
-		c.dropBlock(bid)
-
-	case auditlog.OpReplicaAdd, auditlog.OpReplicaDrop:
-		bid := BlockID(e.Block)
-		if bid < 0 || int(bid) >= len(c.blocks) || c.blocks[bid] == nil {
-			return fmt.Errorf("unknown block %d", e.Block)
-		}
-		if e.Node < 0 || e.Node >= len(c.datanodes) {
+	case auditlog.OpReplicaAdd, auditlog.OpReplicaDrop, auditlog.OpReported,
+		auditlog.OpNodeState, auditlog.OpNodeStale:
+		d := c.Datanode(DatanodeID(e.Node))
+		if d == nil {
 			return fmt.Errorf("unknown node %d", e.Node)
 		}
-		if e.Op == auditlog.OpReplicaAdd {
-			c.attachReplica(c.blocks[bid], DatanodeID(e.Node))
-		} else {
-			c.detachReplica(c.blocks[bid], DatanodeID(e.Node))
-		}
-
-	case auditlog.OpNodeState:
-		if e.Node < 0 || e.Node >= len(c.datanodes) {
-			return fmt.Errorf("unknown node %d", e.Node)
-		}
-		s := NodeState(e.State)
-		if s < StateActive || s > StateDecommissioned {
-			return fmt.Errorf("unknown state %d", e.State)
-		}
-		d := c.datanodes[e.Node]
-		d.State = s
-		if s == StateActive {
-			// The journal does not carry energy bookkeeping, and the
-			// checkpoint's activeSince predates intervals ActiveTime has
-			// already absorbed. Re-stamping the activation keeps the
-			// uptime invariant (ActiveTime + open interval <= now); the
-			// gap between the real transition and replay time is simply
-			// not billed as active.
-			d.activeSince = c.clock.Now()
-			d.lastHeartbeat = c.clock.Now()
-		}
-		if s == StateDown {
-			// Mirrors declareDead: staleness ends at death. Fault.Crashed
-			// is truth the journal does not carry; it stays whatever the
-			// checkpoint said until a fresh restart.
-			d.Stale = false
-		}
-		if e.Flag { // fresh restart: wipe the previous incarnation
-			d.Stale = false
-			d.fault.Crashed = false
-			d.blocks = blockSet{}
-			d.corrupt = make(map[BlockID]bool)
-			d.reported = make(map[BlockID]bool)
-			d.Used = 0
-		}
-
-	case auditlog.OpNodeStale:
-		if e.Node < 0 || e.Node >= len(c.datanodes) {
-			return fmt.Errorf("unknown node %d", e.Node)
-		}
-		c.datanodes[e.Node].Stale = e.Flag
-
-	case auditlog.OpReported:
-		bid := BlockID(e.Block)
-		if bid < 0 || int(bid) >= len(c.blocks) || c.blocks[bid] == nil {
-			return fmt.Errorf("unknown block %d", e.Block)
-		}
-		if e.Node < 0 || e.Node >= len(c.datanodes) {
-			return fmt.Errorf("unknown node %d", e.Node)
-		}
-		d := c.datanodes[e.Node]
-		if !d.blocks.Has(bid) {
-			return fmt.Errorf("node %d reported block %d it does not hold", e.Node, bid)
-		}
-		d.reported[bid] = true
-
+		return c.applyNodeEntry(d, e)
 	case auditlog.OpFedMoveIntent, auditlog.OpFedMoveCommit, auditlog.OpFedMoveTombstone:
 		// Protocol markers: no namespace mutation, but the pending-move
 		// table is durable protocol state a promoted standby resolves from.
@@ -297,19 +143,87 @@ func (c *Cluster) applyEntry(e auditlog.Entry) error {
 			return fmt.Errorf("marker %s without src/dst", e.Op)
 		}
 		c.applyMoveMarker(e)
-
 	default:
 		return fmt.Errorf("unknown op %d", e.Op)
 	}
 	return nil
 }
 
-// fileEntry resolves an entry's file intern ID to a live INode.
-func (c *Cluster) fileEntry(e auditlog.Entry) (*INode, error) {
-	if e.File < 0 || e.File >= len(c.fileByID) || c.fileByID[e.File] == nil {
-		return nil, fmt.Errorf("unknown file intern ID %d", e.File)
+// applyFileEntry applies an entry about live file f.
+func (c *Cluster) applyFileEntry(f *INode, e auditlog.Entry) error {
+	switch e.Op {
+	case auditlog.OpFileDrop:
+		if n := len(f.Blocks) + len(f.Parity); n > 0 {
+			return fmt.Errorf("file %q dropped with %d live blocks", f.Path, n)
+		}
+		c.dropFile(f)
+	case auditlog.OpRename:
+		if _, ok := c.files[e.Dst]; ok || e.Dst == "" {
+			return fmt.Errorf("bad or occupied destination %q", e.Dst)
+		}
+		c.renameFile(f, e.Dst)
+	case auditlog.OpSetTarget:
+		if e.Target < 1 {
+			return fmt.Errorf("target %d", e.Target)
+		}
+		c.setTarget(f, e.Target)
+	case auditlog.OpEncodeGeom:
+		if e.K <= 0 || e.M <= 0 {
+			return fmt.Errorf("geometry %d+%d", e.K, e.M)
+		}
+		c.setGeometry(f, e.K, e.M)
+	case auditlog.OpEncodeDone, auditlog.OpDecodeStart:
+		c.setEncoded(f, e.Op == auditlog.OpEncodeDone)
+	case auditlog.OpClearGeom:
+		if len(f.Parity) > 0 {
+			return fmt.Errorf("geometry of %q cleared with %d live parity blocks", f.Path, len(f.Parity))
+		}
+		c.clearGeometry(f)
+	case auditlog.OpBlockAdd:
+		if BlockID(e.Block) != c.nextBlock {
+			return fmt.Errorf("block %d minted out of sequence (next %d)", e.Block, c.nextBlock)
+		}
+		c.addBlock(&Block{
+			ID: BlockID(e.Block), File: f.Path, Index: e.Index, Size: e.Size,
+			Parity: e.Flag, Group: e.Group, fileID: f.id,
+		})
 	}
-	return c.fileByID[e.File], nil
+	return nil
+}
+
+// applyNodeEntry applies an entry about datanode d.
+func (c *Cluster) applyNodeEntry(d *Datanode, e auditlog.Entry) error {
+	switch e.Op {
+	case auditlog.OpNodeState:
+		s := NodeState(e.State)
+		if s < StateActive || s > StateDecommissioned {
+			return fmt.Errorf("unknown state %d", e.State)
+		}
+		if e.Flag && d.State != StateDown {
+			return fmt.Errorf("node %d restarted while %s, not down", d.ID, d.State)
+		}
+		c.setState(d, s, e.Flag)
+		return nil
+	case auditlog.OpNodeStale:
+		c.setStale(d, e.Flag)
+		return nil
+	}
+	b := c.Block(BlockID(e.Block))
+	switch {
+	case b == nil:
+		return fmt.Errorf("unknown block %d", e.Block)
+	case e.Op == auditlog.OpReplicaDrop:
+		c.detachReplica(b, d.ID)
+	case e.Op == auditlog.OpReported && !d.blocks.Has(b.ID):
+		return fmt.Errorf("node %d reported block %d it does not hold", d.ID, b.ID)
+	case e.Op == auditlog.OpReported:
+		c.markReported(d, b.ID)
+	case d.State == StateDown:
+		return fmt.Errorf("replica of block %d added on down node %d", b.ID, d.ID)
+	default:
+		c.attachReplica(b, d.ID)
+	}
+	return nil
 }
 
 func removeID(ids []BlockID, bid BlockID) []BlockID {

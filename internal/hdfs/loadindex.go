@@ -223,9 +223,8 @@ func (c *Cluster) reassessAboveDefault(b *Block) {
 
 // rebuildDerived re-derives the indexes beside the namespace — placement
 // load buckets, the under-replicated set and the above-default set — from
-// the durable state: on restore, and after a journal replay, whose node
-// state entries skip the live path's bookkeeping and whose block drops can
-// change which block is a file's first.
+// the durable state when a checkpoint is restored. Journal replay keeps
+// them current entry by entry, through the live mutators.
 func (c *Cluster) rebuildDerived() {
 	c.loadIdx, c.idxMin = nil, 0
 	for _, d := range c.datanodes {

@@ -10,13 +10,13 @@ import (
 	"erms/internal/metrics"
 )
 
-// TestEveryMetricsFieldIsRegisteredAndSummed guards the two hand-kept
-// field lists that must name every field, RegisterMetrics and Metrics.Add:
-// every numeric field of Metrics, found by reflection, must surface as a
-// registry gauge and must be added by Add. Each field gets a value no
-// other gauge can show, so a field left out of a list is named. The third
-// list, the checkpoint's Metrics.checkpointed, names only the durable
-// counters, so it is not held to every field here.
+// TestEveryMetricsFieldIsRegisteredAndSummed guards the metricFields
+// table that RegisterMetrics and Metrics.Add walk: every numeric field of
+// Metrics, found by reflection, must surface as a registry gauge and must
+// be added by Add. Each field gets a value no other gauge can show, so a
+// field left out of the table is named. The checkpoint's
+// Metrics.checkpointed reads only the table's durable rows, so it is not
+// held to every field here.
 func TestEveryMetricsFieldIsRegisteredAndSummed(t *testing.T) {
 	_, c := newCluster(t)
 	v := reflect.ValueOf(&c.metrics).Elem()

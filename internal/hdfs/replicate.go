@@ -229,6 +229,14 @@ func (m ReplicationMode) String() string {
 	return "one-by-one"
 }
 
+// setTarget sets f's target replication and re-derives its data blocks'
+// under-replication.
+func (c *Cluster) setTarget(f *INode, n int) {
+	f.TargetRepl = n
+	c.jlog(auditlog.Entry{Op: auditlog.OpSetTarget, File: f.id, Target: n})
+	c.reassessFile(f)
+}
+
 // SetReplication changes a file's replica count to n, adding (in the given
 // mode) or removing replicas. done(err) fires when the file reaches the
 // target. Placement uses the installed policy; removals consult
@@ -268,9 +276,7 @@ func (c *Cluster) SetReplication(path string, n int, mode ReplicationMode, done 
 		Time: c.clock.Now(), Allowed: true, UGI: "hadoop",
 		IP: "10.0.0.1", Cmd: auditlog.CmdSetRepl, Src: path,
 	})
-	f.TargetRepl = n
-	c.jlog(auditlog.Entry{Op: auditlog.OpSetTarget, File: f.id, Target: n})
-	c.reassessFile(f)
+	c.setTarget(f, n)
 	cur := c.ReplicationOf(path)
 	switch {
 	case n == cur:

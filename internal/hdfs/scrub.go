@@ -58,14 +58,20 @@ func (c *Cluster) reportCorrupt(b *Block, dn DatanodeID) {
 		return
 	}
 	if !d.reported[b.ID] {
-		d.reported[b.ID] = true
-		c.jlog(auditlog.Entry{Op: auditlog.OpReported, Block: int64(b.ID), Node: int(dn)})
+		c.markReported(d, b.ID)
 		c.metrics.CorruptDetected++
 		c.metrics.CorruptBytes += b.Size
 		for _, fn := range c.onCorrupt {
 			fn(b.ID, dn)
 		}
 	}
+}
+
+// markReported records that d's corrupt replica of bid, the block's last
+// copy, has been reported, so it is reported once.
+func (c *Cluster) markReported(d *Datanode, bid BlockID) {
+	d.reported[bid] = true
+	c.jlog(auditlog.Entry{Op: auditlog.OpReported, Block: int64(bid), Node: int(d.ID)})
 }
 
 // ScrubConfig tunes the background block scrubber (HDFS's

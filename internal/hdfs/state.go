@@ -98,25 +98,52 @@ func (c *Cluster) SetFault(id DatanodeID, f Fault) bool {
 	return true
 }
 
-// setState moves d to the namenode's belief s; every transition outside
-// journal replay comes through here. It closes d's uptime interval (a
-// crash has already closed it) and opens one on entering StateActive,
-// re-indexes d for placement, journals the transition (restart marks a
-// fresh incarnation), and aborts d's transfers and queued reads when s
-// does not serve, or admits its queue when s starts serving.
+// setState moves d to the namenode's belief s; every transition, journal
+// replay's included, comes through here. It re-indexes d for placement
+// and journals the transition. restart marks a fresh incarnation and
+// wipes the previous one's disk and faults first. A node believed down
+// holds no replicas, so entering StateDown releases them. Entering
+// StateActive stamps a fresh uptime interval. The live cluster also
+// closes the interval d was in (a crash has already closed it), and
+// aborts d's transfers and queued reads when s does not serve, or admits
+// its queue when s starts serving. Replay does none of that: the journal
+// carries no energy bookkeeping or flows, so the gap between a real
+// activation and its replay is not billed as active.
 func (c *Cluster) setState(d *Datanode, s NodeState, restart bool) {
 	now, was := c.clock.Now(), d.State
-	d.ActiveTime += d.OpenActiveInterval(now)
+	if !c.replaying {
+		d.ActiveTime += d.OpenActiveInterval(now)
+	}
+	if restart {
+		d.blocks = blockSet{}
+		d.corrupt = make(map[BlockID]bool)
+		d.reported = make(map[BlockID]bool)
+		d.Used = 0
+		d.sessions = 0
+		d.waiting = nil
+		d.fault = Fault{Slow: d.fault.Slow}
+		d.Stale = false
+	}
 	d.State = s
-	if s == StateActive {
+	switch s {
+	case StateActive:
 		d.activeSince, d.lastHeartbeat = now, now
+	case StateDown:
+		d.Stale = false // staleness ends at death
 	}
 	c.reindexNode(d)
 	c.jlog(auditlog.Entry{Op: auditlog.OpNodeState, Node: int(d.ID), State: int(s), Flag: restart})
-	if !s.serves() {
-		c.abortServing(d)
-	} else if !was.serves() {
-		c.drainWaiting(d)
+	if !c.replaying {
+		if !s.serves() {
+			c.abortServing(d)
+		} else if !was.serves() {
+			c.drainWaiting(d)
+		}
+	}
+	if s == StateDown {
+		d.blocks.Each(func(bid BlockID) {
+			c.detachReplica(c.blocks[bid], d.ID)
+		})
 	}
 }
 
@@ -245,14 +272,6 @@ func (c *Cluster) Restart(id DatanodeID) bool {
 	if d.State != StateDown {
 		c.declareDead(id)
 	}
-	d.blocks = blockSet{}
-	d.corrupt = make(map[BlockID]bool)
-	d.reported = make(map[BlockID]bool)
-	d.Used = 0
-	d.sessions = 0
-	d.waiting = nil
-	d.fault = Fault{Slow: d.fault.Slow}
-	d.Stale = false
 	c.setState(d, StateActive, true)
 	for _, fn := range c.onNodeUp {
 		fn(id)

@@ -84,7 +84,6 @@ func (c *Cluster) WriteFile(client topology.NodeID, path string, size float64, r
 		bs := c.blockBytes(i, nBlocks, size)
 		b := &Block{ID: c.nextBlock, File: path, Index: i, Size: bs, fileID: f.id}
 		c.addBlock(b)
-		f.Blocks = append(f.Blocks, b.ID)
 		// nil dst: the pipeline callback below keeps targets past placement.
 		targets := c.placement.ChooseTargets(nil, c, b, repl, DatanodeID(client), nil)
 		if len(targets) == 0 {
