@@ -222,8 +222,12 @@ loc:
 # (result 22,215, rounded up), where replay calls the live namenode's
 # mutators instead of its own copies and drops its index rebuild, one
 # table declares the hdfs metrics, and cmd/dfsio and System.Submit, which
-# nothing ran, are deleted.
-LOC_CEILING ?= 22250
+# nothing ran, are deleted; 22,000 with windowed counts without a language
+# (result 21,977, rounded up), which deleted internal/cep's EPL lexer and
+# parser — the Data Judge declares its three statements as cep.Query values
+# — and the three shadow-cluster factories the failover harness, the
+# restore oracle and the scale cache took, now hdfs.Cluster.Shadow.
+LOC_CEILING ?= 22000
 
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
@@ -232,6 +236,10 @@ loc-check:
 	echo "non-test Go $$total lines <= ceiling $(LOC_CEILING)"
 
 # Coverage floor: CI fails if total statement coverage drops below this.
+# cover-check then runs the zero-coverage ratchet (scripts/zerocover.sh):
+# every test again with -coverpkg=./..., failing on a function outside
+# examples/ that no test runs unless scripts/zerocover.allow lists it, and
+# on a listed one that is now covered or gone, so the list only shrinks.
 COVER_FLOOR ?= 80.0
 
 cover:
@@ -243,6 +251,7 @@ cover-check: cover
 	awk -v t=$$total -v f=$(COVER_FLOOR) 'BEGIN { \
 		if (t + 0 < f + 0) { printf "coverage %.1f%% is below the %.1f%% floor\n", t, f; exit 1 } \
 		printf "coverage %.1f%% >= floor %.1f%%\n", t, f }'
+	GO=$(GO) bash scripts/zerocover.sh
 
 # Prints every figure/ablation table at quick scale (use FIG=8 for one).
 FIG ?= all
@@ -253,8 +262,8 @@ figures:
 full-scale:
 	ERMS_FULL=1 $(GO) test -run TestPaperScale -v ./internal/experiments/
 
-# Short fuzzing passes over the parsers, the trace decoder, and the three
-# durable-stream decoders — checkpoint, journal, federated envelope:
+# Short fuzzing passes over the audit-log parser, the trace decoder, and the
+# three durable-stream decoders — checkpoint, journal, federated envelope:
 # corrupt bytes must error, never panic or half-restore, and whatever the
 # checkpoint and journal decoders accept must re-encode byte-identically.
 # Both also re-seal each input's checksum trailer, so mutations reach the
@@ -267,7 +276,6 @@ full-scale:
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/auditlog/
 	$(GO) test -fuzz=FuzzDecodeJournal -fuzztime=30s ./internal/auditlog/
-	$(GO) test -fuzz=FuzzParseQuery -fuzztime=30s ./internal/cep/
 	$(GO) test -fuzz=FuzzDecodeTrace -fuzztime=30s ./internal/workload/
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=30s ./internal/hdfs/
 	$(GO) test -fuzz=FuzzReplayJournal -fuzztime=30s -fuzzminimizetime=2s ./internal/hdfs/

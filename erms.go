@@ -26,7 +26,7 @@
 //	fmt.Println(sys.Replication("/data/logs")) // > 3
 //
 // The internal packages expose the full substrates (HDFS model, CEP
-// engine, ClassAds, Condor scheduler, Reed–Solomon codec, SWIM-style
+// engine, Condor scheduler, Reed–Solomon codec, SWIM-style
 // workload synthesis); the aliases below surface the types needed to use
 // them through this package.
 package erms

@@ -72,9 +72,11 @@ func analyze(path string) error {
 
 	clock := time.Duration(0)
 	engine := cep.New(func() time.Duration { return clock })
-	stmt := engine.MustCompile(
-		"select path, count(*) as cnt from Access.win:time(600 s) " +
-			"where cmd = 'open' group by path")
+	stmt, err := engine.Compile(cep.Query{From: "Access", Window: 10 * time.Minute,
+		Where: "cmd", Equals: cep.StrVal("open"), GroupBy: []string{"path"}})
+	if err != nil {
+		return err
+	}
 	// Typed schema events: replaying a large log allocates nothing per line.
 	access := cep.NewSchema("Access", "path", "cmd")
 

@@ -8,11 +8,11 @@ import (
 
 // groupedInsert returns one step of the judge-shaped hot path: a typed
 // event through a where filter into a grouped time window.
-func groupedInsert() func() {
+func groupedInsert(tb testing.TB) func() {
 	now := time.Duration(0)
 	e := New(func() time.Duration { return now })
-	e.MustCompile("select path, count(*) as cnt from Access.win:time(300 s) " +
-		"where cmd = 'open' group by path")
+	compile(tb, e, Query{From: "Access", Window: 5 * time.Minute,
+		Where: "cmd", Equals: StrVal("open"), GroupBy: []string{"path"}})
 	schema := NewSchema("Access", "path", "cmd")
 	paths := []string{"/a", "/b", "/c", "/d", "/e"}
 	i := 0
@@ -29,7 +29,7 @@ func groupedInsert() func() {
 // BenchmarkInsertGroupedTimeWindow measures groupedInsert. This is
 // allocation-free.
 func BenchmarkInsertGroupedTimeWindow(b *testing.B) {
-	insert := groupedInsert()
+	insert := groupedInsert(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -41,10 +41,10 @@ func BenchmarkInsertGroupedTimeWindow(b *testing.B) {
 // reads grouped by path and block number over 256 groups, with a window
 // short enough that every insert also expires the oldest record, so the
 // step is a steady state of hash, chain walk, fold and unwind.
-func twoKeyInsert() func() {
+func twoKeyInsert(tb testing.TB) func() {
 	now := time.Duration(0)
 	e := New(func() time.Duration { return now })
-	e.MustCompile("select path, block, count(*) as cnt from BlockAccess.win:time(1 s) group by path, block")
+	compile(tb, e, Query{From: "BlockAccess", Window: time.Second, GroupBy: []string{"path", "block"}})
 	schema := NewSchema("BlockAccess", "path", "block", "datanode")
 	paths := make([]string, 64)
 	for i := range paths {
@@ -65,7 +65,7 @@ func twoKeyInsert() func() {
 // BenchmarkInsertTwoKeyGroups measures twoKeyInsert. This is
 // allocation-free.
 func BenchmarkInsertTwoKeyGroups(b *testing.B) {
-	insert := twoKeyInsert()
+	insert := twoKeyInsert(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -77,10 +77,10 @@ func BenchmarkInsertTwoKeyGroups(b *testing.B) {
 // each insert opens a group and expires the oldest record, emptying its
 // group, so the step is a steady state of group birth and death — a file
 // read once in the window, as most are.
-func churningInsert() func() {
+func churningInsert(tb testing.TB) func() {
 	now := time.Duration(0)
 	e := New(func() time.Duration { return now })
-	e.MustCompile("select block, count(*) as cnt from BlockAccess.win:time(1 s) group by block")
+	compile(tb, e, Query{From: "BlockAccess", Window: time.Second, GroupBy: []string{"block"}})
 	schema := NewSchema("BlockAccess", "block")
 	i := 0
 	return func() {
@@ -96,7 +96,7 @@ func churningInsert() func() {
 // to a free list the next new key takes them from, so this is
 // allocation-free.
 func BenchmarkInsertChurningGroups(b *testing.B) {
-	insert := churningInsert()
+	insert := churningInsert(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -104,12 +104,12 @@ func BenchmarkInsertChurningGroups(b *testing.B) {
 	}
 }
 
-// filledWindow compiles query against a one-hour window holding n events
-// spread over 20 groups.
-func filledWindow(tb testing.TB, query string, n int) *Statement {
+// filledWindow compiles q against a window holding n events, the last an
+// hour in, spread over 20 groups.
+func filledWindow(tb testing.TB, q Query, n int) *Statement {
 	tb.Helper()
 	e := New(func() time.Duration { return time.Hour })
-	st := e.MustCompile(query)
+	st := compile(tb, e, q)
 	schema := NewSchema("Access", "path", "cmd")
 	for i := 0; i < n; i++ {
 		ev := schema.Event(time.Hour - time.Duration(n-i)*time.Microsecond)
@@ -122,7 +122,7 @@ func filledWindow(tb testing.TB, query string, n int) *Statement {
 	return st
 }
 
-const eachRowQuery = "select path, count(*) as cnt from Access.win:time(3600 s) group by path"
+var eachRowQuery = Query{From: "Access", Window: time.Hour, GroupBy: []string{"path"}}
 
 // BenchmarkEachRowEvaluation measures the typed streaming evaluation the
 // judge uses against windows of increasing event count. The cost tracks the
@@ -147,13 +147,13 @@ func BenchmarkEachRowEvaluation(b *testing.B) {
 // budgets on every `go test`: allocs/op is the one number they report that
 // does not depend on the host.
 func TestHotPathAllocCeilings(t *testing.T) {
-	if n := testing.AllocsPerRun(1000, groupedInsert()); n != 0 {
+	if n := testing.AllocsPerRun(1000, groupedInsert(t)); n != 0 {
 		t.Errorf("InsertGroupedTimeWindow: %v allocs/op, want 0", n)
 	}
-	if n := testing.AllocsPerRun(1000, twoKeyInsert()); n != 0 {
+	if n := testing.AllocsPerRun(1000, twoKeyInsert(t)); n != 0 {
 		t.Errorf("InsertTwoKeyGroups: %v allocs/op, want 0", n)
 	}
-	churn := churningInsert()
+	churn := churningInsert(t)
 	for range 2000 { // fill the window: from here on every insert expires one
 		churn()
 	}
@@ -164,15 +164,5 @@ func TestHotPathAllocCeilings(t *testing.T) {
 	var sink float64
 	if n := testing.AllocsPerRun(100, func() { each.EachRow(func(cols []Val) { sink += cols[1].Num() }) }); n != 0 {
 		t.Errorf("EachRowEvaluation: %v allocs/op, want 0", n)
-	}
-}
-
-func BenchmarkParseQuery(b *testing.B) {
-	const q = "select path, count(*) as cnt from Access.win:time(60 s) " +
-		"where cmd = 'open' group by path"
-	for i := 0; i < b.N; i++ {
-		if _, err := parseQuery(q); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -2,6 +2,8 @@ package cep
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"time"
 
 	"erms/internal/metrics"
@@ -44,27 +46,35 @@ func New(clock func() time.Duration) *Engine {
 	return &Engine{clock: clock, statements: make(map[string][]*Statement)}
 }
 
-// Compile parses a statement and registers it with the engine. A statement
-// outside the one shape the package runs (see the package comment) is an
-// error naming the clause.
-func (e *Engine) Compile(epl string) (*Statement, error) {
-	q, err := parseQuery(epl)
-	if err != nil {
-		return nil, err
-	}
-	s := &Statement{engine: e, q: q, groups: make(map[uint64]*group), cols: make([]Val, len(q.sel))}
-	e.statements[q.from] = append(e.statements[q.from], s)
-	return s, nil
+// Query is the one statement shape: count(*) per group of GroupBy keys over
+// the events of type From in a sliding time window, optionally keeping only
+// the events whose Where field equals Equals. Fields resolve to slots per
+// schema; a field a schema lacks reads as null.
+type Query struct {
+	From   string        // the event type the statement reads
+	Window time.Duration // how far back the window reaches; 0 keeps only the current instant
+	Where  string        // the filtered field; "" keeps every event
+	Equals Val           // the value Where must hold, compared by kind and value
+	// GroupBy names the one to maxGroupKeyFields key fields; a row's
+	// columns are these keys in order, then count(*).
+	GroupBy []string
 }
 
-// MustCompile is Compile for statically known statements; it panics on
-// errors.
-func (e *Engine) MustCompile(epl string) *Statement {
-	s, err := e.Compile(epl)
-	if err != nil {
-		panic(err)
+// Compile registers q with the engine. A query with no group by key, more
+// than maxGroupKeyFields of them, or a negative window is an error.
+func (e *Engine) Compile(q Query) (*Statement, error) {
+	switch {
+	case len(q.GroupBy) == 0:
+		return nil, errors.New("cep: a query needs at least one group by key")
+	case len(q.GroupBy) > maxGroupKeyFields:
+		return nil, fmt.Errorf("cep: %d group by keys, at most %d are supported", len(q.GroupBy), maxGroupKeyFields)
+	case q.Window < 0:
+		return nil, fmt.Errorf("cep: negative window %v", q.Window)
 	}
-	return s
+	q.GroupBy = slices.Clone(q.GroupBy)
+	s := &Statement{engine: e, q: q, groups: make(map[uint64]*group), cols: make([]Val, len(q.GroupBy)+1)}
+	e.statements[q.From] = append(e.statements[q.From], s)
+	return s, nil
 }
 
 // Insert dispatches a schema event to every statement reading its type.
@@ -86,7 +96,7 @@ func (e *Engine) Insert(ev Event) error {
 // running count of every group with an event in the window (window.go).
 type Statement struct {
 	engine *Engine
-	q      *query
+	q      Query
 	label  string // trace label, e.g. "files"; set via SetLabel
 
 	schema    *Schema // the schema keySlots and whereSlot index
@@ -112,11 +122,11 @@ func (s *Statement) SetLabel(label string) *Statement {
 }
 
 // EachRow evaluates the statement now and streams one row per surviving
-// group to fn as typed columns in select-list order: a key column shows the
-// group's key, count(*) its records in the window. Groups come in the order
-// they first appeared in the current window, so output is deterministic.
-// The cols slice is an internal scratch buffer refilled per row — copy
-// values out, do not retain the slice.
+// group to fn as typed columns: the group's keys in GroupBy order, then
+// count(*), its records in the window. Groups come in the order they first
+// appeared in the current window, so output is deterministic. The cols
+// slice is an internal scratch buffer refilled per row — copy values out,
+// do not retain the slice.
 func (s *Statement) EachRow(fn func(cols []Val)) {
 	tr := s.engine.tracer
 	if !tr.Enabled() {

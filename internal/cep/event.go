@@ -1,12 +1,11 @@
 // Package cep is the complex event processing engine behind the ERMS Data
-// Judge, in the style the paper uses (Esper): typed event streams and one
+// Judge, in the role the paper gives Esper: typed event streams and one
 // continuous query shape, a windowed count(*) per group with an optional
-// equality filter, e.g.
+// equality filter. The paper writes its queries in Esper's EPL; here a
+// query is a Go value, e.g. per-file open counts over a minute:
 //
-//	select path, count(*) as cnt
-//	from Access.win:time(60 s)
-//	where cmd = 'open'
-//	group by path
+//	Query{From: "Access", Window: time.Minute,
+//		Where: "cmd", Equals: StrVal("open"), GroupBy: []string{"path"}}
 //
 // Statements are compiled once and evaluated against their window on
 // demand; the ERMS Data Judge polls them every judging period. The engine
@@ -17,9 +16,7 @@
 // Producers declare a Schema once and emit fixed-slot events through it,
 // and a statement keeps a running count per group that is updated on insert
 // and unwound on expiry, so evaluating it costs O(groups) whatever the
-// window retains. Anything outside the one shape — another aggregate, an
-// operator, having, limit, another window — is a Compile error naming the
-// clause.
+// window retains.
 package cep
 
 import (
@@ -107,7 +104,7 @@ const (
 )
 
 // Val is a compact typed value: a float64, a string, or null, without the
-// per-value heap boxing of `any`. Event slots, where literals, group keys
+// per-value heap boxing of `any`. Event slots, where values, group keys
 // and EachRow columns are all Vals, so the hot path never allocates. Only
 // the payload of the value's kind is set, so == is equality of kind and
 // value.

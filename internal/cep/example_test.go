@@ -14,9 +14,11 @@ import (
 func Example() {
 	now := 10 * time.Minute
 	engine := cep.New(func() time.Duration { return now })
-	stmt := engine.MustCompile(
-		"select path, count(*) as cnt from Access.win:time(600 s) " +
-			"where cmd = 'open' group by path")
+	stmt, err := engine.Compile(cep.Query{From: "Access", Window: 10 * time.Minute,
+		Where: "cmd", Equals: cep.StrVal("open"), GroupBy: []string{"path"}})
+	if err != nil {
+		panic(err)
+	}
 	access := cep.NewSchema("Access", "path", "cmd")
 
 	for i, path := range []string{"/hot", "/hot", "/hot", "/warm", "/cold", "/warm", "/hot"} {

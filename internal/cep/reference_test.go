@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 )
@@ -20,40 +19,23 @@ type refRec struct {
 }
 
 // refCase is one statement shape: the first nkeys of k0, k1, k2 as group
-// keys, the select list as key indices with -1 for count(*), and whether
-// it filters on skip = 0.
+// keys, and whether it filters on skip = 0.
 type refCase struct {
 	nkeys int
-	sel   []int
 	where bool
 }
 
 var refSchema = NewSchema("R", "k0", "k1", "k2", "skip")
 
-var refCases = []refCase{
-	{1, []int{0, -1}, false},
-	{1, []int{-1, 0}, true},
-	{2, []int{0, 1, -1}, true},
-	{2, []int{1, -1}, false}, // a key left out of the select list
-	{3, []int{2, 0, -1, 1}, false},
-	{3, []int{-1, 0, 1, 2, -1}, true},
-}
+var refCases = []refCase{{1, false}, {1, true}, {2, true}, {2, false}, {3, false}, {3, true}}
 
-func (c refCase) epl(window string) string {
-	names := []string{"k0", "k1", "k2"}
-	var items []string
-	for _, k := range c.sel {
-		if k < 0 {
-			items = append(items, "count(*) as n")
-		} else {
-			items = append(items, names[k])
-		}
-	}
-	epl := "select " + strings.Join(items, ", ") + " from R.win:time(" + window + ")"
+// query is c's statement over window w.
+func (c refCase) query(w time.Duration) Query {
+	q := Query{From: "R", Window: w, GroupBy: []string{"k0", "k1", "k2"}[:c.nkeys]}
 	if c.where {
-		epl += " where skip = 0"
+		q.Where, q.Equals = "skip", NumVal(0)
 	}
-	return epl + " group by " + strings.Join(names[:c.nkeys], ", ")
+	return q
 }
 
 // insert sends r through e as an R event.
@@ -71,8 +53,8 @@ func (r refRec) insert(t *testing.T, e *Engine) {
 // keep the records no older than w (aged exactly w is still visible) whose
 // skip is the number 0 when c filters, group them by their first nkeys keys
 // under == (a NaN matches nothing, −0 matches 0) in first-surviving-record
-// order, and emit each group's selected keys, as its latest record has
-// them, and record count. It also returns how many records the window
+// order, and emit each group's keys, as its latest record has them, then
+// its record count. It also returns how many records the window
 // holds. It shares no code with the engine.
 func refRows(recs []refRec, c refCase, w, now time.Duration) ([][]Val, int) {
 	idx := map[[maxGroupKeyFields]Val]int{}
@@ -98,15 +80,7 @@ func refRows(recs []refRec, c refCase, w, now time.Duration) ([][]Val, int) {
 	}
 	var rows [][]Val
 	for gi, k := range keys {
-		row := make([]Val, len(c.sel))
-		for i, ki := range c.sel {
-			if ki < 0 {
-				row[i] = NumVal(float64(count[gi]))
-			} else {
-				row[i] = k[ki]
-			}
-		}
-		rows = append(rows, row)
+		rows = append(rows, append(slices.Clone(k[:c.nkeys]), NumVal(float64(count[gi]))))
 	}
 	return rows, live
 }
@@ -120,8 +94,7 @@ func sameRows(a, b [][]Val) bool {
 // TestAggregatesMatchBruteForce checks EachRow and the records retained
 // against the recompute above over seeded random streams: one to three
 // keys of mixed kind (strings, numbers, the string '1' beside the number 1,
-// null, NaN, −0 beside 0), key columns and count(*) in varied orders, with
-// and without a where clause whose field is also of mixed kind, whole-second
+// null, NaN, −0 beside 0), with and without a where clause whose field is also of mixed kind, whole-second
 // clock steps (so records land exactly on the window's trailing edge),
 // jumps that empty the window, and keys never seen before, which take the
 // groups that expiry emptied off the statement's free list.
@@ -138,7 +111,7 @@ func TestAggregatesMatchBruteForce(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed*10 + int64(ci)))
 			var now time.Duration
 			e := New(func() time.Duration { return now })
-			st := e.MustCompile(c.epl("10 s"))
+			st := compile(t, e, c.query(w))
 			var recs []refRec
 			check := func() {
 				t.Helper()
@@ -155,10 +128,10 @@ func TestAggregatesMatchBruteForce(t *testing.T) {
 					emptied++
 				}
 				if !sameRows(got, want) {
-					t.Fatalf("%q seed %d at %v:\n got  %v\n want %v", c.epl("10 s"), seed, now, got, want)
+					t.Fatalf("%+v seed %d at %v:\n got  %v\n want %v", c, seed, now, got, want)
 				}
 				if n := st.expiry.len(); n != live {
-					t.Fatalf("%q seed %d at %v: %d records retained, reference holds %d", c.epl("10 s"), seed, now, n, live)
+					t.Fatalf("%+v seed %d at %v: %d records retained, reference holds %d", c, seed, now, n, live)
 				}
 			}
 			for i := 0; i < 250; i++ {
@@ -203,7 +176,7 @@ func TestRowOrderAcrossWideSequenceSpans(t *testing.T) {
 		var now time.Duration
 		e := New(func() time.Duration { return now })
 		c := refCases[0]
-		st := e.MustCompile(c.epl(fmt.Sprintf("%d s", int(window.Seconds()))))
+		st := compile(t, e, c.query(window))
 		var recs []refRec
 		for i := 0; i < 80000; i++ {
 			if i%400 == 0 {

@@ -118,7 +118,7 @@ func (s *Statement) insert(ev *Event) {
 	if ev.schema != s.schema {
 		s.resolve(ev.schema)
 	}
-	if s.q.where != "" && ev.field(s.whereSlot) != s.q.whereVal {
+	if s.q.Where != "" && ev.field(s.whereSlot) != s.q.Equals {
 		return
 	}
 	s.pruneTime()
@@ -167,10 +167,10 @@ func (s *Statement) resolve(sc *Schema) {
 		return -1
 	}
 	s.schema, s.keySlots = sc, s.keySlots[:0]
-	for _, k := range s.q.keys {
+	for _, k := range s.q.GroupBy {
 		s.keySlots = append(s.keySlots, slot(k))
 	}
-	s.whereSlot = slot(s.q.where)
+	s.whereSlot = slot(s.q.Where)
 }
 
 // pruneTime expires records older than the time window. The window is
@@ -178,7 +178,7 @@ func (s *Statement) resolve(sc *Schema) {
 // visible, so a periodic evaluator with period == window never loses the
 // events of the instant it last ran.
 func (s *Statement) pruneTime() {
-	cutoff := s.engine.clock() - s.q.window
+	cutoff := s.engine.clock() - s.q.Window
 	for s.expiry.len() > 0 && s.expiry.at(0).t < cutoff {
 		rec := s.expiry.pop()
 		g := rec.g
@@ -252,18 +252,14 @@ func (s *Statement) surviving() []seqGroup {
 }
 
 // each prunes the window and streams one row of typed columns per surviving
-// group, returning the number of rows. cols is reused between rows.
+// group, its keys then its count, returning the number of rows. cols is
+// reused between rows.
 func (s *Statement) each(fn func(cols []Val)) int {
 	s.pruneTime()
 	groups := s.surviving()
 	for _, sg := range groups {
-		for i, k := range s.q.sel {
-			if k < 0 {
-				s.cols[i] = NumVal(float64(sg.g.count))
-			} else {
-				s.cols[i] = sg.g.key.v[k]
-			}
-		}
+		n := copy(s.cols, sg.g.key.v[:sg.g.key.n])
+		s.cols[n] = NumVal(float64(sg.g.count))
 		fn(s.cols)
 	}
 	return len(groups)

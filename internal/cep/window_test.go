@@ -16,7 +16,7 @@ import (
 func TestTimeWindowTrailingEdgeInclusive(t *testing.T) {
 	var now time.Duration
 	e := New(func() time.Duration { return now })
-	s := e.MustCompile("select k, count(*) as cnt from S.win:time(60 s) group by k")
+	s := compile(t, e, Query{From: "S", Window: time.Minute, GroupBy: []string{"k"}})
 
 	if err := e.Insert(sEvent(0, 0, "a")); err != nil {
 		t.Fatal(err)
@@ -56,13 +56,13 @@ func TestGroupIndexKeySemantics(t *testing.T) {
 		nan, nan, StrVal("1"), NumVal(0), nan, NumVal(1), StrVal("a"), StrVal("b"), StrVal("c"), StrVal("d"), StrVal("e")}
 	for _, hashClear := range []uint64{0, fourChains} {
 		for _, keep := range []int{0, 5} { // everything, the last five
-			window := "1 h"
+			window := time.Hour
 			if keep > 0 {
-				window = fmt.Sprintf("%d s", keep-1) // one record a second
+				window = time.Duration(keep-1) * time.Second // one record a second
 			}
 			var now time.Duration
 			e := New(func() time.Duration { return now })
-			st := e.MustCompile("select k0, count(*) as n from R.win:time(" + window + ") group by k0")
+			st := compile(t, e, refCase{nkeys: 1}.query(window))
 			st.hashClear = hashClear
 			for i, k := range stream {
 				now = time.Duration(i) * time.Second
@@ -103,7 +103,7 @@ func TestGroupIndexKeySemantics(t *testing.T) {
 	// Pinned outright, not only against the reference: after the first five
 	// keys, {−0, 0}, '1', 1 and null; two NaNs later, two more groups.
 	e := New(func() time.Duration { return 0 })
-	st := e.MustCompile("select k0, count(*) as n from R.win:time(1 h) group by k0")
+	st := compile(t, e, refCase{nkeys: 1}.query(time.Hour))
 	for i, k := range stream[:7] {
 		refRec{keys: [maxGroupKeyFields]Val{k}}.insert(t, e)
 		if n := len(rows(st)); i == 4 && n != 4 || i == 6 && n != 6 {
@@ -122,7 +122,7 @@ func TestGroupIndexKeySemantics(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			var now time.Duration
 			e := New(func() time.Duration { return now })
-			st := e.MustCompile(c.epl(fmt.Sprintf("%d s", int(w.Seconds()))))
+			st := compile(t, e, c.query(w))
 			st.hashClear = fourChains
 			var recs []refRec
 			for i := 0; i < 400; i++ {

@@ -13,19 +13,14 @@ import (
 // FailoverConfig wires the namenode-crash fault into a plan. The harness
 // keeps a rolling checkpoint of the primary and, when a NamenodeCrash
 // event fires, commissions a standby from that checkpoint plus the
-// journal tail and verifies it against the still-live primary — the
-// durable ground truth at the instant of the crash.
+// journal tail (hdfs.Cluster.Shadow) and verifies it against the
+// still-live primary — the durable ground truth at the instant of the
+// crash.
 type FailoverConfig struct {
-	// Engine is the primary's simulation engine.
-	Engine *sim.Engine
 	// Cluster is the primary namenode; it must have a journal attached
-	// (hdfs.Cluster.SetJournal) before any namespace mutation.
+	// (hdfs.Cluster.SetJournal) before any namespace mutation. Its clock
+	// paces the background checkpoints.
 	Cluster *hdfs.Cluster
-	// NewStandby builds an empty cluster on the given engine with the same
-	// durable configuration as the primary — the checkpoint's config
-	// digest enforces the parts that matter. Heartbeat tuning may differ
-	// (standbys typically run with the detector off).
-	NewStandby func(*sim.Engine) *hdfs.Cluster
 	// Interval between background checkpoints (default 5 minutes). The
 	// first checkpoint is taken when the harness is created.
 	Interval time.Duration
@@ -88,10 +83,7 @@ type Failover struct {
 // NewFailover builds the harness, takes the initial checkpoint, and starts
 // the background checkpoint ticker.
 func NewFailover(cfg FailoverConfig) (*Failover, error) {
-	if cfg.Engine == nil || cfg.Cluster == nil || cfg.NewStandby == nil {
-		return nil, fmt.Errorf("chaos: failover needs Engine, Cluster, and NewStandby")
-	}
-	if cfg.Cluster.Journal() == nil {
+	if cfg.Cluster == nil || cfg.Cluster.Journal() == nil {
 		return nil, fmt.Errorf("chaos: failover needs a journaled cluster (SetJournal before mutations)")
 	}
 	if cfg.Interval <= 0 {
@@ -104,7 +96,7 @@ func NewFailover(cfg FailoverConfig) (*Failover, error) {
 	if err := f.Snapshot(); err != nil {
 		return nil, err
 	}
-	f.ticker = sim.NewTicker(cfg.Engine, cfg.Interval, func(time.Duration) {
+	f.ticker = sim.NewTicker(cfg.Cluster.Clock(), cfg.Interval, func(time.Duration) {
 		// A background snapshot that fails leaves the previous one in
 		// place; the next Crash simply replays a longer tail.
 		_ = f.Snapshot()
@@ -121,7 +113,7 @@ func (f *Failover) Snapshot() error {
 		return err
 	}
 	f.ckpt = buf.Bytes()
-	f.ckptAt = f.cfg.Engine.Now()
+	f.ckptAt = f.cfg.Cluster.Clock().Now()
 	f.ckptSeq = f.cfg.Cluster.Journal().NextSeq()
 	if f.cfg.TruncateJournal {
 		f.cfg.Cluster.Journal().TruncateTo(f.ckptSeq)
@@ -146,7 +138,7 @@ func (f *Failover) Results() []FailoverResult { return f.results }
 // verifies recoverability in place rather than swapping namenodes
 // mid-run, so one storm can absorb several crashes.
 func (f *Failover) Crash() FailoverResult {
-	now := f.cfg.Engine.Now()
+	now := f.cfg.Cluster.Clock().Now()
 	res := FailoverResult{
 		At:              now,
 		CheckpointAge:   now - f.ckptAt,
@@ -161,15 +153,9 @@ func (f *Failover) Crash() FailoverResult {
 	res.TailEntries = len(tail)
 
 	start := time.Now()
-	engine := sim.NewEngine()
-	standby := f.cfg.NewStandby(engine)
-	if err := standby.RestoreCheckpoint(bytes.NewReader(f.ckpt)); err != nil {
-		res.Err = fmt.Errorf("chaos: standby restore: %w", err)
-		f.results = append(f.results, res)
-		return res
-	}
-	if err := standby.ReplayJournal(tail); err != nil {
-		res.Err = fmt.Errorf("chaos: standby replay: %w", err)
+	standby, err := f.cfg.Cluster.Shadow(f.ckpt, tail)
+	if err != nil {
+		res.Err = fmt.Errorf("chaos: standby: %w", err)
 		f.results = append(f.results, res)
 		return res
 	}

@@ -36,15 +36,9 @@ func TestFailoverMidStorm(t *testing.T) {
 	})
 
 	fo, err := NewFailover(FailoverConfig{
-		Engine:          e,
 		Cluster:         c,
 		Interval:        3 * time.Minute,
 		TruncateJournal: true,
-		NewStandby: func(e2 *sim.Engine) *hdfs.Cluster {
-			// Same durable config; heartbeat detector off, as a standby
-			// would run it (excluded from the config digest).
-			return hdfs.New(e2, hdfs.Config{Topology: topology.New(topology.Config{})})
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -115,21 +109,15 @@ func TestNamenodeCrashNeedsHarness(t *testing.T) {
 // an explicit Snapshot tightens the next crash's tail.
 func TestFailoverGuards(t *testing.T) {
 	e, c := newCluster(t)
-	mk := func(e2 *sim.Engine) *hdfs.Cluster {
-		return hdfs.New(e2, hdfs.Config{Topology: topology.New(topology.Config{})})
-	}
-	if _, err := NewFailover(FailoverConfig{Engine: e, Cluster: c, NewStandby: mk}); err == nil {
-		t.Fatal("harness accepted a journal-less cluster")
-	}
 	if _, err := NewFailover(FailoverConfig{Cluster: c}); err == nil {
-		t.Fatal("harness accepted a nil engine/factory")
+		t.Fatal("harness accepted a journal-less cluster")
 	}
 
 	c.SetJournal(auditlog.NewJournal())
 	if _, err := c.CreateFile("/a", 128*mb, 3, 0); err != nil {
 		t.Fatal(err)
 	}
-	fo, err := NewFailover(FailoverConfig{Engine: e, Cluster: c, NewStandby: mk})
+	fo, err := NewFailover(FailoverConfig{Cluster: c})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,16 +156,23 @@ func NewJudge(cluster *hdfs.Cluster, th Thresholds) *Judge {
 	j.idle.grow(0)
 	j.engine = cep.New(func() time.Duration { return cluster.Clock().Now() })
 	j.engine.SetTracer(cluster.Tracer())
-	w := fmt.Sprintf("%d ms", th.Window.Milliseconds())
-	j.fileStmt = j.engine.MustCompile(
-		"select path, count(*) as cnt from Access.win:time(" + w + ") " +
-			"where cmd = 'open' group by path").SetLabel("files")
-	j.blockStmt = j.engine.MustCompile(
-		"select path, block, count(*) as cnt from BlockAccess.win:time(" + w + ") " +
-			"group by path, block").SetLabel("blocks")
-	j.dnStmt = j.engine.MustCompile(
-		"select datanode, count(*) as cnt from BlockAccess.win:time(" + w + ") " +
-			"group by datanode").SetLabel("datanodes")
+	compile := func(label string, q cep.Query) *cep.Statement {
+		st, err := j.engine.Compile(q)
+		if err != nil {
+			panic(err) // the three queries below are static
+		}
+		return st.SetLabel(label)
+	}
+	// select path, count(*) as cnt from Access.win:time(t_w)
+	// where cmd = 'open' group by path
+	j.fileStmt = compile("files", cep.Query{From: "Access", Window: th.Window,
+		Where: "cmd", Equals: cep.StrVal("open"), GroupBy: []string{"path"}})
+	// select path, block, count(*) as cnt from BlockAccess.win:time(t_w)
+	// group by path, block
+	j.blockStmt = compile("blocks", cep.Query{From: "BlockAccess", Window: th.Window, GroupBy: []string{"path", "block"}})
+	// select datanode, count(*) as cnt from BlockAccess.win:time(t_w)
+	// group by datanode
+	j.dnStmt = compile("datanodes", cep.Query{From: "BlockAccess", Window: th.Window, GroupBy: []string{"datanode"}})
 
 	// The paper's log parser: audit records become CEP events.
 	cluster.Audit().Subscribe(func(r auditlog.Record) {

@@ -17,7 +17,7 @@ import (
 // per judging window divided by the file's current replication factor r.
 type Thresholds struct {
 	// Window is the CEP sliding time window t_w over which access counts
-	// are taken, in whole milliseconds. Default 5 min.
+	// are taken. Default 5 min.
 	Window time.Duration
 	// TauM (τ_M) is the largest per-window access count one replica can
 	// absorb: N_d/r > τ_M ⇒ hot (Formula 1). The paper measures τ_M ≈ 8

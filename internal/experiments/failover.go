@@ -90,16 +90,10 @@ func FailoverDemo(cfg FailoverConfig) []FailoverRow {
 	m := core.New(c, core.Config{})
 
 	fo, err := chaos.NewFailover(chaos.FailoverConfig{
-		Engine:  e,
 		Cluster: c,
 		// One checkpoint for the whole run: crash k replays k/Crashes of
 		// the journal, giving the recover-time-vs-tail-length curve.
 		Interval: 2 * cfg.Duration,
-		NewStandby: func(e2 *sim.Engine) *hdfs.Cluster {
-			return hdfs.New(e2, hdfs.Config{
-				Topology: topology.New(topology.Config{Racks: 3, NodeCount: cfg.Nodes}),
-			})
-		},
 		Audit: func(standby *hdfs.Cluster) []string {
 			return invariant.Check(invariant.Target{Cluster: standby, AllowDataLoss: true})
 		},

@@ -122,7 +122,7 @@ func runScale(cfg ScaleConfig, nodes int) ScaleRow {
 				panic(fmt.Sprintf("scale: create %s on %d nodes: %v", path, nodes, err))
 			}
 		}
-		writeScaleCache(cfg, nodes, racks, c)
+		writeScaleCache(cfg, nodes, c)
 	}
 	buildSec := time.Since(buildStart).Seconds()
 	// The manager attaches after the namespace exists in both paths —
@@ -236,7 +236,7 @@ func loadScaleCache(cfg ScaleConfig, nodes int, c *hdfs.Cluster) bool {
 // atomically — but only after proving the bytes restore into a shadow
 // cluster with the identical state digest. A cache that fails the proof is
 // simply not written; the sweep still runs from the built namespace.
-func writeScaleCache(cfg ScaleConfig, nodes, racks int, c *hdfs.Cluster) {
+func writeScaleCache(cfg ScaleConfig, nodes int, c *hdfs.Cluster) {
 	if cfg.CacheDir == "" {
 		return
 	}
@@ -244,13 +244,8 @@ func writeScaleCache(cfg ScaleConfig, nodes, racks int, c *hdfs.Cluster) {
 	if err := c.WriteCheckpoint(&buf); err != nil {
 		return
 	}
-	shadow := hdfs.New(sim.NewEngine(), hdfs.Config{
-		Topology: topology.New(topology.Config{Racks: racks, NodeCount: nodes}),
-	})
-	if err := shadow.RestoreCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
-		return
-	}
-	if shadow.StateDigest() != c.StateDigest() {
+	shadow, err := c.Shadow(buf.Bytes(), nil)
+	if err != nil || shadow.StateDigest() != c.StateDigest() {
 		return
 	}
 	if err := os.MkdirAll(cfg.CacheDir, 0o755); err != nil {

@@ -10,7 +10,9 @@ import (
 	"sort"
 	"time"
 
+	"erms/internal/auditlog"
 	"erms/internal/netsim"
+	"erms/internal/sim"
 	"erms/internal/wire"
 )
 
@@ -322,6 +324,30 @@ func (c *Cluster) RestoreCheckpoint(r io.Reader) error { return c.restoreCheckpo
 // brings it forward. All other restore rules (pristine cluster, config
 // digest, all-or-nothing) are unchanged.
 func (c *Cluster) RestoreCheckpointInPlace(r io.Reader) error { return c.restoreCheckpoint(r, true) }
+
+// Shadow commissions a verification standby of c: a pristine cluster on a
+// fresh engine with c's durable configuration — the ConfigDigest inputs,
+// sharing c's topology, whose links netsim copies — restored from ckpt and
+// brought forward by replaying tail. Heartbeats, safe mode, the standby
+// set and audit retention are off: they shape future events, not the
+// restored state. The error says whether the restore or the replay failed.
+func (c *Cluster) Shadow(ckpt []byte, tail []auditlog.Entry) (*Cluster, error) {
+	s := New(sim.NewEngine(), Config{
+		Topology:           c.topo,
+		BlockSize:          c.cfg.BlockSize,
+		DefaultReplication: c.cfg.DefaultReplication,
+		NodeCapacity:       c.cfg.NodeCapacity,
+		MaxSessionsPerNode: c.cfg.MaxSessionsPerNode,
+		ReplCommandLatency: c.cfg.ReplCommandLatency,
+	})
+	if err := s.RestoreCheckpoint(bytes.NewReader(ckpt)); err != nil {
+		return nil, fmt.Errorf("hdfs: shadow restore: %w", err)
+	}
+	if err := s.ReplayJournal(tail); err != nil {
+		return nil, fmt.Errorf("hdfs: shadow replay of %d entries: %w", len(tail), err)
+	}
+	return s, nil
+}
 
 // restoreCheckpoint is the one restore. inPlace is the single decision the
 // two entry points differ in: whether this cluster owns the engine (it may

@@ -474,3 +474,37 @@ func TestStateDigestSensitivity(t *testing.T) {
 		t.Fatal("digest not restored by inverse rename")
 	}
 }
+
+// TestShadowRestoresAndReplays: Shadow rebuilds a cluster whose standby set
+// and heartbeat tuning it does not copy from a checkpoint plus the journal
+// written since, matching the live digest, and its error names the step
+// that failed.
+func TestShadowRestoresAndReplays(t *testing.T) {
+	e, c := busyCluster(t, true)
+	var buf bytes.Buffer
+	if err := c.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	seq := c.Journal().NextSeq()
+	if _, err := c.CreateFile("/data/late", 128*mb, 2, -1); err != nil {
+		t.Fatal(err)
+	}
+	e.RunFor(time.Minute)
+	tail := c.Journal().Tail(seq)
+	if len(tail) < 2 {
+		t.Fatalf("tail of %d entries", len(tail))
+	}
+	s, err := c.Shadow(buf.Bytes(), tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.StateDigest() != c.StateDigest() {
+		t.Fatal("shadow digest differs from the live cluster's")
+	}
+	if _, err := c.Shadow(buf.Bytes()[:len(buf.Bytes())-1], nil); err == nil || !strings.Contains(err.Error(), "shadow restore") {
+		t.Fatalf("truncated checkpoint: %v, want a restore error", err)
+	}
+	if _, err := c.Shadow(buf.Bytes(), tail[1:]); err == nil || !strings.Contains(err.Error(), "shadow replay") {
+		t.Fatalf("tail missing its first entry: %v, want a replay error", err)
+	}
+}

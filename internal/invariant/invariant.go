@@ -60,17 +60,13 @@ type Target struct {
 	// target (the judge's τ-derived clamp). Zero skips the bound.
 	MaxReplication int
 	// CheckRestore enables the restore-equivalence oracle: at every check
-	// the cluster is checkpointed, restored into a shadow cluster, and the
-	// shadow must match the live state digest, pass consistency, and
-	// re-encode to the identical bytes. When the cluster also carries a
-	// journal, the Watcher additionally replays the tail since its baseline
-	// checkpoint each tick and compares digests — the failover story
-	// verified continuously. Requires NewShadow.
+	// the cluster is checkpointed, restored into a shadow cluster
+	// (hdfs.Cluster.Shadow), and the shadow must match the live state
+	// digest, pass consistency, and re-encode to the identical bytes. When
+	// the cluster also carries a journal, the Watcher additionally replays
+	// the tail since its baseline checkpoint each tick and compares digests
+	// — the failover story verified continuously.
 	CheckRestore bool
-	// NewShadow builds an empty cluster on the given engine with the same
-	// durable configuration as Cluster (the checkpoint's config digest
-	// enforces it). Required when CheckRestore is set.
-	NewShadow func(*sim.Engine) *hdfs.Cluster
 }
 
 // Check runs every applicable oracle once and returns the violations,
@@ -379,16 +375,13 @@ func checkCondor(t Target) []string {
 // identical bytes. Any drift means the format silently loses or invents
 // state — exactly the bug class a failover would surface at the worst time.
 func checkRestore(t Target) []string {
-	if t.NewShadow == nil {
-		return []string{"restore: CheckRestore set but NewShadow is nil"}
-	}
 	var buf bytes.Buffer
 	if err := t.Cluster.WriteCheckpoint(&buf); err != nil {
 		return []string{fmt.Sprintf("restore: checkpoint failed: %v", err)}
 	}
-	shadow := t.NewShadow(sim.NewEngine())
-	if err := shadow.RestoreCheckpoint(bytes.NewReader(buf.Bytes())); err != nil {
-		return []string{fmt.Sprintf("restore: shadow restore failed: %v", err)}
+	shadow, err := t.Cluster.Shadow(buf.Bytes(), nil)
+	if err != nil {
+		return []string{fmt.Sprintf("restore: %v", err)}
 	}
 	var errs []string
 	if got, want := shadow.StateDigest(), t.Cluster.StateDigest(); got != want {
@@ -473,7 +466,7 @@ func Watch(e *sim.Engine, period time.Duration, t Target) *Watcher {
 		period = 30 * time.Second
 	}
 	w := &Watcher{target: t, seen: map[string]bool{}}
-	if t.CheckRestore && t.NewShadow != nil && t.Cluster.Journal() != nil {
+	if t.CheckRestore && t.Cluster.Journal() != nil {
 		var buf bytes.Buffer
 		if err := t.Cluster.WriteCheckpoint(&buf); err == nil {
 			w.baseCkpt = buf.Bytes()
@@ -509,12 +502,9 @@ func (w *Watcher) checkReplay() []string {
 	if tail == nil {
 		return []string{fmt.Sprintf("replay: journal tail from seq %d unavailable (truncated past the watch baseline)", w.baseSeq)}
 	}
-	shadow := w.target.NewShadow(sim.NewEngine())
-	if err := shadow.RestoreCheckpoint(bytes.NewReader(w.baseCkpt)); err != nil {
-		return []string{fmt.Sprintf("replay: baseline restore failed: %v", err)}
-	}
-	if err := shadow.ReplayJournal(tail); err != nil {
-		return []string{fmt.Sprintf("replay: journal replay failed after %d entries: %v", len(tail), err)}
+	shadow, err := w.target.Cluster.Shadow(w.baseCkpt, tail)
+	if err != nil {
+		return []string{fmt.Sprintf("replay: %v", err)}
 	}
 	var errs []string
 	if got, want := shadow.StateDigest(), w.target.Cluster.StateDigest(); got != want {

@@ -131,9 +131,6 @@ func runStorm(seed int64) (checks int, violations []invariant.Violation, err err
 		// erode replicas, so only the ERMS runs assert durability.
 		AllowDataLoss: vanilla,
 		CheckRestore:  true,
-		NewShadow: func(e2 *sim.Engine) *hdfs.Cluster {
-			return hdfs.New(e2, hdfs.Config{Topology: topology.New(topology.Config{Racks: 3, NodeCount: total})})
-		},
 	}
 	w := invariant.Watch(e, 15*time.Second, target)
 
@@ -214,18 +211,12 @@ func runStorm(seed int64) (checks int, violations []invariant.Violation, err err
 }
 
 // TestRestoreOracle exercises the restore-equivalence oracle standalone:
-// a healthy cluster passes both the round-trip and replay checks, and the
-// misconfigurations the oracle guards against are reported, not fatal.
+// a healthy cluster passes both the round-trip and replay checks.
 func TestRestoreOracle(t *testing.T) {
 	tb := experiments.NewVanilla(9)
 	c, e := tb.Cluster, tb.Engine
 	c.SetJournal(auditlog.NewJournal())
-	shadow := func(e2 *sim.Engine) *hdfs.Cluster {
-		return hdfs.New(e2, hdfs.Config{Topology: topology.New(topology.Config{Racks: 3, NodeCount: 9})})
-	}
-	w := invariant.Watch(e, 30*time.Second, invariant.Target{
-		Cluster: c, CheckRestore: true, NewShadow: shadow,
-	})
+	w := invariant.Watch(e, 30*time.Second, invariant.Target{Cluster: c, CheckRestore: true})
 	for i := 0; i < 4; i++ {
 		if _, err := c.CreateFile(fmt.Sprintf("/r/f%d", i), 96*experiments.MB, 3, -1); err != nil {
 			t.Fatal(err)
@@ -240,19 +231,6 @@ func TestRestoreOracle(t *testing.T) {
 	}
 	if w.Checks() < 5 {
 		t.Fatalf("watcher ran only %d sweeps", w.Checks())
-	}
-
-	// CheckRestore without a shadow factory is a reported misuse.
-	if errs := invariant.Check(invariant.Target{Cluster: c, CheckRestore: true}); len(errs) != 1 {
-		t.Fatalf("missing NewShadow reported %v", errs)
-	}
-	// A shadow factory with the wrong durable config fails the restore.
-	wrong := func(e2 *sim.Engine) *hdfs.Cluster {
-		return hdfs.New(e2, hdfs.Config{Topology: topology.New(topology.Config{Racks: 3, NodeCount: 12})})
-	}
-	errs := invariant.Check(invariant.Target{Cluster: c, CheckRestore: true, NewShadow: wrong})
-	if len(errs) != 1 {
-		t.Fatalf("mismatched shadow reported %v", errs)
 	}
 }
 
@@ -452,9 +430,6 @@ func runDegradedStorm(seed int64) (degradedOutcome, error) {
 	rng := rand.New(rand.NewSource(seed))
 	const nodes, racks = 18, 3
 	e := sim.NewEngine()
-	mk := func(e2 *sim.Engine) *hdfs.Cluster {
-		return hdfs.New(e2, hdfs.Config{Topology: topology.New(topology.Config{Racks: racks, NodeCount: nodes})})
-	}
 	c := hdfs.New(e, hdfs.Config{
 		Topology:  topology.New(topology.Config{Racks: racks, NodeCount: nodes}),
 		Heartbeat: hdfs.HeartbeatConfig{Enabled: true, DeadTimeout: 2 * time.Minute},
@@ -468,7 +443,7 @@ func runDegradedStorm(seed int64) (degradedOutcome, error) {
 		Scrub:       hdfs.ScrubConfig{Period: time.Minute},
 	})
 	fo, err := chaos.NewFailover(chaos.FailoverConfig{
-		Engine: e, Cluster: c, NewStandby: mk, Interval: 5 * time.Minute,
+		Cluster: c, Interval: 5 * time.Minute,
 		Audit: func(standby *hdfs.Cluster) []string {
 			return invariant.Check(invariant.Target{Cluster: standby, AllowDataLoss: true})
 		},
@@ -479,7 +454,7 @@ func runDegradedStorm(seed int64) (degradedOutcome, error) {
 	w := invariant.Watch(e, 15*time.Second, invariant.Target{
 		Cluster: c, Manager: m,
 		MaxReplication: core.DefaultThresholds().MaxReplication,
-		CheckRestore:   true, NewShadow: mk,
+		CheckRestore:   true,
 	})
 
 	// Workload: two-block files plus a read mix across the half hour.

@@ -315,6 +315,27 @@ func TestTraceReplay(t *testing.T) {
 	}
 }
 
+// TestTraceReplayRejectsNegativeTimes: a trace item timed before the
+// instant the replay is anchored at is a 400, and nothing of the trace is
+// scheduled — not even the valid items ahead of it.
+func TestTraceReplayRejectsNegativeTimes(t *testing.T) {
+	s, wall := testSystem(t, nil)
+	wall.Advance(time.Minute)
+	do(t, s, http.MethodGet, "/v1/status", "") // CatchUp to t = 60 s
+	pending := s.sys.Engine().Pending()
+	for _, body := range []string{
+		`{"files":[{"path":"/ok","size":1,"createAt":1000000000},{"path":"/neg","size":1,"createAt":-1000000000}]}`,
+		`{"files":[{"path":"/ok","size":1}],"jobs":[{"file":"/ok","submit":2000000000},{"file":"/ok","submit":-1000000000}]}`,
+	} {
+		if w := do(t, s, http.MethodPost, "/v1/ops?format=trace", body); w.Code != http.StatusBadRequest {
+			t.Fatalf("trace %s: want 400, got %d %s", body, w.Code, w.Body.String())
+		}
+		if got := s.sys.Engine().Pending(); got != pending {
+			t.Fatalf("trace %s: %d events pending, %d before", body, got, pending)
+		}
+	}
+}
+
 // TestFederatedStatus checks the per-shard rows mirror
 // `ermsctl status -shards` on a federated deployment.
 func TestFederatedStatus(t *testing.T) {

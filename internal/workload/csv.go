@@ -161,6 +161,9 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 	if len(tr.Files) == 0 && len(tr.Jobs) == 0 {
 		return nil, fmt.Errorf("workload: csv: empty trace")
 	}
+	if err := tr.checkTimes(); err != nil {
+		return nil, err
+	}
 	tr.Duration = last.Truncate(time.Minute) + time.Minute
 	return tr, nil
 }

@@ -59,6 +59,19 @@ func TestCSVRejectsGarbage(t *testing.T) {
 	}
 }
 
+// A negative create or submit time is refused: replay would schedule it
+// before the instant it is anchored at.
+func TestCSVRejectsNegativeTimes(t *testing.T) {
+	for _, src := range []string{
+		"FILES\npath,size_mb,create_at_s,rank\n/x,64,-1,0\n",
+		"FILES\npath,size_mb,create_at_s,rank\n/x,64,0,0\nJOBS\nname,submit_s,file,client,compute_ms_per_mb\nj,-1,/x,0,8\n",
+	} {
+		if _, err := ReadCSV(strings.NewReader(src)); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Fatalf("ReadCSV(%q) = %v, want a negative-time error", src, err)
+		}
+	}
+}
+
 func TestCSVSectionsReadableByHumans(t *testing.T) {
 	tr := Synthesize(Config{Seed: 1, Duration: 10 * time.Minute, NumFiles: 3,
 		MeanInterarrival: time.Minute})

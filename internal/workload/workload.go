@@ -377,7 +377,26 @@ func ReadJSON(r io.Reader) (*Trace, error) {
 	if err := json.NewDecoder(r).Decode(&t); err != nil {
 		return nil, fmt.Errorf("workload: decoding trace: %w", err)
 	}
+	if err := t.checkTimes(); err != nil {
+		return nil, err
+	}
 	return &t, nil
+}
+
+// checkTimes refuses a negative createAt or submit: replay schedules each
+// item at its base plus that offset, which must not precede the base.
+func (t *Trace) checkTimes() error {
+	for _, f := range t.Files {
+		if f.CreateAt < 0 {
+			return fmt.Errorf("workload: file %q has a negative createAt %v", f.Path, f.CreateAt)
+		}
+	}
+	for _, j := range t.Jobs {
+		if j.Submit < 0 {
+			return fmt.Errorf("workload: job %q has a negative submit %v", j.Name, j.Submit)
+		}
+	}
+	return nil
 }
 
 // ReadFile loads a trace file written by swimgen: CSV when the name ends

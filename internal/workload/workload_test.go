@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -156,6 +157,19 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 	if _, err := ReadJSON(bytes.NewBufferString("{broken")); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// A negative createAt or submit is refused: replay would schedule it before
+// the instant it is anchored at.
+func TestJSONRejectsNegativeTimes(t *testing.T) {
+	for _, src := range []string{
+		`{"files":[{"path":"/x","size":1,"createAt":-1000000000}]}`,
+		`{"files":[{"path":"/x","size":1}],"jobs":[{"file":"/x","submit":-1000000000}]}`,
+	} {
+		if _, err := ReadJSON(strings.NewReader(src)); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Fatalf("ReadJSON(%s) = %v, want a negative-time error", src, err)
+		}
 	}
 }
 
