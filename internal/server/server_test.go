@@ -313,15 +313,9 @@ func TestTraceReplay(t *testing.T) {
 	if w := do(t, s, http.MethodPost, "/v1/ops?format=trace", "not json"); w.Code != http.StatusBadRequest {
 		t.Fatalf("malformed trace: want 400, got %d", w.Code)
 	}
-}
 
-// TestTraceReplayRejectsNegativeTimes: a trace item timed before the
-// instant the replay is anchored at is a 400, and nothing of the trace is
-// scheduled — not even the valid items ahead of it.
-func TestTraceReplayRejectsNegativeTimes(t *testing.T) {
-	s, wall := testSystem(t, nil)
-	wall.Advance(time.Minute)
-	do(t, s, http.MethodGet, "/v1/status", "") // CatchUp to t = 60 s
+	// An item timed before now → 400, and nothing of the trace is
+	// scheduled, not even the valid items ahead of it.
 	pending := s.sys.Engine().Pending()
 	for _, body := range []string{
 		`{"files":[{"path":"/ok","size":1,"createAt":1000000000},{"path":"/neg","size":1,"createAt":-1000000000}]}`,

@@ -51,23 +51,13 @@ func TestCSVRejectsGarbage(t *testing.T) {
 		"FILES\nheader\n/x,notanumber,0,1\n",  // bad number
 		"JOBS\nheader\nj,1.0,/x,zero,8\n",     // bad client
 		"FILES\npath,size_mb,create_at_s\n\n", // empty trace (header only)
+		// Negative times: replay would schedule them before its anchor.
+		"FILES\npath,size_mb,create_at_s,rank\n/x,64,-1,0\n",
+		"FILES\npath,size_mb,create_at_s,rank\n/x,64,0,0\nJOBS\nname,submit_s,file,client,compute_ms_per_mb\nj,-1,/x,0,8\n",
 	}
 	for _, src := range cases {
 		if _, err := ReadCSV(strings.NewReader(src)); err == nil {
 			t.Fatalf("accepted %q", src)
-		}
-	}
-}
-
-// A negative create or submit time is refused: replay would schedule it
-// before the instant it is anchored at.
-func TestCSVRejectsNegativeTimes(t *testing.T) {
-	for _, src := range []string{
-		"FILES\npath,size_mb,create_at_s,rank\n/x,64,-1,0\n",
-		"FILES\npath,size_mb,create_at_s,rank\n/x,64,0,0\nJOBS\nname,submit_s,file,client,compute_ms_per_mb\nj,-1,/x,0,8\n",
-	} {
-		if _, err := ReadCSV(strings.NewReader(src)); err == nil || !strings.Contains(err.Error(), "negative") {
-			t.Fatalf("ReadCSV(%q) = %v, want a negative-time error", src, err)
 		}
 	}
 }
