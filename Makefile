@@ -226,8 +226,13 @@ loc:
 # (result 21,977, rounded up), which deleted internal/cep's EPL lexer and
 # parser — the Data Judge declares its three statements as cep.Query values
 # — and the three shadow-cluster factories the failover harness, the
-# restore oracle and the scale cache took, now hdfs.Cluster.Shadow.
-LOC_CEILING ?= 22000
+# restore oracle and the scale cache took, now hdfs.Cluster.Shadow; 22,200
+# with a journal stored as bytes (result 22,186, rounded up), which spends
+# about 190 lines in auditlog on the compact record encoder and decoder,
+# the per-segment string table and the spare build buffers, and 15 in
+# metrics on CounterFunc, so an entry costs about 15 bytes instead of
+# 152 and churn-failover's live heap falls by a fifth.
+LOC_CEILING ?= 22200
 
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
@@ -276,6 +281,7 @@ full-scale:
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/auditlog/
 	$(GO) test -fuzz=FuzzDecodeJournal -fuzztime=30s ./internal/auditlog/
+	$(GO) test -fuzz=FuzzJournalRoundTrip -fuzztime=30s -fuzzminimizetime=2s ./internal/auditlog/
 	$(GO) test -fuzz=FuzzDecodeTrace -fuzztime=30s ./internal/workload/
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime=30s ./internal/hdfs/
 	$(GO) test -fuzz=FuzzReplayJournal -fuzztime=30s -fuzzminimizetime=2s ./internal/hdfs/

@@ -1,11 +1,15 @@
 package auditlog
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"slices"
 	"strings"
 	"time"
+	"unsafe"
 
 	"erms/internal/wire"
 )
@@ -122,8 +126,8 @@ func (o Op) String() string {
 func (o Op) Valid() bool { return o > opInvalid && o < opSentinel }
 
 // Entry is one write-ahead journal record. Fields are a union across ops;
-// each Op documents which it reads. Unused fields stay zero and cost one
-// byte each on the wire.
+// each Op documents which it reads. Unused fields stay zero: they cost one
+// byte each on the wire and nothing in a Journal.
 type Entry struct {
 	Seq    uint64        // assigned by Journal.Append; dense, starts at 1
 	Epoch  uint64        // writer epoch that produced the entry (fencing)
@@ -185,20 +189,171 @@ func (e Entry) String() string {
 // time; a standby restores the checkpoint and replays Tail(seq) to catch
 // up — exactly the HDFS fsimage + edits model.
 //
-// Entries live in fixed-capacity segments, so Append never moves an entry
-// already stored and TruncateTo frees whole segments: the cost of a
-// mutation does not depend on how long the journal has grown.
+// Like HDFS's edits log, the journal holds bytes, not structs. Entries live
+// in segments of segmentCap, each a buffer of compact records (see
+// appendRecord) beside a table of the Path and Dst strings they name. An
+// entry costs about 15 bytes where an Entry struct takes 152. Append never
+// moves a record already stored and TruncateTo frees whole segments, so the
+// cost of a mutation does not depend on how long the journal has grown.
+// Reads decode: Each hands its callback one scratch Entry, and Tail and
+// Entries fill a slice.
 type Journal struct {
-	segs  [][]Entry // each of cap segmentCap; all but the last are full
-	base  uint64    // Seq held (or once held) by segs[0][0]
-	start uint64    // first retained Seq; next when nothing is retained
-	next  uint64    // Seq the next Append will assign
-	epoch uint64    // current writer epoch; Append stamps it on every entry
-	subs  []func(Entry)
+	segs  []*segment // all but the last hold segmentCap records
+	base  uint64     // Seq held (or once held) by segs[0]'s first record
+	start uint64     // first retained Seq; next when nothing is retained
+	next  uint64     // Seq the next Append will assign
+	epoch uint64     // current writer epoch; Append stamps it on every entry
+	// Time and Epoch of the last record appended: the next record stores
+	// its own as differences from these (from zero in a fresh segment).
+	prevTime  time.Duration
+	prevEpoch uint64
+	// spare holds the buffers the last segment to fill was built in,
+	// emptied: that segment kept trimmed copies, and the next one fills
+	// these, so a segment allocates about what it keeps.
+	spare segment
 }
 
-// segmentCap is the journal's segment size in entries (about 150 KB).
-const segmentCap = 1024
+// segment is up to segmentCap consecutive entries. A record holds no
+// string: each Path and Dst it names is the next one in strs, which shares
+// the appender's string bytes, so decoding allocates nothing.
+type segment struct {
+	recs []byte
+	strs []string
+}
+
+// A journal's first segment's record buffer and string table are sized
+// for the churn-failover mix: about 6 KB of records and 480 strings a
+// segment.
+const (
+	segmentCap   = 1024 // entries
+	segmentBytes = 8 << 10
+	segmentStrs  = segmentCap / 2
+)
+
+// A record is the op byte, a uvarint mask with bit i set when field i of
+// the Entry is not zero, then those fields in bit order, so a record
+// carries only what its op uses. Integers are zigzag varints, Size is its
+// IEEE bits byte-reversed (small for round sizes, exact for -0 and NaN
+// payloads) as a uvarint, and Path, Dst and Flag have no payload. Time and
+// Epoch are differences from the previous record's, so a burst of
+// mutations at one instant stores no time at all. Seq is the position.
+// The seven fields the frequent ops use fill the mask's first byte.
+const (
+	fTime = iota
+	fBlock
+	fNode
+	fFile
+	fSize
+	fIndex
+	fPath
+	fTarget
+	fFlag
+	fDst
+	fState
+	fK
+	fM
+	fGroup
+	fEpoch
+	numFields
+)
+
+func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// appendRecord encodes e at the end of segment s.
+func (j *Journal) appendRecord(s *segment, e *Entry) {
+	var flag uint64
+	if e.Flag {
+		flag = 1
+	}
+	v := [numFields]uint64{
+		fTime:   zigzag(int64(e.Time - j.prevTime)),
+		fBlock:  zigzag(e.Block),
+		fNode:   zigzag(int64(e.Node)),
+		fFile:   zigzag(int64(e.File)),
+		fSize:   bits.ReverseBytes64(math.Float64bits(e.Size)),
+		fIndex:  zigzag(int64(e.Index)),
+		fPath:   uint64(len(e.Path)),
+		fTarget: zigzag(int64(e.Target)),
+		fFlag:   flag,
+		fDst:    uint64(len(e.Dst)),
+		fState:  zigzag(int64(e.State)),
+		fK:      zigzag(int64(e.K)),
+		fM:      zigzag(int64(e.M)),
+		fGroup:  zigzag(int64(e.Group)),
+		fEpoch:  e.Epoch - j.prevEpoch,
+	}
+	var mask uint64
+	for i, x := range v {
+		if x != 0 {
+			mask |= 1 << i
+		}
+	}
+	b := binary.AppendUvarint(append(s.recs, byte(e.Op)), mask)
+	for i, x := range v {
+		switch {
+		case x == 0 || i == fFlag:
+		case i == fPath:
+			s.strs = append(s.strs, e.Path)
+		case i == fDst:
+			s.strs = append(s.strs, e.Dst)
+		default:
+			b = binary.AppendUvarint(b, x)
+		}
+	}
+	s.recs = b
+	j.prevTime, j.prevEpoch = e.Time, e.Epoch
+}
+
+// reader decodes one segment's records from the first, in order.
+type reader struct {
+	segment
+	off, str int           // the next record's first byte and string
+	time     time.Duration // Time and Epoch of the record last decoded
+	epoch    uint64
+}
+
+// uvarint reads one uvarint. The journal wrote it, so it needs no checks.
+func (r *reader) uvarint() (v uint64) {
+	for shift := 0; ; shift += 7 {
+		c := r.recs[r.off]
+		r.off++
+		v |= uint64(c&0x7f) << shift
+		if c < 0x80 {
+			return v
+		}
+	}
+}
+
+// next decodes the next record into every field of e but Seq.
+func (r *reader) next(e *Entry) {
+	op := Op(r.recs[r.off])
+	r.off++
+	var v [numFields]uint64
+	var path, dst string
+	for m := r.uvarint(); m != 0; m &= m - 1 {
+		switch i := bits.TrailingZeros64(m); i {
+		case fFlag:
+			v[i] = 1
+		case fPath:
+			path = r.strs[r.str]
+			r.str++
+		case fDst:
+			dst = r.strs[r.str]
+			r.str++
+		default:
+			v[i] = r.uvarint()
+		}
+	}
+	r.time += time.Duration(unzigzag(v[fTime]))
+	r.epoch += v[fEpoch]
+	e.Epoch, e.Time, e.Op, e.Path, e.Dst = r.epoch, r.time, op, path, dst
+	e.File, e.Block, e.Node = int(unzigzag(v[fFile])), unzigzag(v[fBlock]), int(unzigzag(v[fNode]))
+	e.State, e.Target = int(unzigzag(v[fState])), int(unzigzag(v[fTarget]))
+	e.K, e.M = int(unzigzag(v[fK])), int(unzigzag(v[fM]))
+	e.Index, e.Group = int(unzigzag(v[fIndex])), int(unzigzag(v[fGroup]))
+	e.Size, e.Flag = math.Float64frombits(bits.ReverseBytes64(v[fSize])), v[fFlag] != 0
+}
 
 // NewJournal returns an empty journal whose first entry will get Seq 1,
 // at epoch 1.
@@ -236,25 +391,29 @@ func (j *Journal) BumpEpoch() uint64 {
 	return j.epoch
 }
 
-// Append stamps e with the next sequence number and the current epoch,
-// stores it, and notifies subscribers. The stamped entry is returned.
+// Append stamps e with the next sequence number and the current epoch and
+// stores it. The stamped entry is returned.
 func (j *Journal) Append(e Entry) Entry {
-	e.Seq = j.next
-	e.Epoch = j.epoch
-	j.next++
-	si := int((e.Seq - j.base) / segmentCap)
-	if si == len(j.segs) {
-		j.segs = append(j.segs, make([]Entry, 0, segmentCap))
+	e.Seq, e.Epoch = j.next, j.epoch
+	if (j.next-j.base)%segmentCap == 0 {
+		if j.spare.recs == nil {
+			j.spare = segment{make([]byte, 0, segmentBytes), make([]string, 0, segmentStrs)}
+		}
+		j.segs = append(j.segs, &segment{j.spare.recs, j.spare.strs})
+		j.spare = segment{}
+		j.prevTime, j.prevEpoch = 0, 0
 	}
-	j.segs[si] = append(j.segs[si], e)
-	for _, fn := range j.subs {
-		fn(e)
+	s := j.segs[len(j.segs)-1]
+	j.appendRecord(s, &e)
+	j.next++
+	if (j.next-j.base)%segmentCap == 0 {
+		built := *s
+		s.recs, s.strs = slices.Clone(built.recs), slices.Clone(built.strs)
+		clear(built.strs)
+		j.spare = segment{built.recs[:0], built.strs[:0]}
 	}
 	return e
 }
-
-// Subscribe registers fn to receive every future entry.
-func (j *Journal) Subscribe(fn func(Entry)) { j.subs = append(j.subs, fn) }
 
 // NextSeq returns the sequence number the next Append will assign. A
 // checkpoint taken now pairs with Tail(NextSeq()) later.
@@ -263,14 +422,42 @@ func (j *Journal) NextSeq() uint64 { return j.next }
 // Len returns the number of retained entries.
 func (j *Journal) Len() int { return int(j.next - j.start) }
 
-// Each calls fn on every retained entry with Seq >= from, in order and in
-// place — nothing is copied — until fn returns false. fn must not mutate
-// the entry or keep the pointer.
+// Footprint returns the bytes the journal holds its entries in: the
+// segments' record buffers, string tables and headers, the spare buffers
+// and the segment list. The strings' own bytes are shared with whoever
+// appended them and not counted.
+func (j *Journal) Footprint() int {
+	size := func(s *segment) int { return cap(s.recs) + cap(s.strs)*int(unsafe.Sizeof("")) }
+	n := size(&j.spare) + cap(j.segs)*int(unsafe.Sizeof(&j.spare))
+	for _, s := range j.segs {
+		n += int(unsafe.Sizeof(*s)) + size(s)
+	}
+	return n
+}
+
+// Each calls fn on every retained entry with Seq >= from, in order, until
+// fn returns false. Every entry is decoded into the same scratch Entry: fn
+// must not keep the pointer. Starting mid-segment decodes the records
+// before from in that segment and skips them.
 func (j *Journal) Each(from uint64, fn func(*Entry) bool) {
-	for seq := max(from, j.start); seq < j.next; seq++ {
-		off := seq - j.base
-		if !fn(&j.segs[off/segmentCap][off%segmentCap]) {
-			return
+	from = max(from, j.start)
+	if from >= j.next {
+		return
+	}
+	var e Entry
+	si := int((from - j.base) / segmentCap)
+	seq := j.base + uint64(si)*segmentCap // Seq of segs[si]'s first record
+	for ; si < len(j.segs); si++ {
+		r := reader{segment: *j.segs[si]}
+		for end := min(seq+segmentCap, j.next); seq < end; seq++ {
+			r.next(&e)
+			if seq < from {
+				continue
+			}
+			e.Seq = seq
+			if !fn(&e) {
+				return
+			}
 		}
 	}
 }

@@ -28,7 +28,7 @@ func (e *Engine) SetTracer(tr *trace.Tracer) { e.tracer = tr }
 // RegisterMetrics registers the engine's counters into a metrics
 // registry: cep_events_inserted_total tracks the audit→CEP feed volume.
 func (e *Engine) RegisterMetrics(r *metrics.Registry) {
-	r.GaugeFunc("cep_events_inserted_total", func() float64 { return float64(e.inserted) })
+	r.CounterFunc("cep_events_inserted_total", func() float64 { return float64(e.inserted) })
 	r.GaugeFunc("cep_statements", func() float64 {
 		n := 0
 		for _, regs := range e.statements {

@@ -187,13 +187,13 @@ func (s *Scheduler) SetTracer(tr *trace.Tracer) { s.tracer = tr }
 // RegisterMetrics registers job-outcome counters and queue gauges into a
 // metrics registry.
 func (s *Scheduler) RegisterMetrics(r *metrics.Registry) {
-	r.GaugeFunc("condor_jobs_submitted_total", func() float64 { return float64(s.stats.Submitted) })
-	r.GaugeFunc("condor_jobs_completed_total", func() float64 { return float64(s.stats.Completed) })
-	r.GaugeFunc("condor_jobs_failed_total", func() float64 { return float64(s.stats.Failed) })
-	r.GaugeFunc("condor_jobs_rolled_back_total", func() float64 { return float64(s.stats.RolledBack) })
-	r.GaugeFunc("condor_jobs_aborted_total", func() float64 { return float64(s.stats.Aborted) })
-	r.GaugeFunc("condor_attempts_retried_total", func() float64 { return float64(s.stats.Retried) })
-	r.GaugeFunc("condor_attempts_timed_out_total", func() float64 { return float64(s.stats.TimedOut) })
+	r.CounterFunc("condor_jobs_submitted_total", func() float64 { return float64(s.stats.Submitted) })
+	r.CounterFunc("condor_jobs_completed_total", func() float64 { return float64(s.stats.Completed) })
+	r.CounterFunc("condor_jobs_failed_total", func() float64 { return float64(s.stats.Failed) })
+	r.CounterFunc("condor_jobs_rolled_back_total", func() float64 { return float64(s.stats.RolledBack) })
+	r.CounterFunc("condor_jobs_aborted_total", func() float64 { return float64(s.stats.Aborted) })
+	r.CounterFunc("condor_attempts_retried_total", func() float64 { return float64(s.stats.Retried) })
+	r.CounterFunc("condor_attempts_timed_out_total", func() float64 { return float64(s.stats.TimedOut) })
 	r.GaugeFunc("condor_jobs_running", func() float64 { return float64(s.running) })
 	r.GaugeFunc("condor_jobs_pending", func() float64 { return float64(s.Pending()) })
 }

@@ -203,7 +203,7 @@ func New(cluster *hdfs.Cluster, cfg Config) *Manager {
 	}
 	m.judge = NewJudge(cluster, cfg.Thresholds)
 	m.judge.CEP().RegisterMetrics(m.reg)
-	m.reg.GaugeFunc("erms_judge_files_visited_total", func() float64 { return float64(m.judge.visited) })
+	m.reg.CounterFunc("erms_judge_files_visited_total", func() float64 { return float64(m.judge.visited) })
 	cluster.SetPlacementPolicy(NewPlacement(m.pool))
 
 	m.sched = condor.New(cluster.Clock(), condor.Config{

@@ -142,9 +142,9 @@ func TestTraceDemoMetricsSnapshot(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"# TYPE erms_decisions_total counter",
-		"# TYPE hdfs_reads_completed_total gauge",
-		"# TYPE condor_jobs_submitted_total gauge",
-		"# TYPE net_bytes_moved_total gauge",
+		"# TYPE hdfs_reads_completed_total counter",
+		"# TYPE condor_jobs_submitted_total counter",
+		"# TYPE net_bytes_moved_total counter",
 		"cep_events_inserted_total",
 	} {
 		if !strings.Contains(out, want) {

@@ -43,6 +43,9 @@ const (
 
 const maxCkptSlots = 1 << 28 // decoder sanity bound (pre-allocation cap)
 
+// inodeChunk is how many INodes restore allocates at a time.
+const inodeChunk = 1024
+
 // ConfigDigest fingerprints the cluster parameters a checkpoint depends
 // on: block geometry, capacities, session limits, command latency, and the
 // physical topology (rack count and every node's rack). A checkpoint only
@@ -294,7 +297,6 @@ type ckptState struct {
 	now         time.Duration
 	journalSeq  uint64
 	nextBlock   BlockID
-	inodes      []INode           // cap-fixed arena; fileByID points into it
 	fileByID    []*INode          // nil entries are intern-table gaps
 	files       map[string]*INode // namespace map, adopted by commit as-is
 	live        int               // owned-block count, sizes the commit arena
@@ -424,19 +426,21 @@ func (c *Cluster) decodeCheckpoint(r io.Reader) (*ckptState, error) {
 	}
 
 	// Files. Block ownership is tracked so every live block has exactly
-	// one owner and block IDs stay in range. The INode arena, namespace
-	// map, and slot table are built directly here — the map doubles as
-	// duplicate-path detection, and commit adopts all three wholesale.
+	// one owner and block IDs stay in range. The INodes, namespace map, and
+	// slot table are built directly here — the map doubles as
+	// duplicate-path detection, and commit adopts them wholesale.
 	// Pre-allocation of the file slots is bounded by the payload size so a
-	// forged header can't balloon them; the bound also fixes the arena's
-	// capacity (every present slot costs at least one payload byte, so
-	// appends can never exceed it), which keeps handed-out *INode pointers
-	// stable. The O(nextBlock) arrays — owner here, the replica lists and
-	// bitmaps below — are bounded only by maxCkptSlots: a forged 197-byte
-	// checkpoint claiming 2^26 blocks makes restore allocate about 3 GB.
+	// forged header can't balloon them. The INodes are carved from chunks
+	// of inodeChunk, each allocated when the last fills and never grown
+	// (handed-out *INode pointers stay put), so the arena holds the files
+	// present, not every slot ever interned, and at most one chunk more
+	// than the payload names. The O(nextBlock) arrays — owner here, the
+	// replica lists and bitmaps below — are bounded only by maxCkptSlots: a
+	// forged 197-byte checkpoint claiming 2^26 blocks makes restore
+	// allocate about 3 GB.
 	owner := make([]int32, st.nextBlock) // 0 = unowned; slot+1 otherwise
 	capHint := min(int(nSlots), len(data))
-	st.inodes = make([]INode, 0, capHint)
+	var inodes []INode
 	st.fileByID = make([]*INode, 0, capHint)
 	st.files = make(map[string]*INode, min(capHint, len(data)/8))
 	liveBlocks := 0
@@ -446,7 +450,10 @@ func (c *Cluster) decodeCheckpoint(r io.Reader) (*ckptState, error) {
 			continue
 		}
 		slot := len(st.fileByID)
-		st.inodes = append(st.inodes, INode{
+		if len(inodes) == cap(inodes) {
+			inodes = make([]INode, 0, min(inodeChunk, int(nSlots-i)))
+		}
+		inodes = append(inodes, INode{
 			Path:       d.Str("file path"),
 			Size:       d.F64("file size"),
 			CreatedAt:  time.Duration(d.Varint("createdAt")),
@@ -458,7 +465,7 @@ func (c *Cluster) decodeCheckpoint(r io.Reader) (*ckptState, error) {
 			Parity:     idList(&d, &idSlab, "parity list", st.nextBlock),
 			id:         slot,
 		})
-		f := &st.inodes[len(st.inodes)-1]
+		f := &inodes[len(inodes)-1]
 		if d.Err() != nil {
 			return nil, d.Err()
 		}

@@ -323,13 +323,13 @@ type Metrics struct {
 	FencedWritesApplied int
 }
 
-// metricFields declares each Metrics field once: its /metrics gauge (after
-// "hdfs_"), whether the checkpoint carries it, and where it lives (an *int
-// or a *float64). The durable fields come first, in checkpoint stream
-// order. RegisterMetrics, Metrics.Add and the checkpoint's metric list all
-// walk this table.
+// metricFields declares each Metrics field once: its /metrics counter
+// (after "hdfs_"), whether the checkpoint carries it, and where it lives
+// (an *int or a *float64). The durable fields come first, in checkpoint
+// stream order. RegisterMetrics, Metrics.Add and the checkpoint's metric
+// list all walk this table.
 var metricFields = [...]struct {
-	gauge   string
+	name    string
 	durable bool
 	field   func(*Metrics) any
 }{
@@ -565,11 +565,11 @@ func (c *Cluster) SetTracer(tr *trace.Tracer) {
 func (c *Cluster) Tracer() *trace.Tracer { return c.tracer }
 
 // RegisterMetrics registers the cluster's counters (and the fabric's)
-// into a metrics registry as snapshot-time gauges.
+// into a metrics registry, read at snapshot time.
 func (c *Cluster) RegisterMetrics(r *metrics.Registry) {
 	for _, f := range metricFields {
 		p := f.field(&c.metrics)
-		r.GaugeFunc("hdfs_"+f.gauge, func() float64 {
+		r.CounterFunc("hdfs_"+f.name, func() float64 {
 			if i, ok := p.(*int); ok {
 				return float64(*i)
 			}

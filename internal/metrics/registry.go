@@ -62,9 +62,10 @@ func (c *Counter) Int() int { return int(c.v) }
 // callback at snapshot time (for values owned elsewhere, like a cluster's
 // stale-node count).
 type Gauge struct {
-	name string
-	v    float64
-	fn   func() float64
+	name    string
+	v       float64
+	fn      func() float64
+	counter bool // registered by CounterFunc: rendered as a counter
 }
 
 // Set stores the gauge value.
@@ -130,6 +131,15 @@ func (r *Registry) GaugeFunc(name string, fn func() float64) {
 	g.fn = fn
 }
 
+// CounterFunc registers a count owned elsewhere, computed by fn at
+// snapshot time, that only ever rises: a func gauge that renders as a
+// Prometheus counter. It stays a gauge in the registry, so Gauge(name)
+// returns it.
+func (r *Registry) CounterFunc(name string, fn func() float64) {
+	r.GaugeFunc(name, fn)
+	r.gauges[name].counter = true
+}
+
 // Histogram returns the histogram registered under name, creating it on
 // first use.
 func (r *Registry) Histogram(name string) *Histogram {
@@ -164,8 +174,9 @@ func (r *Registry) Names() []string {
 }
 
 // WritePrometheus renders the registry as a Prometheus text-format
-// snapshot: metrics sorted by name, counters as `# TYPE ... counter`,
-// gauges as gauges, histograms as summaries with quantile labels.
+// snapshot: metrics sorted by name, counters and CounterFunc gauges as
+// `# TYPE ... counter`, other gauges as gauges, histograms as summaries
+// with quantile labels.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, name := range r.Names() {
@@ -173,7 +184,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		case r.counters[name] != nil:
 			fmt.Fprintf(bw, "# TYPE %s counter\n%s %s\n", name, name, formatValue(r.counters[name].Value()))
 		case r.gauges[name] != nil:
-			fmt.Fprintf(bw, "# TYPE %s gauge\n%s %s\n", name, name, formatValue(r.gauges[name].Value()))
+			g, kind := r.gauges[name], "gauge"
+			if g.counter {
+				kind = "counter"
+			}
+			fmt.Fprintf(bw, "# TYPE %s %s\n%s %s\n", name, kind, name, formatValue(g.Value()))
 		case r.hists[name] != nil:
 			h := r.hists[name]
 			fmt.Fprintf(bw, "# TYPE %s summary\n", name)

@@ -103,6 +103,11 @@ func TestWritePrometheus(t *testing.T) {
 	h := r.Histogram("c_seconds")
 	h.Observe(1)
 	h.Observe(3)
+	visited := 5.0
+	r.CounterFunc("d_total", func() float64 { return visited })
+	if g := r.Gauge("d_total"); g.Value() != 5 {
+		t.Fatalf("CounterFunc read through Gauge = %v, want 5", g.Value())
+	}
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -118,6 +123,8 @@ c_seconds{quantile="0.9"} 2.8
 c_seconds{quantile="0.99"} 2.98
 c_seconds_sum 4
 c_seconds_count 2
+# TYPE d_total counter
+d_total 5
 `
 	if out != want {
 		t.Fatalf("snapshot mismatch:\ngot:\n%s\nwant:\n%s", out, want)

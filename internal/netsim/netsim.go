@@ -111,11 +111,11 @@ func (fb *Fabric) SetTracer(tr *trace.Tracer) { fb.tracer = tr }
 // RegisterMetrics registers the fabric's transfer accounting into a
 // metrics registry.
 func (fb *Fabric) RegisterMetrics(r *metrics.Registry) {
-	r.GaugeFunc("net_bytes_moved_total", func() float64 { return fb.BytesMoved })
+	r.CounterFunc("net_bytes_moved_total", func() float64 { return fb.BytesMoved })
 	r.GaugeFunc("net_active_flows", func() float64 { return float64(len(fb.flows)) })
-	r.GaugeFunc("net_flows_admitted_total", func() float64 { return float64(fb.nextID) })
-	r.GaugeFunc("net_flow_changes_total", func() float64 { return float64(fb.changes) })
-	r.GaugeFunc("net_rate_allocations_total", func() float64 { return float64(fb.allocations) })
+	r.CounterFunc("net_flows_admitted_total", func() float64 { return float64(fb.nextID) })
+	r.CounterFunc("net_flow_changes_total", func() float64 { return float64(fb.changes) })
+	r.CounterFunc("net_rate_allocations_total", func() float64 { return float64(fb.allocations) })
 }
 
 // New creates a fabric over the topology's link table.

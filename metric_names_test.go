@@ -17,15 +17,28 @@ var updateMetricNames = flag.Bool("update", false, "rewrite testdata/metric_name
 // (`hdfs_*`, `erms_repairs_*_total`) is a prefix.
 var metricToken = regexp.MustCompile(`\b(?:hdfs|erms|cep|condor)_[a-z0-9_]+\b`)
 
-// TestMetricNames pins the set of names a default journaled System
-// registers — what /metrics exports — in testdata/metric_names.golden
-// (-update rewrites it), and fails on any metric name the operator docs
-// mention that is not registered, so a renamed metric cannot leave the
-// docs pointing at nothing.
+// TestMetricNames pins the names a default journaled System registers
+// and the TYPE /metrics gives each, one "name type" line apiece, in
+// testdata/metric_names.golden (-update rewrites it), and fails on any
+// metric name the operator docs mention that is not registered, so a
+// renamed metric cannot leave the docs pointing at nothing.
 func TestMetricNames(t *testing.T) {
-	names := erms.NewSystem(erms.Options{EnableJournal: true}).Registry().Names()
+	reg := erms.NewSystem(erms.Options{EnableJournal: true}).Registry()
+	names := reg.Names()
+	var prom strings.Builder
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	var got string
+	for _, line := range strings.Split(prom.String(), "\n") {
+		if typed, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			got += typed + "\n"
+			if name, typ, _ := strings.Cut(typed, " "); strings.HasSuffix(name, "_total") && typ != "counter" {
+				t.Errorf("%s renders as a %s; a _total only rises, so /metrics must call it a counter", name, typ)
+			}
+		}
+	}
 	const golden = "testdata/metric_names.golden"
-	got := strings.Join(names, "\n") + "\n"
 	if *updateMetricNames {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
