@@ -198,11 +198,11 @@ func (e Entry) String() string {
 // Reads decode: Each hands its callback one scratch Entry, and Tail and
 // Entries fill a slice.
 type Journal struct {
-	segs  []*segment // all but the last hold segmentCap records
-	base  uint64     // Seq held (or once held) by segs[0]'s first record
-	start uint64     // first retained Seq; next when nothing is retained
-	next  uint64     // Seq the next Append will assign
-	epoch uint64     // current writer epoch; Append stamps it on every entry
+	segs  []segment // all but the last hold segmentCap records
+	base  uint64    // Seq held (or once held) by segs[0]'s first record
+	start uint64    // first retained Seq; next when nothing is retained
+	next  uint64    // Seq the next Append will assign
+	epoch uint64    // current writer epoch; Append stamps it on every entry
 	// Time and Epoch of the last record appended: the next record stores
 	// its own as differences from these (from zero in a fresh segment).
 	prevTime  time.Duration
@@ -284,24 +284,24 @@ func (j *Journal) appendRecord(s *segment, e *Entry) {
 		fEpoch:  e.Epoch - j.prevEpoch,
 	}
 	var mask uint64
+	var buf [numFields * binary.MaxVarintLen64]byte
+	n := 0
 	for i, x := range v {
-		if x != 0 {
-			mask |= 1 << i
+		if x == 0 {
+			continue
 		}
-	}
-	b := binary.AppendUvarint(append(s.recs, byte(e.Op)), mask)
-	for i, x := range v {
-		switch {
-		case x == 0 || i == fFlag:
-		case i == fPath:
+		mask |= 1 << i
+		switch i {
+		case fFlag:
+		case fPath:
 			s.strs = append(s.strs, e.Path)
-		case i == fDst:
+		case fDst:
 			s.strs = append(s.strs, e.Dst)
 		default:
-			b = binary.AppendUvarint(b, x)
+			n += binary.PutUvarint(buf[n:], x)
 		}
 	}
-	s.recs = b
+	s.recs = append(binary.AppendUvarint(append(s.recs, byte(e.Op)), mask), buf[:n]...)
 	j.prevTime, j.prevEpoch = e.Time, e.Epoch
 }
 
@@ -399,11 +399,11 @@ func (j *Journal) Append(e Entry) Entry {
 		if j.spare.recs == nil {
 			j.spare = segment{make([]byte, 0, segmentBytes), make([]string, 0, segmentStrs)}
 		}
-		j.segs = append(j.segs, &segment{j.spare.recs, j.spare.strs})
+		j.segs = append(j.segs, j.spare)
 		j.spare = segment{}
 		j.prevTime, j.prevEpoch = 0, 0
 	}
-	s := j.segs[len(j.segs)-1]
+	s := &j.segs[len(j.segs)-1]
 	j.appendRecord(s, &e)
 	j.next++
 	if (j.next-j.base)%segmentCap == 0 {
@@ -427,10 +427,10 @@ func (j *Journal) Len() int { return int(j.next - j.start) }
 // and the segment list. The strings' own bytes are shared with whoever
 // appended them and not counted.
 func (j *Journal) Footprint() int {
-	size := func(s *segment) int { return cap(s.recs) + cap(s.strs)*int(unsafe.Sizeof("")) }
-	n := size(&j.spare) + cap(j.segs)*int(unsafe.Sizeof(&j.spare))
+	size := func(s segment) int { return cap(s.recs) + cap(s.strs)*int(unsafe.Sizeof("")) }
+	n := size(j.spare) + cap(j.segs)*int(unsafe.Sizeof(j.spare))
 	for _, s := range j.segs {
-		n += int(unsafe.Sizeof(*s)) + size(s)
+		n += size(s)
 	}
 	return n
 }
@@ -448,7 +448,7 @@ func (j *Journal) Each(from uint64, fn func(*Entry) bool) {
 	si := int((from - j.base) / segmentCap)
 	seq := j.base + uint64(si)*segmentCap // Seq of segs[si]'s first record
 	for ; si < len(j.segs); si++ {
-		r := reader{segment: *j.segs[si]}
+		r := reader{segment: j.segs[si]}
 		for end := min(seq+segmentCap, j.next); seq < end; seq++ {
 			r.next(&e)
 			if seq < from {
