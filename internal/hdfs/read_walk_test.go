@@ -1,11 +1,14 @@
 package hdfs
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"erms/internal/auditlog"
+	"erms/internal/sim"
+	"erms/internal/topology"
 )
 
 // walkOutcome is everything one read leaves behind that a caller, the
@@ -180,5 +183,48 @@ func TestReadWalkExits(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestQueuedBlockReadReportsCurrentPath holds a block read in its datanode's
+// admission queue while the file is renamed, or renamed and deleted: the
+// read's BlockReadEvent names the path the file has when the session is
+// granted — the new one after a rename, the last one after a delete, whose
+// other reads then fail on their next (dropped) block.
+func TestQueuedBlockReadReportsCurrentPath(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		after func(c *Cluster) error
+		want  []string // event paths, in admission order
+	}{
+		{"rename", func(c *Cluster) error { return c.Rename("/a", "/b") }, []string{"/a", "/b", "/b", "/b"}},
+		{"rename then delete", func(c *Cluster) error {
+			if err := c.Rename("/a", "/b"); err != nil {
+				return err
+			}
+			return c.DeleteFile("/b")
+		}, []string{"/a", "/b"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.NewEngine()
+			c := New(e, Config{Topology: topology.New(topology.Config{}), MaxSessionsPerNode: 1})
+			if _, err := c.CreateFile("/a", 128*mb, 1, 0); err != nil {
+				t.Fatal(err)
+			}
+			var paths []string
+			c.OnBlockRead(func(ev BlockReadEvent) { paths = append(paths, ev.Path) })
+			c.ReadFile(1, "/a", nil)
+			c.ReadFile(2, "/a", nil)
+			if d := c.Datanode(0); d.Sessions() != 1 || d.QueueLen() != 1 {
+				t.Fatalf("sessions=%d queue=%d, want one admitted read and one queued", d.Sessions(), d.QueueLen())
+			}
+			if err := tc.after(c); err != nil {
+				t.Fatal(err)
+			}
+			e.Run()
+			if !slices.Equal(paths, tc.want) {
+				t.Fatalf("event paths %q, want %q", paths, tc.want)
+			}
+		})
 	}
 }
