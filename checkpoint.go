@@ -1,12 +1,12 @@
 package erms
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
 	"erms/internal/auditlog"
 	"erms/internal/federation"
+	"erms/internal/hdfs"
 	"erms/internal/wire"
 )
 
@@ -96,7 +96,7 @@ func (s *System) restoreFederated(data []byte) error {
 		return err
 	}
 	for i, sh := range s.shards {
-		if err := sh.restore(bytes.NewReader(blobs[i])); err != nil {
+		if err := sh.restored(sh.cluster.RestoreCheckpointBytes(blobs[i])); err != nil {
 			return fmt.Errorf("erms: shard %d restore: %w", i, err)
 		}
 	}
@@ -115,7 +115,7 @@ func (s *System) restoreFederated(data []byte) error {
 // restored system re-encodes byte-identically to one from the original.
 func (s *System) Restore(r io.Reader) error {
 	if len(s.shards) == 1 {
-		return s.shards[0].restore(r)
+		return s.shards[0].restored(s.shards[0].cluster.RestoreCheckpoint(r))
 	}
 	data, err := io.ReadAll(r)
 	if err != nil {
@@ -124,16 +124,13 @@ func (s *System) Restore(r io.Reader) error {
 	return s.restoreFederated(data)
 }
 
-// restore loads one classic checkpoint stream into a pristine shard and
-// realigns its journal, if it has one, to the restored sequence number.
-func (sh *Shard) restore(r io.Reader) error {
-	if err := sh.cluster.RestoreCheckpoint(r); err != nil {
-		return err
-	}
-	if sh.cluster.Journal() != nil {
+// restored finishes a shard's restore that returned err: on success its
+// journal, if it has one, is realigned to the restored sequence number.
+func (sh *Shard) restored(err error) error {
+	if err == nil && sh.cluster.Journal() != nil {
 		sh.cluster.SetJournal(auditlog.NewJournalAt(sh.cluster.RestoredJournalSeq()))
 	}
-	return nil
+	return err
 }
 
 // StateDigest fingerprints the durable namenode state (see
@@ -181,7 +178,11 @@ func NewStandby(opts Options, checkpoint io.Reader, tail []JournalEntry) (*Syste
 	if n := len(tail); n > 0 && tail[n-1].Epoch > 0 {
 		prevEpoch = tail[n-1].Epoch
 	}
-	sh, err := s.promote(checkpoint, tail, prevEpoch)
+	ckpt, err := io.ReadAll(checkpoint)
+	if err != nil {
+		return nil, fmt.Errorf("standby checkpoint read: %w", err)
+	}
+	sh, err := s.promote(ckpt, func(c *hdfs.Cluster) error { return c.ReplayJournal(tail) }, prevEpoch)
 	if err != nil {
 		return nil, fmt.Errorf("standby %w", err)
 	}

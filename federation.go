@@ -1,10 +1,8 @@
 package erms
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -315,18 +313,18 @@ func (s *System) snapshot(i int) error {
 // promote builds a replacement namenode on the shared engine: restore the
 // checkpoint (in place — the engine may have run past the capture time; on
 // NewStandby's fresh engine that is the plain restore), replay the journal
-// tail, continue the tail's sequence numbering in a new journal, take
+// tail through replay, continue the tail's sequence numbering in a new journal, take
 // writer epoch prevEpoch+1 (entries the fenced predecessor might still try
 // to write carry the old epoch and are recognizably stale), and attach a
 // manager whose judge starts cold. NewStandby and FailoverShard both end
 // here.
-func (s *System) promote(checkpoint io.Reader, tail []JournalEntry, prevEpoch uint64) (*Shard, error) {
+func (s *System) promote(ckpt []byte, replay func(*hdfs.Cluster) error, prevEpoch uint64) (*Shard, error) {
 	sh := s.newShard()
 	c := sh.cluster
-	if err := c.RestoreCheckpointInPlace(checkpoint); err != nil {
+	if err := c.RestoreCheckpointInPlace(ckpt); err != nil {
 		return nil, fmt.Errorf("restore: %w", err)
 	}
-	if err := c.ReplayJournal(tail); err != nil {
+	if err := replay(c); err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
 	}
 	c.SetJournal(auditlog.NewJournalAt(c.RestoredJournalSeq()))
@@ -355,11 +353,7 @@ func (s *System) FailoverShard(i int) error {
 	if oldJ == nil {
 		return fmt.Errorf("erms: shard %d has no journal (EnableJournal)", i)
 	}
-	tail := oldJ.Tail(snap.seq)
-	if tail == nil {
-		return fmt.Errorf("erms: shard %d journal truncated past snapshot seq %d", i, snap.seq)
-	}
-	nb, err := s.promote(bytes.NewReader(snap.ckpt), tail, oldJ.Epoch())
+	nb, err := s.promote(snap.ckpt, func(c *hdfs.Cluster) error { return c.ReplayJournalFrom(oldJ, snap.seq) }, oldJ.Epoch())
 	if err != nil {
 		return fmt.Errorf("erms: shard %d %w", i, err)
 	}

@@ -419,6 +419,10 @@ func (j *Journal) Append(e Entry) Entry {
 // checkpoint taken now pairs with Tail(NextSeq()) later.
 func (j *Journal) NextSeq() uint64 { return j.next }
 
+// Start returns the first retained Seq: Tail and Each reach back that far
+// and no further.
+func (j *Journal) Start() uint64 { return j.start }
+
 // Len returns the number of retained entries.
 func (j *Journal) Len() int { return int(j.next - j.start) }
 

@@ -115,7 +115,7 @@ func runChaosStorm(t *testing.T, seed int64, dur time.Duration) chaosOutcome {
 	out.digest = h.StateDigest()
 	out.lost = len(h.UnrecoverableBlocks())
 	for _, bid := range h.UnderReplicated() {
-		if !h.Block(bid).Parity {
+		if b, _ := h.Block(bid); !b.Parity {
 			out.under++
 		}
 	}

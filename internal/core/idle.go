@@ -1,6 +1,9 @@
 package core
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // idleList orders the judge's files by last touch — the last open or pread
 // the audit log showed, else the file's creation — oldest first, so the
@@ -18,8 +21,13 @@ type idleNode struct {
 	last       time.Duration
 }
 
-// grow gives every slot below slots a node, off the list.
+// grow gives every slot below slots a node, off the list, growing the
+// slice at most once (a judge adopting a restored namespace takes in
+// every slot in one call).
 func (l *idleList) grow(slots int) {
+	if len(l.n) <= slots {
+		l.n = slices.Grow(l.n, slots+1-len(l.n))
+	}
 	if len(l.n) == 0 {
 		l.n = append(l.n, idleNode{}) // the sentinel, linked to itself
 	}

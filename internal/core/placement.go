@@ -59,7 +59,7 @@ func NewPlacement(pool map[hdfs.DatanodeID]bool) *Placement {
 func (p *Placement) Name() string { return "erms-algorithm1" }
 
 // ChooseTargets implements hdfs.Policy.
-func (p *Placement) ChooseTargets(dst []hdfs.DatanodeID, c *hdfs.Cluster, b *hdfs.Block, count int, writer hdfs.DatanodeID, exclude *hdfs.NodeSet) []hdfs.DatanodeID {
+func (p *Placement) ChooseTargets(dst []hdfs.DatanodeID, c *hdfs.Cluster, b hdfs.Block, count int, writer hdfs.DatanodeID, exclude *hdfs.NodeSet) []hdfs.DatanodeID {
 	if b.Parity {
 		return p.parityTargets(dst, c, b, count, exclude)
 	}
@@ -105,7 +105,7 @@ func (p *Placement) tally(n int) []int {
 // extraTargets places extra (hot-data) replicas: standby-pool nodes first,
 // preferring same-rack-as-existing-replica, then fewest blocks; falling
 // back to active non-pool nodes.
-func (p *Placement) extraTargets(dst []hdfs.DatanodeID, c *hdfs.Cluster, b *hdfs.Block, count int, exclude *hdfs.NodeSet) []hdfs.DatanodeID {
+func (p *Placement) extraTargets(dst []hdfs.DatanodeID, c *hdfs.Cluster, b hdfs.Block, count int, exclude *hdfs.NodeSet) []hdfs.DatanodeID {
 	topo := c.Topology()
 	rackCount := p.tally(topo.NumRacks()) // replicas (existing + chosen) per rack
 	for _, r := range c.Replicas(b.ID) {
@@ -151,7 +151,7 @@ func (p *Placement) extraTargets(dst []hdfs.DatanodeID, c *hdfs.Cluster, b *hdfs
 
 // parityTargets: "select the active node that contains the minimum number
 // of data block of the same data."
-func (p *Placement) parityTargets(dst []hdfs.DatanodeID, c *hdfs.Cluster, b *hdfs.Block, count int, exclude *hdfs.NodeSet) []hdfs.DatanodeID {
+func (p *Placement) parityTargets(dst []hdfs.DatanodeID, c *hdfs.Cluster, b hdfs.Block, count int, exclude *hdfs.NodeSet) []hdfs.DatanodeID {
 	blocksOf := p.tally(len(c.Datanodes()))
 	if f := c.File(b.File); f != nil {
 		for _, ids := range [2][]hdfs.BlockID{f.Blocks, f.Parity} {
@@ -187,7 +187,7 @@ func (p *Placement) parityTargets(dst []hdfs.DatanodeID, c *hdfs.Cluster, b *hdf
 // from standby nodes" — pooled replicas drain first (most-loaded pooled
 // node first so nodes empty out and can power down), then the default
 // policy picks among the always-on nodes.
-func (p *Placement) ChooseExcess(c *hdfs.Cluster, b *hdfs.Block) (hdfs.DatanodeID, bool) {
+func (p *Placement) ChooseExcess(c *hdfs.Cluster, b hdfs.Block) (hdfs.DatanodeID, bool) {
 	var best hdfs.DatanodeID = -1
 	bestLoad := -1
 	for _, r := range c.Replicas(b.ID) {
@@ -209,7 +209,7 @@ func (p *Placement) ChooseExcess(c *hdfs.Cluster, b *hdfs.Block) (hdfs.DatanodeI
 // one replica per block, keep it on an always-on node (pool nodes want to
 // power down) hosting the fewest stripe members, so the RS code retains
 // its full failure tolerance and the standby pool still drains.
-func (p *Placement) ChooseKeeper(c *hdfs.Cluster, b *hdfs.Block, stripeLoad map[hdfs.DatanodeID]int) (hdfs.DatanodeID, bool) {
+func (p *Placement) ChooseKeeper(c *hdfs.Cluster, b hdfs.Block, stripeLoad map[hdfs.DatanodeID]int) (hdfs.DatanodeID, bool) {
 	var best hdfs.DatanodeID = -1
 	bestKey := [4]int{1 << 30, 1 << 30, 1 << 30, 1 << 30}
 	for _, r := range c.Replicas(b.ID) {

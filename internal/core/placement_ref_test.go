@@ -38,7 +38,7 @@ func asNodeSet(m map[hdfs.DatanodeID]bool) *hdfs.NodeSet {
 	return s
 }
 
-func (p *refPlacement) refChooseTargets(c *hdfs.Cluster, b *hdfs.Block, count int, writer hdfs.DatanodeID, exclude map[hdfs.DatanodeID]bool) []hdfs.DatanodeID {
+func (p *refPlacement) refChooseTargets(c *hdfs.Cluster, b hdfs.Block, count int, writer hdfs.DatanodeID, exclude map[hdfs.DatanodeID]bool) []hdfs.DatanodeID {
 	if b.Parity {
 		return p.parityTargets(c, b, count, exclude)
 	}
@@ -69,7 +69,7 @@ func (p *refPlacement) refChooseTargets(c *hdfs.Cluster, b *hdfs.Block, count in
 // extraTargets places extra (hot-data) replicas: standby-pool nodes first,
 // preferring same-rack-as-existing-replica, then fewest blocks; falling
 // back to active non-pool nodes.
-func (p *refPlacement) extraTargets(c *hdfs.Cluster, b *hdfs.Block, count int, exclude map[hdfs.DatanodeID]bool) []hdfs.DatanodeID {
+func (p *refPlacement) extraTargets(c *hdfs.Cluster, b hdfs.Block, count int, exclude map[hdfs.DatanodeID]bool) []hdfs.DatanodeID {
 	type cand struct {
 		id   hdfs.DatanodeID
 		tier int // 0: pool+same rack, 1: pool, 2: active non-pool
@@ -133,7 +133,7 @@ func (p *refPlacement) extraTargets(c *hdfs.Cluster, b *hdfs.Block, count int, e
 
 // parityTargets: "select the active node that contains the minimum number
 // of data block of the same data."
-func (p *refPlacement) parityTargets(c *hdfs.Cluster, b *hdfs.Block, count int, exclude map[hdfs.DatanodeID]bool) []hdfs.DatanodeID {
+func (p *refPlacement) parityTargets(c *hdfs.Cluster, b hdfs.Block, count int, exclude map[hdfs.DatanodeID]bool) []hdfs.DatanodeID {
 	f := c.File(b.File)
 	blocksOf := map[hdfs.DatanodeID]int{}
 	if f != nil {
@@ -280,13 +280,14 @@ func placementScenario(seed int64) (*hdfs.Cluster, map[hdfs.DatanodeID]bool, *ra
 }
 
 // blocksOf lists every live block, data and parity, in path order.
-func blocksOf(c *hdfs.Cluster) []*hdfs.Block {
-	var out []*hdfs.Block
+func blocksOf(c *hdfs.Cluster) []hdfs.Block {
+	var out []hdfs.Block
 	for _, p := range c.FilePaths() {
 		f := c.File(p)
 		for _, ids := range [2][]hdfs.BlockID{f.Blocks, f.Parity} {
 			for _, id := range ids {
-				out = append(out, c.Block(id))
+				b, _ := c.Block(id)
+				out = append(out, b)
 			}
 		}
 	}

@@ -78,8 +78,8 @@ func (r *RepairConfig) applyDefaults(datanodes int) {
 // all: parity blocks only matter once lost, and a lost block without
 // erasure protection has nothing to rebuild from.
 func (m *Manager) repairable(bid hdfs.BlockID) bool {
-	b := m.cluster.Block(bid)
-	if b == nil {
+	b, ok := m.cluster.Block(bid)
+	if !ok {
 		return false
 	}
 	lost := len(m.cluster.Replicas(bid)) == 0
@@ -107,7 +107,7 @@ func (m *Manager) repairTier(bid hdfs.BlockID) int {
 	if allDecom {
 		return TierDecommissionOnly
 	}
-	b := m.cluster.Block(bid)
+	b, _ := m.cluster.Block(bid)
 	target := 1
 	if f := m.cluster.File(b.File); f != nil && !f.Encoded {
 		target = f.TargetRepl
@@ -168,7 +168,7 @@ func (m *Manager) scheduleRepairs() {
 // submitRepair builds and submits the Condor recovery job for one damaged
 // block.
 func (m *Manager) submitRepair(bid hdfs.BlockID, tier int) {
-	b := m.cluster.Block(bid)
+	b, _ := m.cluster.Block(bid)
 	lost := len(m.cluster.Replicas(bid)) == 0
 	m.repairing[bid] = true
 	m.ctr.repairs.Inc()
@@ -270,7 +270,7 @@ func (m *Manager) startRepairCopy(bid hdfs.BlockID, t hdfs.DatanodeID, done func
 	switch {
 	case m.bucket != nil:
 		cost := 0.0
-		if b := m.cluster.Block(bid); b != nil {
+		if b, ok := m.cluster.Block(bid); ok {
 			cost = b.Size
 		}
 		m.bucket.Take(cost, func() {

@@ -80,7 +80,7 @@ func TestSoakSixHoursWithFailures(t *testing.T) {
 	// sweeps to quiescence and verify.
 	e.RunFor(30 * time.Minute)
 	for _, bid := range h.UnderReplicated() {
-		b := h.Block(bid)
+		b, _ := h.Block(bid)
 		if len(h.Replicas(bid)) == 0 && !h.File(b.File).Encoded {
 			continue // plain block lost beyond repair is impossible here: fail
 		}

@@ -370,7 +370,7 @@ func fileLost(c *hdfs.Cluster, f *hdfs.INode, holders map[hdfs.BlockID][]hdfs.Da
 			}
 		}
 		for _, pid := range f.Parity {
-			if c.Block(pid).Group == s && alive(pid) {
+			if b, _ := c.Block(pid); b.Group == s && alive(pid) {
 				surviving++
 			}
 		}

@@ -45,8 +45,8 @@ func TestAboveDefaultIndex(t *testing.T) {
 		}},
 		{"kill_and_restart_with_blocks", func(t *testing.T, e *sim.Engine, c *Cluster) {
 			f, _ := c.CreateFile("/x", 64*mb, 3, -1)
-			b := c.Block(f.Blocks[0])
-			victim := c.Replicas(b.ID)[0]
+			b := f.Blocks[0]
+			victim := c.Replicas(b)[0]
 			c.Kill(victim)
 			expectAbove(t, c, "/x", false, "a replica's node killed")
 			c.SetReplication("/x", 3, WholeAtOnce, nil) // re-replicate the lost copy

@@ -68,7 +68,7 @@ func BenchmarkChooseTargets(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	blk := c.Block(c.File("/f00").Blocks[0])
+	blk, _ := c.Block(c.File("/f00").Blocks[0])
 	p := c.PlacementPolicy()
 	dst := make([]DatanodeID, 0, 3)
 	b.ReportAllocs()

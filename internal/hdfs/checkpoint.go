@@ -103,8 +103,8 @@ func (c *Cluster) StateDigest() uint64 {
 			h.U64(uint64(bid))
 		}
 	}
-	for id, b := range c.blocks {
-		if b == nil {
+	for id, r := range c.blocks {
+		if r.file < 0 {
 			continue
 		}
 		h.U64(uint64(id))
@@ -184,8 +184,8 @@ func (c *Cluster) AppendCheckpoint(dst []byte) []byte {
 	// Replica lists for live blocks, ascending block ID. List order is
 	// load-bearing (read selection and excess-replica choice walk it), so
 	// it is serialized exactly, not canonicalized.
-	for id, b := range c.blocks {
-		if b == nil {
+	for id, r := range c.blocks {
+		if r.file < 0 {
 			continue
 		}
 		reps := c.replicas[id]
@@ -299,7 +299,6 @@ type ckptState struct {
 	nextBlock   BlockID
 	fileByID    []*INode          // nil entries are intern-table gaps
 	files       map[string]*INode // namespace map, adopted by commit as-is
-	live        int               // owned-block count, sizes the commit arena
 	replicas    [][]DatanodeID
 	nodes       []ckptNode
 	partitioned []int
@@ -307,25 +306,42 @@ type ckptState struct {
 	metrics     Metrics
 }
 
-// RestoreCheckpoint rebuilds the cluster from a checkpoint stream. The
-// cluster must be pristine (freshly built with an equivalent Config: same
-// ConfigDigest, no files, no blocks) and its engine must not have advanced
-// past the checkpoint's capture time. Restore is all-or-nothing: any
-// decode or validation error leaves the cluster untouched. On success the
-// engine has advanced to the capture time, every derived index is rebuilt,
-// and ConsistencyErrors() is nil by construction — the restored cluster is
-// structurally identical to the one that wrote the checkpoint.
-func (c *Cluster) RestoreCheckpoint(r io.Reader) error { return c.restoreCheckpoint(r, false) }
+// RestoreCheckpoint rebuilds the cluster from a checkpoint stream, read
+// once into memory and then decoded as RestoreCheckpointBytes does.
+func (c *Cluster) RestoreCheckpoint(r io.Reader) error {
+	var buf bytes.Buffer
+	if lr, ok := r.(interface{ Len() int }); ok {
+		// Bytes already in memory: one allocation of the right size, not
+		// io.ReadAll's grow-and-copy from 512 bytes up.
+		buf.Grow(lr.Len() + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(r); err != nil {
+		return fmt.Errorf("hdfs: checkpoint read: %w", err)
+	}
+	return c.restoreCheckpoint(buf.Bytes(), false)
+}
 
-// RestoreCheckpointInPlace is RestoreCheckpoint for a replacement namenode
-// built on an engine that has already reached or run past the capture time
-// — the per-shard failover path, where every shard shares one cluster-wide
-// engine that kept running while this shard's snapshot aged. The clock is
-// never rewound, and an engine already at the capture instant is not run:
-// state is adopted as of the capture time and the journal tail replay
-// brings it forward. All other restore rules (pristine cluster, config
-// digest, all-or-nothing) are unchanged.
-func (c *Cluster) RestoreCheckpointInPlace(r io.Reader) error { return c.restoreCheckpoint(r, true) }
+// RestoreCheckpointBytes rebuilds the cluster from a checkpoint held in
+// memory. The cluster must be pristine (freshly built with an equivalent
+// Config: same ConfigDigest, no files, no blocks) and its engine must not
+// have advanced past the checkpoint's capture time. Restore is
+// all-or-nothing: any decode or validation error leaves the cluster
+// untouched. On success the engine has advanced to the capture time, every
+// derived index is rebuilt, and ConsistencyErrors() is nil by construction
+// — the restored cluster is structurally identical to the one that wrote
+// the checkpoint. The cluster keeps nothing of data, which the caller may
+// reuse.
+func (c *Cluster) RestoreCheckpointBytes(data []byte) error { return c.restoreCheckpoint(data, false) }
+
+// RestoreCheckpointInPlace is RestoreCheckpointBytes for a replacement
+// namenode built on an engine that has already reached or run past the
+// capture time — the per-shard failover path, where every shard shares
+// one cluster-wide engine that kept running while this shard's snapshot
+// aged. The clock is never rewound, and an engine already at the capture
+// instant is not run: state is adopted as of the capture time and the
+// journal tail replay brings it forward. All other restore rules
+// (pristine cluster, config digest, all-or-nothing) are unchanged.
+func (c *Cluster) RestoreCheckpointInPlace(data []byte) error { return c.restoreCheckpoint(data, true) }
 
 // Shadow commissions a verification standby of c: a pristine cluster on a
 // fresh engine with c's durable configuration — the ConfigDigest inputs,
@@ -342,7 +358,7 @@ func (c *Cluster) Shadow(ckpt []byte, tail []auditlog.Entry) (*Cluster, error) {
 		MaxSessionsPerNode: c.cfg.MaxSessionsPerNode,
 		ReplCommandLatency: c.cfg.ReplCommandLatency,
 	})
-	if err := s.RestoreCheckpoint(bytes.NewReader(ckpt)); err != nil {
+	if err := s.RestoreCheckpointBytes(ckpt); err != nil {
 		return nil, fmt.Errorf("hdfs: shadow restore: %w", err)
 	}
 	if err := s.ReplayJournal(tail); err != nil {
@@ -355,12 +371,12 @@ func (c *Cluster) Shadow(ckpt []byte, tail []auditlog.Entry) (*Cluster, error) {
 // two entry points differ in: whether this cluster owns the engine (it may
 // not be past the capture time, and is run up to and including it) or is
 // joining one that others keep running (it is run only if it is behind).
-func (c *Cluster) restoreCheckpoint(r io.Reader, inPlace bool) error {
+func (c *Cluster) restoreCheckpoint(data []byte, inPlace bool) error {
 	if len(c.files) > 0 || c.nextBlock > 0 || c.liveBlocks > 0 {
 		return fmt.Errorf("hdfs: restore requires a pristine cluster (have %d files, %d blocks)",
 			len(c.files), c.liveBlocks)
 	}
-	st, err := c.decodeCheckpoint(r)
+	st, err := c.decodeCheckpoint(data)
 	if err != nil {
 		return err
 	}
@@ -386,22 +402,12 @@ func (c *Cluster) restoreCheckpoint(r io.Reader, inPlace bool) error {
 }
 
 // decodeCheckpoint parses and validates a checkpoint stream without
-// touching cluster state. The whole stream is read up front so the
-// trailing checksum is verified before a single field is trusted. A read
-// after a decode error returns zero, so the error is checked early only
-// where a zero could fail validation and be reported in its place; the
-// rest surface at d.End().
-func (c *Cluster) decodeCheckpoint(r io.Reader) (*ckptState, error) {
-	var buf bytes.Buffer
-	if lr, ok := r.(interface{ Len() int }); ok {
-		// Bytes already in memory (a failover snapshot): one allocation of
-		// the right size, not io.ReadAll's grow-and-copy from 512 bytes up.
-		buf.Grow(lr.Len() + bytes.MinRead)
-	}
-	if _, err := buf.ReadFrom(r); err != nil {
-		return nil, fmt.Errorf("hdfs: checkpoint read: %w", err)
-	}
-	data := buf.Bytes()
+// touching cluster state. The trailing checksum is verified before a
+// single field is trusted. A read after a decode error returns zero, so
+// the error is checked early only where a zero could fail validation and
+// be reported in its place; the rest surface at d.End(). Nothing decoded
+// aliases data: the paths share one string copy of it.
+func (c *Cluster) decodeCheckpoint(data []byte) (*ckptState, error) {
 	d, err := wire.Open(data, checkpointMagic, CheckpointVersion, "hdfs: checkpoint")
 	if err != nil {
 		return nil, err
@@ -443,7 +449,6 @@ func (c *Cluster) decodeCheckpoint(r io.Reader) (*ckptState, error) {
 	var inodes []INode
 	st.fileByID = make([]*INode, 0, capHint)
 	st.files = make(map[string]*INode, min(capHint, len(data)/8))
-	liveBlocks := 0
 	for i := uint64(0); i < nSlots && d.Err() == nil; i++ {
 		if !d.Bool("slot presence") {
 			st.fileByID = append(st.fileByID, nil)
@@ -501,7 +506,6 @@ func (c *Cluster) decodeCheckpoint(r io.Reader) (*ckptState, error) {
 					return nil, fmt.Errorf("hdfs: checkpoint block %d claimed by two files", bid)
 				}
 				owner[bid] = int32(slot) + 1
-				liveBlocks++
 			}
 		}
 		st.fileByID = append(st.fileByID, f)
@@ -514,7 +518,6 @@ func (c *Cluster) decodeCheckpoint(r io.Reader) (*ckptState, error) {
 	// Duplicate detection uses a generation-stamped array instead of a
 	// per-block map, and the lists carve a shared slab: at a million blocks
 	// the per-block map alone dominated the whole restore.
-	st.live = liveBlocks
 	st.replicas = make([][]DatanodeID, st.nextBlock)
 	seenGen := make([]uint64, len(c.datanodes))
 	var gen uint64
@@ -641,46 +644,32 @@ func (c *Cluster) decodeCheckpoint(r io.Reader) (*ckptState, error) {
 func (c *Cluster) commitCheckpoint(st *ckptState) {
 	c.nextBlock = st.nextBlock
 	c.ckptJournalSeq = st.journalSeq
-	c.blocks = make([]*Block, st.nextBlock)
+	c.blocks = make([]blockRef, st.nextBlock)
 	c.replicas = st.replicas
 	c.readCounts = make([]int64, st.nextBlock)
 	c.liveBlocks = 0
 	c.files = st.files
 	c.fileByID = st.fileByID
 
-	// Reconstruct every Block from its file: data block sizes follow from
-	// the file size and block geometry, parities are whole blocks whose
-	// stripe group is their position in the parity list. Blocks come out
-	// of one cap-fixed arena — a million individual allocations is a
-	// third of restore time, and the full slice guarantees append never
-	// relocates a handed-out pointer.
-	blockArena := make([]Block, 0, st.live)
-	newBlock := func(b Block) *Block {
-		blockArena = append(blockArena, b)
-		return &blockArena[len(blockArena)-1]
+	// Enter every block at its position in its file's lists: the sizes,
+	// indexes and stripe groups view derives follow from the file. A
+	// mid-write file's minted blocks are all full-size (the remainder block
+	// is minted last), so deriving against the final count is right for
+	// partial files too.
+	for i := range c.blocks {
+		c.blocks[i] = noBlock
 	}
 	for slot, f := range st.fileByID {
 		if f == nil {
 			continue
 		}
-		// Data block sizes follow from the file size: full blocks except
-		// the file's FINAL block, which carries the remainder. A mid-write
-		// file's minted blocks are all full-size (the remainder block is
-		// minted last), so indexing against the final count is right for
-		// partial files too.
-		want := blockCount(f.Size, c.cfg.BlockSize)
 		for i, bid := range f.Blocks {
-			c.blocks[bid] = newBlock(Block{ID: bid, File: f.Path, Index: i, Size: c.blockBytes(i, want, f.Size), fileID: slot})
-			c.liveBlocks++
+			c.blocks[bid] = blockRef{int32(slot), int32(i)}
 		}
-		n := len(f.Blocks)
 		for p, bid := range f.Parity {
-			c.blocks[bid] = newBlock(Block{
-				ID: bid, File: f.Path, Index: n + p, Size: c.cfg.BlockSize,
-				Parity: true, Group: p / max(f.EncodeM, 1), fileID: slot,
-			})
-			c.liveBlocks++
+			c.blocks[bid] = blockRef{int32(slot), ^int32(p)}
 		}
+		c.liveBlocks += len(f.Blocks) + len(f.Parity)
 	}
 
 	// Datanodes: durable fields from the checkpoint, block sets and Used
@@ -715,11 +704,14 @@ func (c *Cluster) commitCheckpoint(st *ckptState) {
 		}
 	}
 	for bid, reps := range c.replicas {
-		b := c.blocks[bid]
+		if len(reps) == 0 {
+			continue
+		}
+		size := c.size(BlockID(bid))
 		for _, dn := range reps {
 			d := c.datanodes[dn]
-			d.blocks.Add(b.ID)
-			d.Used += b.Size
+			d.blocks.Add(BlockID(bid))
+			d.Used += size
 		}
 	}
 

@@ -86,16 +86,7 @@ func (c *Cluster) EncodeFile(path string, k, m int, done func(error)) {
 		// excluded for the stripe's remaining parities.
 		exclude.Clear()
 		for p := 0; p < m; p++ {
-			pb := &Block{
-				ID:     c.nextBlock,
-				File:   path,
-				Index:  len(f.Blocks) + s*m + p,
-				Size:   c.cfg.BlockSize,
-				Parity: true,
-				Group:  s,
-				fileID: f.id,
-			}
-			c.addBlock(pb)
+			pb := c.view(c.addBlock(f, ^int32(s*m+p)))
 			targets = c.placement.ChooseTargets(targets[:0], c, pb, 1, -1, &exclude)
 			if len(targets) == 0 {
 				if firstErr == nil {
@@ -116,7 +107,7 @@ func (c *Cluster) EncodeFile(path string, k, m int, done func(error)) {
 
 // writeParity streams the stripe's data blocks to the parity target (the
 // encoder runs there) and accounts the parity write on its disk.
-func (c *Cluster) writeParity(stripe []BlockID, pb *Block, target DatanodeID, done func(error)) {
+func (c *Cluster) writeParity(stripe []BlockID, pb Block, target DatanodeID, done func(error)) {
 	td := c.datanodes[target]
 	if td.UncommittedFree() < pb.Size {
 		c.finish(done, fmt.Errorf("hdfs: %s out of space for parity", td.Name))
@@ -153,7 +144,7 @@ func (c *Cluster) gather(ids []BlockID, target DatanodeID, what string, commit f
 		}
 		sd := c.datanodes[src]
 		path := c.topo.ReadPath(topology.NodeID(src), topology.NodeID(target))
-		flow := c.fabric.StartFlow(path, c.blocks[bid].Size, 0, func(f *netsim.Flow) {
+		flow := c.fabric.StartFlow(path, c.size(bid), 0, func(f *netsim.Flow) {
 			delete(sd.activeFlows, f)
 			settle(nil)
 		})
@@ -163,7 +154,7 @@ func (c *Cluster) gather(ids []BlockID, target DatanodeID, what string, commit f
 	}
 }
 
-func (c *Cluster) commitParity(pb *Block, target DatanodeID, err error, done func(error)) {
+func (c *Cluster) commitParity(pb Block, target DatanodeID, err error, done func(error)) {
 	if err != nil {
 		c.finish(done, err)
 		return
@@ -176,11 +167,11 @@ func (c *Cluster) commitParity(pb *Block, target DatanodeID, err error, done fun
 	// Local parity write: consumes the encoder's disk for one block.
 	flow := c.fabric.StartFlow([]topology.LinkID{c.topo.Node(topology.NodeID(target)).Disk},
 		pb.Size, 0, func(*netsim.Flow) {
-			if c.Block(pb.ID) != pb {
+			if !c.live(pb.ID) {
 				c.finish(done, fmt.Errorf("hdfs: parity block %d deleted during write", pb.ID))
 				return
 			}
-			c.attachReplica(pb, target)
+			c.attachReplica(pb.ID, target)
 			c.finish(done, nil)
 		})
 	_ = flow
@@ -192,7 +183,7 @@ func (c *Cluster) commitParity(pb *Block, target DatanodeID, err error, done fun
 // resident per node; keeping members on distinct nodes preserves the
 // code's full failure tolerance.
 type KeeperChooser interface {
-	ChooseKeeper(c *Cluster, b *Block, stripeLoad map[DatanodeID]int) (DatanodeID, bool)
+	ChooseKeeper(c *Cluster, b Block, stripeLoad map[DatanodeID]int) (DatanodeID, bool)
 }
 
 // finishEncode drops data replication to one replica per block and marks
@@ -219,7 +210,7 @@ func (c *Cluster) finishEncode(f *INode, err error, done func(error)) {
 		// Seed the per-node stripe census with this stripe's parities.
 		load := map[DatanodeID]int{}
 		for _, pid := range f.Parity {
-			if c.blocks[pid].Group != s {
+			if c.view(pid).Group != s {
 				continue
 			}
 			for _, r := range c.replicas[pid] {
@@ -227,7 +218,7 @@ func (c *Cluster) finishEncode(f *INode, err error, done func(error)) {
 			}
 		}
 		for _, bid := range f.Blocks[lo:hi] {
-			b := c.blocks[bid]
+			b := c.view(bid)
 			var keeper DatanodeID
 			ok := false
 			if keeperPolicy != nil {
@@ -257,7 +248,7 @@ func (c *Cluster) finishEncode(f *INode, err error, done func(error)) {
 
 // defaultKeeper keeps the replica whose node hosts the fewest stripe
 // members (then the lightest node, then the smallest ID).
-func (c *Cluster) defaultKeeper(b *Block, stripeLoad map[DatanodeID]int) (DatanodeID, bool) {
+func (c *Cluster) defaultKeeper(b Block, stripeLoad map[DatanodeID]int) (DatanodeID, bool) {
 	var best DatanodeID = -1
 	bestKey := [3]int{1 << 30, 1 << 30, 1 << 30}
 	for _, r := range c.replicas[b.ID] {
@@ -277,8 +268,8 @@ func (c *Cluster) defaultKeeper(b *Block, stripeLoad map[DatanodeID]int) (Datano
 // block bid (data or parity). Parity blocks carry their stripe in Group;
 // data blocks derive it from their index.
 func (c *Cluster) stripeOf(f *INode, bid BlockID) (data, parity []BlockID, ok bool) {
-	b := c.Block(bid)
-	if b == nil {
+	b, live := c.Block(bid)
+	if !live {
 		return nil, nil, false
 	}
 	if len(f.Parity) == 0 || len(f.Blocks) == 0 || f.EncodeK <= 0 {
@@ -298,7 +289,7 @@ func (c *Cluster) stripeOf(f *INode, bid BlockID) (data, parity []BlockID, ok bo
 	}
 	data = f.Blocks[lo:hi]
 	for _, pid := range f.Parity {
-		if c.blocks[pid].Group == group {
+		if c.view(pid).Group == group {
 			parity = append(parity, pid)
 		}
 	}
@@ -309,12 +300,12 @@ func (c *Cluster) stripeOf(f *INode, bid BlockID) (data, parity []BlockID, ok bo
 // surviving stripe members, placing the rebuilt block on a policy-chosen
 // node. done(err) fires when the block is live again.
 func (c *Cluster) ReconstructBlock(bid BlockID, done func(error)) {
-	b := c.Block(bid)
-	if b == nil {
+	b, ok := c.Block(bid)
+	if !ok {
 		c.finish(done, fmt.Errorf("hdfs: no such block %d", bid))
 		return
 	}
-	f := c.fileOf(b)
+	f := c.owner(bid)
 	if f == nil || !f.Encoded {
 		c.finish(done, fmt.Errorf("hdfs: block %d is not erasure-protected", bid))
 		return
@@ -358,7 +349,7 @@ func (c *Cluster) ReconstructBlock(bid BlockID, done func(error)) {
 	c.gather(sources, target, "rebuild", func(err error) { c.commitRebuild(b, target, err, done) })
 }
 
-func (c *Cluster) commitRebuild(b *Block, target DatanodeID, err error, done func(error)) {
+func (c *Cluster) commitRebuild(b Block, target DatanodeID, err error, done func(error)) {
 	if err != nil {
 		c.finish(done, err)
 		return
@@ -370,11 +361,11 @@ func (c *Cluster) commitRebuild(b *Block, target DatanodeID, err error, done fun
 	}
 	c.fabric.StartFlow([]topology.LinkID{c.topo.Node(topology.NodeID(target)).Disk},
 		b.Size, 0, func(*netsim.Flow) {
-			if c.Block(b.ID) != b {
+			if !c.live(b.ID) {
 				c.finish(done, fmt.Errorf("hdfs: block %d deleted during rebuild", b.ID))
 				return
 			}
-			c.attachReplica(b, target)
+			c.attachReplica(b.ID, target)
 			c.metrics.BlocksRebuilt++
 			c.finish(done, nil)
 		})

@@ -27,33 +27,36 @@ func (c *Cluster) ConsistencyErrors() []string {
 		fail("nextBlock %d != len(blocks) %d", c.nextBlock, len(c.blocks))
 	}
 	live := 0
-	for i, b := range c.blocks {
-		if b == nil {
+	owned := make([]int, len(c.fileByID)) // live blocks per file slot
+	for i, ref := range c.blocks {
+		if ref.file < 0 {
 			if i < len(c.replicas) && c.replicas[i] != nil {
 				fail("deleted block %d still has replicas %v", i, c.replicas[i])
 			}
 			continue
 		}
 		live++
-		if int(b.ID) != i {
-			fail("block at slot %d carries ID %d", i, b.ID)
+		if int(ref.file) >= len(c.fileByID) || c.fileByID[ref.file] == nil {
+			fail("block %d belongs to deleted or unknown file slot %d", i, ref.file)
+			continue
 		}
+		owned[ref.file]++
 		seen := map[DatanodeID]bool{}
 		for _, r := range c.replicas[i] {
 			if r < 0 || int(r) >= len(c.datanodes) {
-				fail("block %d replica on out-of-range node %d", b.ID, r)
+				fail("block %d replica on out-of-range node %d", i, r)
 				continue
 			}
 			if seen[r] {
-				fail("block %d has duplicate replica on node %d", b.ID, r)
+				fail("block %d has duplicate replica on node %d", i, r)
 			}
 			seen[r] = true
 			d := c.datanodes[r]
-			if !d.blocks.Has(b.ID) {
-				fail("block %d listed on %s but absent from its block set", b.ID, d.Name)
+			if !d.blocks.Has(BlockID(i)) {
+				fail("block %d listed on %s but absent from its block set", i, d.Name)
 			}
 			if d.State == StateDown {
-				fail("block %d has replica on down node %s", b.ID, d.Name)
+				fail("block %d has replica on down node %s", i, d.Name)
 			}
 		}
 	}
@@ -65,12 +68,11 @@ func (c *Cluster) ConsistencyErrors() []string {
 	for _, d := range c.datanodes {
 		var used float64
 		d.blocks.Each(func(bid BlockID) {
-			b := c.Block(bid)
-			if b == nil {
+			if !c.live(bid) {
 				fail("%s holds deleted block %d", d.Name, bid)
 				return
 			}
-			used += b.Size
+			used += c.size(bid)
 			found := false
 			for _, r := range c.replicas[bid] {
 				if r == d.ID {
@@ -103,12 +105,9 @@ func (c *Cluster) ConsistencyErrors() []string {
 
 	// --- Under-replication set vs recomputation.
 	want := map[BlockID]struct{}{}
-	for _, b := range c.blocks {
-		if b == nil {
-			continue
-		}
-		if len(c.replicas[b.ID]) < c.replTarget(b) {
-			want[b.ID] = struct{}{}
+	for i, ref := range c.blocks {
+		if ref.file >= 0 && c.fileByID[ref.file] != nil && len(c.replicas[i]) < c.replTarget(BlockID(i)) {
+			want[BlockID(i)] = struct{}{}
 		}
 	}
 	for bid := range want {
@@ -156,14 +155,18 @@ func (c *Cluster) ConsistencyErrors() []string {
 			continue
 		}
 		for _, bid := range append(append([]BlockID{}, f.Blocks...), f.Parity...) {
-			b := c.Block(bid)
-			if b == nil {
+			if !c.live(bid) {
 				fail("file %q references deleted block %d", p, bid)
 				continue
 			}
-			if c.fileOf(b) != f {
+			if c.owner(bid) != f {
 				fail("block %d of %q resolves to the wrong file", bid, p)
 			}
+		}
+		// Every block f lists is live and f's (above), each listed once:
+		// equal counts leave none of f's blocks unlisted.
+		if n := len(f.Blocks) + len(f.Parity); n != owned[f.id] {
+			fail("file %q lists %d blocks but owns %d", p, n, owned[f.id])
 		}
 	}
 	for id, f := range c.fileByID {

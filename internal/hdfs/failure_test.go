@@ -42,7 +42,8 @@ func TestKillTargetDuringReplication(t *testing.T) {
 	c.CreateFile("/a", 64*mb, 1, 0)
 	bid := c.File("/a").Blocks[0]
 	// Pick the target the policy will use and kill it mid-copy.
-	targets := c.PlacementPolicy().ChooseTargets(nil, c, c.Block(bid), 1, -1, nil)
+	b, _ := c.Block(bid)
+	targets := c.PlacementPolicy().ChooseTargets(nil, c, b, 1, -1, nil)
 	if len(targets) != 1 {
 		t.Fatal("no target")
 	}

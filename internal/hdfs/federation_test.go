@@ -151,7 +151,7 @@ func TestRestoreCheckpointInPlace(t *testing.T) {
 		t.Fatal("RestoreCheckpoint should reject an engine past capture time")
 	}
 	c3 := New(e, Config{Topology: topology.New(topology.Config{Racks: 3, NodeCount: 9})})
-	if err := c3.RestoreCheckpointInPlace(bytes.NewReader(ckpt.Bytes())); err != nil {
+	if err := c3.RestoreCheckpointInPlace(ckpt.Bytes()); err != nil {
 		t.Fatalf("in-place restore: %v", err)
 	}
 	if c3.StateDigest() != c.StateDigest() {
@@ -201,7 +201,7 @@ func TestRestoreAtCaptureInstant(t *testing.T) {
 	c3 := New(e3, cfg)
 	sawFiles = -1
 	e3.At(capture, func() { sawFiles = c3.Files() })
-	if err := c3.RestoreCheckpointInPlace(bytes.NewReader(ckpt.Bytes())); err != nil {
+	if err := c3.RestoreCheckpointInPlace(ckpt.Bytes()); err != nil {
 		t.Fatalf("in-place restore: %v", err)
 	}
 	if sawFiles != -1 {

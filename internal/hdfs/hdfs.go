@@ -76,7 +76,10 @@ func (s NodeState) serves() bool {
 	return s == StateActive || s == StateDecommissioning
 }
 
-// Block is one block of a file (data or erasure parity).
+// Block is one block of a file (data or erasure parity), as Cluster.Block
+// derives it from the owning INode when asked: the block map keeps only
+// where each block sits in its file, so a Block is a value, current as of
+// the call — a rename after it does not reach the copy.
 type Block struct {
 	ID     BlockID
 	File   string
@@ -84,10 +87,18 @@ type Block struct {
 	Size   float64
 	Parity bool
 	Group  int // stripe group for erasure coding
-	// fileID interns the owning file: hot paths resolve the INode through
-	// Cluster.fileOf instead of a string map lookup on File.
-	fileID int
 }
+
+// blockRef is the block map's entry for one block ID: the owning file's
+// intern slot and the block's position in that file — its data index, or
+// ^j for parity j = s·m + p of its encode's layout (stripe s, parity p of
+// m). The rest of a Block follows from the file (see geometry). A restore
+// numbers parities by their place in the parity list, the same j unless
+// an encode was retried over a failed attempt's parities. noBlock marks a
+// dropped block.
+type blockRef struct{ file, pos int32 }
+
+var noBlock = blockRef{-1, -1}
 
 // INode is a file's namespace entry.
 type INode struct {
@@ -385,9 +396,9 @@ type Cluster struct {
 	fileByID   []*INode // interned files, indexed by INode.id; nil after delete
 	pathsCache []string // sorted FilePaths memo; nil after namespace changes
 	// blocks and replicas are dense slices indexed by BlockID (IDs are
-	// assigned monotonically and never reused); a nil blocks entry marks a
-	// deleted block. liveBlocks counts the non-nil entries.
-	blocks     []*Block
+	// assigned monotonically and never reused); a noBlock entry marks a
+	// deleted block. liveBlocks counts the others.
+	blocks     []blockRef
 	replicas   [][]DatanodeID
 	liveBlocks int
 	datanodes  []*Datanode
@@ -657,12 +668,44 @@ func (c *Cluster) FilePaths() []string {
 // Files returns the number of files.
 func (c *Cluster) Files() int { return len(c.files) }
 
-// Block returns block metadata (nil for unknown or deleted blocks).
-func (c *Cluster) Block(id BlockID) *Block {
-	if id < 0 || int(id) >= len(c.blocks) {
-		return nil
+// Block returns block id's metadata, derived from its file as of the call,
+// and whether the block is live (false for unknown or deleted blocks).
+func (c *Cluster) Block(id BlockID) (Block, bool) {
+	if !c.live(id) {
+		return Block{}, false
 	}
-	return c.blocks[id]
+	return c.view(id), true
+}
+
+// live reports whether id names a block in the block map.
+func (c *Cluster) live(id BlockID) bool {
+	return id >= 0 && int(id) < len(c.blocks) && c.blocks[id].file >= 0
+}
+
+// view derives live block id's metadata from its file.
+func (c *Cluster) view(id BlockID) Block {
+	r := c.blocks[id]
+	f := c.fileByID[r.file]
+	b := Block{ID: id, File: f.Path, Parity: r.pos < 0}
+	b.Index, b.Size, b.Group = c.geometry(f, r.pos)
+	return b
+}
+
+// size derives live block id's size, the one field most callers need.
+func (c *Cluster) size(id BlockID) float64 {
+	r := c.blocks[id]
+	_, size, _ := c.geometry(c.fileByID[r.file], r.pos)
+	return size
+}
+
+// geometry derives the index, size and stripe group of the block at
+// position pos of f (see blockRef).
+func (c *Cluster) geometry(f *INode, pos int32) (index int, size float64, group int) {
+	if pos >= 0 {
+		return int(pos), c.blockBytes(int(pos), blockCount(f.Size, c.cfg.BlockSize), f.Size), 0
+	}
+	j := int(^pos)
+	return len(f.Blocks) + j, c.cfg.BlockSize, j / max(f.EncodeM, 1)
 }
 
 // Replicas returns the datanodes holding block id (do not mutate).
@@ -686,13 +729,12 @@ func (c *Cluster) BlockReadCount(id BlockID) int64 {
 	return c.readCounts[id]
 }
 
-// fileOf resolves a block's owning file through the interned file table
-// (nil once the file is deleted).
-func (c *Cluster) fileOf(b *Block) *INode {
-	if b.fileID < 0 || b.fileID >= len(c.fileByID) {
+// owner returns the file block id belongs to, nil for a dropped block.
+func (c *Cluster) owner(id BlockID) *INode {
+	if !c.live(id) {
 		return nil
 	}
-	return c.fileByID[b.fileID]
+	return c.fileByID[c.blocks[id].file]
 }
 
 // registerFile interns f and installs it in the namespace.
@@ -705,28 +747,28 @@ func (c *Cluster) registerFile(f *INode) {
 		Size: f.Size, Target: f.TargetRepl})
 }
 
-// addBlock registers a freshly minted block (its ID must be the next in
-// sequence) in the dense block map and appends it to its file's data or
-// parity list.
-func (c *Cluster) addBlock(b *Block) {
-	if b.ID != c.nextBlock {
-		panic(fmt.Sprintf("hdfs: block %d minted out of sequence (next %d)", b.ID, c.nextBlock))
-	}
+// addBlock mints the next block ID at position pos of f (see blockRef),
+// enters it in the dense block map and appends it to f's data or parity
+// list.
+func (c *Cluster) addBlock(f *INode, pos int32) BlockID {
+	id := c.nextBlock
 	c.nextBlock++
-	c.blocks = append(c.blocks, b)
+	c.blocks = append(c.blocks, blockRef{int32(f.id), pos})
 	c.replicas = append(c.replicas, nil)
 	c.readCounts = append(c.readCounts, 0)
 	c.liveBlocks++
-	switch f := c.fileOf(b); {
-	case f == nil: // an orphan no file lists
-	case b.Parity:
-		f.Parity = append(f.Parity, b.ID)
-	default:
-		f.Blocks = append(f.Blocks, b.ID)
+	if pos < 0 {
+		f.Parity = append(f.Parity, id)
+	} else {
+		f.Blocks = append(f.Blocks, id)
 	}
-	c.reassessBlock(b)
-	c.jlog(auditlog.Entry{Op: auditlog.OpBlockAdd, Block: int64(b.ID), File: b.fileID,
-		Size: b.Size, Index: b.Index, Flag: b.Parity, Group: b.Group})
+	c.reassessBlock(id)
+	if c.journal != nil {
+		index, size, group := c.geometry(f, pos)
+		c.jlog(auditlog.Entry{Op: auditlog.OpBlockAdd, Block: int64(id), File: f.id,
+			Size: size, Index: index, Flag: pos < 0, Group: group})
+	}
+	return id
 }
 
 // dropBlock detaches every replica of a block, then removes the block.
@@ -734,16 +776,15 @@ func (c *Cluster) addBlock(b *Block) {
 // each detach: nothing is copied and the OpReplicaDrop entries keep list
 // order.
 func (c *Cluster) dropBlock(id BlockID) {
-	b := c.blocks[id]
-	if b == nil {
+	if !c.live(id) {
 		return
 	}
 	for i := 0; i < len(c.replicas[id]); {
-		if !c.detachReplica(b, c.replicas[id][i]) {
+		if !c.detachReplica(id, c.replicas[id][i]) {
 			i++ // listed but not held: stepped over, as a copied walk did
 		}
 	}
-	c.blocks[id] = nil
+	c.blocks[id] = noBlock
 	c.replicas[id] = nil
 	c.readCounts[id] = 0
 	c.liveBlocks--
@@ -848,15 +889,14 @@ func (c *Cluster) CreateFile(path string, size float64, repl int, writer topolog
 	c.registerFile(f)
 	nBlocks := blockCount(size, c.cfg.BlockSize)
 	for i := 0; i < nBlocks; i++ {
-		b := &Block{ID: c.nextBlock, File: path, Index: i, Size: c.blockBytes(i, nBlocks, size), fileID: f.id}
-		c.addBlock(b)
-		c.createTargets = c.placement.ChooseTargets(c.createTargets[:0], c, b, repl, DatanodeID(writer), nil)
+		id := c.addBlock(f, int32(i))
+		c.createTargets = c.placement.ChooseTargets(c.createTargets[:0], c, c.view(id), repl, DatanodeID(writer), nil)
 		if len(c.createTargets) == 0 {
 			c.dropFile(f) // no orphan blocks left behind
-			return nil, fmt.Errorf("hdfs: no targets for block %d of %q", b.ID, path)
+			return nil, fmt.Errorf("hdfs: no targets for block %d of %q", id, path)
 		}
 		for _, t := range c.createTargets {
-			c.attachReplica(b, t)
+			c.attachReplica(id, t)
 		}
 	}
 	c.audit.Append(auditlog.Record{
@@ -958,74 +998,69 @@ func (c *Cluster) dropFile(f *INode) {
 	c.jlog(auditlog.Entry{Op: auditlog.OpFileDrop, File: f.id, Path: f.Path})
 }
 
-// renameFile moves f and its blocks to dst, which must be free: the
-// transition Rename and OpRename share.
+// renameFile moves f to dst, which must be free: the transition Rename and
+// OpRename share. Its blocks name the file by slot, so none is touched.
 func (c *Cluster) renameFile(f *INode, dst string) {
 	src := f.Path
 	delete(c.files, src)
 	f.Path = dst
 	c.files[dst] = f
 	c.pathsCache = nil
-	for _, ids := range [2][]BlockID{f.Blocks, f.Parity} {
-		for _, bid := range ids {
-			c.blocks[bid].File = dst
-		}
-	}
 	c.jlog(auditlog.Entry{Op: auditlog.OpRename, File: f.id, Path: src, Dst: dst})
 }
 
-// attachReplica registers a replica on dn (metadata + space). A freshly
-// landed copy is pristine, so any corruption flag from a previous
-// incarnation of the replica is cleared.
-func (c *Cluster) attachReplica(b *Block, dn DatanodeID) {
+// attachReplica registers a replica of block id on dn (metadata + space).
+// A freshly landed copy is pristine, so any corruption flag from a
+// previous incarnation of the replica is cleared.
+func (c *Cluster) attachReplica(id BlockID, dn DatanodeID) {
 	// A copy can land after its file was deleted: block IDs are never
-	// reused, so pointer identity against the block map is exact. The
-	// landed bytes belong to a dead block — discard them, exactly as a
-	// real datanode invalidates an unknown block on its next report.
-	// Attaching instead would leave the node's block set pointing at a
-	// nil block-map entry, which the next declareDead walk dereferences.
-	if c.blocks[b.ID] != b {
+	// reused, so a dropped entry is exact. The landed bytes belong to a
+	// dead block — discard them, exactly as a real datanode invalidates an
+	// unknown block on its next report. Attaching instead would leave the
+	// node's block set naming a dropped block-map entry.
+	if !c.live(id) {
 		return
 	}
 	d := c.datanodes[dn]
-	if d.blocks.Has(b.ID) {
+	if d.blocks.Has(id) {
 		return
 	}
-	d.blocks.Add(b.ID)
-	d.Used += b.Size
-	delete(d.corrupt, b.ID)
-	delete(d.reported, b.ID)
-	if c.replicas[b.ID] == nil { // first landing: size the list once
+	d.blocks.Add(id)
+	d.Used += c.size(id)
+	delete(d.corrupt, id)
+	delete(d.reported, id)
+	if c.replicas[id] == nil { // first landing: size the list once
 		// TargetRepl is the caller's: no block outgrows the datanode count.
-		c.replicas[b.ID] = make([]DatanodeID, 0, max(1, min(c.replTarget(b), len(c.datanodes))))
+		c.replicas[id] = make([]DatanodeID, 0, max(1, min(c.replTarget(id), len(c.datanodes))))
 	}
-	c.replicas[b.ID] = append(c.replicas[b.ID], dn)
-	c.reassessBlock(b)
-	c.reassessAboveDefault(b)
+	c.replicas[id] = append(c.replicas[id], dn)
+	c.reassessBlock(id)
+	c.reassessAboveDefault(id)
 	c.reindexNode(d)
-	c.jlog(auditlog.Entry{Op: auditlog.OpReplicaAdd, Block: int64(b.ID), Node: int(dn)})
+	c.jlog(auditlog.Entry{Op: auditlog.OpReplicaAdd, Block: int64(id), Node: int(dn)})
 }
 
-// detachReplica removes a replica from dn, reporting whether dn held it.
-func (c *Cluster) detachReplica(b *Block, dn DatanodeID) bool {
+// detachReplica removes block id's replica from dn, reporting whether dn
+// held it.
+func (c *Cluster) detachReplica(id BlockID, dn DatanodeID) bool {
 	d := c.datanodes[dn]
-	if !d.blocks.Has(b.ID) {
+	if !d.blocks.Has(id) {
 		return false
 	}
-	d.blocks.Remove(b.ID)
-	d.Used -= b.Size
-	delete(d.corrupt, b.ID)
-	delete(d.reported, b.ID)
-	reps := c.replicas[b.ID]
+	d.blocks.Remove(id)
+	d.Used -= c.size(id)
+	delete(d.corrupt, id)
+	delete(d.reported, id)
+	reps := c.replicas[id]
 	for i, r := range reps {
 		if r == dn {
-			c.replicas[b.ID] = append(reps[:i], reps[i+1:]...)
+			c.replicas[id] = append(reps[:i], reps[i+1:]...)
 			break
 		}
 	}
-	c.reassessBlock(b)
-	c.reassessAboveDefault(b)
+	c.reassessBlock(id)
+	c.reassessAboveDefault(id)
 	c.reindexNode(d)
-	c.jlog(auditlog.Entry{Op: auditlog.OpReplicaDrop, Block: int64(b.ID), Node: int(dn)})
+	c.jlog(auditlog.Entry{Op: auditlog.OpReplicaDrop, Block: int64(id), Node: int(dn)})
 	return true
 }

@@ -35,7 +35,7 @@ func TestCreateFileSplitsBlocks(t *testing.T) {
 	if len(f.Blocks) != 4 { // 64+64+64+8
 		t.Fatalf("blocks = %d, want 4", len(f.Blocks))
 	}
-	last := c.Block(f.Blocks[3])
+	last, _ := c.Block(f.Blocks[3])
 	if last.Size != 8*mb {
 		t.Fatalf("last block size = %v MB", last.Size/mb)
 	}
@@ -633,7 +633,8 @@ func checkConsistency(t *testing.T, c *Cluster) {
 	for _, d := range c.Datanodes() {
 		var used float64
 		d.blocks.Each(func(bid BlockID) {
-			used += c.Block(bid).Size
+			b, _ := c.Block(bid)
+			used += b.Size
 			found := false
 			for _, r := range c.replicas[bid] {
 				if r == d.ID {
@@ -661,7 +662,7 @@ func TestRenameMovesNamespaceOnly(t *testing.T) {
 	if c.File("/old") != nil || c.File("/new") == nil {
 		t.Fatal("namespace not updated")
 	}
-	if c.File("/new").Path != "/new" || c.Block(f.Blocks[0]).File != "/new" {
+	if b, _ := c.Block(f.Blocks[0]); c.File("/new").Path != "/new" || b.File != "/new" {
 		t.Fatal("inode/block paths not updated")
 	}
 	for i, r := range c.Replicas(f.Blocks[0]) {

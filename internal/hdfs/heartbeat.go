@@ -95,8 +95,8 @@ func (c *Cluster) reconcileRejoin(d *Datanode) {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, bid := range ids {
-		if b := c.blocks[bid]; b != nil {
-			c.reportCorrupt(b, d.ID)
+		if c.live(bid) {
+			c.reportCorrupt(bid, d.ID)
 		}
 	}
 }
@@ -217,13 +217,11 @@ func (c *Cluster) StaleNodes() []DatanodeID {
 // result as data loss.
 func (c *Cluster) UnrecoverableBlocks() []BlockID {
 	var out []BlockID
-	for _, b := range c.blocks {
-		if b == nil || c.blockRecoverable(b) {
-			continue
+	for id, r := range c.blocks {
+		if r.file >= 0 && !c.blockRecoverable(BlockID(id)) {
+			out = append(out, BlockID(id))
 		}
-		out = append(out, b.ID)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -231,27 +229,24 @@ func (c *Cluster) UnrecoverableBlocks() []BlockID {
 // bytes still exists: a non-corrupt replica, or >= k live stripe members
 // of its erasure group. A parity block whose file is not Encoded yet has no
 // bytes to lose (its transfer is in flight) and counts as recoverable.
-func (c *Cluster) blockRecoverable(b *Block) bool {
-	for _, dn := range c.replicas[b.ID] {
-		if !c.datanodes[dn].corrupt[b.ID] {
+func (c *Cluster) blockRecoverable(id BlockID) bool {
+	for _, dn := range c.replicas[id] {
+		if !c.datanodes[dn].corrupt[id] {
 			return true
 		}
 	}
-	f := c.fileOf(b)
-	if f == nil {
-		return false
-	}
+	f := c.owner(id)
 	if !f.Encoded {
-		return b.Parity
+		return c.blocks[id].pos < 0 // a parity block
 	}
-	data, parity, ok := c.stripeOf(f, b.ID)
+	data, parity, ok := c.stripeOf(f, id)
 	if !ok {
 		return false
 	}
 	k := len(data)
 	live := 0
 	for _, member := range append(append([]BlockID{}, data...), parity...) {
-		if member == b.ID {
+		if member == id {
 			continue
 		}
 		for _, dn := range c.replicas[member] {

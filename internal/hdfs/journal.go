@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"fmt"
+	"math"
 
 	"erms/internal/auditlog"
 )
@@ -87,6 +88,23 @@ func (c *Cluster) ReplayJournal(entries []auditlog.Entry) error {
 	return nil
 }
 
+// ReplayJournalFrom is ReplayJournal for the tail of j from Seq from,
+// decoded as it is applied, not copied out first: each entry replays as a
+// one-entry tail, whose first-entry check is the sequence check against
+// the entry before. A tail j no longer retains is an error.
+func (c *Cluster) ReplayJournalFrom(j *auditlog.Journal, from uint64) (err error) {
+	if from < j.Start() {
+		return fmt.Errorf("hdfs: journal truncated past seq %d (retained from %d)", from, j.Start())
+	}
+	one := make([]auditlog.Entry, 1)
+	j.Each(from, func(e *auditlog.Entry) bool {
+		one[0] = *e
+		err = c.ReplayJournal(one)
+		return err == nil
+	})
+	return err
+}
+
 // applyEntry validates one journal entry, then applies it through the
 // transition the live path took to emit it.
 func (c *Cluster) applyEntry(e auditlog.Entry) error {
@@ -101,6 +119,9 @@ func (c *Cluster) applyEntry(e auditlog.Entry) error {
 		if e.Target < 1 {
 			return fmt.Errorf("target %d", e.Target)
 		}
+		if !(e.Size > 0) || math.IsInf(e.Size, 1) { // checkpoint decode refuses the same
+			return fmt.Errorf("file size %v", e.Size)
+		}
 		c.registerFile(&INode{Path: e.Path, Size: e.Size, TargetRepl: e.Target, CreatedAt: e.Time})
 	case auditlog.OpFileDrop, auditlog.OpRename, auditlog.OpSetTarget, auditlog.OpEncodeGeom,
 		auditlog.OpEncodeDone, auditlog.OpDecodeStart, auditlog.OpClearGeom, auditlog.OpBlockAdd:
@@ -109,25 +130,25 @@ func (c *Cluster) applyEntry(e auditlog.Entry) error {
 		}
 		return c.applyFileEntry(c.fileByID[e.File], e)
 	case auditlog.OpBlockDrop:
-		b := c.Block(BlockID(e.Block))
-		if b == nil {
+		id := BlockID(e.Block)
+		f := c.owner(id)
+		if f == nil {
 			return fmt.Errorf("unknown block %d", e.Block)
 		}
-		if n := len(c.replicas[b.ID]); n > 0 {
-			return fmt.Errorf("block %d dropped with %d replicas attached", b.ID, n)
+		if n := len(c.replicas[id]); n > 0 {
+			return fmt.Errorf("block %d dropped with %d replicas attached", id, n)
 		}
-		c.dropBlock(b.ID)
+		c.dropBlock(id)
 		// The live paths drop a file's blocks, then the file or its
 		// parity list, within one operation. Replay unlinks each block as
 		// it goes, so no file lists a dropped block between entries, and
 		// re-reads the file's first data block, which carries its
-		// replication.
-		if f := c.fileOf(b); f != nil {
-			f.Blocks = removeID(f.Blocks, b.ID)
-			f.Parity = removeID(f.Parity, b.ID)
-			if len(f.Blocks) > 0 {
-				c.reassessAboveDefault(c.blocks[f.Blocks[0]])
-			}
+		// replication. The blocks left keep their positions: a position
+		// is where the block was minted, not an index into the list.
+		f.Blocks = removeID(f.Blocks, id)
+		f.Parity = removeID(f.Parity, id)
+		if len(f.Blocks) > 0 {
+			c.reassessAboveDefault(f.Blocks[0])
 		}
 	case auditlog.OpReplicaAdd, auditlog.OpReplicaDrop, auditlog.OpReported,
 		auditlog.OpNodeState, auditlog.OpNodeStale:
@@ -183,12 +204,35 @@ func (c *Cluster) applyFileEntry(f *INode, e auditlog.Entry) error {
 		if BlockID(e.Block) != c.nextBlock {
 			return fmt.Errorf("block %d minted out of sequence (next %d)", e.Block, c.nextBlock)
 		}
-		c.addBlock(&Block{
-			ID: BlockID(e.Block), File: f.Path, Index: e.Index, Size: e.Size,
-			Parity: e.Flag, Group: e.Group, fileID: f.id,
-		})
+		pos, err := c.blockPosition(f, e)
+		if err != nil {
+			return err
+		}
+		c.addBlock(f, pos)
 	}
 	return nil
+}
+
+// blockPosition returns the position (see blockRef) an OpBlockAdd entry
+// takes in f — the next data block, or parity Index−len(Blocks) of the
+// stripe layout — once f has room there (a data block short of the count
+// its size implies, a parity within its stripes' layout) and derives the
+// entry's Index, Size and Group for it.
+func (c *Cluster) blockPosition(f *INode, e auditlog.Entry) (int32, error) {
+	n := len(f.Blocks)
+	pos, room := int32(n), n < blockCount(f.Size, c.cfg.BlockSize)
+	if j := e.Index - n; e.Flag {
+		pos, room = ^int32(j), f.EncodeK > 0 && f.EncodeM > 0 && j >= 0 && j <= math.MaxInt32 &&
+			j/f.EncodeM < (n+f.EncodeK-1)/f.EncodeK
+	}
+	if !room {
+		return 0, fmt.Errorf("no room in %q for block %d (index %d, parity %t)", f.Path, e.Block, e.Index, e.Flag)
+	}
+	if index, size, group := c.geometry(f, pos); e.Index != index || e.Size != size || e.Group != group {
+		return 0, fmt.Errorf("block %d of %q: index %d, size %v, group %d; the file derives %d, %v, %d",
+			e.Block, f.Path, e.Index, e.Size, e.Group, index, size, group)
+	}
+	return pos, nil
 }
 
 // applyNodeEntry applies an entry about datanode d.
@@ -208,20 +252,20 @@ func (c *Cluster) applyNodeEntry(d *Datanode, e auditlog.Entry) error {
 		c.setStale(d, e.Flag)
 		return nil
 	}
-	b := c.Block(BlockID(e.Block))
+	id := BlockID(e.Block)
 	switch {
-	case b == nil:
+	case !c.live(id):
 		return fmt.Errorf("unknown block %d", e.Block)
 	case e.Op == auditlog.OpReplicaDrop:
-		c.detachReplica(b, d.ID)
-	case e.Op == auditlog.OpReported && !d.blocks.Has(b.ID):
-		return fmt.Errorf("node %d reported block %d it does not hold", d.ID, b.ID)
+		c.detachReplica(id, d.ID)
+	case e.Op == auditlog.OpReported && !d.blocks.Has(id):
+		return fmt.Errorf("node %d reported block %d it does not hold", d.ID, id)
 	case e.Op == auditlog.OpReported:
-		c.markReported(d, b.ID)
+		c.markReported(d, id)
 	case d.State == StateDown:
-		return fmt.Errorf("replica of block %d added on down node %d", b.ID, d.ID)
+		return fmt.Errorf("replica of block %d added on down node %d", id, d.ID)
 	default:
-		c.attachReplica(b, d.ID)
+		c.attachReplica(id, d.ID)
 	}
 	return nil
 }

@@ -133,7 +133,7 @@ func (c *Cluster) reindexNode(d *Datanode) {
 // candidates' block bitmaps: ConsistencyErrors holds the two to the same
 // membership in both directions. A block ID outside the block map, like
 // the oracle's probe, has no holders.
-func (c *Cluster) ScanEligible(b *Block, exclude *NodeSet, visit func(DatanodeID) bool) {
+func (c *Cluster) ScanEligible(b Block, exclude *NodeSet, visit func(DatanodeID) bool) {
 	holders := c.Replicas(b.ID)
 	for l := c.idxMin; l < len(c.loadIdx); l++ {
 		s := &c.loadIdx[l]
@@ -158,26 +158,24 @@ func (c *Cluster) ScanEligible(b *Block, exclude *NodeSet, visit func(DatanodeID
 	}
 }
 
-// replTarget returns the replica count a block must hold to leave the
-// under-replicated set: 1 for parity blocks, orphans, and blocks of
-// encoded files; the file's TargetRepl otherwise.
-func (c *Cluster) replTarget(b *Block) int {
-	if b.Parity {
-		return 1
+// replTarget returns the replica count live block id must hold to leave
+// the under-replicated set: 1 for parity blocks and blocks of encoded
+// files; the file's TargetRepl otherwise.
+func (c *Cluster) replTarget(id BlockID) int {
+	r := c.blocks[id]
+	if f := c.fileByID[r.file]; r.pos >= 0 && !f.Encoded {
+		return f.TargetRepl
 	}
-	f := c.fileOf(b)
-	if f == nil || f.Encoded {
-		return 1
-	}
-	return f.TargetRepl
+	return 1
 }
 
-// reassessBlock updates b's membership in the under-replicated set.
-func (c *Cluster) reassessBlock(b *Block) {
-	if len(c.replicas[b.ID]) < c.replTarget(b) {
-		c.underSet[b.ID] = struct{}{}
+// reassessBlock updates live block id's membership in the
+// under-replicated set.
+func (c *Cluster) reassessBlock(id BlockID) {
+	if len(c.replicas[id]) < c.replTarget(id) {
+		c.underSet[id] = struct{}{}
 	} else {
-		delete(c.underSet, b.ID)
+		delete(c.underSet, id)
 	}
 }
 
@@ -186,9 +184,7 @@ func (c *Cluster) reassessBlock(b *Block) {
 // decode) rather than a single block's replica count.
 func (c *Cluster) reassessFile(f *INode) {
 	for _, bid := range f.Blocks {
-		if b := c.blocks[bid]; b != nil {
-			c.reassessBlock(b)
-		}
+		c.reassessBlock(bid)
 	}
 }
 
@@ -199,13 +195,13 @@ func (c *Cluster) reassessFile(f *INode) {
 // count or the namespace while ranging over it.
 func (c *Cluster) AboveDefault() []*INode { return c.aboveDefault }
 
-// reassessAboveDefault updates the above-default set after a replica of b
-// landed or left (attachReplica, detachReplica): that moves b's file's
-// replication when b is its first data block. Encode, decode and delete
-// change the count only through those two.
-func (c *Cluster) reassessAboveDefault(b *Block) {
-	f := c.fileOf(b)
-	if f == nil || len(f.Blocks) == 0 || f.Blocks[0] != b.ID {
+// reassessAboveDefault updates the above-default set after a replica of
+// block id landed or left (attachReplica, detachReplica): that moves its
+// file's replication when id is the file's first data block. Encode,
+// decode and delete change the count only through those two.
+func (c *Cluster) reassessAboveDefault(id BlockID) {
+	f := c.owner(id)
+	if f == nil || len(f.Blocks) == 0 || f.Blocks[0] != id {
 		return
 	}
 	i, in := c.aboveAt[f.id]
@@ -232,9 +228,9 @@ func (c *Cluster) rebuildDerived() {
 		c.reindexNode(d)
 	}
 	c.underSet = make(map[BlockID]struct{})
-	for _, b := range c.blocks {
-		if b != nil {
-			c.reassessBlock(b)
+	for id, r := range c.blocks {
+		if r.file >= 0 {
+			c.reassessBlock(BlockID(id))
 		}
 	}
 	c.pathsCache = nil

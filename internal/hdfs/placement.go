@@ -14,9 +14,9 @@ type Policy interface {
 	// fewer than count when the cluster cannot satisfy the request. A
 	// caller that keeps the targets past its own use passes nil; one that
 	// consumes them at once may pass a reused buffer sliced to [:0].
-	ChooseTargets(dst []DatanodeID, c *Cluster, b *Block, count int, writer DatanodeID, exclude *NodeSet) []DatanodeID
+	ChooseTargets(dst []DatanodeID, c *Cluster, b Block, count int, writer DatanodeID, exclude *NodeSet) []DatanodeID
 	// ChooseExcess picks the replica of b to delete when shrinking.
-	ChooseExcess(c *Cluster, b *Block) (DatanodeID, bool)
+	ChooseExcess(c *Cluster, b Block) (DatanodeID, bool)
 }
 
 // DefaultPolicy is HDFS's rack-aware strategy: first replica on the writer
@@ -36,7 +36,7 @@ func (p *DefaultPolicy) Name() string { return "default-rack-aware" }
 
 // ChooseTargets implements Policy. Its working sets are the policy's
 // reused scratch, so a placement allocates nothing beyond dst's growth.
-func (p *DefaultPolicy) ChooseTargets(dst []DatanodeID, c *Cluster, b *Block, count int, writer DatanodeID, exclude *NodeSet) []DatanodeID {
+func (p *DefaultPolicy) ChooseTargets(dst []DatanodeID, c *Cluster, b Block, count int, writer DatanodeID, exclude *NodeSet) []DatanodeID {
 	start := len(dst)
 	taken := &p.taken
 	taken.Clear()
@@ -148,7 +148,7 @@ func (p *DefaultPolicy) ChooseTargets(dst []DatanodeID, c *Cluster, b *Block, co
 // unreadable copies, while healthy ones exist. Within a class the node
 // holding the most blocks loses (load shedding), tie-break by ID, so the
 // choice stays deterministic.
-func (p *DefaultPolicy) ChooseExcess(c *Cluster, b *Block) (DatanodeID, bool) {
+func (p *DefaultPolicy) ChooseExcess(c *Cluster, b Block) (DatanodeID, bool) {
 	reps := c.replicas[b.ID]
 	if len(reps) == 0 {
 		return 0, false

@@ -104,7 +104,7 @@ func TestWriterLocalSlotIgnoresPendingBytes(t *testing.T) {
 	if d.UncommittedFree() >= 64*mb || d.Free() < 64*mb {
 		t.Fatalf("setup: free %v, uncommitted %v", d.Free(), d.UncommittedFree())
 	}
-	probe := &Block{ID: -1, Size: 64 * mb}
+	probe := Block{ID: -1, Size: 64 * mb}
 	c.ScanEligible(probe, nil, func(id DatanodeID) bool {
 		if id == writer {
 			t.Errorf("ScanEligible offered %d, which has no uncommitted room for the block", id)

@@ -15,7 +15,7 @@ import (
 // exclusion and the replica-list holder check: a map of excluded nodes and
 // each candidate's block bitmap. It leaves idxMin alone, which only ever
 // skipped empty buckets.
-func refScanEligible(c *Cluster, b *Block, exclude map[DatanodeID]bool, visit func(DatanodeID) bool) {
+func refScanEligible(c *Cluster, b Block, exclude map[DatanodeID]bool, visit func(DatanodeID) bool) {
 	for l := c.idxMin; l < len(c.loadIdx); l++ {
 		s := &c.loadIdx[l]
 		if s.count == 0 {
@@ -40,7 +40,7 @@ func refScanEligible(c *Cluster, b *Block, exclude map[DatanodeID]bool, visit fu
 // refChooseTargets is DefaultPolicy.ChooseTargets as it stood with per-call
 // maps, kept verbatim (its scan swapped for refScanEligible) as the
 // reference the bitset policy must reproduce target for target.
-func refChooseTargets(c *Cluster, b *Block, count int, writer DatanodeID, exclude map[DatanodeID]bool) []DatanodeID {
+func refChooseTargets(c *Cluster, b Block, count int, writer DatanodeID, exclude map[DatanodeID]bool) []DatanodeID {
 	var chosen []DatanodeID
 	taken := map[DatanodeID]bool{}
 	for k := range exclude {
@@ -195,24 +195,24 @@ func placementScenario(seed int64) (*Cluster, *rand.Rand) {
 	e.RunFor(45 * time.Second)
 	// Copies in flight: pending adds and bytes on their targets.
 	for k := rng.Intn(4); k > 0; k-- {
-		if b := randomBlock(c, rng); b != nil {
+		if b, ok := randomBlock(c, rng); ok {
 			c.AddReplica(b.ID, node(), nil)
 		}
 	}
 	return c, rng
 }
 
-func randomBlock(c *Cluster, rng *rand.Rand) *Block {
-	var live []*Block
-	for _, b := range c.blocks {
-		if b != nil {
-			live = append(live, b)
+func randomBlock(c *Cluster, rng *rand.Rand) (Block, bool) {
+	var live []BlockID
+	for id := range c.blocks {
+		if c.live(BlockID(id)) {
+			live = append(live, BlockID(id))
 		}
 	}
 	if len(live) == 0 {
-		return nil
+		return Block{}, false
 	}
-	return live[rng.Intn(len(live))]
+	return c.view(live[rng.Intn(len(live))]), true
 }
 
 // randomExclusion returns a random exclusion as the map the reference
@@ -248,8 +248,8 @@ func TestChooseTargetsMatchesReference(t *testing.T) {
 		}
 		seen["partitioned"] += len(c.partitioned)
 		for q := 0; q < 6; q++ {
-			b := randomBlock(c, rng)
-			if b == nil {
+			b, ok := randomBlock(c, rng)
+			if !ok {
 				break
 			}
 			count := 1 + rng.Intn(4)

@@ -190,8 +190,8 @@ func (r *fileRead) next() {
 	for ; r.n < len(r.blocks); r.n++ {
 		id := r.blocks[(r.start+r.n)%len(r.blocks)]
 		amount := 0.0 // the whole block; the block read reports a missing one
-		if b := c.Block(id); b != nil {
-			lo, hi := r.pos, r.pos+b.Size
+		if c.live(id) {
+			lo, hi := r.pos, r.pos+c.size(id)
 			r.pos = hi
 			if hi <= r.offset {
 				continue
@@ -357,9 +357,12 @@ type blockRead struct {
 	id         BlockID
 	amount     float64
 	attempt    int
-	// Set per attempt: the block, the chosen source and its locality, the
-	// bytes streamed, the attempt's span and the path its flow crosses.
-	b        *Block
+	// Set per attempt: the block's file — its path is read when the session
+	// is granted, so a rename while the read queues is reported — and size,
+	// the chosen source and its locality, the bytes streamed, the attempt's
+	// span and the path its flow crosses.
+	f        *INode
+	size     float64
 	src      DatanodeID
 	d        *Datanode
 	loc      Locality
@@ -398,7 +401,7 @@ func (c *Cluster) returnBlockRead(r *blockRead) {
 		panic(fmt.Sprintf("hdfs: block-read record for block %d returned twice", r.id))
 	}
 	r.pooled = true
-	r.file, r.done, r.b, r.d = nil, nil, nil, nil
+	r.file, r.done, r.f, r.d = nil, nil, nil, nil
 	c.freeReads = append(c.freeReads, r)
 }
 
@@ -417,8 +420,7 @@ func (r *blockRead) begin() {
 	if r.attempt > 0 {
 		c.tracer.SetAttrInt(r.sp, "attempt", int64(r.attempt))
 	}
-	b := c.Block(r.id)
-	if b == nil {
+	if !c.live(r.id) {
 		c.tracer.SetAttr(r.sp, "error", "no such block")
 		c.tracer.End(r.sp)
 		r.finish(0, Remote, fmt.Errorf("hdfs: no such block %d", r.id))
@@ -428,13 +430,13 @@ func (r *blockRead) begin() {
 	if !ok {
 		c.tracer.SetAttr(r.sp, "error", "no live replica")
 		c.tracer.End(r.sp)
-		r.finish(0, Remote, fmt.Errorf("hdfs: block %d of %q has no live replica", r.id, b.File))
+		r.finish(0, Remote, fmt.Errorf("hdfs: block %d of %q has no live replica", r.id, c.owner(r.id).Path))
 		return
 	}
 	c.tracer.SetAttrInt(r.sp, "datanode", int64(src))
-	r.b, r.src, r.d, r.loc = b, src, c.datanodes[src], loc
-	r.stream = b.Size
-	if r.amount > 0 && r.amount < b.Size {
+	r.f, r.size, r.src, r.d, r.loc = c.owner(r.id), c.size(r.id), src, c.datanodes[src], loc
+	r.stream = r.size
+	if r.amount > 0 && r.amount < r.size {
 		r.stream = r.amount
 	}
 	c.admit(r.d, r)
@@ -446,7 +448,7 @@ func (r *blockRead) begin() {
 func (r *blockRead) admitted() {
 	c := r.c
 	c.metrics.BlockReads++
-	if r.stream < r.b.Size {
+	if r.stream < r.size {
 		c.metrics.PartialBlockReads++
 	}
 	if int(r.id) < len(c.readCounts) {
@@ -461,7 +463,7 @@ func (r *blockRead) admitted() {
 		c.metrics.RemoteReads++
 	}
 	ev := BlockReadEvent{
-		Time: c.clock.Now(), Path: r.b.File, Block: r.id, Datanode: r.src, Client: r.client,
+		Time: c.clock.Now(), Path: r.f.Path, Block: r.id, Datanode: r.src, Client: r.client,
 		Bytes: r.stream,
 	}
 	for _, fn := range c.onBlockRead {
@@ -489,7 +491,7 @@ func (r *blockRead) landed(f *netsim.Flow) {
 	c.release(r.d)
 	if r.d.corrupt[r.id] {
 		c.metrics.ChecksumFailures++
-		c.reportCorrupt(r.b, r.src)
+		c.reportCorrupt(r.id, r.src)
 		r.retryAfter("checksum")
 		return
 	}

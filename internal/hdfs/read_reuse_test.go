@@ -10,12 +10,11 @@ import (
 
 // pin replaces block id's replicas with exactly nodes.
 func pin(c *Cluster, id BlockID, nodes ...DatanodeID) {
-	b := c.blocks[id]
 	for _, dn := range slices.Clone(c.Replicas(id)) {
-		c.detachReplica(b, dn)
+		c.detachReplica(id, dn)
 	}
 	for _, dn := range nodes {
-		c.attachReplica(b, dn)
+		c.attachReplica(id, dn)
 	}
 }
 

@@ -136,7 +136,7 @@ var fuzzOps = [...]auditlog.Op{
 // and small values name recent live ones.
 func fuzzEntry(c *Cluster, r []byte) auditlog.Entry {
 	paths := [...]string{"", "/f/a", "/f/b", "/s/one", "/s/cold"}
-	return auditlog.Entry{
+	e := auditlog.Entry{
 		Seq:    c.RestoredJournalSeq(),
 		Op:     fuzzOps[int(r[0])%len(fuzzOps)],
 		File:   len(c.fileByID) - int(r[1]),
@@ -153,6 +153,28 @@ func fuzzEntry(c *Cluster, r []byte) auditlog.Entry {
 		Index:  int(r[3]),
 		Group:  int(r[4]),
 	}
+	if e.Op == auditlog.OpBlockAdd && e.File >= 0 && e.File < len(c.fileByID) && c.fileByID[e.File] != nil {
+		// A block add draws the geometry the named file derives for its
+		// next data block, or (Flag) for parity slot r[3]%8 of its stripe
+		// layout; r[4] then skews one field, so both agreeing and
+		// disagreeing adds are drawn.
+		f := c.fileByID[e.File]
+		n := len(f.Blocks)
+		e.Index, e.Size, e.Group = n, c.blockBytes(n, blockCount(f.Size, c.cfg.BlockSize), f.Size), 0
+		if e.Flag {
+			j := int(r[3]) % 8
+			e.Index, e.Size, e.Group = n+j, c.cfg.BlockSize, j/max(f.EncodeM, 1)
+		}
+		switch r[4] % 8 {
+		case 1:
+			e.Index++
+		case 2:
+			e.Size += mb
+		case 3:
+			e.Group++
+		}
+	}
+	return e
 }
 
 // fuzzCheckpoint is the small cluster FuzzReplayJournal restores: two
@@ -205,4 +227,103 @@ func FuzzReplayJournal(f *testing.F) {
 	f.Add([]byte{11, 0, 7, 0, 0, 0, 9, 0, 7, 0, 0, 0, 1, 2, 0, 0, 0, 0})              // replica, block, file drop
 	f.Add([]byte{13, 0, 0, 5, 0, 1, 3, 1, 0, 0, 0, 10, 6, 1, 0, 0, 0, 0, 7, 1, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) { replayFuzzInput(t, ckpt, data) })
+}
+
+// TestReplayChecksBlockAddsAgainstTheirFile replays a tail that mints the
+// data blocks of a new file and the parity of an RS(2,2) encode, each
+// OpBlockAdd in turn with one field the file does not derive: a size off
+// by a megabyte, an index a stripe's parity width on (a parity's index is
+// checked through the stripe it implies), the parity flag flipped, or the
+// next stripe group. Every such entry is refused before anything changes,
+// the cluster stays consistent, and the unaltered tail replays to the live
+// digest.
+func TestReplayChecksBlockAddsAgainstTheirFile(t *testing.T) {
+	e := sim.NewEngine()
+	c := New(e, ckptConfig())
+	c.SetJournal(auditlog.NewJournal())
+	if _, err := c.CreateFile("/g/a", 150*mb, 3, -1); err != nil {
+		t.Fatal(err)
+	}
+	ckpt, seq := c.AppendCheckpoint(nil), c.Journal().NextSeq()
+	if _, err := c.CreateFile("/g/b", 150*mb, 3, -1); err != nil { // 64 + 64 + 22 MB
+		t.Fatal(err)
+	}
+	c.EncodeFile("/g/a", 2, 2, nil) // two stripes, four parities
+	e.RunUntil(time.Minute)
+	tail := c.Journal().Tail(seq)
+	restored := func() *Cluster {
+		c2 := New(sim.NewEngine(), ckptConfig())
+		if err := c2.RestoreCheckpointBytes(ckpt); err != nil {
+			t.Fatal(err)
+		}
+		return c2
+	}
+	skews := map[string]func(*auditlog.Entry){
+		"size":  func(e *auditlog.Entry) { e.Size += mb },
+		"index": func(e *auditlog.Entry) { e.Index += 2 },
+		"flag":  func(e *auditlog.Entry) { e.Flag = !e.Flag },
+		"group": func(e *auditlog.Entry) { e.Group++ },
+	}
+	adds := map[bool]int{}
+	for i, ent := range tail {
+		if ent.Op != auditlog.OpBlockAdd {
+			continue
+		}
+		adds[ent.Flag]++
+		for name, skew := range skews {
+			c2 := restored()
+			if err := c2.ReplayJournal(tail[:i]); err != nil {
+				t.Fatal(err)
+			}
+			before, next := c2.StateDigest(), c2.nextBlock
+			bad := ent
+			skew(&bad)
+			if err := c2.ReplayJournal([]auditlog.Entry{bad}); err == nil {
+				t.Fatalf("seq %d %s skewed by %s replayed: %+v", ent.Seq, ent.Op, name, bad)
+			}
+			if c2.StateDigest() != before || c2.nextBlock != next {
+				t.Fatalf("seq %d skewed by %s: refused entry changed the cluster", ent.Seq, name)
+			}
+			if errs := c2.ConsistencyErrors(); errs != nil {
+				t.Fatalf("seq %d skewed by %s: %v", ent.Seq, name, errs)
+			}
+		}
+	}
+	if adds[false] != 3 || adds[true] != 4 {
+		t.Fatalf("tail minted %d data and %d parity blocks, want 3 and 4", adds[false], adds[true])
+	}
+	c2 := restored()
+	if err := c2.ReplayJournal(tail); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c2.StateDigest(), c.StateDigest(); got != want {
+		t.Fatalf("replayed digest %#x != live %#x", got, want)
+	}
+}
+
+// TestReplayJournalFromMatchesTail replays a storm straight from the live
+// journal, decoding entry by entry, onto the checkpoint it follows: the
+// result is the live digest, as a copied tail gives, and a start the
+// journal no longer retains is refused before anything is applied.
+func TestReplayJournalFromMatchesTail(t *testing.T) {
+	c, ckpt := replayStorm(t)
+	_, c2, err := restoreFrom(t, ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.ReplayJournalFrom(c.Journal(), c2.RestoredJournalSeq()); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c2.StateDigest(), c.StateDigest(); got != want {
+		t.Fatalf("replayed digest %#x != live %#x", got, want)
+	}
+	_, c3, err := restoreFrom(t, ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := c3.StateDigest()
+	c.Journal().TruncateTo(c.Journal().NextSeq())
+	if err := c3.ReplayJournalFrom(c.Journal(), c3.RestoredJournalSeq()); err == nil || c3.StateDigest() != before {
+		t.Fatalf("replay from a truncated journal: err %v, digest moved %t", err, c3.StateDigest() != before)
+	}
 }

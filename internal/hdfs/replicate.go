@@ -79,8 +79,8 @@ func (c *Cluster) AddReplicaLimited(id BlockID, target DatanodeID, maxRate float
 		}
 		c.finish(done, err)
 	}
-	b := c.Block(id)
-	if b == nil {
+	b, ok := c.Block(id)
+	if !ok {
 		fail(fmt.Errorf("hdfs: no such block %d", id))
 		return
 	}
@@ -122,7 +122,7 @@ func (c *Cluster) AddReplicaLimited(id BlockID, target DatanodeID, maxRate float
 			fail(fmt.Errorf("hdfs: target %s died before copy", td.Name))
 			return
 		}
-		if c.Block(id) != b { // file deleted while the command was in flight
+		if !c.live(id) { // file deleted while the command was in flight
 			settle()
 			fail(fmt.Errorf("hdfs: block %d deleted before copy", id))
 			return
@@ -154,11 +154,11 @@ func (c *Cluster) AddReplicaLimited(id BlockID, target DatanodeID, maxRate float
 				fail(fmt.Errorf("hdfs: target %s died during copy", td.Name))
 				return
 			}
-			if c.Block(id) != b {
+			if !c.live(id) {
 				fail(fmt.Errorf("hdfs: block %d deleted during copy", id))
 				return
 			}
-			c.attachReplica(b, target)
+			c.attachReplica(id, target)
 			c.metrics.ReplicasAdded++
 			c.metrics.ReplicationMB += float64(b.Size / topology.MB)
 			c.tracer.End(sp)
@@ -192,8 +192,7 @@ func (c *Cluster) finish(done func(error), err error) {
 // RemoveReplica drops the replica of id on target (metadata-only; freeing
 // space is instantaneous).
 func (c *Cluster) RemoveReplica(id BlockID, target DatanodeID) error {
-	b := c.Block(id)
-	if b == nil {
+	if !c.live(id) {
 		return fmt.Errorf("hdfs: no such block %d", id)
 	}
 	if !c.datanodes[target].HasBlock(id) {
@@ -202,7 +201,7 @@ func (c *Cluster) RemoveReplica(id BlockID, target DatanodeID) error {
 	if len(c.replicas[id]) == 1 {
 		return fmt.Errorf("hdfs: refusing to remove the last replica of block %d", id)
 	}
-	c.detachReplica(b, target)
+	c.detachReplica(id, target)
 	c.metrics.ReplicasRemoved++
 	return nil
 }
@@ -286,7 +285,7 @@ func (c *Cluster) SetReplication(path string, n int, mode ReplicationMode, done 
 		var firstErr error
 		for _, bid := range f.Blocks {
 			for len(c.replicas[bid]) > n {
-				victim, ok := c.placement.ChooseExcess(c, c.blocks[bid])
+				victim, ok := c.placement.ChooseExcess(c, c.view(bid))
 				if !ok {
 					break
 				}
@@ -333,8 +332,7 @@ func (c *Cluster) grow(f *INode, n int, mode ReplicationMode, done func(error)) 
 			if need <= 0 {
 				continue
 			}
-			b := c.blocks[bid]
-			targets := c.placement.ChooseTargets(nil, c, b, need, -1, nil)
+			targets := c.placement.ChooseTargets(nil, c, c.view(bid), need, -1, nil)
 			if len(targets) < need && firstErr == nil {
 				firstErr = fmt.Errorf("hdfs: only %d of %d targets for block %d", len(targets), need, bid)
 			}
@@ -407,11 +405,10 @@ func (c *Cluster) StartReplicationMonitor(period time.Duration) func() {
 			if inFlight[bid] {
 				continue
 			}
-			b := c.blocks[bid]
 			if len(c.replicas[bid]) == 0 {
 				continue // lost block; erasure recovery may still help
 			}
-			targets := c.placement.ChooseTargets(nil, c, b, 1, -1, nil)
+			targets := c.placement.ChooseTargets(nil, c, c.view(bid), 1, -1, nil)
 			if len(targets) == 0 {
 				continue
 			}

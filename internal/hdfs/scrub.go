@@ -16,8 +16,7 @@ import (
 // verifies the block, or the node rejoins from a partition and its block
 // report is reconciled.
 func (c *Cluster) CorruptReplica(id BlockID, dn DatanodeID) error {
-	b := c.Block(id)
-	if b == nil {
+	if !c.live(id) {
 		return fmt.Errorf("hdfs: no such block %d", id)
 	}
 	d := c.datanodes[dn]
@@ -35,34 +34,34 @@ func (c *Cluster) CorruptReplica(id BlockID, dn DatanodeID) error {
 // last copy of an unprotected block is kept (its undamaged bytes may be
 // partially salvageable, as the real namenode does) and reported exactly
 // once.
-func (c *Cluster) reportCorrupt(b *Block, dn DatanodeID) {
+func (c *Cluster) reportCorrupt(id BlockID, dn DatanodeID) {
 	d := c.datanodes[dn]
-	if !d.corrupt[b.ID] || !d.blocks.Has(b.ID) {
+	if !d.corrupt[id] || !d.blocks.Has(id) {
 		return
 	}
 	clean := 0
-	for _, r := range c.replicas[b.ID] {
-		if r != dn && !c.datanodes[r].corrupt[b.ID] {
+	for _, r := range c.replicas[id] {
+		if r != dn && !c.datanodes[r].corrupt[id] {
 			clean++
 		}
 	}
-	f := c.fileOf(b)
-	protected := f != nil && f.Encoded
-	if clean > 0 || protected || len(c.replicas[b.ID]) > 1 {
+	f := c.owner(id)
+	size := c.size(id)
+	if clean > 0 || f.Encoded || len(c.replicas[id]) > 1 {
 		c.metrics.CorruptDetected++
-		c.metrics.CorruptBytes += b.Size
-		c.detachReplica(b, dn) // clears the corrupt flag with the replica
+		c.metrics.CorruptBytes += size
+		c.detachReplica(id, dn) // clears the corrupt flag with the replica
 		for _, fn := range c.onCorrupt {
-			fn(b.ID, dn)
+			fn(id, dn)
 		}
 		return
 	}
-	if !d.reported[b.ID] {
-		c.markReported(d, b.ID)
+	if !d.reported[id] {
+		c.markReported(d, id)
 		c.metrics.CorruptDetected++
-		c.metrics.CorruptBytes += b.Size
+		c.metrics.CorruptBytes += size
 		for _, fn := range c.onCorrupt {
-			fn(b.ID, dn)
+			fn(id, dn)
 		}
 	}
 }
@@ -139,8 +138,8 @@ func (c *Cluster) scrubPass(n int) {
 		if pos >= len(c.blocks) {
 			pos = 0
 		}
-		if b := c.blocks[pos]; b != nil {
-			c.scrubBlock(b.ID)
+		if c.blocks[pos].file >= 0 {
+			c.scrubBlock(BlockID(pos))
 			visited++
 		}
 		pos++
@@ -150,8 +149,8 @@ func (c *Cluster) scrubPass(n int) {
 
 // scrubBlock verifies one block's replicas.
 func (c *Cluster) scrubBlock(bid BlockID) {
-	b := c.blocks[bid]
-	if b == nil {
+	f := c.owner(bid)
+	if f == nil {
 		return
 	}
 	reps := c.replicas[bid]
@@ -159,19 +158,18 @@ func (c *Cluster) scrubBlock(bid BlockID) {
 		return
 	}
 	c.metrics.ReplicasScrubbed += len(reps)
-	f := c.fileOf(b)
-	if f != nil && f.Encoded {
-		c.scrubStripe(f, b)
+	if f.Encoded {
+		c.scrubStripe(f, bid)
 		return
 	}
 	for _, dn := range append([]DatanodeID(nil), reps...) {
 		if c.datanodes[dn].corrupt[bid] {
-			c.reportCorrupt(b, dn)
+			c.reportCorrupt(bid, dn)
 		}
 	}
 }
 
-// scrubStripe verifies the erasure stripe containing b by running the
+// scrubStripe verifies the erasure stripe containing block bid by running the
 // actual RS codec over synthetic shard contents: each member's clean
 // bytes are a deterministic pattern of its block ID, stored parity is the
 // codec's encoding of the clean data, and members flagged corrupt get
@@ -179,8 +177,8 @@ func (c *Cluster) scrubBlock(bid BlockID) {
 // rotted, and the flagged members are then quarantined. Stripes with a
 // missing member (no live replica) skip Verify — that is a repair
 // problem, not a scrub problem — but still surface flagged members.
-func (c *Cluster) scrubStripe(f *INode, b *Block) {
-	data, parity, ok := c.stripeOf(f, b.ID)
+func (c *Cluster) scrubStripe(f *INode, bid BlockID) {
+	data, parity, ok := c.stripeOf(f, bid)
 	if !ok {
 		return
 	}
@@ -208,7 +206,7 @@ func (c *Cluster) scrubStripe(f *INode, b *Block) {
 	}
 	// Verification failed (or could not run): quarantine flagged members.
 	for _, fl := range flagged {
-		c.reportCorrupt(c.blocks[fl.bid], fl.dn)
+		c.reportCorrupt(fl.bid, fl.dn)
 	}
 }
 

@@ -142,7 +142,7 @@ func (c *Cluster) setState(d *Datanode, s NodeState, restart bool) {
 	}
 	if s == StateDown {
 		d.blocks.Each(func(bid BlockID) {
-			c.detachReplica(c.blocks[bid], d.ID)
+			c.detachReplica(bid, d.ID)
 		})
 	}
 }
@@ -225,7 +225,7 @@ func (c *Cluster) Decommission(id DatanodeID, done func(error)) {
 		// Copies landed everywhere: drop this node's replicas and retire it.
 		for _, bid := range blocks {
 			if d.HasBlock(bid) {
-				c.detachReplica(c.blocks[bid], id)
+				c.detachReplica(bid, id)
 			}
 		}
 		c.setState(d, StateDecommissioned, false)
@@ -244,7 +244,7 @@ func (c *Cluster) Decommission(id DatanodeID, done func(error)) {
 	self.Add(id)
 	var targets []DatanodeID
 	for _, bid := range blocks {
-		targets = c.placement.ChooseTargets(targets[:0], c, c.blocks[bid], 1, -1, &self)
+		targets = c.placement.ChooseTargets(targets[:0], c, c.view(bid), 1, -1, &self)
 		if len(targets) == 0 {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("hdfs: no target to drain block %d off %s", bid, d.Name)

@@ -81,24 +81,23 @@ func (c *Cluster) WriteFile(client topology.NodeID, path string, size float64, r
 			}
 			return
 		}
-		bs := c.blockBytes(i, nBlocks, size)
-		b := &Block{ID: c.nextBlock, File: path, Index: i, Size: bs, fileID: f.id}
-		c.addBlock(b)
+		id := c.addBlock(f, int32(i))
+		b := c.view(id)
 		// nil dst: the pipeline callback below keeps targets past placement.
 		targets := c.placement.ChooseTargets(nil, c, b, repl, DatanodeID(client), nil)
 		if len(targets) == 0 {
-			fail(fmt.Errorf("hdfs: no targets for block %d of %q", b.ID, path))
+			fail(fmt.Errorf("hdfs: no targets for block %d of %q", id, path))
 			return
 		}
 		path2 := c.pipelinePath(client, targets)
-		c.fabric.StartFlow(path2, bs, 0, func(*netsim.Flow) {
+		c.fabric.StartFlow(path2, b.Size, 0, func(*netsim.Flow) {
 			for _, t := range targets {
 				if !c.datanodes[t].Down() {
-					c.attachReplica(b, t)
+					c.attachReplica(id, t)
 				}
 			}
-			if len(c.replicas[b.ID]) == 0 {
-				fail(fmt.Errorf("hdfs: every pipeline node died writing block %d", b.ID))
+			if len(c.replicas[id]) == 0 {
+				fail(fmt.Errorf("hdfs: every pipeline node died writing block %d", id))
 				return
 			}
 			writeBlock(i + 1)

@@ -111,9 +111,6 @@ func TestConcurrentWritesContend(t *testing.T) {
 
 func TestPipelinePathHasNoDuplicateLinks(t *testing.T) {
 	_, c := newCluster(t)
-	b := &Block{ID: c.nextBlock, File: "/x", Size: 64 * mb, fileID: -1}
-	c.addBlock(b)
-	defer c.dropBlock(b.ID)
 	for _, client := range []topology.NodeID{ExternalClient, 0, 7} {
 		targets := []DatanodeID{0, 6, 7}
 		path := c.pipelinePath(client, targets)

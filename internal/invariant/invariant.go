@@ -190,7 +190,7 @@ func checkRepairCaps(t Target) []string {
 // active ones that are trusted (not stale, not crashed), reachable, not
 // holding b and with uncommitted room for it, and sort by (PlacementLoad,
 // ID) so choice is deterministic and load-spreading.
-func referenceCandidates(c *hdfs.Cluster, b *hdfs.Block) []hdfs.DatanodeID {
+func referenceCandidates(c *hdfs.Cluster, b hdfs.Block) []hdfs.DatanodeID {
 	holder := map[hdfs.DatanodeID]bool{}
 	for _, r := range c.Replicas(b.ID) {
 		holder[r] = true
@@ -228,7 +228,7 @@ func referenceCandidates(c *hdfs.Cluster, b *hdfs.Block) []hdfs.DatanodeID {
 // ConsistencyErrors ties to the per-node block sets.
 func consistency(c *hdfs.Cluster) []string {
 	errs := c.ConsistencyErrors()
-	probe := &hdfs.Block{ID: -1}
+	probe := hdfs.Block{ID: -1}
 	var fast []hdfs.DatanodeID
 	c.ScanEligible(probe, nil, func(id hdfs.DatanodeID) bool {
 		fast = append(fast, id)
@@ -416,7 +416,7 @@ func checkMetrics(t Target) []string {
 	for _, path := range c.FilePaths() {
 		f := c.File(path)
 		for _, bid := range append(append([]hdfs.BlockID{}, f.Blocks...), f.Parity...) {
-			if b := c.Block(bid); b != nil {
+			if b, ok := c.Block(bid); ok {
 				stored += float64(float64(len(c.Replicas(bid))) * b.Size)
 			}
 		}
