@@ -232,7 +232,7 @@ loc:
 # the per-segment string table and the spare build buffers, and 15 in
 # metrics on CounterFunc, so an entry costs about 15 bytes instead of
 # 152 and churn-failover's live heap falls by a fifth; 22,250 with a block
-# map without block objects (result 22,244, rounded up), which spends about
+# map without block objects (result 22,246, rounded up), which spends about
 # 60 lines on deriving a block from its file's {slot, position} entry, the
 # OpBlockAdd replay check against that derivation and a replay straight
 # from the old journal, while deleting restore's block arena and rename's

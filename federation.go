@@ -311,9 +311,10 @@ func (s *System) snapshot(i int) error {
 }
 
 // promote builds a replacement namenode on the shared engine: restore the
-// checkpoint (in place — the engine may have run past the capture time; on
-// NewStandby's fresh engine that is the plain restore), replay the journal
-// tail through replay, continue the tail's sequence numbering in a new journal, take
+// checkpoint bytes (in place — the engine may have run past the capture
+// time; on NewStandby's fresh engine that is the plain restore), replay the
+// journal tail (NewStandby's slice, or FailoverShard's old journal read in
+// place), continue the tail's sequence numbering in a new journal, take
 // writer epoch prevEpoch+1 (entries the fenced predecessor might still try
 // to write carry the old epoch and are recognizably stale), and attach a
 // manager whose judge starts cold. NewStandby and FailoverShard both end

@@ -223,7 +223,7 @@ func replayFuzzInput(t *testing.T, ckpt, data []byte) {
 func FuzzReplayJournal(f *testing.F) {
 	ckpt := fuzzCheckpoint(f)
 	f.Add([]byte{12, 0, 0, 3, byte(StateDown), 0, 12, 0, 0, 3, byte(StateActive), 1}) // death, restart
-	f.Add([]byte{0, 0, 0, 0, 0, 6, 8, 1, 0, 0, 0, 0, 10, 0, 1, 2, 0, 0})              // create, block, replica
+	f.Add([]byte{8, 1, 0, 0, 0, 1, 10, 0, 1, 2, 0, 0})                                // parity block, replica
 	f.Add([]byte{11, 0, 7, 0, 0, 0, 9, 0, 7, 0, 0, 0, 1, 2, 0, 0, 0, 0})              // replica, block, file drop
 	f.Add([]byte{13, 0, 0, 5, 0, 1, 3, 1, 0, 0, 0, 10, 6, 1, 0, 0, 0, 0, 7, 1, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) { replayFuzzInput(t, ckpt, data) })
