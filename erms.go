@@ -64,8 +64,6 @@ type (
 	Decision = core.Decision
 	// ReadResult describes one completed file read.
 	ReadResult = hdfs.ReadResult
-	// WriteResult describes one completed pipelined write.
-	WriteResult = hdfs.WriteResult
 	// Job is a MapReduce job, as ReplayJobs runs it.
 	Job = mapred.Job
 	// Trace is a synthetic SWIM-style workload.
@@ -151,8 +149,7 @@ type Options struct {
 	// checkpoint restore), exiting only after a stable dwell.
 	SafeMode SafeModeConfig
 	// Repair caps the prioritized re-replication pipeline: cluster-wide and
-	// per-node stream limits plus an optional bandwidth budget. Zero fields
-	// take defaults; ignored when DisableERMS is set (repairs are the
+	// per-node stream limits. Zero fields take defaults; ignored when DisableERMS is set (repairs are the
 	// manager's job).
 	Repair RepairConfig
 	// Clock, when non-nil, puts the System in service mode: virtual time
@@ -400,13 +397,6 @@ func (s *System) Read(client int, path string, done func(*ReadResult)) {
 // and drive the judge's ε/M_M axes (DESIGN.md §14).
 func (s *System) ReadRange(client int, path string, offset, length float64, done func(*ReadResult)) {
 	s.shardFor(path).cluster.ReadRange(topology.NodeID(client), path, offset, length, done)
-}
-
-// Write streams a new file into the cluster through a real HDFS-style
-// replication pipeline (unlike CreateFile, which materializes data
-// instantly for setup). done may be nil.
-func (s *System) Write(client int, path string, size float64, done func(*WriteResult)) {
-	s.shardFor(path).cluster.WriteFile(topology.NodeID(client), path, size, 0, done)
 }
 
 // Rename moves a file to a new path (metadata-only); ERMS's judge state

@@ -92,8 +92,6 @@ func TestReplicateAdAgainstMachineAds(t *testing.T) {
 		{"active", adIn(hdfs.StateActive, 0), true},
 		{"standby", adIn(hdfs.StateStandby, 0), false},
 		{"down", adIn(hdfs.StateDown, 0), false},
-		{"decommissioning", adIn(hdfs.StateDecommissioning, 0), false},
-		{"decommissioned", adIn(hdfs.StateDecommissioned, 0), false},
 		{"no State attribute", stateless, false},
 	} {
 		if got := replicateRequirements(&tc.machine); got != tc.match {

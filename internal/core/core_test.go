@@ -55,11 +55,11 @@ func TestDefaultsAndCalibration(t *testing.T) {
 	if th.TauM != 8 || th.EncodeM != 4 || th.Window != 5*time.Minute {
 		t.Fatalf("defaults: %+v", th)
 	}
-	if got := CalibrateTauM(80*mb, 8*mb); got != 10 {
-		t.Fatalf("CalibrateTauM = %v, want 10", got)
-	}
-	if got := CalibrateTauM(0, 0); got != 8 {
-		t.Fatalf("degenerate calibration = %v", got)
+	// The dependent bounds scale from a tuned τ_M.
+	th = Thresholds{TauM: 10}
+	th.applyDefaults()
+	if th.MM != 15 || th.Mm != 7.5 || th.TauDN != 60 {
+		t.Fatalf("dependent bounds: MM=%v Mm=%v TauDN=%v", th.MM, th.Mm, th.TauDN)
 	}
 }
 
@@ -483,19 +483,3 @@ func TestDeleteDropsJudgeState(t *testing.T) {
 	}
 }
 
-func TestCalibrateThresholdsFromTopology(t *testing.T) {
-	topo := topology.New(topology.Config{DiskBW: 80 * mb})
-	th := CalibrateThresholds(topo, 8*mb)
-	if th.TauM != 10 {
-		t.Fatalf("TauM = %v, want 10", th.TauM)
-	}
-	// Dependent bounds scale from the calibrated τ_M.
-	if th.MM != 15 || th.Mm != 7.5 || th.TauDN != 60 {
-		t.Fatalf("dependent bounds: MM=%v Mm=%v TauDN=%v", th.MM, th.Mm, th.TauDN)
-	}
-	// Zero rate falls back to the default floor.
-	th2 := CalibrateThresholds(topo, 0)
-	if th2.TauM != 10 {
-		t.Fatalf("default-rate TauM = %v", th2.TauM)
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"erms/internal/condor"
 	"erms/internal/hdfs"
 	"erms/internal/metrics"
-	"erms/internal/netsim"
 	"erms/internal/sim"
 	"erms/internal/topology"
 )
@@ -36,7 +35,7 @@ type Config struct {
 	// node, a lifted partition — making the retry worthwhile). Default 30s.
 	RepairRescanDelay time.Duration
 	// Repair throttles the recovery pipeline: cluster-wide and per-node
-	// stream caps plus an optional bandwidth budget. See RepairConfig.
+	// stream caps. See RepairConfig.
 	Repair RepairConfig
 	// Scrub, when Period > 0, starts the cluster's background corruption
 	// scrubber alongside the manager.
@@ -101,11 +100,10 @@ type Manager struct {
 	history        []Decision
 	ticker         interface{ Stop() }
 
-	// Repair-throttling state: the optional bandwidth budget, in-flight
-	// repair copies per target node, their cluster-wide total, and the
-	// never-should-fire per-node cap tripwire the invariant oracle reads;
-	// capped is cappedTargets' reused exclusion set.
-	bucket        *netsim.TokenBucket
+	// Repair-throttling state: in-flight repair copies per target node,
+	// their cluster-wide total, and the never-should-fire per-node cap
+	// tripwire the invariant oracle reads; capped is cappedTargets' reused
+	// exclusion set.
 	nodeStreams   map[hdfs.DatanodeID]int
 	streams       int
 	capViolations int
@@ -180,12 +178,6 @@ func New(cluster *hdfs.Cluster, cfg Config) *Manager {
 		corruptPending: map[hdfs.BlockID]bool{},
 		nodeStreams:    map[hdfs.DatanodeID]int{},
 		reg:            cfg.Registry,
-	}
-	if cfg.Repair.BandwidthMBps > 0 {
-		// Burst of one block: a copy can always start promptly, but sustained
-		// repair traffic is paced to the budget.
-		m.bucket = netsim.NewTokenBucket(cluster.Clock(),
-			cfg.Repair.BandwidthMBps*topology.MB, cluster.Config().BlockSize)
 	}
 	m.ctr = newManagerCounters(m.reg)
 	m.ttr = m.reg.Histogram("erms_time_to_repair_seconds")

@@ -6,15 +6,13 @@ import (
 
 	"erms/internal/condor"
 	"erms/internal/hdfs"
-	"erms/internal/topology"
 )
 
 // The repair pipeline: damaged blocks are classified into HDFS-style
 // priority tiers, admitted under a cluster-wide stream cap in (tier,
-// BlockID) order, spread under a per-datanode inbound-copy cap, and —
-// when a bandwidth budget is configured — paced by a token bucket so
-// recovery traffic leaves measured headroom for foreground reads during a
-// mass failure. While the namenode is in safe mode the whole sweep defers:
+// BlockID) order and spread under a per-datanode inbound-copy cap, so
+// recovery traffic leaves headroom for foreground reads during a mass
+// failure. While the namenode is in safe mode the whole sweep defers:
 // a transient partition then heals for free instead of triggering a
 // repair storm, and the safe-mode exit callback re-arms the sweep
 // deterministically.
@@ -30,10 +28,6 @@ const (
 	TierBelowHalf
 	// TierBelowTarget: degraded but comfortably redundant.
 	TierBelowTarget
-	// TierDecommissionOnly: every live replica sits on a decommissioning
-	// node. Nothing is failing — the drain is graceful — so this tier
-	// yields to real damage.
-	TierDecommissionOnly
 	numRepairTiers
 )
 
@@ -42,7 +36,7 @@ const (
 // every surface that renders queue depths (ermsctl status, the /v1/status
 // endpoint) so the labels cannot drift.
 func RepairTierNames() [numRepairTiers]string {
-	return [numRepairTiers]string{"last-replica", "below-half", "below-target", "decomm-only"}
+	return [numRepairTiers]string{"last-replica", "below-half", "below-target"}
 }
 
 // RepairConfig throttles the repair pipeline. The zero value gets
@@ -58,11 +52,6 @@ type RepairConfig struct {
 	// datanode; capped nodes are excluded from repair placement for the
 	// duration. Default 2; -1 = unlimited.
 	MaxStreamsPerNode int
-	// BandwidthMBps, when positive, gives repair copies a token-bucket
-	// bandwidth budget: copy starts are paced so admitted bytes accrue at
-	// this rate, and each copy's flow is individually capped to it.
-	// 0 = unlimited.
-	BandwidthMBps float64
 }
 
 func (r *RepairConfig) applyDefaults(datanodes int) {
@@ -96,16 +85,6 @@ func (m *Manager) repairTier(bid hdfs.BlockID) int {
 	reps := m.cluster.Replicas(bid)
 	if len(reps) <= 1 {
 		return TierLastReplica
-	}
-	allDecom := true
-	for _, dn := range reps {
-		if m.cluster.Datanode(dn).State != hdfs.StateDecommissioning {
-			allDecom = false
-			break
-		}
-	}
-	if allDecom {
-		return TierDecommissionOnly
 	}
 	b, _ := m.cluster.Block(bid)
 	target := 1
@@ -250,8 +229,7 @@ func (m *Manager) submitRepair(bid hdfs.BlockID, tier int) {
 }
 
 // startRepairCopy launches one repair copy toward t, holding the per-node
-// stream accounting for its duration and routing it through the bandwidth
-// budget when one is configured.
+// stream accounting for its duration.
 func (m *Manager) startRepairCopy(bid hdfs.BlockID, t hdfs.DatanodeID, done func(error)) {
 	m.nodeStreams[t]++
 	m.streams++
@@ -266,21 +244,7 @@ func (m *Manager) startRepairCopy(bid hdfs.BlockID, t hdfs.DatanodeID, done func
 		}
 		done(err)
 	}
-	rate := m.cfg.Repair.BandwidthMBps * topology.MB
-	switch {
-	case m.bucket != nil:
-		cost := 0.0
-		if b, ok := m.cluster.Block(bid); ok {
-			cost = b.Size
-		}
-		m.bucket.Take(cost, func() {
-			m.cluster.AddReplicaLimited(bid, t, rate, finish)
-		})
-	case rate > 0:
-		m.cluster.AddReplicaLimited(bid, t, rate, finish)
-	default:
-		m.cluster.AddReplica(bid, t, finish)
-	}
+	m.cluster.AddReplica(bid, t, finish)
 }
 
 // cappedTargets returns the datanodes currently at their inbound

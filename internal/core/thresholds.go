@@ -6,12 +6,7 @@
 // into Condor jobs acting on the simulated HDFS cluster.
 package core
 
-import (
-	"math"
-	"time"
-
-	"erms/internal/topology"
-)
+import "time"
 
 // Thresholds are the paper's tunables. All "per replica" rates are counts
 // per judging window divided by the file's current replication factor r.
@@ -123,41 +118,4 @@ func (t *Thresholds) applyDefaults() {
 	if t.EncodeM <= 0 {
 		t.EncodeM = d.EncodeM
 	}
-}
-
-// CalibrateTauM derives τ_M from the cluster hardware: the number of
-// concurrent readers one replica (one disk) can serve while every client
-// still sees at least minClientRate — the measurement behind the paper's
-// Figure 8 ("the maximum of τ_M in our environment" is 8). ERMS "could
-// dynamically change these thresholds based on system environments"; this
-// is that computation.
-func CalibrateTauM(diskBW, minClientRate float64) float64 {
-	if minClientRate <= 0 || diskBW <= 0 {
-		return DefaultThresholds().TauM
-	}
-	return math.Floor(diskBW / minClientRate)
-}
-
-// DefaultMinClientRate is the acceptable per-client streaming floor used
-// for calibration (8 MB/s against an 80 MB/s disk gives τ_M = 10; the
-// paper's slightly slower effective disks give 8–10).
-const DefaultMinClientRate = 8 * topology.MB
-
-// CalibrateThresholds derives a full threshold set from the cluster's own
-// hardware: τ_M from the disk-bandwidth/client-rate ratio, with the
-// dependent bounds scaling from it. This is the paper's "ERMS could
-// dynamically change these thresholds based on system environments" made
-// concrete — pass the result to Config.Thresholds (optionally overriding
-// individual fields first).
-func CalibrateThresholds(topo *topology.Topology, minClientRate float64) Thresholds {
-	if minClientRate <= 0 {
-		minClientRate = DefaultMinClientRate
-	}
-	diskBW := 0.0
-	if len(topo.Nodes) > 0 {
-		diskBW = topo.Links[topo.Nodes[0].Disk].Capacity
-	}
-	th := Thresholds{TauM: CalibrateTauM(diskBW, minClientRate)}
-	th.applyDefaults()
-	return th
 }

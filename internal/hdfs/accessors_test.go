@@ -102,25 +102,6 @@ func TestStartDiskLoadOccupiesDisk(t *testing.T) {
 	}
 }
 
-func TestTransferMovesBytes(t *testing.T) {
-	e, c := newCluster(t)
-	doneAt := time.Duration(0)
-	c.Transfer(0, 9, 80*mb, func() { doneAt = e.Now() })
-	called := false
-	c.Transfer(3, 3, 0, func() { called = true }) // zero bytes: immediate
-	e.Run()
-	if doneAt <= 0 {
-		t.Fatal("transfer never completed")
-	}
-	if !called {
-		t.Fatal("zero-byte transfer callback missing")
-	}
-	// 80 MB cross nodes: bounded below by a disk pass (1 s).
-	if doneAt < time.Second-10*time.Millisecond {
-		t.Fatalf("transfer finished impossibly fast: %v", doneAt)
-	}
-}
-
 func TestReadBlockDirect(t *testing.T) {
 	e, c := newCluster(t)
 	f, _ := c.CreateFile("/a", 64*mb, 3, 0)

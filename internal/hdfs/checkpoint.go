@@ -488,8 +488,7 @@ func (c *Cluster) decodeCheckpoint(data []byte) (*ckptState, error) {
 			return nil, fmt.Errorf("hdfs: checkpoint file %q: bad metadata (target=%d createdAt=%v k=%d m=%d)",
 				f.Path, f.TargetRepl, f.CreatedAt, f.EncodeK, f.EncodeM)
 		}
-		// A file mid-write (WriteFile mints blocks as pipeline flows land)
-		// may have fewer blocks than its final size implies, never more.
+		// A file never holds more blocks than its size implies.
 		if want := blockCount(f.Size, c.cfg.BlockSize); len(f.Blocks) > want {
 			return nil, fmt.Errorf("hdfs: checkpoint file %q: %d blocks for size %.0f (max %d)",
 				f.Path, len(f.Blocks), f.Size, want)
@@ -579,7 +578,7 @@ func (c *Cluster) decodeCheckpoint(data []byte) (*ckptState, error) {
 		n.activeTime = time.Duration(d.Varint("activeTime"))
 		n.corrupt = idList(&d, &idSlab, "corrupt set", st.nextBlock)
 		n.reported = idList(&d, &idSlab, "reported set", st.nextBlock)
-		if n.state < StateActive || n.state > StateDecommissioned {
+		if n.state < StateActive || n.state > StateDown {
 			return nil, fmt.Errorf("hdfs: checkpoint node %d: unknown state %d", i, n.state)
 		}
 		if n.state == StateDown && heldCount[i] > 0 {
@@ -646,7 +645,6 @@ func (c *Cluster) commitCheckpoint(st *ckptState) {
 	c.ckptJournalSeq = st.journalSeq
 	c.blocks = make([]blockRef, st.nextBlock)
 	c.replicas = st.replicas
-	c.readCounts = make([]int64, st.nextBlock)
 	c.liveBlocks = 0
 	c.files = st.files
 	c.fileByID = st.fileByID

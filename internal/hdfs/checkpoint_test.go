@@ -32,8 +32,8 @@ func ckptConfig() Config {
 // busyCluster drives a cluster through every durable-state feature the
 // checkpoint serializes: plain and encoded files, renames, deletes,
 // replication changes, node lifecycle transitions (kill/dead/restart,
-// standby/commission, decommission), corruption reports, a rack
-// partition, and a file still mid-write at the end.
+// standby/commission), corruption reports, a rack partition, and replica
+// copies still in flight at the end.
 func busyCluster(t *testing.T, withJournal bool) (*sim.Engine, *Cluster) {
 	t.Helper()
 	e := sim.NewEngine()
@@ -89,15 +89,15 @@ func busyCluster(t *testing.T, withJournal bool) (*sim.Engine, *Cluster) {
 
 	c.Commission(16)
 	c.ToStandby(2)
-	c.Decommission(7, nil)
+	c.SetReplication("/data/b", 3, OneByOne, nil)
 	if err := c.DeleteFile("/data/d2"); err != nil {
 		t.Fatal(err)
 	}
 	e.RunUntil(4 * time.Minute)
 
 	c.PartitionRack(2)
-	// Leave a write in flight so the checkpoint carries a partial file.
-	c.WriteFile(3, "/data/w", 256*mb, 3, nil)
+	// Leave copies in flight so the checkpoint carries pending adds.
+	c.SetReplication("/data/a", 6, WholeAtOnce, nil)
 	e.RunUntil(4*time.Minute + 2*time.Second)
 	return e, c
 }
@@ -363,7 +363,7 @@ func TestRestoreRejectsForgedHeaders(t *testing.T) {
 // TestJournalReplayEquivalence is the failover contract: a standby built
 // from a mid-storm checkpoint plus the journal tail matches the live
 // namenode's durable state exactly, even though the checkpoint was taken
-// with transfers, reads, a decommission drain, and a write all in flight.
+// with transfers, reads and replication changes all in flight.
 func TestJournalReplayEquivalence(t *testing.T) {
 	e, c := busyCluster(t, true)
 

@@ -46,12 +46,6 @@ const (
 	// StateDown nodes have failed; their replicas are lost until
 	// re-replicated.
 	StateDown
-	// StateDecommissioning nodes are being drained: they keep serving
-	// reads and replication sources but receive no new replicas.
-	StateDecommissioning
-	// StateDecommissioned nodes have been fully drained and removed from
-	// service.
-	StateDecommissioned
 )
 
 // String names the state as status reports and errors print it.
@@ -63,17 +57,8 @@ func (s NodeState) String() string {
 		return "standby"
 	case StateDown:
 		return "down"
-	case StateDecommissioning:
-		return "decommissioning"
-	case StateDecommissioned:
-		return "decommissioned"
 	}
 	return "unknown"
-}
-
-// serves reports whether a node in this state answers client reads.
-func (s NodeState) serves() bool {
-	return s == StateActive || s == StateDecommissioning
 }
 
 // Block is one block of a file (data or erasure parity), as Cluster.Block
@@ -237,7 +222,7 @@ func (d *Datanode) Eligible() bool {
 
 // canServe reports whether the node answers reads right now: its state
 // serves and its process is actually up.
-func (d *Datanode) canServe() bool { return d.State.serves() && !d.fault.Crashed }
+func (d *Datanode) canServe() bool { return d.State == StateActive && !d.fault.Crashed }
 
 // CorruptBlock reports whether this node's replica of b is flagged corrupt.
 func (d *Datanode) CorruptBlock(b BlockID) bool { return d.corrupt[b] }
@@ -403,12 +388,6 @@ type Cluster struct {
 	liveBlocks int
 	datanodes  []*Datanode
 	nextBlock  BlockID
-
-	// readCounts is the per-block read tally (dense, indexed by BlockID,
-	// grown with the block map). Partial reads count like whole ones: the
-	// tally is access heat, not byte volume. Transient stats — reset by
-	// restore, never checkpointed.
-	readCounts []int64
 
 	// underSet holds the blocks currently below their replication target,
 	// maintained incrementally at every replica/target mutation so
@@ -719,16 +698,6 @@ func (c *Cluster) Replicas(id BlockID) []DatanodeID {
 // LiveBlocks returns the number of blocks currently in the block map.
 func (c *Cluster) LiveBlocks() int { return c.liveBlocks }
 
-// BlockReadCount returns how many reads block id has served since the
-// cluster (or its restore) started — ranged reads count like whole-block
-// ones. Zero for unknown or deleted blocks.
-func (c *Cluster) BlockReadCount(id BlockID) int64 {
-	if id < 0 || int(id) >= len(c.readCounts) {
-		return 0
-	}
-	return c.readCounts[id]
-}
-
 // owner returns the file block id belongs to, nil for a dropped block.
 func (c *Cluster) owner(id BlockID) *INode {
 	if !c.live(id) {
@@ -755,7 +724,6 @@ func (c *Cluster) addBlock(f *INode, pos int32) BlockID {
 	c.nextBlock++
 	c.blocks = append(c.blocks, blockRef{int32(f.id), pos})
 	c.replicas = append(c.replicas, nil)
-	c.readCounts = append(c.readCounts, 0)
 	c.liveBlocks++
 	if pos < 0 {
 		f.Parity = append(f.Parity, id)
@@ -786,7 +754,6 @@ func (c *Cluster) dropBlock(id BlockID) {
 	}
 	c.blocks[id] = noBlock
 	c.replicas[id] = nil
-	c.readCounts[id] = 0
 	c.liveBlocks--
 	delete(c.underSet, id)
 	c.jlog(auditlog.Entry{Op: auditlog.OpBlockDrop, Block: int64(id)})
@@ -874,8 +841,15 @@ func (c *Cluster) CreateFile(path string, size float64, repl int, writer topolog
 	if err := c.writable(); err != nil {
 		return nil, err
 	}
-	if err := c.creatable(path, size); err != nil {
-		return nil, err
+	// "" is refused here and as a Rename's destination: checkpoint decode
+	// refuses it, so it could not fail over.
+	switch _, exists := c.files[path]; {
+	case path == "":
+		return nil, fmt.Errorf("hdfs: empty path")
+	case exists:
+		return nil, fmt.Errorf("hdfs: file %q exists", path)
+	case size <= 0:
+		return nil, fmt.Errorf("hdfs: file size must be positive")
 	}
 	if repl <= 0 {
 		repl = c.cfg.DefaultReplication
@@ -904,22 +878,6 @@ func (c *Cluster) CreateFile(path string, size float64, repl int, writer topolog
 		IP: c.clientIP(writer), Cmd: auditlog.CmdCreate, Src: path,
 	})
 	return f, nil
-}
-
-// creatable checks a new file's path and size, the preconditions
-// CreateFile and WriteFile share. "" is refused here and as a Rename's
-// destination: checkpoint decode refuses it, so it could not fail over.
-func (c *Cluster) creatable(path string, size float64) error {
-	if path == "" {
-		return fmt.Errorf("hdfs: empty path")
-	}
-	if _, ok := c.files[path]; ok {
-		return fmt.Errorf("hdfs: file %q exists", path)
-	}
-	if size <= 0 {
-		return fmt.Errorf("hdfs: file size must be positive")
-	}
-	return nil
 }
 
 // blockCount returns how many blocks a file of the given size splits into.

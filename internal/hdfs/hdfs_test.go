@@ -60,6 +60,17 @@ func TestCreateFileValidation(t *testing.T) {
 	}
 }
 
+func TestWriteAuditsCreate(t *testing.T) {
+	_, c := newCluster(t)
+	if _, err := c.CreateFile("/w", 64*mb, 2, 1); err != nil {
+		t.Fatal(err)
+	}
+	recs := c.Audit().Records()
+	if len(recs) != 1 || recs[0].Cmd != "create" || recs[0].Src != "/w" || recs[0].IP != c.clientIP(1) {
+		t.Fatalf("audit = %v", recs)
+	}
+}
+
 func TestDefaultPlacementRackAware(t *testing.T) {
 	_, c := newCluster(t)
 	f, err := c.CreateFile("/data/a", 64*mb, 3, 0)

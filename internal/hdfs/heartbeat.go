@@ -50,8 +50,7 @@ func (h *HeartbeatConfig) applyDefaults() {
 func (c *Cluster) heartbeatTick(now time.Duration) {
 	hb := c.cfg.Heartbeat
 	for _, d := range c.datanodes {
-		switch d.State {
-		case StateStandby, StateDown, StateDecommissioned:
+		if d.State != StateActive {
 			continue
 		}
 		if !d.fault.Crashed && !d.fault.Muted && !c.partitioned[c.topo.Rack(topology.NodeID(d.ID))] {

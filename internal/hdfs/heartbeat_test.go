@@ -1,7 +1,6 @@
 package hdfs
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -225,77 +224,6 @@ func TestRestartOfCrashedNodeBeforeDeadTimeout(t *testing.T) {
 		t.Fatalf("replicas after restart = %d, want 2 (old copy wiped)", got)
 	}
 	checkConsistency(t, c)
-}
-
-// TestKillMidDecommissionAborts pins the finishDrain fix: a node killed
-// while decommissioning must NOT finish the retirement (which would
-// resurrect it as Decommissioned); the decommission reports an error and
-// the node stays down.
-func TestKillMidDecommissionAborts(t *testing.T) {
-	e, c := newCluster(t) // heartbeats off: Kill declares dead instantly
-	c.CreateFile("/a", 256*mb, 3, 0)
-	victim := c.Replicas(c.File("/a").Blocks[0])[0]
-	var err error
-	done := false
-	c.Decommission(victim, func(e2 error) { err = e2; done = true })
-	e.Schedule(500*time.Millisecond, func() { c.Kill(victim) })
-	e.Run()
-	if !done {
-		t.Fatal("decommission callback never fired")
-	}
-	if err == nil {
-		t.Fatal("decommission of a node killed mid-drain must error")
-	}
-	if got := c.Datanode(victim).State; got != StateDown {
-		t.Fatalf("killed node resurrected as %s", got)
-	}
-	checkConsistency(t, c)
-}
-
-// TestRestartMidDecommissionAborts: killing and restarting a node while
-// its drain is in flight leaves it Active (the restart wins) and the
-// decommission aborts with an error instead of retiring the live node.
-func TestRestartMidDecommissionAborts(t *testing.T) {
-	e, c := newCluster(t)
-	c.CreateFile("/a", 256*mb, 3, 0)
-	victim := c.Replicas(c.File("/a").Blocks[0])[0]
-	var err error
-	done := false
-	c.Decommission(victim, func(e2 error) { err = e2; done = true })
-	e.Schedule(500*time.Millisecond, func() {
-		c.Kill(victim)
-		c.Restart(victim)
-	})
-	e.Run()
-	if !done {
-		t.Fatal("decommission callback never fired")
-	}
-	if err == nil {
-		t.Fatal("decommission interrupted by restart must error")
-	}
-	if got := c.Datanode(victim).State; got != StateActive {
-		t.Fatalf("restarted node is %s, want active", got)
-	}
-	checkConsistency(t, c)
-}
-
-// TestCrashedNodeRejectsDecommission: a crashed (but not yet declared
-// dead) node cannot start decommissioning.
-func TestCrashedNodeRejectsDecommission(t *testing.T) {
-	e, c := newHeartbeatCluster(t)
-	c.CreateFile("/a", 64*mb, 2, 0)
-	victim := c.Replicas(c.File("/a").Blocks[0])[0]
-	c.Kill(victim)
-	var err error
-	done := false
-	c.Decommission(victim, func(e2 error) { err = e2; done = true })
-	e.RunUntil(time.Minute)
-	if !done || err == nil {
-		t.Fatalf("decommission of a crashed node should fail (done=%v err=%v)", done, err)
-	}
-	if want := fmt.Sprintf("hdfs: %s has crashed", c.Datanode(victim).Name); err.Error() != want {
-		t.Fatalf("error = %q, want %q", err, want)
-	}
 }
 
 // TestStandbyOfCrashedNodeBillsUptimeOnce: a crash closes the node's uptime

@@ -240,7 +240,7 @@ func (c *Cluster) applyNodeEntry(d *Datanode, e auditlog.Entry) error {
 	switch e.Op {
 	case auditlog.OpNodeState:
 		s := NodeState(e.State)
-		if s < StateActive || s > StateDecommissioned {
+		if s < StateActive || s > StateDown {
 			return fmt.Errorf("unknown state %d", e.State)
 		}
 		if e.Flag && d.State != StateDown {

@@ -269,24 +269,6 @@ func (c *Cluster) ReadBlock(client topology.NodeID, id BlockID, done func(bytes 
 	r.issue(id, 0)
 }
 
-// Transfer streams raw bytes from src to dst over the fabric — shuffle
-// traffic, log shipping, anything that moves data between cluster nodes
-// without touching the block map. A same-node transfer costs one disk
-// pass. done may be nil.
-func (c *Cluster) Transfer(src, dst topology.NodeID, bytes float64, done func()) {
-	if bytes <= 0 {
-		if done != nil {
-			c.clock.Schedule(0, func() { done() })
-		}
-		return
-	}
-	c.fabric.StartFlow(c.topo.ReadPath(src, dst), bytes, 0, func(*netsim.Flow) {
-		if done != nil {
-			done()
-		}
-	})
-}
-
 const maxReadRetries = 3
 
 // selectReplica picks the serving datanode for a block read: node-local
@@ -450,9 +432,6 @@ func (r *blockRead) admitted() {
 	c.metrics.BlockReads++
 	if r.stream < r.size {
 		c.metrics.PartialBlockReads++
-	}
-	if int(r.id) < len(c.readCounts) {
-		c.readCounts[r.id]++
 	}
 	switch r.loc {
 	case NodeLocal:

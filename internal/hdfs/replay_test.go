@@ -14,8 +14,8 @@ import (
 // the default and lowered, a rename, an encode and a decode, deletes of
 // multi-block files held above the default, a crash aged through stale
 // to dead and restarted, a muted node that goes stale and recovers,
-// standby and commission, a decommission drain, a last-copy corruption
-// report and a rack partition. It returns the live cluster and the
+// standby and commission, a last-copy corruption report and a rack
+// partition. It returns the live cluster and the
 // checkpoint taken before the storm.
 func replayStorm(t *testing.T) (*Cluster, []byte) {
 	t.Helper()
@@ -60,7 +60,7 @@ func replayStorm(t *testing.T) (*Cluster, []byte) {
 	c.DecodeFile("/s/cold", 3, nil)
 	c.Commission(16)
 	c.ToStandby(2)
-	c.Decommission(7, nil)
+	c.SetReplication("/s/new", 6, OneByOne, nil)
 	e.RunUntil(4 * time.Minute)
 	for _, p := range []string{"/s/hot", "/s/warm2"} {
 		if c.ReplicationOf(p) <= c.cfg.DefaultReplication {

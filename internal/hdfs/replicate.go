@@ -61,13 +61,6 @@ func less3(a, b [3]int) bool {
 // AddReplica copies block id onto target, calling done(err) when the
 // transfer lands. The copy streams disk-to-disk over the fabric.
 func (c *Cluster) AddReplica(id BlockID, target DatanodeID, done func(error)) {
-	c.AddReplicaLimited(id, target, 0, done)
-}
-
-// AddReplicaLimited is AddReplica with a per-flow rate cap in bytes/sec
-// (0 = unlimited). The repair pipeline uses it to keep recovery traffic
-// inside its bandwidth budget; the cap survives mid-copy retries.
-func (c *Cluster) AddReplicaLimited(id BlockID, target DatanodeID, maxRate float64, done func(error)) {
 	parentSpan := c.tracer.Current()
 	sp := c.tracer.Begin("hdfs.replica_add", parentSpan)
 	c.tracer.SetAttrInt(sp, "block", int64(id))
@@ -145,7 +138,7 @@ func (c *Cluster) AddReplicaLimited(id BlockID, target DatanodeID, maxRate float
 		c.tracer.SetAttrInt(sp, "source", int64(src))
 		path := c.topo.TransferPath(topology.NodeID(src), topology.NodeID(target))
 		prev := c.tracer.Push(sp)
-		flow := c.fabric.StartFlow(path, b.Size, maxRate, func(f *netsim.Flow) {
+		flow := c.fabric.StartFlow(path, b.Size, 0, func(f *netsim.Flow) {
 			delete(sd.activeFlows, f)
 			sd.xferOut--
 			td.xferIn--
@@ -166,7 +159,7 @@ func (c *Cluster) AddReplicaLimited(id BlockID, target DatanodeID, maxRate float
 		})
 		c.tracer.Pop(prev)
 		// Source death (or a partition cutting the transfer) mid-copy
-		// retries from another source, keeping the rate cap.
+		// retries from another source.
 		sd.activeFlows[flow] = &flowHandle{peer: topology.NodeID(target), abort: func() {
 			sd.xferOut--
 			td.xferIn--
@@ -174,7 +167,7 @@ func (c *Cluster) AddReplicaLimited(id BlockID, target DatanodeID, maxRate float
 			c.tracer.SetAttr(sp, "error", "copy aborted; retrying")
 			c.tracer.End(sp)
 			p := c.tracer.Push(parentSpan)
-			c.AddReplicaLimited(id, target, maxRate, done)
+			c.AddReplica(id, target, done)
 			c.tracer.Pop(p)
 		}}
 	})

@@ -38,8 +38,8 @@ type SafeModeConfig struct {
 	// have at least one live replica (HDFS dfs.safemode.threshold.pct).
 	// Default 0.999.
 	ReplicaThreshold float64
-	// NodeThreshold is the minimum fraction of registered (non-standby,
-	// non-decommissioned) datanodes that must be live and heartbeating.
+	// NodeThreshold is the minimum fraction of registered (non-standby)
+	// datanodes that must be live and heartbeating.
 	// Default 0.5.
 	NodeThreshold float64
 	// Dwell is how long both thresholds must hold before safe mode exits
@@ -98,18 +98,16 @@ func (c *Cluster) BlockAvailability() float64 {
 	return float64(c.liveBlocks-missing) / float64(c.liveBlocks)
 }
 
-// LiveNodeFraction returns the fraction of registered datanodes (neither
-// standby nor decommissioned) that are live: serving state, not stale, and
-// not declared dead.
+// LiveNodeFraction returns the fraction of registered (non-standby)
+// datanodes that are live: active, not stale, and not declared dead.
 func (c *Cluster) LiveNodeFraction() float64 {
 	registered, live := 0, 0
 	for _, d := range c.datanodes {
-		switch d.State {
-		case StateStandby, StateDecommissioned:
+		if d.State == StateStandby {
 			continue
 		}
 		registered++
-		if d.State.serves() && !d.Stale {
+		if d.State == StateActive && !d.Stale {
 			live++
 		}
 	}

@@ -2,7 +2,6 @@ package hdfs
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"erms/internal/auditlog"
@@ -134,9 +133,9 @@ func (c *Cluster) setState(d *Datanode, s NodeState, restart bool) {
 	c.reindexNode(d)
 	c.jlog(auditlog.Entry{Op: auditlog.OpNodeState, Node: int(d.ID), State: int(s), Flag: restart})
 	if !c.replaying {
-		if !s.serves() {
+		if s != StateActive {
 			c.abortServing(d)
-		} else if !was.serves() {
+		} else if was != StateActive {
 			c.drainWaiting(d)
 		}
 	}
@@ -185,78 +184,6 @@ func (c *Cluster) ToStandby(id DatanodeID) {
 func (c *Cluster) Kill(id DatanodeID) bool {
 	d := c.Datanode(id)
 	return d != nil && c.SetFault(id, Fault{Crashed: true, Muted: d.fault.Muted})
-}
-
-// Decommission gracefully drains a datanode: it keeps serving reads while
-// every replica it holds is copied to other nodes, then leaves service as
-// StateDecommissioned. done(err) fires when the drain completes; err
-// reports blocks that could not be re-homed (they stay on the node and the
-// node stays decommissioning). This is the admin workflow whose
-// commission/decommission events the paper detects through Condor
-// ClassAds.
-func (c *Cluster) Decommission(id DatanodeID, done func(error)) {
-	d := c.datanodes[id]
-	if d.fault.Crashed {
-		c.finish(done, fmt.Errorf("hdfs: %s has crashed", d.Name))
-		return
-	}
-	if d.State != StateActive {
-		c.finish(done, fmt.Errorf("hdfs: %s is %s, not active", d.Name, d.State))
-		return
-	}
-	c.setState(d, StateDecommissioning, false)
-	blocks := make([]BlockID, 0, d.blocks.Len())
-	d.blocks.Each(func(bid BlockID) { blocks = append(blocks, bid) }) // ascending
-	outstanding := 0
-	var firstErr error
-	finishDrain := func() {
-		// The node may have left StateDecommissioning while the drain was
-		// in flight — killed, or restarted after a kill. Finishing the
-		// retirement then would resurrect a dead node (or wipe a live
-		// one's accounting), so the decommission aborts instead.
-		if d.State != StateDecommissioning {
-			c.finish(done, fmt.Errorf("hdfs: decommission of %s aborted: node is %s", d.Name, d.State))
-			return
-		}
-		if firstErr != nil {
-			c.finish(done, firstErr)
-			return
-		}
-		// Copies landed everywhere: drop this node's replicas and retire it.
-		for _, bid := range blocks {
-			if d.HasBlock(bid) {
-				c.detachReplica(bid, id)
-			}
-		}
-		c.setState(d, StateDecommissioned, false)
-		c.finish(done, nil)
-	}
-	complete := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		outstanding--
-		if outstanding == 0 {
-			finishDrain()
-		}
-	}
-	var self NodeSet // the draining node: never its own drain target
-	self.Add(id)
-	var targets []DatanodeID
-	for _, bid := range blocks {
-		targets = c.placement.ChooseTargets(targets[:0], c, c.view(bid), 1, -1, &self)
-		if len(targets) == 0 {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("hdfs: no target to drain block %d off %s", bid, d.Name)
-			}
-			continue
-		}
-		outstanding++
-		c.AddReplica(bid, targets[0], complete)
-	}
-	if outstanding == 0 {
-		finishDrain()
-	}
 }
 
 // Restart brings a down node back empty (fresh disk), active, and

@@ -26,17 +26,6 @@ type Job struct {
 	// ComputePerMB is map-side compute cost per input MB (beyond the read).
 	ComputePerMB time.Duration
 
-	// Reducers, when positive, adds a reduce stage: after the last map
-	// task, each reducer fetches its shuffle partition (SelectivityPct% of
-	// the input, split evenly) from the map nodes over the network, then
-	// computes for ReducePerMB per fetched MB. Zero keeps the job map-only.
-	Reducers int
-	// SelectivityPct is the map output volume as a percentage of the input
-	// (default 20 — typical aggregation jobs shrink their data).
-	SelectivityPct float64
-	// ReducePerMB is reduce-side compute cost per shuffled MB.
-	ReducePerMB time.Duration
-
 	SubmitTime time.Duration
 	StartTime  time.Duration
 	EndTime    time.Duration
@@ -59,12 +48,6 @@ type Job struct {
 	total     int
 	attempts  map[hdfs.BlockID]*taskAttempt
 	taskSecs  float64 // summed completed-task durations
-	// mapNodes records how much map output each node produced, feeding the
-	// shuffle.
-	mapNodes map[topology.NodeID]float64
-	reducing int
-	// ShuffledBytes totals the data moved by the shuffle.
-	ShuffledBytes float64
 
 	NodeLocalTasks int
 	RackLocalTasks int
@@ -157,15 +140,11 @@ func (c *Cluster) Submit(j *Job) error {
 	if j.Weight <= 0 {
 		j.Weight = 1
 	}
-	if j.Reducers > 0 && j.SelectivityPct <= 0 {
-		j.SelectivityPct = 20
-	}
 	c.nextID++
 	j.ID = c.nextID
 	j.SubmitTime = c.hdfs.Clock().Now()
 	j.pending = append([]hdfs.BlockID(nil), f.Blocks...)
 	j.total = len(j.pending)
-	j.mapNodes = make(map[topology.NodeID]float64)
 	j.attempts = make(map[hdfs.BlockID]*taskAttempt)
 	c.jobs = append(c.jobs, j)
 	c.dispatch()
@@ -354,7 +333,6 @@ func (c *Cluster) launch(j *Job, bid hdfs.BlockID, node topology.NodeID, backup 
 			default:
 				j.RemoteTasks++
 			}
-			j.mapNodes[node] += bytes * j.SelectivityPct / 100
 			j.taskSecs += (c.hdfs.Clock().Now() - att.start).Seconds()
 			if backup {
 				j.SpeculativeWon++
@@ -379,12 +357,8 @@ func (c *Cluster) finishTask(j *Job, node topology.NodeID, err error) {
 	if err != nil && j.Err == nil {
 		j.Err = err
 	}
-	if j.completed == j.total && len(j.pending) == 0 && !j.Done && j.reducing == 0 {
-		if j.Reducers > 0 && j.Err == nil {
-			c.startShuffle(j)
-		} else {
-			c.completeJob(j)
-		}
+	if j.completed == j.total && len(j.pending) == 0 && !j.Done {
+		c.completeJob(j)
 	}
 	c.dispatch()
 	if j.Speculative && !j.Done && len(j.pending) == 0 {
@@ -477,61 +451,4 @@ func (c *Cluster) pickSpeculative(node topology.NodeID) (*Job, hdfs.BlockID, boo
 		}
 	}
 	return nil, 0, false
-}
-
-// startShuffle runs the reduce stage: each reducer (placed round-robin on
-// active nodes) fetches its 1/R share of every map node's output over the
-// network, then computes. Reducers run concurrently; the job finishes when
-// the last one does.
-func (c *Cluster) startShuffle(j *Job) {
-	h := c.hdfs
-	nodes := h.Active()
-	if len(nodes) == 0 {
-		j.Err = fmt.Errorf("mapred: no active nodes for reducers")
-		c.completeJob(j)
-		return
-	}
-	j.reducing = j.Reducers
-	for r := 0; r < j.Reducers; r++ {
-		reducer := topology.NodeID(nodes[r%len(nodes)])
-		// Fetch this reducer's partition from every map node, in
-		// deterministic node order.
-		mapNodes := make([]topology.NodeID, 0, len(j.mapNodes))
-		for node := range j.mapNodes {
-			mapNodes = append(mapNodes, node)
-		}
-		sort.Slice(mapNodes, func(a, b int) bool { return mapNodes[a] < mapNodes[b] })
-		var fetches int
-		var fetched float64
-		reducerDone := func() {
-			compute := time.Duration(float64(j.ReducePerMB) * fetched / topology.MB)
-			c.hdfs.Clock().Schedule(compute, func() {
-				j.reducing--
-				if j.reducing == 0 {
-					c.completeJob(j)
-				}
-			})
-		}
-		for _, node := range mapNodes {
-			part := j.mapNodes[node] / float64(j.Reducers)
-			if part <= 0 {
-				continue
-			}
-			fetched += part
-			if node == reducer {
-				continue // local partition needs no network fetch
-			}
-			fetches++
-			j.ShuffledBytes += part
-			h.Transfer(node, reducer, part, func() {
-				fetches--
-				if fetches == 0 {
-					reducerDone()
-				}
-			})
-		}
-		if fetches == 0 {
-			reducerDone()
-		}
-	}
 }

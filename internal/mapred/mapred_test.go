@@ -200,78 +200,6 @@ func TestRunningTasksGauge(t *testing.T) {
 	}
 }
 
-func TestReduceStageExtendsJobAndShuffles(t *testing.T) {
-	run := func(reducers int) (*Job, time.Duration) {
-		e, h, mr := newRuntime(t, NewFIFO())
-		h.CreateFile("/in", 512*mb, 3, 0)
-		j := &Job{Name: "agg", File: "/in", Reducers: reducers,
-			ReducePerMB: 5 * time.Millisecond}
-		if err := mr.Submit(j); err != nil {
-			t.Fatal(err)
-		}
-		e.Run()
-		if !j.Done || j.Err != nil {
-			t.Fatalf("job: %+v", j)
-		}
-		return j, j.Duration()
-	}
-	mapOnly, d0 := run(0)
-	withReduce, d2 := run(2)
-	if d2 <= d0 {
-		t.Fatalf("reduce stage added no time: %v vs %v", d2, d0)
-	}
-	if mapOnly.ShuffledBytes != 0 {
-		t.Fatal("map-only job shuffled data")
-	}
-	if withReduce.ShuffledBytes <= 0 {
-		t.Fatal("reduce job shuffled nothing")
-	}
-	// Shuffle volume is bounded by selectivity% of the input.
-	if withReduce.ShuffledBytes > 512*mb*withReduce.SelectivityPct/100 {
-		t.Fatalf("shuffled %v MB, more than the map output", withReduce.ShuffledBytes/mb)
-	}
-}
-
-func TestReduceDefaultsSelectivity(t *testing.T) {
-	e, h, mr := newRuntime(t, NewFIFO())
-	h.CreateFile("/in", 128*mb, 3, 0)
-	j := &Job{Name: "j", File: "/in", Reducers: 1}
-	mr.Submit(j)
-	e.Run()
-	if j.SelectivityPct != 20 {
-		t.Fatalf("selectivity = %v, want default 20", j.SelectivityPct)
-	}
-	if !j.Done {
-		t.Fatal("job incomplete")
-	}
-}
-
-func TestShuffleVolumeIsMapOutputMinusLocal(t *testing.T) {
-	run := func(reducers int) *Job {
-		e, h, mr := newRuntime(t, NewFIFO())
-		h.CreateFile("/in", 1024*mb, 3, 0)
-		j := &Job{Name: "j", File: "/in", Reducers: reducers}
-		mr.Submit(j)
-		e.Run()
-		if !j.Done || j.Err != nil {
-			t.Fatalf("job: %+v", j)
-		}
-		return j
-	}
-	// Whatever the reducer count, the shuffle moves the map output minus
-	// the reducer-local partitions: strictly positive, strictly below the
-	// full map output, and at least half of it (partitions are spread over
-	// many map nodes, so locality can only absorb a small share).
-	for _, reducers := range []int{1, 4, 8} {
-		j := run(reducers)
-		output := j.BytesRead * j.SelectivityPct / 100
-		if j.ShuffledBytes <= output/2 || j.ShuffledBytes >= output {
-			t.Fatalf("reducers=%d: shuffled %v MB of %v MB map output",
-				reducers, j.ShuffledBytes/mb, output/mb)
-		}
-	}
-}
-
 func TestSpeculativeExecutionRescuesStraggler(t *testing.T) {
 	run := func(speculative bool) (*Job, time.Duration) {
 		e, h, mr := newRuntime(t, NewFIFO())

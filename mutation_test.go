@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"testing"
-	"time"
 
 	"erms"
 	"erms/internal/hdfs"
@@ -38,10 +37,6 @@ func TestEmptyPathRejected(t *testing.T) {
 					}
 				}
 			}
-			var werr error
-			sys.Write(1, "", 10*erms.MB, func(r *erms.WriteResult) { werr = r.Err })
-			sys.RunFor(time.Minute)
-			refused(`Write("")`, werr)
 			refused(`CreateFile("")`, sys.CreateFile("", 10*erms.MB))
 			// Renames from every shard: same-shard and cross-shard alike.
 			for _, p := range paths {

@@ -95,7 +95,7 @@ func TestStatus(t *testing.T) {
 				}
 				return
 			}
-			if st.Repair == nil || len(st.Repair.Queues) != 4 || st.Repair.MaxStreams != 36 || st.Repair.MaxStreamsPerNode != 2 {
+			if st.Repair == nil || len(st.Repair.Queues) != 3 || st.Repair.MaxStreams != 36 || st.Repair.MaxStreamsPerNode != 2 {
 				t.Errorf("repair block: %+v", st.Repair)
 			}
 		})
