@@ -482,4 +482,3 @@ func TestDeleteDropsJudgeState(t *testing.T) {
 		t.Fatal("deleted file's state retained")
 	}
 }
-

@@ -259,8 +259,9 @@ func (c *Cluster) journalPos() uint64 {
 }
 
 // RestoredJournalSeq returns the journal position recorded in the last
-// checkpoint this cluster restored (zero if none): replaying a journal
-// tail from this sequence number brings the cluster up to date.
+// checkpoint this cluster restored (zero if none), advanced past every
+// entry replayed since: replaying a journal tail from this sequence number
+// brings the cluster up to date.
 func (c *Cluster) RestoredJournalSeq() uint64 { return c.ckptJournalSeq }
 
 // checkpointed lists the serialized metric fields, *int or *float64, in

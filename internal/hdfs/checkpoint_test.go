@@ -295,9 +295,10 @@ func TestRestoreRejectsOverlongVarint(t *testing.T) {
 
 // forgeCheckpoint writes, field by field, a checkpoint of one one-block
 // file into c's configuration, with the header's nextBlock, the block's one
-// replica node and the partitioned racks as given: the checksum is valid,
-// so only the decoder's own checks stand between these values and restore.
-func forgeCheckpoint(c *Cluster, nextBlock, node uint64, racks ...uint64) []byte {
+// replica node, every node's state and the partitioned racks as given: the
+// checksum is valid, so only the decoder's own checks stand between these
+// values and restore.
+func forgeCheckpoint(c *Cluster, nextBlock, node uint64, state NodeState, racks ...uint64) []byte {
 	w := wire.Begin(nil, checkpointMagic, CheckpointVersion)
 	w = binary.LittleEndian.AppendUint64(w, c.ConfigDigest())
 	for _, v := range []uint64{0, 0, nextBlock, 1, uint64(len(c.datanodes))} {
@@ -317,7 +318,7 @@ func forgeCheckpoint(c *Cluster, nextBlock, node uint64, racks ...uint64) []byte
 	w.Uvarint(1) // block 0's replicas
 	w.Uvarint(node)
 	for range c.datanodes {
-		w.Uvarint(uint64(StateActive))
+		w.Uvarint(uint64(state))
 		w = append(w, 0, 0, 0, 0, 0, 0, 0) // stale, crashed, three times, two empty sets
 	}
 	w.Uvarint(uint64(len(racks)))
@@ -338,7 +339,7 @@ func forgeCheckpoint(c *Cluster, nextBlock, node uint64, racks ...uint64) []byte
 // restored but re-encoded shorter.
 func TestRestoreRejectsForgedHeaders(t *testing.T) {
 	newC := func() *Cluster { return New(sim.NewEngine(), ckptConfig()) }
-	if err := newC().RestoreCheckpoint(bytes.NewReader(forgeCheckpoint(newC(), 1, 0, 1))); err != nil {
+	if err := newC().RestoreCheckpoint(bytes.NewReader(forgeCheckpoint(newC(), 1, 0, StateActive, 1))); err != nil {
 		t.Fatalf("the unforged baseline does not restore: %v", err)
 	}
 	for _, tc := range []struct {
@@ -346,9 +347,10 @@ func TestRestoreRejectsForgedHeaders(t *testing.T) {
 		data []byte
 		want string
 	}{
-		{"nextBlock 2^63", forgeCheckpoint(newC(), 1<<63, 0), "implausible"},
-		{"replica node 2^64-1", forgeCheckpoint(newC(), 1, math.MaxUint64), "bad or duplicate replica node"},
-		{"repeated rack", forgeCheckpoint(newC(), 1, 0, 1, 1), "repeated rack"},
+		{"nextBlock 2^63", forgeCheckpoint(newC(), 1<<63, 0, StateActive), "implausible"},
+		{"replica node 2^64-1", forgeCheckpoint(newC(), 1, math.MaxUint64, StateActive), "bad or duplicate replica node"},
+		{"repeated rack", forgeCheckpoint(newC(), 1, 0, StateActive, 1, 1), "repeated rack"},
+		{"node state 4", forgeCheckpoint(newC(), 1, 0, 4), "unknown state 4"},
 	} {
 		c := newC()
 		if err := c.RestoreCheckpoint(bytes.NewReader(tc.data)); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -442,6 +444,8 @@ func TestReplayJournalValidation(t *testing.T) {
 		{Op: auditlog.OpBlockAdd, Block: 5},                                            // out-of-sequence block
 		{Op: auditlog.OpReplicaAdd, Block: 1 << 40, Node: 0},                           // unknown block
 		{Op: auditlog.OpNodeState, Node: 99, State: int(StateDown)},                    // unknown node
+		{Op: auditlog.OpNodeState, Node: 0, State: 3},                                  // retired state
+		{Op: auditlog.OpNodeState, Node: 0, State: 4},                                  // retired state
 		{Op: auditlog.OpNodeState, Node: 0, State: 42},                                 // unknown state
 	} {
 		_, c3, err := restoreFrom(t, ckpt.Bytes())

@@ -421,8 +421,9 @@ type Cluster struct {
 	// every durable namenode mutation; replaying stands a failover twin
 	// up from a checkpoint. replaying suppresses re-emission, and
 	// setState's uptime billing and flow aborts, while the journal's own
-	// entries are being applied. ckptJournalSeq carries the
-	// journal position of the checkpoint this cluster restored from.
+	// entries are being applied. ckptJournalSeq is the journal position
+	// the state reflects: the restored checkpoint's, advanced past each
+	// replayed entry.
 	journal        *auditlog.Journal
 	replaying      bool
 	ckptJournalSeq uint64

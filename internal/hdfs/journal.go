@@ -63,46 +63,53 @@ func (c *Cluster) jlog(e auditlog.Entry) {
 // current as they go. The first entry must match the checkpoint's recorded
 // journal position (RestoredJournalSeq) so a tail can never be applied to
 // the wrong base state; replay stops with an error on the first entry
-// that fails validation.
+// that fails validation, the entries before it applied.
 func (c *Cluster) ReplayJournal(entries []auditlog.Entry) error {
-	if len(entries) == 0 {
-		return nil
-	}
-	if c.ckptJournalSeq != 0 && entries[0].Seq != c.ckptJournalSeq {
-		return fmt.Errorf("hdfs: journal tail starts at seq %d, checkpoint expects %d",
-			entries[0].Seq, c.ckptJournalSeq)
-	}
 	c.replaying = true
 	defer func() { c.replaying = false }()
-	prev := entries[0].Seq - 1
-	for _, e := range entries {
-		if e.Seq != prev+1 {
-			return fmt.Errorf("hdfs: journal gap: entry %d follows %d", e.Seq, prev)
-		}
-		prev = e.Seq
-		if err := c.applyEntry(e); err != nil {
-			return fmt.Errorf("hdfs: replay seq %d (%s): %w", e.Seq, e.Op, err)
+	for i := range entries {
+		if err := c.replayEntry(&entries[i], i == 0); err != nil {
+			return err
 		}
 	}
-	c.ckptJournalSeq = prev + 1
 	return nil
 }
 
 // ReplayJournalFrom is ReplayJournal for the tail of j from Seq from,
-// decoded as it is applied, not copied out first: each entry replays as a
-// one-entry tail, whose first-entry check is the sequence check against
-// the entry before. A tail j no longer retains is an error.
+// decoded as it is applied, not copied out first. A tail j no longer
+// retains is an error.
 func (c *Cluster) ReplayJournalFrom(j *auditlog.Journal, from uint64) (err error) {
 	if from < j.Start() {
 		return fmt.Errorf("hdfs: journal truncated past seq %d (retained from %d)", from, j.Start())
 	}
-	one := make([]auditlog.Entry, 1)
+	c.replaying = true
+	defer func() { c.replaying = false }()
+	first := true
 	j.Each(from, func(e *auditlog.Entry) bool {
-		one[0] = *e
-		err = c.ReplayJournal(one)
+		err = c.replayEntry(e, first)
+		first = false
 		return err == nil
 	})
 	return err
+}
+
+// replayEntry is the one replay step: e must carry the sequence the cluster
+// expects next — the checkpoint's position for the first entry of a tail
+// (any, when the checkpoint recorded none), the one after its predecessor
+// for the rest — and then it is applied and the expected sequence moves
+// past it.
+func (c *Cluster) replayEntry(e *auditlog.Entry, first bool) error {
+	if c.ckptJournalSeq != 0 && e.Seq != c.ckptJournalSeq {
+		if first {
+			return fmt.Errorf("hdfs: journal tail starts at seq %d, checkpoint expects %d", e.Seq, c.ckptJournalSeq)
+		}
+		return fmt.Errorf("hdfs: journal gap: entry %d follows %d", e.Seq, c.ckptJournalSeq-1)
+	}
+	if err := c.applyEntry(*e); err != nil {
+		return fmt.Errorf("hdfs: replay seq %d (%s): %w", e.Seq, e.Op, err)
+	}
+	c.ckptJournalSeq = e.Seq + 1
+	return nil
 }
 
 // applyEntry validates one journal entry, then applies it through the
