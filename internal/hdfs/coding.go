@@ -58,6 +58,12 @@ func (c *Cluster) EncodeFile(path string, k, m int, done func(error)) {
 		c.finish(done, err)
 		return
 	}
+	// A retry of a failed attempt drops that attempt's parity first, so
+	// parity j of stripe s is again the file's (s·m+j)-th parity block,
+	// the position a restore numbers it by.
+	if len(f.Parity) > 0 {
+		c.clearGeometry(f)
+	}
 	c.setGeometry(f, k, m)
 	stripes := (len(f.Blocks) + k - 1) / k
 	outstanding := 0

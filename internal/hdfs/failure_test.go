@@ -1,9 +1,11 @@
 package hdfs
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
+	"erms/internal/auditlog"
 	"erms/internal/sim"
 	"erms/internal/topology"
 )
@@ -80,6 +82,63 @@ func TestKillEncoderSourceDuringEncode(t *testing.T) {
 	// Either outcome is acceptable (fail cleanly or succeed from other
 	// replicas), but the namespace must stay consistent either way.
 	_ = err
+	checkConsistency(t, c)
+}
+
+// TestEncodeRetryKeepsOneStripeLayout: a retry of a failed encode (Condor
+// retries ActionEncode before it rolls back) mints its parity over the
+// failed attempt's leftovers, so the file must end with exactly stripes × m
+// parity blocks, numbered so that a restore, which numbers parity by list
+// position, derives the same stripe members as the live cluster.
+func TestEncodeRetryKeepsOneStripeLayout(t *testing.T) {
+	e, c := newCluster(t)
+	c.SetJournal(auditlog.NewJournal())
+	f, _ := c.CreateFile("/cold", 320*mb, 3, 0) // 5 blocks: stripes of 2, 2, 1
+	const k, m = 2, 2
+	var before bytes.Buffer
+	if err := c.WriteCheckpoint(&before); err != nil {
+		t.Fatal(err)
+	}
+	seq := c.Journal().NextSeq()
+	var err error
+	c.EncodeFile("/cold", k, m, func(e2 error) { err = e2 })
+	// Node 0 holds the writer's replica of every block: killing it
+	// mid-encode aborts the reads streaming from it.
+	e.Schedule(500*time.Millisecond, func() { c.Kill(0) })
+	e.Run()
+	if err == nil {
+		t.Fatal("setup: the first encode attempt did not fail")
+	}
+	c.EncodeFile("/cold", k, m, func(e2 error) { err = e2 })
+	e.Run()
+	if err != nil {
+		t.Fatalf("retry: %v", err)
+	}
+	if want := 3 * m; len(f.Parity) != want {
+		t.Fatalf("%d parity blocks after the retry, want %d", len(f.Parity), want)
+	}
+	var after bytes.Buffer
+	if err := c.WriteCheckpoint(&after); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := c.Shadow(after.Bytes(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := c.Shadow(before.Bytes(), c.Journal().Tail(seq))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pid := range f.Parity {
+		live, _ := c.Block(pid)
+		for name, s := range map[string]*Cluster{"restored": restored, "replayed": replayed} {
+			b, ok := s.Block(pid)
+			if !ok || b.Index != live.Index || b.Group != live.Group {
+				t.Errorf("parity %d: %s {Index %d, Group %d}, live {Index %d, Group %d}",
+					pid, name, b.Index, b.Group, live.Index, live.Group)
+			}
+		}
+	}
 	checkConsistency(t, c)
 }
 
