@@ -1,8 +1,12 @@
 // Coldarchive: the cold-data lifecycle — files nobody reads are
 // Reed–Solomon encoded (one replica + four parities), reclaiming ~55% of
-// their storage without losing fault tolerance; a node failure afterwards
-// is repaired by stripe reconstruction; and a renewed burst of accesses
-// decodes the file back to full triplication.
+// their storage; a stripe then survives the loss of any four of its
+// blocks, so a node failure afterwards is repaired by stripe
+// reconstruction, but not a rack outage that takes more than four (the
+// default standby set leaves active nodes on two racks, and an outage of
+// either takes more than four blocks of each of this example's stripes);
+// and a renewed burst of accesses decodes the file back to full
+// triplication.
 package main
 
 import (

@@ -116,7 +116,7 @@ func TestRankPrefersBetterMachine(t *testing.T) {
 		{"roomier machine is standby", []machine{{"small", "active", 10}, {"big", "standby", 500}}, "place@small"},
 		{"roomier machine has no State", []machine{{"small", "active", 10}, {"big", "", 500}}, "place@small"},
 		{"no machine advertises State", []machine{{"a", "", 10}, {"b", "", 500}}, ""},
-		{"every machine is down", []machine{{"a", "down", 10}, {"b", "decommissioning", 500}}, ""},
+		{"every machine is down", []machine{{"a", "down", 10}, {"b", "down", 500}}, ""},
 	} {
 		e := sim.NewEngine()
 		s := New(e, Config{NegotiationPeriod: time.Second})

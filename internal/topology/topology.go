@@ -231,9 +231,3 @@ func (t *Topology) TransferPath(src, dst NodeID) []LinkID {
 	var buf [MaxReadPath + 1]LinkID
 	return exact(append(t.AppendReadPath(buf[:0], src, dst), t.Nodes[dst].Disk))
 }
-
-// RackUplink exposes rack r's uplink (for reports).
-func (t *Topology) RackUplink(r int) LinkID { return t.rackUp[r] }
-
-// RackDownlink exposes rack r's downlink.
-func (t *Topology) RackDownlink(r int) LinkID { return t.rackDown[r] }

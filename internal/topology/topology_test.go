@@ -83,7 +83,7 @@ func TestCrossRackReadPathIncludesUplinks(t *testing.T) {
 	if len(p) != 5 {
 		t.Fatalf("cross-rack path length = %d, want 5", len(p))
 	}
-	if p[2] != topo.RackUplink(0) || p[3] != topo.RackDownlink(1) {
+	if p[2] != topo.rackUp[0] || p[3] != topo.rackDown[1] {
 		t.Fatalf("path missing rack hops: %v", p)
 	}
 }

@@ -10,10 +10,10 @@ import (
 	"erms/internal/hdfs"
 )
 
-// TestEmptyPathRejected: "" never enters the namespace — not by create,
-// pipelined write or rename, on one shard or two — so the snapshot →
-// failover → restore cycle, whose checkpoint decode refuses an empty path,
-// keeps working afterwards.
+// TestEmptyPathRejected: "" never enters the namespace — not by create or
+// rename, on one shard or two — so the snapshot → failover → restore
+// cycle, whose checkpoint decode refuses an empty path, keeps working
+// afterwards.
 func TestEmptyPathRejected(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
