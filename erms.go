@@ -149,8 +149,8 @@ type Options struct {
 	// checkpoint restore), exiting only after a stable dwell.
 	SafeMode SafeModeConfig
 	// Repair caps the prioritized re-replication pipeline: cluster-wide and
-	// per-node stream limits. Zero fields take defaults; ignored when DisableERMS is set (repairs are the
-	// manager's job).
+	// per-node stream limits. Zero fields take defaults; ignored when
+	// DisableERMS is set (repairs are the manager's job).
 	Repair RepairConfig
 	// Clock, when non-nil, puts the System in service mode: virtual time
 	// is paced against this wall clock instead of being driven by RunFor.

@@ -15,7 +15,6 @@
 # Usage: bash scripts/shippedcover.sh   (GO=... picks the toolchain)
 set -euo pipefail
 cd "$(dirname "$0")/.."
-root=$PWD
 GO=${GO:-go}
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
