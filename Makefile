@@ -238,7 +238,7 @@ loc:
 # OpBlockAdd replay check against that derivation and a replay straight
 # from the old journal, while deleting restore's block arena and rename's
 # per-block path rewrite: hot-small's live heap falls 48.3 -> 41.8 MB;
-# 21,700 with what only tests ran deleted (result 21,681, rounded up): the
+# 21,700 with what only tests ran deleted (result 21,678, rounded up): the
 # decommission drain, pipelined writes, the MapReduce reduce stage, the
 # repair bandwidth budget and its token bucket, the per-block read tally
 # and threshold calibration, which no figure, command, example or

@@ -396,9 +396,6 @@ func (c *Cluster) scheduleSpeculationCheck(j *Job) {
 }
 
 func (c *Cluster) completeJob(j *Job) {
-	if j.Done {
-		return
-	}
 	j.Done = true
 	j.EndTime = c.hdfs.Clock().Now()
 	for _, fn := range c.onDone {
