@@ -12,8 +12,11 @@ import (
 // BenchmarkCheckpoint / BenchmarkRestore pin the failover budget: how
 // fast the namenode can serialize its durable state and how fast a
 // standby can load it. They use the same 300-node / 10,000-file cluster
-// as the BenchmarkScale* suite, so regressions show up in the same
-// BENCH baseline diff.
+// as the BenchmarkScale* suite. No baseline file holds their numbers:
+// `make bench` prints them, and a regression shows in paired rounds of
+// the parent and the change, `make benchpair PKG=./internal/experiments
+// BENCH='Checkpoint|Restore'`, which appends each side's median to
+// BENCH_trajectory.jsonl.
 
 // BenchmarkCheckpoint measures the full checkpoint encode — namespace,
 // block map, replica lists, node states, checksum trailer — reusing the

@@ -14,6 +14,7 @@ func BenchmarkSynthesize(b *testing.B) {
 		{"swim-large", swimLargeShape(1)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				Synthesize(bc.cfg)
 			}

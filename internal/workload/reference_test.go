@@ -149,21 +149,101 @@ func randomConfig(rng *rand.Rand) Config {
 
 // TestSynthesizeMatchesReference: Synthesize and the verbatim serial loop
 // give deeply equal traces (a nil Jobs slice included) on 60 seeded random
-// configs.
+// configs and on two 200 h configs at a 5-minute half-life whose picks
+// take the exact loop: over 16 files a late file's exp(λ·at) overflows,
+// so every pick does; over 6 files only those whose newest live file is
+// over 160 h old, its weight below 1e-290, do. The configs the figures,
+// ermsctl and the hotdata example pass to Synthesize, and the swim-large
+// shape at seeds 1–3, pick every job by prefix sums.
 func TestSynthesizeMatchesReference(t *testing.T) {
+	long := func(files int) Config {
+		return Config{Seed: 1, Duration: 200 * time.Hour, NumFiles: files,
+			MeanInterarrival: 30 * time.Second, PopularityHalfLife: 5 * time.Minute}
+	}
 	rng := rand.New(rand.NewSource(33))
+	cfgs := []Config{long(16), long(6)}
 	for i := 0; i < 60; i++ {
-		cfg := randomConfig(rng)
-		want, got := referenceSynthesize(cfg), Synthesize(cfg)
-		if !reflect.DeepEqual(got, want) {
+		cfgs = append(cfgs, randomConfig(rng))
+	}
+	for i, cfg := range cfgs {
+		got, fallbacks := synthesize(cfg)
+		if want := referenceSynthesize(cfg); !reflect.DeepEqual(got, want) {
 			t.Fatalf("config %d %+v: trace differs from the reference (%d vs %d jobs)",
 				i, cfg, len(got.Jobs), len(want.Jobs))
+		}
+		switch {
+		case i == 0 && fallbacks != len(got.Jobs):
+			t.Errorf("16-file 200 h config: %d of %d picks exact, want all", fallbacks, len(got.Jobs))
+		case i == 1 && (fallbacks == 0 || fallbacks == len(got.Jobs)):
+			t.Errorf("6-file 200 h config: %d of %d picks exact, want some", fallbacks, len(got.Jobs))
+		}
+	}
+
+	shipped := map[string]Config{
+		"fig3":       {Seed: 1, Duration: 45 * time.Minute, NumFiles: 16, MeanInterarrival: 4 * time.Second, MaxFileSize: topology.GB},
+		"fig3 full":  {Seed: 1, Duration: 2 * time.Hour, NumFiles: 30, MeanInterarrival: 4 * time.Second, MaxFileSize: topology.GB},
+		"fig4":       {Seed: 1, Duration: 2 * time.Hour},
+		"fig4 full":  {Seed: 1, Duration: 6 * time.Hour},
+		"fig5":       {Seed: 1, Duration: 90 * time.Minute, NumFiles: 16, MeanInterarrival: 6 * time.Second, PopularityHalfLife: 25 * time.Minute, MaxFileSize: topology.GB},
+		"fig5 full":  {Seed: 1, Duration: 3 * time.Hour, NumFiles: 24, MeanInterarrival: 6 * time.Second, PopularityHalfLife: 25 * time.Minute, MaxFileSize: topology.GB},
+		"durability": {Seed: 1, Duration: 2 * time.Hour, NumFiles: 16, MeanInterarrival: 10 * time.Second, MaxFileSize: 512 * topology.MB},
+		"ermsctl":    {Seed: 1, Duration: time.Hour, NumFiles: 20, MeanInterarrival: 6 * time.Second},
+		"hotdata":    {Seed: 1, Duration: 45 * time.Minute, NumFiles: 16, MeanInterarrival: 4 * time.Second, MaxFileSize: topology.GB},
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		shipped[fmt.Sprintf("swim-large seed %d", seed)] = swimLargeShape(seed)
+	}
+	for name, cfg := range shipped {
+		if _, fallbacks := synthesize(cfg); fallbacks != 0 {
+			t.Errorf("%s: %d picks took the exact loop, want 0", name, fallbacks)
 		}
 	}
 }
 
-// TestSynthesizeWorkerInvariance: the trace does not depend on how many
-// workers make the weighted picks.
+// TestPickAtBoundaries: a uniform that puts the target on a prefix sum, or
+// one ulp either side of it, is where rounding can part the binary search
+// from the exact loop, so pick must hand it to the exact loop; a target
+// mid-way between two sums takes the search, and both agree with the
+// exact loop.
+func TestPickAtBoundaries(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for trial := 0; trial < 50; trial++ {
+		files := make([]FileSpec, 2+rng.Intn(40))
+		baseW := make([]float64, len(files))
+		for i := range files {
+			if i > 0 {
+				files[i].CreateAt = files[i-1].CreateAt + time.Duration(rng.Intn(3))*time.Duration(rng.Intn(600))*time.Second
+			}
+			baseW[i] = 1 / math.Pow(float64(1+rng.Intn(len(files))), 0.1+2*rng.Float64())
+		}
+		p := newPopularity(files, baseW, math.Ln2/float64(60+rng.Intn(7200)))
+		now := files[len(files)-1].CreateAt + time.Duration(rng.Intn(600))*time.Second
+		live := len(files)
+		newest := p.newest(now, live)
+		check := func(u float64, wantExact bool) {
+			got, exact := p.pick(now, live, u, newest)
+			want := weightedPick(p.w[:live], u*p.weights(now, live))
+			if got != want || exact != wantExact {
+				t.Fatalf("trial %d u %v: pick %d (exact %v), exact loop %d, want exact %v",
+					trial, u, got, exact, want, wantExact)
+			}
+		}
+		total := p.sums[live]
+		for k := 1; k < live; k++ {
+			if lo, hi := p.sums[k-1], p.sums[k]; hi-lo > 1e-6*total {
+				check((lo+hi)/2/total, false)
+			}
+			u := p.sums[k] / total
+			check(math.Nextafter(u, 0), true)
+			check(u, true)
+			check(math.Nextafter(u, 1), true)
+		}
+	}
+}
+
+// TestSynthesizeWorkerInvariance: the trace does not depend on GOMAXPROCS.
+// Synthesis runs on one goroutine, so this guards against a parallel pick
+// coming back with a dependence on the worker count.
 func TestSynthesizeWorkerInvariance(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(8))

@@ -13,11 +13,10 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"runtime"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"erms/internal/metrics"
@@ -130,6 +129,13 @@ func (c *Config) applyDefaults() {
 
 // Synthesize builds a deterministic trace from cfg.
 func Synthesize(cfg Config) *Trace {
+	tr, _ := synthesize(cfg)
+	return tr
+}
+
+// synthesize is Synthesize; it also returns how many jobs' files the exact
+// loop picked (see pick).
+func synthesize(cfg Config) (*Trace, int) {
 	cfg.applyDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tr := &Trace{Seed: cfg.Seed, Duration: cfg.Duration}
@@ -180,17 +186,13 @@ func Synthesize(cfg Config) *Trace {
 		phase := 2 * math.Pi * float64(t) / float64(cfg.DiurnalPeriod)
 		return 1 + float64(cfg.DiurnalAmplitude*math.Sin(phase))
 	}
-	// The job loop runs in two phases (DESIGN.md §11). This serial pass
-	// makes every rng draw in the order the trace has always used — gap,
-	// thinning draw, pick uniform, client — and records each job's live
-	// catalogue prefix: Files is sorted by CreateAt, so the files that exist
-	// at now are Files[:live]. The weighted picks, which are all the work,
-	// then run in parallel.
-	pop := &popularity{files: tr.Files, baseW: baseW, lambda: lambda}
-	scratch := make([]float64, len(tr.Files))
-	var draws []pickDraw
-	now := time.Duration(0)
-	live := 0
+	// Files is sorted by CreateAt: the files that exist at now are Files[:live].
+	// The pick draws nothing, so the rng's order is unchanged (DESIGN.md §11).
+	pop := newPopularity(tr.Files, baseW, lambda)
+	n := min(int(cfg.Duration/cfg.MeanInterarrival), 1<<20) // the mean job count; room for 4σ over it
+	tr.Jobs = make([]JobSpec, 0, n+4*int(math.Sqrt(float64(n)))+1)
+	fallbacks := 0
+	now, live := time.Duration(0), 0
 	for {
 		gap := time.Duration(rng.ExpFloat64() * float64(cfg.MeanInterarrival) / peakBoost)
 		now += gap
@@ -203,14 +205,30 @@ func Synthesize(cfg Config) *Trace {
 		for live < len(tr.Files) && tr.Files[live].CreateAt <= now {
 			live++
 		}
-		if !pop.positive(scratch, now, live) {
+		newest := pop.newest(now, live)
+		if newest == 0 && pop.weights(now, live) == 0 {
 			continue // every live weight underflowed: nothing to pick
 		}
-		draws = append(draws, pickDraw{live: live, u: rng.Float64()})
-		tr.Jobs = append(tr.Jobs, JobSpec{Submit: now, Client: rng.Intn(cfg.Clients), Compute: cfg.ComputePerMB})
+		pick, exact := pop.pick(now, live, rng.Float64(), newest)
+		if exact {
+			fallbacks++
+		}
+		tr.Jobs = append(tr.Jobs, JobSpec{Submit: now, File: tr.Files[pick].Path, Name: jobName(len(tr.Jobs) + 1),
+			Client: rng.Intn(cfg.Clients), Compute: cfg.ComputePerMB})
 	}
-	pop.pickAll(tr.Jobs, draws)
-	return tr
+	if len(tr.Jobs) == 0 {
+		tr.Jobs = nil
+	}
+	return tr, fallbacks
+}
+
+// jobName is fmt.Sprintf("job%04d", n) for n >= 0.
+func jobName(n int) string {
+	b := append(make([]byte, 0, 24), "job"...)
+	for d := 1000; d > 1 && n < d; d /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(n), 10))
 }
 
 // popularity is a trace's file popularity at any instant: each file's Zipf
@@ -219,19 +237,30 @@ type popularity struct {
 	files  []FileSpec // sorted by CreateAt
 	baseW  []float64
 	lambda float64
+	w      []float64 // the exact pick's weights
+	// sums[k] is c_0+…+c_{k-1}: c_i = baseW_i·exp(λ·at_i) is file i's weight
+	// at now times exp(λ·now), common to every file, so it picks the same.
+	// nil (every pick exact) past 1<<20 files or when a sum overflowed.
+	sums []float64
 }
 
-// pickDraw is what the serial pass records for a job's weighted pick: the
-// live catalogue prefix and the uniform the pick scales by the total.
-type pickDraw struct {
-	live int
-	u    float64
+func newPopularity(files []FileSpec, baseW []float64, lambda float64) *popularity {
+	p := &popularity{files: files, baseW: baseW, lambda: lambda, w: make([]float64, len(files))}
+	sums := make([]float64, len(files)+1)
+	for i, f := range files {
+		sums[i+1] = sums[i] + float64(baseW[i]*math.Exp(lambda*f.CreateAt.Seconds()))
+	}
+	// The sums only grow: the last is finite (not Inf, not 0·Inf) if all are.
+	if len(files) <= 1<<20 && sums[len(files)] <= math.MaxFloat64 {
+		p.sums = sums
+	}
+	return p
 }
 
-// weights fills w[:live] with the live files' weights at now and returns
+// weights fills p.w[:live] with the live files' weights at now and returns
 // their sum, added in index order. Files created at the same instant share
 // one exp, so the t=0 third of the catalogue costs one call per job.
-func (p *popularity) weights(w []float64, now time.Duration, live int) float64 {
+func (p *popularity) weights(now time.Duration, live int) float64 {
 	total := 0.0
 	decay := 0.0
 	for i := 0; i < live; i++ {
@@ -240,51 +269,44 @@ func (p *popularity) weights(w []float64, now time.Duration, live int) float64 {
 			decay = math.Exp(-p.lambda * age)
 		}
 		wi := float64(p.baseW[i] * decay)
-		w[i] = wi
+		p.w[i] = wi
 		total += wi
 	}
 	return total
 }
 
-// positive reports whether the live weights at now sum to more than zero.
-// The newest live file decays least, so its weight alone decides unless it
-// is 0 (its decay or its base weight underflowed); then the full sum,
-// computed as the pick computes it, does.
-func (p *popularity) positive(scratch []float64, now time.Duration, live int) bool {
+// newest is the newest live file's weight at now as weights computes it (0
+// with none live). It decays least: the live total is > 0 when newest is.
+func (p *popularity) newest(now time.Duration, live int) float64 {
 	if live == 0 {
-		return false
+		return 0
 	}
-	newest := p.files[live-1].CreateAt
-	if p.baseW[live-1]*math.Exp(-p.lambda*(now-newest).Seconds()) > 0 {
-		return true
-	}
-	return p.weights(scratch, now, live) > 0
+	age := (now - p.files[live-1].CreateAt).Seconds()
+	return p.baseW[live-1] * math.Exp(-p.lambda*age)
 }
 
-// pickAll fills in each job's File and Name. A job's pick reads only its
-// own draw and the read-only catalogue, so GOMAXPROCS workers take
-// contiguous chunks of jobs as they free up (late jobs cost more: the
-// catalogue grows), and the trace cannot depend on the worker count.
-func (p *popularity) pickAll(jobs []JobSpec, draws []pickDraw) {
-	const chunk = 256
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := runtime.GOMAXPROCS(0); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			buf := make([]float64, len(p.files))
-			for lo := int(next.Add(chunk)) - chunk; lo < len(jobs); lo = int(next.Add(chunk)) - chunk {
-				for j := lo; j < min(lo+chunk, len(jobs)); j++ {
-					d := draws[j]
-					total := p.weights(buf, jobs[j].Submit, d.live)
-					jobs[j].File = p.files[weightedPick(buf[:d.live], d.u*total)].Path
-					jobs[j].Name = fmt.Sprintf("job%04d", j+1)
-				}
-			}
-		}()
+// pick returns the live file that a job at now with uniform u reads, and
+// whether the exact loop (weights, then weightedPick) chose it; newest is
+// newest(now, live).
+//
+// It binary-searches the prefix sums for u·total. Those sums and the exact
+// loop's remainder differ by rounding alone: ≤ 4·2^-53 of the live total a
+// file plus ≈2e-13 from exp's arguments, under 5e-10 at 1<<20 files. So a
+// target over 1e-9 of the total from both sums bounding the file found has
+// the exact loop's answer; any other target takes the exact loop, as do all
+// when newest, a lower bound on the live total, is under 1e-290 (subnormal).
+func (p *popularity) pick(now time.Duration, live int, u, newest float64) (int, bool) {
+	if p.sums != nil && newest >= 1e-290 {
+		total := p.sums[live]
+		target := float64(u * total)
+		margin := float64(1e-9 * total)
+		k, _ := slices.BinarySearch(p.sums[1:live+1], target)
+		if target-p.sums[k] > margin && p.sums[k+1]-target > margin {
+			return k, false
+		}
 	}
-	wg.Wait()
+	total := p.weights(now, live)
+	return weightedPick(p.w[:live], u*total), true
 }
 
 // weightedPick returns the index at which u, less each weight in turn,
