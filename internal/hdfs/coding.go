@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"erms/internal/auditlog"
-	"erms/internal/erasure"
 	"erms/internal/netsim"
 	"erms/internal/topology"
 )
@@ -53,9 +52,9 @@ func (c *Cluster) EncodeFile(path string, k, m int, done func(error)) {
 		c.finish(done, fmt.Errorf("hdfs: invalid stripe RS(%d,%d)", k, m))
 		return
 	}
-	// Validate geometry early — the real codec would be built per stripe.
-	if _, err := erasure.NewCodec(k, m); err != nil {
-		c.finish(done, err)
+	// A Reed–Solomon code over GF(2^8) has at most 255 shards per stripe.
+	if k+m > 255 {
+		c.finish(done, fmt.Errorf("hdfs: RS(%d,%d) exceeds GF(256) capacity", k, m))
 		return
 	}
 	// A retry of a failed attempt drops that attempt's parity first, so

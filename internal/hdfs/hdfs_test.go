@@ -436,7 +436,11 @@ func TestEncodeValidation(t *testing.T) {
 	var errs []error
 	c.EncodeFile("/nope", 10, 4, func(err error) { errs = append(errs, err) })
 	c.EncodeFile("/a", 0, 4, func(err error) { errs = append(errs, err) })
+	c.EncodeFile("/a", 250, 10, func(err error) { errs = append(errs, err) }) // over GF(2^8)'s 255 shards
 	e.Run()
+	if len(errs) != 3 {
+		t.Fatalf("%d of 3 refusals reported", len(errs))
+	}
 	for i, err := range errs {
 		if err == nil {
 			t.Fatalf("case %d accepted", i)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"erms/internal/auditlog"
-	"erms/internal/erasure"
 	"erms/internal/sim"
 )
 
@@ -101,11 +100,10 @@ func (s ScrubConfig) ScanRate() float64 {
 // StartScrubber runs the verification scanner until the returned stop
 // function is called. Each pass walks BlocksPerScan blocks in sorted-ID
 // order from a persistent cursor: plain blocks have each replica's
-// checksum re-read; encoded stripes are verified with the real
-// Reed–Solomon codec (erasure.Verify) over deterministic synthetic shard
-// contents. Detected corruption routes through reportCorrupt, so
-// quarantine and OnCorruptReplica behave exactly as for read-detected
-// corruption.
+// checksum re-read; an encoded block has its whole stripe's flagged
+// members reported at once. Detected corruption routes through
+// reportCorrupt, so quarantine and OnCorruptReplica behave exactly as for
+// read-detected corruption.
 func (c *Cluster) StartScrubber(cfg ScrubConfig) func() {
 	if cfg.Period <= 0 {
 		cfg.Period = 30 * time.Second
@@ -169,43 +167,17 @@ func (c *Cluster) scrubBlock(bid BlockID) {
 	}
 }
 
-// scrubStripe verifies the erasure stripe containing block bid by running the
-// actual RS codec over synthetic shard contents: each member's clean
-// bytes are a deterministic pattern of its block ID, stored parity is the
-// codec's encoding of the clean data, and members flagged corrupt get
-// their first byte perturbed — so Verify fails exactly when a member has
-// rotted, and the flagged members are then quarantined. Stripes with a
-// missing member (no live replica) skip Verify — that is a repair
-// problem, not a scrub problem — but still surface flagged members.
+// scrubStripe checks the erasure stripe containing block bid as one unit:
+// every member replica flagged corrupt is reported, data and parity alike,
+// in flaggedMembers' order. A block scanner checks each replica against
+// its own checksum, so a stripe whose members all rotted is caught like
+// one with a single bad member.
 func (c *Cluster) scrubStripe(f *INode, bid BlockID) {
 	data, parity, ok := c.stripeOf(f, bid)
 	if !ok {
 		return
 	}
-	flagged := c.flaggedMembers(append(append([]BlockID{}, data...), parity...))
-	codec, err := erasure.NewCodec(len(data), len(parity))
-	if err == nil && c.stripeFullyLive(data, parity) {
-		const shardLen = 16
-		shards := make([][]byte, 0, len(data)+len(parity))
-		cleanData := make([][]byte, 0, len(data))
-		for _, bid := range data {
-			cleanData = append(cleanData, shardPattern(bid, shardLen))
-		}
-		storedParity, perr := codec.Encode(cleanData)
-		if perr == nil {
-			for i, bid := range data {
-				shards = append(shards, perturbIfCorrupt(c, bid, cleanData[i]))
-			}
-			for i, bid := range parity {
-				shards = append(shards, perturbIfCorrupt(c, bid, storedParity[i]))
-			}
-			if verified, verr := codec.Verify(shards); verr == nil && verified {
-				return // codec agrees: stripe is clean
-			}
-		}
-	}
-	// Verification failed (or could not run): quarantine flagged members.
-	for _, fl := range flagged {
+	for _, fl := range c.flaggedMembers(append(append([]BlockID{}, data...), parity...)) {
 		c.reportCorrupt(fl.bid, fl.dn)
 	}
 }
@@ -233,43 +205,4 @@ func (c *Cluster) flaggedMembers(members []BlockID) []flaggedReplica {
 		return out[i].dn < out[j].dn
 	})
 	return out
-}
-
-// stripeFullyLive reports whether every stripe member has a replica —
-// Verify needs all K+M shards present.
-func (c *Cluster) stripeFullyLive(data, parity []BlockID) bool {
-	for _, bid := range append(append([]BlockID{}, data...), parity...) {
-		if len(c.replicas[bid]) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// shardPattern derives a block's deterministic synthetic contents.
-func shardPattern(bid BlockID, n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = byte(int64(bid)*31 + int64(i)*7 + 3)
-	}
-	return out
-}
-
-// perturbIfCorrupt returns the clean shard, or a bit-flipped copy when any
-// replica of the member is flagged corrupt (single-replica members after
-// encoding, so "any" is "the" in practice).
-func perturbIfCorrupt(c *Cluster, bid BlockID, clean []byte) []byte {
-	corrupt := false
-	for _, dn := range c.replicas[bid] {
-		if c.datanodes[dn].corrupt[bid] {
-			corrupt = true
-			break
-		}
-	}
-	if !corrupt {
-		return clean
-	}
-	bad := append([]byte(nil), clean...)
-	bad[0] ^= 0xff
-	return bad
 }

@@ -88,44 +88,62 @@ func TestScrubberDetectsPlainCorruption(t *testing.T) {
 }
 
 // TestScrubberDetectsEncodedCorruption: corruption inside an erasure-coded
-// stripe is caught by the codec's verify pass even though no plain replica
-// comparison is possible.
+// stripe is caught by the stripe-wide scrub, which reports every member
+// replica flagged corrupt — one rotted member, or every data and parity
+// replica of the stripe at once — even though no plain replica comparison
+// is possible.
 func TestScrubberDetectsEncodedCorruption(t *testing.T) {
-	e, c := newCluster(t)
-	f, _ := c.CreateFile("/a", 256*mb, 3, 0)
-	encErr := error(nil)
-	encDone := false
-	c.EncodeFile("/a", 4, 2, func(err error) { encErr = err; encDone = true })
-	e.RunUntil(30 * time.Minute)
-	if !encDone || encErr != nil {
-		t.Fatalf("encode: done=%v err=%v", encDone, encErr)
-	}
-	f = c.File("/a")
-	if !f.Encoded || len(f.Parity) == 0 {
-		t.Fatal("file not encoded")
-	}
-	bid := f.Blocks[0]
-	reps := c.Replicas(bid)
-	if len(reps) == 0 {
-		t.Fatal("encoded block has no replica")
-	}
-	if err := c.CorruptReplica(bid, reps[0]); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name string
+		all  bool // corrupt every member replica, not just one
+	}{{"one member", false}, {"whole stripe", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, c := newCluster(t)
+			c.CreateFile("/a", 256*mb, 3, 0)
+			encErr := error(nil)
+			encDone := false
+			c.EncodeFile("/a", 4, 2, func(err error) { encErr = err; encDone = true })
+			e.RunUntil(30 * time.Minute)
+			if !encDone || encErr != nil {
+				t.Fatalf("encode: done=%v err=%v", encDone, encErr)
+			}
+			f := c.File("/a")
+			if !f.Encoded || len(f.Parity) == 0 {
+				t.Fatal("file not encoded")
+			}
+			members := []BlockID{f.Blocks[0]}
+			if tc.all {
+				members = append(append([]BlockID{}, f.Blocks...), f.Parity...)
+			}
+			corrupted := 0
+			for _, bid := range members {
+				reps := c.Replicas(bid)
+				if len(reps) == 0 {
+					t.Fatalf("stripe member %d has no replica", bid)
+				}
+				for _, dn := range reps {
+					if err := c.CorruptReplica(bid, dn); err != nil {
+						t.Fatal(err)
+					}
+					corrupted++
+				}
+			}
 
-	fired := 0
-	c.OnCorruptReplica(func(BlockID, DatanodeID) { fired++ })
-	stop := c.StartScrubber(ScrubConfig{Period: 10 * time.Second, BlocksPerScan: 200})
-	defer stop()
-	e.RunFor(2 * time.Minute)
+			fired := 0
+			c.OnCorruptReplica(func(BlockID, DatanodeID) { fired++ })
+			stop := c.StartScrubber(ScrubConfig{Period: 10 * time.Second, BlocksPerScan: 200})
+			defer stop()
+			e.RunFor(2 * time.Minute)
 
-	if fired == 0 {
-		t.Fatal("scrubber missed corruption in an encoded stripe")
+			if fired != corrupted {
+				t.Fatalf("OnCorruptReplica fired %d times for %d corrupt replicas", fired, corrupted)
+			}
+			if got := c.Metrics().CorruptDetected; got != corrupted {
+				t.Fatalf("CorruptDetected = %d, want %d", got, corrupted)
+			}
+			checkConsistency(t, c)
+		})
 	}
-	if c.Metrics().CorruptDetected == 0 {
-		t.Fatal("CorruptDetected not counted for stripe corruption")
-	}
-	checkConsistency(t, c)
 }
 
 // TestLastCopyCorruptionNotDropped: when the corrupt replica is the only
