@@ -109,9 +109,9 @@ func TestClockSeamEquivalence(t *testing.T) {
 	})
 
 	t.Run("storm-digest-through-seam", func(t *testing.T) {
-		// The timers the seam threads — heartbeats, safe-mode monitor,
-		// scrubber, replication monitor — under a seeded failure storm:
-		// the storm digest through the seam must equal the direct run.
+		// The timers the seam threads — heartbeats and the safe-mode
+		// monitor — under a seeded failure storm: the storm digest
+		// through the seam must equal the direct run.
 		runStorm := func(clock sim.Clock, engine *sim.Engine) (uint64, hdfs.Metrics) {
 			topo := topology.New(topology.Config{Racks: 3, NodeCount: 18})
 			c := hdfs.New(clock, hdfs.Config{

@@ -101,8 +101,11 @@ func TestRuntimeTableMarkdown(t *testing.T) {
 // printed before the evaluation harness was trimmed:
 // testdata/quick.golden is `figures -fig all -seed 1 -parallel 1` on one
 // core (so scale is skipped), recorded at b06bcd0, and there is no -update
-// path. The one difference since is the placement ablation's last column,
-// which reports replica skew where it reported balancer traffic.
+// path. Two differences since: the placement ablation's last column
+// reports replica skew where it reported balancer traffic, and the
+// durability table counts 125 repair jobs where it counted 127, with
+// time-to-repair p50 5.48 s where it was 5.46 s, since a repair no longer
+// re-copies a block whose copies are already in flight.
 func TestQuickScaleGolden(t *testing.T) {
 	tasks, _ := buildTasks("all", figOpts{seed: 1, parallel: 1, cores: 1})
 	results, err := sweep.Run(context.Background(), sweep.Options{Parallel: 1}, tasks)

@@ -64,74 +64,68 @@ func (r *RepairConfig) applyDefaults(datanodes int) {
 }
 
 // repairable reports whether the pipeline can act on the damaged block at
-// all: parity blocks only matter once lost, and a lost block without
-// erasure protection has nothing to rebuild from.
+// all: a lost block only if erasure protection can rebuild it, any other
+// only while the copies already in flight leave it a deficit (parity
+// blocks only matter once lost).
 func (m *Manager) repairable(bid hdfs.BlockID) bool {
 	b, ok := m.cluster.Block(bid)
 	if !ok {
 		return false
 	}
-	lost := len(m.cluster.Replicas(bid)) == 0
-	if b.Parity && !lost {
-		return false
+	if len(m.cluster.Replicas(bid)) == 0 {
+		f := m.cluster.File(b.File)
+		return f != nil && f.Encoded
 	}
-	f := m.cluster.File(b.File)
-	encoded := f != nil && f.Encoded
-	return !lost || encoded
+	return !b.Parity && m.cluster.Deficit(bid) > 0
 }
 
 // repairTier classifies a damaged block into its priority tier.
 func (m *Manager) repairTier(bid hdfs.BlockID) int {
-	reps := m.cluster.Replicas(bid)
-	if len(reps) <= 1 {
+	live := len(m.cluster.Replicas(bid))
+	switch {
+	case live <= 1:
 		return TierLastReplica
-	}
-	b, _ := m.cluster.Block(bid)
-	target := 1
-	if f := m.cluster.File(b.File); f != nil && !f.Encoded {
-		target = f.TargetRepl
-	}
-	if len(reps)*2 < target {
+	case live*2 < m.cluster.ReplTarget(bid):
 		return TierBelowHalf
 	}
 	return TierBelowTarget
 }
 
-// scheduleRepairs is the damage sweep: it classifies every repairable
-// under-replicated block into a tier and admits repair jobs in (tier,
-// BlockID) order until the cluster-wide stream cap fills. In safe mode the
+// repairCand is a repairable damaged block not yet admitted, with its
+// tier.
+type repairCand struct {
+	tier int
+	bid  hdfs.BlockID
+}
+
+// repairQueue lists the repair candidates in (tier, BlockID) admission
+// order.
+func (m *Manager) repairQueue() []repairCand {
+	var q []repairCand
+	for _, bid := range m.cluster.UnderReplicated() {
+		if !m.repairing[bid] && m.repairable(bid) {
+			q = append(q, repairCand{m.repairTier(bid), bid})
+		}
+	}
+	// UnderReplicated is ascending by BlockID (a documented contract), so a
+	// stable sort by tier yields the (tier, BlockID) admission order.
+	sort.SliceStable(q, func(i, j int) bool { return q[i].tier < q[j].tier })
+	return q
+}
+
+// scheduleRepairs is the damage sweep: it admits repair jobs from the
+// repair queue until the cluster-wide stream cap fills. In safe mode the
 // whole sweep defers (counted repairs_deferred) and re-arms on exit;
 // candidates past the cap count repairs_throttled and re-arm on job
 // completion plus a delayed rescan.
 func (m *Manager) scheduleRepairs() {
+	q := m.repairQueue()
 	if m.cluster.InSafeMode() {
-		deferred := 0
-		for _, bid := range m.cluster.UnderReplicated() {
-			if !m.repairing[bid] && m.repairable(bid) {
-				deferred++
-			}
-		}
-		if deferred > 0 {
-			m.ctr.repairsDeferred.Add(float64(deferred))
-		}
+		m.ctr.repairsDeferred.Add(float64(len(q)))
 		return
 	}
-	type cand struct {
-		tier int
-		bid  hdfs.BlockID
-	}
-	var cands []cand
-	for _, bid := range m.cluster.UnderReplicated() {
-		if m.repairing[bid] || !m.repairable(bid) {
-			continue
-		}
-		cands = append(cands, cand{m.repairTier(bid), bid})
-	}
-	// UnderReplicated is ascending by BlockID (a documented contract), so a
-	// stable sort by tier yields the (tier, BlockID) admission order.
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].tier < cands[j].tier })
 	throttled := 0
-	for _, cd := range cands {
+	for _, cd := range q {
 		if m.cfg.Repair.MaxStreams > 0 && len(m.repairing) >= m.cfg.Repair.MaxStreams {
 			throttled++
 			continue
@@ -171,11 +165,7 @@ func (m *Manager) submitRepair(bid hdfs.BlockID, tier int) {
 			}
 			// Top the block back up to its target in one job, skipping
 			// nodes already at their inbound repair-copy cap.
-			f2 := m.cluster.File(b.File)
-			need := 1
-			if f2 != nil && !f2.Encoded {
-				need = f2.TargetRepl - len(m.cluster.Replicas(bid))
-			}
+			need := m.cluster.Deficit(bid)
 			if need <= 0 {
 				done(nil)
 				return
@@ -295,11 +285,8 @@ func (m *Manager) CapViolations() int { return m.capViolations }
 // Index by the Tier* constants.
 func (m *Manager) RepairQueueDepths() [numRepairTiers]int {
 	var out [numRepairTiers]int
-	for _, bid := range m.cluster.UnderReplicated() {
-		if m.repairing[bid] || !m.repairable(bid) {
-			continue
-		}
-		out[m.repairTier(bid)]++
+	for _, cd := range m.repairQueue() {
+		out[cd.tier]++
 	}
 	return out
 }

@@ -75,3 +75,36 @@ func TestDeadNodeInSafeModeQueuesRepairs(t *testing.T) {
 		t.Fatalf("CapViolations = %d", got)
 	}
 }
+
+// TestDecreaseDuringRepairTrimsOnLanding lowers a file's target while a
+// repair copy toward its block is in flight. The decrease finds nothing
+// above the new target; the copy then lands one replica over it, and the
+// landing trims the block back to the target.
+func TestDecreaseDuringRepairTrimsOnLanding(t *testing.T) {
+	e := sim.NewEngine()
+	h := hdfs.New(e, hdfs.Config{Topology: topology.New(topology.Config{})})
+	m := New(h, Config{JudgePeriod: 24 * time.Hour})
+	f, err := h.CreateFile("/d", 64*mb, 3, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bid := f.Blocks[0]
+	h.Kill(h.Replicas(bid)[0]) // heartbeats off: dead now, the repair sweep runs
+	for m.ActiveRepairStreams() == 0 {
+		if !e.Step() {
+			t.Fatal("the repair copy never started")
+		}
+	}
+	h.SetReplication("/d", 2, hdfs.WholeAtOnce, nil)
+	removed := h.Metrics().ReplicasRemoved
+	e.RunUntil(e.Now() + 30*time.Minute)
+	if got := len(h.Replicas(bid)); got != 2 {
+		t.Fatalf("block ends at %d live replicas, target 2", got)
+	}
+	if got := h.Metrics().ReplicasRemoved - removed; got != 1 {
+		t.Fatalf("%d replicas removed after the decrease, want the landed copy's 1", got)
+	}
+	if got := m.Stats().Repairs; got != 1 {
+		t.Fatalf("Repairs = %d, want 1", got)
+	}
+}

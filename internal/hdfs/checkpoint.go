@@ -688,7 +688,7 @@ func (c *Cluster) commitCheckpoint(st *ckptState) {
 		d.Used = 0
 		d.sessions = 0
 		d.xferOut = 0
-		d.pendingAdds = 0
+		d.inbound = nil
 		d.pendingBytes = 0
 		d.waiting = nil
 		d.activeFlows = make(map[*netsim.Flow]*flowHandle)
@@ -723,6 +723,7 @@ func (c *Cluster) commitCheckpoint(st *ckptState) {
 	c.scrubCursor = st.scrubCursor
 	c.metrics = st.metrics
 	c.activeReads = 0
+	c.copying = make(map[BlockID]int)
 }
 
 // idList reads a delta-encoded, strictly ascending block ID list whose

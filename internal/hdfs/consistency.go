@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -64,7 +65,9 @@ func (c *Cluster) ConsistencyErrors() []string {
 		fail("liveBlocks %d != recount %d", c.liveBlocks, live)
 	}
 
-	// --- Per-datanode books: block set membership, space, non-negativity.
+	// --- Per-datanode books: block set membership, space, non-negativity;
+	// their inbound copies sum to the per-block copies in flight.
+	copying := map[BlockID]int{}
 	for _, d := range c.datanodes {
 		var used float64
 		d.blocks.Each(func(bid BlockID) {
@@ -95,18 +98,24 @@ func (c *Cluster) ConsistencyErrors() []string {
 		if diff := used - d.Used; diff > tol || diff < -tol {
 			fail("%s Used %.1f != sum of block sizes %.1f", d.Name, d.Used, used)
 		}
-		if d.pendingAdds < 0 || d.pendingBytes < -tol {
-			fail("%s negative pending bookkeeping: adds=%d bytes=%.1f", d.Name, d.pendingAdds, d.pendingBytes)
+		if d.pendingBytes < -tol {
+			fail("%s negative pending bytes %.1f", d.Name, d.pendingBytes)
+		}
+		for _, cp := range d.inbound {
+			copying[cp.id]++
 		}
 		if d.sessions < 0 {
 			fail("%s negative session count %d", d.Name, d.sessions)
 		}
 	}
+	if !maps.Equal(copying, c.copying) {
+		fail("copies in flight per block %v != sum of inbound copies %v", c.copying, copying)
+	}
 
 	// --- Under-replication set vs recomputation.
 	want := map[BlockID]struct{}{}
 	for i, ref := range c.blocks {
-		if ref.file >= 0 && c.fileByID[ref.file] != nil && len(c.replicas[i]) < c.replTarget(BlockID(i)) {
+		if ref.file >= 0 && c.fileByID[ref.file] != nil && len(c.replicas[i]) < c.ReplTarget(BlockID(i)) {
 			want[BlockID(i)] = struct{}{}
 		}
 	}

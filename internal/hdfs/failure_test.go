@@ -142,34 +142,6 @@ func TestEncodeRetryKeepsOneStripeLayout(t *testing.T) {
 	checkConsistency(t, c)
 }
 
-func TestCascadingFailuresWithMonitor(t *testing.T) {
-	e, c := newCluster(t)
-	f, _ := c.CreateFile("/a", 320*mb, 3, 0)
-	stop := c.StartReplicationMonitor(5 * time.Second)
-	defer stop()
-	// Kill three nodes 30 s apart; triplication + re-replication must keep
-	// every block alive.
-	victims := map[DatanodeID]bool{}
-	for i, bid := range f.Blocks[:3] {
-		reps := c.Replicas(bid)
-		for _, r := range reps {
-			if !victims[r] {
-				victims[r] = true
-				r := r
-				e.Schedule(time.Duration(i+1)*30*time.Second, func() { c.Kill(r) })
-				break
-			}
-		}
-	}
-	e.RunUntil(10 * time.Minute)
-	for _, bid := range f.Blocks {
-		if len(c.Replicas(bid)) != 3 {
-			t.Fatalf("block %d not healed: %v", bid, c.Replicas(bid))
-		}
-	}
-	checkConsistency(t, c)
-}
-
 func TestCapacityExhaustion(t *testing.T) {
 	e := sim.NewEngine()
 	topo := topology.New(topology.Config{})

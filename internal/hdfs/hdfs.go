@@ -114,11 +114,11 @@ type Datanode struct {
 	Used         float64
 	MaxSessions  int
 	sessions     int
-	xferOut      int          // outbound replication transfers in flight
-	xferIn       int          // inbound replication transfers in flight
-	pendingAdds  int          // inbound replicas scheduled but not yet landed
-	pendingBytes float64      // bytes those pending replicas will occupy
-	waiting      []*blockRead // reads queued for a session, in arrival order
+	xferOut      int            // outbound replication transfers in flight
+	xferIn       int            // inbound replication transfers in flight
+	inbound      []*inboundCopy // replica copies toward the node, not yet settled
+	pendingBytes float64        // bytes those copies will occupy
+	waiting      []*blockRead   // reads queued for a session, in arrival order
 	blocks       blockSet
 	// activeFlows tracks flows being served *from* this node so they can be
 	// killed with it (or with the network path to their peer).
@@ -177,10 +177,10 @@ func (d *Datanode) NumBlocks() int { return d.blocks.Len() }
 // Placement policies add it to NumBlocks so a burst of concurrent
 // placements (whole-at-once replication) spreads instead of piling onto
 // the momentarily-emptiest node.
-func (d *Datanode) PendingAdds() int { return d.pendingAdds }
+func (d *Datanode) PendingAdds() int { return len(d.inbound) }
 
 // PlacementLoad is the load metric placement policies sort by.
-func (d *Datanode) PlacementLoad() int { return d.blocks.Len() + d.pendingAdds }
+func (d *Datanode) PlacementLoad() int { return d.blocks.Len() + len(d.inbound) }
 
 // Free returns remaining capacity in bytes.
 func (d *Datanode) Free() float64 { return d.Capacity - d.Used }
@@ -393,6 +393,9 @@ type Cluster struct {
 	// maintained incrementally at every replica/target mutation so
 	// UnderReplicated never rescans the block space.
 	underSet map[BlockID]struct{}
+	// copying counts each block's copies in flight (the datanodes'
+	// inbound copies), sparse like underSet; Deficit subtracts it.
+	copying map[BlockID]int
 
 	// aboveDefault holds the live files whose replication exceeds the
 	// default, in no order; aboveAt maps each member's intern slot to its
@@ -484,6 +487,7 @@ func New(clock sim.Clock, cfg Config) *Cluster {
 		cfg:         cfg,
 		files:       make(map[string]*INode),
 		underSet:    make(map[BlockID]struct{}),
+		copying:     make(map[BlockID]int),
 		aboveAt:     make(map[int]int),
 		partitioned: make(map[int]bool),
 		audit:       auditlog.NewLog(cfg.KeepAuditRecords),
@@ -990,7 +994,7 @@ func (c *Cluster) attachReplica(id BlockID, dn DatanodeID) {
 	delete(d.reported, id)
 	if c.replicas[id] == nil { // first landing: size the list once
 		// TargetRepl is the caller's: no block outgrows the datanode count.
-		c.replicas[id] = make([]DatanodeID, 0, max(1, min(c.replTarget(id), len(c.datanodes))))
+		c.replicas[id] = make([]DatanodeID, 0, max(1, min(c.ReplTarget(id), len(c.datanodes))))
 	}
 	c.replicas[id] = append(c.replicas[id], dn)
 	c.reassessBlock(id)

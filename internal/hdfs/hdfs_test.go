@@ -325,25 +325,6 @@ func TestKillAllReplicasFailsRead(t *testing.T) {
 	}
 }
 
-func TestReplicationMonitorHeals(t *testing.T) {
-	e, c := newCluster(t)
-	f, _ := c.CreateFile("/a", 64*mb, 3, 0)
-	stop := c.StartReplicationMonitor(5 * time.Second)
-	defer stop()
-	victim := c.Replicas(f.Blocks[0])[0]
-	c.Kill(victim)
-	if len(c.UnderReplicated()) != 1 {
-		t.Fatalf("under-replicated = %v", c.UnderReplicated())
-	}
-	e.RunUntil(30 * time.Second)
-	if got := len(c.Replicas(f.Blocks[0])); got != 3 {
-		t.Fatalf("replicas after heal = %d, want 3", got)
-	}
-	if len(c.UnderReplicated()) != 0 {
-		t.Fatal("still under-replicated after monitor ran")
-	}
-}
-
 func TestStandbyDoesNotServeReads(t *testing.T) {
 	e, c := newCluster(t)
 	f, _ := c.CreateFile("/a", 64*mb, 2, 0)

@@ -26,135 +26,6 @@ func newHeartbeatCluster(t *testing.T) (*sim.Engine, *Cluster) {
 	return e, c
 }
 
-// TestHeartbeatDelayedDetection pins the crash → stale → dead timeline: a
-// crashed node's replicas stay credited (and no repair traffic moves)
-// until DeadTimeout, the node turns stale at StaleTimeout, and only the
-// dead declaration releases the replicas and triggers re-replication.
-func TestHeartbeatDelayedDetection(t *testing.T) {
-	e, c := newHeartbeatCluster(t)
-	f, _ := c.CreateFile("/a", 192*mb, 3, 0)
-	stop := c.StartReplicationMonitor(5 * time.Second)
-	defer stop()
-	bid := f.Blocks[0]
-	victim := c.Replicas(bid)[0]
-
-	e.At(1*time.Second, func() { c.Kill(victim) })
-
-	// Before StaleTimeout: the namenode suspects nothing.
-	e.RunUntil(25 * time.Second)
-	d := c.Datanode(victim)
-	if d.Stale || d.State != StateActive {
-		t.Fatalf("node already distrusted before StaleTimeout: stale=%v state=%s", d.Stale, d.State)
-	}
-	if got := len(c.Replicas(bid)); got != 3 {
-		t.Fatalf("replicas released early: %d", got)
-	}
-	if c.Metrics().ReplicasAdded != 0 {
-		t.Fatal("repair traffic before StaleTimeout")
-	}
-
-	// Past StaleTimeout: stale, but replicas still credited, still no
-	// repair (HDFS does not re-replicate for staleness).
-	e.RunUntil(40 * time.Second)
-	if !c.Datanode(victim).Stale {
-		t.Fatal("node not stale past StaleTimeout")
-	}
-	if got := c.StaleNodes(); len(got) != 1 || got[0] != victim {
-		t.Fatalf("StaleNodes = %v", got)
-	}
-	if got := len(c.Replicas(bid)); got != 3 {
-		t.Fatalf("stale released replicas: %d", got)
-	}
-	if c.Metrics().ReplicasAdded != 0 {
-		t.Fatal("repair traffic for a merely-stale node")
-	}
-
-	// Past DeadTimeout: declared dead, replicas released, monitor heals.
-	e.RunUntil(6 * time.Minute)
-	if got := c.Datanode(victim).State; got != StateDown {
-		t.Fatalf("state past DeadTimeout = %s", got)
-	}
-	if c.Metrics().StaleTransitions == 0 {
-		t.Fatal("stale transition not counted")
-	}
-	for _, b := range f.Blocks {
-		reps := c.Replicas(b)
-		if len(reps) != 3 {
-			t.Fatalf("block %d not healed: %v", b, reps)
-		}
-		for _, r := range reps {
-			if r == victim {
-				t.Fatalf("block %d still credited to the dead node", b)
-			}
-		}
-	}
-	checkConsistency(t, c)
-}
-
-// TestPartitionHealedBeforeDeadTimeoutCostsNothing is the tentpole's core
-// guarantee: a rack partition that heals inside DeadTimeout causes zero
-// re-replication — the nodes rejoin with their blocks intact.
-func TestPartitionHealedBeforeDeadTimeoutCostsNothing(t *testing.T) {
-	e, c := newHeartbeatCluster(t)
-	f, _ := c.CreateFile("/a", 320*mb, 3, 0)
-	stop := c.StartReplicationMonitor(5 * time.Second)
-	defer stop()
-
-	e.At(10*time.Second, func() { c.PartitionRack(0) })
-	e.At(70*time.Second, func() { c.HealRack(0) }) // 60s < 2m DeadTimeout
-
-	e.RunUntil(10 * time.Minute)
-	if c.Metrics().ReplicasAdded != 0 {
-		t.Fatalf("healed partition cost %d replica copies", c.Metrics().ReplicasAdded)
-	}
-	if got := c.UnderReplicated(); len(got) != 0 {
-		t.Fatalf("blocks under-replicated after heal: %v", got)
-	}
-	for _, d := range c.Datanodes() {
-		if d.State == StateDown || d.Stale {
-			t.Fatalf("%s still down/stale after heal", d.Name)
-		}
-	}
-	for _, bid := range f.Blocks {
-		if len(c.Replicas(bid)) != 3 {
-			t.Fatalf("block %d lost replicas: %v", bid, c.Replicas(bid))
-		}
-	}
-	checkConsistency(t, c)
-}
-
-// TestPartitionBeyondDeadTimeout pins the other side: a partition that
-// outlives DeadTimeout converges to the same state as crashing the rack —
-// its nodes are declared dead and their blocks re-replicate elsewhere.
-func TestPartitionBeyondDeadTimeout(t *testing.T) {
-	e, c := newHeartbeatCluster(t)
-	f, _ := c.CreateFile("/a", 320*mb, 3, 0)
-	stop := c.StartReplicationMonitor(5 * time.Second)
-	defer stop()
-
-	e.At(5*time.Second, func() { c.PartitionRack(0) })
-	e.RunUntil(15 * time.Minute)
-
-	rack0 := c.Topology().NodesInRack(0)
-	for _, n := range rack0 {
-		if got := c.Datanode(DatanodeID(n)).State; got != StateDown {
-			t.Fatalf("partitioned node %d is %s, want down", n, got)
-		}
-	}
-	for _, bid := range f.Blocks {
-		reps := c.Replicas(bid)
-		if len(reps) != 3 {
-			t.Fatalf("block %d not healed: %v", bid, reps)
-		}
-		for _, r := range reps {
-			if c.Topology().Rack(topology.NodeID(r)) == 0 {
-				t.Fatalf("block %d still credited inside the dead rack", bid)
-			}
-		}
-	}
-	checkConsistency(t, c)
-}
-
 // TestPartitionAbortsCrossingFlows: reads served from a rack that gets cut
 // off retry transparently on replicas outside it.
 func TestPartitionAbortsCrossingFlows(t *testing.T) {

@@ -158,10 +158,10 @@ func (c *Cluster) ScanEligible(b Block, exclude *NodeSet, visit func(DatanodeID)
 	}
 }
 
-// replTarget returns the replica count live block id must hold to leave
-// the under-replicated set: 1 for parity blocks and blocks of encoded
-// files; the file's TargetRepl otherwise.
-func (c *Cluster) replTarget(id BlockID) int {
+// ReplTarget is the replica count live block id must hold, no fewer and
+// no more: 1 for parity blocks and blocks of encoded files; the file's
+// TargetRepl otherwise.
+func (c *Cluster) ReplTarget(id BlockID) int {
 	r := c.blocks[id]
 	if f := c.fileByID[r.file]; r.pos >= 0 && !f.Encoded {
 		return f.TargetRepl
@@ -172,7 +172,7 @@ func (c *Cluster) replTarget(id BlockID) int {
 // reassessBlock updates live block id's membership in the
 // under-replicated set.
 func (c *Cluster) reassessBlock(id BlockID) {
-	if len(c.replicas[id]) < c.replTarget(id) {
+	if len(c.replicas[id]) < c.ReplTarget(id) {
 		c.underSet[id] = struct{}{}
 	} else {
 		delete(c.underSet, id)

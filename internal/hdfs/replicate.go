@@ -2,12 +2,11 @@ package hdfs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"time"
 
 	"erms/internal/auditlog"
 	"erms/internal/netsim"
-	"erms/internal/sim"
 	"erms/internal/topology"
 )
 
@@ -96,39 +95,34 @@ func (c *Cluster) AddReplica(id BlockID, target DatanodeID, done func(error)) {
 	}
 	// The transfer starts after the command reaches the datanode on its
 	// next heartbeat; the source is chosen then, so freshly landed
-	// replicas can serve later transfers.
-	td.pendingAdds++
+	// replicas can serve later transfers. The copy counts from now on, in
+	// td's placement load and uncommitted space and in the block's copies
+	// in flight, until settleCopy.
+	cp := &inboundCopy{id, b.Size}
+	td.inbound = append(td.inbound, cp)
 	td.pendingBytes += b.Size
+	c.copying[id]++
 	c.reindexNode(td)
-	settled := false
-	settle := func() {
-		if !settled {
-			settled = true
-			td.pendingAdds--
-			td.pendingBytes -= b.Size
-			c.reindexNode(td)
-		}
-	}
 	c.clock.Schedule(c.cfg.ReplCommandLatency, func() {
 		if td.Down() || c.NodeUnreachable(target) {
-			settle()
+			c.settleCopy(td, cp)
 			fail(fmt.Errorf("hdfs: target %s died before copy", td.Name))
 			return
 		}
 		if !c.live(id) { // file deleted while the command was in flight
-			settle()
+			c.settleCopy(td, cp)
 			fail(fmt.Errorf("hdfs: block %d deleted before copy", id))
 			return
 		}
 		if td.HasBlock(id) {
-			settle()
+			c.settleCopy(td, cp)
 			c.tracer.End(sp)
 			c.finish(done, nil)
 			return
 		}
 		src, ok := c.chooseSource(id, target, false)
 		if !ok {
-			settle()
+			c.settleCopy(td, cp)
 			fail(fmt.Errorf("hdfs: no live source for block %d", id))
 			return
 		}
@@ -142,7 +136,7 @@ func (c *Cluster) AddReplica(id BlockID, target DatanodeID, done func(error)) {
 			delete(sd.activeFlows, f)
 			sd.xferOut--
 			td.xferIn--
-			settle()
+			c.settleCopy(td, cp)
 			if td.Down() {
 				fail(fmt.Errorf("hdfs: target %s died during copy", td.Name))
 				return
@@ -154,6 +148,10 @@ func (c *Cluster) AddReplica(id BlockID, target DatanodeID, done func(error)) {
 			c.attachReplica(id, target)
 			c.metrics.ReplicasAdded++
 			c.metrics.ReplicationMB += float64(b.Size / topology.MB)
+			// A decrease or an encode may have lowered the target while
+			// the copy was in flight: trim at once, as HDFS's addStoredBlock
+			// hands an over-replicated block to processOverReplicatedBlock.
+			c.trimExcess(id)
 			c.tracer.End(sp)
 			c.finish(done, nil)
 		})
@@ -163,7 +161,7 @@ func (c *Cluster) AddReplica(id BlockID, target DatanodeID, done func(error)) {
 		sd.activeFlows[flow] = &flowHandle{peer: topology.NodeID(target), abort: func() {
 			sd.xferOut--
 			td.xferIn--
-			settle()
+			c.settleCopy(td, cp)
 			c.tracer.SetAttr(sp, "error", "copy aborted; retrying")
 			c.tracer.End(sp)
 			p := c.tracer.Push(parentSpan)
@@ -171,6 +169,50 @@ func (c *Cluster) AddReplica(id BlockID, target DatanodeID, done func(error)) {
 			c.tracer.Pop(p)
 		}}
 	})
+}
+
+// inboundCopy is one copy of a block toward a datanode, counted from
+// AddReplica's command until it lands or fails, or the datanode dies.
+type inboundCopy struct {
+	id   BlockID
+	size float64
+}
+
+// settleCopy stops counting cp; once d has died (setState) it is a no-op.
+func (c *Cluster) settleCopy(d *Datanode, cp *inboundCopy) {
+	if i := slices.Index(d.inbound, cp); i >= 0 {
+		d.inbound = slices.Delete(d.inbound, i, i+1)
+		d.pendingBytes -= cp.size
+		if c.copying[cp.id]--; c.copying[cp.id] == 0 {
+			delete(c.copying, cp.id)
+		}
+		c.reindexNode(d)
+	}
+}
+
+// Deficit is how many more copies block id needs: its target less its
+// live replicas and the copies in flight toward it; 0 once deleted. Every
+// re-replicator sizes its copies by it.
+func (c *Cluster) Deficit(id BlockID) int {
+	if !c.live(id) {
+		return 0
+	}
+	return c.shortOf(id, c.ReplTarget(id))
+}
+
+// shortOf is Deficit against n replicas.
+func (c *Cluster) shortOf(id BlockID, n int) int { return n - len(c.replicas[id]) - c.copying[id] }
+
+// trimExcess removes live replicas of block id above its target, each
+// victim picked by the policy's ChooseExcess. A target is at least 1, so
+// removal never reaches the last replica.
+func (c *Cluster) trimExcess(id BlockID) {
+	for len(c.replicas[id]) > c.ReplTarget(id) {
+		victim, ok := c.placement.ChooseExcess(c, c.view(id))
+		if !ok || c.RemoveReplica(id, victim) != nil {
+			return
+		}
+	}
 }
 
 // finish defers a completion callback to a fresh event so callers never
@@ -269,59 +311,51 @@ func (c *Cluster) SetReplication(path string, n int, mode ReplicationMode, done 
 		IP: "10.0.0.1", Cmd: auditlog.CmdSetRepl, Src: path,
 	})
 	c.setTarget(f, n)
-	cur := c.ReplicationOf(path)
-	switch {
-	case n == cur:
-		c.finish(done, nil)
-	case n < cur:
-		// Shrink: metadata-only, immediate.
-		var firstErr error
-		for _, bid := range f.Blocks {
-			for len(c.replicas[bid]) > n {
-				victim, ok := c.placement.ChooseExcess(c, c.view(bid))
-				if !ok {
-					break
-				}
-				if err := c.RemoveReplica(bid, victim); err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					break
-				}
-			}
-		}
-		c.finish(done, firstErr)
-	default:
-		c.grow(f, n, mode, done)
+	// Shed first, metadata-only and immediate: every block above n, not
+	// only when the first one is (a damaged first block under-reports the
+	// file's replication).
+	for _, bid := range f.Blocks {
+		c.trimExcess(bid)
 	}
+	if n > c.ReplicationOf(path) {
+		c.grow(f, n, mode, done)
+		return
+	}
+	c.finish(done, nil)
 }
 
-// grow raises every block of f to n replicas.
+// grow raises every block of f to n replicas: in one round of concurrent
+// copies (WholeAtOnce), or in one round per step up from the current
+// factor, each starting once the last has landed (OneByOne).
 func (c *Cluster) grow(f *INode, n int, mode ReplicationMode, done func(error)) {
 	// Capture the ambient span (the set_replication span when tracing) so
 	// one-by-one rounds launched from completion callbacks still parent
 	// their copies correctly.
 	ambient := c.tracer.Current()
-	var step func(round int)
-	copyRound := func(target int, next func(error)) {
+	var round func(target int)
+	round = func(target int) {
 		prev := c.tracer.Push(ambient)
 		defer c.tracer.Pop(prev)
-		// One round: bring every block up to `target` replicas, all copies
-		// in flight concurrently.
-		outstanding := 0
+		outstanding, launched := 0, false
 		var firstErr error
-		finished := false
+		next := func(err error) {
+			switch {
+			case err == nil && target < n:
+				round(target + 1)
+			case done != nil:
+				done(err)
+			}
+		}
 		complete := func(err error) {
 			if err != nil && firstErr == nil {
 				firstErr = err
 			}
-			outstanding--
-			if outstanding == 0 && finished {
+			if outstanding--; outstanding == 0 && launched {
 				next(firstErr)
 			}
 		}
 		for _, bid := range f.Blocks {
-			need := target - len(c.replicas[bid])
+			need := c.shortOf(bid, target)
 			if need <= 0 {
 				continue
 			}
@@ -334,37 +368,15 @@ func (c *Cluster) grow(f *INode, n int, mode ReplicationMode, done func(error)) 
 				c.AddReplica(bid, t, complete)
 			}
 		}
-		finished = true
+		launched = true
 		if outstanding == 0 {
 			c.finish(next, firstErr)
 		}
 	}
-	switch mode {
-	case WholeAtOnce:
-		copyRound(n, func(err error) {
-			if done != nil {
-				done(err)
-			}
-		})
-	case OneByOne:
-		step = func(target int) {
-			if target > n {
-				if done != nil {
-					done(nil)
-				}
-				return
-			}
-			copyRound(target, func(err error) {
-				if err != nil {
-					if done != nil {
-						done(err)
-					}
-					return
-				}
-				step(target + 1)
-			})
-		}
-		step(c.ReplicationOf(f.Path) + 1)
+	if mode == OneByOne {
+		round(c.Replication(f) + 1)
+	} else {
+		round(n)
 	}
 }
 
@@ -385,30 +397,4 @@ func (c *Cluster) UnderReplicated() []BlockID {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// StartReplicationMonitor runs a namenode re-replication scan every period:
-// under-replicated blocks get one new replica per scan (vanilla HDFS
-// behaviour; ERMS routes the same work through Condor jobs instead).
-// Returns a stop function.
-func (c *Cluster) StartReplicationMonitor(period time.Duration) func() {
-	inFlight := map[BlockID]bool{}
-	t := sim.NewTicker(c.clock, period, func(time.Duration) {
-		for _, bid := range c.UnderReplicated() {
-			if inFlight[bid] {
-				continue
-			}
-			if len(c.replicas[bid]) == 0 {
-				continue // lost block; erasure recovery may still help
-			}
-			targets := c.placement.ChooseTargets(nil, c, c.view(bid), 1, -1, nil)
-			if len(targets) == 0 {
-				continue
-			}
-			inFlight[bid] = true
-			bid := bid
-			c.AddReplica(bid, targets[0], func(error) { delete(inFlight, bid) })
-		}
-	})
-	return t.Stop
 }

@@ -117,49 +117,80 @@ func TestChooseSourceTieBreakOrder(t *testing.T) {
 	c.datanodes[r0].xferOut--
 }
 
-// TestRereplicationRestoresRackDiversity is the regression test for the
-// placement fix this storm suite exposed: when a block's cross-rack
-// replica dies and the survivors huddle in one rack, re-replication must
-// place the new copy in a different rack — the slot heuristics alone would
-// co-locate it and leave the block one rack outage from extinction.
-func TestRereplicationRestoresRackDiversity(t *testing.T) {
-	e := sim.NewEngine()
-	topo := topology.New(topology.Config{})
-	c := New(e, Config{Topology: topo})
-	// Writer-local slot 0 on node 0; slots 1 and 2 land together in some
-	// other rack. Killing node 0 leaves every block single-rack.
-	f, err := c.CreateFile("/div", 192*mb, 3, 0)
-	if err != nil {
+// TestDeficitCountsCopiesInFlight: a raise's copies count toward each
+// block's target from the moment they are scheduled, so a second raise to
+// the same target (a retry) starts none, and a block still short of its
+// live target has no deficit left.
+func TestDeficitCountsCopiesInFlight(t *testing.T) {
+	e, c := newCluster(t)
+	f, _ := c.CreateFile("/a", 128*mb, 3, 0)
+	c.SetReplication("/a", 5, WholeAtOnce, nil)
+	for _, bid := range f.Blocks {
+		if got := c.Deficit(bid); got != 0 {
+			t.Fatalf("block %d deficit %d with its two copies in flight, want 0", bid, got)
+		}
+	}
+	if got := len(c.UnderReplicated()); got != len(f.Blocks) {
+		t.Fatalf("%d blocks under-replicated while copying, want %d", got, len(f.Blocks))
+	}
+	c.SetReplication("/a", 5, WholeAtOnce, nil)
+	e.Run()
+	if got, want := c.Metrics().ReplicasAdded, 2*len(f.Blocks); got != want {
+		t.Fatalf("ReplicasAdded = %d, want %d", got, want)
+	}
+	for _, bid := range f.Blocks {
+		if got := len(c.Replicas(bid)); got != 5 {
+			t.Fatalf("block %d holds %d replicas, want 5", bid, got)
+		}
+	}
+	checkConsistency(t, c)
+}
+
+// TestDeathSettlesCopiesTowardTheNode: the copies toward a datanode stop
+// counting when it is declared dead, before OnDatanodeDown fires, so the
+// repair sweep that callback runs sees their blocks short.
+func TestDeathSettlesCopiesTowardTheNode(t *testing.T) {
+	e, c := newCluster(t)
+	f, _ := c.CreateFile("/a", 64*mb, 3, 0)
+	bid := f.Blocks[0]
+	c.SetReplication("/a", 4, WholeAtOnce, nil)
+	var target DatanodeID = -1
+	for _, d := range c.Datanodes() {
+		if d.PendingAdds() == 1 {
+			target = d.ID
+		}
+	}
+	if target < 0 {
+		t.Fatal("no copy in flight")
+	}
+	seen := -1
+	c.OnDatanodeDown(func(DatanodeID) { seen = c.Deficit(bid) })
+	c.Kill(target)
+	if seen != 1 {
+		t.Fatalf("deficit at OnDatanodeDown = %d, want 1", seen)
+	}
+	if got := c.Datanode(target).PendingAdds(); got != 0 {
+		t.Fatalf("dead node still counts %d inbound copies", got)
+	}
+	checkConsistency(t, c)
+	e.Run()
+	checkConsistency(t, c)
+}
+
+// TestShrinkTrimsEveryBlock: a decrease trims every block above the new
+// factor, not only when the first block is above it. Here the first block
+// is already down to the new factor, so the file reads as replicated 2.
+func TestShrinkTrimsEveryBlock(t *testing.T) {
+	e, c := newCluster(t)
+	f, _ := c.CreateFile("/a", 128*mb, 3, 0)
+	if err := c.RemoveReplica(f.Blocks[0], c.Replicas(f.Blocks[0])[0]); err != nil {
 		t.Fatal(err)
 	}
-	rackSpan := func(bid BlockID) int {
-		racks := map[int]bool{}
-		for _, r := range c.Replicas(bid) {
-			racks[topo.Rack(topology.NodeID(r))] = true
-		}
-		return len(racks)
-	}
+	c.SetReplication("/a", 2, WholeAtOnce, nil)
+	e.Run()
 	for _, bid := range f.Blocks {
-		if got := rackSpan(bid); got < 2 {
-			t.Fatalf("block %d not rack-diverse at creation: span %d", bid, got)
-		}
-	}
-	c.Kill(0)
-	for _, bid := range f.Blocks {
-		if got := rackSpan(bid); got != 1 {
-			t.Fatalf("scenario precondition: block %d survivors span %d racks, want 1", bid, got)
-		}
-	}
-
-	stop := c.StartReplicationMonitor(5 * time.Second)
-	defer stop()
-	e.RunUntil(10 * time.Minute)
-	for _, bid := range f.Blocks {
-		if got := len(c.Replicas(bid)); got != 3 {
-			t.Fatalf("block %d not healed: %d replicas", bid, got)
-		}
-		if got := rackSpan(bid); got < 2 {
-			t.Fatalf("block %d repaired into a single rack: replicas %v", bid, c.Replicas(bid))
+		if got := len(c.Replicas(bid)); got != 2 {
+			t.Fatalf("block %d holds %d replicas after the decrease to 2", bid, got)
 		}
 	}
 	checkConsistency(t, c)

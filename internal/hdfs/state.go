@@ -101,7 +101,9 @@ func (c *Cluster) SetFault(id DatanodeID, f Fault) bool {
 // replay's included, comes through here. It re-indexes d for placement
 // and journals the transition. restart marks a fresh incarnation and
 // wipes the previous one's disk and faults first. A node believed down
-// holds no replicas, so entering StateDown releases them. Entering
+// holds no replicas, so entering StateDown releases them, and takes no
+// copy: the copies toward it stop counting before OnDatanodeDown fires,
+// so the repair sweep its death triggers sees their blocks short. Entering
 // StateActive stamps a fresh uptime interval. The live cluster also
 // closes the interval d was in (a crash has already closed it), and
 // aborts d's transfers and queued reads when s does not serve, or admits
@@ -129,6 +131,9 @@ func (c *Cluster) setState(d *Datanode, s NodeState, restart bool) {
 		d.activeSince, d.lastHeartbeat = now, now
 	case StateDown:
 		d.Stale = false // staleness ends at death
+		for len(d.inbound) > 0 {
+			c.settleCopy(d, d.inbound[0])
+		}
 	}
 	c.reindexNode(d)
 	c.jlog(auditlog.Entry{Op: auditlog.OpNodeState, Node: int(d.ID), State: int(s), Flag: restart})

@@ -10,7 +10,8 @@
 //
 //   - storage: the cluster's own index cross-check (ConsistencyErrors),
 //     the placement index against a reference candidate scan, and
-//     replica-count bounds per block and file;
+//     replica-count bounds per block and file, a plain file's data blocks
+//     at most at its target;
 //   - durability: no block is unrecoverable (skippable for runs whose
 //     chaos schedule legitimately destroys data);
 //   - energy: the standby pool's activity books balance — pooled uptime
@@ -248,7 +249,8 @@ func consistency(c *hdfs.Cluster) []string {
 
 // checkStorage runs the consistency check and adds the externally-stated
 // replication bounds: every block's live replica count within [0, nodes],
-// every plain file's target within [1, max].
+// every plain file's target within [1, max], and no data block of a plain
+// file above its target (hdfs trims a copy that lands on a full block).
 func checkStorage(t Target) []string {
 	c := t.Cluster
 	errs := consistency(c)
@@ -267,9 +269,12 @@ func checkStorage(t Target) []string {
 					path, f.TargetRepl, t.MaxReplication))
 			}
 		}
-		for _, bid := range append(append([]hdfs.BlockID{}, f.Blocks...), f.Parity...) {
+		for i, bid := range append(append([]hdfs.BlockID{}, f.Blocks...), f.Parity...) {
 			if n := len(c.Replicas(bid)); n > nodes {
 				errs = append(errs, fmt.Sprintf("block %d has %d replicas on a %d-node cluster", bid, n, nodes))
+			} else if !f.Encoded && i < len(f.Blocks) && n > f.TargetRepl {
+				errs = append(errs, fmt.Sprintf("block %d of %q has %d live replicas, above its target %d",
+					bid, path, n, f.TargetRepl))
 			}
 		}
 	}

@@ -276,6 +276,31 @@ func TestWatcherCatchesDataLoss(t *testing.T) {
 	}
 }
 
+// keepAll is the default policy except that it never names a replica to
+// shed, so a decrease leaves every block above the new target.
+type keepAll struct{ *hdfs.DefaultPolicy }
+
+func (keepAll) ChooseExcess(*hdfs.Cluster, hdfs.Block) (hdfs.DatanodeID, bool) { return 0, false }
+
+// TestStorageOracleFlagsBlocksAboveTarget: a data block of a plain file
+// holding more live replicas than its file's target is a storage
+// violation, one per block.
+func TestStorageOracleFlagsBlocksAboveTarget(t *testing.T) {
+	tb := experiments.NewVanilla(18)
+	c, e := tb.Cluster, tb.Engine
+	f, err := c.CreateFile("/over", 128*experiments.MB, 3, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetPlacementPolicy(keepAll{hdfs.NewDefaultPolicy()})
+	c.SetReplication("/over", 2, hdfs.WholeAtOnce, nil)
+	e.RunFor(time.Minute)
+	errs := invariant.Check(invariant.Target{Cluster: c})
+	if len(errs) != len(f.Blocks) {
+		t.Fatalf("%d violations for %d blocks above target: %v", len(errs), len(f.Blocks), errs)
+	}
+}
+
 // TestCheckMidEncode: between EncodeFile registering a stripe's parity
 // blocks and their transfers landing, the parities hold no replica and the
 // file is not Encoded yet. That is an encode in flight, not data loss —
