@@ -272,9 +272,10 @@ func (c *Cluster) setTarget(f *INode, n int) {
 }
 
 // SetReplication changes a file's replica count to n, adding (in the given
-// mode) or removing replicas. done(err) fires when the file reaches the
-// target. Placement uses the installed policy; removals consult
-// ChooseExcess.
+// mode) or removing replicas. done(err) fires when the copies it started
+// have landed; copies already in flight toward a block count toward n and
+// are not waited for. Placement uses the installed policy; removals
+// consult ChooseExcess.
 func (c *Cluster) SetReplication(path string, n int, mode ReplicationMode, done func(error)) {
 	if c.tracer.Enabled() {
 		sp := c.tracer.Begin("hdfs.set_replication", c.tracer.Current())
