@@ -316,7 +316,7 @@ func runDemo(sys *erms.System) {
 	// Phase 3: long silence; the file goes cold and is erasure-coded.
 	sys.RunFor(3 * time.Hour)
 	f := sys.HDFS().File("/demo/dataset")
-	fmt.Printf("after cold phase:   encoded = %v, parity blocks = %d\n", f.Encoded, len(f.Parity))
+	fmt.Printf("after cold phase:   encoded = %v, parity blocks = %d\n", f.Encoded, len(f.Parity()))
 	// Phase 4: access it again; ERMS decodes immediately.
 	sys.Read(3, "/demo/dataset", nil)
 	sys.RunFor(20 * time.Minute)

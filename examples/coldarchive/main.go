@@ -38,7 +38,7 @@ func main() {
 	for i := 0; i < 5; i++ {
 		f := sys.HDFS().File(fmt.Sprintf("/warehouse/part-%d", i))
 		fmt.Printf("  %s encoded=%v parity=%d data-replicas=%d\n",
-			f.Path, f.Encoded, len(f.Parity), sys.Replication(f.Path))
+			f.Path, f.Encoded, len(f.Parity()), sys.Replication(f.Path))
 	}
 
 	// Kill a datanode: each encoded block it held had only one replica,

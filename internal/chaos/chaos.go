@@ -212,7 +212,7 @@ func pickVictim(c *hdfs.Cluster, blockOrdinal, replicaOrdinal int) (hdfs.BlockID
 	for _, path := range c.FilePaths() {
 		f := c.File(path)
 		ids = append(ids, f.Blocks...)
-		ids = append(ids, f.Parity...)
+		ids = append(ids, f.Parity()...)
 	}
 	if len(ids) == 0 {
 		return 0, 0, false

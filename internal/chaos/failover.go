@@ -210,7 +210,7 @@ func recoverableLost(primary, standby *hdfs.Cluster) int {
 	for _, path := range primary.FilePaths() {
 		f := primary.File(path)
 		sf := standby.File(path)
-		for _, ids := range [][]hdfs.BlockID{f.Blocks, f.Parity} {
+		for _, ids := range [][]hdfs.BlockID{f.Blocks, f.Parity()} {
 			for _, id := range ids {
 				if len(primary.Replicas(id)) == 0 {
 					continue

@@ -140,7 +140,7 @@ func checkClusterConsistency(t *testing.T, h *hdfs.Cluster) {
 	t.Helper()
 	for _, path := range h.FilePaths() {
 		f := h.File(path)
-		for _, bid := range append(append([]hdfs.BlockID{}, f.Blocks...), f.Parity...) {
+		for _, bid := range append(append([]hdfs.BlockID{}, f.Blocks...), f.Parity()...) {
 			seen := map[hdfs.DatanodeID]bool{}
 			for _, r := range h.Replicas(bid) {
 				if seen[r] {

@@ -347,7 +347,7 @@ func TestPlacementParityAvoidsDataNodes(t *testing.T) {
 	f := h.File("/cold")
 	// Parity must not be on the standby pool and must prefer nodes with
 	// few of the file's blocks.
-	for _, pid := range f.Parity {
+	for _, pid := range f.Parity() {
 		for _, r := range h.Replicas(pid) {
 			if m.InStandbyPool(r) {
 				t.Fatalf("parity on pool node %d", r)
@@ -365,7 +365,7 @@ func checkParityDisjoint(t *testing.T, h *hdfs.Cluster, f *hdfs.INode) {
 			dataNodes[r]++
 		}
 	}
-	for _, pid := range f.Parity {
+	for _, pid := range f.Parity() {
 		for _, r := range h.Replicas(pid) {
 			if dataNodes[r] > 1 {
 				t.Fatalf("parity node %d holds %d data blocks of the file", r, dataNodes[r])

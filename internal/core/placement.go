@@ -154,7 +154,7 @@ func (p *Placement) extraTargets(dst []hdfs.DatanodeID, c *hdfs.Cluster, b hdfs.
 func (p *Placement) parityTargets(dst []hdfs.DatanodeID, c *hdfs.Cluster, b hdfs.Block, count int, exclude *hdfs.NodeSet) []hdfs.DatanodeID {
 	blocksOf := p.tally(len(c.Datanodes()))
 	if f := c.File(b.File); f != nil {
-		for _, ids := range [2][]hdfs.BlockID{f.Blocks, f.Parity} {
+		for _, ids := range [2][]hdfs.BlockID{f.Blocks, f.Parity()} {
 			for _, bid := range ids {
 				for _, r := range c.Replicas(bid) {
 					blocksOf[r]++

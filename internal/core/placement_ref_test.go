@@ -137,7 +137,7 @@ func (p *refPlacement) parityTargets(c *hdfs.Cluster, b hdfs.Block, count int, e
 	f := c.File(b.File)
 	blocksOf := map[hdfs.DatanodeID]int{}
 	if f != nil {
-		for _, ids := range [][]hdfs.BlockID{f.Blocks, f.Parity} {
+		for _, ids := range [][]hdfs.BlockID{f.Blocks, f.Parity()} {
 			for _, bid := range ids {
 				for _, r := range c.Replicas(bid) {
 					blocksOf[r]++
@@ -284,7 +284,7 @@ func blocksOf(c *hdfs.Cluster) []hdfs.Block {
 	var out []hdfs.Block
 	for _, p := range c.FilePaths() {
 		f := c.File(p)
-		for _, ids := range [2][]hdfs.BlockID{f.Blocks, f.Parity} {
+		for _, ids := range [2][]hdfs.BlockID{f.Blocks, f.Parity()} {
 			for _, id := range ids {
 				b, _ := c.Block(id)
 				out = append(out, b)

@@ -308,7 +308,7 @@ func Reliability(trials int, failures []int, seed int64) []ReliabilityRow {
 		tb, f := sc.build()
 		// Collect each block's replica homes and the file's stripe layout.
 		holders := map[hdfs.BlockID][]hdfs.DatanodeID{}
-		for _, ids := range [][]hdfs.BlockID{f.Blocks, f.Parity} {
+		for _, ids := range [][]hdfs.BlockID{f.Blocks, f.Parity()} {
 			for _, bid := range ids {
 				holders[bid] = append([]hdfs.DatanodeID(nil), tb.Cluster.Replicas(bid)...)
 			}
@@ -356,7 +356,7 @@ func fileLost(c *hdfs.Cluster, f *hdfs.INode, holders map[hdfs.BlockID][]hdfs.Da
 		}
 		return false
 	}
-	k := f.EncodeK
+	k, _ := f.Geometry()
 	stripes := (len(f.Blocks) + k - 1) / k
 	for s := 0; s < stripes; s++ {
 		lo, hi := s*k, (s+1)*k
@@ -369,7 +369,7 @@ func fileLost(c *hdfs.Cluster, f *hdfs.INode, holders map[hdfs.BlockID][]hdfs.Da
 				surviving++
 			}
 		}
-		for _, pid := range f.Parity {
+		for _, pid := range f.Parity() {
 			if b, _ := c.Block(pid); b.Group == s && alive(pid) {
 				surviving++
 			}

@@ -92,14 +92,15 @@ func (c *Cluster) StateDigest() uint64 {
 		h.U64(uint64(f.CreatedAt))
 		h.U64(uint64(f.TargetRepl))
 		h.Bool(f.Encoded)
-		h.U64(uint64(f.EncodeK))
-		h.U64(uint64(f.EncodeM))
+		k, m := f.Geometry()
+		h.U64(uint64(k))
+		h.U64(uint64(m))
 		h.U64(uint64(len(f.Blocks)))
 		for _, bid := range f.Blocks {
 			h.U64(uint64(bid))
 		}
-		h.U64(uint64(len(f.Parity)))
-		for _, bid := range f.Parity {
+		h.U64(uint64(len(f.Parity())))
+		for _, bid := range f.Parity() {
 			h.U64(uint64(bid))
 		}
 	}
@@ -175,10 +176,11 @@ func (c *Cluster) AppendCheckpoint(dst []byte) []byte {
 		w.Varint(int64(f.CreatedAt))
 		w.Uvarint(uint64(f.TargetRepl))
 		w.Bool(f.Encoded)
-		w.Uvarint(uint64(f.EncodeK))
-		w.Uvarint(uint64(f.EncodeM))
+		k, m := f.Geometry()
+		w.Uvarint(uint64(k))
+		w.Uvarint(uint64(m))
 		writeIDList(&w, f.Blocks)
-		writeIDList(&w, f.Parity)
+		writeIDList(&w, f.Parity())
 	}
 
 	// Replica lists for live blocks, ascending block ID. List order is
@@ -465,13 +467,15 @@ func (c *Cluster) decodeCheckpoint(data []byte) (*ckptState, error) {
 			CreatedAt:  time.Duration(d.Varint("createdAt")),
 			TargetRepl: int(d.Uvarint("target repl")),
 			Encoded:    d.Bool("encoded"),
-			EncodeK:    int(d.Uvarint("encodeK")),
-			EncodeM:    int(d.Uvarint("encodeM")),
-			Blocks:     idList(&d, &idSlab, "block list", st.nextBlock),
-			Parity:     idList(&d, &idSlab, "parity list", st.nextBlock),
-			id:         slot,
+			id:         int32(slot),
 		})
 		f := &inodes[len(inodes)-1]
+		k, m := int(d.Uvarint("encodeK")), int(d.Uvarint("encodeM"))
+		f.Blocks = idList(&d, &idSlab, "block list", st.nextBlock)
+		// A Stripe only for a file that names one: a geometry or parities.
+		if parity := idList(&d, &idSlab, "parity list", st.nextBlock); k != 0 || m != 0 || len(parity) > 0 {
+			f.stripe = &Stripe{K: k, M: m, Parity: parity}
+		}
 		if d.Err() != nil {
 			return nil, d.Err()
 		}
@@ -485,22 +489,22 @@ func (c *Cluster) decodeCheckpoint(data []byte) (*ckptState, error) {
 		if f.Size <= 0 || math.IsNaN(f.Size) || math.IsInf(f.Size, 0) {
 			return nil, fmt.Errorf("hdfs: checkpoint file %q: bad size %v", f.Path, f.Size)
 		}
-		if f.TargetRepl < 1 || f.CreatedAt < 0 || f.EncodeK < 0 || f.EncodeM < 0 {
+		if f.TargetRepl < 1 || f.CreatedAt < 0 || k < 0 || m < 0 {
 			return nil, fmt.Errorf("hdfs: checkpoint file %q: bad metadata (target=%d createdAt=%v k=%d m=%d)",
-				f.Path, f.TargetRepl, f.CreatedAt, f.EncodeK, f.EncodeM)
+				f.Path, f.TargetRepl, f.CreatedAt, k, m)
 		}
 		// A file never holds more blocks than its size implies.
 		if want := blockCount(f.Size, c.cfg.BlockSize); len(f.Blocks) > want {
 			return nil, fmt.Errorf("hdfs: checkpoint file %q: %d blocks for size %.0f (max %d)",
 				f.Path, len(f.Blocks), f.Size, want)
 		}
-		if len(f.Parity) > 0 && (f.EncodeK <= 0 || f.EncodeM <= 0) {
+		if len(f.Parity()) > 0 && (k <= 0 || m <= 0) {
 			return nil, fmt.Errorf("hdfs: checkpoint file %q: parity blocks without stripe geometry", f.Path)
 		}
-		if f.Encoded && f.EncodeK <= 0 {
+		if f.Encoded && k <= 0 {
 			return nil, fmt.Errorf("hdfs: checkpoint file %q: encoded without geometry", f.Path)
 		}
-		for _, ids := range [2][]BlockID{f.Blocks, f.Parity} {
+		for _, ids := range [2][]BlockID{f.Blocks, f.Parity()} {
 			for _, bid := range ids {
 				if owner[bid] != 0 {
 					return nil, fmt.Errorf("hdfs: checkpoint block %d claimed by two files", bid)
@@ -665,10 +669,10 @@ func (c *Cluster) commitCheckpoint(st *ckptState) {
 		for i, bid := range f.Blocks {
 			c.blocks[bid] = blockRef{int32(slot), int32(i)}
 		}
-		for p, bid := range f.Parity {
+		for p, bid := range f.Parity() {
 			c.blocks[bid] = blockRef{int32(slot), ^int32(p)}
 		}
-		c.liveBlocks += len(f.Blocks) + len(f.Parity)
+		c.liveBlocks += len(f.Blocks) + len(f.Parity())
 	}
 
 	// Datanodes: durable fields from the checkpoint, block sets and Used

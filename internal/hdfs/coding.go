@@ -60,7 +60,7 @@ func (c *Cluster) EncodeFile(path string, k, m int, done func(error)) {
 	// A retry of a failed attempt drops that attempt's parity first, so
 	// parity j of stripe s is again the file's (s·m+j)-th parity block,
 	// the position a restore numbers it by.
-	if len(f.Parity) > 0 {
+	if len(f.Parity()) > 0 {
 		c.clearGeometry(f)
 	}
 	c.setGeometry(f, k, m)
@@ -201,7 +201,7 @@ func (c *Cluster) finishEncode(f *INode, err error, done func(error)) {
 		c.finish(done, err)
 		return
 	}
-	k := f.EncodeK
+	k, _ := f.Geometry()
 	if k <= 0 {
 		k = len(f.Blocks)
 	}
@@ -214,7 +214,7 @@ func (c *Cluster) finishEncode(f *INode, err error, done func(error)) {
 		}
 		// Seed the per-node stripe census with this stripe's parities.
 		load := map[DatanodeID]int{}
-		for _, pid := range f.Parity {
+		for _, pid := range f.Parity() {
 			if c.view(pid).Group != s {
 				continue
 			}
@@ -277,10 +277,10 @@ func (c *Cluster) stripeOf(f *INode, bid BlockID) (data, parity []BlockID, ok bo
 	if !live {
 		return nil, nil, false
 	}
-	if len(f.Parity) == 0 || len(f.Blocks) == 0 || f.EncodeK <= 0 {
+	k, _ := f.Geometry()
+	if len(f.Parity()) == 0 || len(f.Blocks) == 0 || k <= 0 {
 		return nil, nil, false
 	}
-	k := f.EncodeK
 	group := b.Group
 	if !b.Parity {
 		group = b.Index / k
@@ -293,7 +293,7 @@ func (c *Cluster) stripeOf(f *INode, bid BlockID) (data, parity []BlockID, ok bo
 		return nil, nil, false
 	}
 	data = f.Blocks[lo:hi]
-	for _, pid := range f.Parity {
+	for _, pid := range f.Parity() {
 		if c.view(pid).Group == group {
 			parity = append(parity, pid)
 		}
@@ -403,21 +403,24 @@ func (c *Cluster) CancelEncoding(path string) error {
 	return nil
 }
 
-// setGeometry records f's stripe geometry, RS(k, m), as an encode starts.
+// setGeometry records f's stripe geometry, RS(k, m), as an encode starts,
+// giving f its Stripe if it has none.
 func (c *Cluster) setGeometry(f *INode, k, m int) {
-	f.EncodeK, f.EncodeM = k, m
-	c.jlog(auditlog.Entry{Op: auditlog.OpEncodeGeom, File: f.id, K: k, M: m})
+	if f.stripe == nil {
+		f.stripe = new(Stripe)
+	}
+	f.stripe.K, f.stripe.M = k, m
+	c.jlog(auditlog.Entry{Op: auditlog.OpEncodeGeom, File: f.ID(), K: k, M: m})
 }
 
-// clearGeometry drops f's parity blocks and clears its stripe geometry,
-// leaving the file plain.
+// clearGeometry drops f's parity blocks and its Stripe, leaving the file
+// plain.
 func (c *Cluster) clearGeometry(f *INode) {
-	for _, pid := range f.Parity {
+	for _, pid := range f.Parity() {
 		c.dropBlock(pid)
 	}
-	f.Parity = nil
-	f.EncodeK, f.EncodeM = 0, 0
-	c.jlog(auditlog.Entry{Op: auditlog.OpClearGeom, File: f.id})
+	f.stripe = nil
+	c.jlog(auditlog.Entry{Op: auditlog.OpClearGeom, File: f.ID()})
 }
 
 // setEncoded marks f encoded (its parity complete) or not (a decode has
@@ -429,7 +432,7 @@ func (c *Cluster) setEncoded(f *INode, encoded bool) {
 	if encoded {
 		op = auditlog.OpEncodeDone
 	}
-	c.jlog(auditlog.Entry{Op: op, File: f.id})
+	c.jlog(auditlog.Entry{Op: op, File: f.ID()})
 	c.reassessFile(f)
 }
 
@@ -466,9 +469,11 @@ func (c *Cluster) DecodeFile(path string, n int, done func(error)) {
 		return
 	}
 	c.setEncoded(f, false)
-	for _, pid := range f.Parity {
+	for _, pid := range f.Parity() {
 		c.dropBlock(pid)
 	}
-	f.Parity = nil
+	if f.stripe != nil {
+		f.stripe.Parity = nil // the geometry stays, as a checkpoint records it
+	}
 	c.SetReplication(path, n, WholeAtOnce, done)
 }

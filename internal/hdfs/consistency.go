@@ -159,11 +159,11 @@ func (c *Cluster) ConsistencyErrors() []string {
 
 	// --- File table vs interned IDs.
 	for p, f := range c.files {
-		if f.id < 0 || f.id >= len(c.fileByID) || c.fileByID[f.id] != f {
+		if f.id < 0 || f.ID() >= len(c.fileByID) || c.fileByID[f.id] != f {
 			fail("file %q has broken intern id %d", p, f.id)
 			continue
 		}
-		for _, bid := range append(append([]BlockID{}, f.Blocks...), f.Parity...) {
+		for _, bid := range append(append([]BlockID{}, f.Blocks...), f.Parity()...) {
 			if !c.live(bid) {
 				fail("file %q references deleted block %d", p, bid)
 				continue
@@ -174,7 +174,7 @@ func (c *Cluster) ConsistencyErrors() []string {
 		}
 		// Every block f lists is live and f's (above), each listed once:
 		// equal counts leave none of f's blocks unlisted.
-		if n := len(f.Blocks) + len(f.Parity); n != owned[f.id] {
+		if n := len(f.Blocks) + len(f.Parity()); n != owned[f.id] {
 			fail("file %q lists %d blocks but owns %d", p, n, owned[f.id])
 		}
 	}
@@ -194,7 +194,7 @@ func (c *Cluster) ConsistencyErrors() []string {
 			continue
 		}
 		above++
-		if i, ok := c.aboveAt[f.id]; !ok || i >= len(c.aboveDefault) || c.aboveDefault[i] != f {
+		if i, ok := c.aboveAt[f.ID()]; !ok || i >= len(c.aboveDefault) || c.aboveDefault[i] != f {
 			fail("file %q has replication %d above the default but is not in the above-default set", f.Path, c.Replication(f))
 		}
 	}

@@ -114,8 +114,8 @@ func TestEncodeRetryKeepsOneStripeLayout(t *testing.T) {
 	if err != nil {
 		t.Fatalf("retry: %v", err)
 	}
-	if want := 3 * m; len(f.Parity) != want {
-		t.Fatalf("%d parity blocks after the retry, want %d", len(f.Parity), want)
+	if want := 3 * m; len(f.Parity()) != want {
+		t.Fatalf("%d parity blocks after the retry, want %d", len(f.Parity()), want)
 	}
 	var after bytes.Buffer
 	if err := c.WriteCheckpoint(&after); err != nil {
@@ -129,7 +129,7 @@ func TestEncodeRetryKeepsOneStripeLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pid := range f.Parity {
+	for _, pid := range f.Parity() {
 		live, _ := c.Block(pid)
 		for name, s := range map[string]*Cluster{"restored": restored, "replayed": replayed} {
 			b, ok := s.Block(pid)

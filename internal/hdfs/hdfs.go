@@ -85,25 +85,51 @@ type blockRef struct{ file, pos int32 }
 
 var noBlock = blockRef{-1, -1}
 
-// INode is a file's namespace entry.
+// INode is a file's namespace entry: 80 bytes, one per file. A striped
+// file's erasure layout lives in a Stripe beside it, so the files never
+// encoded pay one nil pointer for it.
 type INode struct {
 	Path       string
 	Size       float64
 	Blocks     []BlockID
-	Parity     []BlockID
+	stripe     *Stripe // nil until setGeometry; dropped by clearGeometry
 	TargetRepl int
-	Encoded    bool
 	CreatedAt  time.Duration
-	// EncodeK/EncodeM record the stripe geometry once Encoded.
-	EncodeK, EncodeM int
+	Encoded    bool
 	// id is the interned file index into Cluster.fileByID; it survives
-	// renames and is never reused.
-	id int
+	// renames and is never reused. The block map holds it as an int32 too.
+	id int32
+}
+
+// Stripe is a striped file's erasure layout: the RS(K, M) geometry its
+// encode set, and its parity blocks in stripe-layout order. A decode drops
+// the parities and keeps the geometry, as a checkpoint records it.
+type Stripe struct {
+	K, M   int
+	Parity []BlockID
 }
 
 // ID returns the file's slot in the interned file table (FileTable): stable
 // across renames, never reused after a delete.
-func (f *INode) ID() int { return f.id }
+func (f *INode) ID() int { return int(f.id) }
+
+// Parity returns the file's parity blocks (do not mutate); nil for a file
+// never striped.
+func (f *INode) Parity() []BlockID {
+	if f.stripe == nil {
+		return nil
+	}
+	return f.stripe.Parity
+}
+
+// Geometry returns the file's stripe geometry RS(k, m); 0, 0 for a file
+// never striped.
+func (f *INode) Geometry() (k, m int) {
+	if f.stripe == nil {
+		return 0, 0
+	}
+	return f.stripe.K, f.stripe.M
+}
 
 // Datanode models one storage server.
 type Datanode struct {
@@ -689,7 +715,7 @@ func (c *Cluster) geometry(f *INode, pos int32) (index int, size float64, group 
 		return int(pos), c.blockBytes(int(pos), blockCount(f.Size, c.cfg.BlockSize), f.Size), 0
 	}
 	j := int(^pos)
-	return len(f.Blocks) + j, c.cfg.BlockSize, j / max(f.EncodeM, 1)
+	return len(f.Blocks) + j, c.cfg.BlockSize, j / max(f.stripe.M, 1)
 }
 
 // Replicas returns the datanodes holding block id (do not mutate).
@@ -713,11 +739,11 @@ func (c *Cluster) owner(id BlockID) *INode {
 
 // registerFile interns f and installs it in the namespace.
 func (c *Cluster) registerFile(f *INode) {
-	f.id = len(c.fileByID)
+	f.id = int32(len(c.fileByID))
 	c.fileByID = append(c.fileByID, f)
 	c.files[f.Path] = f
 	c.pathsCache = nil
-	c.jlog(auditlog.Entry{Op: auditlog.OpFileAdd, Path: f.Path, File: f.id,
+	c.jlog(auditlog.Entry{Op: auditlog.OpFileAdd, Path: f.Path, File: f.ID(),
 		Size: f.Size, Target: f.TargetRepl})
 }
 
@@ -727,18 +753,18 @@ func (c *Cluster) registerFile(f *INode) {
 func (c *Cluster) addBlock(f *INode, pos int32) BlockID {
 	id := c.nextBlock
 	c.nextBlock++
-	c.blocks = append(c.blocks, blockRef{int32(f.id), pos})
+	c.blocks = append(c.blocks, blockRef{f.id, pos})
 	c.replicas = append(c.replicas, nil)
 	c.liveBlocks++
 	if pos < 0 {
-		f.Parity = append(f.Parity, id)
+		f.stripe.Parity = append(f.stripe.Parity, id)
 	} else {
 		f.Blocks = append(f.Blocks, id)
 	}
 	c.reassessBlock(id)
 	if c.journal != nil {
 		index, size, group := c.geometry(f, pos)
-		c.jlog(auditlog.Entry{Op: auditlog.OpBlockAdd, Block: int64(id), File: f.id,
+		c.jlog(auditlog.Entry{Op: auditlog.OpBlockAdd, Block: int64(id), File: f.ID(),
 			Size: size, Index: index, Flag: pos < 0, Group: group})
 	}
 	return id
@@ -950,7 +976,7 @@ func (c *Cluster) Rename(src, dst string) error {
 // dropFile drops f's blocks, then removes f from the namespace: the
 // transition DeleteFile, a failed CreateFile's unwind and OpFileDrop share.
 func (c *Cluster) dropFile(f *INode) {
-	for _, ids := range [2][]BlockID{f.Blocks, f.Parity} {
+	for _, ids := range [2][]BlockID{f.Blocks, f.Parity()} {
 		for _, bid := range ids {
 			c.dropBlock(bid)
 		}
@@ -958,7 +984,7 @@ func (c *Cluster) dropFile(f *INode) {
 	delete(c.files, f.Path)
 	c.fileByID[f.id] = nil
 	c.pathsCache = nil
-	c.jlog(auditlog.Entry{Op: auditlog.OpFileDrop, File: f.id, Path: f.Path})
+	c.jlog(auditlog.Entry{Op: auditlog.OpFileDrop, File: f.ID(), Path: f.Path})
 }
 
 // renameFile moves f to dst, which must be free: the transition Rename and
@@ -969,7 +995,7 @@ func (c *Cluster) renameFile(f *INode, dst string) {
 	f.Path = dst
 	c.files[dst] = f
 	c.pathsCache = nil
-	c.jlog(auditlog.Entry{Op: auditlog.OpRename, File: f.id, Path: src, Dst: dst})
+	c.jlog(auditlog.Entry{Op: auditlog.OpRename, File: f.ID(), Path: src, Dst: dst})
 }
 
 // attachReplica registers a replica of block id on dn (metadata + space).

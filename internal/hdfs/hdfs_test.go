@@ -389,8 +389,8 @@ func TestEncodeFileReducesStorage(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := c.File("/cold")
-	if !f.Encoded || len(f.Parity) != 4 {
-		t.Fatalf("encoded=%v parity=%d", f.Encoded, len(f.Parity))
+	if !f.Encoded || len(f.Parity()) != 4 {
+		t.Fatalf("encoded=%v parity=%d", f.Encoded, len(f.Parity()))
 	}
 	after := c.TotalUsed()
 	// 3x640 MB = 1920 before; after: 640 + 4*64 = 896.
@@ -510,8 +510,8 @@ func TestDecodeFileRestoresReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := c.File("/cold")
-	if f.Encoded || len(f.Parity) != 0 {
-		t.Fatalf("decode left state: encoded=%v parity=%d", f.Encoded, len(f.Parity))
+	if f.Encoded || len(f.Parity()) != 0 {
+		t.Fatalf("decode left state: encoded=%v parity=%d", f.Encoded, len(f.Parity()))
 	}
 	if got := c.ReplicationOf("/cold"); got != 3 {
 		t.Fatalf("replication = %d", got)

@@ -153,7 +153,9 @@ func (c *Cluster) applyEntry(e auditlog.Entry) error {
 		// replication. The blocks left keep their positions: a position
 		// is where the block was minted, not an index into the list.
 		f.Blocks = removeID(f.Blocks, id)
-		f.Parity = removeID(f.Parity, id)
+		if f.stripe != nil {
+			f.stripe.Parity = removeID(f.stripe.Parity, id)
+		}
 		if len(f.Blocks) > 0 {
 			c.reassessAboveDefault(f.Blocks[0])
 		}
@@ -181,7 +183,7 @@ func (c *Cluster) applyEntry(e auditlog.Entry) error {
 func (c *Cluster) applyFileEntry(f *INode, e auditlog.Entry) error {
 	switch e.Op {
 	case auditlog.OpFileDrop:
-		if n := len(f.Blocks) + len(f.Parity); n > 0 {
+		if n := len(f.Blocks) + len(f.Parity()); n > 0 {
 			return fmt.Errorf("file %q dropped with %d live blocks", f.Path, n)
 		}
 		c.dropFile(f)
@@ -203,8 +205,8 @@ func (c *Cluster) applyFileEntry(f *INode, e auditlog.Entry) error {
 	case auditlog.OpEncodeDone, auditlog.OpDecodeStart:
 		c.setEncoded(f, e.Op == auditlog.OpEncodeDone)
 	case auditlog.OpClearGeom:
-		if len(f.Parity) > 0 {
-			return fmt.Errorf("geometry of %q cleared with %d live parity blocks", f.Path, len(f.Parity))
+		if n := len(f.Parity()); n > 0 {
+			return fmt.Errorf("geometry of %q cleared with %d live parity blocks", f.Path, n)
 		}
 		c.clearGeometry(f)
 	case auditlog.OpBlockAdd:
@@ -229,8 +231,8 @@ func (c *Cluster) blockPosition(f *INode, e auditlog.Entry) (int32, error) {
 	n := len(f.Blocks)
 	pos, room := int32(n), n < blockCount(f.Size, c.cfg.BlockSize)
 	if j := e.Index - n; e.Flag {
-		pos, room = ^int32(j), f.EncodeK > 0 && f.EncodeM > 0 && j >= 0 && j <= math.MaxInt32 &&
-			j/f.EncodeM < (n+f.EncodeK-1)/f.EncodeK
+		k, m := f.Geometry()
+		pos, room = ^int32(j), k > 0 && m > 0 && j >= 0 && j <= math.MaxInt32 && j/m < (n+k-1)/k
 	}
 	if !room {
 		return 0, fmt.Errorf("no room in %q for block %d (index %d, parity %t)", f.Path, e.Block, e.Index, e.Flag)

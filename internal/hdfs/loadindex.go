@@ -204,16 +204,16 @@ func (c *Cluster) reassessAboveDefault(id BlockID) {
 	if f == nil || len(f.Blocks) == 0 || f.Blocks[0] != id {
 		return
 	}
-	i, in := c.aboveAt[f.id]
+	i, in := c.aboveAt[f.ID()]
 	switch want := c.Replication(f) > c.cfg.DefaultReplication; {
 	case want && !in:
-		c.aboveAt[f.id] = len(c.aboveDefault)
+		c.aboveAt[f.ID()] = len(c.aboveDefault)
 		c.aboveDefault = append(c.aboveDefault, f)
 	case !want && in:
 		last := c.aboveDefault[len(c.aboveDefault)-1]
-		c.aboveDefault[i], c.aboveAt[last.id] = last, i
+		c.aboveDefault[i], c.aboveAt[last.ID()] = last, i
 		c.aboveDefault = c.aboveDefault[:len(c.aboveDefault)-1]
-		delete(c.aboveAt, f.id)
+		delete(c.aboveAt, f.ID())
 	}
 }
 
@@ -237,7 +237,7 @@ func (c *Cluster) rebuildDerived() {
 	c.aboveDefault, c.aboveAt = nil, make(map[int]int)
 	for _, f := range c.fileByID {
 		if f != nil && c.Replication(f) > c.cfg.DefaultReplication {
-			c.aboveAt[f.id] = len(c.aboveDefault)
+			c.aboveAt[f.ID()] = len(c.aboveDefault)
 			c.aboveDefault = append(c.aboveDefault, f)
 		}
 	}

@@ -46,8 +46,8 @@ func TestUnrecoverableIgnoresParityInFlight(t *testing.T) {
 	}
 	var encErr error
 	c.EncodeFile("/cold/a", 10, 4, func(err error) { encErr = err })
-	if len(f.Parity) != 4 || f.Encoded {
-		t.Fatalf("mid-encode: %d parities registered, encoded=%v", len(f.Parity), f.Encoded)
+	if len(f.Parity()) != 4 || f.Encoded {
+		t.Fatalf("mid-encode: %d parities registered, encoded=%v", len(f.Parity()), f.Encoded)
 	}
 	if lost := c.UnrecoverableBlocks(); lost != nil {
 		t.Errorf("mid-encode parities reported lost: %v", lost)
@@ -61,7 +61,7 @@ func TestUnrecoverableIgnoresParityInFlight(t *testing.T) {
 	}
 	// RS(10,4) survives four lost members and not a fifth — and a data
 	// block of a plain file with no copies is lost outright.
-	for i, bid := range append(append([]BlockID{}, f.Parity...), f.Blocks[0]) {
+	for i, bid := range append(append([]BlockID{}, f.Parity()...), f.Blocks[0]) {
 		for _, dn := range append([]DatanodeID{}, c.Replicas(bid)...) {
 			c.Kill(dn)
 		}

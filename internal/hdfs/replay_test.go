@@ -163,7 +163,8 @@ func fuzzEntry(c *Cluster, r []byte) auditlog.Entry {
 		e.Index, e.Size, e.Group = n, c.blockBytes(n, blockCount(f.Size, c.cfg.BlockSize), f.Size), 0
 		if e.Flag {
 			j := int(r[3]) % 8
-			e.Index, e.Size, e.Group = n+j, c.cfg.BlockSize, j/max(f.EncodeM, 1)
+			_, m := f.Geometry()
+			e.Index, e.Size, e.Group = n+j, c.cfg.BlockSize, j/max(m, 1)
 		}
 		switch r[4] % 8 {
 		case 1:

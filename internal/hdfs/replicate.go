@@ -267,7 +267,7 @@ func (m ReplicationMode) String() string {
 // under-replication.
 func (c *Cluster) setTarget(f *INode, n int) {
 	f.TargetRepl = n
-	c.jlog(auditlog.Entry{Op: auditlog.OpSetTarget, File: f.id, Target: n})
+	c.jlog(auditlog.Entry{Op: auditlog.OpSetTarget, File: f.ID(), Target: n})
 	c.reassessFile(f)
 }
 

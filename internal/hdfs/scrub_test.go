@@ -108,12 +108,12 @@ func TestScrubberDetectsEncodedCorruption(t *testing.T) {
 				t.Fatalf("encode: done=%v err=%v", encDone, encErr)
 			}
 			f := c.File("/a")
-			if !f.Encoded || len(f.Parity) == 0 {
+			if !f.Encoded || len(f.Parity()) == 0 {
 				t.Fatal("file not encoded")
 			}
 			members := []BlockID{f.Blocks[0]}
 			if tc.all {
-				members = append(append([]BlockID{}, f.Blocks...), f.Parity...)
+				members = append(append([]BlockID{}, f.Blocks...), f.Parity()...)
 			}
 			corrupted := 0
 			for _, bid := range members {

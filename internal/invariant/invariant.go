@@ -269,7 +269,7 @@ func checkStorage(t Target) []string {
 					path, f.TargetRepl, t.MaxReplication))
 			}
 		}
-		for i, bid := range append(append([]hdfs.BlockID{}, f.Blocks...), f.Parity...) {
+		for i, bid := range append(append([]hdfs.BlockID{}, f.Blocks...), f.Parity()...) {
 			if n := len(c.Replicas(bid)); n > nodes {
 				errs = append(errs, fmt.Sprintf("block %d has %d replicas on a %d-node cluster", bid, n, nodes))
 			} else if !f.Encoded && i < len(f.Blocks) && n > f.TargetRepl {
@@ -420,7 +420,7 @@ func checkMetrics(t Target) []string {
 	var stored float64
 	for _, path := range c.FilePaths() {
 		f := c.File(path)
-		for _, bid := range append(append([]hdfs.BlockID{}, f.Blocks...), f.Parity...) {
+		for _, bid := range append(append([]hdfs.BlockID{}, f.Blocks...), f.Parity()...) {
 			if b, ok := c.Block(bid); ok {
 				stored += float64(float64(len(c.Replicas(bid))) * b.Size)
 			}

@@ -312,8 +312,8 @@ func TestCheckMidEncode(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.EncodeFile("/cold/a", 10, 4, nil)
-	if f := c.File("/cold/a"); f.Encoded || len(f.Parity) != 4 || len(c.Replicas(f.Parity[0])) != 0 {
-		t.Fatalf("not mid-encode: encoded=%v parities=%v", f.Encoded, f.Parity)
+	if f := c.File("/cold/a"); f.Encoded || len(f.Parity()) != 4 || len(c.Replicas(f.Parity()[0])) != 0 {
+		t.Fatalf("not mid-encode: encoded=%v parities=%v", f.Encoded, f.Parity())
 	}
 	if errs := invariant.Check(invariant.Target{Cluster: c}); errs != nil {
 		t.Errorf("mid-encode: %v", errs)
