@@ -72,24 +72,29 @@ func (e *Engine) Compile(q Query) (*Statement, error) {
 		return nil, fmt.Errorf("cep: negative window %v", q.Window)
 	}
 	q.GroupBy = slices.Clone(q.GroupBy)
-	s := &Statement{engine: e, q: q, groups: make(map[uint64]*group), cols: make([]Val, len(q.GroupBy)+1)}
+	s := &Statement{engine: e, q: q, groups: make(map[uint64]uint32), free: none, cols: make([]Val, len(q.GroupBy)+1)}
 	e.statements[q.From] = append(e.statements[q.From], s)
 	return s, nil
 }
 
 // Insert dispatches a schema event to every statement reading its type.
 // Events failing a statement's where clause are not retained by that
-// statement. An event not built by Schema.Event is an error. No statement
-// keeps the event, so it does not escape and inserting does not allocate.
+// statement. An event not built by Schema.Event is an error, and so is one
+// a statement refuses because its window already retains 2³²−1 records
+// (the others still take it). No statement keeps the event, so it does not
+// escape and inserting does not allocate.
 func (e *Engine) Insert(ev Event) error {
 	if ev.schema == nil {
 		return errors.New("cep: Insert of an event without a schema (build it with Schema.Event)")
 	}
 	e.inserted++
+	var err error
 	for _, s := range e.statements[ev.schema.typ] {
-		s.insert(&ev)
+		if serr := s.insert(&ev); err == nil {
+			err = serr
+		}
 	}
-	return nil
+	return err
 }
 
 // Statement is a registered continuous query plus its retained state: the
@@ -103,15 +108,17 @@ type Statement struct {
 	keySlots  []int
 	whereSlot int
 
-	groups    map[uint64]*group // by key hash; colliding keys chain through group.next
-	free      *group            // emptied groups, chained through next, for insert to reuse
+	groups    map[uint64]uint32 // bucket heads by key hash; colliding keys chain through group.next
+	grp       []group           // the group slab, by index
+	keys      []Val             // the key slab: len(GroupBy) values a group, at its index
+	free      uint32            // first emptied group, chained through next, for insert to reuse
 	hashClear uint64            // bits cleared from every key hash: zero, except in tests forcing collisions
 	expiry    ring[expEntry]
 	seq       uint64
 
-	grpScratch []seqGroup // surviving's result, and its sort's other buffer
-	grpSpare   []seqGroup
-	cols       []Val
+	sorted []uint64 // surviving's result, and its sort's other buffer
+	spare  []uint64
+	cols   []Val
 }
 
 // SetLabel names the statement for trace spans ("files", "blocks", ...).

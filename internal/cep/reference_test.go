@@ -148,7 +148,7 @@ func TestAggregatesMatchBruteForce(t *testing.T) {
 				}
 				spare := st.free
 				r.insert(t, e)
-				if spare != nil && st.free != spare {
+				if spare != none && st.free != spare {
 					recycled++
 				}
 				recs = append(recs, r)

@@ -1,6 +1,7 @@
 package cep
 
 import (
+	"fmt"
 	"hash/maphash"
 	"math"
 	"math/bits"
@@ -13,30 +14,35 @@ import (
 // O(groups) instead of rescanning the retained events. Records expire
 // front-first in insertion order through a statement-level FIFO, whose
 // entries also link each record to its group's next one, so a group knows
-// its oldest live record without a list of its own.
+// its oldest live record without a list of its own. Groups live in one
+// slab addressed by index and their keys in a second one, arity values a
+// group, so neither the FIFO nor the slab holds a pointer the collector
+// must follow.
 
-// maxGroupKeyFields caps the typed composite group key.
+// maxGroupKeyFields caps a statement's group by keys.
 const maxGroupKeyFields = 3
 
-// groupKey is a comparable composite key over at most maxGroupKeyFields
-// typed values — no fmt round-trip, no per-insert allocation. Keys are
-// typed: the string '1' and the number 1 are different groups.
-type groupKey struct {
-	n uint8
-	v [maxGroupKeyFields]Val
-}
+// maxRecords caps the records one statement's window retains: a FIFO
+// entry reaches its group's next record by a uint32 distance in sequence
+// numbers, and a group's slab index is a uint32 below none. A variable so
+// a test can lower it.
+var maxRecords uint64 = math.MaxUint32
+
+// none ends a bucket chain or the free list.
+const none = math.MaxUint32
 
 var groupHashSeed = maphash.MakeSeed()
 
-// hash is a 64-bit hash of the key's live fields only: each field's kind,
-// then its payload — a string through maphash, a number as its float bits
-// with −0 folded into 0 — so keys equal under == hash alike.
-// Statement.groups chains keys whose hashes collide; == stays the equality,
-// so a NaN still matches nothing and forms a group of its own.
-func (k *groupKey) hash() uint64 {
+// hashKey is a 64-bit hash of a group key: each field's kind, then its
+// payload — a string through maphash, a number as its float bits with −0
+// folded into 0 — so keys equal under == hash alike. Statement.groups
+// chains keys whose hashes collide; == on each Val stays the equality, so
+// a NaN still matches nothing and forms a group of its own. Keys are
+// typed: the string '1' and the number 1 are different groups.
+func hashKey(key []Val) uint64 {
 	var h uint64
-	for i := range k.n {
-		v := &k.v[i]
+	for i := range key {
+		v := &key[i]
 		var x uint64
 		switch v.k {
 		case kindStr:
@@ -81,9 +87,7 @@ func (r *ring[T]) push(v T) {
 }
 
 func (r *ring[T]) pop() T {
-	var zero T
 	v := r.buf[r.head]
-	r.buf[r.head] = zero
 	r.head = (r.head + 1) % len(r.buf)
 	r.n--
 	return v
@@ -91,71 +95,92 @@ func (r *ring[T]) pop() T {
 
 func (r *ring[T]) at(i int) *T { return &r.buf[(r.head+i)%len(r.buf)] }
 
-// expEntry is one retained record in the statement-level expiry FIFO: its
-// event time, the group it belongs to, and the sequence number of that
-// group's next record (meaningless until one arrives).
+// expEntry is one retained record in the statement-level expiry FIFO, 16
+// bytes with no pointer: its event time, its group's slab index, and how
+// many sequence numbers on that group's next record comes (meaningless
+// until one arrives).
 type expEntry struct {
 	t    time.Duration
-	g    *group
-	next uint64
+	g    uint32
+	next uint32
 }
 
 // group is the running state of one surviving group, or, emptied, a spare
-// on its statement's free list.
+// on its statement's free list. Group i's key is the statement's
+// keys[i·arity:(i+1)·arity].
 type group struct {
-	key  groupKey
-	hash uint64 // the key's Statement.groups bucket
-	// next is the bucket's next group, whose key hashes alike; on the free
-	// list, the next spare.
-	next   *group
-	count  int    // live records: the group's count(*)
+	hash   uint64 // the key's Statement.groups bucket
 	oldest uint64 // sequence numbers of the oldest and newest live records
 	newest uint64
+	count  uint32 // live records: the group's count(*); 0 on the free list
+	// next is the slab index of the bucket's next group, whose key hashes
+	// alike; on the free list, of the next spare; none ends either chain.
+	next uint32
+}
+
+// key returns group gi's key fields in the key slab.
+func (s *Statement) key(gi uint32) []Val {
+	n := len(s.q.GroupBy)
+	return s.keys[int(gi)*n : int(gi+1)*n]
 }
 
 // insert applies the where clause to one event and counts it in its group.
-func (s *Statement) insert(ev *Event) {
+// It refuses the event once the window retains maxRecords records.
+func (s *Statement) insert(ev *Event) error {
 	if ev.schema != s.schema {
 		s.resolve(ev.schema)
 	}
 	if s.q.Where != "" && ev.field(s.whereSlot) != s.q.Equals {
-		return
+		return nil
 	}
 	s.pruneTime()
-	var key groupKey
-	key.n = uint8(len(s.keySlots))
+	if uint64(s.expiry.len()) >= maxRecords {
+		return fmt.Errorf("cep: statement %q retains %d records, the most a window holds", s.label, s.expiry.len())
+	}
+	var buf [maxGroupKeyFields]Val
+	key := buf[:len(s.keySlots)]
 	for i, slot := range s.keySlots {
-		key.v[i] = ev.field(slot)
+		key[i] = ev.field(slot)
 	}
-	h := key.hash() &^ s.hashClear
-	head := s.groups[h]
-	g := head
-	for g != nil && g.key != key {
-		g = g.next
+	h := hashKey(key) &^ s.hashClear
+	head, ok := s.groups[h]
+	if !ok {
+		head = none
 	}
-	if g == nil {
-		if g = s.free; g != nil {
-			s.free = g.next
+	gi := head
+	for gi != none && !slices.Equal(s.key(gi), key) {
+		gi = s.grp[gi].next
+	}
+	if gi == none {
+		if gi = s.free; gi != none {
+			s.free = s.grp[gi].next
 		} else {
-			g = new(group)
+			gi = uint32(len(s.grp))
+			s.grp = append(s.grp, group{})
+			s.keys = append(s.keys, key...)
 		}
-		g.hash, g.next, g.oldest = h, head, s.seq
-		s.groups[h] = g
+		s.grp[gi] = group{hash: h, next: head, oldest: s.seq}
+		s.groups[h] = gi
 	} else {
-		s.record(g.newest).next = s.seq
+		s.record(s.grp[gi].newest).next = uint32(s.seq - s.grp[gi].newest)
 	}
-	g.key = key // ==-equal to the stored key, but a −0/+0 group shows its latest
+	copy(s.key(gi), key) // ==-equal to the stored key, but a −0/+0 group shows its latest
+	g := &s.grp[gi]
 	g.count++
 	g.newest = s.seq
 	s.seq++
-	s.expiry.push(expEntry{t: ev.Time, g: g})
+	s.expiry.push(expEntry{t: ev.Time, g: gi})
+	return nil
 }
 
 // record returns the expiry entry of the live record with sequence number
 // seq: the FIFO holds the last expiry.len() sequence numbers in order.
 func (s *Statement) record(seq uint64) *expEntry {
-	return s.expiry.at(int(seq - (s.seq - uint64(s.expiry.len()))))
+	return s.expiry.at(int(seq - s.first()))
 }
+
+// first is the sequence number of the oldest record the window retains.
+func (s *Statement) first() uint64 { return s.seq - uint64(s.expiry.len()) }
 
 // resolve maps the statement's fields onto a schema's slots; a field the
 // schema lacks is -1 and reads as null.
@@ -181,73 +206,70 @@ func (s *Statement) pruneTime() {
 	cutoff := s.engine.clock() - s.q.Window
 	for s.expiry.len() > 0 && s.expiry.at(0).t < cutoff {
 		rec := s.expiry.pop()
-		g := rec.g
+		g := &s.grp[rec.g]
 		if g.count--; g.count > 0 {
-			g.oldest = rec.next
+			g.oldest += uint64(rec.next)
 			continue
 		}
-		s.unlink(g)
-		*g = group{next: s.free} // drop the key's strings
-		s.free = g
+		s.unlink(rec.g)
+		clear(s.key(rec.g)) // drop the key's strings
+		*g = group{next: s.free}
+		s.free = rec.g
 	}
 }
 
-// unlink removes an emptied group from its bucket's chain.
-func (s *Statement) unlink(g *group) {
+// unlink removes emptied group gi from its bucket's chain.
+func (s *Statement) unlink(gi uint32) {
+	g := &s.grp[gi]
 	p := s.groups[g.hash]
 	switch {
-	case p != g:
-		for p.next != g {
-			p = p.next
+	case p != gi:
+		for s.grp[p].next != gi {
+			p = s.grp[p].next
 		}
-		p.next = g.next
-	case g.next != nil:
+		s.grp[p].next = g.next
+	case g.next != none:
 		s.groups[g.hash] = g.next
 	default:
 		delete(s.groups, g.hash)
 	}
 }
 
-// seqGroup is a live group keyed by the sequence of its oldest surviving
-// record; no two groups share one.
-type seqGroup struct {
-	seq uint64
-	g   *group
-}
-
 // surviving collects live groups ordered by the sequence of their oldest
 // surviving record: the order groups first appear in the current window.
-// Sequences are unique, so a radix sort on them, least significant byte
-// first and over the bytes that differ within the window, orders the groups
+// Each comes as one word, that sequence less the window's first in the
+// high half and the group's slab index in the low half. Sequences are
+// unique, so a radix sort on the high half, least significant byte first
+// and over the bytes that differ within the window, orders the groups
 // totally in a few linear passes.
-func (s *Statement) surviving() []seqGroup {
-	a := s.grpScratch[:0]
-	lo, hi := uint64(math.MaxUint64), uint64(0)
-	for _, g := range s.groups {
-		for ; g != nil; g = g.next {
-			seq := g.oldest
-			lo, hi = min(lo, seq), max(hi, seq)
-			a = append(a, seqGroup{seq, g})
+func (s *Statement) surviving() []uint64 {
+	a := s.sorted[:0]
+	first, span := s.first(), uint64(0)
+	for gi := range s.grp {
+		if g := &s.grp[gi]; g.count > 0 {
+			rel := g.oldest - first
+			span = max(span, rel)
+			a = append(a, rel<<32|uint64(gi))
 		}
 	}
-	b := slices.Grow(s.grpSpare[:0], len(a))[:len(a)]
-	for shift := uint(0); len(a) > 1 && (hi-lo)>>shift != 0; shift += 8 {
+	b := slices.Grow(s.spare[:0], len(a))[:len(a)]
+	for shift := uint(32); len(a) > 1 && span>>(shift-32) != 0; shift += 8 {
 		var at [256]int
 		for _, x := range a {
-			at[(x.seq-lo)>>shift&0xff]++
+			at[x>>shift&0xff]++
 		}
 		sum := 0
 		for d, n := range at {
 			at[d], sum = sum, sum+n
 		}
 		for _, x := range a {
-			d := (x.seq - lo) >> shift & 0xff
+			d := x >> shift & 0xff
 			b[at[d]] = x
 			at[d]++
 		}
 		a, b = b, a
 	}
-	s.grpScratch, s.grpSpare = a, b
+	s.sorted, s.spare = a, b
 	return a
 }
 
@@ -257,9 +279,10 @@ func (s *Statement) surviving() []seqGroup {
 func (s *Statement) each(fn func(cols []Val)) int {
 	s.pruneTime()
 	groups := s.surviving()
-	for _, sg := range groups {
-		n := copy(s.cols, sg.g.key.v[:sg.g.key.n])
-		s.cols[n] = NumVal(float64(sg.g.count))
+	for _, x := range groups {
+		gi := uint32(x)
+		n := copy(s.cols, s.key(gi))
+		s.cols[n] = NumVal(float64(s.grp[gi].count))
 		fn(s.cols)
 	}
 	return len(groups)

@@ -33,6 +33,36 @@ func TestTimeWindowTrailingEdgeInclusive(t *testing.T) {
 	}
 }
 
+// TestWindowRefusesPastMaxRecords: a statement refuses an event once its
+// window retains maxRecords records (2³²−1, since an expiry entry reaches
+// its group's next record by a uint32 distance; lowered to 3 here), while
+// a second statement on the same stream still takes it, and takes events
+// again once records expire.
+func TestWindowRefusesPastMaxRecords(t *testing.T) {
+	defer func(m uint64) { maxRecords = m }(maxRecords)
+	maxRecords = 3
+	var now time.Duration
+	e := New(func() time.Duration { return now })
+	short := compile(t, e, Query{From: "S", Window: time.Second, GroupBy: []string{"k"}})
+	other := compile(t, e, Query{From: "S", Window: time.Second, Where: "k", Equals: StrVal("b"), GroupBy: []string{"k"}})
+	for i, k := range []string{"a", "a", "a", "b"} {
+		err := e.Insert(sEvent(0, 0, k))
+		if i < 3 && err != nil || i == 3 && err == nil {
+			t.Fatalf("insert %d: error %v", i, err)
+		}
+	}
+	if got := text(rows(short)) + text(rows(other)); got != "[a 3][b 1]" {
+		t.Fatalf("rows %s, want [a 3][b 1]", got)
+	}
+	now = 2 * time.Second
+	if err := e.Insert(sEvent(now, 0, "a")); err != nil {
+		t.Fatal(err)
+	}
+	if got := text(rows(short)); got != "[a 1]" {
+		t.Fatalf("after expiry: rows %s, want [a 1]", got)
+	}
+}
+
 // sameVal is identity of values, telling −0 from 0 and NaN from nothing: a
 // NaN equals a NaN with the same bits.
 func sameVal(a, b Val) bool {
@@ -40,8 +70,8 @@ func sameVal(a, b Val) bool {
 }
 
 // TestGroupIndexKeySemantics: Statement.groups finds a group by a hash of
-// its key's live fields, but Go's == on groupKey stays the grouping rule,
-// which a test-owned map[groupKey] applies directly. −0 and 0 form one
+// its key's fields, but Go's == on each key Val stays the grouping rule,
+// which a test-owned map[Val] applies directly. −0 and 0 form one
 // group, showing the latest of the two; the string '1', the number 1 and
 // null form three; each NaN forms its own, and leaves when its record
 // expires. Each stream runs on a window that keeps it all and on one that
@@ -73,15 +103,13 @@ func TestGroupIndexKeySemantics(t *testing.T) {
 				}
 				// The reference: groups in first-appearance order, each
 				// showing its latest key value.
-				ref := map[groupKey]int{}
+				ref := map[Val]int{}
 				var want [][]Val
 				for _, v := range live {
-					key := groupKey{n: 1}
-					key.v[0] = v
-					gi, ok := ref[key]
+					gi, ok := ref[v]
 					if !ok {
 						gi = len(want)
-						ref[key] = gi
+						ref[v] = gi
 						want = append(want, []Val{{}, NumVal(0)})
 					}
 					want[gi][0], want[gi][1] = v, NumVal(want[gi][1].num+1)
@@ -146,7 +174,7 @@ func TestGroupIndexKeySemantics(t *testing.T) {
 				}
 				for _, g := range st.groups {
 					n := 0
-					for ; g != nil; g = g.next {
+					for ; g != none; g = st.grp[g].next {
 						n++
 					}
 					longest = max(longest, n)
