@@ -98,13 +98,15 @@ func (c *Cluster) AddReplica(id BlockID, target DatanodeID, done func(error)) {
 	// replicas can serve later transfers. The copy counts from now on, in
 	// td's placement load and uncommitted space and in the block's copies
 	// in flight, until settleCopy.
-	cp := &inboundCopy{id, b.Size}
+	cp := &inboundCopy{id: id, size: b.Size}
 	td.inbound = append(td.inbound, cp)
 	td.pendingBytes += b.Size
 	c.copying[id]++
 	c.reindexNode(td)
 	c.clock.Schedule(c.cfg.ReplCommandLatency, func() {
-		if td.Down() || c.NodeUnreachable(target) {
+		// A settled copy's target was declared dead (and may be back as a
+		// fresh incarnation, which never got the command).
+		if !slices.Contains(td.inbound, cp) || td.Down() || c.NodeUnreachable(target) {
 			c.settleCopy(td, cp)
 			fail(fmt.Errorf("hdfs: target %s died before copy", td.Name))
 			return
@@ -136,8 +138,7 @@ func (c *Cluster) AddReplica(id BlockID, target DatanodeID, done func(error)) {
 			delete(sd.activeFlows, f)
 			sd.xferOut--
 			td.xferIn--
-			c.settleCopy(td, cp)
-			if td.Down() {
+			if !c.settleCopy(td, cp) || td.Down() {
 				fail(fmt.Errorf("hdfs: target %s died during copy", td.Name))
 				return
 			}
@@ -156,6 +157,17 @@ func (c *Cluster) AddReplica(id BlockID, target DatanodeID, done func(error)) {
 			c.finish(done, nil)
 		})
 		c.tracer.Pop(prev)
+		// The target's death ends the copy (setState).
+		cp.cancel = func() {
+			if flow.Done() {
+				return // landed: its completion, still to run, fails it
+			}
+			delete(sd.activeFlows, flow)
+			c.fabric.Cancel(flow)
+			sd.xferOut--
+			td.xferIn--
+			fail(fmt.Errorf("hdfs: target %s died during copy", td.Name))
+		}
 		// Source death (or a partition cutting the transfer) mid-copy
 		// retries from another source.
 		sd.activeFlows[flow] = &flowHandle{peer: topology.NodeID(target), abort: func() {
@@ -176,18 +188,25 @@ func (c *Cluster) AddReplica(id BlockID, target DatanodeID, done func(error)) {
 type inboundCopy struct {
 	id   BlockID
 	size float64
+	// cancel stops the copy's transfer and fails it; nil until the
+	// transfer starts.
+	cancel func()
 }
 
-// settleCopy stops counting cp; once d has died (setState) it is a no-op.
-func (c *Cluster) settleCopy(d *Datanode, cp *inboundCopy) {
-	if i := slices.Index(d.inbound, cp); i >= 0 {
-		d.inbound = slices.Delete(d.inbound, i, i+1)
-		d.pendingBytes -= cp.size
-		if c.copying[cp.id]--; c.copying[cp.id] == 0 {
-			delete(c.copying, cp.id)
-		}
-		c.reindexNode(d)
+// settleCopy stops counting cp and reports whether it was still counted;
+// once d has died (setState) it is a no-op that reports false.
+func (c *Cluster) settleCopy(d *Datanode, cp *inboundCopy) bool {
+	i := slices.Index(d.inbound, cp)
+	if i < 0 {
+		return false
 	}
+	d.inbound = slices.Delete(d.inbound, i, i+1)
+	d.pendingBytes -= cp.size
+	if c.copying[cp.id]--; c.copying[cp.id] == 0 {
+		delete(c.copying, cp.id)
+	}
+	c.reindexNode(d)
+	return true
 }
 
 // Deficit is how many more copies block id needs: its target less its

@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -194,4 +195,56 @@ func TestShrinkTrimsEveryBlock(t *testing.T) {
 		}
 	}
 	checkConsistency(t, c)
+}
+
+// TestDeadTargetGetsNoCopy: a copy toward a datanode declared dead ends
+// there, and its node's next incarnation never receives it. Heartbeats
+// are off, so Kill declares the death at once; Restart follows in the
+// same instant. Killed at 1.5 s, mid-transfer, the copy's flow leaves the
+// fabric, both ends' transfer counts drop and done fails "died during
+// copy"; killed at 0.5 s, before the command reaches the node, done fails
+// "died before copy" and no transfer starts.
+func TestDeadTargetGetsNoCopy(t *testing.T) {
+	for _, c := range []struct {
+		kill  time.Duration
+		flows int
+		want  string
+	}{{1500 * time.Millisecond, 1, "died during copy"}, {500 * time.Millisecond, 0, "died before copy"}} {
+		e, cl := newCluster(t)
+		f, _ := cl.CreateFile("/a", 64*mb, 2, 0)
+		bid := f.Blocks[0]
+		var target DatanodeID = -1
+		for _, d := range cl.Datanodes() {
+			if !d.HasBlock(bid) {
+				target = d.ID
+				break
+			}
+		}
+		var got error
+		calls := 0
+		cl.AddReplica(bid, target, func(err error) { got, calls = err, calls+1 })
+		e.RunUntil(c.kill)
+		if n := cl.Fabric().ActiveFlows(); n != c.flows {
+			t.Fatalf("kill at %v: %d flows in the fabric, want %d", c.kill, n, c.flows)
+		}
+		cl.Kill(target)
+		cl.Restart(target)
+		if n := cl.Fabric().ActiveFlows(); n != 0 {
+			t.Fatalf("kill at %v: %d flows in the fabric after the target's death", c.kill, n)
+		}
+		e.Run()
+		if calls != 1 || got == nil || !strings.Contains(got.Error(), c.want) {
+			t.Fatalf("kill at %v: done called %d times with %v, want once with %q", c.kill, calls, got, c.want)
+		}
+		if cl.Datanode(target).HasBlock(bid) {
+			t.Fatalf("kill at %v: the copy landed on the restarted node", c.kill)
+		}
+		for _, d := range cl.Datanodes() {
+			if d.xferIn != 0 || d.xferOut != 0 || len(d.activeFlows) != 0 {
+				t.Fatalf("kill at %v: %s holds %d inbound and %d outbound transfers, %d flows",
+					c.kill, d.Name, d.xferIn, d.xferOut, len(d.activeFlows))
+			}
+		}
+		checkConsistency(t, cl)
+	}
 }

@@ -103,7 +103,9 @@ func (c *Cluster) SetFault(id DatanodeID, f Fault) bool {
 // wipes the previous one's disk and faults first. A node believed down
 // holds no replicas, so entering StateDown releases them, and takes no
 // copy: the copies toward it stop counting before OnDatanodeDown fires,
-// so the repair sweep its death triggers sees their blocks short. Entering
+// so the repair sweep its death triggers sees their blocks short, and
+// each copy's transfer is cancelled and its done fails, so none lands on
+// the node's next incarnation. Entering
 // StateActive stamps a fresh uptime interval. The live cluster also
 // closes the interval d was in (a crash has already closed it), and
 // aborts d's transfers and queued reads when s does not serve, or admits
@@ -132,7 +134,11 @@ func (c *Cluster) setState(d *Datanode, s NodeState, restart bool) {
 	case StateDown:
 		d.Stale = false // staleness ends at death
 		for len(d.inbound) > 0 {
-			c.settleCopy(d, d.inbound[0])
+			cp := d.inbound[0]
+			c.settleCopy(d, cp)
+			if cp.cancel != nil {
+				cp.cancel()
+			}
 		}
 	}
 	c.reindexNode(d)
