@@ -31,9 +31,6 @@ func (m *Mean) Value() float64 {
 // N returns the observation count.
 func (m *Mean) N() int { return m.n }
 
-// Sum returns the raw sum.
-func (m *Mean) Sum() float64 { return m.sum }
-
 // Sample is a collection of observations supporting quantiles.
 type Sample struct {
 	vals   []float64
@@ -61,24 +58,6 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(len(s.vals))
 }
 
-// Min returns the smallest observation (0 if empty).
-func (s *Sample) Min() float64 {
-	s.ensureSorted()
-	if len(s.vals) == 0 {
-		return 0
-	}
-	return s.vals[0]
-}
-
-// Max returns the largest observation (0 if empty).
-func (s *Sample) Max() float64 {
-	s.ensureSorted()
-	if len(s.vals) == 0 {
-		return 0
-	}
-	return s.vals[len(s.vals)-1]
-}
-
 // Quantile returns the q-quantile (0 <= q <= 1) by linear interpolation.
 func (s *Sample) Quantile(q float64) float64 {
 	s.ensureSorted()
@@ -99,21 +78,6 @@ func (s *Sample) Quantile(q float64) float64 {
 		return s.vals[n-1]
 	}
 	return float64(s.vals[lo]*(1-frac)) + float64(s.vals[lo+1]*frac)
-}
-
-// StdDev returns the population standard deviation.
-func (s *Sample) StdDev() float64 {
-	n := len(s.vals)
-	if n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	ss := 0.0
-	for _, v := range s.vals {
-		d := v - m
-		ss += float64(d * d)
-	}
-	return math.Sqrt(ss / float64(n))
 }
 
 // CDF returns (x, F(x)) pairs at each distinct observation, suitable for
@@ -150,9 +114,6 @@ func (ts *TimeSeries) Add(t time.Duration, v float64) {
 	ts.Values = append(ts.Values, v)
 }
 
-// Len returns the number of points.
-func (ts *TimeSeries) Len() int { return len(ts.Times) }
-
 // At returns the most recent value at or before t (step interpolation),
 // or 0 if t precedes the first point.
 func (ts *TimeSeries) At(t time.Duration) float64 {
@@ -161,20 +122,6 @@ func (ts *TimeSeries) At(t time.Duration) float64 {
 		return 0
 	}
 	return ts.Values[i-1]
-}
-
-// Max returns the largest recorded value.
-func (ts *TimeSeries) Max() float64 {
-	m := math.Inf(-1)
-	for _, v := range ts.Values {
-		if v > m {
-			m = v
-		}
-	}
-	if math.IsInf(m, -1) {
-		return 0
-	}
-	return m
 }
 
 // Table is a labeled grid used to print figure data: one row per series

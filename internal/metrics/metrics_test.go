@@ -16,21 +16,21 @@ func TestMean(t *testing.T) {
 	}
 	m.Add(2)
 	m.Add(4)
-	if m.Value() != 3 || m.N() != 2 || m.Sum() != 6 {
-		t.Fatalf("mean = %v n=%d sum=%v", m.Value(), m.N(), m.Sum())
+	if m.Value() != 3 || m.N() != 2 {
+		t.Fatalf("mean = %v n=%d", m.Value(), m.N())
 	}
 }
 
 func TestSampleBasics(t *testing.T) {
 	var s Sample
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Quantile(0.5) != 0 {
+	if s.Mean() != 0 || s.Quantile(0.5) != 0 {
 		t.Fatal("empty sample should report zeros")
 	}
 	for _, v := range []float64{5, 1, 3} {
 		s.Add(v)
 	}
-	if s.N() != 3 || s.Mean() != 3 || s.Min() != 1 || s.Max() != 5 {
-		t.Fatalf("stats wrong: n=%d mean=%v min=%v max=%v", s.N(), s.Mean(), s.Min(), s.Max())
+	if s.N() != 3 || s.Mean() != 3 {
+		t.Fatalf("stats wrong: n=%d mean=%v", s.N(), s.Mean())
 	}
 	if s.Quantile(0.5) != 3 {
 		t.Fatalf("median = %v", s.Quantile(0.5))
@@ -48,18 +48,8 @@ func TestSampleAddAfterQuantile(t *testing.T) {
 	s.Add(10)
 	_ = s.Quantile(0.5)
 	s.Add(1) // must re-sort
-	if s.Min() != 1 {
+	if s.Quantile(0) != 1 {
 		t.Fatal("sample did not re-sort after Add")
-	}
-}
-
-func TestStdDev(t *testing.T) {
-	var s Sample
-	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		s.Add(v)
-	}
-	if got := s.StdDev(); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("stddev = %v, want 2", got)
 	}
 }
 
@@ -85,9 +75,6 @@ func TestTimeSeries(t *testing.T) {
 	var ts TimeSeries
 	ts.Add(time.Second, 10)
 	ts.Add(3*time.Second, 20)
-	if ts.Len() != 2 {
-		t.Fatal("len")
-	}
 	if ts.At(0) != 0 {
 		t.Fatal("before first point should be 0")
 	}
@@ -96,13 +83,6 @@ func TestTimeSeries(t *testing.T) {
 	}
 	if ts.At(5*time.Second) != 20 {
 		t.Fatal("after last point")
-	}
-	if ts.Max() != 20 {
-		t.Fatal("max")
-	}
-	var empty TimeSeries
-	if empty.Max() != 0 {
-		t.Fatal("empty max should be 0")
 	}
 }
 
@@ -137,7 +117,7 @@ func TestFormatFloat(t *testing.T) {
 	}
 }
 
-// Property: quantiles are monotone in q and bounded by min/max.
+// Property: quantiles are monotone in q and bounded by the extremes.
 func TestQuickQuantileMonotone(t *testing.T) {
 	f := func(vals []float64, q1, q2 float64) bool {
 		var s Sample
@@ -156,7 +136,7 @@ func TestQuickQuantileMonotone(t *testing.T) {
 			q1, q2 = q2, q1
 		}
 		a, b := s.Quantile(q1), s.Quantile(q2)
-		return a <= b && a >= s.Min() && b <= s.Max()
+		return a <= b && a >= s.Quantile(0) && b <= s.Quantile(1)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
