@@ -134,9 +134,10 @@ func BenchmarkSnapshotShards(b *testing.B) {
 	}
 }
 
-// BenchmarkFailoverShard is time-to-recover for one shard: copy out the
-// 10 000-entry journal tail, restore the 25 000-file snapshot, replay the
-// tail, build the new manager, re-snapshot, resolve moves. The churn that
+// BenchmarkFailoverShard is time-to-recover for one shard: restore the
+// 25 000-file snapshot, replay the 10 000-entry journal tail in place from
+// the old journal (nothing is copied out), build the new manager,
+// re-snapshot, resolve moves. The churn that
 // grows the tail and the snapshot of the other shards are not timed.
 func BenchmarkFailoverShard(b *testing.B) {
 	sys, churn := failoverBenchSystem(b)
