@@ -96,8 +96,8 @@ func (r *ring[T]) pop() T {
 func (r *ring[T]) at(i int) *T { return &r.buf[(r.head+i)%len(r.buf)] }
 
 // expEntry is one retained record in the statement-level expiry FIFO, 16
-// bytes with no pointer: its event time, its group's slab index, and how
-// many sequence numbers on that group's next record comes (meaningless
+// bytes with no pointer: its event time, its group's slab index, and the
+// distance in sequence numbers to that group's next record (meaningless
 // until one arrives).
 type expEntry struct {
 	t    time.Duration

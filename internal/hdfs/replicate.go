@@ -157,17 +157,7 @@ func (c *Cluster) AddReplica(id BlockID, target DatanodeID, done func(error)) {
 			c.finish(done, nil)
 		})
 		c.tracer.Pop(prev)
-		// The target's death ends the copy (setState).
-		cp.cancel = func() {
-			if flow.Done() {
-				return // landed: its completion, still to run, fails it
-			}
-			delete(sd.activeFlows, flow)
-			c.fabric.Cancel(flow)
-			sd.xferOut--
-			td.xferIn--
-			fail(fmt.Errorf("hdfs: target %s died during copy", td.Name))
-		}
+		cp.flow, cp.src, cp.fail = flow, sd, fail
 		// Source death (or a partition cutting the transfer) mid-copy
 		// retries from another source.
 		sd.activeFlows[flow] = &flowHandle{peer: topology.NodeID(target), abort: func() {
@@ -188,9 +178,25 @@ func (c *Cluster) AddReplica(id BlockID, target DatanodeID, done func(error)) {
 type inboundCopy struct {
 	id   BlockID
 	size float64
-	// cancel stops the copy's transfer and fails it; nil until the
-	// transfer starts.
-	cancel func()
+	// The transfer, once it starts: its flow, source and failure path.
+	flow *netsim.Flow
+	src  *Datanode
+	fail func(error)
+}
+
+// cancelCopy ends the transfer of cp, a copy toward td that td's death
+// settled: the flow leaves the fabric and done fails. A copy whose
+// transfer has not started fails when its command arrives; one whose flow
+// has landed fails in its completion, still to run.
+func (c *Cluster) cancelCopy(td *Datanode, cp *inboundCopy) {
+	if cp.flow == nil || cp.flow.Done() {
+		return
+	}
+	delete(cp.src.activeFlows, cp.flow)
+	c.fabric.Cancel(cp.flow)
+	cp.src.xferOut--
+	td.xferIn--
+	cp.fail(fmt.Errorf("hdfs: target %s died during copy", td.Name))
 }
 
 // settleCopy stops counting cp and reports whether it was still counted;

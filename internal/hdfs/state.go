@@ -136,9 +136,7 @@ func (c *Cluster) setState(d *Datanode, s NodeState, restart bool) {
 		for len(d.inbound) > 0 {
 			cp := d.inbound[0]
 			c.settleCopy(d, cp)
-			if cp.cancel != nil {
-				cp.cancel()
-			}
+			c.cancelCopy(d, cp)
 		}
 	}
 	c.reindexNode(d)
