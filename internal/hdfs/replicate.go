@@ -184,21 +184,6 @@ type inboundCopy struct {
 	fail func(error)
 }
 
-// cancelCopy ends the transfer of cp, a copy toward td that td's death
-// settled: the flow leaves the fabric and done fails. A copy whose
-// transfer has not started fails when its command arrives; one whose flow
-// has landed fails in its completion, still to run.
-func (c *Cluster) cancelCopy(td *Datanode, cp *inboundCopy) {
-	if cp.flow == nil || cp.flow.Done() {
-		return
-	}
-	delete(cp.src.activeFlows, cp.flow)
-	c.fabric.Cancel(cp.flow)
-	cp.src.xferOut--
-	td.xferIn--
-	cp.fail(fmt.Errorf("hdfs: target %s died during copy", td.Name))
-}
-
 // settleCopy stops counting cp and reports whether it was still counted;
 // once d has died (setState) it is a no-op that reports false.
 func (c *Cluster) settleCopy(d *Datanode, cp *inboundCopy) bool {

@@ -2,6 +2,7 @@ package hdfs
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
 	"erms/internal/auditlog"
@@ -136,7 +137,15 @@ func (c *Cluster) setState(d *Datanode, s NodeState, restart bool) {
 		for len(d.inbound) > 0 {
 			cp := d.inbound[0]
 			c.settleCopy(d, cp)
-			c.cancelCopy(d, cp)
+			// End a running transfer. One not yet started fails when its
+			// command arrives, one already landed in its completion.
+			if cp.flow != nil && !cp.flow.Done() {
+				delete(cp.src.activeFlows, cp.flow)
+				c.fabric.Cancel(cp.flow)
+				cp.src.xferOut--
+				d.xferIn--
+				cp.fail(fmt.Errorf("hdfs: target %s died during copy", d.Name))
+			}
 		}
 	}
 	c.reindexNode(d)
