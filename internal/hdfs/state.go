@@ -106,13 +106,13 @@ func (c *Cluster) SetFault(id DatanodeID, f Fault) bool {
 // copy: the copies toward it stop counting before OnDatanodeDown fires,
 // so the repair sweep its death triggers sees their blocks short, and
 // each copy's transfer is cancelled and its done fails, so none lands on
-// the node's next incarnation. Entering
-// StateActive stamps a fresh uptime interval. The live cluster also
-// closes the interval d was in (a crash has already closed it), and
-// aborts d's transfers and queued reads when s does not serve, or admits
-// its queue when s starts serving. Replay does none of that: the journal
-// carries no energy bookkeeping or flows, so the gap between a real
-// activation and its replay is not billed as active.
+// the node's next incarnation. Entering StateActive stamps a fresh uptime
+// interval. The live cluster also closes the interval d was in (a crash
+// has already closed it), and aborts d's transfers and queued reads when
+// s does not serve, or admits its queue when s starts serving. Replay
+// does none of that: the journal carries no energy bookkeeping or flows,
+// so the gap between a real activation and its replay is not billed as
+// active.
 func (c *Cluster) setState(d *Datanode, s NodeState, restart bool) {
 	now, was := c.clock.Now(), d.State
 	if !c.replaying {
