@@ -77,9 +77,6 @@ type (
 	// SafeModeConfig tunes the namenode safe-mode guard (see
 	// Options.SafeMode).
 	SafeModeConfig = hdfs.SafeModeConfig
-	// RepairConfig caps the prioritized re-replication pipeline (see
-	// Options.Repair).
-	RepairConfig = core.RepairConfig
 	// HeartbeatConfig tunes the heartbeat failure detector (see
 	// Options.Heartbeat).
 	HeartbeatConfig = hdfs.HeartbeatConfig
@@ -102,8 +99,11 @@ func DefaultThresholds() Thresholds { return core.DefaultThresholds() }
 func SynthesizeWorkload(cfg WorkloadConfig) *Trace { return workload.Synthesize(cfg) }
 
 // Options sizes a System. The zero value reproduces the paper's testbed:
-// 18 datanodes in 3 racks, 64 MB blocks, default replication 3, and (when
-// ERMS is enabled) the last 8 nodes as the standby pool.
+// 18 datanodes in 3 racks and (when ERMS is enabled) the last 8 nodes as
+// the standby pool. The block size (hdfs.BlockSize, 64 MB), the default
+// replication (hdfs.DefaultReplication, 3), the map slots per node (2) and
+// the repair pipeline's stream caps (core.RepairConfig's defaults) are
+// fixed, not options.
 type Options struct {
 	// Racks in the cluster (default 3).
 	Racks int
@@ -113,17 +113,11 @@ type Options struct {
 	// of the node range (default 8; pass -1 to run ERMS with every node
 	// active). Ignored when DisableERMS is set.
 	StandbyNodes int
-	// BlockSize in bytes (default 64 MB).
-	BlockSize float64
-	// DefaultReplication (default 3).
-	DefaultReplication int
 	// Thresholds for the Data Judge (zero fields take defaults).
 	Thresholds Thresholds
 	// Scheduler selects the MapReduce scheduler: "fifo" (default) or
 	// "fair".
 	Scheduler string
-	// SlotsPerNode is the map-slot count per node (default 2).
-	SlotsPerNode int
 	// DisableERMS runs a vanilla triplicating HDFS with every node active
 	// (the paper's baseline).
 	DisableERMS bool
@@ -148,10 +142,6 @@ type Options struct {
 	// availability or the live-node fraction sits below thresholds (and on
 	// checkpoint restore), exiting only after a stable dwell.
 	SafeMode SafeModeConfig
-	// Repair caps the prioritized re-replication pipeline: cluster-wide and
-	// per-node stream limits. Zero fields take defaults; ignored when
-	// DisableERMS is set (repairs are the manager's job).
-	Repair RepairConfig
 	// Clock, when non-nil, puts the System in service mode: virtual time
 	// is paced against this wall clock instead of being driven by RunFor.
 	// Pass RealClock() to track real time (what cmd/ermsd does) or a
@@ -174,6 +164,10 @@ type Options struct {
 	// move protocol.
 	Shards int
 }
+
+// slotsPerNode is the map-slot count per node, the Hadoop-era norm for
+// dual-core nodes.
+const slotsPerNode = 2
 
 // normalized fills the defaults every shard is built from.
 func (opts Options) normalized() Options {
@@ -280,12 +274,10 @@ func (s *System) newShard() *Shard {
 		standby = append(standby, hdfs.DatanodeID(id))
 	}
 	cluster := hdfs.New(s.engine, hdfs.Config{
-		Topology:           topo,
-		BlockSize:          opts.BlockSize,
-		DefaultReplication: opts.DefaultReplication,
-		StandbyNodes:       standby,
-		Heartbeat:          opts.Heartbeat,
-		SafeMode:           opts.SafeMode,
+		Topology:     topo,
+		StandbyNodes: standby,
+		Heartbeat:    opts.Heartbeat,
+		SafeMode:     opts.SafeMode,
 	})
 	var sched mapred.Scheduler = mapred.NewFIFO()
 	if opts.Scheduler == "fair" {
@@ -295,7 +287,7 @@ func (s *System) newShard() *Shard {
 	cluster.RegisterMetrics(registry)
 	sh := &Shard{
 		cluster:  cluster,
-		mr:       mapred.New(cluster, opts.SlotsPerNode, sched),
+		mr:       mapred.New(cluster, slotsPerNode, sched),
 		registry: registry,
 	}
 	if opts.EnableTrace {
@@ -315,7 +307,6 @@ func (sh *Shard) attachManager(opts Options) {
 		Thresholds:  opts.Thresholds,
 		JudgePeriod: opts.JudgePeriod,
 		Registry:    sh.registry,
-		Repair:      opts.Repair,
 	})
 }
 

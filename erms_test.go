@@ -25,11 +25,11 @@ func TestSystemDefaultsMatchPaperTestbed(t *testing.T) {
 	if sys.Manager() == nil {
 		t.Fatal("ERMS manager missing")
 	}
-	if sys.HDFS().Config().BlockSize != 64*erms.MB {
-		t.Fatal("block size default")
+	if err := sys.CreateFile("/f", 128*erms.MB); err != nil {
+		t.Fatal(err)
 	}
-	if sys.HDFS().Config().DefaultReplication != 3 {
-		t.Fatal("replication default")
+	if f := sys.HDFS().File("/f"); len(f.Blocks) != 2 || f.TargetRepl != 3 {
+		t.Fatalf("128 MB file: %d blocks at replication %d, want 2 blocks (64 MB) at 3", len(f.Blocks), f.TargetRepl)
 	}
 }
 

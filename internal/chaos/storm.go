@@ -32,11 +32,9 @@ type StormConfig struct {
 	// once, so a small cluster is not annihilated; default 2.
 	MaxConcurrentDown int
 
-	// Partitions is the number of partition+heal pairs.
+	// Partitions is the number of partition+heal pairs, each lasting
+	// partitionHeal.
 	Partitions int
-	// PartitionHeal is how long a rack stays cut off (jittered ±50%);
-	// default 2 minutes.
-	PartitionHeal time.Duration
 
 	// Corruptions is the number of silent replica corruptions.
 	Corruptions int
@@ -45,13 +43,9 @@ type StormConfig struct {
 	// when the scheduled plan carries a Failover harness (Plan.Failover).
 	NamenodeCrashes int
 
-	// SlowNodes is the number of slowdown+restore pairs.
+	// SlowNodes is the number of slowdown+restore pairs: slowFactor of
+	// the node's capacity for slowFor.
 	SlowNodes int
-	// SlowFactor is the degraded capacity multiplier; default 0.1.
-	SlowFactor float64
-	// SlowFor is how long a node stays degraded (jittered ±50%); default
-	// 5 minutes.
-	SlowFor time.Duration
 
 	// RackOutages is the number of correlated whole-rack outages: the rack
 	// is partitioned long enough for the namenode to declare its nodes dead,
@@ -63,16 +57,25 @@ type StormConfig struct {
 
 	// FlapNodes is the number of heartbeat-flapping episodes: a node's
 	// heartbeats stall (it ages toward stale/dead while still serving) and
-	// resume after FlapFor.
+	// resume after flapFor.
 	FlapNodes int
-	// FlapFor is how long heartbeats stay suppressed (jittered ±50%);
-	// default 45 seconds — long enough to go stale, short of dead.
-	FlapFor time.Duration
 
 	// ZombiePrimaries is the number of fenced-writer drills (ZombiePrimary
 	// events). They only fire when the plan carries a Failover harness.
 	ZombiePrimaries int
 }
+
+const (
+	// partitionHeal is how long a rack stays cut off (jittered ±50%).
+	partitionHeal = 2 * time.Minute
+	// slowFactor is a slowed node's degraded capacity multiplier.
+	slowFactor = 0.1
+	// slowFor is how long a node stays degraded (jittered ±50%).
+	slowFor = 5 * time.Minute
+	// flapFor is how long heartbeats stay suppressed (jittered ±50%):
+	// long enough to go stale, short of dead.
+	flapFor = 45 * time.Second
+)
 
 func (cfg *StormConfig) applyDefaults() {
 	if cfg.Duration <= 0 {
@@ -84,20 +87,8 @@ func (cfg *StormConfig) applyDefaults() {
 	if cfg.MaxConcurrentDown <= 0 {
 		cfg.MaxConcurrentDown = 2
 	}
-	if cfg.PartitionHeal <= 0 {
-		cfg.PartitionHeal = 2 * time.Minute
-	}
-	if cfg.SlowFactor <= 0 || cfg.SlowFactor >= 1 {
-		cfg.SlowFactor = 0.1
-	}
-	if cfg.SlowFor <= 0 {
-		cfg.SlowFor = 5 * time.Minute
-	}
 	if cfg.RackOutageFor <= 0 {
 		cfg.RackOutageFor = 8 * time.Minute
-	}
-	if cfg.FlapFor <= 0 {
-		cfg.FlapFor = 45 * time.Second
 	}
 }
 
@@ -160,7 +151,7 @@ func Storm(cfg StormConfig) *Plan {
 			rack := cfg.Racks[rng.Intn(len(cfg.Racks))]
 			events = append(events,
 				Event{At: start, Kind: PartitionRack, Rack: rack},
-				Event{At: start + jitter(cfg.PartitionHeal), Kind: HealRack, Rack: rack},
+				Event{At: start + jitter(partitionHeal), Kind: HealRack, Rack: rack},
 			)
 		}
 	}
@@ -179,8 +170,8 @@ func Storm(cfg StormConfig) *Plan {
 			start := at()
 			node := cfg.Nodes[rng.Intn(len(cfg.Nodes))]
 			events = append(events,
-				Event{At: start, Kind: SlowNode, Node: node, Factor: cfg.SlowFactor},
-				Event{At: start + jitter(cfg.SlowFor), Kind: RestoreNode, Node: node},
+				Event{At: start, Kind: SlowNode, Node: node, Factor: slowFactor},
+				Event{At: start + jitter(slowFor), Kind: RestoreNode, Node: node},
 			)
 		}
 	}
@@ -214,7 +205,7 @@ func Storm(cfg StormConfig) *Plan {
 			node := cfg.Nodes[rng.Intn(len(cfg.Nodes))]
 			events = append(events,
 				Event{At: start, Kind: MuteNode, Node: node},
-				Event{At: start + jitter(cfg.FlapFor), Kind: UnmuteNode, Node: node},
+				Event{At: start + jitter(flapFor), Kind: UnmuteNode, Node: node},
 			)
 		}
 	}

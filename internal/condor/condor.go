@@ -553,16 +553,9 @@ func (s *Scheduler) logEvent(j *Job, kind EventKind, detail string) {
 	}
 }
 
-// Log returns the user log (all job events, in order).
+// Log returns the user log (all job events, in order) — the paper's "we
+// can replay all operations and analyze them".
 func (s *Scheduler) Log() []LogEvent { return s.log }
-
-// Replay invokes fn for every logged event in order — the paper's "we can
-// replay all operations and analyze them".
-func (s *Scheduler) Replay(fn func(LogEvent)) {
-	for _, e := range s.log {
-		fn(e)
-	}
-}
 
 // Stats summarizes job outcomes from the user log. Retried and TimedOut
 // count attempts, not jobs; Failed counts only final failures (attempts

@@ -241,7 +241,9 @@ func TestUserLogReplayAndOrder(t *testing.T) {
 	s.Submit(instantJob("j1", &got))
 	e.RunUntil(2 * time.Second)
 	var kinds []EventKind
-	s.Replay(func(ev LogEvent) { kinds = append(kinds, ev.Kind) })
+	for _, ev := range s.Log() {
+		kinds = append(kinds, ev.Kind)
+	}
 	want := []EventKind{EventSubmit, EventExecute, EventTerminate}
 	if len(kinds) != len(want) {
 		t.Fatalf("kinds = %v", kinds)

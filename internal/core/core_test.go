@@ -410,33 +410,6 @@ func TestUserLogRecordsManagementJobs(t *testing.T) {
 	}
 }
 
-func TestDisableAutoCommission(t *testing.T) {
-	e := sim.NewEngine()
-	topo := topology.New(topology.Config{})
-	var standby []hdfs.DatanodeID
-	for id := 10; id < 18; id++ {
-		standby = append(standby, hdfs.DatanodeID(id))
-	}
-	h := hdfs.New(e, hdfs.Config{Topology: topo, StandbyNodes: standby})
-	m := New(h, Config{
-		Thresholds:            smallThresholds(),
-		JudgePeriod:           time.Hour,
-		DisableAutoCommission: true,
-	})
-	h.CreateFile("/hot", 64*mb, 3, 0)
-	hammer(e, h, "/hot", 24)
-	e.RunUntil(time.Minute)
-	m.RunJudgeOnce()
-	e.RunUntil(10 * time.Minute)
-	if m.Stats().Commissions != 0 {
-		t.Fatal("commissioned despite DisableAutoCommission")
-	}
-	// Extras land on active nodes instead.
-	if got := h.ReplicationOf("/hot"); got != 6 {
-		t.Fatalf("replication = %d, want 6 (on active nodes)", got)
-	}
-}
-
 func TestRenameMigratesJudgeState(t *testing.T) {
 	e, h, m := testbed(t, smallThresholds())
 	h.CreateFile("/old", 64*mb, 3, 0)

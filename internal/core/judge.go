@@ -118,8 +118,6 @@ type Judge struct {
 	blockStmt *cep.Statement
 	dnStmt    *cep.Statement
 
-	def int // the cluster's default replication
-
 	// Per-file state, by intern slot (hdfs.INode.ID), so a rename keeps it
 	// and a delete strands it in a slot nothing reuses. idle orders the
 	// files by last touch; adopted counts the intern slots it has taken in.
@@ -147,7 +145,6 @@ func NewJudge(cluster *hdfs.Cluster, th Thresholds) *Judge {
 	j := &Judge{
 		cluster:    cluster,
 		th:         th,
-		def:        cluster.Config().DefaultReplication,
 		coolStreak: make(map[int]int),
 		fileCnt:    make(map[string]float64),
 		groupOf:    make(map[string]int),
@@ -248,8 +245,8 @@ func (j *Judge) adopt() {
 // p+q)].
 func (j *Judge) optimalReplication(nd float64) int {
 	r := int(math.Ceil(nd / j.th.TauM))
-	if r < j.def {
-		r = j.def
+	if r < hdfs.DefaultReplication {
+		r = hdfs.DefaultReplication
 	}
 	max := j.th.MaxReplication
 	if nodes := j.cluster.NumDatanodes(); max > nodes {
@@ -357,7 +354,7 @@ func (j *Judge) Evaluate() []Decision {
 		switch f := table[i-1]; {
 		case f == nil || f.Encoded:
 			j.idle.unlink(i)
-		case !j.inWindow(f.Path) && j.cluster.Replication(f) <= j.def:
+		case !j.inWindow(f.Path) && j.cluster.Replication(f) <= hdfs.DefaultReplication:
 			out = j.judgeFile(out, f, 0, now)
 		}
 		i = next
@@ -368,7 +365,7 @@ func (j *Judge) Evaluate() []Decision {
 		switch f := table[s]; {
 		case f == nil:
 			delete(j.coolStreak, s)
-		case !j.inWindow(f.Path) && j.cluster.Replication(f) <= j.def:
+		case !j.inWindow(f.Path) && j.cluster.Replication(f) <= hdfs.DefaultReplication:
 			out = j.judgeFile(out, f, 0, now)
 		}
 	}
@@ -440,7 +437,7 @@ func (j *Judge) judgeFile(out []Decision, f *hdfs.INode, nd float64, now time.Du
 		if nd/r >= j.th.TauD {
 			out = append(out, Decision{
 				Time: now, Path: path, Class: Hot, Action: ActionDecode,
-				TargetRepl: j.def, Formula: 6,
+				TargetRepl: hdfs.DefaultReplication, Formula: 6,
 				Reason: fmt.Sprintf("encoded file accessed %.0f times in window", nd),
 			})
 		}
@@ -483,14 +480,14 @@ func (j *Judge) judgeFile(out []Decision, f *hdfs.INode, nd float64, now time.Du
 	// keep. Hysteresis: the file must look cooled for CooldownWindows
 	// consecutive passes, or marginal demand thrashes replicas.
 	s := f.ID()
-	if cur > j.def && nd/r < j.th.TauD {
+	if cur > hdfs.DefaultReplication && nd/r < j.th.TauD {
 		if streak := j.coolStreak[s] + 1; streak < j.th.CooldownWindows {
 			j.coolStreak[s] = streak
 		} else {
 			delete(j.coolStreak, s)
 			out = append(out, Decision{
 				Time: now, Path: path, Class: Cooled, Action: ActionDecrease,
-				TargetRepl: j.def, Formula: 5,
+				TargetRepl: hdfs.DefaultReplication, Formula: 5,
 				Reason: fmt.Sprintf("N_d/r = %.2f < τ_d %.1f", nd/r, j.th.TauD),
 			})
 		}
@@ -500,7 +497,7 @@ func (j *Judge) judgeFile(out []Decision, f *hdfs.INode, nd float64, now time.Du
 
 	// Formula (6): cold — quiet and old.
 	last := j.idle.n[s+1].last
-	if nd/r < j.th.TauSmall && now-last > j.th.ColdAge && cur <= j.def {
+	if nd/r < j.th.TauSmall && now-last > j.th.ColdAge && cur <= hdfs.DefaultReplication {
 		out = append(out, Decision{
 			Time: now, Path: path, Class: Cold, Action: ActionEncode,
 			TargetRepl: 1, Formula: 6,

@@ -35,7 +35,7 @@ func newJudgeFix(t *testing.T, nodes int) *judgeFix {
 
 func (f *judgeFix) create(path string, blocks, repl int) *hdfs.INode {
 	f.t.Helper()
-	size := float64(blocks) * f.c.Config().BlockSize
+	size := float64(blocks) * hdfs.BlockSize
 	if _, err := f.c.CreateFile(path, size, repl, -1); err != nil {
 		f.t.Fatalf("create %s: %v", path, err)
 	}

@@ -75,7 +75,7 @@ func streaksByPath(t *testing.T, j *Judge) map[string]int {
 // can yield a verdict.
 func refEvaluate(j *refJudge) []Decision {
 	now := j.cluster.Clock().Now()
-	def := j.cluster.Config().DefaultReplication
+	def := hdfs.DefaultReplication
 	var out []Decision
 
 	clear(j.fileCnt)

@@ -23,7 +23,7 @@ const testMB = 1 << 20
 // that block and the audit log sees n preads (zero opens).
 func (f *judgeFix) pread(path string, blockIdx, n int) {
 	f.t.Helper()
-	bs := f.c.Config().BlockSize
+	bs := hdfs.BlockSize
 	for i := 0; i < n; i++ {
 		f.c.ReadRange(hdfs.ExternalClient, path, float64(blockIdx)*bs, 16*testMB, func(r *hdfs.ReadResult) {
 			if r.Err != nil {

@@ -76,7 +76,7 @@ func TestEvaluateVisitSetsMatchReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		nodes := 14 + rng.Intn(8)
 		w := newVisitWorld(nodes, th)
-		def := w.c.Config().DefaultReplication
+		def := hdfs.DefaultReplication
 		created := 0
 		create := func() {
 			repl := def
@@ -323,7 +323,7 @@ func TestJudgeVisitsOnlyCandidates(t *testing.T) {
 			}
 			for s, f := range c.FileTable() {
 				at, _ := j.LastAccess(f.Path)
-				if c.Replication(f) > j.def || (!f.Encoded && now-at > j.th.ColdAge) {
+				if c.Replication(f) > hdfs.DefaultReplication || (!f.Encoded && now-at > j.th.ColdAge) {
 					want[s] = true
 				}
 			}

@@ -11,20 +11,16 @@ import (
 	"erms/internal/topology"
 )
 
-// Config assembles an ERMS deployment over an existing HDFS cluster.
+// Config assembles an ERMS deployment over an existing HDFS cluster. The
+// manager adopts the cluster's standby nodes at construction as its
+// standby pool, and commissions from it whenever hot data needs homes.
 type Config struct {
 	Thresholds Thresholds
-	// StandbyPool lists the datanodes ERMS manages as its standby set. If
-	// empty, the cluster's currently-standby nodes are adopted.
-	StandbyPool []hdfs.DatanodeID
 	// JudgePeriod is how often the Data Judge evaluates; defaults to the
 	// thresholds' window.
 	JudgePeriod time.Duration
 	// NegotiationPeriod for the Condor scheduler; default 5s.
 	NegotiationPeriod time.Duration
-	// DisableAutoCommission keeps standby nodes down even when hot data
-	// needs homes (used by ablation experiments).
-	DisableAutoCommission bool
 	// RepairRetry governs re-execution of failed or hung repair jobs. The
 	// zero value gets production-ish defaults (6 attempts, 15s backoff
 	// doubling to 4m, 15m hang timeout); set MaxAttempts to 1 explicitly
@@ -184,14 +180,8 @@ func New(cluster *hdfs.Cluster, cfg Config) *Manager {
 	m.reg.GaugeFunc("erms_stale_nodes", func() float64 { return float64(len(cluster.StaleNodes())) })
 	m.reg.GaugeFunc("erms_repair_jobs_active", func() float64 { return float64(len(m.repairing)) })
 	m.reg.GaugeFunc("erms_repair_streams", func() float64 { return float64(m.streams) })
-	if len(cfg.StandbyPool) > 0 {
-		for _, id := range cfg.StandbyPool {
-			m.pool[id] = true
-		}
-	} else {
-		for _, id := range cluster.Standby() {
-			m.pool[id] = true
-		}
+	for _, id := range cluster.Standby() {
+		m.pool[id] = true
 	}
 	m.judge = NewJudge(cluster, cfg.Thresholds)
 	m.judge.CEP().RegisterMetrics(m.reg)
@@ -366,9 +356,7 @@ func (m *Manager) act(d Decision) {
 	case ActionIncrease:
 		m.ctr.increases.Inc()
 		need := d.TargetRepl - m.cluster.ReplicationOf(path)
-		if !m.cfg.DisableAutoCommission {
-			m.commissionFor(need)
-		}
+		m.commissionFor(need)
 		job = &condor.Job{
 			Name:         fmt.Sprintf("replicate:%s:r%d", path, d.TargetRepl),
 			Class:        condor.ClassImmediate,
@@ -378,9 +366,8 @@ func (m *Manager) act(d Decision) {
 				m.cluster.SetReplication(path, d.TargetRepl, hdfs.WholeAtOnce, done)
 			},
 			Rollback: func() {
-				def := m.cluster.Config().DefaultReplication
-				if m.cluster.ReplicationOf(path) > def {
-					m.cluster.SetReplication(path, def, hdfs.WholeAtOnce, nil)
+				if m.cluster.ReplicationOf(path) > hdfs.DefaultReplication {
+					m.cluster.SetReplication(path, hdfs.DefaultReplication, hdfs.WholeAtOnce, nil)
 				}
 			},
 		}

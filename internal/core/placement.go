@@ -64,7 +64,7 @@ func (p *Placement) ChooseTargets(dst []hdfs.DatanodeID, c *hdfs.Cluster, b hdfs
 		return p.parityTargets(dst, c, b, count, exclude)
 	}
 	cur := len(c.Replicas(b.ID))
-	rD := c.Config().DefaultReplication
+	rD := hdfs.DefaultReplication
 	if cur >= rD {
 		return p.extraTargets(dst, c, b, count, exclude)
 	}

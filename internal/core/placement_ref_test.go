@@ -43,7 +43,7 @@ func (p *refPlacement) refChooseTargets(c *hdfs.Cluster, b hdfs.Block, count int
 		return p.parityTargets(c, b, count, exclude)
 	}
 	cur := len(c.Replicas(b.ID))
-	rD := c.Config().DefaultReplication
+	rD := hdfs.DefaultReplication
 	if cur < rD {
 		// Below default factor: stock rack-aware placement, but never put
 		// base replicas on the standby pool — pooled nodes may power off.
@@ -326,9 +326,9 @@ func TestPlacementMatchesReference(t *testing.T) {
 			switch cur := len(c.Replicas(b.ID)); {
 			case b.Parity:
 				kinds["parity"]++
-			case cur >= c.Config().DefaultReplication:
+			case cur >= hdfs.DefaultReplication:
 				kinds["extra"]++
-			case count > c.Config().DefaultReplication-cur:
+			case count > hdfs.DefaultReplication-cur:
 				kinds["base+extra"]++
 			default:
 				kinds["base"]++

@@ -112,7 +112,7 @@ func degradeRun(cfg DegradeConfig, cap int, safeMode bool) DegradeRow {
 			Dwell:         time.Minute,
 		},
 	})
-	bs := c.Config().BlockSize
+	bs := hdfs.BlockSize
 	for i := 0; i < cfg.Files; i++ {
 		path := fmt.Sprintf("/deg/f%03d", i)
 		if _, err := c.CreateFile(path, 3*bs, 3, -1); err != nil {

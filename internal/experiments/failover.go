@@ -80,7 +80,7 @@ func FailoverDemo(cfg FailoverConfig) []FailoverRow {
 	})
 	c.SetJournal(auditlog.NewJournal())
 
-	bs := c.Config().BlockSize
+	bs := hdfs.BlockSize
 	for i := 0; i < cfg.Files; i++ {
 		path := fmt.Sprintf("/fo/f%03d", i)
 		if _, err := c.CreateFile(path, 3*bs, 3, -1); err != nil {

@@ -34,24 +34,20 @@ func (m StorageModel) String() string {
 // MapReduce, per the paper).
 type Fig89Config struct {
 	FileSize float64 // default 1 GB (the paper's file)
-	// BackgroundPerNode is foreground sessions per active node; default 2.
-	BackgroundPerNode int
-	// MinClientRate is the per-client rate floor defining "could hold";
-	// default 8 MB/s.
-	MinClientRate float64
 	// MaxClients bounds the search; default 150.
 	MaxClients int
 }
 
+const (
+	// backgroundPerNode is foreground sessions per active node.
+	backgroundPerNode = 2
+	// minClientRate is the per-client rate floor defining "could hold".
+	minClientRate = 8 * MB
+)
+
 func (c *Fig89Config) applyDefaults() {
 	if c.FileSize <= 0 {
 		c.FileSize = 1 * GB
-	}
-	if c.BackgroundPerNode <= 0 {
-		c.BackgroundPerNode = 2
-	}
-	if c.MinClientRate <= 0 {
-		c.MinClientRate = 8 * MB
 	}
 	if c.MaxClients <= 0 {
 		c.MaxClients = 150
@@ -76,11 +72,7 @@ func buildFig89(model StorageModel, repl int, cfg Fig89Config) (*Testbed, *Backg
 		th := core.DefaultThresholds()
 		tb = NewERMS(10, 8, th, time.Hour /* judge manual */)
 		fgNodes = tb.Cluster.Active() // the 10 always-on nodes
-		def := tb.Cluster.Config().DefaultReplication
-		base := repl
-		if base > def {
-			base = def
-		}
+		base := min(repl, hdfs.DefaultReplication)
 		if _, err := tb.Cluster.CreateFile("/hot", cfg.FileSize, base, 0); err != nil {
 			panic(err)
 		}
@@ -104,7 +96,7 @@ func buildFig89(model StorageModel, repl int, cfg Fig89Config) (*Testbed, *Backg
 			}
 		}
 	}
-	bg := StartBackgroundLoad(tb, cfg.BackgroundPerNode, fgNodes)
+	bg := StartBackgroundLoad(tb, backgroundPerNode, fgNodes)
 	return tb, bg
 }
 
@@ -155,7 +147,7 @@ type Fig8Row struct {
 }
 
 // Fig8 finds, for each replication factor and storage model, the largest
-// client count for which every client still achieves MinClientRate.
+// client count for which every client still achieves minClientRate.
 func Fig8(cfg Fig89Config, replications []int) []Fig8Row {
 	cfg.applyDefaults()
 	if len(replications) == 0 {
@@ -184,7 +176,7 @@ func maxSustainable(model StorageModel, repl int, cfg Fig89Config) int {
 		if tb.Manager != nil {
 			tb.Manager.Stop()
 		}
-		return minTP*MB >= cfg.MinClientRate*0.999
+		return minTP*MB >= minClientRate*0.999
 	}
 	lo, hi := 0, cfg.MaxClients
 	if !sustainable(1) {

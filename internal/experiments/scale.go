@@ -111,7 +111,7 @@ func runScale(cfg ScaleConfig, nodes int) ScaleRow {
 	c := hdfs.New(e, hdfs.Config{Topology: topo})
 
 	nFiles := nodes * cfg.FilesPerNode
-	bs := c.Config().BlockSize
+	bs := hdfs.BlockSize
 
 	buildStart := time.Now()
 	loaded := loadScaleCache(cfg, nodes, c)

@@ -25,7 +25,7 @@ func benchScaleCluster(b *testing.B, files int) (*sim.Engine, *hdfs.Cluster) {
 	e := sim.NewEngine()
 	topo := topology.New(topology.Config{Racks: benchNodes / 6, NodeCount: benchNodes})
 	c := hdfs.New(e, hdfs.Config{Topology: topo})
-	bs := c.Config().BlockSize
+	bs := hdfs.BlockSize
 	for i := 0; i < files; i++ {
 		if _, err := c.CreateFile(fmt.Sprintf("/bench/f%06d", i), bs, 3, -1); err != nil {
 			b.Fatal(err)
@@ -40,7 +40,7 @@ func benchScaleCluster(b *testing.B, files int) (*sim.Engine, *hdfs.Cluster) {
 // cluster never runs out of capacity at large b.N.
 func BenchmarkScaleCreateFile(b *testing.B) {
 	_, c := benchScaleCluster(b, 10000)
-	bs := c.Config().BlockSize
+	bs := hdfs.BlockSize
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		path := fmt.Sprintf("/new/f%09d", i)

@@ -24,19 +24,12 @@ import (
 type ScenarioConfig struct {
 	Seed     int64
 	Duration time.Duration // trace length per cell (default 30 min)
-	// Lambda prices replication traffic when scoring vanilla vs ERMS:
-	// score = throughput_MBps − Lambda · replication_GB. Default 0.1.
-	Lambda   float64
-	Parallel int  // sweep workers (<= 0: one per CPU)
-	FailFast bool // stop the grid on the first cell error
+	Parallel int           // sweep workers (<= 0: one per CPU)
 }
 
 func (c *ScenarioConfig) applyDefaults() {
 	if c.Duration <= 0 {
 		c.Duration = 30 * time.Minute
-	}
-	if c.Lambda <= 0 {
-		c.Lambda = 0.1
 	}
 }
 
@@ -54,7 +47,7 @@ type ScenarioRow struct {
 	ReactS         float64
 	Commissions    int
 	F1, F2, F3, F4 int     // judge decisions acted on, by formula
-	Score          float64 // Throughput − Lambda·ReplicaGB
+	Score          float64 // Throughput − lambda·ReplicaGB
 }
 
 // Scenarios runs the scenario × system grid on the sweep engine and returns
@@ -83,7 +76,7 @@ func Scenarios(ctx context.Context, cfg ScenarioConfig) ([]ScenarioRow, []sweep.
 			})
 		}
 	}
-	results, err := sweep.Run(ctx, sweep.Options{Parallel: cfg.Parallel, FailFast: cfg.FailFast}, tasks)
+	results, err := sweep.Run(ctx, sweep.Options{Parallel: cfg.Parallel}, tasks)
 	return rows, results, err
 }
 
@@ -167,7 +160,7 @@ func runScenarioCell(cfg ScenarioConfig, name, system string) (ScenarioRow, erro
 	if name == "flashcrowd" && rx.Reacted() {
 		row.ReactS = rx.Time().Seconds()
 	}
-	row.Score = row.Throughput - float64(cfg.Lambda*row.ReplicaGB)
+	row.Score = row.Throughput - float64(lambda*row.ReplicaGB)
 	return row, nil
 }
 
@@ -192,7 +185,7 @@ func ScenarioTable(cfg ScenarioConfig, rows []ScenarioRow) *metrics.Table {
 	cfg.applyDefaults()
 	t := &metrics.Table{
 		Title: fmt.Sprintf("Scenario suite: vanilla vs ERMS, score = throughput_MBps - %g*replication_GB",
-			cfg.Lambda),
+			lambda),
 		Columns: []string{"scenario", "system", "jobs", "failed", "throughput_MBps",
 			"replication_GB", "fairness", "react_s", "commissions", "f1", "f2", "f3", "f4", "score"},
 	}

@@ -36,12 +36,12 @@ type ThresholdSweepConfig struct {
 	WindowsMin []float64     // CEP window axis, minutes (default {2.5, 5, 10})
 	Epsilons   []float64     // ε axis (default {0.5})
 	MMScales   []float64     // M_M = scale·τ_M axis (default {1.5})
-	// Lambda prices the management overhead when scoring: score =
-	// throughput_MBps − Lambda · replication_GB. Default 0.1.
-	Lambda   float64
-	Parallel int  // sweep workers (<= 0: one per CPU)
-	FailFast bool // stop the grid on the first cell error
+	Parallel   int           // sweep workers (<= 0: one per CPU)
 }
+
+// lambda prices the management overhead when scoring a threshold-sweep or
+// scenario cell: score = throughput_MBps − lambda · replication_GB.
+const lambda = 0.1
 
 func (c *ThresholdSweepConfig) applyDefaults() {
 	if len(c.Seeds) == 0 {
@@ -64,9 +64,6 @@ func (c *ThresholdSweepConfig) applyDefaults() {
 	}
 	if len(c.MMScales) == 0 {
 		c.MMScales = []float64{1.5}
-	}
-	if c.Lambda <= 0 {
-		c.Lambda = 0.1
 	}
 }
 
@@ -96,7 +93,7 @@ type ThresholdSweepRow struct {
 	PeakGB     float64 // peak storage (per-minute samples)
 	ReplicaMB  float64 // replication traffic: the cost of elasticity
 	Increases  int
-	Score      float64 // Throughput − Lambda·(ReplicaMB in GB)
+	Score      float64 // Throughput − lambda·(ReplicaMB in GB)
 }
 
 // ThresholdSweep runs the grid on the sweep engine and returns one row per
@@ -121,7 +118,7 @@ func ThresholdSweep(ctx context.Context, cfg ThresholdSweepConfig) ([]ThresholdS
 			},
 		}
 	}
-	results, err := sweep.Run(ctx, sweep.Options{Parallel: cfg.Parallel, FailFast: cfg.FailFast}, tasks)
+	results, err := sweep.Run(ctx, sweep.Options{Parallel: cfg.Parallel}, tasks)
 	return rows, results, err
 }
 
@@ -150,7 +147,7 @@ func runThresholdSweepCell(cfg ThresholdSweepConfig, p sweep.Point) ThresholdSwe
 	row.PeakGB = peak / GB
 	row.ReplicaMB = tb.Cluster.Metrics().ReplicationMB
 	row.Increases = tb.Manager.Stats().Increases
-	row.Score = row.Throughput - float64(cfg.Lambda*(row.ReplicaMB*MB/GB))
+	row.Score = row.Throughput - float64(lambda*(row.ReplicaMB*MB/GB))
 	return row
 }
 
@@ -191,7 +188,7 @@ func ThresholdSweepTable(cfg ThresholdSweepConfig, rows []ThresholdSweepRow) *me
 	cfg.applyDefaults()
 	t := &metrics.Table{
 		Title: fmt.Sprintf("Threshold sweep: judge tuning grid, score = throughput_MBps - %g*replication_GB",
-			cfg.Lambda),
+			lambda),
 		Columns: []string{"seed", "tau_M", "win_min", "eps", "M_M", "throughput_MBps", "peak_GB", "replication_GB", "increases", "score"},
 	}
 	for _, r := range rows {

@@ -94,7 +94,7 @@ func TestAboveDefaultIndex(t *testing.T) {
 			if err := c.WriteCheckpoint(&ckpt); err != nil {
 				t.Fatal(err)
 			}
-			c2 := New(sim.NewEngine(), c.Config())
+			c2 := New(sim.NewEngine(), c.cfg)
 			expectAbove(t, c2, "/x", false, "pristine standby")
 			if err := c2.RestoreCheckpoint(&ckpt); err != nil {
 				t.Fatal(err)
@@ -115,7 +115,7 @@ func TestAboveDefaultIndex(t *testing.T) {
 			e.Run()
 			first := c.File("/gone").Blocks[0]
 			c.DeleteFile("/gone")
-			c2 := New(sim.NewEngine(), c.Config())
+			c2 := New(sim.NewEngine(), c.cfg)
 			if err := c2.RestoreCheckpoint(&ckpt); err != nil {
 				t.Fatal(err)
 			}

@@ -16,9 +16,6 @@ func TestClusterAccessors(t *testing.T) {
 	if c.NumDatanodes() != 18 {
 		t.Fatalf("NumDatanodes = %d", c.NumDatanodes())
 	}
-	if got := c.Config(); got.DefaultReplication != 3 || got.BlockSize != 64*mb {
-		t.Fatalf("Config = %+v", got)
-	}
 	if len(c.Active()) != 16 || len(c.Standby()) != 2 {
 		t.Fatalf("active/standby = %d/%d", len(c.Active()), len(c.Standby()))
 	}

@@ -52,14 +52,17 @@ const inodeChunk = 1024
 // restores into a cluster with the same digest. Heartbeat tuning and the
 // initial standby set are excluded on purpose: they shape *future* events,
 // not the meaning of serialized state, so a verification shadow can run
-// with heartbeats off and still accept the checkpoint.
+// with heartbeats off and still accept the checkpoint. The block size,
+// default replication and command latency are package constants, hashed
+// like the settable values so a checkpoint does not restore into a build
+// that uses other ones.
 func (c *Cluster) ConfigDigest() uint64 {
 	h := wire.NewDigest()
-	h.U64(math.Float64bits(c.cfg.BlockSize))
-	h.U64(uint64(c.cfg.DefaultReplication))
+	h.U64(math.Float64bits(BlockSize))
+	h.U64(uint64(DefaultReplication))
 	h.U64(math.Float64bits(c.cfg.NodeCapacity))
 	h.U64(uint64(c.cfg.MaxSessionsPerNode))
-	h.U64(uint64(c.cfg.ReplCommandLatency))
+	h.U64(uint64(replCommandLatency))
 	h.U64(uint64(c.topo.NumRacks()))
 	h.U64(uint64(c.topo.NumNodes()))
 	for _, n := range c.topo.Nodes {
@@ -355,11 +358,8 @@ func (c *Cluster) RestoreCheckpointInPlace(data []byte) error { return c.restore
 func (c *Cluster) Shadow(ckpt []byte, tail []auditlog.Entry) (*Cluster, error) {
 	s := New(sim.NewEngine(), Config{
 		Topology:           c.topo,
-		BlockSize:          c.cfg.BlockSize,
-		DefaultReplication: c.cfg.DefaultReplication,
 		NodeCapacity:       c.cfg.NodeCapacity,
 		MaxSessionsPerNode: c.cfg.MaxSessionsPerNode,
-		ReplCommandLatency: c.cfg.ReplCommandLatency,
 	})
 	if err := s.RestoreCheckpointBytes(ckpt); err != nil {
 		return nil, fmt.Errorf("hdfs: shadow restore: %w", err)
@@ -494,7 +494,7 @@ func (c *Cluster) decodeCheckpoint(data []byte) (*ckptState, error) {
 				f.Path, f.TargetRepl, f.CreatedAt, k, m)
 		}
 		// A file never holds more blocks than its size implies.
-		if want := blockCount(f.Size, c.cfg.BlockSize); len(f.Blocks) > want {
+		if want := blockCount(f.Size, BlockSize); len(f.Blocks) > want {
 			return nil, fmt.Errorf("hdfs: checkpoint file %q: %d blocks for size %.0f (max %d)",
 				f.Path, len(f.Blocks), f.Size, want)
 		}

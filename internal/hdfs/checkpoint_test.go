@@ -234,7 +234,7 @@ func TestRestoreGuards(t *testing.T) {
 	// Config mismatch.
 	e2 := sim.NewEngine()
 	cfg := ckptConfig()
-	cfg.DefaultReplication = 5
+	cfg.MaxSessionsPerNode = 5
 	c2 := New(e2, cfg)
 	if err := c2.RestoreCheckpoint(bytes.NewReader(buf.Bytes())); err == nil ||
 		!strings.Contains(err.Error(), "config digest") {

@@ -190,7 +190,7 @@ func (c *Cluster) ConsistencyErrors() []string {
 	// --- Above-default set vs a recount of the files over the default.
 	above := 0
 	for _, f := range c.fileByID {
-		if f == nil || c.Replication(f) <= c.cfg.DefaultReplication {
+		if f == nil || c.Replication(f) <= DefaultReplication {
 			continue
 		}
 		above++

@@ -15,8 +15,8 @@ import (
 // the landed bytes rather than attach them. Attaching would leave the
 // target's block set holding an ID whose block-map entry is nil — the next
 // declareDead walk dereferences exactly that entry. The delete is injected
-// at several offsets so it lands before the copy command dispatches (the
-// default ReplCommandLatency is 1s), mid-transfer (a 128 MB block takes
+// at several offsets so it lands before the copy command dispatches
+// (replCommandLatency is 1s), mid-transfer (a 128 MB block takes
 // ~1s at the 125 MB/s NIC rate, so 1.5s is inside the flow), and after
 // the copy already landed.
 func TestDeleteDuringRepairDiscardsLandingCopy(t *testing.T) {

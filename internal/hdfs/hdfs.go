@@ -253,25 +253,32 @@ func (d *Datanode) canServe() bool { return d.State == StateActive && !d.fault.C
 // CorruptBlock reports whether this node's replica of b is flagged corrupt.
 func (d *Datanode) CorruptBlock(b BlockID) bool { return d.corrupt[b] }
 
-// Config sizes the simulated HDFS cluster.
+const (
+	// BlockSize is every file's block size: 64 MB, the paper's Hadoop
+	// 0.20 default.
+	BlockSize float64 = 64 * topology.MB
+	// DefaultReplication is the replication factor of a file created
+	// without one, and the floor the judge lowers a cooled file to.
+	DefaultReplication = 3
+	// replCommandLatency models the delay before a datanode acts on a
+	// replication command (commands piggyback on heartbeats in HDFS).
+	// Each SetReplication round pays it once, which is why raising the
+	// factor one step at a time loses to going straight to the target
+	// (the paper's Figure 7).
+	replCommandLatency = time.Second
+)
+
+// Config sizes the simulated HDFS cluster. The block size, the default
+// replication and the replication-command latency are the constants
+// above, not fields.
 type Config struct {
 	Topology *topology.Topology // required
-	// BlockSize defaults to 64 MB (the paper's Hadoop 0.20 default).
-	BlockSize float64
-	// DefaultReplication defaults to 3.
-	DefaultReplication int
 	// NodeCapacity defaults to 250 GB per datanode.
 	NodeCapacity float64
 	// MaxSessionsPerNode bounds concurrent serving sessions per datanode
 	// ("a datanode can simultaneously support a limited number of
 	// sessions"); excess requests queue. Defaults to 64.
 	MaxSessionsPerNode int
-	// ReplCommandLatency models the delay before a datanode acts on a
-	// replication command (commands piggyback on heartbeats in HDFS).
-	// Defaults to 1s. Each SetReplication round pays it once, which is why
-	// raising the factor one step at a time loses to going straight to the
-	// target (the paper's Figure 7).
-	ReplCommandLatency time.Duration
 	// StandbyNodes marks these datanodes standby at start (ERMS model).
 	StandbyNodes []DatanodeID
 	// KeepAuditRecords retains audit records in memory (tests/trace export).
@@ -289,20 +296,11 @@ type Config struct {
 func (c *Config) applyDefaults() {
 	c.Heartbeat.applyDefaults()
 	c.SafeMode.applyDefaults()
-	if c.BlockSize <= 0 {
-		c.BlockSize = 64 * topology.MB
-	}
-	if c.DefaultReplication <= 0 {
-		c.DefaultReplication = 3
-	}
 	if c.NodeCapacity <= 0 {
 		c.NodeCapacity = 250 * topology.GB
 	}
 	if c.MaxSessionsPerNode <= 0 {
 		c.MaxSessionsPerNode = 64
-	}
-	if c.ReplCommandLatency <= 0 {
-		c.ReplCommandLatency = time.Second
 	}
 }
 
@@ -565,9 +563,6 @@ func (c *Cluster) Topology() *topology.Topology { return c.topo }
 // usage).
 func (c *Cluster) Fabric() *netsim.Fabric { return c.fabric }
 
-// Config returns the cluster configuration (with defaults applied).
-func (c *Cluster) Config() Config { return c.cfg }
-
 // Audit returns the audit log.
 func (c *Cluster) Audit() *auditlog.Log { return c.audit }
 
@@ -712,10 +707,10 @@ func (c *Cluster) size(id BlockID) float64 {
 // position pos of f (see blockRef).
 func (c *Cluster) geometry(f *INode, pos int32) (index int, size float64, group int) {
 	if pos >= 0 {
-		return int(pos), c.blockBytes(int(pos), blockCount(f.Size, c.cfg.BlockSize), f.Size), 0
+		return int(pos), c.blockBytes(int(pos), blockCount(f.Size, BlockSize), f.Size), 0
 	}
 	j := int(^pos)
-	return len(f.Blocks) + j, c.cfg.BlockSize, j / max(f.stripe.M, 1)
+	return len(f.Blocks) + j, BlockSize, j / max(f.stripe.M, 1)
 }
 
 // Replicas returns the datanodes holding block id (do not mutate).
@@ -883,7 +878,7 @@ func (c *Cluster) CreateFile(path string, size float64, repl int, writer topolog
 		return nil, fmt.Errorf("hdfs: file size must be positive")
 	}
 	if repl <= 0 {
-		repl = c.cfg.DefaultReplication
+		repl = DefaultReplication
 	}
 	f := &INode{
 		Path:       path,
@@ -892,7 +887,7 @@ func (c *Cluster) CreateFile(path string, size float64, repl int, writer topolog
 		CreatedAt:  c.clock.Now(),
 	}
 	c.registerFile(f)
-	nBlocks := blockCount(size, c.cfg.BlockSize)
+	nBlocks := blockCount(size, BlockSize)
 	for i := 0; i < nBlocks; i++ {
 		id := c.addBlock(f, int32(i))
 		c.createTargets = c.placement.ChooseTargets(c.createTargets[:0], c, c.view(id), repl, DatanodeID(writer), nil)
@@ -925,9 +920,9 @@ func blockCount(size, blockSize float64) int {
 // no platform may fuse the multiply and subtract into one rounding.
 func (c *Cluster) blockBytes(i, n int, size float64) float64 {
 	if i != n-1 {
-		return c.cfg.BlockSize
+		return BlockSize
 	}
-	return size - float64(float64(n-1)*c.cfg.BlockSize)
+	return size - float64(float64(n-1)*BlockSize)
 }
 
 // DeleteFile removes a file and frees its replicas.

@@ -229,7 +229,7 @@ func (c *Cluster) applyFileEntry(f *INode, e auditlog.Entry) error {
 // entry's Index, Size and Group for it.
 func (c *Cluster) blockPosition(f *INode, e auditlog.Entry) (int32, error) {
 	n := len(f.Blocks)
-	pos, room := int32(n), n < blockCount(f.Size, c.cfg.BlockSize)
+	pos, room := int32(n), n < blockCount(f.Size, BlockSize)
 	if j := e.Index - n; e.Flag {
 		k, m := f.Geometry()
 		pos, room = ^int32(j), k > 0 && m > 0 && j >= 0 && j <= math.MaxInt32 && j/m < (n+k-1)/k

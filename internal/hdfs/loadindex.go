@@ -205,7 +205,7 @@ func (c *Cluster) reassessAboveDefault(id BlockID) {
 		return
 	}
 	i, in := c.aboveAt[f.ID()]
-	switch want := c.Replication(f) > c.cfg.DefaultReplication; {
+	switch want := c.Replication(f) > DefaultReplication; {
 	case want && !in:
 		c.aboveAt[f.ID()] = len(c.aboveDefault)
 		c.aboveDefault = append(c.aboveDefault, f)
@@ -236,7 +236,7 @@ func (c *Cluster) rebuildDerived() {
 	c.pathsCache = nil
 	c.aboveDefault, c.aboveAt = nil, make(map[int]int)
 	for _, f := range c.fileByID {
-		if f != nil && c.Replication(f) > c.cfg.DefaultReplication {
+		if f != nil && c.Replication(f) > DefaultReplication {
 			c.aboveAt[f.ID()] = len(c.aboveDefault)
 			c.aboveDefault = append(c.aboveDefault, f)
 		}

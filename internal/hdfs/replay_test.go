@@ -63,7 +63,7 @@ func replayStorm(t *testing.T) (*Cluster, []byte) {
 	c.SetReplication("/s/new", 6, OneByOne, nil)
 	e.RunUntil(4 * time.Minute)
 	for _, p := range []string{"/s/hot", "/s/warm2"} {
-		if c.ReplicationOf(p) <= c.cfg.DefaultReplication {
+		if c.ReplicationOf(p) <= DefaultReplication {
 			t.Fatalf("%s at replication %d: the delete below must drop a file above the default", p, c.ReplicationOf(p))
 		}
 		if err := c.DeleteFile(p); err != nil {
@@ -160,11 +160,11 @@ func fuzzEntry(c *Cluster, r []byte) auditlog.Entry {
 		// disagreeing adds are drawn.
 		f := c.fileByID[e.File]
 		n := len(f.Blocks)
-		e.Index, e.Size, e.Group = n, c.blockBytes(n, blockCount(f.Size, c.cfg.BlockSize), f.Size), 0
+		e.Index, e.Size, e.Group = n, c.blockBytes(n, blockCount(f.Size, BlockSize), f.Size), 0
 		if e.Flag {
 			j := int(r[3]) % 8
 			_, m := f.Geometry()
-			e.Index, e.Size, e.Group = n+j, c.cfg.BlockSize, j/max(m, 1)
+			e.Index, e.Size, e.Group = n+j, BlockSize, j/max(m, 1)
 		}
 		switch r[4] % 8 {
 		case 1:

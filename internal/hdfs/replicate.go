@@ -103,7 +103,7 @@ func (c *Cluster) AddReplica(id BlockID, target DatanodeID, done func(error)) {
 	td.pendingBytes += b.Size
 	c.copying[id]++
 	c.reindexNode(td)
-	c.clock.Schedule(c.cfg.ReplCommandLatency, func() {
+	c.clock.Schedule(replCommandLatency, func() {
 		// A settled copy's target was declared dead (and may be back as a
 		// fresh incarnation, which never got the command).
 		if !slices.Contains(td.inbound, cp) || td.Down() || c.NodeUnreachable(target) {

@@ -29,15 +29,16 @@ var ErrSafeMode = errors.New("hdfs: namenode is in safe mode")
 // is a fenced zombie whose late writes must not interleave.
 var ErrFenced = errors.New("hdfs: namenode is fenced (stale journal epoch)")
 
+// replicaThreshold is the minimum fraction of live blocks that must have
+// at least one live replica for safe mode to exit (HDFS
+// dfs.safemode.threshold.pct).
+const replicaThreshold = 0.999
+
 // SafeModeConfig tunes the safe-mode guard.
 type SafeModeConfig struct {
 	// Enabled turns the guard on. Off by default: mutations are never
 	// rejected and restore does not enter safe mode.
 	Enabled bool
-	// ReplicaThreshold is the minimum fraction of live blocks that must
-	// have at least one live replica (HDFS dfs.safemode.threshold.pct).
-	// Default 0.999.
-	ReplicaThreshold float64
 	// NodeThreshold is the minimum fraction of registered (non-standby)
 	// datanodes that must be live and heartbeating.
 	// Default 0.5.
@@ -50,9 +51,6 @@ type SafeModeConfig struct {
 }
 
 func (s *SafeModeConfig) applyDefaults() {
-	if s.ReplicaThreshold <= 0 {
-		s.ReplicaThreshold = 0.999
-	}
 	if s.NodeThreshold <= 0 {
 		s.NodeThreshold = 0.5
 	}
@@ -120,7 +118,7 @@ func (c *Cluster) LiveNodeFraction() float64 {
 // safeModeHealthy reports whether both thresholds currently hold.
 func (c *Cluster) safeModeHealthy() bool {
 	sm := c.cfg.SafeMode
-	return c.BlockAvailability() >= sm.ReplicaThreshold &&
+	return c.BlockAvailability() >= replicaThreshold &&
 		c.LiveNodeFraction() >= sm.NodeThreshold
 }
 

@@ -109,7 +109,7 @@ func referenceSynthesize(cfg Config) *Trace {
 			File:    tr.Files[pick].Path,
 			Name:    fmt.Sprintf("job%04d", jobID),
 			Client:  rng.Intn(cfg.Clients),
-			Compute: cfg.ComputePerMB,
+			Compute: computePerMB,
 		})
 	}
 	return tr

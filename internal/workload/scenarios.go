@@ -46,46 +46,25 @@ type Tenant struct {
 	ZipfSkew float64 // within-tenant popularity skew
 }
 
-// TenantConfig tunes SynthesizeMultiTenant. Zero values take defaults: three
-// tenants with contrasting skew — a small hot interactive set, a mid-size
-// analytics set, and a wide flat batch set — sharing one cluster.
+// TenantConfig tunes SynthesizeMultiTenant: the defaultTenants mix, jobs
+// every tenantInterarrival on average from 18 clients, file sizes clamped
+// to [64 MB, 1 GB].
 type TenantConfig struct {
-	Seed             int64
-	Duration         time.Duration // default 2h
-	MeanInterarrival time.Duration // default 5s (judge-visible intensity)
-	Clients          int           // default 18
-	MinFileSize      float64       // default 64 MB
-	MaxFileSize      float64       // default 1 GB
-	ComputePerMB     time.Duration // default 8ms
-	Tenants          []Tenant      // default ads/etl/batch mix
+	Seed     int64
+	Duration time.Duration // default 2h
 }
 
-func (c *TenantConfig) applyDefaults() {
-	if c.Duration <= 0 {
-		c.Duration = 2 * time.Hour
-	}
-	if c.MeanInterarrival <= 0 {
-		c.MeanInterarrival = 3 * time.Second
-	}
-	if c.Clients <= 0 {
-		c.Clients = 18
-	}
-	if c.MinFileSize <= 0 {
-		c.MinFileSize = 64 * topology.MB
-	}
-	if c.MaxFileSize <= 0 {
-		c.MaxFileSize = topology.GB
-	}
-	if c.ComputePerMB <= 0 {
-		c.ComputePerMB = 8 * time.Millisecond
-	}
-	if len(c.Tenants) == 0 {
-		c.Tenants = []Tenant{
-			{Name: "ads", Files: 8, Share: 0.5, ZipfSkew: 1.6},
-			{Name: "etl", Files: 16, Share: 0.3, ZipfSkew: 1.1},
-			{Name: "batch", Files: 24, Share: 0.2, ZipfSkew: 0.4},
-		}
-	}
+// tenantInterarrival is the mean gap between multi-tenant job arrivals:
+// an intensity the judge sees.
+const tenantInterarrival = 3 * time.Second
+
+// defaultTenants are three tenants with contrasting skew — a small hot
+// interactive set, a mid-size analytics set, and a wide flat batch set —
+// sharing one cluster.
+var defaultTenants = []Tenant{
+	{Name: "ads", Files: 8, Share: 0.5, ZipfSkew: 1.6},
+	{Name: "etl", Files: 16, Share: 0.3, ZipfSkew: 1.1},
+	{Name: "batch", Files: 24, Share: 0.2, ZipfSkew: 0.4},
 }
 
 // SynthesizeMultiTenant builds a trace where several tenants with different
@@ -93,22 +72,19 @@ func (c *TenantConfig) applyDefaults() {
 // tagged with its tenant so replay can attribute throughput per tenant and
 // the isolation oracle can check no tenant is starved.
 func SynthesizeMultiTenant(cfg TenantConfig) *Trace {
-	cfg.applyDefaults()
+	if cfg.Duration <= 0 {
+		cfg.Duration = 2 * time.Hour
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tr := &Trace{Seed: cfg.Seed, Duration: cfg.Duration}
 
 	// Per-tenant catalogs, all present at t=0 (the contention is the story
 	// here, not catalog growth).
-	catalog := make([][]int, len(cfg.Tenants)) // tenant -> indices into tr.Files
-	for ti, tn := range cfg.Tenants {
+	catalog := make([][]int, len(defaultTenants)) // tenant -> indices into tr.Files
+	for ti, tn := range defaultTenants {
 		for i := 0; i < tn.Files; i++ {
 			size := 128 * topology.MB * math.Exp(rng.NormFloat64())
-			if size < cfg.MinFileSize {
-				size = cfg.MinFileSize
-			}
-			if size > cfg.MaxFileSize {
-				size = cfg.MaxFileSize
-			}
+			size = min(max(size, 64*topology.MB), topology.GB)
 			catalog[ti] = append(catalog[ti], len(tr.Files))
 			tr.Files = append(tr.Files, FileSpec{
 				Path: fmt.Sprintf("/tenant/%s/f%03d", tn.Name, i),
@@ -120,11 +96,11 @@ func SynthesizeMultiTenant(cfg TenantConfig) *Trace {
 
 	// Arrival shares, and each tenant's Zipf weights over its catalogue,
 	// with their totals.
-	shares := make([]float64, len(cfg.Tenants))
+	shares := make([]float64, len(defaultTenants))
 	shareTotal := 0.0
-	weights := make([][]float64, len(cfg.Tenants))
-	totals := make([]float64, len(cfg.Tenants))
-	for ti, tn := range cfg.Tenants {
+	weights := make([][]float64, len(defaultTenants))
+	totals := make([]float64, len(defaultTenants))
+	for ti, tn := range defaultTenants {
 		shares[ti] = tn.Share
 		shareTotal += tn.Share
 		weights[ti] = make([]float64, len(catalog[ti]))
@@ -136,7 +112,7 @@ func SynthesizeMultiTenant(cfg TenantConfig) *Trace {
 	now := time.Duration(0)
 	jobID := 0
 	for {
-		now += time.Duration(rng.ExpFloat64() * float64(cfg.MeanInterarrival))
+		now += time.Duration(rng.ExpFloat64() * float64(tenantInterarrival))
 		if now >= cfg.Duration {
 			break
 		}
@@ -149,9 +125,9 @@ func SynthesizeMultiTenant(cfg TenantConfig) *Trace {
 			Submit:  now,
 			File:    tr.Files[catalog[ti][pick]].Path,
 			Name:    fmt.Sprintf("job%04d", jobID),
-			Client:  rng.Intn(cfg.Clients),
-			Compute: cfg.ComputePerMB,
-			Tenant:  cfg.Tenants[ti].Name,
+			Client:  rng.Intn(18),
+			Compute: computePerMB,
+			Tenant:  defaultTenants[ti].Name,
 		})
 	}
 	return tr
@@ -181,76 +157,46 @@ func SynthesizeDiurnal(seed int64, d time.Duration) *Trace {
 type FlashConfig struct {
 	Seed     int64
 	Duration time.Duration // default 2h
-	// SpikeAt is when the cold file goes viral; default 40% into the run
-	// (late enough that the judge has seen it idle).
-	SpikeAt time.Duration
-	// SpikeDuration is how long the crowd lasts; default 25% of the run.
-	SpikeDuration time.Duration
-	// SpikeInterarrival is the mean gap between viral reads during the
-	// burst; default 1.5s — far above the hot threshold.
-	SpikeInterarrival time.Duration
-	// ViralSize is the viral file's size; default 256 MB.
-	ViralSize float64
-	// Background tunes the ambient workload (seed/duration are overridden).
-	Background Config
 }
 
 // ViralPath is the file that goes viral in the flash-crowd scenario.
 const ViralPath = "/viral/clip"
 
-func (c *FlashConfig) applyDefaults() {
-	if c.Duration <= 0 {
-		c.Duration = 2 * time.Hour
-	}
-	if c.SpikeAt <= 0 {
-		c.SpikeAt = c.Duration * 2 / 5
-	}
-	if c.SpikeDuration <= 0 {
-		c.SpikeDuration = c.Duration / 4
-	}
-	if c.SpikeInterarrival <= 0 {
-		c.SpikeInterarrival = 1500 * time.Millisecond
-	}
-	if c.ViralSize <= 0 {
-		c.ViralSize = 256 * topology.MB
-	}
-}
+const (
+	// spikeInterarrival is the mean gap between viral reads during the
+	// burst: far above the hot threshold.
+	spikeInterarrival = 1500 * time.Millisecond
+	// viralSize is the viral file's size.
+	viralSize = 256 * topology.MB
+)
+
+// spikeAt is when the cold file goes viral: 40% into the run, late enough
+// that the judge has seen it idle. The crowd lasts a quarter of the run.
+func (c FlashConfig) spikeAt() time.Duration { return c.Duration * 2 / 5 }
 
 // SynthesizeFlashCrowd builds an ambient trace plus a cold file (ViralPath,
 // present from t=0, untouched) that suddenly draws a dense read crowd at
-// SpikeAt. The judge's reaction time — first viral read to replica-add
+// spikeAt. The judge's reaction time — first viral read to replica-add
 // completion — is the scenario's headline metric.
 func SynthesizeFlashCrowd(cfg FlashConfig) *Trace {
-	cfg.applyDefaults()
-	bg := cfg.Background
-	bg.Seed = cfg.Seed
-	bg.Duration = cfg.Duration
-	if bg.NumFiles <= 0 {
-		bg.NumFiles = 24
+	if cfg.Duration <= 0 {
+		cfg.Duration = 2 * time.Hour
 	}
-	if bg.MeanInterarrival <= 0 {
-		bg.MeanInterarrival = 20 * time.Second
-	}
-	if bg.MaxFileSize <= 0 {
-		bg.MaxFileSize = topology.GB
-	}
-	tr := Synthesize(bg)
+	tr := Synthesize(Config{Seed: cfg.Seed, Duration: cfg.Duration, NumFiles: 24,
+		MeanInterarrival: 20 * time.Second, MaxFileSize: topology.GB})
 
 	// The viral file exists from the start, cold: no background job touches
 	// /viral/, so every pre-spike judge pass sees it idle.
-	tr.Files = append(tr.Files, FileSpec{Path: ViralPath, Size: cfg.ViralSize, Rank: len(tr.Files)})
+	tr.Files = append(tr.Files, FileSpec{Path: ViralPath, Size: viralSize, Rank: len(tr.Files)})
 
 	// The crowd: a dedicated RNG stream (offset seed) so the burst shape
 	// does not perturb the ambient trace.
 	crng := rand.New(rand.NewSource(cfg.Seed ^ 0x666c617368)) // "flash"
-	now := cfg.SpikeAt
-	end := cfg.SpikeAt + cfg.SpikeDuration
-	if end > cfg.Duration {
-		end = cfg.Duration
-	}
+	now := cfg.spikeAt()
+	end := min(now+cfg.Duration/4, cfg.Duration)
 	vid := 0
 	for {
-		now += time.Duration(crng.ExpFloat64() * float64(cfg.SpikeInterarrival))
+		now += time.Duration(crng.ExpFloat64() * float64(spikeInterarrival))
 		if now >= end {
 			break
 		}
@@ -260,7 +206,7 @@ func SynthesizeFlashCrowd(cfg FlashConfig) *Trace {
 			File:    ViralPath,
 			Name:    fmt.Sprintf("viral%04d", vid),
 			Client:  crng.Intn(18),
-			Compute: 8 * time.Millisecond,
+			Compute: computePerMB,
 			Tenant:  "crowd",
 		})
 	}
@@ -272,43 +218,26 @@ func SynthesizeFlashCrowd(cfg FlashConfig) *Trace {
 
 // PartialConfig tunes SynthesizePartialRead.
 type PartialConfig struct {
-	Seed             int64
-	Duration         time.Duration // default 2h
-	NumFiles         int           // default 4 (half hot-head, half scan)
-	FileSize         float64       // default 256 MB (4 blocks at 64 MB)
-	ReadLength       float64       // bytes per pread; default 16 MB
-	MeanInterarrival time.Duration // default 600ms (block heat must build)
-	Clients          int           // default 18
-	// HeadSkew is the Zipf skew over read positions within hot-head files;
-	// default 1.6, concentrating heat on the first block so formula (2)
-	// fires there. Scan files draw positions uniformly, spreading moderate
-	// heat over every block so formula (3) fires instead.
-	HeadSkew float64
+	Seed     int64
+	Duration time.Duration // default 2h
 }
 
-func (c *PartialConfig) applyDefaults() {
-	if c.Duration <= 0 {
-		c.Duration = 2 * time.Hour
-	}
-	if c.NumFiles <= 0 {
-		c.NumFiles = 4
-	}
-	if c.FileSize <= 0 {
-		c.FileSize = 256 * topology.MB
-	}
-	if c.ReadLength <= 0 {
-		c.ReadLength = 16 * topology.MB
-	}
-	if c.MeanInterarrival <= 0 {
-		c.MeanInterarrival = 600 * time.Millisecond
-	}
-	if c.Clients <= 0 {
-		c.Clients = 18
-	}
-	if c.HeadSkew <= 0 {
-		c.HeadSkew = 1.6
-	}
-}
+const (
+	// partialFiles is the catalogue size: half hot-head, half scan.
+	partialFiles = 4
+	// partialFileSize is each file's size: 4 blocks at 64 MB.
+	partialFileSize = 256 * topology.MB
+	// readLength is the bytes of every pread.
+	readLength = 16 * topology.MB
+	// partialInterarrival is the mean gap between preads, short enough for
+	// block heat to build.
+	partialInterarrival = 600 * time.Millisecond
+	// headSkew is the Zipf skew over read positions within hot-head files,
+	// concentrating heat on the first block so formula (2) fires there.
+	// Scan files draw positions uniformly, spreading moderate heat over
+	// every block so formula (3) fires instead.
+	headSkew = 1.6
+)
 
 // SynthesizePartialRead builds an index-lookup-shaped trace: multi-block
 // files served entirely by byte-ranged reads. File-level open counts stay
@@ -319,35 +248,34 @@ func (c *PartialConfig) applyDefaults() {
 // (/index/scanNN) draw positions uniformly, lifting every block past M_m
 // without any single block crossing M_M (formula 3 via ε).
 func SynthesizePartialRead(cfg PartialConfig) *Trace {
-	cfg.applyDefaults()
+	if cfg.Duration <= 0 {
+		cfg.Duration = 2 * time.Hour
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	tr := &Trace{Seed: cfg.Seed, Duration: cfg.Duration}
-	nHead := (cfg.NumFiles + 1) / 2
-	for i := 0; i < cfg.NumFiles; i++ {
+	nHead := (partialFiles + 1) / 2
+	for i := 0; i < partialFiles; i++ {
 		path := fmt.Sprintf("/index/head%02d", i)
 		if i >= nHead {
 			path = fmt.Sprintf("/index/scan%02d", i-nHead)
 		}
-		tr.Files = append(tr.Files, FileSpec{Path: path, Size: cfg.FileSize, Rank: i})
+		tr.Files = append(tr.Files, FileSpec{Path: path, Size: partialFileSize, Rank: i})
 	}
-	slots := int(cfg.FileSize / cfg.ReadLength)
-	if slots < 1 {
-		slots = 1
-	}
+	const slots = int(partialFileSize / readLength)
 	headW := make([]float64, slots)
 	headTotal := 0.0
 	for i := range headW {
-		headW[i] = 1 / math.Pow(float64(i+1), cfg.HeadSkew)
+		headW[i] = 1 / math.Pow(float64(i+1), headSkew)
 		headTotal += headW[i]
 	}
 	now := time.Duration(0)
 	jobID := 0
 	for {
-		now += time.Duration(rng.ExpFloat64() * float64(cfg.MeanInterarrival))
+		now += time.Duration(rng.ExpFloat64() * float64(partialInterarrival))
 		if now >= cfg.Duration {
 			break
 		}
-		fi := rng.Intn(cfg.NumFiles)
+		fi := rng.Intn(partialFiles)
 		var slot int
 		if fi < nHead {
 			slot = weightedPick(headW, rng.Float64()*headTotal)
@@ -359,10 +287,10 @@ func SynthesizePartialRead(cfg PartialConfig) *Trace {
 			Submit:  now,
 			File:    tr.Files[fi].Path,
 			Name:    fmt.Sprintf("pread%04d", jobID),
-			Client:  rng.Intn(cfg.Clients),
+			Client:  rng.Intn(18),
 			Compute: 0,
-			Offset:  float64(slot) * cfg.ReadLength,
-			Length:  cfg.ReadLength,
+			Offset:  float64(slot) * readLength,
+			Length:  readLength,
 		})
 	}
 	return tr

@@ -73,7 +73,6 @@ func TestScenarioTenantShape(t *testing.T) {
 // it before the spike, and a dense crowd reads it after.
 func TestScenarioFlashCrowdShape(t *testing.T) {
 	cfg := FlashConfig{Seed: 5, Duration: 2 * time.Hour}
-	cfg.applyDefaults()
 	tr := SynthesizeFlashCrowd(cfg)
 	found := false
 	for _, f := range tr.Files {
@@ -93,8 +92,8 @@ func TestScenarioFlashCrowdShape(t *testing.T) {
 			continue
 		}
 		viral++
-		if j.Submit < cfg.SpikeAt {
-			t.Fatalf("viral read at %v before spike at %v", j.Submit, cfg.SpikeAt)
+		if j.Submit < cfg.spikeAt() {
+			t.Fatalf("viral read at %v before spike at %v", j.Submit, cfg.spikeAt())
 		}
 	}
 	if viral < 100 {
@@ -110,22 +109,20 @@ func TestScenarioFlashCrowdShape(t *testing.T) {
 // TestScenarioPartialShape: every job is a ranged read inside its file, and
 // head slices are hotter than tail slices.
 func TestScenarioPartialShape(t *testing.T) {
-	cfg := PartialConfig{Seed: 9, Duration: 2 * time.Hour}
-	cfg.applyDefaults()
-	tr := SynthesizePartialRead(cfg)
+	tr := SynthesizePartialRead(PartialConfig{Seed: 9, Duration: 2 * time.Hour})
 	if len(tr.Jobs) == 0 {
 		t.Fatal("no jobs synthesized")
 	}
 	head, tail := 0, 0
 	for _, j := range tr.Jobs {
-		if j.Length != cfg.ReadLength {
-			t.Fatalf("job %s length %v, want %v", j.Name, j.Length, cfg.ReadLength)
+		if j.Length != readLength {
+			t.Fatalf("job %s length %v, want %v", j.Name, j.Length, float64(readLength))
 		}
-		if j.Offset < 0 || j.Offset+j.Length > cfg.FileSize {
+		if j.Offset < 0 || j.Offset+j.Length > partialFileSize {
 			t.Fatalf("job %s range [%v,%v) outside file of %v bytes",
-				j.Name, j.Offset, j.Offset+j.Length, cfg.FileSize)
+				j.Name, j.Offset, j.Offset+j.Length, float64(partialFileSize))
 		}
-		if j.Offset < cfg.FileSize/2 {
+		if j.Offset < partialFileSize/2 {
 			head++
 		} else {
 			tail++

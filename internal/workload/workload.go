@@ -77,8 +77,6 @@ type Config struct {
 	// 64 MB / 4 GB.
 	MinFileSize float64
 	MaxFileSize float64
-	// ComputePerMB for synthesized MapReduce jobs; default 8ms.
-	ComputePerMB time.Duration
 	// DiurnalAmplitude in [0,1) modulates the arrival rate sinusoidally —
 	// production clusters breathe with the workday. 0 (default) keeps a
 	// homogeneous Poisson process; 0.8 swings between 5x and 0.2/0.18…
@@ -113,9 +111,6 @@ func (c *Config) applyDefaults() {
 	if c.MaxFileSize <= 0 {
 		c.MaxFileSize = 4 * topology.GB
 	}
-	if c.ComputePerMB <= 0 {
-		c.ComputePerMB = 8 * time.Millisecond
-	}
 	if c.DiurnalAmplitude < 0 {
 		c.DiurnalAmplitude = 0
 	}
@@ -126,6 +121,10 @@ func (c *Config) applyDefaults() {
 		c.DiurnalPeriod = 24 * time.Hour
 	}
 }
+
+// computePerMB is the map-side compute cost per input MB of every
+// synthesized MapReduce job.
+const computePerMB = 8 * time.Millisecond
 
 // Synthesize builds a deterministic trace from cfg.
 func Synthesize(cfg Config) *Trace {
@@ -214,7 +213,7 @@ func synthesize(cfg Config) (*Trace, int) {
 			fallbacks++
 		}
 		tr.Jobs = append(tr.Jobs, JobSpec{Submit: now, File: tr.Files[pick].Path, Name: jobName(len(tr.Jobs) + 1),
-			Client: rng.Intn(cfg.Clients), Compute: cfg.ComputePerMB})
+			Client: rng.Intn(cfg.Clients), Compute: computePerMB})
 	}
 	if len(tr.Jobs) == 0 {
 		tr.Jobs = nil

@@ -11,7 +11,7 @@ import (
 	"erms"
 )
 
-var updateMetricNames = flag.Bool("update", false, "rewrite testdata/metric_names.golden")
+var update = flag.Bool("update", false, "rewrite testdata/metric_names.golden and testdata/config_fields.golden")
 
 // metricToken is a metric name as the docs write it; one followed by `*`
 // (`hdfs_*`, `erms_repairs_*_total`) is a prefix.
@@ -39,7 +39,7 @@ func TestMetricNames(t *testing.T) {
 		}
 	}
 	const golden = "testdata/metric_names.golden"
-	if *updateMetricNames {
+	if *update {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
