@@ -253,7 +253,7 @@ func buildTasks(fig string, o figOpts) (tasks []sweep.Task, notes []string) {
 			if err != nil {
 				return "", err
 			}
-			return sprintln(experiments.ThresholdSweepTable(cfg, rows)), nil
+			return sprintln(experiments.ThresholdSweepTable(rows)), nil
 		}))
 	}
 	// The scale sweep joins `-fig all` on multi-core machines: the
@@ -287,7 +287,7 @@ func buildTasks(fig string, o figOpts) (tasks []sweep.Task, notes []string) {
 			if err != nil {
 				return "", err
 			}
-			out := sprintln(experiments.ScenarioTable(cfg, rows))
+			out := sprintln(experiments.ScenarioTable(rows))
 			if o.timing {
 				out += sprintln(sweep.TimingTable(results))
 			}

@@ -181,8 +181,7 @@ func ScenarioWinner(rows []ScenarioRow, scenario string) (ScenarioRow, bool) {
 }
 
 // ScenarioTable renders the grid with a per-scenario winner footer.
-func ScenarioTable(cfg ScenarioConfig, rows []ScenarioRow) *metrics.Table {
-	cfg.applyDefaults()
+func ScenarioTable(rows []ScenarioRow) *metrics.Table {
 	t := &metrics.Table{
 		Title: fmt.Sprintf("Scenario suite: vanilla vs ERMS, score = throughput_MBps - %g*replication_GB",
 			lambda),

@@ -64,7 +64,7 @@ func TestScenarioDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ScenarioTable(cfg, rows).String()
+		return ScenarioTable(rows).String()
 	}
 	if a, b := render(), render(); a != b {
 		t.Fatalf("scenario grid not deterministic:\n%s\nvs\n%s", a, b)
@@ -80,7 +80,7 @@ func TestScenarioWorkerInvariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ScenarioTable(cfg, rows).String()
+		return ScenarioTable(rows).String()
 	}
 	serial := render(1)
 	for _, p := range []int{2, 8} {
@@ -98,7 +98,7 @@ func TestScenarioTableWinners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tbl := ScenarioTable(cfg, rows).String()
+	tbl := ScenarioTable(rows).String()
 	for _, name := range []string{"winner:tenant", "winner:diurnal", "winner:flashcrowd", "winner:partial"} {
 		if !strings.Contains(tbl, name) {
 			t.Fatalf("table missing %q footer:\n%s", name, tbl)

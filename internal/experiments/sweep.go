@@ -184,8 +184,7 @@ func ThresholdSweepWinner(rows []ThresholdSweepRow) (ThresholdSweepRow, int) {
 }
 
 // ThresholdSweepTable renders the grid plus a winner footer.
-func ThresholdSweepTable(cfg ThresholdSweepConfig, rows []ThresholdSweepRow) *metrics.Table {
-	cfg.applyDefaults()
+func ThresholdSweepTable(rows []ThresholdSweepRow) *metrics.Table {
 	t := &metrics.Table{
 		Title: fmt.Sprintf("Threshold sweep: judge tuning grid, score = throughput_MBps - %g*replication_GB",
 			lambda),

@@ -43,7 +43,7 @@ func TestThresholdSweepWorkerInvariance(t *testing.T) {
 				t.Errorf("parallel=%d: cell %s missing measurements: %+v", par, r.Name, r)
 			}
 		}
-		tables = append(tables, ThresholdSweepTable(cfg, rows).String())
+		tables = append(tables, ThresholdSweepTable(rows).String())
 	}
 	if tables[0] != tables[1] {
 		t.Errorf("threshold sweep diverges across worker counts:\n--- parallel=1:\n%s\n--- parallel=8:\n%s",
@@ -80,7 +80,7 @@ func TestThresholdSweepShape(t *testing.T) {
 	if seeds != 2 {
 		t.Errorf("winner aggregated over %d seeds, want 2", seeds)
 	}
-	out := ThresholdSweepTable(cfg, rows).String()
+	out := ThresholdSweepTable(rows).String()
 	if !strings.Contains(out, "winner") || !strings.Contains(out, "mean over 2 seed(s)") {
 		t.Errorf("table missing winner footer:\n%s", out)
 	}
