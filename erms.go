@@ -99,8 +99,8 @@ func DefaultThresholds() Thresholds { return core.DefaultThresholds() }
 func SynthesizeWorkload(cfg WorkloadConfig) *Trace { return workload.Synthesize(cfg) }
 
 // Options sizes a System. The zero value reproduces the paper's testbed:
-// 18 datanodes in 3 racks and (when ERMS is enabled) the last 8 nodes as
-// the standby pool. The block size (hdfs.BlockSize, 64 MB), the default
+// 18 datanodes in 3 racks and (when ERMS is enabled) an 8-node standby
+// pool spread across the racks (hdfs.SpreadStandby). The block size (hdfs.BlockSize, 64 MB), the default
 // replication (hdfs.DefaultReplication, 3), the map slots per node (2) and
 // the repair pipeline's stream caps (core.RepairConfig's defaults) are
 // fixed, not options.
@@ -109,9 +109,11 @@ type Options struct {
 	Racks int
 	// Nodes is the total datanode count (default 18).
 	Nodes int
-	// StandbyNodes is the size of the ERMS standby pool taken from the end
-	// of the node range (default 8; pass -1 to run ERMS with every node
-	// active). Ignored when DisableERMS is set.
+	// StandbyNodes is the size of the ERMS standby pool, taken from the
+	// tail of each rack in turn so that every rack keeps an active node
+	// (hdfs.SpreadStandby; the pool is smaller when the racks run out).
+	// Default 8; pass -1 to run ERMS with every node active. Ignored when
+	// DisableERMS is set.
 	StandbyNodes int
 	// Thresholds for the Data Judge (zero fields take defaults).
 	Thresholds Thresholds
@@ -181,9 +183,6 @@ func (opts Options) normalized() Options {
 		opts.StandbyNodes = 0
 	} else if opts.StandbyNodes == 0 {
 		opts.StandbyNodes = 8
-	}
-	if opts.StandbyNodes >= opts.Nodes {
-		opts.StandbyNodes = opts.Nodes / 2
 	}
 	opts.Shards = max(opts.Shards, 1)
 	return opts
@@ -269,13 +268,9 @@ func newShardless(opts Options) *System {
 func (s *System) newShard() *Shard {
 	opts := s.opts
 	topo := topology.New(topology.Config{Racks: opts.Racks, NodeCount: opts.Nodes})
-	var standby []hdfs.DatanodeID
-	for id := opts.Nodes - opts.StandbyNodes; id < opts.Nodes; id++ {
-		standby = append(standby, hdfs.DatanodeID(id))
-	}
 	cluster := hdfs.New(s.engine, hdfs.Config{
 		Topology:     topo,
-		StandbyNodes: standby,
+		StandbyNodes: hdfs.SpreadStandby(topo, opts.StandbyNodes),
 		Heartbeat:    opts.Heartbeat,
 		SafeMode:     opts.SafeMode,
 	})

@@ -147,14 +147,15 @@ func TestReplayDirectReadsThroughPublicAPI(t *testing.T) {
 }
 
 func TestStandbyPoolSizingEdgeCases(t *testing.T) {
-	// -1 disables the pool; oversized pools are clamped.
+	// -1 disables the pool; an oversized pool stops at one active node
+	// per rack.
 	sys := erms.NewSystem(erms.Options{StandbyNodes: -1})
 	if len(sys.HDFS().Standby()) != 0 {
 		t.Fatal("StandbyNodes=-1 should disable the pool")
 	}
 	sys2 := erms.NewSystem(erms.Options{Nodes: 6, StandbyNodes: 10})
 	if got := len(sys2.HDFS().Standby()); got != 3 {
-		t.Fatalf("oversized pool clamped to %d, want 3", got)
+		t.Fatalf("oversized pool holds %d nodes, want 3", got)
 	}
 }
 

@@ -80,21 +80,10 @@ type DurabilityResult struct {
 func Durability(cfg DurabilityConfig) DurabilityResult {
 	cfg.applyDefaults()
 	e := sim.NewEngine()
-	topo := topology.New(topology.Config{})
-	var pool []hdfs.DatanodeID
-	for id := 10; id < 18; id++ {
-		pool = append(pool, hdfs.DatanodeID(id))
-	}
-	h := hdfs.New(e, hdfs.Config{
-		Topology:     topo,
-		StandbyNodes: pool,
-		Heartbeat: hdfs.HeartbeatConfig{
-			Enabled:      true,
-			Interval:     3 * time.Second,
-			StaleTimeout: 30 * time.Second,
-			DeadTimeout:  5 * time.Minute,
-		},
-	})
+	h := newDurabilityCluster(e)
+	// The storm hits always-active nodes only (crashing a powered-down
+	// standby node is a no-op) and partitions any rack.
+	victims := h.Active()
 	m := core.New(h, core.Config{
 		Thresholds:  core.Thresholds{TauM: 6, Window: 5 * time.Minute, ColdAge: 90 * time.Minute},
 		JudgePeriod: 5 * time.Minute,
@@ -118,14 +107,9 @@ func Durability(cfg DurabilityConfig) DurabilityResult {
 		}
 	})
 
-	// The storm hits always-active nodes only (crashing a powered-down
-	// standby node is a no-op) and partitions any rack. Partitions heal in
-	// ~2m — inside the 5m dead timeout, so they must cost no repair
-	// traffic; crashes last ~12m, so they must trigger full repair.
-	var victims []hdfs.DatanodeID
-	for id := 0; id < 10; id++ {
-		victims = append(victims, hdfs.DatanodeID(id))
-	}
+	// Partitions heal in ~2m — inside the 5m dead timeout, so they must
+	// cost no repair traffic; crashes last ~12m, so they must trigger full
+	// repair.
 	plan := chaos.Storm(chaos.StormConfig{
 		Seed:        cfg.Seed,
 		Duration:    cfg.Duration,
@@ -156,6 +140,23 @@ func Durability(cfg DurabilityConfig) DurabilityResult {
 	res.DataLoss = len(h.UnrecoverableBlocks())
 	res.UnderReplicated = len(h.UnderReplicated())
 	return res
+}
+
+// newDurabilityCluster builds the scenario's HDFS: the paper's testbed
+// with its 8-node standby pool spread across the racks, and heartbeat
+// failure detection.
+func newDurabilityCluster(e *sim.Engine) *hdfs.Cluster {
+	topo := topology.New(topology.Config{})
+	return hdfs.New(e, hdfs.Config{
+		Topology:     topo,
+		StandbyNodes: hdfs.SpreadStandby(topo, 8),
+		Heartbeat: hdfs.HeartbeatConfig{
+			Enabled:      true,
+			Interval:     3 * time.Second,
+			StaleTimeout: 30 * time.Second,
+			DeadTimeout:  5 * time.Minute,
+		},
+	})
 }
 
 // DurabilityTable renders the scenario result.

@@ -45,37 +45,10 @@ func NewVanilla(nodes int) *Testbed {
 func NewERMS(active, standby int, th core.Thresholds, judgePeriod time.Duration) *Testbed {
 	e := sim.NewEngine()
 	topo := topology.New(topology.Config{Racks: 3, NodeCount: active + standby})
-	pool := SpreadStandby(topo, standby)
+	pool := hdfs.SpreadStandby(topo, standby)
 	c := hdfs.New(e, hdfs.Config{Topology: topo, StandbyNodes: pool})
 	m := core.New(c, core.Config{Thresholds: th, JudgePeriod: judgePeriod})
 	return &Testbed{Engine: e, Cluster: c, Manager: m}
-}
-
-// SpreadStandby picks `standby` datanodes balanced across racks (from the
-// tail of each rack, round-robin).
-func SpreadStandby(topo *topology.Topology, standby int) []hdfs.DatanodeID {
-	perRack := make([][]topology.NodeID, topo.NumRacks())
-	for r := 0; r < topo.NumRacks(); r++ {
-		perRack[r] = topo.NodesInRack(r)
-	}
-	var pool []hdfs.DatanodeID
-	for len(pool) < standby {
-		progress := false
-		for r := 0; r < topo.NumRacks() && len(pool) < standby; r++ {
-			nodes := perRack[r]
-			if len(nodes) <= 1 { // keep at least one active node per rack
-				continue
-			}
-			last := nodes[len(nodes)-1]
-			perRack[r] = nodes[:len(nodes)-1]
-			pool = append(pool, hdfs.DatanodeID(last))
-			progress = true
-		}
-		if !progress {
-			break
-		}
-	}
-	return pool
 }
 
 // BackgroundLoad is a handle over per-node foreground disk load.

@@ -31,7 +31,7 @@ type TraceDemoResult struct {
 func TraceDemo() *TraceDemoResult {
 	e := sim.NewEngine()
 	topo := topology.New(topology.Config{Racks: 3, NodeCount: 12})
-	pool := SpreadStandby(topo, 3)
+	pool := hdfs.SpreadStandby(topo, 3)
 	c := hdfs.New(e, hdfs.Config{Topology: topo, StandbyNodes: pool})
 	tr := trace.New(e.Now)
 	c.SetTracer(tr)

@@ -280,6 +280,8 @@ type Config struct {
 	// sessions"); excess requests queue. Defaults to 64.
 	MaxSessionsPerNode int
 	// StandbyNodes marks these datanodes standby at start (ERMS model).
+	// Every deployment takes its pool from SpreadStandby; tests name
+	// explicit pools here.
 	StandbyNodes []DatanodeID
 	// KeepAuditRecords retains audit records in memory (tests/trace export).
 	KeepAuditRecords bool
@@ -291,6 +293,31 @@ type Config struct {
 	// default; like Heartbeat it is detector tuning, excluded from the
 	// checkpoint config digest.
 	SafeMode SafeModeConfig
+}
+
+// SpreadStandby picks an n-node standby pool balanced across racks: the
+// last node of each rack in turn, round-robin, never a rack's last active
+// node. The paper: "the active nodes and standby nodes are both
+// distributed in different racks". The pool is smaller than n when every
+// rack is down to one active node.
+func SpreadStandby(topo *topology.Topology, n int) []DatanodeID {
+	racks := make([][]topology.NodeID, topo.NumRacks())
+	for r := range racks {
+		racks[r] = topo.NodesInRack(r)
+	}
+	var pool []DatanodeID
+	for grew := true; grew && len(pool) < n; {
+		grew = false
+		for r, nodes := range racks {
+			if len(pool) == n || len(nodes) <= 1 {
+				continue
+			}
+			pool = append(pool, DatanodeID(nodes[len(nodes)-1]))
+			racks[r] = nodes[:len(nodes)-1]
+			grew = true
+		}
+	}
+	return pool
 }
 
 func (c *Config) applyDefaults() {
