@@ -296,12 +296,12 @@ func buildTasks(fig string, o figOpts) (tasks []sweep.Task, notes []string) {
 	}
 	if want("trace") {
 		tasks = append(tasks, task("trace", func() (string, error) {
-			res := experiments.TraceDemo()
+			tr := experiments.TraceDemo().Tracer()
 			t := &metrics.Table{
 				Title:   "Trace demo: control-loop spans for one hot file (burst -> judge -> condor -> transfers -> drain)",
 				Columns: []string{"span", "count", "total_s"},
 			}
-			for _, s := range res.Tracer.Summarize() {
+			for _, s := range tr.Summarize() {
 				t.AddRowValues(s.Name, s.Count, s.Total.Seconds())
 			}
 			return sprintln(t) +

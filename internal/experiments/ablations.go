@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"erms"
 	"erms/internal/core"
 	"erms/internal/hdfs"
 	"erms/internal/metrics"
@@ -35,56 +36,56 @@ type AblationPlacementRow struct {
 // under (a) ERMS placement with a standby pool and (b) the default policy,
 // counting where the shrink deletions landed.
 func AblationPlacement() []AblationPlacementRow {
-	run := func(erms bool) AblationPlacementRow {
-		var tb *Testbed
+	run := func(withERMS bool) AblationPlacementRow {
+		opts := erms.Options{DisableERMS: true}
+		if withERMS {
+			opts = erms.Options{StandbyNodes: 8, JudgePeriod: time.Hour}
+		}
+		sys := erms.NewSystem(opts)
+		c := sys.HDFS()
 		poolSet := map[hdfs.DatanodeID]bool{}
-		if erms {
-			tb = NewERMS(10, 8, core.DefaultThresholds(), time.Hour)
-			for _, id := range tb.Cluster.Standby() {
-				poolSet[id] = true
-				tb.Cluster.Commission(id)
-			}
-		} else {
-			tb = NewVanilla(18)
+		for _, id := range c.Standby() {
+			poolSet[id] = true
+			c.Commission(id)
 		}
 		// Writer -1 spreads the base replicas so both variants start from
 		// a balanced cluster; any post-shrink imbalance is the policy's.
-		if _, err := tb.Cluster.CreateFile("/f", 512*MB, 3, -1); err != nil {
+		if _, err := c.CreateFile("/f", 512*MB, 3, -1); err != nil {
 			panic(err)
 		}
 		step := func(target int) {
 			done := false
-			tb.Cluster.SetReplication("/f", target, hdfs.WholeAtOnce, func(err error) {
+			c.SetReplication("/f", target, hdfs.WholeAtOnce, func(err error) {
 				if err != nil {
 					panic(err)
 				}
 				done = true
 			})
 			for !done {
-				if !tb.Engine.Step() {
+				if !sys.Engine().Step() {
 					panic("replication stalled")
 				}
 			}
 		}
 		step(8)
 		// Snapshot replica homes, then shrink and diff.
-		f := tb.Cluster.File("/f")
+		f := c.File("/f")
 		before := map[hdfs.BlockID]map[hdfs.DatanodeID]bool{}
 		for _, bid := range f.Blocks {
 			m := map[hdfs.DatanodeID]bool{}
-			for _, r := range tb.Cluster.Replicas(bid) {
+			for _, r := range c.Replicas(bid) {
 				m[r] = true
 			}
 			before[bid] = m
 		}
 		step(3)
 		row := AblationPlacementRow{Policy: "default"}
-		if erms {
+		if withERMS {
 			row.Policy = "erms-algorithm1"
 		}
 		for _, bid := range f.Blocks {
 			after := map[hdfs.DatanodeID]bool{}
-			for _, r := range tb.Cluster.Replicas(bid) {
+			for _, r := range c.Replicas(bid) {
 				after[r] = true
 			}
 			for dn := range before[bid] {
@@ -98,15 +99,13 @@ func AblationPlacement() []AblationPlacementRow {
 			}
 		}
 		minUsed, maxUsed := math.Inf(1), math.Inf(-1)
-		for _, d := range tb.Cluster.Datanodes() {
+		for _, d := range c.Datanodes() {
 			if !poolSet[d.ID] {
 				minUsed, maxUsed = math.Min(minUsed, d.Used), math.Max(maxUsed, d.Used)
 			}
 		}
 		row.SkewMB = (maxUsed - minUsed) / MB
-		if tb.Manager != nil {
-			tb.Manager.Stop()
-		}
+		sys.Stop()
 		return row
 	}
 	return []AblationPlacementRow{run(false), run(true)}
@@ -137,22 +136,22 @@ type AblationIdleRow struct {
 // space-reclaiming work through Condor's idle class.
 func AblationIdleScheduling() []AblationIdleRow {
 	run := func(immediate bool) AblationIdleRow {
-		tb := NewVanilla(18)
-		e := tb.Engine
+		sys := erms.NewSystem(erms.Options{DisableERMS: true})
+		c, e := sys.HDFS(), sys.Engine()
 		// Ten cold files to encode, one hot file being read.
 		for i := 0; i < 10; i++ {
-			if _, err := tb.Cluster.CreateFile("/cold"+strconv.Itoa(i), 640*MB, 3, -1); err != nil {
+			if _, err := c.CreateFile("/cold"+strconv.Itoa(i), 640*MB, 3, -1); err != nil {
 				panic(err)
 			}
 		}
-		if _, err := tb.Cluster.CreateFile("/hot", 256*MB, 3, -1); err != nil {
+		if _, err := c.CreateFile("/hot", 256*MB, 3, -1); err != nil {
 			panic(err)
 		}
-		sched := condorLike(tb, immediate)
+		sched := condorLike(sys, immediate)
 		for i := 0; i < 10; i++ {
 			path := "/cold" + strconv.Itoa(i)
 			sched.submit(func(done func(error)) {
-				tb.Cluster.EncodeFile(path, 10, 4, done)
+				c.EncodeFile(path, 10, 4, done)
 			})
 		}
 		// Foreground: sequential hot reads for 10 minutes.
@@ -164,7 +163,7 @@ func AblationIdleScheduling() []AblationIdleRow {
 				return
 			}
 			start := e.Now()
-			tb.Cluster.ReadFile(hdfs.ExternalClient, "/hot", func(r *hdfs.ReadResult) {
+			c.ReadFile(hdfs.ExternalClient, "/hot", func(r *hdfs.ReadResult) {
 				if r.Err == nil {
 					reads.Add((e.Now() - start).Seconds())
 				}
@@ -194,16 +193,16 @@ func AblationIdleScheduling() []AblationIdleRow {
 // Condor scheduler is exercised elsewhere; this keeps the ablation about
 // scheduling class only).
 type ablationSched struct {
-	tb        *Testbed
+	c         *hdfs.Cluster
 	immediate bool
 	queue     []func(done func(error))
 	running   bool
 	completed int
 }
 
-func condorLike(tb *Testbed, immediate bool) *ablationSched {
-	s := &ablationSched{tb: tb, immediate: immediate}
-	sim.NewTicker(tb.Engine, 5*time.Second, func(time.Duration) { s.kick() })
+func condorLike(sys *erms.System, immediate bool) *ablationSched {
+	s := &ablationSched{c: sys.HDFS(), immediate: immediate}
+	sim.NewTicker(sys.Engine(), 5*time.Second, func(time.Duration) { s.kick() })
 	return s
 }
 
@@ -216,7 +215,7 @@ func (s *ablationSched) kick() {
 	if s.running || len(s.queue) == 0 {
 		return
 	}
-	if !s.immediate && s.tb.Cluster.ActiveReads() > 0 {
+	if !s.immediate && s.c.ActiveReads() > 0 {
 		return
 	}
 	job := s.queue[0]
@@ -260,60 +259,44 @@ func Reliability(trials int, failures []int, seed int64) []ReliabilityRow {
 	if len(failures) == 0 {
 		failures = []int{1, 2, 3, 4, 5}
 	}
-	type scheme struct {
-		name  string
-		build func() (*Testbed, *hdfs.INode)
-	}
-	schemes := []scheme{
-		{"replication-1", func() (*Testbed, *hdfs.INode) {
-			tb := NewVanilla(18)
-			f, err := tb.Cluster.CreateFile("/f", 640*MB, 1, -1)
-			if err != nil {
-				panic(err)
-			}
-			return tb, f
-		}},
-		{"replication-3", func() (*Testbed, *hdfs.INode) {
-			tb := NewVanilla(18)
-			f, err := tb.Cluster.CreateFile("/f", 640*MB, 3, -1)
-			if err != nil {
-				panic(err)
-			}
-			return tb, f
-		}},
-		{"rs(10,4)", func() (*Testbed, *hdfs.INode) {
-			tb := NewVanilla(18)
-			tb.Cluster.SetPlacementPolicy(core.NewPlacement(nil))
-			f, err := tb.Cluster.CreateFile("/f", 640*MB, 3, -1)
-			if err != nil {
-				panic(err)
-			}
+	schemes := []struct {
+		name   string
+		repl   int
+		encode bool // RS(10,4) under ERMS placement
+	}{{"replication-1", 1, false}, {"replication-3", 3, false}, {"rs(10,4)", 3, true}}
+	var rows []ReliabilityRow
+	for _, sc := range schemes {
+		sys := erms.NewSystem(erms.Options{DisableERMS: true})
+		c := sys.HDFS()
+		if sc.encode {
+			c.SetPlacementPolicy(core.NewPlacement(nil))
+		}
+		f, err := c.CreateFile("/f", 640*MB, sc.repl, -1)
+		if err != nil {
+			panic(err)
+		}
+		if sc.encode {
 			done := false
-			tb.Cluster.EncodeFile("/f", 10, 4, func(err error) {
+			c.EncodeFile("/f", 10, 4, func(err error) {
 				if err != nil {
 					panic(err)
 				}
 				done = true
 			})
 			for !done {
-				if !tb.Engine.Step() {
+				if !sys.Engine().Step() {
 					panic("encode stalled")
 				}
 			}
-			return tb, f
-		}},
-	}
-	var rows []ReliabilityRow
-	for _, sc := range schemes {
-		tb, f := sc.build()
+		}
 		// Collect each block's replica homes and the file's stripe layout.
 		holders := map[hdfs.BlockID][]hdfs.DatanodeID{}
 		for _, ids := range [][]hdfs.BlockID{f.Blocks, f.Parity()} {
 			for _, bid := range ids {
-				holders[bid] = append([]hdfs.DatanodeID(nil), tb.Cluster.Replicas(bid)...)
+				holders[bid] = append([]hdfs.DatanodeID(nil), c.Replicas(bid)...)
 			}
 		}
-		n := tb.Cluster.NumDatanodes()
+		n := c.NumDatanodes()
 		for _, fail := range failures {
 			rng := rand.New(rand.NewSource(seed + int64(fail)))
 			lost := 0
@@ -322,7 +305,7 @@ func Reliability(trials int, failures []int, seed int64) []ReliabilityRow {
 				for _, idx := range rng.Perm(n)[:fail] {
 					dead[hdfs.DatanodeID(idx)] = true
 				}
-				if fileLost(tb.Cluster, f, holders, dead) {
+				if fileLost(c, f, holders, dead) {
 					lost++
 				}
 			}

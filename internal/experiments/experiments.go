@@ -1,17 +1,15 @@
 // Package experiments regenerates every figure of the ERMS paper's
 // evaluation (Figures 3–9; the paper has no numbered tables) plus the
 // ablations called out in DESIGN.md. Each harness builds a fresh
-// deterministic simulation, runs the paper's workload shape, and returns
+// deterministic deployment through erms.NewSystem (a few wire hdfs and
+// core themselves for a knob the facade does not export), runs the
+// paper's workload shape, and returns
 // both typed rows (for tests and benchmarks to assert the qualitative
 // shape) and a rendered table (for cmd/figures).
 package experiments
 
 import (
-	"time"
-
-	"erms/internal/core"
 	"erms/internal/hdfs"
-	"erms/internal/sim"
 	"erms/internal/topology"
 )
 
@@ -20,36 +18,6 @@ const MB = float64(topology.MB)
 
 // GB mirrors topology.GB.
 const GB = float64(topology.GB)
-
-// Testbed mirrors the paper's cluster: 18 datanodes, 3 racks, Gigabit
-// network, 64 MB blocks, default replication 3.
-type Testbed struct {
-	Engine  *sim.Engine
-	Cluster *hdfs.Cluster
-	Manager *core.Manager // nil for vanilla
-}
-
-// NewVanilla builds the baseline: every node active, stock placement, no
-// ERMS.
-func NewVanilla(nodes int) *Testbed {
-	e := sim.NewEngine()
-	topo := topology.New(topology.Config{Racks: 3, NodeCount: nodes})
-	c := hdfs.New(e, hdfs.Config{Topology: topo})
-	return &Testbed{Engine: e, Cluster: c}
-}
-
-// NewERMS builds an ERMS deployment with active+standby nodes and the
-// given thresholds (zero-valued fields take defaults). Standby nodes are
-// taken from the tail of each rack in turn — the paper: "the active nodes
-// and standby nodes are both distributed in different racks".
-func NewERMS(active, standby int, th core.Thresholds, judgePeriod time.Duration) *Testbed {
-	e := sim.NewEngine()
-	topo := topology.New(topology.Config{Racks: 3, NodeCount: active + standby})
-	pool := hdfs.SpreadStandby(topo, standby)
-	c := hdfs.New(e, hdfs.Config{Topology: topo, StandbyNodes: pool})
-	m := core.New(c, core.Config{Thresholds: th, JudgePeriod: judgePeriod})
-	return &Testbed{Engine: e, Cluster: c, Manager: m}
-}
 
 // BackgroundLoad is a handle over per-node foreground disk load.
 type BackgroundLoad struct {
@@ -61,18 +29,13 @@ type BackgroundLoad struct {
 const BackgroundStreamRate = 15 * MB
 
 // StartBackgroundLoad puts `perNode` capped foreground read streams on
-// every listed datanode's disk (nil means the currently-active set),
-// modeling the cluster's ordinary work. Foreground streams consume disk
-// bandwidth and session slots but no network, so the experiment's own
-// traffic patterns stay interpretable.
-func StartBackgroundLoad(tb *Testbed, perNode int, nodes []hdfs.DatanodeID) *BackgroundLoad {
+// every listed datanode's disk, modeling the cluster's ordinary work.
+// Foreground streams consume disk bandwidth and session slots but no
+// network, so the experiment's own traffic patterns stay interpretable.
+func StartBackgroundLoad(c *hdfs.Cluster, perNode int, nodes []hdfs.DatanodeID) *BackgroundLoad {
 	b := &BackgroundLoad{}
-	active := nodes
-	if active == nil {
-		active = tb.Cluster.Active()
-	}
-	for _, id := range active {
-		b.stops = append(b.stops, tb.Cluster.StartDiskLoad(id, perNode, BackgroundStreamRate))
+	for _, id := range nodes {
+		b.stops = append(b.stops, c.StartDiskLoad(id, perNode, BackgroundStreamRate))
 	}
 	return b
 }

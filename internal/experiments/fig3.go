@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
+	"erms"
 	"erms/internal/core"
 	"erms/internal/mapred"
 	"erms/internal/metrics"
@@ -85,49 +87,13 @@ func synthesizeFig3Trace(cfg Fig3Config) *workload.Trace {
 	})
 }
 
-// runTraceFIFO replays a trace through a FIFO MapReduce runtime on tb and
-// returns the mean per-job read throughput (used by the τ_M ablation).
-func runTraceFIFO(tb *Testbed, trace *workload.Trace) float64 {
-	mr := mapred.New(tb.Cluster, 2, mapred.NewFIFO())
-	workload.Preload(tb.Engine, tb.Cluster, trace)
-	var tp metrics.Mean
-	workload.ReplayMapReduce(tb.Engine, mr, trace, func(j *mapred.Job) {
-		if j.Err == nil {
-			tp.Add(j.ReadThroughputMBps())
-		}
-	})
-	tb.Engine.RunUntil(trace.Horizon(time.Hour))
-	if tb.Manager != nil {
-		tb.Manager.Stop()
-	}
-	return tp.Value()
-}
-
-func runFig3Variant(trace *workload.Trace, schedName, sysName string, tauM float64) Fig3Row {
-	var tb *Testbed
-	if tauM == 0 {
-		tb = NewVanilla(18)
-	} else {
-		// Only τ_M is pinned; the dependent bounds (M_M, M_m, τ_DN) scale
-		// from it so the whole hot-rule family moves with the series.
-		th := core.Thresholds{
-			TauM:    tauM,
-			Window:  5 * time.Minute,
-			ColdAge: 24 * time.Hour, // keep Fig 3 about replication, not coding
-		}
-		tb = NewERMS(18, 0, th, time.Minute)
-	}
-	var sched mapred.Scheduler
-	if schedName == "FIFO" {
-		sched = mapred.NewFIFO()
-	} else {
-		sched = mapred.NewFair()
-	}
-	mr := mapred.New(tb.Cluster, 2, sched)
-	workload.Preload(tb.Engine, tb.Cluster, trace)
-	var tp metrics.Mean
+// replayJobs replays the trace's jobs through sys's MapReduce runtime
+// until they drain and returns the per-job read throughputs and the
+// node-local fraction of map tasks.
+func replayJobs(sys *erms.System, trace *workload.Trace) (tp metrics.Mean, locality float64) {
+	sys.Preload(trace)
 	var localTasks, totalTasks int
-	workload.ReplayMapReduce(tb.Engine, mr, trace, func(j *mapred.Job) {
+	sys.ReplayJobs(trace, func(j *mapred.Job) {
 		if j.Err != nil {
 			return
 		}
@@ -135,14 +101,29 @@ func runFig3Variant(trace *workload.Trace, schedName, sysName string, tauM float
 		localTasks += j.NodeLocalTasks
 		totalTasks += j.Tasks()
 	})
-	tb.Engine.RunUntil(trace.Horizon(time.Hour))
-	if tb.Manager != nil {
-		tb.Manager.Stop()
-	}
-	loc := 0.0
+	sys.RunUntil(trace.Horizon(time.Hour))
+	sys.Stop()
 	if totalTasks > 0 {
-		loc = float64(localTasks) / float64(totalTasks)
+		locality = float64(localTasks) / float64(totalTasks)
 	}
+	return tp, locality
+}
+
+func runFig3Variant(trace *workload.Trace, schedName, sysName string, tauM float64) Fig3Row {
+	opts := erms.Options{DisableERMS: true, Scheduler: strings.ToLower(schedName)}
+	if tauM != 0 {
+		// Only τ_M is pinned; the dependent bounds (M_M, M_m, τ_DN) scale
+		// from it so the whole hot-rule family moves with the series.
+		opts.DisableERMS = false
+		opts.StandbyNodes = -1
+		opts.JudgePeriod = time.Minute
+		opts.Thresholds = core.Thresholds{
+			TauM:    tauM,
+			Window:  5 * time.Minute,
+			ColdAge: 24 * time.Hour, // keep Fig 3 about replication, not coding
+		}
+	}
+	tp, loc := replayJobs(erms.NewSystem(opts), trace)
 	return Fig3Row{
 		Scheduler:  schedName,
 		System:     sysName,

@@ -3,6 +3,7 @@ package experiments
 import (
 	"time"
 
+	"erms"
 	"erms/internal/core"
 	"erms/internal/metrics"
 	"erms/internal/sim"
@@ -93,32 +94,28 @@ func Fig5(cfg Fig5Config) []Fig5Row {
 	}
 	trace := workload.Synthesize(wcfg)
 
-	sample := func(tb *Testbed, out *metrics.TimeSeries) {
-		sim.NewTicker(tb.Engine, cfg.SamplePeriod, func(now time.Duration) {
-			out.Add(now, tb.Cluster.TotalUsed())
-		})
-	}
-
-	runOne := func(erms bool) *metrics.TimeSeries {
-		var tb *Testbed
-		if erms {
-			th := core.Thresholds{
-				TauM:    4,
-				ColdAge: 45 * time.Minute,
-				Window:  5 * time.Minute,
+	runOne := func(withERMS bool) *metrics.TimeSeries {
+		opts := erms.Options{DisableERMS: true}
+		if withERMS {
+			opts = erms.Options{
+				StandbyNodes: 8,
+				Thresholds: core.Thresholds{
+					TauM:    4,
+					ColdAge: 45 * time.Minute,
+					Window:  5 * time.Minute,
+				},
+				JudgePeriod: 5 * time.Minute,
 			}
-			tb = NewERMS(10, 8, th, 5*time.Minute)
-		} else {
-			tb = NewVanilla(18)
 		}
+		sys := erms.NewSystem(opts)
 		var ts metrics.TimeSeries
-		sample(tb, &ts)
-		workload.Preload(tb.Engine, tb.Cluster, trace)
-		workload.ReplayReads(tb.Engine, tb.Cluster, trace, nil)
-		tb.Engine.RunUntil(cfg.Duration)
-		if tb.Manager != nil {
-			tb.Manager.Stop()
-		}
+		sim.NewTicker(sys.Engine(), cfg.SamplePeriod, func(now time.Duration) {
+			ts.Add(now, sys.StorageUsed())
+		})
+		sys.Preload(trace)
+		sys.ReplayReads(trace, nil)
+		sys.RunUntil(cfg.Duration)
+		sys.Stop()
 		return &ts
 	}
 	van := runOne(false)

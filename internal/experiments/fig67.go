@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"erms"
 	"erms/internal/hdfs"
 	"erms/internal/metrics"
 	"erms/internal/topology"
@@ -43,21 +44,22 @@ func Fig6(cfg Fig6Config) []Fig6Row {
 	var rows []Fig6Row
 	for _, threads := range cfg.Threads {
 		for _, repl := range cfg.Replications {
-			tb := NewVanilla(18)
-			if _, err := tb.Cluster.CreateFile("/dfsio", cfg.FileSize, repl, 0); err != nil {
+			sys := erms.NewSystem(erms.Options{DisableERMS: true})
+			c := sys.HDFS()
+			if _, err := c.CreateFile("/dfsio", cfg.FileSize, repl, 0); err != nil {
 				panic(err)
 			}
 			var exec metrics.Mean
-			n := tb.Cluster.NumDatanodes()
+			n := c.NumDatanodes()
 			for i := 0; i < threads; i++ {
 				client := topology.NodeID(i % n)
-				tb.Cluster.ReadFile(client, "/dfsio", func(r *hdfs.ReadResult) {
+				c.ReadFile(client, "/dfsio", func(r *hdfs.ReadResult) {
 					if r.Err == nil {
 						exec.Add(r.Duration().Seconds())
 					}
 				})
 			}
-			tb.Engine.Run()
+			sys.Engine().Run()
 			rows = append(rows, Fig6Row{
 				Threads: threads, Replication: repl, AvgExecSec: exec.Value(),
 			})
@@ -112,22 +114,22 @@ type Fig7Row struct {
 func Fig7(cfg Fig7Config) []Fig7Row {
 	cfg.applyDefaults()
 	run := func(size float64, mode hdfs.ReplicationMode) float64 {
-		tb := NewVanilla(18)
+		sys := erms.NewSystem(erms.Options{DisableERMS: true})
 		// Writer -1: the file's first replicas spread across the cluster
 		// (it was produced by a distributed job), avoiding a synthetic
 		// single-source hotspot.
-		if _, err := tb.Cluster.CreateFile("/data", size, cfg.FromRepl, -1); err != nil {
+		if _, err := sys.HDFS().CreateFile("/data", size, cfg.FromRepl, -1); err != nil {
 			panic(err)
 		}
-		start := tb.Engine.Now()
+		start := sys.Now()
 		var took time.Duration
-		tb.Cluster.SetReplication("/data", cfg.ToRepl, mode, func(err error) {
+		sys.HDFS().SetReplication("/data", cfg.ToRepl, mode, func(err error) {
 			if err != nil {
 				panic(err)
 			}
-			took = tb.Engine.Now() - start
+			took = sys.Now() - start
 		})
-		tb.Engine.Run()
+		sys.Engine().Run()
 		return took.Seconds()
 	}
 	var rows []Fig7Row

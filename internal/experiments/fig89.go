@@ -3,7 +3,7 @@ package experiments
 import (
 	"time"
 
-	"erms/internal/core"
+	"erms"
 	"erms/internal/hdfs"
 	"erms/internal/metrics"
 )
@@ -58,46 +58,42 @@ func (c *Fig89Config) applyDefaults() {
 // given replication and the background load running. Foreground work runs
 // on the always-active nodes only (18 for AllActive, the 10 active for
 // ActiveStandby) — commissioned standby nodes are dedicated to hot data.
-func buildFig89(model StorageModel, repl int, cfg Fig89Config) (*Testbed, *BackgroundLoad) {
-	var tb *Testbed
-	var fgNodes []hdfs.DatanodeID
-	switch model {
-	case AllActive:
-		tb = NewVanilla(18)
-		fgNodes = tb.Cluster.Active()
-		if _, err := tb.Cluster.CreateFile("/hot", cfg.FileSize, repl, 0); err != nil {
-			panic(err)
+func buildFig89(model StorageModel, repl int, cfg Fig89Config) (*erms.System, *BackgroundLoad) {
+	opts := erms.Options{DisableERMS: true}
+	if model == ActiveStandby {
+		opts = erms.Options{StandbyNodes: 8, JudgePeriod: time.Hour /* judge manual */}
+	}
+	sys := erms.NewSystem(opts)
+	c := sys.HDFS()
+	// The always-on nodes: 18 for AllActive, the 10 active for ActiveStandby.
+	fgNodes := c.Active()
+	base := repl
+	if model == ActiveStandby {
+		base = min(repl, hdfs.DefaultReplication)
+	}
+	if _, err := c.CreateFile("/hot", cfg.FileSize, base, 0); err != nil {
+		panic(err)
+	}
+	if repl > base {
+		// ERMS commissions standby nodes and places the extras there
+		// (Algorithm 1).
+		for _, id := range c.Standby() {
+			c.Commission(id)
 		}
-	case ActiveStandby:
-		th := core.DefaultThresholds()
-		tb = NewERMS(10, 8, th, time.Hour /* judge manual */)
-		fgNodes = tb.Cluster.Active() // the 10 always-on nodes
-		base := min(repl, hdfs.DefaultReplication)
-		if _, err := tb.Cluster.CreateFile("/hot", cfg.FileSize, base, 0); err != nil {
-			panic(err)
-		}
-		if repl > base {
-			// ERMS commissions standby nodes and places the extras there
-			// (Algorithm 1).
-			for _, id := range tb.Cluster.Standby() {
-				tb.Cluster.Commission(id)
+		done := false
+		c.SetReplication("/hot", repl, hdfs.WholeAtOnce, func(err error) {
+			if err != nil {
+				panic(err)
 			}
-			done := false
-			tb.Cluster.SetReplication("/hot", repl, hdfs.WholeAtOnce, func(err error) {
-				if err != nil {
-					panic(err)
-				}
-				done = true
-			})
-			for !done {
-				if !tb.Engine.Step() {
-					panic("experiments: replication never completed")
-				}
+			done = true
+		})
+		for !done {
+			if !sys.Engine().Step() {
+				panic("experiments: replication never completed")
 			}
 		}
 	}
-	bg := StartBackgroundLoad(tb, backgroundPerNode, fgNodes)
-	return tb, bg
+	return sys, StartBackgroundLoad(c, backgroundPerNode, fgNodes)
 }
 
 // measureConcurrent runs n concurrent whole-file readers of /hot and
@@ -105,12 +101,12 @@ func buildFig89(model StorageModel, repl int, cfg Fig89Config) (*Testbed, *Backg
 // execution time (s). Readers are external application servers (as in the
 // paper's system-metric experiments), so replica choice is purely
 // load-balanced.
-func measureConcurrent(tb *Testbed, n int, fileSize float64) (minTP, meanTP, meanExec float64) {
+func measureConcurrent(sys *erms.System, n int, fileSize float64) (minTP, meanTP, meanExec float64) {
 	var exec metrics.Mean
 	var tps []float64
 	doneCount := 0
 	for i := 0; i < n; i++ {
-		tb.Cluster.ReadFileAt(hdfs.ExternalClient, "/hot", i, func(r *hdfs.ReadResult) {
+		sys.HDFS().ReadFileAt(hdfs.ExternalClient, "/hot", i, func(r *hdfs.ReadResult) {
 			doneCount++
 			if r.Err != nil {
 				return
@@ -122,7 +118,7 @@ func measureConcurrent(tb *Testbed, n int, fileSize float64) (minTP, meanTP, mea
 	// Run until all the hot-file readers finish (background load keeps the
 	// event queue alive indefinitely, so run in bounded slices).
 	for doneCount < n {
-		tb.Engine.RunFor(5 * time.Second)
+		sys.RunFor(5 * time.Second)
 	}
 	minTP = 1e18
 	sum := 0.0
@@ -170,12 +166,10 @@ func Fig8(cfg Fig89Config, replications []int) []Fig8Row {
 // Every probe builds a fresh deterministic cluster.
 func maxSustainable(model StorageModel, repl int, cfg Fig89Config) int {
 	sustainable := func(n int) bool {
-		tb, bg := buildFig89(model, repl, cfg)
-		minTP, _, _ := measureConcurrent(tb, n, cfg.FileSize)
+		sys, bg := buildFig89(model, repl, cfg)
+		minTP, _, _ := measureConcurrent(sys, n, cfg.FileSize)
 		bg.Stop()
-		if tb.Manager != nil {
-			tb.Manager.Stop()
-		}
+		sys.Stop()
 		return minTP*MB >= minClientRate*0.999
 	}
 	lo, hi := 0, cfg.MaxClients
@@ -227,12 +221,10 @@ func Fig9(cfg Fig89Config, clients int, replications []int) []Fig9Row {
 	var rows []Fig9Row
 	for _, model := range []StorageModel{AllActive, ActiveStandby} {
 		for _, r := range replications {
-			tb, bg := buildFig89(model, r, cfg)
-			_, mean, execSec := measureConcurrent(tb, clients, cfg.FileSize)
+			sys, bg := buildFig89(model, r, cfg)
+			_, mean, execSec := measureConcurrent(sys, clients, cfg.FileSize)
 			bg.Stop()
-			if tb.Manager != nil {
-				tb.Manager.Stop()
-			}
+			sys.Stop()
 			rows = append(rows, Fig9Row{
 				Replication: r, Model: model, Throughput: mean, AvgExecSec: execSec,
 			})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"erms"
 	"erms/internal/core"
 	"erms/internal/hdfs"
 	"erms/internal/invariant"
@@ -87,28 +88,30 @@ func runScenarioCell(cfg ScenarioConfig, name, system string) (ScenarioRow, erro
 	if err != nil {
 		return ScenarioRow{}, err
 	}
-	var tb *Testbed
-	if system == "vanilla" {
-		tb = NewVanilla(18)
-	} else {
-		th := core.Thresholds{ColdAge: 24 * time.Hour} // replication, not coding
+	opts := erms.Options{DisableERMS: true}
+	if system != "vanilla" {
+		opts = erms.Options{
+			StandbyNodes: -1,
+			Thresholds:   core.Thresholds{ColdAge: 24 * time.Hour}, // replication, not coding
+			JudgePeriod:  time.Minute,
+		}
 		if name == "diurnal" {
 			// The diurnal cell is about the commission/drain cycle: give the
 			// deployment a standby pool to breathe with.
-			tb = NewERMS(12, 6, th, time.Minute)
-		} else {
-			tb = NewERMS(18, 0, th, time.Minute)
+			opts.StandbyNodes = 6
 		}
 	}
+	sys := erms.NewSystem(opts)
+	c, e := sys.HDFS(), sys.Engine()
 	row := ScenarioRow{Scenario: name, System: system, ReactS: -1}
 
 	iso := invariant.NewTenantIsolation()
 	var rx invariant.Reaction
 	var tp metrics.Mean
-	workload.Preload(tb.Engine, tb.Cluster, trace)
+	sys.Preload(trace)
 	for _, js := range trace.Jobs {
 		iso.ObserveSubmit(js)
-		workload.ScheduleRead(tb.Engine, tb.Cluster, 0, js, func(r *hdfs.ReadResult) {
+		workload.ScheduleRead(e, c, 0, js, func(r *hdfs.ReadResult) {
 			iso.ObserveDone(js, r)
 			if r.Err != nil {
 				row.Failed++
@@ -124,24 +127,23 @@ func runScenarioCell(cfg ScenarioConfig, name, system string) (ScenarioRow, erro
 	if name == "flashcrowd" {
 		// Watch the viral file's first block: the moment its live replica
 		// set grows past the default factor, the judge's reaction landed.
-		viral := tb.Cluster.File(workload.ViralPath)
+		viral := c.File(workload.ViralPath)
 		if viral == nil || len(viral.Blocks) == 0 {
 			return ScenarioRow{}, fmt.Errorf("scenario %s: viral file missing after preload", name)
 		}
 		b0 := viral.Blocks[0]
-		base := len(tb.Cluster.Replicas(b0))
-		sim.NewTicker(tb.Engine, time.Second, func(now time.Duration) {
-			if !rx.Reacted() && len(tb.Cluster.Replicas(b0)) > base {
+		base := len(c.Replicas(b0))
+		sim.NewTicker(e, time.Second, func(now time.Duration) {
+			if !rx.Reacted() && len(c.Replicas(b0)) > base {
 				rx.ObserveReplicaAdd(now)
 			}
 		})
 	}
-	tb.Engine.RunUntil(trace.Horizon(time.Hour))
-	if tb.Manager != nil {
-		tb.Manager.Stop()
-		st := tb.Manager.Stats()
-		row.Commissions = st.Commissions
-		for _, d := range tb.Manager.History() {
+	e.RunUntil(trace.Horizon(time.Hour))
+	sys.Stop()
+	if m := sys.Manager(); m != nil {
+		row.Commissions = m.Stats().Commissions
+		for _, d := range m.History() {
 			switch d.Formula {
 			case 1:
 				row.F1++
@@ -155,7 +157,7 @@ func runScenarioCell(cfg ScenarioConfig, name, system string) (ScenarioRow, erro
 		}
 	}
 	row.Throughput = tp.Value()
-	row.ReplicaGB = tb.Cluster.Metrics().ReplicationMB * MB / GB
+	row.ReplicaGB = c.Metrics().ReplicationMB * MB / GB
 	row.Fairness = iso.Fairness()
 	if name == "flashcrowd" && rx.Reacted() {
 		row.ReactS = rx.Time().Seconds()

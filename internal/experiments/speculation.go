@@ -3,6 +3,7 @@ package experiments
 import (
 	"time"
 
+	"erms"
 	"erms/internal/mapred"
 	"erms/internal/metrics"
 )
@@ -21,20 +22,20 @@ type AblationSpeculationRow struct {
 // speculative execution contains the damage.
 func AblationSpeculation() []AblationSpeculationRow {
 	run := func(speculative bool) AblationSpeculationRow {
-		tb := NewVanilla(18)
-		if _, err := tb.Cluster.CreateFile("/in", 512*MB, 3, -1); err != nil {
+		sys := erms.NewSystem(erms.Options{DisableERMS: true})
+		c := sys.HDFS()
+		if _, err := c.CreateFile("/in", 512*MB, 3, -1); err != nil {
 			panic(err)
 		}
-		mr := mapred.New(tb.Cluster, 2, mapred.NewFIFO())
 		j := &mapred.Job{Name: "job", File: "/in", Speculative: speculative}
-		if err := mr.Submit(j); err != nil {
+		if err := sys.MapReduce().Submit(j); err != nil {
 			panic(err)
 		}
-		tb.Engine.Schedule(200*time.Millisecond, func() {
-			tb.Cluster.StartDiskLoad(0, 8, 10*MB)
-			tb.Cluster.StartDiskLoad(1, 8, 10*MB)
+		sys.Engine().Schedule(200*time.Millisecond, func() {
+			c.StartDiskLoad(0, 8, 10*MB)
+			c.StartDiskLoad(1, 8, 10*MB)
 		})
-		tb.Engine.RunUntil(15 * time.Minute)
+		sys.RunUntil(15 * time.Minute)
 		mode := "no-speculation"
 		if speculative {
 			mode = "speculative"

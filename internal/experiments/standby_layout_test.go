@@ -59,7 +59,7 @@ func TestStandbyLayout(t *testing.T) {
 	}
 
 	demo := TraceDemo()
-	check("TraceDemo", demo.Testbed.Cluster.Topology(), demo.Testbed.Manager.InStandbyPool, 3)
+	check("TraceDemo", demo.HDFS().Topology(), demo.Manager().InStandbyPool, 3)
 
 	dur := newDurabilityCluster(sim.NewEngine())
 	check("Durability", dur.Topology(), inStandby(dur), 8)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"erms"
 	"erms/internal/core"
 	"erms/internal/metrics"
 	"erms/internal/sim"
@@ -134,19 +135,20 @@ func runThresholdSweepCell(cfg ThresholdSweepConfig, p sweep.Point) ThresholdSwe
 		Window:  time.Duration(winMin * float64(time.Minute)),
 		ColdAge: 24 * time.Hour, // keep the sweep about replication, not coding
 	}
-	tb := NewERMS(18, 0, th, time.Minute)
+	sys := erms.NewSystem(erms.Options{StandbyNodes: -1, Thresholds: th, JudgePeriod: time.Minute})
 	trace := synthesizeFig3Trace(Fig3Config{Seed: p.Seed, Duration: cfg.Duration, Files: cfg.Files})
 	peak := 0.0
-	sim.NewTicker(tb.Engine, time.Minute, func(time.Duration) {
-		if u := tb.Cluster.TotalUsed(); u > peak {
+	sim.NewTicker(sys.Engine(), time.Minute, func(time.Duration) {
+		if u := sys.StorageUsed(); u > peak {
 			peak = u
 		}
 	})
 	row := ThresholdSweepRow{Seed: p.Seed, TauM: tauM, WindowMin: winMin, Epsilon: eps, MM: th.MM}
-	row.Throughput = runTraceFIFO(tb, trace)
+	tp, _ := replayJobs(sys, trace)
+	row.Throughput = tp.Value()
 	row.PeakGB = peak / GB
-	row.ReplicaMB = tb.Cluster.Metrics().ReplicationMB
-	row.Increases = tb.Manager.Stats().Increases
+	row.ReplicaMB = sys.Metrics().ReplicationMB
+	row.Increases = sys.Manager().Stats().Increases
 	row.Score = row.Throughput - float64(lambda*(row.ReplicaMB*MB/GB))
 	return row
 }

@@ -38,8 +38,7 @@ func chain(tr *trace.Tracer, sp trace.Span, names ...string) bool {
 // judge verdict → Condor job → per-replica transfer — and the exported
 // Chrome trace must be byte-identical across runs.
 func TestTraceDemoEndToEnd(t *testing.T) {
-	res := TraceDemo()
-	tr := res.Tracer
+	tr := TraceDemo().Tracer()
 
 	byName := map[string][]trace.Span{}
 	for _, sp := range tr.Spans() {
@@ -64,13 +63,13 @@ func TestTraceDemoEndToEnd(t *testing.T) {
 	var verdict *trace.Span
 	for i := range byName["judge.decision"] {
 		sp := byName["judge.decision"][i]
-		if sp.Attr("path") == res.HotPath && sp.Attr("action") == "increase" {
+		if sp.Attr("path") == TraceHotPath && sp.Attr("action") == "increase" {
 			verdict = &sp
 			break
 		}
 	}
 	if verdict == nil {
-		t.Fatalf("no increase verdict for %s among %d decisions", res.HotPath, len(byName["judge.decision"]))
+		t.Fatalf("no increase verdict for %s among %d decisions", TraceHotPath, len(byName["judge.decision"]))
 	}
 	if !chain(tr, *verdict, "judge.pass") {
 		t.Fatal("judge.decision not parented under judge.pass")
@@ -95,7 +94,7 @@ func TestTraceDemoEndToEnd(t *testing.T) {
 	// transfers link under them.
 	readLinked := false
 	for _, rd := range byName["hdfs.read"] {
-		if rd.Attr("path") != res.HotPath {
+		if rd.Attr("path") != TraceHotPath {
 			continue
 		}
 		for _, flow := range byName["net.flow"] {
@@ -123,7 +122,7 @@ func TestTraceDemoEndToEnd(t *testing.T) {
 		t.Fatal("empty export")
 	}
 	var buf2 bytes.Buffer
-	if err := TraceDemo().Tracer.WriteChromeTrace(&buf2); err != nil {
+	if err := TraceDemo().Tracer().WriteChromeTrace(&buf2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
@@ -134,9 +133,9 @@ func TestTraceDemoEndToEnd(t *testing.T) {
 // TestTraceDemoMetricsSnapshot checks the registry the demo populated
 // renders a Prometheus snapshot whose counters reflect the run.
 func TestTraceDemoMetricsSnapshot(t *testing.T) {
-	res := TraceDemo()
+	reg := TraceDemo().Registry()
 	var b strings.Builder
-	if err := res.Registry.WritePrometheus(&b); err != nil {
+	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -154,7 +153,7 @@ func TestTraceDemoMetricsSnapshot(t *testing.T) {
 	if strings.Contains(out, " 0\nerms_decisions_total") {
 		t.Error("decisions counter should be nonzero")
 	}
-	dec := res.Registry.Counter("erms_decisions_total")
+	dec := reg.Counter("erms_decisions_total")
 	if dec.Int() == 0 {
 		t.Error("no decisions recorded in registry")
 	}

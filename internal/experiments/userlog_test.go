@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"erms"
 	"erms/internal/core"
 )
 
@@ -21,9 +22,13 @@ func TestFig3aCondorUserLogGolden(t *testing.T) {
 		t.Skip("replays the fig3a quick trace")
 	}
 	trace := synthesizeFig3Trace(Fig3Config{Seed: 1, Duration: 45 * time.Minute, Files: 16})
-	tb := NewERMS(18, 0, core.Thresholds{TauM: 4, Window: 5 * time.Minute, ColdAge: 24 * time.Hour}, time.Minute)
-	runTraceFIFO(tb, trace)
-	log := tb.Manager.Scheduler().Log()
+	sys := erms.NewSystem(erms.Options{
+		StandbyNodes: -1,
+		Thresholds:   core.Thresholds{TauM: 4, Window: 5 * time.Minute, ColdAge: 24 * time.Hour},
+		JudgePeriod:  time.Minute,
+	})
+	replayJobs(sys, trace)
+	log := sys.Manager().Scheduler().Log()
 	h := fnv.New64a()
 	for _, ev := range log {
 		fmt.Fprintln(h, ev.String())

@@ -9,10 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"erms"
 	"erms/internal/auditlog"
 	"erms/internal/chaos"
 	"erms/internal/core"
-	"erms/internal/experiments"
 	"erms/internal/hdfs"
 	"erms/internal/invariant"
 	"erms/internal/sim"
@@ -107,25 +107,23 @@ func runStorm(seed int64) (checks int, violations []invariant.Violation, err err
 	// Mix deployments: most seeds exercise the full ERMS stack (judge,
 	// condor, energy pool); every fifth runs vanilla HDFS so the oracles
 	// also guard the baseline paths.
-	var tb *experiments.Testbed
-	var total int
+	var opts erms.Options
 	vanilla := seed%5 == 0
 	if vanilla {
-		total = 12 + rng.Intn(8)
-		tb = experiments.NewVanilla(total)
+		opts = erms.Options{Nodes: 12 + rng.Intn(8), DisableERMS: true}
 	} else {
 		active, standby := 12+rng.Intn(6), 3+rng.Intn(4)
-		total = active + standby
-		tb = experiments.NewERMS(active, standby, core.Thresholds{}, 2*time.Minute)
+		opts = erms.Options{Nodes: active + standby, StandbyNodes: standby, JudgePeriod: 2 * time.Minute}
 	}
-	c, e := tb.Cluster, tb.Engine
+	sys := erms.NewSystem(opts)
+	c, e := sys.HDFS(), sys.Engine()
 	// Journal every mutation so the watcher's replay oracle re-commissions
 	// a standby from baseline + tail at every tick.
 	c.SetJournal(auditlog.NewJournal())
 
 	target := invariant.Target{
 		Cluster:        c,
-		Manager:        tb.Manager,
+		Manager:        sys.Manager(),
 		MaxReplication: core.DefaultThresholds().MaxReplication,
 		// Vanilla HDFS has no repair agent: repeated kills legitimately
 		// erode replicas, so only the ERMS runs assert durability.
@@ -140,7 +138,7 @@ func runStorm(seed int64) (checks int, violations []invariant.Violation, err err
 	paths := make([]string, 0, nFiles)
 	for i := 0; i < nFiles; i++ {
 		p := fmt.Sprintf("/storm/f%02d", i)
-		size := (32 + float64(rng.Intn(192))) * experiments.MB
+		size := (32 + float64(rng.Intn(192))) * erms.MB
 		if _, cerr := c.CreateFile(p, size, 3, -1); cerr != nil {
 			return 0, nil, fmt.Errorf("seed %d: create %s: %w", seed, p, cerr)
 		}
@@ -203,9 +201,7 @@ func runStorm(seed int64) (checks int, violations []invariant.Violation, err err
 	}
 
 	e.RunUntil(horizon)
-	if tb.Manager != nil {
-		tb.Manager.Stop()
-	}
+	sys.Stop()
 	w.Stop()
 	return w.Checks(), w.Violations(), nil
 }
@@ -213,12 +209,12 @@ func runStorm(seed int64) (checks int, violations []invariant.Violation, err err
 // TestRestoreOracle exercises the restore-equivalence oracle standalone:
 // a healthy cluster passes both the round-trip and replay checks.
 func TestRestoreOracle(t *testing.T) {
-	tb := experiments.NewVanilla(9)
-	c, e := tb.Cluster, tb.Engine
+	sys := erms.NewSystem(erms.Options{Nodes: 9, DisableERMS: true})
+	c, e := sys.HDFS(), sys.Engine()
 	c.SetJournal(auditlog.NewJournal())
 	w := invariant.Watch(e, 30*time.Second, invariant.Target{Cluster: c, CheckRestore: true})
 	for i := 0; i < 4; i++ {
-		if _, err := c.CreateFile(fmt.Sprintf("/r/f%d", i), 96*experiments.MB, 3, -1); err != nil {
+		if _, err := c.CreateFile(fmt.Sprintf("/r/f%d", i), 96*erms.MB, 3, -1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -239,9 +235,9 @@ func TestRestoreOracle(t *testing.T) {
 // surface as a durability violation — recorded once, not once per sweep —
 // and both the ticker path and the final Stop sweep must report it.
 func TestWatcherCatchesDataLoss(t *testing.T) {
-	tb := experiments.NewVanilla(6)
-	c, e := tb.Cluster, tb.Engine
-	if _, err := c.CreateFile("/v", 64*experiments.MB, 1, -1); err != nil {
+	sys := erms.NewSystem(erms.Options{Nodes: 6, DisableERMS: true})
+	c, e := sys.HDFS(), sys.Engine()
+	if _, err := c.CreateFile("/v", 64*erms.MB, 1, -1); err != nil {
 		t.Fatal(err)
 	}
 	w := invariant.Watch(e, 0, invariant.Target{Cluster: c}) // 0 → default period
@@ -286,9 +282,9 @@ func (keepAll) ChooseExcess(*hdfs.Cluster, hdfs.Block) (hdfs.DatanodeID, bool) {
 // holding more live replicas than its file's target is a storage
 // violation, one per block.
 func TestStorageOracleFlagsBlocksAboveTarget(t *testing.T) {
-	tb := experiments.NewVanilla(18)
-	c, e := tb.Cluster, tb.Engine
-	f, err := c.CreateFile("/over", 128*experiments.MB, 3, -1)
+	sys := erms.NewSystem(erms.Options{Nodes: 18, DisableERMS: true})
+	c, e := sys.HDFS(), sys.Engine()
+	f, err := c.CreateFile("/over", 128*erms.MB, 3, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,9 +302,9 @@ func TestStorageOracleFlagsBlocksAboveTarget(t *testing.T) {
 // file is not Encoded yet. That is an encode in flight, not data loss —
 // every oracle must stay quiet through it and after it.
 func TestCheckMidEncode(t *testing.T) {
-	tb := experiments.NewVanilla(18)
-	c, e := tb.Cluster, tb.Engine
-	if _, err := c.CreateFile("/cold/a", 640*experiments.MB, 3, -1); err != nil {
+	sys := erms.NewSystem(erms.Options{Nodes: 18, DisableERMS: true})
+	c, e := sys.HDFS(), sys.Engine()
+	if _, err := c.CreateFile("/cold/a", 640*erms.MB, 3, -1); err != nil {
 		t.Fatal(err)
 	}
 	c.EncodeFile("/cold/a", 10, 4, nil)
@@ -488,7 +484,7 @@ func runDegradedStorm(seed int64) (degradedOutcome, error) {
 	paths := make([]string, 0, nFiles)
 	for i := 0; i < nFiles; i++ {
 		p := fmt.Sprintf("/deg/f%02d", i)
-		if _, cerr := c.CreateFile(p, 256*experiments.MB, 3, -1); cerr != nil {
+		if _, cerr := c.CreateFile(p, 256*erms.MB, 3, -1); cerr != nil {
 			return degradedOutcome{}, fmt.Errorf("seed %d: create %s: %w", seed, p, cerr)
 		}
 		paths = append(paths, p)
