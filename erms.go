@@ -167,10 +167,6 @@ type Options struct {
 	Shards int
 }
 
-// slotsPerNode is the map-slot count per node, the Hadoop-era norm for
-// dual-core nodes.
-const slotsPerNode = 2
-
 // normalized fills the defaults every shard is built from.
 func (opts Options) normalized() Options {
 	if opts.Racks <= 0 {
@@ -282,7 +278,7 @@ func (s *System) newShard() *Shard {
 	cluster.RegisterMetrics(registry)
 	sh := &Shard{
 		cluster:  cluster,
-		mr:       mapred.New(cluster, slotsPerNode, sched),
+		mr:       mapred.New(cluster, sched),
 		registry: registry,
 	}
 	if opts.EnableTrace {

@@ -15,7 +15,7 @@ func benchRun(b *testing.B, sched Scheduler) {
 		e := sim.NewEngine()
 		topo := topology.New(topology.Config{})
 		h := hdfs.New(e, hdfs.Config{Topology: topo})
-		mr := New(h, 2, sched)
+		mr := New(h, sched)
 		for j := 0; j < 8; j++ {
 			path := fmt.Sprintf("/in%d", j)
 			if _, err := h.CreateFile(path, 512*mb, 3, topology.NodeID(j*2)); err != nil {

@@ -92,27 +92,26 @@ type Scheduler interface {
 
 // Cluster is the MapReduce runtime bound to a simulated HDFS cluster.
 type Cluster struct {
-	hdfs         *hdfs.Cluster
-	slotsPerNode int
-	sched        Scheduler
-	free         map[topology.NodeID]int
-	jobs         []*Job
-	nextID       int
-	onDone       []func(*Job)
-	dispatching  bool
+	hdfs        *hdfs.Cluster
+	sched       Scheduler
+	free        map[topology.NodeID]int
+	jobs        []*Job
+	nextID      int
+	onDone      []func(*Job)
+	dispatching bool
 }
 
+// slotsPerNode is the map-slot count on every datanode, the Hadoop-era
+// norm for dual-core nodes.
+const slotsPerNode = 2
+
 // New builds a MapReduce runtime with slotsPerNode map slots on every
-// datanode (default 2, the Hadoop-era norm for dual-core nodes).
-func New(h *hdfs.Cluster, slotsPerNode int, sched Scheduler) *Cluster {
-	if slotsPerNode <= 0 {
-		slotsPerNode = 2
-	}
+// datanode.
+func New(h *hdfs.Cluster, sched Scheduler) *Cluster {
 	if sched == nil {
 		sched = NewFIFO()
 	}
-	c := &Cluster{hdfs: h, slotsPerNode: slotsPerNode, sched: sched,
-		free: make(map[topology.NodeID]int)}
+	c := &Cluster{hdfs: h, sched: sched, free: make(map[topology.NodeID]int)}
 	for _, n := range h.Topology().Nodes {
 		c.free[n.ID] = slotsPerNode
 	}

@@ -16,7 +16,7 @@ func newRuntime(t *testing.T, sched Scheduler) (*sim.Engine, *hdfs.Cluster, *Clu
 	e := sim.NewEngine()
 	topo := topology.New(topology.Config{})
 	h := hdfs.New(e, hdfs.Config{Topology: topo})
-	return e, h, New(h, 2, sched)
+	return e, h, New(h, sched)
 }
 
 func TestSubmitUnknownFile(t *testing.T) {
@@ -114,8 +114,10 @@ func TestFairDelaySchedulingImprovesLocality(t *testing.T) {
 		e := sim.NewEngine()
 		topo := topology.New(topology.Config{})
 		h := hdfs.New(e, hdfs.Config{Topology: topo})
-		f := &Fair{MaxSkips: skips}
-		mr := New(h, 1, f)
+		mr := New(h, &Fair{MaxSkips: skips})
+		for n := range mr.free { // one slot per node: slots are scarce
+			mr.free[n] = 1
+		}
 		var jobs []*Job
 		for i := 0; i < 6; i++ {
 			path := "/in" + string(rune('a'+i))
@@ -147,7 +149,7 @@ func TestHigherReplicationImprovesLocality(t *testing.T) {
 		e := sim.NewEngine()
 		topo := topology.New(topology.Config{})
 		h := hdfs.New(e, hdfs.Config{Topology: topo})
-		mr := New(h, 2, NewFIFO())
+		mr := New(h, NewFIFO())
 		h.CreateFile("/in", 1024*mb, repl, 0)
 		j := &Job{Name: "j", File: "/in"}
 		mr.Submit(j)

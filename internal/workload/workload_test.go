@@ -180,7 +180,7 @@ func TestPreloadAndReplayMapReduce(t *testing.T) {
 	e := sim.NewEngine()
 	topo := topology.New(topology.Config{})
 	h := hdfs.New(e, hdfs.Config{Topology: topo})
-	mr := mapred.New(h, 2, mapred.NewFIFO())
+	mr := mapred.New(h, mapred.NewFIFO())
 	Preload(e, h, tr)
 	var doneJobs []*mapred.Job
 	ReplayMapReduce(e, mr, tr, func(j *mapred.Job) { doneJobs = append(doneJobs, j) })
