@@ -203,10 +203,10 @@ func BenchmarkAblationSpeculation(b *testing.B) {
 	}
 }
 
-func BenchmarkReliabilityMonteCarlo(b *testing.B) {
+func BenchmarkReliability(b *testing.B) {
 	var rows []experiments.ReliabilityRow
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Reliability(800, []int{3, 5}, 11)
+		rows = experiments.Reliability()
 	}
 	for _, r := range rows {
 		if r.NodesFailed != 5 {

@@ -196,12 +196,8 @@ func buildTasks(fig string, o figOpts) (tasks []sweep.Task, notes []string) {
 			}))
 	}
 	if want("reliability") {
-		trials := 2000
-		if o.full {
-			trials = 20000
-		}
 		tasks = append(tasks, task("reliability", func() (string, error) {
-			return sprintln(experiments.ReliabilityTable(experiments.Reliability(trials, nil, o.seed))), nil
+			return sprintln(experiments.ReliabilityTable(experiments.Reliability())), nil
 		}))
 	}
 	if want("failover") {

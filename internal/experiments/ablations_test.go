@@ -63,45 +63,54 @@ func TestAblationIdleSchedulingProtectsReads(t *testing.T) {
 }
 
 func TestReliabilityShape(t *testing.T) {
-	rows := Reliability(800, []int{1, 3, 5}, 11)
-	get := func(scheme string, fail int) float64 {
+	rows := Reliability()
+	get := func(scheme string, fail int) ReliabilityRow {
 		for _, r := range rows {
 			if r.Scheme == scheme && r.NodesFailed == fail {
-				return r.LossProb
+				return r
 			}
 		}
 		t.Fatalf("missing %s/%d", scheme, fail)
-		return 0
+		return ReliabilityRow{}
+	}
+	prob := func(scheme string, fail int) float64 { return get(scheme, fail).LossProb }
+	// Every dead set is counted: C(18, f) of them.
+	for f, sets := range map[int]int{1: 18, 2: 153, 3: 816, 4: 3060, 5: 8568} {
+		if got := get("rs(10,4)", f).Sets; got != sets {
+			t.Errorf("f=%d: %d dead sets, want C(18,%d) = %d", f, got, f, sets)
+		}
 	}
 	// Single replication loses data almost immediately.
-	if get("replication-1", 1) < 0.3 {
-		t.Errorf("replication-1 at f=1 too safe: %v", get("replication-1", 1))
+	if prob("replication-1", 1) < 0.3 {
+		t.Errorf("replication-1 at f=1 too safe: %v", prob("replication-1", 1))
 	}
 	// Triplication survives up to 2 failures by construction.
-	if get("replication-3", 1) != 0 {
-		t.Errorf("replication-3 lost data with one failure: %v", get("replication-3", 1))
+	if prob("replication-3", 1) != 0 || prob("replication-3", 2) != 0 {
+		t.Errorf("replication-3 lost data with two failures or fewer: %v, %v",
+			prob("replication-3", 1), prob("replication-3", 2))
 	}
-	// RS(10,4) with one replica per block tolerates any 4 node failures
-	// only if stripe members sit on distinct nodes; at minimum it must
-	// dominate single replication everywhere and not be catastrophically
-	// worse than triplication at low failure counts.
-	for _, f := range []int{1, 3, 5} {
-		if get("rs(10,4)", f) > get("replication-1", f) {
+	// RS(10,4) must dominate single replication everywhere.
+	for f := 1; f <= 5; f++ {
+		if prob("rs(10,4)", f) > prob("replication-1", f) {
 			t.Errorf("RS worse than single replication at f=%d", f)
 		}
 	}
-	if get("rs(10,4)", 1) != 0 {
-		t.Errorf("RS(10,4) lost data with one failure: %v", get("rs(10,4)", 1))
-	}
-	// Stripe-aware keeper placement: the code's full tolerance (any 3 node
-	// failures with near-distinct shard placement) is preserved.
-	if get("rs(10,4)", 3) != 0 {
-		t.Errorf("RS(10,4) lost data with three failures: %v", get("rs(10,4)", 3))
+	// The stripe this experiment builds has 14 members on 13 nodes (one
+	// node holds two), so it survives any 3 failures but not every 4: the
+	// 220 lost sets at f=4 are C(12, 3), the doubled node with three of
+	// the other twelve members' nodes. A stripe on 14 distinct nodes would
+	// read 0 at f=4 too.
+	for _, c := range []struct{ f, lost, sets int }{{1, 0, 18}, {2, 0, 153}, {3, 0, 816}, {4, 220, 3060}, {5, 2387, 8568}} {
+		if r := get("rs(10,4)", c.f); r.Lost != c.lost || r.Sets != c.sets {
+			t.Errorf("rs(10,4) f=%d: %d of %d dead sets lose the file, want %d of %d", c.f, r.Lost, r.Sets, c.lost, c.sets)
+		}
 	}
 	// Monotone in failures for each scheme.
 	for _, s := range []string{"replication-1", "replication-3", "rs(10,4)"} {
-		if get(s, 1) > get(s, 3) || get(s, 3) > get(s, 5) {
-			t.Errorf("%s: loss probability not monotone", s)
+		for f := 1; f < 5; f++ {
+			if prob(s, f) > prob(s, f+1) {
+				t.Errorf("%s: loss probability falls from f=%d to f=%d", s, f, f+1)
+			}
 		}
 	}
 	if tb := ReliabilityTable(rows); len(tb.Rows) != len(rows) {
