@@ -146,9 +146,11 @@ func churnFailoverTranscript(t *testing.T, seed int64) string {
 // TestChurnFailoverGolden holds the failover cycle to the bytes it wrote
 // before the metadata path was optimised: testdata/churn_failover.golden
 // was recorded at b7d582e (sorted-path judge sweep, flat journal slice,
-// bufio checkpoint encoder) by this same function, and there is no -update
-// path — a checkpoint byte, a journal entry, a digest or a decision that
-// differs means the optimisation changed behaviour, which it may not.
+// bufio checkpoint encoder) by this same function, and re-recorded at
+// 6457332 when the default standby pool moved to the tail of each rack
+// (hdfs.SpreadStandby). There is no -update path — a checkpoint byte, a
+// journal entry, a digest or a decision that differs means the
+// optimisation changed behaviour, which it may not.
 func TestChurnFailoverGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/churn_failover.golden")
 	if err != nil {

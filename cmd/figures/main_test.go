@@ -101,11 +101,12 @@ func TestRuntimeTableMarkdown(t *testing.T) {
 // printed before the evaluation harness was trimmed:
 // testdata/quick.golden is `figures -fig all -seed 1 -parallel 1` on one
 // core (so scale is skipped), recorded at b06bcd0, and there is no -update
-// path. Two differences since: the placement ablation's last column
-// reports replica skew where it reported balancer traffic, and the
-// durability table counts 125 repair jobs where it counted 127, with
-// time-to-repair p50 5.48 s where it was 5.46 s, since a repair no longer
-// re-copies a block whose copies are already in flight.
+// path. Differences since: the placement ablation's last column reports
+// replica skew where it reported balancer traffic; the durability table
+// was re-recorded at 4621384, when its standby pool moved to the tail of
+// each rack (hdfs.SpreadStandby); and the reliability table was
+// re-recorded at fd0dea4, when it became an exact count over every dead
+// set instead of a Monte Carlo estimate.
 func TestQuickScaleGolden(t *testing.T) {
 	tasks, _ := buildTasks("all", figOpts{seed: 1, parallel: 1, cores: 1})
 	results, err := sweep.Run(context.Background(), sweep.Options{Parallel: 1}, tasks)

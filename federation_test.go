@@ -77,12 +77,15 @@ func driveEquivalenceWorkload(t *testing.T, sys *erms.System) {
 // TestShardOneEquivalence pins the one-namenode deployment against the
 // last commit that had a separate non-federated code path (0014dab):
 // testdata/shard_one_equivalence.golden is what driveEquivalenceWorkload
-// yielded there on Options{EnableJournal: true} — state digest, SHA-256 of
-// the checkpoint bytes, journal length and hash, decisions hash, metrics,
-// storage, energy — identically for Shards 0 and 1. Both spellings must
-// still yield exactly that, so every pre-federation experiment and figure
-// regenerates byte-identically. The file has no -update path on purpose:
-// it is a recording of that commit, not of this one.
+// yielded on Options{EnableJournal: true} — state digest, SHA-256 of the
+// checkpoint bytes, journal length and hash, decisions hash, metrics,
+// storage, energy — identically for Shards 0 and 1. It was recorded at
+// 0014dab, held unchanged until the default standby pool moved to the
+// tail of each rack (hdfs.SpreadStandby), and was re-recorded then, at
+// 14921b0, with no other change. Both spellings must still yield exactly
+// that, so every pre-federation experiment and figure regenerates
+// byte-identically. The file has no -update path on purpose: it is a
+// recording of that commit, not of this one.
 func TestShardOneEquivalence(t *testing.T) {
 	want, err := os.ReadFile("testdata/shard_one_equivalence.golden")
 	if err != nil {
@@ -110,7 +113,7 @@ func TestShardOneEquivalence(t *testing.T) {
 			sys.StateDigest(), sha256.Sum256(ckpt.Bytes()), len(entries), jh.Sum(nil),
 			sha256.Sum256([]byte(fmt.Sprint(sys.Decisions()))), sys.Metrics(), sys.StorageUsed(), sys.Energy())
 		if got != string(want) {
-			t.Errorf("Shards: %d drifted from the 0014dab recording:\n--- got ---\n%s--- want ---\n%s", shards, got, want)
+			t.Errorf("Shards: %d drifted from the 14921b0 recording:\n--- got ---\n%s--- want ---\n%s", shards, got, want)
 		}
 		// The classic stream restores into either spelling.
 		for _, into := range []int{0, 1} {
