@@ -53,18 +53,7 @@ func AblationPlacement() []AblationPlacementRow {
 			panic(err)
 		}
 		step := func(target int) {
-			done := false
-			c.SetReplication("/f", target, hdfs.WholeAtOnce, func(err error) {
-				if err != nil {
-					panic(err)
-				}
-				done = true
-			})
-			for !done {
-				if !sys.Engine().Step() {
-					panic("replication stalled")
-				}
-			}
+			await(sys, func(done func(error)) { c.SetReplication("/f", target, hdfs.WholeAtOnce, done) })
 		}
 		step(8)
 		// Snapshot replica homes, then shrink and diff.
@@ -272,18 +261,7 @@ func Reliability() []ReliabilityRow {
 			panic(err)
 		}
 		if sc.encode {
-			done := false
-			c.EncodeFile("/f", 10, 4, func(err error) {
-				if err != nil {
-					panic(err)
-				}
-				done = true
-			})
-			for !done {
-				if !sys.Engine().Step() {
-					panic("encode stalled")
-				}
-			}
+			await(sys, func(done func(error)) { c.EncodeFile("/f", 10, 4, done) })
 		}
 		// Collect each block's replica homes and the file's stripe layout.
 		holders := map[hdfs.BlockID][]hdfs.DatanodeID{}

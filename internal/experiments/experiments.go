@@ -9,6 +9,7 @@
 package experiments
 
 import (
+	"erms"
 	"erms/internal/hdfs"
 	"erms/internal/topology"
 )
@@ -46,4 +47,22 @@ func (b *BackgroundLoad) Stop() {
 		s()
 	}
 	b.stops = nil
+}
+
+// await starts an operation on sys and steps the engine until the
+// operation reports done. An error or an engine that drains first is a
+// harness bug, so both panic.
+func await(sys *erms.System, start func(done func(error))) {
+	finished := false
+	start(func(err error) {
+		if err != nil {
+			panic(err)
+		}
+		finished = true
+	})
+	for !finished {
+		if !sys.Engine().Step() {
+			panic("experiments: operation never completed")
+		}
+	}
 }

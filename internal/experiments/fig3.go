@@ -110,19 +110,21 @@ func replayJobs(sys *erms.System, trace *workload.Trace) (tp metrics.Mean, local
 }
 
 func runFig3Variant(trace *workload.Trace, schedName, sysName string, tauM float64) Fig3Row {
-	opts := erms.Options{DisableERMS: true, Scheduler: strings.ToLower(schedName)}
+	opts := erms.Options{DisableERMS: true}
 	if tauM != 0 {
 		// Only τ_M is pinned; the dependent bounds (M_M, M_m, τ_DN) scale
 		// from it so the whole hot-rule family moves with the series.
-		opts.DisableERMS = false
-		opts.StandbyNodes = -1
-		opts.JudgePeriod = time.Minute
-		opts.Thresholds = core.Thresholds{
-			TauM:    tauM,
-			Window:  5 * time.Minute,
-			ColdAge: 24 * time.Hour, // keep Fig 3 about replication, not coding
+		opts = erms.Options{
+			StandbyNodes: -1,
+			Thresholds: core.Thresholds{
+				TauM:    tauM,
+				Window:  5 * time.Minute,
+				ColdAge: 24 * time.Hour, // keep Fig 3 about replication, not coding
+			},
+			JudgePeriod: time.Minute,
 		}
 	}
+	opts.Scheduler = strings.ToLower(schedName)
 	tp, loc := replayJobs(erms.NewSystem(opts), trace)
 	return Fig3Row{
 		Scheduler:  schedName,

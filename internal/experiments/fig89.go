@@ -59,18 +59,14 @@ func (c *Fig89Config) applyDefaults() {
 // on the always-active nodes only (18 for AllActive, the 10 active for
 // ActiveStandby) — commissioned standby nodes are dedicated to hot data.
 func buildFig89(model StorageModel, repl int, cfg Fig89Config) (*erms.System, *BackgroundLoad) {
-	opts := erms.Options{DisableERMS: true}
+	opts, base := erms.Options{DisableERMS: true}, repl
 	if model == ActiveStandby {
 		opts = erms.Options{StandbyNodes: 8, JudgePeriod: time.Hour /* judge manual */}
+		base = min(repl, hdfs.DefaultReplication)
 	}
 	sys := erms.NewSystem(opts)
 	c := sys.HDFS()
-	// The always-on nodes: 18 for AllActive, the 10 active for ActiveStandby.
 	fgNodes := c.Active()
-	base := repl
-	if model == ActiveStandby {
-		base = min(repl, hdfs.DefaultReplication)
-	}
 	if _, err := c.CreateFile("/hot", cfg.FileSize, base, 0); err != nil {
 		panic(err)
 	}
@@ -80,18 +76,7 @@ func buildFig89(model StorageModel, repl int, cfg Fig89Config) (*erms.System, *B
 		for _, id := range c.Standby() {
 			c.Commission(id)
 		}
-		done := false
-		c.SetReplication("/hot", repl, hdfs.WholeAtOnce, func(err error) {
-			if err != nil {
-				panic(err)
-			}
-			done = true
-		})
-		for !done {
-			if !sys.Engine().Step() {
-				panic("experiments: replication never completed")
-			}
-		}
+		await(sys, func(done func(error)) { c.SetReplication("/hot", repl, hdfs.WholeAtOnce, done) })
 	}
 	return sys, StartBackgroundLoad(c, backgroundPerNode, fgNodes)
 }
