@@ -93,11 +93,12 @@ serve:
 # -quick scale against the facade (about 6 s), so a facade or server
 # change that breaks the benchmark fails here, not in the next
 # performance PR. The tests run once more if they fail: serve-ops runs on
-# the real clock, and at the -quick scale about one run in ten on a busy
-# 2-core box has a stalled request overtaken by the 64 that follow it, so
-# that one delete reaches the server before its file's create (the
-# harness's churnLag; measured 3/30 at the commit before this target
-# existed, never at full scale). A real break fails both runs.
+# the real clock, and at the -quick scale a stalled request can be
+# overtaken by the 64 that follow it, so that one delete reaches the
+# server before its file's create (the harness's churnLag; never seen at
+# full scale). That is no rare flake: 10 of 12 runs failed at 401e6ad on
+# a shared 2-core box (ROADMAP item 6(a)), so the retry cannot tell a
+# break from the race until the harness is mended.
 benchcheck:
 	cd benchmark && $(GO) vet ./... && { $(GO) test ./... || $(GO) test ./...; }
 
@@ -266,7 +267,13 @@ loc:
 # example, benchmark workload or test set, their default branches and
 # pass-throughs, the test-only hdfs.Cluster.Config, condor's Replay and
 # the sweep tables' unused config parameter.
-LOC_CEILING ?= 21184
+# Then 21,069 with one assembly for every deployment (result 21,069): the
+# experiments' Testbed, NewVanilla, NewERMS and SpreadStandby, the
+# facade's highest-id standby loop and its Nodes/2 clamp, Durability's
+# hand-written pool, the Monte Carlo reliability sampler and mapred.New's
+# slotsPerNode parameter, for hdfs.SpreadStandby and the figure harnesses
+# built through erms.NewSystem.
+LOC_CEILING ?= 21069
 
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \
