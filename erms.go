@@ -100,10 +100,11 @@ func SynthesizeWorkload(cfg WorkloadConfig) *Trace { return workload.Synthesize(
 
 // Options sizes a System. The zero value reproduces the paper's testbed:
 // 18 datanodes in 3 racks and (when ERMS is enabled) an 8-node standby
-// pool spread across the racks (hdfs.SpreadStandby). The block size (hdfs.BlockSize, 64 MB), the default
-// replication (hdfs.DefaultReplication, 3), the map slots per node (2) and
-// the repair pipeline's stream caps (core.RepairConfig's defaults) are
-// fixed, not options.
+// pool spread across the racks (hdfs.SpreadStandby). The block size
+// (hdfs.BlockSize, 64 MB), the default replication
+// (hdfs.DefaultReplication, 3), the map slots per node (2) and the repair
+// pipeline's stream caps (core.RepairConfig's defaults) are fixed, not
+// options.
 type Options struct {
 	// Racks in the cluster (default 3).
 	Racks int

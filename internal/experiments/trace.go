@@ -17,9 +17,9 @@ const TraceHotPath = "/data/hot-part-00000"
 // file through the full control loop — access burst, judge verdict,
 // Condor job, per-replica transfers, cool-down, standby drain — so the
 // recorded span tree exercises every instrumented hop. It is the
-// workload behind `figures -fig trace`, `ermsctl trace`, and the
-// golden-trace regression test; everything it does is scheduled on the
-// deterministic engine, so two runs produce byte-identical exports.
+// workload behind `figures -fig trace` and the trace tests; everything
+// it does is scheduled on the deterministic engine, so two runs produce
+// byte-identical exports.
 func TraceDemo() *erms.System {
 	// 9 active nodes and 3 standby, one per rack. τ_M = 4 with a 1-minute
 	// judge period makes the burst below cross the hot threshold on the
