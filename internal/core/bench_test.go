@@ -21,11 +21,7 @@ func benchCluster(b testing.TB, nFiles, reads int) (*sim.Engine, *Manager) {
 	b.Helper()
 	e := sim.NewEngine()
 	topo := topology.New(topology.Config{})
-	var standby []hdfs.DatanodeID
-	for id := 10; id < 18; id++ {
-		standby = append(standby, hdfs.DatanodeID(id))
-	}
-	h := hdfs.New(e, hdfs.Config{Topology: topo, StandbyNodes: standby})
+	h := hdfs.New(e, hdfs.Config{Topology: topo, StandbyNodes: hdfs.SpreadStandby(topo, 8)})
 	m := New(h, Config{
 		Thresholds:  smallThresholds(),
 		JudgePeriod: time.Hour, // drive judging manually

@@ -40,13 +40,9 @@ type chaosOutcome struct {
 func runChaosStorm(t *testing.T, seed int64, dur time.Duration) chaosOutcome {
 	e := sim.NewEngine()
 	topo := topology.New(topology.Config{})
-	var pool []hdfs.DatanodeID
-	for id := 10; id < 18; id++ {
-		pool = append(pool, hdfs.DatanodeID(id))
-	}
 	h := hdfs.New(e, hdfs.Config{
 		Topology:     topo,
-		StandbyNodes: pool,
+		StandbyNodes: hdfs.SpreadStandby(topo, 8),
 		Heartbeat: hdfs.HeartbeatConfig{
 			Enabled:      true,
 			Interval:     3 * time.Second,
@@ -79,14 +75,12 @@ func runChaosStorm(t *testing.T, seed int64, dur time.Duration) chaosOutcome {
 
 	// The storm: ≥6 crashes, rack partitions that heal inside DeadTimeout
 	// (2m mean, ≤3m jittered, vs 4m dead), ≥10 corruptions, slow nodes.
-	var victims []hdfs.DatanodeID
-	for id := 0; id < 10; id++ {
-		victims = append(victims, hdfs.DatanodeID(id))
-	}
+	// The storm hits always-active nodes only: crashing a powered-down
+	// standby node is a no-op.
 	plan := chaos.Storm(chaos.StormConfig{
 		Seed:        seed + 100,
 		Duration:    dur,
-		Nodes:       victims,
+		Nodes:       h.Active(),
 		Racks:       []int{0, 1, 2},
 		Crashes:     8,
 		Downtime:    8 * time.Minute,

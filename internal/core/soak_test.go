@@ -19,11 +19,9 @@ import (
 func TestSoakSixHoursWithFailures(t *testing.T) {
 	e := sim.NewEngine()
 	topo := topology.New(topology.Config{})
-	var pool []hdfs.DatanodeID
-	for id := 10; id < 18; id++ {
-		pool = append(pool, hdfs.DatanodeID(id))
-	}
+	pool := hdfs.SpreadStandby(topo, 8)
 	h := hdfs.New(e, hdfs.Config{Topology: topo, StandbyNodes: pool})
+	active := h.Active()
 	th := Thresholds{
 		TauM:    6,
 		Window:  5 * time.Minute,
@@ -53,7 +51,7 @@ func TestSoakSixHoursWithFailures(t *testing.T) {
 	var lastVictim hdfs.DatanodeID = -1
 	for i := 0; i < 8; i++ {
 		at := time.Duration(40*(i+1)) * time.Minute
-		victim := hdfs.DatanodeID(i % 10)
+		victim := active[i%len(active)]
 		e.At(at, func() {
 			if lastVictim >= 0 {
 				h.Restart(lastVictim)
@@ -125,7 +123,7 @@ func TestSoakSixHoursWithFailures(t *testing.T) {
 		t.Errorf("condor books don't balance: %+v pending=%d", cs, m.Scheduler().Pending())
 	}
 	// Quiet for hours: any drained pool node is powered down again.
-	for id := range map[hdfs.DatanodeID]bool{10: true, 11: true} {
+	for _, id := range pool {
 		d := h.Datanode(id)
 		if m.InStandbyPool(id) && d.NumBlocks() == 0 && d.State == hdfs.StateActive {
 			t.Errorf("drained pool node %s left powered on", d.Name)
