@@ -57,12 +57,13 @@ runtime-table:
 	$(GO) run ./cmd/figures -fig all -runtime-table > runtime_table.md
 	@cat runtime_table.md
 
-# Failover gate: namenode crashes mid-storm (checkpoint + journal-tail
-# standby rebuild), the 10-seed checkpoint-resume equivalence property,
-# and the root-package promotion path — all under the race detector.
+# Failover gate: the mid-storm failover (TestFailoverDemo, the -fig
+# failover study, on System.FailoverShard), the 10-seed checkpoint-resume
+# equivalence property, and the root-package promotion path — all under
+# the race detector.
 failover:
-	$(GO) test -race -run 'TestFailoverMidStorm|TestFailoverDemo|TestCheckpointResumeEquivalence|TestSystemCheckpointFailover' \
-		./internal/chaos/ ./internal/experiments/ ./internal/hdfs/ ./.
+	$(GO) test -race -run 'TestFailoverDemo|TestCheckpointResumeEquivalence|TestSystemCheckpointFailover' \
+		./internal/experiments/ ./internal/hdfs/ ./.
 
 # Federation gate: the one-shard system must stay byte-identical to the
 # pre-federation single namenode (the TestShardOneEquivalence golden:
@@ -272,8 +273,15 @@ loc:
 # facade's highest-id standby loop and its Nodes/2 clamp, Durability's
 # hand-written pool, the Monte Carlo reliability sampler and mapred.New's
 # slotsPerNode parameter, for hdfs.SpreadStandby and the figure harnesses
-# built through erms.NewSystem.
-LOC_CEILING ?= 21069
+# built through erms.NewSystem. A reflow of the Options comment after it
+# left make loc at 21,070, one over, so loc-check failed until the next
+# ceiling.
+# Then 20,834 with one failover path (result 20,834): chaos.Failover, its
+# rolling-checkpoint ticker, the NamenodeCrash kind and its Plan and
+# StormConfig fields, with FailoverDemo rebuilt on erms.NewSystem and
+# System.FailoverShard and ZombiePrimary a fencing drill that needs no
+# harness.
+LOC_CEILING ?= 20834
 
 loc-check:
 	@total=$$($(MAKE) -s loc | awk '$$2 == "total" { print $$1 }'); \

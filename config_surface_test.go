@@ -30,7 +30,7 @@ var configStructs = []any{
 	hdfs.Config{}, hdfs.HeartbeatConfig{}, hdfs.SafeModeConfig{}, hdfs.ScrubConfig{},
 	core.Config{}, core.RepairConfig{},
 	condor.Config{}, condor.RetryPolicy{},
-	chaos.FailoverConfig{}, chaos.StormConfig{},
+	chaos.StormConfig{},
 	workload.Config{}, workload.TenantConfig{}, workload.FlashConfig{}, workload.PartialConfig{},
 	topology.Config{},
 	sweep.Options{},

@@ -39,15 +39,10 @@ const (
 	// CorruptReplica silently flips bits in one stored replica, chosen at
 	// fire time by (BlockOrdinal, ReplicaOrdinal) over the live namespace.
 	CorruptReplica
-	// NamenodeCrash fails the namenode over: a standby restores the rolling
-	// checkpoint, replays the journal tail, and is verified against the
-	// primary. Requires Plan.Failover; skipped otherwise.
-	NamenodeCrash
-	// ZombiePrimary is a fenced-writer drill: the namenode "crashes" but its
-	// process lingers, a standby is promoted (bumping the journal epoch),
-	// and the zombie's late mutations must bounce off the fence before the
-	// primary re-wins the election. Requires Plan.Failover; skipped
-	// otherwise.
+	// ZombiePrimary is a fenced-writer drill: a standby's promotion bumps
+	// the journal epoch, the lingering primary's late create and delete
+	// must bounce with hdfs.ErrFenced, and the primary then re-wins the
+	// election (AdoptEpoch). Skipped on a cluster with no journal.
 	ZombiePrimary
 	// MuteNode stops a node's heartbeats without touching its data plane
 	// (a long GC pause, a wedged heartbeat thread): the namenode ages it
@@ -63,8 +58,8 @@ const (
 // kindNames is each Kind's name in Report.PerKind.
 var kindNames = [...]string{Crash: "crash", Restart: "restart", PartitionRack: "partition",
 	HealRack: "heal", SlowNode: "slow", RestoreNode: "restore", CorruptReplica: "corrupt",
-	NamenodeCrash: "namenode-crash", ZombiePrimary: "zombie-primary", MuteNode: "stall",
-	UnmuteNode: "unstall", RestartRack: "restart-rack"}
+	ZombiePrimary: "zombie-primary", MuteNode: "stall", UnmuteNode: "unstall",
+	RestartRack: "restart-rack"}
 
 // String names the kind as Report.PerKind counts it.
 func (k Kind) String() string {
@@ -95,10 +90,6 @@ type Event struct {
 // Plan is a scripted fault schedule.
 type Plan struct {
 	Events []Event
-	// Failover gives NamenodeCrash events a target; see NewFailover. Plans
-	// without one skip namenode crashes, so datanode-only storms need no
-	// journal.
-	Failover *Failover
 }
 
 // Report tallies what a scheduled plan actually did.
@@ -126,7 +117,7 @@ func (p *Plan) Schedule(engine *sim.Engine, c *hdfs.Cluster) *Report {
 			delay = 0
 		}
 		engine.Schedule(delay, func() {
-			if p.apply(c, ev) {
+			if apply(c, ev) {
 				rep.Applied++
 				rep.PerKind[ev.Kind.String()]++
 			} else {
@@ -139,19 +130,21 @@ func (p *Plan) Schedule(engine *sim.Engine, c *hdfs.Cluster) *Report {
 
 // apply executes one fault against the cluster; false means no valid
 // target existed at fire time.
-func (p *Plan) apply(c *hdfs.Cluster, ev Event) bool {
+func apply(c *hdfs.Cluster, ev Event) bool {
 	switch ev.Kind {
-	case NamenodeCrash:
-		if p.Failover == nil {
-			return false
-		}
-		p.Failover.Crash()
-		return true
 	case ZombiePrimary:
-		if p.Failover == nil {
+		j := c.Journal()
+		if j == nil {
 			return false
 		}
-		p.Failover.CrashZombie()
+		// The promoted standby fences this writer; its late mutations must
+		// bounce (Metrics.FencedWritesRejected counts them) before it
+		// re-wins the election and resumes as writer.
+		j.BumpEpoch()
+		probe := fmt.Sprintf("/zombie/probe-%d", j.NextSeq())
+		_, _ = c.CreateFile(probe, 1, 1, -1)
+		_ = c.DeleteFile(probe)
+		c.AdoptEpoch()
 		return true
 	case RestartRack:
 		topo := c.Topology()

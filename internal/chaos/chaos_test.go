@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"erms/internal/auditlog"
 	"erms/internal/hdfs"
 	"erms/internal/sim"
 	"erms/internal/topology"
@@ -95,6 +96,46 @@ func TestPlanSkipsInvalidTargets(t *testing.T) {
 	e.RunUntil(10 * time.Second)
 	if rep.Applied != 8 || rep.Skipped != 20 {
 		t.Fatalf("report = %+v", rep)
+	}
+}
+
+// TestZombiePrimaryDrill: on a journaled cluster the drill's late create
+// and delete both bounce off the epoch fence without touching durable
+// state, and the primary ends unfenced; a cluster with no journal skips
+// the event.
+func TestZombiePrimaryDrill(t *testing.T) {
+	p := &Plan{Events: []Event{{At: time.Second, Kind: ZombiePrimary}}}
+
+	e, c := newCluster(t)
+	c.SetJournal(auditlog.NewJournal())
+	if _, err := c.CreateFile("/a", 128*mb, 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	before, m := c.StateDigest(), c.Metrics()
+	rep := p.Schedule(e, c)
+	e.RunUntil(2 * time.Second)
+	if rep.Applied != 1 || rep.PerKind["zombie-primary"] != 1 {
+		t.Fatalf("report = %+v", rep)
+	}
+	got := c.Metrics()
+	if got.FencedWritesRejected != m.FencedWritesRejected+2 {
+		t.Errorf("fenced writes rejected %d -> %d, want +2", m.FencedWritesRejected, got.FencedWritesRejected)
+	}
+	if got.FencedWritesApplied != m.FencedWritesApplied {
+		t.Errorf("fenced writes applied %d -> %d", m.FencedWritesApplied, got.FencedWritesApplied)
+	}
+	if c.StateDigest() != before {
+		t.Error("the zombie's writes changed durable state")
+	}
+	if _, err := c.CreateFile("/b", 128*mb, 3, 1); err != nil {
+		t.Errorf("create after the drill: %v", err)
+	}
+
+	e, c = newCluster(t)
+	rep = p.Schedule(e, c)
+	e.RunUntil(2 * time.Second)
+	if rep.Applied != 0 || rep.Skipped != 1 {
+		t.Fatalf("journal-less report = %+v", rep)
 	}
 }
 

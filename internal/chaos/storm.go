@@ -39,10 +39,6 @@ type StormConfig struct {
 	// Corruptions is the number of silent replica corruptions.
 	Corruptions int
 
-	// NamenodeCrashes is the number of namenode failovers. They only fire
-	// when the scheduled plan carries a Failover harness (Plan.Failover).
-	NamenodeCrashes int
-
 	// SlowNodes is the number of slowdown+restore pairs: slowFactor of
 	// the node's capacity for slowFor.
 	SlowNodes int
@@ -61,7 +57,7 @@ type StormConfig struct {
 	FlapNodes int
 
 	// ZombiePrimaries is the number of fenced-writer drills (ZombiePrimary
-	// events). They only fire when the plan carries a Failover harness.
+	// events). They are skipped on a cluster with no journal.
 	ZombiePrimaries int
 }
 
@@ -176,15 +172,10 @@ func Storm(cfg StormConfig) *Plan {
 		}
 	}
 
-	// Namenode crashes draw after the datanode faults so adding them leaves
-	// the datanode fault schedule of an equal-seed storm unchanged; each
-	// knob added since draws after everything older, for the same reason.
-	for i := 0; i < cfg.NamenodeCrashes; i++ {
-		events = append(events, Event{At: at(), Kind: NamenodeCrash})
-	}
-
 	// Correlated rack outage: partition, heal well past the dead timeout,
-	// then power-cycle whatever the namenode declared dead.
+	// then power-cycle whatever the namenode declared dead. Each knob draws
+	// after everything older, so adding one leaves the fault schedule of an
+	// equal-seed storm without it unchanged.
 	if len(cfg.Racks) > 0 {
 		for i := 0; i < cfg.RackOutages; i++ {
 			start := at()

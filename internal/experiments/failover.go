@@ -1,44 +1,42 @@
 package experiments
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"time"
 
-	"erms/internal/auditlog"
+	"erms"
 	"erms/internal/chaos"
-	"erms/internal/core"
 	"erms/internal/hdfs"
 	"erms/internal/invariant"
 	"erms/internal/metrics"
 	"erms/internal/sim"
-	"erms/internal/topology"
 )
 
-// FailoverConfig drives the namenode-failover study: how long a standby
-// takes to catch up as the journal tail it must replay grows.
+// FailoverConfig drives the namenode-failover study: how long a promoted
+// namenode takes to catch up as the journal tail it must replay grows.
 type FailoverConfig struct {
 	// Seed drives the workload and the datanode fault storm.
 	Seed int64
-	// Nodes is the cluster size; default 24.
-	Nodes int
-	// Files is the initial namespace size; default 24.
-	Files int
-	// Duration is the run length; default 40 minutes.
+	// Duration is the run length the crash points divide; default 40
+	// minutes.
 	Duration time.Duration
-	// Crashes is how many evenly spaced namenode crashes to measure;
-	// default 4. The rolling checkpoint is taken once at the start, so the
-	// tail replayed by crash k is k/Crashes of the run's journal — the
-	// x-axis of the time-to-recover curve.
+	// Crashes is how many evenly spaced crash points to measure; default 4.
+	// Each is its own run from the same seed, snapshotted once after the
+	// preload, so the tail replayed at crash k is k/(Crashes+1) of the
+	// run's journal — the x-axis of the time-to-recover curve.
 	Crashes int
 }
 
+// The study's deployment: 24 active datanodes (no standby pool) and a
+// preloaded namespace of 24 three-block files.
+const (
+	failoverNodes = 24
+	failoverFiles = 24
+)
+
 func (c *FailoverConfig) applyDefaults() {
-	if c.Nodes <= 0 {
-		c.Nodes = 24
-	}
-	if c.Files <= 0 {
-		c.Files = 24
-	}
 	if c.Duration <= 0 {
 		c.Duration = 40 * time.Minute
 	}
@@ -51,69 +49,67 @@ func (c *FailoverConfig) applyDefaults() {
 // deterministic; RestoreMs measures this machine's wall clock.
 type FailoverRow struct {
 	AtMin        float64 // virtual crash time
-	TailEntries  int     // journal entries replayed on top of the checkpoint
+	TailEntries  int     // journal entries replayed on top of the snapshot
 	CheckpointKB float64
 	Files        int // namespace size at the crash
 	Blocks       int
 	DigestMatch  bool
 	Consistent   bool
 	Lost         int     // recoverable blocks lost (must be 0)
-	RestoreMs    float64 // wall time to restore + replay (timing table only)
+	RestoreMs    float64 // wall time of FailoverShard (timing table only)
 }
 
-// FailoverDemo runs a journaled ERMS deployment through a read workload
-// and a datanode fault storm, failing the namenode over at evenly spaced
-// points. Each crash commissions a standby from the run-start checkpoint
-// plus the journal tail, so the rows trace time-to-recover as a function
-// of journal length — the knob a real deployment tunes with its
-// checkpoint cadence.
+// FailoverDemo runs a journaled ERMS deployment through a read workload,
+// namespace churn and a datanode fault storm, and fails its namenode over
+// with System.FailoverShard at evenly spaced points. Each crash point is
+// a run of its own from the same seed, so the rows trace time-to-recover
+// as a function of journal length — the knob a real deployment tunes
+// with its snapshot cadence — and each compares the promoted namenode
+// with the deposed primary.
 func FailoverDemo(cfg FailoverConfig) []FailoverRow {
 	cfg.applyDefaults()
-	e := sim.NewEngine()
-	topo := topology.New(topology.Config{Racks: 3, NodeCount: cfg.Nodes})
-	c := hdfs.New(e, hdfs.Config{
-		Topology: topo,
-		Heartbeat: hdfs.HeartbeatConfig{
-			Enabled:     true,
-			DeadTimeout: 2 * time.Minute,
-		},
-	})
-	c.SetJournal(auditlog.NewJournal())
+	rows := make([]FailoverRow, 0, cfg.Crashes)
+	for k := 1; k <= cfg.Crashes; k++ {
+		rows = append(rows, failoverRun(cfg, cfg.Duration*time.Duration(k)/time.Duration(cfg.Crashes+1)))
+	}
+	return rows
+}
 
-	bs := hdfs.BlockSize
-	for i := 0; i < cfg.Files; i++ {
+// failoverRun preloads the deployment, snapshots it, runs it to at and
+// fails shard 0 over there. The run ends at its failover, so the storm,
+// scheduled on the deposed namenode, never has to follow the swap.
+func failoverRun(cfg FailoverConfig, at time.Duration) FailoverRow {
+	sys := erms.NewSystem(erms.Options{
+		Nodes:         failoverNodes,
+		StandbyNodes:  -1,
+		EnableJournal: true,
+		Heartbeat:     erms.HeartbeatConfig{Enabled: true, DeadTimeout: 2 * time.Minute},
+	})
+	defer sys.Stop()
+	e, bs := sys.Engine(), hdfs.BlockSize
+	for i := 0; i < failoverFiles; i++ {
 		path := fmt.Sprintf("/fo/f%03d", i)
-		if _, err := c.CreateFile(path, 3*bs, 3, -1); err != nil {
+		if err := sys.CreateFileOn(path, 3*bs, 3, -1); err != nil {
 			panic(fmt.Sprintf("failover: create %s: %v", path, err))
 		}
 	}
-	m := core.New(c, core.Config{})
-
-	fo, err := chaos.NewFailover(chaos.FailoverConfig{
-		Cluster: c,
-		// One checkpoint for the whole run: crash k replays k/Crashes of
-		// the journal, giving the recover-time-vs-tail-length curve.
-		Interval: 2 * cfg.Duration,
-		Audit: func(standby *hdfs.Cluster) []string {
-			return invariant.Check(invariant.Target{Cluster: standby, AllowDataLoss: true})
-		},
-	})
-	if err != nil {
+	// The one snapshot of the run: crash k replays everything since.
+	var ckpt bytes.Buffer
+	if err := errors.Join(sys.SnapshotShards(), sys.Checkpoint(&ckpt)); err != nil {
 		panic("failover: " + err.Error())
 	}
+	base := sys.Journal().NextSeq()
 
 	// Zipf-popular reads keep the judge deciding (replication changes are
 	// the bulk of the journal) and keep transfers in flight at every crash.
 	rng := sim.NewRand(cfg.Seed)
-	zipf := sim.NewZipf(rng, 1.1, cfg.Files)
+	zipf := sim.NewZipf(rng, 1.1, failoverFiles)
 	items := make([]sim.Timed, 0, 2000)
 	for i := 0; i < 2000; i++ {
 		path := fmt.Sprintf("/fo/f%03d", zipf.Draw())
-		client := topology.NodeID(rng.Intn(cfg.Nodes))
+		client := rng.Intn(failoverNodes)
 		at := time.Duration(rng.Int63n(int64(cfg.Duration)))
-		items = append(items, sim.Timed{At: at, Fn: func() {
-			c.ReadFile(client, path, nil)
-		}})
+		items = append(items, sim.Timed{At: at, Fn: func() { sys.Read(client, path, nil) }})
 	}
 	e.AtBatch(items)
 
@@ -125,70 +121,79 @@ func FailoverDemo(cfg FailoverConfig) []FailoverRow {
 	tick = func() {
 		path := fmt.Sprintf("/fo/tmp%04d", churn)
 		churn++
-		if _, err := c.CreateFile(path, bs, 2, -1); err == nil {
-			e.Schedule(10*time.Minute, func() { _ = c.DeleteFile(path) })
+		if err := sys.CreateFileOn(path, bs, 2, -1); err == nil {
+			e.Schedule(10*time.Minute, func() { _ = sys.Delete(path) })
 		}
-		if e.Now() < cfg.Duration {
-			e.Schedule(time.Minute, tick)
-		}
+		e.Schedule(time.Minute, tick)
 	}
 	e.Schedule(time.Minute, tick)
 
-	// Datanode faults ride alongside so crashes land mid-churn.
-	plan := chaos.Storm(chaos.StormConfig{
+	// Datanode faults ride alongside so crashes land mid-churn. The first
+	// half of the cluster takes them, keeping the rest stable so reads
+	// always have somewhere to go.
+	victims := make([]hdfs.DatanodeID, failoverNodes/2)
+	for i := range victims {
+		victims[i] = hdfs.DatanodeID(i)
+	}
+	chaos.Storm(chaos.StormConfig{
 		Seed:     cfg.Seed,
 		Duration: cfg.Duration,
-		Nodes:    stormNodes(cfg.Nodes),
+		Nodes:    victims,
 		Racks:    []int{1, 2},
 		Crashes:  3,
 		Downtime: 3 * time.Minute,
-	})
-	plan.Failover = fo
-	plan.Schedule(e, c)
+	}).Schedule(e, sys.HDFS())
 
-	rows := make([]FailoverRow, 0, cfg.Crashes)
-	for k := 1; k <= cfg.Crashes; k++ {
-		at := cfg.Duration * time.Duration(k) / time.Duration(cfg.Crashes+1)
-		e.Schedule(at, func() {
-			res := fo.Crash()
-			if res.Err != nil {
-				panic("failover: " + res.Err.Error())
-			}
-			rows = append(rows, FailoverRow{
-				AtMin:        res.At.Minutes(),
-				TailEntries:  res.TailEntries,
-				CheckpointKB: float64(res.CheckpointBytes) / 1024,
-				Files:        c.Files(),
-				Blocks:       c.LiveBlocks(),
-				DigestMatch:  res.DigestMatch,
-				Consistent:   res.ConsistencyOK,
-				Lost:         res.RecoverableLost,
-				RestoreMs:    res.RestoreWall.Seconds() * 1000,
-			})
-		})
+	sys.RunUntil(at)
+	old := sys.HDFS()
+	tail := int(old.Journal().NextSeq() - base)
+	start := time.Now()
+	if err := sys.FailoverShard(0); err != nil {
+		panic("failover: " + err.Error())
 	}
-
-	e.RunUntil(cfg.Duration + 10*time.Minute)
-	m.Stop()
-	fo.Stop()
-	return rows
+	wall := time.Since(start)
+	promoted := sys.HDFS()
+	return FailoverRow{
+		AtMin:        at.Minutes(),
+		TailEntries:  tail,
+		CheckpointKB: float64(ckpt.Len()) / 1024,
+		Files:        promoted.Files(),
+		Blocks:       promoted.LiveBlocks(),
+		DigestMatch:  promoted.StateDigest() == old.StateDigest(),
+		Consistent:   len(invariant.Check(invariant.Target{Cluster: promoted, AllowDataLoss: true})) == 0,
+		Lost:         recoverableLost(old, promoted),
+		RestoreMs:    wall.Seconds() * 1000,
+	}
 }
 
-// stormNodes selects the first half of the cluster as storm victims,
-// keeping the rest stable so reads always have somewhere to go.
-func stormNodes(n int) []hdfs.DatanodeID {
-	ids := make([]hdfs.DatanodeID, 0, n/2)
-	for i := 0; i < n/2; i++ {
-		ids = append(ids, hdfs.DatanodeID(i))
+// recoverableLost counts blocks readable on the primary (at least one
+// live replica) that the standby either does not know or knows with no
+// replicas. Blocks already unrecoverable on the primary do not count —
+// a failover cannot be blamed for data the primary had lost too.
+func recoverableLost(primary, standby *hdfs.Cluster) int {
+	lost := 0
+	for _, path := range primary.FilePaths() {
+		f := primary.File(path)
+		sf := standby.File(path)
+		for _, ids := range [][]hdfs.BlockID{f.Blocks, f.Parity()} {
+			for _, id := range ids {
+				if len(primary.Replicas(id)) == 0 {
+					continue
+				}
+				if sf == nil || len(standby.Replicas(id)) == 0 {
+					lost++
+				}
+			}
+		}
 	}
-	return ids
+	return lost
 }
 
 // FailoverTable renders the deterministic half of the study — identical
 // bytes on every machine, so it rides in the byte-stable figures stream.
 func FailoverTable(rows []FailoverRow) *metrics.Table {
 	t := &metrics.Table{
-		Title: "Failover: standby rebuilt from checkpoint + journal tail at each crash (mid-storm)",
+		Title: "Failover: FailoverShard promotes snapshot + journal tail at each crash (mid-storm)",
 		Columns: []string{"crash_min", "tail_entries", "ckpt_KB",
 			"files", "blocks", "digest_match", "consistent", "lost"},
 	}
@@ -203,7 +208,7 @@ func FailoverTable(rows []FailoverRow) *metrics.Table {
 // journal length on this machine. Not byte-stable.
 func FailoverTimingTable(rows []FailoverRow) *metrics.Table {
 	t := &metrics.Table{
-		Title:   "Failover timing: wall-clock restore + replay vs journal tail length",
+		Title:   "Failover timing: wall-clock FailoverShard vs journal tail length",
 		Columns: []string{"crash_min", "tail_entries", "restore_ms"},
 	}
 	for _, r := range rows {

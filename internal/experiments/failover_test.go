@@ -7,14 +7,13 @@ import (
 )
 
 // TestFailoverDemo runs the failover study at reduced scale and checks
-// the property the figure exists to demonstrate: every crash recovers a
-// standby whose state matches the live namenode bit for bit, with zero
-// recoverable blocks lost, and the replayed tail grows with crash time.
+// the property the figure exists to demonstrate: every FailoverShard
+// promotes a namenode whose state matches the deposed primary bit for
+// bit, with zero recoverable blocks lost, and the replayed tail grows with
+// crash time.
 func TestFailoverDemo(t *testing.T) {
 	cfg := FailoverConfig{
 		Seed:     7,
-		Nodes:    18,
-		Files:    12,
 		Duration: 24 * time.Minute,
 		Crashes:  3,
 	}
@@ -24,10 +23,10 @@ func TestFailoverDemo(t *testing.T) {
 	}
 	for i, r := range rows {
 		if !r.DigestMatch {
-			t.Errorf("crash %d at %.1fm: standby digest != live", i, r.AtMin)
+			t.Errorf("crash %d at %.1fm: promoted digest != deposed primary's", i, r.AtMin)
 		}
 		if !r.Consistent {
-			t.Errorf("crash %d at %.1fm: standby inconsistent", i, r.AtMin)
+			t.Errorf("crash %d at %.1fm: promoted namenode inconsistent", i, r.AtMin)
 		}
 		if r.Lost != 0 {
 			t.Errorf("crash %d at %.1fm: lost %d recoverable blocks", i, r.AtMin, r.Lost)
