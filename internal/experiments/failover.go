@@ -75,10 +75,10 @@ func FailoverDemo(cfg FailoverConfig) []FailoverRow {
 	return rows
 }
 
-// failoverRun preloads the deployment, snapshots it, runs it to at and
-// fails shard 0 over there. The run ends at its failover, so the storm,
+// failoverRun preloads the deployment, snapshots it, runs it to crashAt
+// and fails shard 0 over there. The run ends at its failover, so the storm,
 // scheduled on the deposed namenode, never has to follow the swap.
-func failoverRun(cfg FailoverConfig, at time.Duration) FailoverRow {
+func failoverRun(cfg FailoverConfig, crashAt time.Duration) FailoverRow {
 	sys := erms.NewSystem(erms.Options{
 		Nodes:         failoverNodes,
 		StandbyNodes:  -1,
@@ -144,7 +144,7 @@ func failoverRun(cfg FailoverConfig, at time.Duration) FailoverRow {
 		Downtime: 3 * time.Minute,
 	}).Schedule(e, sys.HDFS())
 
-	sys.RunUntil(at)
+	sys.RunUntil(crashAt)
 	old := sys.HDFS()
 	tail := int(old.Journal().NextSeq() - base)
 	start := time.Now()
@@ -154,7 +154,7 @@ func failoverRun(cfg FailoverConfig, at time.Duration) FailoverRow {
 	wall := time.Since(start)
 	promoted := sys.HDFS()
 	return FailoverRow{
-		AtMin:        at.Minutes(),
+		AtMin:        crashAt.Minutes(),
 		TailEntries:  tail,
 		CheckpointKB: float64(ckpt.Len()) / 1024,
 		Files:        promoted.Files(),
