@@ -104,9 +104,10 @@ func TestRuntimeTableMarkdown(t *testing.T) {
 // path. Differences since: the placement ablation's last column reports
 // replica skew where it reported balancer traffic; the durability table
 // was re-recorded at 4621384, when its standby pool moved to the tail of
-// each rack (hdfs.SpreadStandby); and the reliability table was
-// re-recorded at fd0dea4, when it became an exact count over every dead
-// set instead of a Monte Carlo estimate.
+// each rack (hdfs.SpreadStandby); the reliability table was re-recorded
+// at fd0dea4, when it became an exact count over every dead set instead
+// of a Monte Carlo estimate; and the failover table was
+// re-recorded at e55bf91, when it came to measure System.FailoverShard.
 func TestQuickScaleGolden(t *testing.T) {
 	tasks, _ := buildTasks("all", figOpts{seed: 1, parallel: 1, cores: 1})
 	results, err := sweep.Run(context.Background(), sweep.Options{Parallel: 1}, tasks)
